@@ -6,8 +6,9 @@ AoA spectrum itself was still produced one frame at a time: per-frame
 covariance, per-frame 8x8 ``eigh``, per-frame noise-projection GEMM and a
 recomputed W(theta) window.  This benchmark measures the stacked frontend
 (:meth:`repro.core.pipeline.SpectrumComputer.compute_many` reached through
-``ArrayTrackAP.compute_spectra``) against the serial reference path
-(``SpectrumConfig.vectorized_frontend = False``), two ways:
+``ArrayTrackAP.compute_spectra``) against the serial per-frame reference in
+``tests/core/_oracle.py`` (the same Section 2.3 chain, one frame at a time),
+two ways:
 
 * **frontend microbench** -- one AP, one client, 256 buffered frames:
   frames-per-second through ``spectra_for_client`` with the full paper
@@ -42,6 +43,7 @@ from repro.geometry.vector import Point2D
 from repro.testbed import ScenarioConfig, SimulatedDeployment, build_office_testbed
 
 from conftest import run_once
+from tests.core._oracle import reference_ap_spectrum
 
 GRID_RESOLUTION_M = 0.25
 NUM_FRAMES = 256
@@ -86,9 +88,9 @@ def measure_frontend(num_frames: int = NUM_FRAMES) -> dict[str, float]:
     """Time serial vs batched spectra over one AP's buffered frames."""
     ap = _buffered_ap(num_frames)
 
-    ap.config.spectrum.vectorized_frontend = False
-    serial, serial_s = _timed(lambda: ap.spectra_for_client("client"))
-    ap.config.spectrum.vectorized_frontend = True
+    serial, serial_s = _timed(lambda: [
+        reference_ap_spectrum(ap, entry)
+        for entry in ap.buffer.entries_for_client("client")])
     batched, batched_s = _timed(lambda: ap.spectra_for_client("client"))
 
     assert len(serial) == len(batched) == num_frames
@@ -118,15 +120,22 @@ def measure_end_to_end(num_clients: int = NUM_CLIENTS) -> dict[str, float]:
     num_frames = sum(len(ap.buffer) for ap in deployment.aps.values())
     service = ArrayTrackService(ArrayTrackConfig(bounds=testbed.bounds).updated(
         {"server.localizer.grid_resolution_m": GRID_RESOLUTION_M}))
-    service.adopt_aps(deployment.aps.values())
+    aps = list(deployment.aps.values())
+    service.adopt_aps(aps)
 
-    def set_frontend(vectorized: bool) -> None:
-        for ap in deployment.aps.values():
-            ap.config.spectrum.vectorized_frontend = vectorized
+    def serial_sweep() -> dict:
+        """``localize_buffered`` with every spectrum from the reference."""
+        spectra_by_client = {}
+        for client_id in clients:
+            per_ap = {ap.ap_id: [reference_ap_spectrum(ap, entry)
+                                 for entry in entries]
+                      for ap in aps
+                      if (entries := ap.buffer.entries_for_client(client_id))}
+            if per_ap:
+                spectra_by_client[client_id] = per_ap
+        return service.localize_many(spectra_by_client)
 
-    set_frontend(False)
-    serial, serial_s = _timed(lambda: service.localize_buffered(clients))
-    set_frontend(True)
+    serial, serial_s = _timed(serial_sweep)
     batched, batched_s = _timed(lambda: service.localize_buffered(clients))
 
     assert list(serial) == list(batched), "client order diverged"
@@ -163,9 +172,9 @@ def measure_all(num_frames: int, num_clients: int) -> dict[str, dict[str, float]
 def test_frontend_speedup(benchmark, bench_smoke):
     """E-FRONTEND: the batched Section 2.3 frontend >= 5x the serial path.
 
-    The serial path pays one covariance estimate, one ``eigh``, one noise
-    projection GEMM and one symmetry side-power scan per frame; the batched
-    path folds each stage into a stacked pass over all frames.  Bit-for-bit
+    The serial reference pays one covariance estimate, one ``eigh``, one
+    noise projection GEMM and one symmetry side-power scan per frame; the
+    batched path folds each stage into a stacked pass over all frames.  Bit-for-bit
     equality of spectra and fixes is asserted at any size; the 5x bar
     applies at 256 frames.
     """

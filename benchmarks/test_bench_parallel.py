@@ -6,9 +6,9 @@ back to one Python likelihood call per candidate point per climber.  This
 benchmark measures end-to-end ``ArrayTrackService.localize_many`` over the
 office testbed with refinement *enabled*, four ways:
 
-* ``serial seed`` -- the pre-optimization path:
-  ``server.localizer.vectorized_refinement=False`` and no parallel backend
-  (per-candidate Python hill climbing, one thread);
+* ``serial seed`` -- the pre-optimization path: the serial Section 2.5
+  reference in ``tests/core/_oracle.py`` (grid seeds, then per-candidate
+  Python hill climbing, one thread) over the same localizer config;
 * ``vectorized`` -- the batched refiner
   (:func:`repro.core.optimizer.refine_many`): every round evaluates the
   stacked candidates of all clients' climbers in one Equation 8 pass per AP;
@@ -36,6 +36,7 @@ included) is still asserted there, the speedup bars only at full size.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import time
@@ -49,6 +50,7 @@ from repro.geometry.vector import Point2D, bearing_deg
 from repro.testbed.office import OfficeTestbed
 
 from conftest import run_once
+from tests.core._oracle import reference_refinement
 
 GRID_RESOLUTION_M = 0.25
 NUM_CLIENTS = 256
@@ -90,11 +92,9 @@ def _synthesize_clients(testbed: OfficeTestbed, count: int,
     return clients
 
 
-def _service(testbed: OfficeTestbed, vectorized: bool,
-             backend: str) -> ArrayTrackService:
+def _service(testbed: OfficeTestbed, backend: str) -> ArrayTrackService:
     config = ArrayTrackConfig(bounds=testbed.bounds).updated({
         "server.localizer.grid_resolution_m": GRID_RESOLUTION_M,
-        "server.localizer.vectorized_refinement": vectorized,
         "parallel.backend": backend,
         "parallel.num_workers": NUM_WORKERS,
         "parallel.min_clients_per_worker": 2,
@@ -102,36 +102,50 @@ def _service(testbed: OfficeTestbed, vectorized: bool,
     return ArrayTrackService(config)
 
 
+def _timed(call):
+    """Return ``call()``'s result and median time over the repetitions.
+
+    One untimed warm-up call runs first (cache warm-up, and for the process
+    backend the worker spawn + per-worker cache warm-up).
+    """
+    result = call()
+    samples = []
+    for _ in range(REPETITIONS):
+        start = time.perf_counter()
+        result = call()
+        samples.append(time.perf_counter() - start)
+    return result, float(np.median(samples))
+
+
 def measure_parallel(num_clients: int = NUM_CLIENTS) -> dict[str, object]:
     """Time the four refinement/sharding configurations over one batch.
 
-    Every configuration gets one untimed warm-up pass (cache warm-up, and
-    for the process backend the worker spawn + per-worker cache warm-up)
-    before its timed repetitions, then is closed; bit-equality against the
-    serial seed fixes is asserted for every other configuration.  Results
-    are written to :data:`RESULTS_PATH`.
+    Every configuration is timed by :func:`_timed`, and each service is
+    closed right after its run; bit-equality against the serial seed fixes
+    is asserted for every other configuration.  Results are written to
+    :data:`RESULTS_PATH`.
     """
     testbed = OfficeTestbed()
     rng = np.random.default_rng(2026)
     clients = _synthesize_clients(testbed, num_clients, rng)
     services = {
-        "serial seed": _service(testbed, vectorized=False, backend="none"),
-        "vectorized": _service(testbed, vectorized=True, backend="none"),
-        "vectorized + threads": _service(testbed, vectorized=True,
-                                         backend="thread"),
-        "vectorized + processes": _service(testbed, vectorized=True,
-                                           backend="process"),
+        "vectorized": _service(testbed, backend="none"),
+        "vectorized + threads": _service(testbed, backend="thread"),
+        "vectorized + processes": _service(testbed, backend="process"),
     }
+    # The serial seed climbs what the server would synthesize: each AP's
+    # single spectrum, in per-AP order.
+    localizer = services["vectorized"].config.server.localizer
+    processed = {client_id: [spectra[0] for spectra in per_ap.values()]
+                 for client_id, per_ap in clients.items()}
     estimates: dict[str, dict[str, object]] = {}
     timings: dict[str, float] = {}
+    estimates["serial seed"], timings["serial seed"] = _timed(
+        functools.partial(reference_refinement, testbed.bounds, localizer,
+                          processed))
     for name, service in services.items():
-        estimates[name] = service.localize_many(clients)   # warm the caches
-        samples = []
-        for _ in range(REPETITIONS):
-            start = time.perf_counter()
-            estimates[name] = service.localize_many(clients)
-            samples.append(time.perf_counter() - start)
-        timings[name] = float(np.median(samples))
+        estimates[name], timings[name] = _timed(
+            functools.partial(service.localize_many, clients))
         service.close()
     reference = estimates["serial seed"]
     for name in ("vectorized", "vectorized + threads",
@@ -143,7 +157,7 @@ def measure_parallel(num_clients: int = NUM_CLIENTS) -> dict[str, object]:
             assert (actual.position.x, actual.position.y) \
                 == (expected.position.x, expected.position.y), (
                 f"{name} fix for {client_id} diverged from the serial path")
-            assert actual.likelihood == expected.likelihood, (
+            assert actual.likelihood == expected.value, (
                 f"{name} likelihood for {client_id} diverged")
     serial_s = timings["serial seed"]
     results: dict[str, object] = {

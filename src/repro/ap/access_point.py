@@ -224,13 +224,8 @@ class ArrayTrackAP:
                                             full_indices)
 
     def compute_spectrum(self, entry: BufferEntry) -> AoASpectrum:
-        """Return the AoA spectrum for one buffered frame."""
-        snapshots = self._compensate(entry.snapshots)
-        if self.config.use_symmetry_antenna:
-            return self._spectrum_computer.compute_with_symmetry(
-                snapshots, self.array, self.linear_indices)
-        return self._spectrum_computer.compute(snapshots, self.array,
-                                               self.linear_indices)
+        """Return the AoA spectrum for one buffered frame (a batch of one)."""
+        return self.compute_spectra([entry])[0]
 
     def compute_spectra(self, entries: Sequence[BufferEntry]
                         ) -> list[AoASpectrum]:
@@ -243,16 +238,11 @@ class ArrayTrackAP:
         one covariance/eigh/projection sweep instead of one per frame.
         Entries whose captures differ in snapshot shape (e.g. a Figure 19
         sample-count sweep left mixed frames in the buffer) are grouped by
-        shape and batched per group.  Results are returned in input order
-        and are bit-for-bit identical to :meth:`compute_spectrum` per
-        entry.
+        shape and batched per group.  Results are returned in input order.
         """
         entries = list(entries)
         if not entries:
             return []
-        if not self.config.spectrum.vectorized_frontend:
-            # The serial reference path, frame by frame.
-            return [self.compute_spectrum(entry) for entry in entries]
         groups: dict[tuple[int, int], list[int]] = {}
         for index, entry in enumerate(entries):
             groups.setdefault(entry.snapshots.samples.shape, []).append(index)

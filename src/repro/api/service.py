@@ -24,9 +24,6 @@ is that service as a single public object, built from one
   :class:`~repro.ap.access_point.ArrayTrackAP`\\ s from the config tree's
   ``ap`` section (with the registry-resolved estimator applied), so the
   whole deployment is configured from one place.
-
-The legacy entry points (``ArrayTrackServer.localize_spectra``,
-``repro.quickstart.*``) remain as deprecated shims over this facade.
 """
 
 from __future__ import annotations

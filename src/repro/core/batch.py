@@ -22,14 +22,14 @@ observation:
    spectrum order, so a batched fix is bit-for-bit identical to the same
    client localized alone;
 4. hill-climbing refinement (Section 2.5) is seeded from each client's own
-   likelihood plane and, by default, driven by the *vectorized* refiner
+   likelihood plane and driven by the vectorized refiner
    (:func:`repro.core.optimizer.refine_many`): each round stacks the
    compass-neighbour candidates of every active climber of every client and
    evaluates them in one Equation 8 pass per AP slot
-   (:class:`_StackedObjective`), replaying the serial climber's exact
-   tie-breaking and evaluation budget so refined fixes stay bit-for-bit
-   identical to the per-candidate reference path
-   (``LocalizerConfig.vectorized_refinement=False``).
+   (:class:`_StackedObjective`), replaying the exact tie-breaking and
+   evaluation budget of :func:`~repro.core.optimizer.hill_climb` over
+   :func:`~repro.core.likelihood.likelihood_at`, so a refined fix is
+   bit-for-bit what that per-candidate climb would reach.
 
 :class:`~repro.core.localizer.LocationEstimator` is a thin wrapper running
 this engine with a batch of one, so there is exactly one synthesis code
@@ -56,16 +56,12 @@ from repro.core.cache import (
     default_bearing_cache,
     grid_axes,
 )
-from repro.core.likelihood import LikelihoodMap, likelihood_at
+from repro.core.likelihood import LikelihoodMap
 from repro.core.localizer import (
     LocalizerConfig,
     LocationEstimate,
 )
-from repro.core.optimizer import (
-    HillClimbResult,
-    refine_from_seeds,
-    refine_many,
-)
+from repro.core.optimizer import HillClimbResult, refine_many
 from repro.core.spectrum import AoASpectrum
 
 __all__ = ["BatchLocalizer", "count_distinct_sources"]
@@ -178,7 +174,7 @@ class _SlotEntry:
 class _StackedObjective:
     """Batched Section 2.5 objective: Equation 8 at arbitrary points.
 
-    The serial refinement objective is ``likelihood_at(normalized_spectra,
+    The scalar refinement objective is ``likelihood_at(normalized_spectra,
     position, floor)`` with out-of-bounds candidates rated 0.0; this class
     is its stacked equivalent for :func:`repro.core.optimizer.refine_many`:
     ``evaluate(units, xs, ys)`` scores every candidate point against its
@@ -248,7 +244,7 @@ class _StackedObjective:
         units = np.asarray(units, dtype=int)
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
-        # The serial objective short-circuits out-of-bounds candidates to
+        # The scalar objective short-circuits out-of-bounds candidates to
         # 0.0 without touching the spectra; do the same (climbers near the
         # boundary probe outside every round) and fold only the rest.
         xmin, ymin, xmax, ymax = self._bounds
@@ -671,34 +667,21 @@ class BatchLocalizer:
                       ) -> dict[str, HillClimbResult]:
         """Run the Section 2.5 hill climbing for every client of the batch.
 
-        With ``vectorized_refinement`` (the default) all clients climb
-        together: each round evaluates the stacked candidates of every
-        active climber through :class:`_StackedObjective` -- one Equation 8
-        pass per AP slot instead of one Python call per candidate point.
-        The serial reference path runs :func:`refine_from_seeds` per client;
-        both produce bit-for-bit identical results.
+        All clients climb together: each round evaluates the stacked
+        candidates of every active climber through
+        :class:`_StackedObjective` -- one Equation 8 pass per AP slot
+        instead of one Python call per candidate point.
         """
         if not self.config.refine_with_hill_climbing:
             return {}
         keys = list(prepared.keys())
-        initial_step_m = self.config.grid_resolution_m / 2.0
-        min_step_m = self.config.grid_resolution_m / 20.0
-        if self.config.vectorized_refinement:
-            objective = _StackedObjective(keys, prepared, self.bounds,
-                                          self.config)
-            results = refine_many(objective.evaluate,
-                                  [seeds_by_key[key] for key in keys],
-                                  initial_step_m=initial_step_m,
-                                  min_step_m=min_step_m)
-            return dict(zip(keys, results, strict=True))
-        refined: dict[str, HillClimbResult] = {}
-        for key in keys:
-            spectra = prepared[key]
-            normalized = [s.normalized() for s in spectra] \
-                if self.config.normalize_spectra else spectra
-            refined[key] = self._refine(normalized, seeds_by_key[key],
-                                        initial_step_m, min_step_m)
-        return refined
+        objective = _StackedObjective(keys, prepared, self.bounds, self.config)
+        resolution_m = self.config.grid_resolution_m
+        results = refine_many(objective.evaluate,
+                              [seeds_by_key[key] for key in keys],
+                              initial_step_m=resolution_m / 2.0,
+                              min_step_m=resolution_m / 20.0)
+        return dict(zip(keys, results, strict=True))
 
     def _estimate_client(self, key: str, spectra: list[AoASpectrum],
                          folded: _FoldedBatch,
@@ -723,23 +706,3 @@ class BatchLocalizer:
             client_id=client,
             heatmap=heatmap if self.config.keep_heatmap else None,
         )
-
-    def _refine(self, spectra: Sequence[AoASpectrum],
-                seeds: Sequence[tuple[Point2D, float]],
-                initial_step_m: float,
-                min_step_m: float) -> HillClimbResult:
-        """Serial reference refinement for one client (one call per point)."""
-
-        def objective(position: Point2D) -> float:
-            if not self._within_bounds(position):
-                return 0.0
-            return likelihood_at(spectra, position,
-                                 floor=self.config.spectrum_floor)
-
-        return refine_from_seeds(objective, seeds,
-                                 initial_step_m=initial_step_m,
-                                 min_step_m=min_step_m)
-
-    def _within_bounds(self, position: Point2D) -> bool:
-        xmin, ymin, xmax, ymax = self.bounds
-        return xmin <= position.x <= xmax and ymin <= position.y <= ymax

@@ -75,13 +75,6 @@ class LocalizerConfig:
         Minimum relative value a spectrum contributes to the likelihood
         product; keeps one blind AP from vetoing the true location (0
         reproduces the plain Equation 8 product).
-    vectorized_refinement:
-        Run the Section 2.5 hill climbing through the batched refiner
-        (:func:`repro.core.optimizer.refine_many`): the compass-neighbour
-        candidates of every seed of every client in a batch are evaluated
-        in one stacked Equation 8 pass per round.  Bit-for-bit identical to
-        the serial per-candidate climber; disable only to time or debug the
-        serial reference path.
     """
 
     grid_resolution_m: float = DEFAULT_GRID_RESOLUTION_M
@@ -90,7 +83,6 @@ class LocalizerConfig:
     keep_heatmap: bool = False
     normalize_spectra: bool = True
     spectrum_floor: float = 0.02
-    vectorized_refinement: bool = True
 
     def __post_init__(self) -> None:
         if self.grid_resolution_m <= 0:
@@ -99,10 +91,6 @@ class LocalizerConfig:
             raise EstimationError("num_seeds must be >= 1")
         if not 0.0 <= self.spectrum_floor < 1.0:
             raise EstimationError("spectrum_floor must be in [0, 1)")
-        if not isinstance(self.vectorized_refinement, bool):
-            raise EstimationError(
-                f"vectorized_refinement must be a boolean, "
-                f"got {self.vectorized_refinement!r}")
 
 
 class LocationEstimator:

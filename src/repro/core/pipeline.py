@@ -11,17 +11,16 @@ The ``method`` knob also exposes the Bartlett and Capon estimators so the
 ablation benchmark can swap the spectrum estimator while keeping everything
 else fixed.
 
-Beyond the single-frame :meth:`SpectrumComputer.compute`, the pipeline has a
-batched frontend: :meth:`SpectrumComputer.compute_many` (and
+The frontend is batched: :meth:`SpectrumComputer.compute_many` (and
 :meth:`SpectrumComputer.compute_many_with_symmetry`) take all of a capture
 batch's calibrated snapshot matrices at once and run every Section 2.3 stage
 in stacked NumPy passes -- one stacked covariance/smoothing pass, one stacked
 ``np.linalg.eigh``, the vectorized source-count rule, one noise-projection
 GEMM per (geometry, D) frame group, vectorized mirroring, the cached
 W(theta) window and a stacked Bartlett side-power pass for symmetry removal.
-The batched path is gated by :attr:`SpectrumConfig.vectorized_frontend` and
-is bit-for-bit identical to looping :meth:`SpectrumComputer.compute` over
-the same frames.
+The single-frame :meth:`SpectrumComputer.compute` and
+:meth:`SpectrumComputer.compute_with_symmetry` are batches of one through
+the same path, so each stage has exactly one implementation.
 """
 
 from __future__ import annotations
@@ -40,23 +39,16 @@ from repro.errors import EstimationError
 from repro.array.deployment import DeployedArray
 from repro.array.geometry import ArrayGeometry
 from repro.array.receiver import SnapshotMatrix
-from repro.core.covariance import sample_covariance, sample_covariance_many
+from repro.core.covariance import sample_covariance_many
 from repro.core.music import (
-    bartlett_spectrum,
     bartlett_spectrum_many,
-    capon_spectrum,
     capon_spectrum_many,
-    music_spectrum,
     music_spectrum_many,
 )
-from repro.core.smoothing import (
-    effective_antennas,
-    smoothed_covariance,
-    smoothed_covariance_many,
-)
+from repro.core.smoothing import effective_antennas, smoothed_covariance_many
 from repro.core.spectrum import AoASpectrum, default_angle_grid
 from repro.core.symmetry import SymmetryResolver
-from repro.core.weighting import apply_geometry_weighting, cached_geometry_window
+from repro.core.weighting import cached_geometry_window
 
 __all__ = ["SpectrumConfig", "SpectrumComputer"]
 
@@ -89,12 +81,7 @@ class SpectrumConfig:
         Residual scale applied to the rejected half plane during array
         symmetry removal.  A small non-zero value keeps an occasional wrong
         side decision from zeroing the true bearing out of the likelihood
-        product entirely.
-    vectorized_frontend:
-        Run :meth:`SpectrumComputer.compute_many` through the stacked
-        Section 2.3 pipeline (the default).  ``False`` keeps the serial
-        per-frame path as the reference implementation; both produce
-        bit-for-bit identical spectra.
+        product entirely.  Must lie in [0, 1].
     """
 
     smoothing_groups: int = DEFAULT_SMOOTHING_GROUPS
@@ -105,7 +92,6 @@ class SpectrumConfig:
     forward_backward: bool = False
     elevation_deg: float = 0.0
     symmetry_attenuation: float = 0.1
-    vectorized_frontend: bool = True
 
     def __post_init__(self) -> None:
         if self.smoothing_groups < 1:
@@ -113,10 +99,13 @@ class SpectrumConfig:
         if self.method not in _VALID_METHODS:
             raise EstimationError(
                 f"unknown spectrum method {self.method!r}; valid: {_VALID_METHODS}")
-        if not isinstance(self.vectorized_frontend, bool):
+        # Both values are checked here so a bad config fails at load time
+        # rather than at the first AP build or the first frame.
+        default_angle_grid(self.angle_resolution_deg, full_circle=False)
+        if not 0.0 <= self.symmetry_attenuation <= 1.0:
             raise EstimationError(
-                f"vectorized_frontend must be a boolean, "
-                f"got {self.vectorized_frontend!r}")
+                f"symmetry_attenuation must be in [0, 1], "
+                f"got {self.symmetry_attenuation!r}")
 
 
 class SpectrumComputer:
@@ -153,37 +142,10 @@ class SpectrumComputer:
             Defaults to all rows, which is correct for a plain ULA capture;
             pass the ULA subset explicitly when the capture includes the
             ninth symmetry antenna.
+
+        A batch of one through :meth:`compute_many`.
         """
-        samples = snapshots.samples
-        if linear_indices is None:
-            linear_indices = list(range(samples.shape[0]))
-        else:
-            linear_indices = list(linear_indices)
-        if len(linear_indices) < 2:
-            raise EstimationError("need at least two linear-array antennas")
-        linear_samples = samples[linear_indices, :]
-        linear_geometry = array.geometry.subarray(linear_indices) \
-            if len(linear_indices) != array.geometry.num_elements \
-            else array.geometry
-        if not linear_geometry.is_linear():
-            raise EstimationError(
-                "the selected antennas do not form a linear array; pass "
-                "linear_indices selecting the ULA row")
-        half_power = self._half_spectrum(linear_samples, linear_geometry,
-                                         array.wavelength_m)
-        half_angles = default_angle_grid(self.config.angle_resolution_deg,
-                                         full_circle=False)
-        spectrum = AoASpectrum.from_half_spectrum(
-            half_angles, half_power,
-            ap_position=array.position,
-            ap_orientation_deg=array.orientation_deg,
-            client_id=snapshots.client_id,
-            ap_id=snapshots.ap_id,
-            timestamp_s=snapshots.timestamp_s,
-        )
-        if self.config.apply_weighting:
-            spectrum = apply_geometry_weighting(spectrum)
-        return spectrum
+        return self.compute_many([snapshots], array, linear_indices)[0]
 
     def compute_many(self, snapshots_list: Sequence[SnapshotMatrix],
                      array: DeployedArray,
@@ -197,10 +159,8 @@ class SpectrumComputer:
         per-frame numerics -- covariance/smoothing, eigendecomposition,
         source counting, the Equation 6 noise projection (one GEMM per
         source-count group), mirroring and the W(theta) window -- run once
-        over the whole stack.  Results are bit-for-bit identical to
-        calling :meth:`compute` frame by frame; with
-        ``config.vectorized_frontend = False`` that serial loop *is* the
-        implementation (the reference path).
+        over the whole stack.  Each frame's spectrum is independent of the
+        others in the batch.
 
         Parameters
         ----------
@@ -216,9 +176,6 @@ class SpectrumComputer:
         snapshots_list = list(snapshots_list)
         if not snapshots_list:
             return []
-        if not self.config.vectorized_frontend:
-            return [self.compute(snapshots, array, linear_indices)
-                    for snapshots in snapshots_list]
         return self.compute_many_stacked(self._stack_samples(snapshots_list),
                                          snapshots_list, array, linear_indices)
 
@@ -227,14 +184,12 @@ class SpectrumComputer:
                              array: DeployedArray,
                              linear_indices: Sequence[int] | None = None
                              ) -> list[AoASpectrum]:
-        """Raw-stack variant of :meth:`compute_many` (always vectorized).
+        """Raw-stack variant of :meth:`compute_many`.
 
         Callers that already hold the calibrated ``(F, M, N)`` sample stack
         (the AP compensates all frames' phase offsets in one broadcast
         multiply) skip the per-frame re-stacking; ``frames`` only supplies
-        each spectrum's metadata (client id, AP id, timestamp).  The
-        ``vectorized_frontend`` gate is the caller's responsibility -- this
-        *is* the vectorized implementation.
+        each spectrum's metadata (client id, AP id, timestamp).
         """
         stack, frames = self._check_stack(stack, frames)
         if not frames:
@@ -250,19 +205,13 @@ class SpectrumComputer:
                                    ) -> list[AoASpectrum]:
         """Batched :meth:`compute_with_symmetry` over many frames.
 
-        Computes the mirrored spectra through :meth:`compute_many`, then
+        Computes the mirrored spectra as :meth:`compute_many` does, then
         resolves every frame's mirror ambiguity in one stacked Bartlett
-        side-power pass (Section 2.3.4).  Bit-for-bit identical to the
-        serial per-frame path, which ``config.vectorized_frontend = False``
-        selects directly.
+        side-power pass (Section 2.3.4).
         """
         snapshots_list = list(snapshots_list)
         if not snapshots_list:
             return []
-        if not self.config.vectorized_frontend:
-            return [self.compute_with_symmetry(snapshots, array,
-                                               linear_indices, full_indices)
-                    for snapshots in snapshots_list]
         return self.compute_many_with_symmetry_stacked(
             self._stack_samples(snapshots_list), snapshots_list, array,
             linear_indices, full_indices)
@@ -282,8 +231,6 @@ class SpectrumComputer:
         if not frames:
             return []
         attenuation = self.config.symmetry_attenuation
-        if not 0.0 <= attenuation <= 1.0:
-            raise EstimationError("attenuation must be in [0, 1]")
         full_angles, full_power = self._full_power_stack(stack, array,
                                                          linear_indices)
         if full_indices is None:
@@ -298,8 +245,8 @@ class SpectrumComputer:
                                                   full_power, full_angles)
         # Vectorized Section 2.3.4 suppression: scale each frame's weaker
         # half plane in place on the power stack, then build the output
-        # objects once (the serial path's suppress_half_plane applies the
-        # identical elementwise multiply per frame).
+        # objects once (the same elementwise multiply as
+        # AoASpectrum.suppress_half_plane applies to one spectrum).
         suppress_lower = upper >= lower
         mask_lower = full_angles >= 180.0
         rows_lower = np.nonzero(suppress_lower)[0]
@@ -319,18 +266,11 @@ class SpectrumComputer:
 
         ``linear_indices`` select the ULA row used for MUSIC; the remaining
         rows (or ``full_indices``) provide the off-row antenna(s) used by
-        the Bartlett side-power comparison.
+        the Bartlett side-power comparison.  A batch of one through
+        :meth:`compute_many_with_symmetry`.
         """
-        spectrum = self.compute(snapshots, array, linear_indices)
-        if full_indices is None:
-            full_indices = list(range(snapshots.samples.shape[0]))
-        full_geometry = array.geometry.subarray(list(full_indices)) \
-            if len(list(full_indices)) != array.geometry.num_elements \
-            else array.geometry
-        resolver = SymmetryResolver(full_geometry, array.wavelength_m)
-        return resolver.resolve(spectrum,
-                                snapshots.samples[list(full_indices), :],
-                                attenuation=self.config.symmetry_attenuation)
+        return self.compute_many_with_symmetry(
+            [snapshots], array, linear_indices, full_indices)[0]
 
     # ------------------------------------------------------------------
     # Cache warm-up
@@ -462,10 +402,8 @@ class SpectrumComputer:
                             wavelength_m: float) -> np.ndarray:
         """Return the ``(F, K)`` pseudospectra stack on the [0, 180] range.
 
-        The stacked counterpart of :meth:`_half_spectrum`: each covariance
-        variant and each estimator runs one NumPy pass over the whole
-        frame stack, producing per-frame rows bit-for-bit identical to the
-        serial path.
+        Each covariance variant and each estimator runs one NumPy pass
+        over the whole frame stack.
         """
         config = self.config
         angles = default_angle_grid(config.angle_resolution_deg, full_circle=False)
@@ -489,32 +427,3 @@ class SpectrumComputer:
                                           wavelength_m, config.elevation_deg)
         return capon_spectrum_many(covariances, sub_geometry, angles,
                                    wavelength_m, config.elevation_deg)
-
-    def _half_spectrum(self, linear_samples: np.ndarray,
-                       geometry: ArrayGeometry,
-                       wavelength_m: float) -> np.ndarray:
-        """Return the pseudospectrum on the linear array's [0, 180] range."""
-        config = self.config
-        angles = default_angle_grid(config.angle_resolution_deg, full_circle=False)
-        num_antennas = linear_samples.shape[0]
-        if config.smoothing_groups > 1:
-            sub_size = effective_antennas(num_antennas, config.smoothing_groups)
-            covariance = smoothed_covariance(
-                linear_samples, config.smoothing_groups,
-                forward_backward=config.forward_backward)
-            sub_geometry = geometry.subarray(list(range(sub_size)))
-        else:
-            covariance = sample_covariance(linear_samples)
-            sub_geometry = geometry
-        if config.method == "music":
-            power = music_spectrum(covariance, sub_geometry, angles,
-                                   num_sources=config.num_sources,
-                                   wavelength_m=wavelength_m,
-                                   elevation_deg=config.elevation_deg)
-        elif config.method == "bartlett":
-            power = bartlett_spectrum(covariance, sub_geometry, angles,
-                                      wavelength_m, config.elevation_deg)
-        else:
-            power = capon_spectrum(covariance, sub_geometry, angles,
-                                   wavelength_m, config.elevation_deg)
-        return power

@@ -16,20 +16,17 @@ Beyond the paper's single-client flow, :meth:`ArrayTrackServer.localize_batch`
 accepts many clients at once and hands them to the vectorized
 :class:`~repro.core.batch.BatchLocalizer`, which evaluates the Equation 8
 grid for the whole batch in stacked NumPy passes while reusing the cached
-per-AP bearing tables.  Batched fixes are bit-for-bit identical to looping
-:meth:`ArrayTrackServer.localize_spectra` over the same clients -- the single
-client path *is* the batch path with a batch of one.
+per-AP bearing tables.  Batched fixes are bit-for-bit identical to
+localizing each client alone -- the single-client path *is* the batch path
+with a batch of one.
 
-Since the facade redesign, applications should reach this backend through
-:class:`repro.api.ArrayTrackService`; the server's own
-:meth:`~ArrayTrackServer.localize_spectra` is a deprecated shim over the
-identical internal path.
+Applications reach this backend through
+:class:`repro.api.ArrayTrackService`.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 from collections.abc import Mapping, Sequence
 
@@ -109,20 +106,6 @@ class ArrayTrackServer:
     # ------------------------------------------------------------------
     # Spectra-level API
     # ------------------------------------------------------------------
-    def localize_spectra(self, spectra_by_ap: Mapping[str, Sequence[AoASpectrum]],
-                         client_id: str = "") -> LocationEstimate:
-        """Deprecated: use :meth:`repro.api.ArrayTrackService.localize`.
-
-        This entry point predates the service facade and remains as a thin
-        shim over the same internal path the facade uses, so its results
-        are bit-for-bit identical to ``ArrayTrackService.localize``.
-        """
-        warnings.warn(
-            "ArrayTrackServer.localize_spectra() is deprecated; use "
-            "repro.api.ArrayTrackService.localize() (see docs/api.md)",
-            DeprecationWarning, stacklevel=2)
-        return self._localize_spectra(spectra_by_ap, client_id)
-
     def _localize_spectra(self, spectra_by_ap: Mapping[str, Sequence[AoASpectrum]],
                           client_id: str = "") -> LocationEstimate:
         """Localize a client from per-AP lists of AoA spectra.
@@ -150,17 +133,18 @@ class ArrayTrackServer:
         Parameters
         ----------
         spectra_by_client:
-            For every client id, the same per-AP spectra mapping that
-            :meth:`localize_spectra` takes.  Multipath suppression runs per
-            client and per AP exactly as in the single-client path.
+            For every client id, the per-AP spectra mapping that
+            :meth:`repro.api.ArrayTrackService.localize` takes.  Multipath
+            suppression runs per client and per AP exactly as in the
+            single-client path.
 
         Returns
         -------
         dict
             One :class:`~repro.core.localizer.LocationEstimate` per client,
-            identical to calling :meth:`localize_spectra` per client but
-            sharing the bearing-grid work and the stacked Equation 8
-            evaluation across the whole batch.
+            identical to localizing each client alone but sharing the
+            bearing-grid work and the stacked Equation 8 evaluation across
+            the whole batch.
 
         Raises
         ------

@@ -88,21 +88,34 @@ class TestRejection:
         with pytest.raises(ConfigurationError, match="bogus"):
             ArrayTrackConfig.from_dict({"bogus": 1})
 
-    def test_unknown_nested_key_names_path(self):
+    @pytest.mark.parametrize("section", [
+        {"grid_res": 0.1},
+        {"vectorized_refinement": True},
+    ])
+    def test_unknown_nested_key_names_path(self, section):
         with pytest.raises(ConfigurationError,
                            match=r"config\.server\.localizer"):
-            ArrayTrackConfig.from_dict(
-                {"server": {"localizer": {"grid_res": 0.1}}})
+            ArrayTrackConfig.from_dict({"server": {"localizer": section}})
 
-    def test_unknown_ap_spectrum_key(self):
+    @pytest.mark.parametrize("section", [
+        {"mode": "music"},
+        {"vectorized_frontend": True},
+    ])
+    def test_unknown_ap_spectrum_key(self, section):
         with pytest.raises(ConfigurationError, match=r"config\.ap\.spectrum"):
-            ArrayTrackConfig.from_dict({"ap": {"spectrum": {"mode": "music"}}})
+            ArrayTrackConfig.from_dict({"ap": {"spectrum": section}})
 
-    def test_invalid_value_wrapped_with_path(self):
-        with pytest.raises(ConfigurationError,
-                           match="grid_resolution_m must be positive"):
-            ArrayTrackConfig.from_dict(
-                {"server": {"localizer": {"grid_resolution_m": -1.0}}})
+    @pytest.mark.parametrize("data, message", [
+        ({"server": {"localizer": {"grid_resolution_m": -1.0}}},
+         r"config\.server\.localizer: grid_resolution_m must be positive"),
+        ({"ap": {"spectrum": {"angle_resolution_deg": 0.0}}},
+         r"config\.ap\.spectrum: angle resolution must be positive"),
+        ({"ap": {"spectrum": {"symmetry_attenuation": 2.0}}},
+         r"config\.ap\.spectrum: symmetry_attenuation must be in \[0, 1\]"),
+    ])
+    def test_invalid_value_wrapped_with_path(self, data, message):
+        with pytest.raises(ConfigurationError, match=message):
+            ArrayTrackConfig.from_dict(data)
 
     def test_invalid_tracker_value_names_path(self):
         with pytest.raises(ConfigurationError, match="smoothing_factor"):
@@ -325,20 +338,5 @@ class TestSuppressorAlias:
         config = ArrayTrackConfig(bounds=(0.0, 0.0, 5.0, 5.0))
         data = config.to_dict()
         assert data["ap"]["spectrum"]["method"] == "music"
-        assert data["ap"]["spectrum"]["vectorized_frontend"] is True
         restored = ArrayTrackConfig.from_dict(data)
         assert restored.ap.spectrum == SpectrumConfig()
-
-    def test_vectorized_frontend_configurable_through_the_tree(self):
-        config = ArrayTrackConfig(bounds=(0.0, 0.0, 5.0, 5.0)).updated(
-            {"ap.spectrum.vectorized_frontend": False})
-        assert config.ap.spectrum.vectorized_frontend is False
-        restored = ArrayTrackConfig.from_json(config.to_json())
-        assert restored.ap.spectrum.vectorized_frontend is False
-        with pytest.raises(ConfigurationError,
-                           match=r"config\.ap\.spectrum"):
-            ArrayTrackConfig.from_dict(
-                {"ap": {"spectrum": {"vectorized_frontend": "yes"}}})
-        overridden = config.with_env_overrides(
-            {"ARRAYTRACK_AP__SPECTRUM__VECTORIZED_FRONTEND": "true"})
-        assert overridden.ap.spectrum.vectorized_frontend is True

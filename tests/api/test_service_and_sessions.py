@@ -1,4 +1,4 @@
-"""Tests for the ArrayTrackService facade: batch API, streaming sessions, shims."""
+"""Tests for the ArrayTrackService facade: batch API and streaming sessions."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from repro.channel import MultipathChannel
 from repro.core import AoASpectrum, LocalizerConfig, default_angle_grid
 from repro.errors import ConfigurationError, EstimationError
 from repro.geometry import Point2D, bearing_deg
-from repro.server import ArrayTrackServer, ServerConfig
+from repro.server import ServerConfig
 
 BOUNDS = (0.0, 0.0, 20.0, 10.0)
 TARGET = Point2D(12.0, 6.0)
@@ -89,28 +89,21 @@ class TestBatchFacade:
         assert fixes["buffered"].num_aps == 3
 
 
-class TestDeprecatedShims:
-    def test_server_localize_spectra_warns_and_matches_facade(self):
+class TestFacadeEquivalence:
+    def test_explicit_server_config_matches_facade_defaults(self):
         spectra = _spectra_for(TARGET)
-        service = _service()
-        facade = service.localize(spectra, "c")
-        server = ArrayTrackServer(
-            BOUNDS, ServerConfig(localizer=LocalizerConfig(
-                grid_resolution_m=0.2, spectrum_floor=0.05)))
-        with pytest.deprecated_call():
-            legacy = server.localize_spectra(spectra, "c")  # repro-lint: disable=RPR008 -- regression coverage for the deprecated shim until its removal
-        assert legacy.position == facade.position
-        assert legacy.likelihood == facade.likelihood
-        assert legacy.num_aps == facade.num_aps
+        facade = _service().localize(spectra, "c")
+        explicit = ArrayTrackService(ArrayTrackConfig(
+            bounds=BOUNDS, server=ServerConfig(localizer=LocalizerConfig(
+                grid_resolution_m=0.2, spectrum_floor=0.05))))
+        estimate = explicit.localize(spectra, "c")
+        assert estimate.position == facade.position
+        assert estimate.likelihood == facade.likelihood
+        assert estimate.num_aps == facade.num_aps
 
-    def test_quickstart_shim_warns_and_matches_facade(self):
-        from repro import quickstart  # repro-lint: disable=RPR008 -- regression coverage for the deprecated shim until its removal
+    def test_quickstart_flow_single_fix_matches_batch(self):
         from repro.testbed import (ScenarioConfig, SimulatedDeployment,
                                    build_office_testbed)
-
-        with pytest.deprecated_call():
-            estimate, truth = quickstart.localize_one_client(
-                num_aps=3, grid_resolution_m=0.5)
 
         testbed = build_office_testbed()
         deployment = SimulatedDeployment(testbed, ScenarioConfig(seed=7))
@@ -119,10 +112,11 @@ class TestDeprecatedShims:
                 {"server.localizer.grid_resolution_m": 0.5}))
         spectra = deployment.collect_client_spectra(
             "client-17", testbed.ap_ids()[:3])
-        expected = service.localize(spectra, "client-17")
+        estimate = service.localize(spectra, "client-17")
+        expected = service.localize_many({"client-17": spectra})["client-17"]
         assert estimate.position == expected.position
         assert estimate.likelihood == expected.likelihood
-        assert truth == testbed.client_position("client-17")
+        assert estimate.num_aps == 3
 
 
 class TestStreamingSessions:

@@ -1,10 +1,11 @@
 """Tests for the batched Section 2.3 frontend (SpectrumComputer.compute_many).
 
 House rule for every vectorized path in this repo: the batched frontend must
-be *bit-for-bit* identical to the serial per-frame reference, across every
-estimator method, smoothing setting, forward-backward averaging, forced and
-automatic source counts, and with symmetry removal on or off.  These tests
-randomize the capture conditions and assert exact array equality.
+be *bit-for-bit* identical to the serial per-frame reference in
+``tests/core/_oracle.py``, across every estimator method, smoothing setting,
+forward-backward averaging, forced and automatic source counts, and with
+symmetry removal on or off.  These tests randomize the capture conditions
+and assert exact array equality.
 """
 
 import numpy as np
@@ -15,6 +16,12 @@ from repro.channel import MultipathChannel
 from repro.core import SpectrumComputer, SpectrumConfig
 from repro.errors import EstimationError
 from repro.geometry import Point2D
+
+from tests.core._oracle import (
+    reference_ap_spectrum,
+    reference_spectrum,
+    reference_spectrum_with_symmetry,
+)
 
 
 def _ap(spectrum_config, use_symmetry=False, num_antennas=8, seed=3,
@@ -58,7 +65,7 @@ def _assert_spectra_equal(serial, batched):
 
 
 class TestComputeManyEquality:
-    """compute_many == per-frame compute, bitwise, across the config space."""
+    """compute_many == the per-frame reference, bitwise, over the configs."""
 
     @pytest.mark.parametrize("method", ["music", "bartlett", "capon"])
     @pytest.mark.parametrize("smoothing_groups", [1, 2])
@@ -70,7 +77,8 @@ class TestComputeManyEquality:
         entries = _capture_frames(ap, 7, rng)
         computer = ap._spectrum_computer
         snapshots = [entry.snapshots for entry in entries]
-        serial = [computer.compute(item, ap.array, ap.linear_indices)
+        serial = [reference_spectrum(config, item, ap.array,
+                                     ap.linear_indices)
                   for item in snapshots]
         batched = computer.compute_many(snapshots, ap.array, ap.linear_indices)
         _assert_spectra_equal(serial, batched)
@@ -88,7 +96,8 @@ class TestComputeManyEquality:
         entries = _capture_frames(ap, 6, rng)
         computer = ap._spectrum_computer
         snapshots = [entry.snapshots for entry in entries]
-        serial = [computer.compute(item, ap.array, ap.linear_indices)
+        serial = [reference_spectrum(config, item, ap.array,
+                                     ap.linear_indices)
                   for item in snapshots]
         batched = computer.compute_many(snapshots, ap.array, ap.linear_indices)
         _assert_spectra_equal(serial, batched)
@@ -102,7 +111,8 @@ class TestComputeManyEquality:
         snapshots = [entry.snapshots
                      for entry in _capture_frames(ap, 5, rng)]
         computer = ap._spectrum_computer
-        serial = [computer.compute(item, ap.array, ap.linear_indices)
+        serial = [reference_spectrum(config, item, ap.array,
+                                     ap.linear_indices)
                   for item in snapshots]
         batched = computer.compute_many(snapshots, ap.array, ap.linear_indices)
         _assert_spectra_equal(serial, batched)
@@ -116,7 +126,8 @@ class TestComputeManyEquality:
         rng = np.random.default_rng(31)
         snapshots = [entry.snapshots for entry in _capture_frames(ap, 3, rng)]
         computer = ap._spectrum_computer
-        serial = [computer.compute(item, ap.array, ap.linear_indices)
+        serial = [reference_spectrum(config, item, ap.array,
+                                     ap.linear_indices)
                   for item in snapshots]
         batched = computer.compute_many(snapshots, ap.array, ap.linear_indices)
         _assert_spectra_equal(serial, batched)
@@ -131,7 +142,8 @@ class TestComputeManyEquality:
         snapshots = [entry.snapshots
                      for entry in _capture_frames(ap, 10, rng, snr_db=-3.0)]
         computer = ap._spectrum_computer
-        serial = [computer.compute(item, ap.array, ap.linear_indices)
+        serial = [reference_spectrum(config, item, ap.array,
+                                     ap.linear_indices)
                   for item in snapshots]
         batched = computer.compute_many(snapshots, ap.array, ap.linear_indices)
         _assert_spectra_equal(serial, batched)
@@ -145,8 +157,8 @@ class TestComputeManyWithSymmetry:
         rng = np.random.default_rng(13)
         snapshots = [entry.snapshots for entry in _capture_frames(ap, 6, rng)]
         computer = ap._spectrum_computer
-        serial = [computer.compute_with_symmetry(item, ap.array,
-                                                 ap.linear_indices)
+        serial = [reference_spectrum_with_symmetry(config, item, ap.array,
+                                                   ap.linear_indices)
                   for item in snapshots]
         batched = computer.compute_many_with_symmetry(snapshots, ap.array,
                                                       ap.linear_indices)
@@ -157,27 +169,49 @@ class TestComputeManyWithSymmetry:
         ap = _ap(config, use_symmetry=True, apply_phase_offsets=True, seed=29)
         rng = np.random.default_rng(29)
         entries = _capture_frames(ap, 5, rng)
-        serial = [ap.compute_spectrum(entry) for entry in entries]
+        serial = [reference_ap_spectrum(ap, entry) for entry in entries]
         batched = ap.compute_spectra(entries)
         _assert_spectra_equal(serial, batched)
 
 
-class TestSerialReferenceGate:
-    def test_disabled_frontend_runs_serial_path(self):
-        config = SpectrumConfig(angle_resolution_deg=1.0,
-                                vectorized_frontend=False)
-        ap = _ap(config)
-        rng = np.random.default_rng(7)
-        snapshots = [entry.snapshots for entry in _capture_frames(ap, 4, rng)]
-        computer = ap._spectrum_computer
-        serial = [computer.compute(item, ap.array, ap.linear_indices)
-                  for item in snapshots]
-        batched = computer.compute_many(snapshots, ap.array, ap.linear_indices)
-        _assert_spectra_equal(serial, batched)
+class TestSingleFrameEntryPoints:
+    """The single-frame calls are batches of one; they match the reference."""
 
-    def test_vectorized_frontend_must_be_boolean(self):
-        with pytest.raises(EstimationError):
-            SpectrumConfig(vectorized_frontend="yes")
+    @pytest.mark.parametrize("apply_phase_offsets", [False, True])
+    def test_compute_and_compute_spectrum(self, apply_phase_offsets):
+        config = SpectrumConfig(angle_resolution_deg=1.0)
+        ap = _ap(config, apply_phase_offsets=apply_phase_offsets, seed=61)
+        rng = np.random.default_rng(61)
+        entries = _capture_frames(ap, 3, rng)
+        computer = ap._spectrum_computer
+        _assert_spectra_equal(
+            [reference_spectrum(config, entry.snapshots, ap.array,
+                                ap.linear_indices) for entry in entries],
+            [computer.compute(entry.snapshots, ap.array, ap.linear_indices)
+             for entry in entries])
+        _assert_spectra_equal(
+            [reference_ap_spectrum(ap, entry) for entry in entries],
+            [ap.compute_spectrum(entry) for entry in entries])
+
+    @pytest.mark.parametrize("apply_phase_offsets", [False, True])
+    def test_compute_with_symmetry_and_compute_spectrum(
+            self, apply_phase_offsets):
+        config = SpectrumConfig(angle_resolution_deg=1.0)
+        ap = _ap(config, use_symmetry=True,
+                 apply_phase_offsets=apply_phase_offsets, seed=67)
+        rng = np.random.default_rng(67)
+        entries = _capture_frames(ap, 3, rng)
+        computer = ap._spectrum_computer
+        _assert_spectra_equal(
+            [reference_spectrum_with_symmetry(config, entry.snapshots,
+                                              ap.array, ap.linear_indices)
+             for entry in entries],
+            [computer.compute_with_symmetry(entry.snapshots, ap.array,
+                                            ap.linear_indices)
+             for entry in entries])
+        _assert_spectra_equal(
+            [reference_ap_spectrum(ap, entry) for entry in entries],
+            [ap.compute_spectrum(entry) for entry in entries])
 
 
 class TestBatchValidation:
@@ -209,11 +243,11 @@ class TestBatchValidation:
 
 
 class TestAccessPointBatching:
-    def test_compute_spectra_matches_compute_spectrum(self):
+    def test_compute_spectra_matches_reference(self):
         ap = _ap(SpectrumConfig(angle_resolution_deg=1.0), use_symmetry=True)
         rng = np.random.default_rng(37)
         entries = _capture_frames(ap, 6, rng)
-        serial = [ap.compute_spectrum(entry) for entry in entries]
+        serial = [reference_ap_spectrum(ap, entry) for entry in entries]
         _assert_spectra_equal(serial, ap.compute_spectra(entries))
         assert ap.compute_spectra([]) == []
 
@@ -225,7 +259,7 @@ class TestAccessPointBatching:
         entries = []
         for count in (10, 4, 10, 4, 7):
             entries.extend(_capture_frames(ap, 1, rng, num_snapshots=count))
-        serial = [ap.compute_spectrum(entry) for entry in entries]
+        serial = [reference_ap_spectrum(ap, entry) for entry in entries]
         _assert_spectra_equal(serial, ap.compute_spectra(entries))
 
     def test_spectra_for_client_uses_batched_path(self):
@@ -233,7 +267,7 @@ class TestAccessPointBatching:
         rng = np.random.default_rng(47)
         _capture_frames(ap, 4, rng, client_id="alice")
         _capture_frames(ap, 3, rng, client_id="bob")
-        serial = [ap.compute_spectrum(entry)
+        serial = [reference_ap_spectrum(ap, entry)
                   for entry in ap.buffer.entries_for_client("alice")]
         _assert_spectra_equal(serial, ap.spectra_for_client("alice"))
 
@@ -247,7 +281,7 @@ class TestAccessPointBatching:
         assert len(result["alice"]) == 3
         assert len(result["bob"]) == 2
         for client_id in ("alice", "bob"):
-            serial = [ap.compute_spectrum(entry)
+            serial = [reference_ap_spectrum(ap, entry)
                       for entry in ap.buffer.entries_for_client(client_id)]
             _assert_spectra_equal(serial, result[client_id])
             for spectrum in result[client_id]:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import ArrayTrackConfig, ArrayTrackService
 from repro.core import AoASpectrum, LocalizerConfig, LocationEstimate, default_angle_grid
 from repro.errors import ConfigurationError, EstimationError
 from repro.geometry import Point2D, bearing_deg
@@ -35,11 +36,16 @@ class TestArrayTrackServer:
                               **config_kwargs)
         return ArrayTrackServer(BOUNDS, config)
 
-    def test_localize_spectra_finds_target(self):
-        server = self._server()
+    def _service(self, **config_kwargs):
+        """The facade over a server configured exactly like ``_server``."""
+        return ArrayTrackService(ArrayTrackConfig(
+            bounds=BOUNDS, server=self._server(**config_kwargs).config))
+
+    def test_localize_finds_target(self):
+        service = self._service()
         spectra = {f"ap{i}": [_spectrum_towards(p, TARGET)]
                    for i, p in enumerate(AP_POSITIONS)}
-        estimate = server.localize_spectra(spectra, client_id="c")  # repro-lint: disable=RPR008 -- regression coverage for the deprecated shim until its removal
+        estimate = service.localize(spectra, client_id="c")
         assert isinstance(estimate, LocationEstimate)
         assert estimate.position.distance_to(TARGET) < 0.3
         assert estimate.client_id == "c"
@@ -56,23 +62,24 @@ class TestArrayTrackServer:
             "ap1": [_spectrum_towards(AP_POSITIONS[1], TARGET, timestamp_s=0.0)],
             "ap2": [_spectrum_towards(AP_POSITIONS[2], TARGET, timestamp_s=0.0)],
         }
-        with_suppression = self._server(enable_multipath_suppression=True)
-        estimate = with_suppression.localize_spectra(spectra)  # repro-lint: disable=RPR008 -- regression coverage for the deprecated shim until its removal
+        with_suppression = self._service(enable_multipath_suppression=True)
+        estimate = with_suppression.localize(spectra)
         assert estimate.position.distance_to(TARGET) < 0.3
 
     def test_no_spectra_raises(self):
         with pytest.raises(EstimationError):
-            self._server().localize_spectra({})  # repro-lint: disable=RPR008 -- regression coverage for the deprecated shim until its removal
+            self._service().localize({})
 
     def test_localize_client_requires_aps(self):
         with pytest.raises(ConfigurationError):
             self._server().localize_client([], "c")
 
     def test_latency_breakdown_uses_measured_processing(self):
-        server = self._server(measure_processing_time=True)
+        service = self._service(measure_processing_time=True)
+        server = service.server
         spectra = {f"ap{i}": [_spectrum_towards(p, TARGET)]
                    for i, p in enumerate(AP_POSITIONS)}
-        server.localize_spectra(spectra)  # repro-lint: disable=RPR008 -- regression coverage for the deprecated shim until its removal
+        service.localize(spectra)
         assert server.last_processing_s is not None
         breakdown = server.latency_breakdown(use_measured_processing=True)
         assert breakdown.processing_s == pytest.approx(server.last_processing_s)
@@ -91,11 +98,11 @@ class TestArrayTrackServer:
         return clients
 
     def test_localize_batch_matches_sequential_loop(self):
-        server = self._server()
+        service = self._service()
         clients = self._batch_of_clients(5)
-        sequential = {client_id: server.localize_spectra(spectra, client_id)  # repro-lint: disable=RPR008 -- regression coverage for the deprecated shim until its removal
+        sequential = {client_id: service.localize(spectra, client_id)
                       for client_id, spectra in clients.items()}
-        batched = server.localize_batch(clients)
+        batched = service.server.localize_batch(clients)
         assert set(batched) == set(clients)
         for client_id in clients:
             assert batched[client_id].position.distance_to(
@@ -114,9 +121,9 @@ class TestArrayTrackServer:
             "ap1": [_spectrum_towards(AP_POSITIONS[1], TARGET, timestamp_s=0.0)],
             "ap2": [_spectrum_towards(AP_POSITIONS[2], TARGET, timestamp_s=0.0)],
         }
-        server = self._server(enable_multipath_suppression=True)
-        single = server.localize_spectra(spectra, "c0")  # repro-lint: disable=RPR008 -- regression coverage for the deprecated shim until its removal
-        batched = server.localize_batch({"c0": spectra})
+        service = self._service(enable_multipath_suppression=True)
+        single = service.localize(spectra, "c0")
+        batched = service.server.localize_batch({"c0": spectra})
         assert batched["c0"].position.distance_to(single.position) <= 1e-9
         assert batched["c0"].position.distance_to(TARGET) < 0.3
 
@@ -168,7 +175,7 @@ class TestArrayTrackServer:
 
     def test_localize_batch_ragged_ap_subsets(self):
         """Clients heard by different AP subsets localize in one batch."""
-        server = self._server()
+        service = self._service()
         rng = np.random.default_rng(13)
         clients, sequential = {}, {}
         for index, subset in enumerate(([0, 1, 2], [0, 2], [1, 2])):
@@ -176,9 +183,9 @@ class TestArrayTrackServer:
             spectra = {f"ap{i}": [_spectrum_towards(AP_POSITIONS[i], target)]
                        for i in subset}
             clients[f"c{index}"] = spectra
-        sequential = {cid: server.localize_spectra(s, cid)  # repro-lint: disable=RPR008 -- regression coverage for the deprecated shim until its removal
+        sequential = {cid: service.localize(s, cid)
                       for cid, s in clients.items()}
-        batched = server.localize_batch(clients)
+        batched = service.server.localize_batch(clients)
         for cid in clients:
             assert batched[cid].position.distance_to(
                 sequential[cid].position) <= 1e-9

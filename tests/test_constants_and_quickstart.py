@@ -1,4 +1,4 @@
-"""Tests for package-level constants, errors and the quickstart helpers."""
+"""Tests for package-level constants, errors and the README quickstart flow."""
 
 import math
 
@@ -6,7 +6,9 @@ import pytest
 
 import repro
 from repro import constants, errors
+from repro.api import ArrayTrackConfig, ArrayTrackService
 from repro.constants import phase_constant, wavelength_for_frequency
+from repro.testbed import ScenarioConfig, SimulatedDeployment, build_office_testbed
 
 
 class TestConstants:
@@ -58,18 +60,33 @@ class TestErrorHierarchy:
 
 
 class TestQuickstart:
-    def test_localize_one_client_returns_estimate_and_truth(self):
-        from repro import quickstart  # repro-lint: disable=RPR008 -- regression coverage for the deprecated shim until its removal
+    """The README quickstart flow: a testbed deployment and the facade."""
 
-        estimate, truth = quickstart.localize_one_client(num_aps=4,
-                                                         grid_resolution_m=0.5)
+    @staticmethod
+    def _flow(grid_resolution_m):
+        testbed = build_office_testbed()
+        deployment = SimulatedDeployment(testbed, ScenarioConfig(seed=7))
+        service = ArrayTrackService(ArrayTrackConfig(bounds=testbed.bounds).updated(
+            {"server.localizer.grid_resolution_m": grid_resolution_m}))
+        return testbed, deployment, service
+
+    def test_localize_one_client_returns_estimate_and_truth(self):
+        testbed, deployment, service = self._flow(grid_resolution_m=0.5)
+        spectra = deployment.collect_client_spectra("client-17",
+                                                    testbed.ap_ids()[:4])
+        estimate = service.localize(spectra, "client-17")
+        truth = testbed.client_position("client-17")
         assert estimate.num_aps == 4
         assert estimate.error_to(truth) < 5.0
 
     def test_localize_all_clients_returns_per_client_errors(self):
-        from repro import quickstart  # repro-lint: disable=RPR008 -- regression coverage for the deprecated shim until its removal
-
-        errors_cm = quickstart.localize_all_clients(num_clients=2,
-                                                    grid_resolution_m=0.5)
+        testbed, deployment, service = self._flow(grid_resolution_m=0.5)
+        errors_cm = {}
+        for client_id in testbed.client_ids()[:2]:
+            deployment.clear()
+            spectra = deployment.collect_client_spectra(client_id)
+            estimate = service.localize(spectra, client_id)
+            errors_cm[client_id] = estimate.error_to(
+                testbed.client_position(client_id)) * 100.0
         assert len(errors_cm) == 2
         assert all(value >= 0.0 for value in errors_cm.values())
