@@ -29,7 +29,7 @@ run_gate() {
 }
 
 if command -v ruff >/dev/null 2>&1; then
-    run_gate "ruff" ruff check src tests benchmarks
+    run_gate "ruff" ruff check src tests benchmarks examples
 else
     echo "==> ruff: not installed locally, skipping (CI enforces it)"
     echo
@@ -37,7 +37,7 @@ fi
 
 run_gate "repro-lint" python -m tools.repro_lint --flow --jobs 0 \
     --suppression-budget tools/repro_lint/suppression_budget.json \
-    src tests benchmarks
+    src tests benchmarks examples
 
 if python -c "import mypy" >/dev/null 2>&1; then
     run_gate "mypy" python -m mypy --config-file mypy.ini

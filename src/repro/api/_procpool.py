@@ -17,11 +17,18 @@ things cross the pickle pipe:
   LocationEstimate` objects).
 
 Workers rebuild each shard's :class:`~repro.core.spectrum.AoASpectrum`
-objects as zero-copy read-only views into the segment, run the *identical*
-suppression + synthesis stages the thread backend runs, and return fixes.
-Because every stage is deterministic and the shard merge preserves the
-caller's client order, process-sharded results are bit-for-bit identical to
-the serial path (asserted by ``tests/api/test_process_backend.py``).
+objects as zero-copy read-only views into the segment, run
+:func:`drain_shard` -- the one suppression + synthesis step the serial and
+thread rungs run too -- and return fixes.  Because every stage is
+deterministic and the shard merge preserves the caller's client order,
+process-sharded results are bit-for-bit identical to the serial path
+(asserted by ``tests/api/test_process_backend.py``).
+
+Pool failures are always supervised: a worker crash or a blown per-shard
+deadline rebuilds the pool and retries only the failed shards, and an
+exhausted retry budget raises :class:`~repro.errors.PoolSupervisionError`,
+a :class:`~repro.errors.TransientError` the service's degradation ladder
+absorbs.
 
 Shared-memory lifecycle: the parent creates one segment per batched call and
 always closes *and unlinks* it in a ``finally`` -- success, worker
@@ -43,7 +50,7 @@ from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from multiprocessing import get_context, shared_memory
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -60,7 +67,7 @@ from repro.testing import faults
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.api.config import ArrayTrackConfig
 
-__all__ = ["ProcessShardPool", "PoolStats", "SEGMENT_PREFIX",
+__all__ = ["ProcessShardPool", "PoolStats", "SEGMENT_PREFIX", "drain_shard",
            "live_segments", "shm_leak_events"]
 
 #: Prefix of every shared-memory segment this module creates; the teardown
@@ -148,7 +155,7 @@ class _ArrayPacker:
         """Create the segment, copy every array in, return it + its handle.
 
         The segment's lifetime is split across functions: every caller
-        must release it (``_run()`` does, in its ``finally``, via
+        must release it (``localize_shards()`` does, in its ``finally``, via
         ``_release_segment``).  repro-lint's RPR012 flow analysis proves
         that contract on each run; the zero-leak behavior is additionally
         asserted against ``live_segments()`` and ``/dev/shm`` by
@@ -281,68 +288,62 @@ def _decode_spectrum(arrays: Sequence[np.ndarray],
         timestamp_s=timestamp_s)
 
 
-#: One shard as shipped to a worker: ordered ``(client_id, per_ap)`` pairs,
-#: where ``per_ap`` preserves the caller's AP order exactly (the order is
-#: part of the bit-equality contract).
-_LocalizeShard = tuple[tuple[str, tuple[tuple[str, tuple[_SpectrumRef, ...]],
-                                        ...]], ...]
-_TickShard = tuple[tuple[str, tuple[tuple[str, tuple[tuple[float,
-                                                           _SpectrumRef],
-                                                     ...]], ...]], ...]
+#: A batch's frames as the shard step takes them: per client and per AP, the
+#: ``(timestamp_s, spectrum)`` pairs in arrival order.  The client and AP
+#: orders are part of the bit-equality contract.
+FramesByClient = Mapping[str, Mapping[str, Sequence[tuple[float, AoASpectrum]]]]
+
+#: One shard as shipped to a worker: :data:`FramesByClient` with every
+#: spectrum replaced by its :data:`_SpectrumRef`, as ordered tuples.
+_Shard = tuple[tuple[str, tuple[tuple[str, tuple[tuple[float, _SpectrumRef],
+                                                  ...]], ...]], ...]
 
 
-def _localize_shard(handle: _SegmentHandle,
-                    shard: _LocalizeShard) -> dict[str, LocationEstimate]:
-    """Worker task behind ``localize_many`` / ``localize_buffered``."""
+def drain_shard(server: ArrayTrackServer, suppressor: MultipathSuppressor,
+                frames_by_client: FramesByClient,
+                suppress: bool) -> dict[str, LocationEstimate]:
+    """Suppress and synthesize one shard of clients: the step every rung runs.
+
+    The serial, thread and process rungs all call this, so a fix does not
+    depend on which rung served it.  With ``suppress`` on (the streaming
+    ``session.suppress_multipath`` stage), each AP's frames are grouped on
+    the paired ``timestamp_s`` -- the ingest-resolved time, which may
+    differ from ``spectrum.timestamp_s`` -- and every group's suppressed
+    primary enters the raw synthesis (Section 2.4, then Equation 8 and the
+    hill climb); the server's batch-path suppressor is skipped so it cannot
+    run a second time.  With it off, the spectra take the full batch path.
+    """
+    if not suppress:
+        return server.localize_batch(
+            {client_id: {ap_id: [spectrum for _, spectrum in frames]
+                         for ap_id, frames in per_ap.items()}
+             for client_id, per_ap in frames_by_client.items()})
+    processed: dict[str, list[AoASpectrum]] = {}
+    for client_id, per_ap in frames_by_client.items():
+        spectra: list[AoASpectrum] = []
+        for frames in per_ap.values():
+            spectra.extend(suppressor.process(
+                [spectrum for _, spectrum in frames],
+                timestamps=[timestamp for timestamp, _ in frames]))
+        processed[client_id] = spectra
+    return server.synthesize_batch(processed)
+
+
+def _drain_task(handle: _SegmentHandle, shard: _Shard,
+                suppress: bool) -> dict[str, LocationEstimate]:
+    """Worker task: map one shard's spectra from the segment and drain it."""
     worker = _require_worker()
     faults.worker_shard("before-attach")
     with _attached_arrays(handle) as arrays:
         faults.worker_shard("after-attach")
-        batch = {
-            client_id: {ap_id: [_decode_spectrum(arrays, ref) for ref in refs]
+        frames = {
+            client_id: {ap_id: [(timestamp, _decode_spectrum(arrays, ref))
+                                for timestamp, ref in refs]
                         for ap_id, refs in per_ap}
             for client_id, per_ap in shard}
-        estimates = worker.server.localize_batch(batch)
-        del batch
-    faults.worker_shard("before-return")
-    return estimates
-
-
-def _tick_shard(handle: _SegmentHandle, shard: _TickShard,
-                suppress: bool) -> dict[str, LocationEstimate]:
-    """Worker task behind ``tick`` / ``flush``.
-
-    Replicates the thread backend's shard closure exactly: with the
-    streaming suppression stage on, each AP's pending frames are suppressed
-    per time group (on the ingest-resolved timestamps) and the primaries
-    enter the raw synthesis; with it off, the raw pending spectra go
-    through the full batch path.
-    """
-    worker = _require_worker()
-    faults.worker_shard("before-attach")
-    with _attached_arrays(handle) as arrays:
-        faults.worker_shard("after-attach")
-        if suppress:
-            flat: dict[str, list[AoASpectrum]] = {}
-            for client_id, per_ap in shard:
-                processed: list[AoASpectrum] = []
-                for _ap_id, frames in per_ap:
-                    spectra = [_decode_spectrum(arrays, ref)
-                               for _ts, ref in frames]
-                    timestamps = [timestamp for timestamp, _ref in frames]
-                    processed.extend(worker.suppressor.process(
-                        spectra, timestamps=timestamps))
-                flat[client_id] = processed
-            estimates = worker.server.synthesize_batch(flat)
-            del flat
-        else:
-            batch = {
-                client_id: {ap_id: [_decode_spectrum(arrays, ref)
-                                    for _ts, ref in frames]
-                            for ap_id, frames in per_ap}
-                for client_id, per_ap in shard}
-            estimates = worker.server.localize_batch(batch)
-            del batch
+        estimates = drain_shard(worker.server, worker.suppressor, frames,
+                                suppress)
+        del frames
     faults.worker_shard("before-return")
     return estimates
 
@@ -396,17 +397,16 @@ class ProcessShardPool:
     returns -- on success, on a worker exception (which re-raises here with
     the original remote traceback chained), and on a worker crash.
 
-    With ``resilience.supervise_pool`` (the default) a worker crash or a
-    blown per-shard deadline does not fail the batch: the supervisor tears
-    the executor down, respawns it, and re-runs only the failed shards --
-    up to ``resilience.max_retries`` times with exponential backoff --
-    before giving up with :class:`~repro.errors.PoolSupervisionError` (a
+    A worker crash or a blown per-shard deadline does not fail the batch:
+    the supervisor tears the executor down, respawns it, and re-runs only
+    the failed shards -- up to ``resilience.max_retries`` times with
+    exponential backoff -- before giving up with
+    :class:`~repro.errors.PoolSupervisionError` (a
     :class:`~repro.errors.TransientError`, so the service's circuit
     breaker can still serve the batch on a slower backend).  Completed
     shards are never re-run, every stage is deterministic, and the merge
     happens in shard order, so supervised results stay bit-identical to
-    the serial path.  With supervision off, a crash surfaces as
-    ``concurrent.futures.process.BrokenProcessPool`` exactly as before.
+    the serial path.
 
     The started/closed lifecycle is guarded by a lock: a ``close()``
     racing an in-flight call can neither resurrect the executor nor shut
@@ -483,36 +483,26 @@ class ProcessShardPool:
     # Batched calls
     # ------------------------------------------------------------------
     def localize_shards(self, shards: Sequence[Sequence[str]],
-                        spectra_by_client: Mapping[str, Mapping[str, Sequence[AoASpectrum]]]
-                        ) -> dict[str, LocationEstimate]:
-        """Run ``localize_batch`` per shard on the pool and merge in order."""
-        packer = _ArrayPacker()
-        encoded = {
-            client_id: tuple(
-                (ap_id, tuple(_encode_spectrum(packer, spectrum)
-                              for spectrum in spectra))
-                for ap_id, spectra in spectra_by_client[client_id].items())
-            for shard in shards for client_id in shard}
-        return self._run(_localize_shard, packer, shards, encoded)
+                        frames_by_client: FramesByClient,
+                        suppress: bool) -> dict[str, LocationEstimate]:
+        """Run :func:`drain_shard` per shard on the pool, merged in order.
 
-    def tick_shards(self, shards: Sequence[Sequence[str]],
-                    pending_by_client: Mapping[str, Mapping[str, Sequence[tuple[float, AoASpectrum]]]],
-                    suppress: bool) -> dict[str, LocationEstimate]:
-        """Run the streaming drain (suppression + synthesis) per shard."""
+        Failures are supervised as the class docstring describes; an
+        exhausted retry budget raises
+        :class:`~repro.errors.PoolSupervisionError` chained to the last
+        infrastructure failure.
+        """
         packer = _ArrayPacker()
         encoded = {
             client_id: tuple(
                 (ap_id, tuple((float(timestamp),
                                _encode_spectrum(packer, spectrum))
                               for timestamp, spectrum in frames))
-                for ap_id, frames in pending_by_client[client_id].items())
+                for ap_id, frames in frames_by_client[client_id].items())
             for shard in shards for client_id in shard}
-        return self._run(_tick_shard, packer, shards, encoded, suppress)
-
-    def _run(self, task: Callable[..., dict[str, LocationEstimate]],
-             packer: _ArrayPacker,
-             shards: Sequence[Sequence[str]], encoded: dict[str, tuple],
-             *extra: object) -> dict[str, LocationEstimate]:
+        payloads: list[_Shard] = [
+            tuple((client_id, encoded[client_id]) for client_id in shard)
+            for shard in shards]
         executor = self._ensure()
         try:
             segment, handle = packer.pack()
@@ -524,56 +514,26 @@ class ProcessShardPool:
                 f"could not allocate the batch's shared-memory segment: "
                 f"{exc}") from exc
         try:
-            payloads = [
-                tuple((client_id, encoded[client_id]) for client_id in shard)
-                for shard in shards]
-            if not self._config.resilience.supervise_pool:
-                return self._run_once(executor, task, handle, payloads, extra)
-            return self._run_supervised(executor, task, handle, payloads,
-                                        extra)
+            return self._supervise(executor, handle, payloads, suppress)
         finally:
             _release_segment(segment)
 
-    def _run_once(self, executor: ProcessPoolExecutor,
-                  task: Callable[..., dict[str, LocationEstimate]],
-                  handle: _SegmentHandle, payloads: Sequence[tuple],
-                  extra: tuple[object, ...]) -> dict[str, LocationEstimate]:
-        """The unsupervised fan out: any failure fails the whole batch."""
-        futures = [executor.submit(task, handle, payload, *extra)
-                   for payload in payloads]
-        merged: dict[str, LocationEstimate] = {}
-        try:
-            for future in futures:
-                merged.update(future.result())
-        except BaseException:
-            for future in futures:
-                future.cancel()
-            raise
-        return merged
+    #: The streaming name of the one entry point; ``perfbench/tracing.py``
+    #: wraps the pool under both names.
+    tick_shards = localize_shards
 
-    def _run_supervised(self, executor: ProcessPoolExecutor,
-                        task: Callable[..., dict[str, LocationEstimate]],
-                        handle: _SegmentHandle, payloads: Sequence[tuple],
-                        extra: tuple[object, ...]
-                        ) -> dict[str, LocationEstimate]:
-        """Fan out with pool supervision: rebuild + retry failed shards.
-
-        Each round submits only the still-failed shards; completed shard
-        results are kept across rounds and merged in shard order at the
-        end, so a recovered batch is bit-identical to an undisturbed one.
-        Attempts are bounded by ``resilience.max_retries`` and separated
-        by exponential backoff with deterministic jitter; an exhausted
-        budget raises :class:`~repro.errors.PoolSupervisionError` chained
-        to the last infrastructure failure.
-        """
+    def _supervise(self, executor: ProcessPoolExecutor,
+                   handle: _SegmentHandle, payloads: Sequence[_Shard],
+                   suppress: bool) -> dict[str, LocationEstimate]:
+        """Submit the shards, rebuilding the pool and retrying failed ones."""
         resilience = self._config.resilience
         results: list[dict[str, LocationEstimate] | None] = \
             [None] * len(payloads)
         pending = list(range(len(payloads)))
         attempt = 0
         while pending:
-            failure, failed = self._collect(executor, task, handle, payloads,
-                                            extra, pending, results)
+            failure, failed = self._collect(executor, handle, payloads,
+                                            suppress, pending, results)
             if failure is None:
                 break
             self._discard_executor(executor)
@@ -609,9 +569,8 @@ class ProcessShardPool:
         return delay
 
     def _collect(self, executor: ProcessPoolExecutor,
-                 task: Callable[..., dict[str, LocationEstimate]],
-                 handle: _SegmentHandle, payloads: Sequence[tuple],
-                 extra: tuple[object, ...], pending: Sequence[int],
+                 handle: _SegmentHandle, payloads: Sequence[_Shard],
+                 suppress: bool, pending: Sequence[int],
                  results: list[dict[str, LocationEstimate] | None]
                  ) -> tuple[BaseException | None, list[int]]:
         """Run one supervision round over the pending shard indices.
@@ -622,15 +581,16 @@ class ProcessShardPool:
         executor or deadline) or None when everything completed.  A
         task-level exception -- the worker itself raised -- is not an
         infrastructure failure: it cancels the round and propagates with
-        the remote traceback chained, exactly like the unsupervised path
-        (retrying a deterministic error would re-fail identically).
+        the remote traceback chained (retrying a deterministic error would
+        re-fail identically).
         """
         resilience = self._config.resilience
         deadline = None if resilience.shard_timeout_s is None \
             else time.monotonic() + resilience.shard_timeout_s
         try:
             futures: dict[int, Future[dict[str, LocationEstimate]]] = {
-                index: executor.submit(task, handle, payloads[index], *extra)
+                index: executor.submit(_drain_task, handle, payloads[index],
+                                       suppress)
                 for index in pending}
         except BrokenExecutor as exc:
             # The pool was already broken (e.g. by a crash in a previous

@@ -62,14 +62,13 @@ class CircuitBreaker:
     """
 
     def __init__(self, ladder: tuple[str, ...], *, threshold: int,
-                 recovery_s: float, enabled: bool = True,
+                 recovery_s: float,
                  clock: Callable[[], float] = time.monotonic) -> None:
         if not ladder:
             raise ValueError("a circuit breaker needs a non-empty ladder")
         self.ladder = ladder
         self.threshold = threshold
         self.recovery_s = recovery_s
-        self.enabled = enabled
         self._clock = clock
         #: Current degraded floor: batches enter here (0 = configured rung).
         self._level = 0
@@ -84,7 +83,7 @@ class CircuitBreaker:
     # ------------------------------------------------------------------
     def entry_index(self) -> int:
         """The ladder index the next batch should enter at."""
-        if not self.enabled or self._level == 0:
+        if self._level == 0:
             return 0
         if self._opened_at is not None \
                 and self._clock() - self._opened_at >= self.recovery_s:
@@ -94,8 +93,6 @@ class CircuitBreaker:
 
     def record_failure(self, index: int) -> None:
         """Record one transient failure of the rung at ``index``."""
-        if not self.enabled:
-            return
         if index < self._level:
             # A half-open probe failed: re-open the window, stay degraded.
             self._opened_at = self._clock()
@@ -109,8 +106,6 @@ class CircuitBreaker:
 
     def record_success(self, index: int) -> None:
         """Record one successful batch served by the rung at ``index``."""
-        if not self.enabled:
-            return
         self._failures[index] = 0
         if index < self._level:
             # A half-open probe succeeded: close back up to that rung.
@@ -141,7 +136,6 @@ class CircuitBreaker:
     def snapshot(self) -> dict[str, object]:
         """JSON-safe state for :meth:`~repro.api.ArrayTrackService.health`."""
         return {
-            "enabled": self.enabled,
             "state": self.state,
             "ladder": list(self.ladder),
             "level": self._level,

@@ -46,6 +46,15 @@ __all__ = ["ParallelConfig", "ResilienceConfig", "SessionConfig",
            "ArrayTrackConfig", "default_server_config"]
 
 
+def _require_int(name: str, value: Any, minimum: int) -> None:
+    """Reject a non-integer ``value`` (bools included) or one below ``minimum``."""
+    # bool is an int subclass; ARRAYTRACK_PARALLEL__NUM_WORKERS=true
+    # would otherwise silently become num_workers=1 (never fans out).
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigurationError(
+            f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 def default_server_config() -> ServerConfig:
     """The server section defaults used by the facade.
 
@@ -93,12 +102,10 @@ class SessionConfig:
     suppress_multipath: bool = False
 
     def __post_init__(self) -> None:
-        if self.emit_every_frames < 0:
-            raise ConfigurationError("emit_every_frames must be >= 0")
+        _require_int("emit_every_frames", self.emit_every_frames, 0)
         if self.max_age_s is not None and self.max_age_s < 0:
             raise ConfigurationError("max_age_s must be non-negative or None")
-        if self.max_pending_frames < 1:
-            raise ConfigurationError("max_pending_frames must be >= 1")
+        _require_int("max_pending_frames", self.max_pending_frames, 1)
         if not isinstance(self.suppress_multipath, bool):
             raise ConfigurationError(
                 f"suppress_multipath must be a boolean, "
@@ -148,17 +155,8 @@ class ParallelConfig:
             raise ConfigurationError(
                 f"parallel backend must be 'none', 'thread' or 'process', "
                 f"got {self.backend!r}")
-        self._require_positive_int("num_workers", self.num_workers)
-        self._require_positive_int("min_clients_per_worker",
-                                   self.min_clients_per_worker)
-
-    @staticmethod
-    def _require_positive_int(name: str, value: Any) -> None:
-        # bool is an int subclass; ARRAYTRACK_PARALLEL__NUM_WORKERS=true
-        # would otherwise silently become num_workers=1 (never fans out).
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise ConfigurationError(
-                f"{name} must be a positive integer, got {value!r}")
+        _require_int("num_workers", self.num_workers, 1)
+        _require_int("min_clients_per_worker", self.min_clients_per_worker, 1)
 
 
 @dataclass
@@ -172,16 +170,13 @@ class ResilienceConfig:
     process -> thread -> serial after repeated failures and half-open-
     probes its way back), and **admission control** (a service-wide
     pending-frame budget with a shed policy, plus poison-frame rejection
-    at ingest).  Every knob round-trips through dict/JSON/env exactly like
-    the rest of :class:`ArrayTrackConfig`.
+    at ingest).  Supervision and degradation are always on: a batch that
+    serial execution could serve never fails for infrastructure reasons.
+    Every knob round-trips through dict/JSON/env exactly like the rest of
+    :class:`ArrayTrackConfig`.
 
     Attributes
     ----------
-    supervise_pool:
-        Retry process-pool shards that die (``BrokenProcessPool``) or miss
-        the per-shard deadline, rebuilding the spawn pool between attempts.
-        Off restores the raw PR-6 semantics: the first pool failure
-        propagates to the caller.
     max_retries:
         Retry rounds per batched call after the initial attempt; once
         exhausted the call raises
@@ -189,29 +184,24 @@ class ResilienceConfig:
         then absorb by degrading).
     backoff_base_s:
         First retry delay; round ``n`` sleeps ``backoff_base_s * 2**(n-1)``
-        before resubmitting the failed shards.
+        before resubmitting the failed shards (``0`` = a single attempt).
     backoff_max_s:
         Upper bound on any single backoff sleep.
     backoff_jitter:
-        Jitter fraction: each sleep is scaled by a factor drawn uniformly
-        from ``[1 - jitter, 1 + jitter]`` (decorrelates retry storms).
+        Jitter fraction in ``[0, 1]``: each sleep is scaled by a factor
+        drawn uniformly from ``[1 - jitter, 1 + jitter]`` (decorrelates
+        retry storms; above 1 the factor could go negative).
     retry_seed:
         Seed of the jitter RNG, so retry schedules are reproducible.
     shard_timeout_s:
         Per-shard deadline per attempt (None disables): a shard still
         running after this long is treated like a crashed one -- the pool
-        is torn down (workers terminated) and the shard retried.  Only
-        honored while ``supervise_pool`` is on.
-    breaker_enabled:
-        Enable the degradation ladder.  When a rung fails with a
-        :class:`~repro.errors.TransientError`, the batch immediately falls
-        to the next rung (a batch serial could serve never fails), and
-        after ``breaker_threshold`` consecutive failures the rung is
-        skipped entirely until a half-open probe succeeds.  Off means
-        transient failures propagate to the caller.
+        is torn down (workers terminated) and the shard retried.
     breaker_threshold:
         Consecutive transient failures of one rung before the breaker
-        opens and the service enters that rung's degraded mode.
+        opens and the service enters that rung's degraded mode.  (Each
+        failing batch falls to the next rung at once either way; an open
+        breaker skips the failing rung until a half-open probe succeeds.)
     breaker_recovery_s:
         Time an open breaker waits before half-open-probing the faster
         rung again (measured on the service's monotonic clock).
@@ -236,14 +226,12 @@ class ResilienceConfig:
         testing/benchmarking only.
     """
 
-    supervise_pool: bool = True
     max_retries: int = 2
     backoff_base_s: float = 0.05
     backoff_max_s: float = 2.0
     backoff_jitter: float = 0.25
     retry_seed: int = 0
     shard_timeout_s: float | None = None
-    breaker_enabled: bool = True
     breaker_threshold: int = 3
     breaker_recovery_s: float = 30.0
     max_total_pending_frames: int | None = None
@@ -252,16 +240,11 @@ class ResilienceConfig:
     fault_plan: str | None = None
 
     def __post_init__(self) -> None:
-        for name in ("supervise_pool", "breaker_enabled",
-                     "reject_poison_frames"):
-            if not isinstance(getattr(self, name), bool):
-                raise ConfigurationError(
-                    f"{name} must be a boolean, got {getattr(self, name)!r}")
-        if isinstance(self.max_retries, bool) \
-                or not isinstance(self.max_retries, int) or self.max_retries < 0:
+        if not isinstance(self.reject_poison_frames, bool):
             raise ConfigurationError(
-                f"max_retries must be a non-negative integer, "
-                f"got {self.max_retries!r}")
+                f"reject_poison_frames must be a boolean, "
+                f"got {self.reject_poison_frames!r}")
+        _require_int("max_retries", self.max_retries, 0)
         for name in ("backoff_base_s", "backoff_max_s", "backoff_jitter",
                      "breaker_recovery_s"):
             value = getattr(self, name)
@@ -269,6 +252,10 @@ class ResilienceConfig:
                     or value < 0:
                 raise ConfigurationError(
                     f"{name} must be a non-negative number, got {value!r}")
+        if self.backoff_jitter > 1:
+            raise ConfigurationError(
+                f"backoff_jitter must be in [0, 1], "
+                f"got {self.backoff_jitter!r}")
         if isinstance(self.retry_seed, bool) \
                 or not isinstance(self.retry_seed, int):
             raise ConfigurationError(
@@ -280,19 +267,10 @@ class ResilienceConfig:
             raise ConfigurationError(
                 f"shard_timeout_s must be a positive number or None, "
                 f"got {self.shard_timeout_s!r}")
-        if isinstance(self.breaker_threshold, bool) \
-                or not isinstance(self.breaker_threshold, int) \
-                or self.breaker_threshold < 1:
-            raise ConfigurationError(
-                f"breaker_threshold must be a positive integer, "
-                f"got {self.breaker_threshold!r}")
-        if self.max_total_pending_frames is not None and (
-                isinstance(self.max_total_pending_frames, bool)
-                or not isinstance(self.max_total_pending_frames, int)
-                or self.max_total_pending_frames < 1):
-            raise ConfigurationError(
-                f"max_total_pending_frames must be a positive integer or "
-                f"None, got {self.max_total_pending_frames!r}")
+        _require_int("breaker_threshold", self.breaker_threshold, 1)
+        if self.max_total_pending_frames is not None:
+            _require_int("max_total_pending_frames",
+                         self.max_total_pending_frames, 1)
         if self.shed_policy not in ("shed-oldest", "reject"):
             raise ConfigurationError(
                 f"shed_policy must be 'shed-oldest' or 'reject', "
@@ -446,8 +424,8 @@ class ArrayTrackConfig:
         when enabled, batched calls are bit-for-bit identical to the
         serial path.
     resilience:
-        Fault tolerance (:class:`ResilienceConfig`): pool supervision
-        (retry/backoff/deadline), the circuit-breaker degradation ladder,
+        Fault tolerance (:class:`ResilienceConfig`): the pool supervision
+        budget (retry/backoff/deadline), the circuit-breaker thresholds,
         the service-wide pending-frame budget with its shed policy, and
         poison-frame rejection.  See ``docs/robustness.md``.
     """

@@ -39,8 +39,8 @@ import numpy as np
 from repro.ap.access_point import ArrayTrackAP
 from repro.ap.buffer import BufferEntry
 from repro.ap.latency import LatencyBreakdown, LatencyModel
-from repro.api._procpool import (PoolStats, ProcessShardPool, live_segments,
-                                 shm_leak_events)
+from repro.api._procpool import (FramesByClient, PoolStats, ProcessShardPool,
+                                 drain_shard, live_segments, shm_leak_events)
 from repro.api._resilience import (CircuitBreaker, ResilienceStats,
                                    backend_ladder)
 from repro.api.config import ArrayTrackConfig, SessionConfig
@@ -291,8 +291,7 @@ class ArrayTrackService:
         self._breaker = CircuitBreaker(
             self._ladder,
             threshold=config.resilience.breaker_threshold,
-            recovery_s=config.resilience.breaker_recovery_s,
-            enabled=config.resilience.breaker_enabled)
+            recovery_s=config.resilience.breaker_recovery_s)
         self._resilience_stats = ResilienceStats()
         self._pending_total = 0
         if config.resilience.fault_plan is not None:
@@ -409,47 +408,29 @@ class ArrayTrackService:
                                               warm_positions=warm)
         return self._procpool
 
-    def _timed_pass(self, run: Callable[[], dict[str, LocationEstimate]]
-                    ) -> dict[str, LocationEstimate]:
-        """Run one parallel pass, recording its whole wall-clock duration.
-
-        Each shard's own processing-time measurement only covers that
-        shard, so after a parallel pass the duration of the *entire* fan
-        out is recorded on the server instead.
-        """
-        measure = self.config.server.measure_processing_time
-        start = time.perf_counter() if measure else None
-        estimates = run()
-        if start is not None:
-            self._server.record_processing_time(time.perf_counter() - start)
-        return estimates
-
     def _run_sharded(self, shards: list[list[str]],
-                     synthesize: Callable[[list[str]],
-                                          dict[str, LocationEstimate]]
-                     ) -> dict[str, LocationEstimate]:
-        """Run ``synthesize`` per shard on the thread pool, merge in order.
+                     frames_by_client: FramesByClient,
+                     suppress: bool) -> dict[str, LocationEstimate]:
+        """Run :func:`drain_shard` per shard on the thread pool, merge in order.
 
         The NumPy reductions inside each shard's Equation 8 fold release
         the GIL, so shards genuinely overlap.
         """
-        def run() -> dict[str, LocationEstimate]:
-            faults.thread_shard()
-            futures = [self._pool().submit(synthesize, shard)
-                       for shard in shards]
-            estimates: dict[str, LocationEstimate] = {}
-            for future in futures:
-                estimates.update(future.result())
-            return estimates
-
-        return self._timed_pass(run)
+        faults.thread_shard()
+        futures = [
+            self._pool().submit(
+                drain_shard, self._server, self._suppressor,
+                {client_id: frames_by_client[client_id] for client_id in shard},
+                suppress)
+            for shard in shards]
+        estimates: dict[str, LocationEstimate] = {}
+        for future in futures:
+            estimates.update(future.result())
+        return estimates
 
     def _fanout(self, shards: list[list[str]],
-                process_run: Callable[[], dict[str, LocationEstimate]],
-                synthesize: Callable[[list[str]],
-                                     dict[str, LocationEstimate]],
-                serial_run: Callable[[], dict[str, LocationEstimate]]
-                ) -> dict[str, LocationEstimate]:
+                frames_by_client: FramesByClient,
+                suppress: bool) -> dict[str, LocationEstimate]:
         """Serve one sharded batch, walking the degradation ladder.
 
         The circuit breaker picks the entry rung (the configured backend
@@ -460,27 +441,33 @@ class ArrayTrackService:
         execution could serve is never failed.  Non-transient errors
         (deterministic data problems) propagate from whichever rung hit
         them: retrying or degrading those would re-fail identically.
-        Every rung runs the identical suppression + synthesis stages, so
-        the result is bit-for-bit the same wherever the batch lands.
+        Every rung runs :func:`drain_shard`, so the result is bit-for-bit
+        the same wherever the batch lands.  The serving rung's whole pass
+        is recorded as the server's processing time, since each shard's
+        own measurement covers only that shard.
         """
         entry = self._breaker.entry_index()
         for index in range(entry, len(self._ladder)):
             rung = self._ladder[index]
+            start = time.perf_counter()
             try:
                 if rung == "process":
-                    estimates = self._timed_pass(process_run)
+                    estimates = self._process_pool().localize_shards(
+                        shards, frames_by_client, suppress)
                 elif rung == "thread":
-                    estimates = self._run_sharded(shards, synthesize)
+                    estimates = self._run_sharded(shards, frames_by_client,
+                                                  suppress)
                 else:
-                    estimates = self._timed_pass(serial_run)
+                    estimates = drain_shard(self._server, self._suppressor,
+                                            frames_by_client, suppress)
             except TransientError as exc:
                 self._breaker.record_failure(index)
-                if index + 1 >= len(self._ladder) \
-                        or not self.config.resilience.breaker_enabled:
+                if index + 1 >= len(self._ladder):
                     raise
                 self._resilience_stats.record_fallback(
                     self._ladder[index + 1], exc)
                 continue
+            self._server.record_processing_time(time.perf_counter() - start)
             self._breaker.record_success(index)
             return estimates
         raise AssertionError("unreachable: the serial rung cannot "
@@ -532,18 +519,16 @@ class ArrayTrackService:
         bit-for-bit identical to the serial path either way.
         """
         self._ensure_open()
-        keys = list(spectra_by_client.keys())
-        shards = self._shards(keys)
+        shards = self._shards(list(spectra_by_client))
         if shards is None:
             return self._server.localize_batch(spectra_by_client)
         return self._fanout(
             shards,
-            lambda: self._process_pool().localize_shards(
-                shards, spectra_by_client),
-            lambda shard: self._server.localize_batch(
-                {client_id: spectra_by_client[client_id]
-                 for client_id in shard}),
-            lambda: self._server.localize_batch(spectra_by_client))
+            {client_id: {ap_id: [(spectrum.timestamp_s, spectrum)
+                                 for spectrum in spectra]
+                         for ap_id, spectra in per_ap.items()}
+             for client_id, per_ap in spectra_by_client.items()},
+            suppress=False)
 
     def localize_buffered(self, client_ids: Sequence[str],
                           aps: Sequence[ArrayTrackAP] | None = None
@@ -909,44 +894,18 @@ class ArrayTrackService:
         # every drained client's pending frames.  On such an error the
         # exception propagates with all sessions intact; the caller can
         # discard a poisoned session explicitly via session.drain().
-        if self.config.session.suppress_multipath:
-            # detect -> buffer -> spectrum -> multipath suppression ->
-            # synthesis (the paper's full pipeline): each AP's pending
-            # frames are grouped by capture time and every group's
-            # suppressed primary enters the one-pass synthesis.  The raw
-            # batch entry is skipped so the server's batch-path suppressor
-            # cannot run a second time over the already-suppressed output.
-            def synthesize(shard: list[str]) -> dict[str, LocationEstimate]:
-                batch = {client_id: self._suppress_pending(sessions[client_id])
-                         for client_id in shard}
-                return self._server.synthesize_batch(batch)
-        else:
-            def synthesize(shard: list[str]) -> dict[str, LocationEstimate]:
-                batch = {client_id: sessions[client_id].pending_spectra()
-                         for client_id in shard}
-                return self._server.localize_batch(batch)
-
-        keys = list(sessions.keys())
+        # Sessions are only read here, and the tracker commit below stays
+        # on the calling thread.
+        keys = list(sessions)
+        frames_by_client = {client_id: sessions[client_id].pending_timestamped()
+                            for client_id in keys}
+        suppress = self.config.session.suppress_multipath
         shards = self._shards(keys)
         if shards is None:
-            estimates = synthesize(keys)
+            estimates = drain_shard(self._server, self._suppressor,
+                                    frames_by_client, suppress)
         else:
-            # Every rung of the ladder runs the identical suppression +
-            # synthesis stages over the ready sessions: the process rung
-            # ships each session's pending (timestamp, spectrum) pairs to
-            # the worker processes through shared memory, the thread rung
-            # fans the synthesize closure out on the thread pool, serial
-            # runs it inline.  Sessions are only read here, and the
-            # tracker commit below stays on the calling thread.
-            estimates = self._fanout(
-                shards,
-                lambda: self._process_pool().tick_shards(
-                    shards,
-                    {client_id: sessions[client_id].pending_timestamped()
-                     for client_id in keys},
-                    self.config.session.suppress_multipath),
-                synthesize,
-                lambda: synthesize(keys))
+            estimates = self._fanout(shards, frames_by_client, suppress)
         timestamps: dict[str, float] = {}
         for client_id in estimates:
             session = sessions[client_id]
@@ -966,24 +925,6 @@ class ArrayTrackService:
             session.fixes.append(point)
             fixes[client_id] = estimate
         return fixes
-
-    def _suppress_pending(self, session: Session) -> list[AoASpectrum]:
-        """Run the streaming multipath-suppression stage on one session.
-
-        Each AP's pending frames are grouped on their ingest-resolved
-        timestamps (gap-anchored, see
-        :func:`~repro.core.suppression.group_spectra_by_time`) and the
-        Figure 8 algorithm reduces every group to its suppressed primary,
-        so a session spanning several capture bursts contributes one
-        cleaned spectrum per AP and burst to the synthesis.
-        """
-        processed: list[AoASpectrum] = []
-        for frames in session.pending_timestamped().values():
-            spectra = [spectrum for _, spectrum in frames]
-            timestamps = [timestamp for timestamp, _ in frames]
-            processed.extend(
-                self._suppressor.process(spectra, timestamps=timestamps))
-        return processed
 
     # ------------------------------------------------------------------
     # Client tracks
@@ -1005,7 +946,7 @@ class ArrayTrackService:
     # ------------------------------------------------------------------
     @property
     def last_processing_s(self) -> float | None:
-        """Wall-clock duration of the most recent synthesis, if measured."""
+        """Wall-clock time of the latest synthesis pass (None before any)."""
         return self._server.last_processing_s
 
     def latency_breakdown(self, payload_bytes: int = 1500,

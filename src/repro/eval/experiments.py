@@ -757,8 +757,7 @@ def fig21_latency(payload_bytes: int = 1500,
     """E-FIG21: the end-to-end latency breakdown for slow and fast frames."""
     testbed = build_office_testbed()
     deployment = SimulatedDeployment(testbed, _default_scenario())
-    service = _service(testbed.bounds, grid_resolution_m,
-                       measure_processing_time=True)
+    service = _service(testbed.bounds, grid_resolution_m)
     client_id = testbed.client_ids()[0]
     spectra = deployment.collect_client_spectra(client_id)
     service.localize(spectra, client_id)

@@ -53,16 +53,15 @@ class ServerConfig:
         frames of a client are available.
     suppressor:
         Parameters of the multipath suppression step.
-    measure_processing_time:
-        Record wall-clock processing time of each fix (used by the latency
-        experiment to substitute the measured Python time for the paper's
-        Matlab figure).
+
+    The server always records the wall-clock time of its latest synthesis
+    (:attr:`ArrayTrackServer.last_processing_s`), which the latency
+    experiment substitutes for the paper's Matlab processing figure.
     """
 
     localizer: LocalizerConfig = field(default_factory=LocalizerConfig)
     enable_multipath_suppression: bool = True
     suppressor: MultipathSuppressor = field(default_factory=MultipathSuppressor)
-    measure_processing_time: bool = False
 
 
 class ArrayTrackServer:
@@ -119,10 +118,9 @@ class ArrayTrackServer:
         processed = self._process_per_ap(spectra_by_ap)
         if not processed:
             raise EstimationError("no AoA spectra supplied for localization")
-        start = time.perf_counter() if self.config.measure_processing_time else None
+        start = time.perf_counter()
         estimate = self.estimator.estimate(processed, client_id=client_id)
-        if start is not None:
-            self._last_processing_s = time.perf_counter() - start
+        self._last_processing_s = time.perf_counter() - start
         return estimate
 
     def localize_batch(self,
@@ -189,10 +187,9 @@ class ArrayTrackServer:
                 raise EstimationError(
                     f"no AoA spectra supplied for client {client_id!r}")
             processed_by_client[client_id] = processed
-        start = time.perf_counter() if self.config.measure_processing_time else None
+        start = time.perf_counter()
         estimates = self.estimator.estimate_batch(processed_by_client)
-        if start is not None:
-            self._last_processing_s = time.perf_counter() - start
+        self._last_processing_s = time.perf_counter() - start
         return estimates
 
     def _process_per_ap(self, spectra_by_ap: Mapping[str, Sequence[AoASpectrum]]
@@ -289,7 +286,7 @@ class ArrayTrackServer:
     # ------------------------------------------------------------------
     @property
     def last_processing_s(self) -> float | None:
-        """Wall-clock duration of the most recent synthesis step, if measured."""
+        """Wall-clock time of the latest synthesis step (None before any)."""
         return self._last_processing_s
 
     def record_processing_time(self, seconds: float) -> None:

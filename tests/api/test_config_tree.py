@@ -1,5 +1,7 @@
 """Tests for the ArrayTrackConfig tree: round-tripping, validation, overrides."""
 
+import json
+
 import pytest
 
 from repro.api import (ArrayTrackConfig, ResilienceConfig, SessionConfig,
@@ -104,6 +106,24 @@ class TestRejection:
     def test_unknown_ap_spectrum_key(self, section):
         with pytest.raises(ConfigurationError, match=r"config\.ap\.spectrum"):
             ArrayTrackConfig.from_dict({"ap": {"spectrum": section}})
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("resilience", "supervise_pool", False),
+        ("resilience", "breaker_enabled", False),
+        ("server", "measure_processing_time", True),
+    ])
+    def test_removed_switches_are_unknown_keys(self, section, key, value):
+        data = {section: {key: value}}
+        path = rf"config\.{section}\b"
+        with pytest.raises(ConfigurationError, match=path):
+            ArrayTrackConfig.from_dict(data)
+        with pytest.raises(ConfigurationError, match=path):
+            ArrayTrackConfig.from_json(json.dumps(data))
+        with pytest.raises(ConfigurationError,
+                           match=rf"unknown configuration path '{section}\.{key}'"):
+            ArrayTrackConfig().with_env_overrides(
+                {f"ARRAYTRACK_{section.upper()}__{key.upper()}":
+                 json.dumps(value)})
 
     @pytest.mark.parametrize("data, message", [
         ({"server": {"localizer": {"grid_resolution_m": -1.0}}},
@@ -219,6 +239,9 @@ class TestSessionConfigValidation:
         {"max_age_s": -0.5},
         {"max_pending_frames": 0},
         {"suppress_multipath": 1},
+        {"emit_every_frames": True},
+        {"max_pending_frames": 2.5},
+        {"emit_every_frames": "3"},
     ])
     def test_invalid_session_parameters(self, kwargs):
         with pytest.raises(ConfigurationError):
@@ -266,8 +289,6 @@ class TestResilienceSection:
     def test_defaults(self):
         config = ArrayTrackConfig()
         assert config.resilience == ResilienceConfig()
-        assert config.resilience.supervise_pool is True
-        assert config.resilience.breaker_enabled is True
         assert config.resilience.max_total_pending_frames is None
         assert config.resilience.shed_policy == "shed-oldest"
         assert config.resilience.reject_poison_frames is True
@@ -286,11 +307,11 @@ class TestResilienceSection:
         assert ArrayTrackConfig.from_json(config.to_json()) == config
 
     @pytest.mark.parametrize("kwargs", [
-        {"supervise_pool": 1},
         {"max_retries": -1},
         {"max_retries": True},
         {"backoff_base_s": -0.1},
         {"backoff_jitter": -0.5},
+        {"backoff_jitter": 1.5},
         {"retry_seed": 1.5},
         {"shard_timeout_s": 0.0},
         {"breaker_threshold": 0},
@@ -315,12 +336,10 @@ class TestResilienceSection:
             "ARRAYTRACK_RESILIENCE__MAX_RETRIES": "4",
             "ARRAYTRACK_RESILIENCE__SHARD_TIMEOUT_S": "2.5",
             "ARRAYTRACK_RESILIENCE__SHED_POLICY": "reject",
-            "ARRAYTRACK_RESILIENCE__BREAKER_ENABLED": "false",
         })
         assert updated.resilience.max_retries == 4
         assert updated.resilience.shard_timeout_s == 2.5
         assert updated.resilience.shed_policy == "reject"
-        assert updated.resilience.breaker_enabled is False
 
     def test_dotted_override_reaches_resilience_section(self):
         config = ArrayTrackConfig(bounds=(0.0, 0.0, 5.0, 5.0)).updated(

@@ -160,8 +160,7 @@ class TestShardedLocalizeMany:
 
     def test_measured_processing_time_covers_whole_pass(self):
         service = _service(parallel={"backend": "thread", "num_workers": 2,
-                                     "min_clients_per_worker": 2},
-                           **{"server.measure_processing_time": True})
+                                     "min_clients_per_worker": 2})
         service.localize_many(_clients(8))
         assert service.last_processing_s is not None
         assert service.last_processing_s > 0.0
@@ -301,26 +300,5 @@ class TestProcessPoolFailureModes:
         assert service._procpool.stats.rebuilds >= 1
         assert live_segments() == frozenset()
         # close() still works on a supervised (rebuilt) pool.
-        service.close()
-        assert service._procpool is None
-
-    def test_worker_crash_raises_without_supervision(self):
-        import os as _os
-
-        service = _service(
-            parallel={"backend": "process", "num_workers": 2,
-                      "min_clients_per_worker": 2},
-            **{"resilience.supervise_pool": False,
-               "resilience.breaker_enabled": False})
-        service.localize_many(_clients(6))   # spawn + warm the workers
-        executor = service._procpool._ensure()
-        doomed = executor.submit(_os._exit, 3)
-        with pytest.raises(BrokenProcessPool):
-            doomed.result(timeout=120)
-        # PR-6 semantics restored: the breakage propagates to the caller.
-        with pytest.raises(BrokenProcessPool):
-            service.localize_many(_clients(6))
-        assert live_segments() == frozenset()
-        # close() still works on a broken pool.
         service.close()
         assert service._procpool is None

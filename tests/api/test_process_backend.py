@@ -148,29 +148,45 @@ class TestLocalizeBufferedMatrix:
 
 
 class TestStreamingMatrix:
-    def _ingest(self, service, count, seed=11):
+    def _ingest(self, service, count, seed=11, frame_gap_s=0.01,
+                stamp_spectra=True):
+        """Ingest two frames per client and AP, ``frame_gap_s`` apart.
+
+        With ``stamp_spectra`` off, every spectrum carries timestamp 0.0
+        and only the ingest call knows the frame's time, so grouping on
+        ``spectrum.timestamp_s`` instead of the ingest-resolved time
+        would change the suppression groups.
+        """
         rng = np.random.default_rng(seed)
         grid_points = default_angle_grid(1.0).shape[0]
         for index in range(count):
             target = Point2D(rng.uniform(2, 18), rng.uniform(2, 8))
             for i, position in enumerate(AP_POSITIONS):
                 for frame in range(2):
+                    timestamp = frame * frame_gap_s
                     service.ingest(
                         f"ap{i}",
                         _spectrum_towards(
-                            position, target, timestamp_s=frame * 0.01,
+                            position, target,
+                            timestamp_s=timestamp if stamp_spectra else 0.0,
                             noise=0.01 * rng.random(grid_points)),
                         client_id=f"c{index}",
-                        timestamp_s=frame * 0.01)
+                        timestamp_s=timestamp)
 
-    @pytest.mark.parametrize("suppress", [False, True])
-    def test_tick_equality_across_backends(self, suppress):
+    @pytest.mark.parametrize("suppress, ingest", [
+        (False, {}),
+        (True, {}),
+        # Two bursts 1 s apart on the ingest clock, one stamp on the
+        # spectra: only the ingest-resolved times split the groups.
+        (True, {"frame_gap_s": 1.0, "stamp_spectra": False}),
+    ])
+    def test_tick_equality_across_backends(self, suppress, ingest):
         overrides = {"session.emit_every_frames": 1,
                      "session.suppress_multipath": suppress}
         results = {}
         for backend in ("none", "thread", "process"):
             with ArrayTrackService(_config(backend, **overrides)) as service:
-                self._ingest(service, 10)
+                self._ingest(service, 10, **ingest)
                 results[backend] = service.tick()
                 _assert_no_segments()
                 assert all(session.pending_frames == 0

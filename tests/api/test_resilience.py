@@ -23,7 +23,7 @@ from repro.ap.buffer import BufferEntry
 from repro.array.receiver import SnapshotMatrix
 from repro.core import AoASpectrum, default_angle_grid
 from repro.errors import (BackpressureError, ConfigurationError,
-                          PoisonFrameError, PoolSupervisionError)
+                          PoisonFrameError)
 from repro.geometry import Point2D, bearing_deg
 from repro.testing import faults
 
@@ -201,22 +201,12 @@ class TestDegradationLadder:
                               serial_fixes)
             assert service.health()["fallbacks"]["served_by"] == {"thread": 1}
 
-    def test_breaker_disabled_propagates_the_transient_error(self):
-        faults.activate(faults.FaultSpec(kind="kill-worker-mid-shard"))
-        service = _process_service(
-            **{"resilience.max_retries": 0,
-               "resilience.breaker_enabled": False})
-        with service:
-            with pytest.raises(PoolSupervisionError):
-                service.localize_many(_clients(6))
-
 
 class TestCircuitBreakerUnit:
-    def _breaker(self, threshold=2, recovery_s=10.0, enabled=True):
+    def _breaker(self, threshold=2, recovery_s=10.0):
         state = {"now": 0.0}
         breaker = CircuitBreaker(backend_ladder("process"),
                                  threshold=threshold, recovery_s=recovery_s,
-                                 enabled=enabled,
                                  clock=lambda: state["now"])
         return breaker, state
 
@@ -276,12 +266,6 @@ class TestCircuitBreakerUnit:
         breaker.record_success(1)
         breaker.record_success(1)
         assert breaker.state == "open" and breaker.entry_index() == 1
-
-    def test_disabled_breaker_never_degrades(self):
-        breaker, _ = self._breaker(enabled=False)
-        for _ in range(5):
-            breaker.record_failure(0)
-        assert breaker.entry_index() == 0 and breaker.state == "closed"
 
     def test_snapshot_is_json_safe(self):
         import json

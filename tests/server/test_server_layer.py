@@ -75,7 +75,7 @@ class TestArrayTrackServer:
             self._server().localize_client([], "c")
 
     def test_latency_breakdown_uses_measured_processing(self):
-        service = self._service(measure_processing_time=True)
+        service = self._service()
         server = service.server
         spectra = {f"ap{i}": [_spectrum_towards(p, TARGET)]
                    for i, p in enumerate(AP_POSITIONS)}

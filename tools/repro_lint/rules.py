@@ -231,7 +231,7 @@ def _check_executor_pickling(context: ModuleContext) -> Iterator[Finding]:
                f"pools pickle the task, and lambdas/closures do not pickle "
                f"(the thread backend silently masks this until the backend "
                f"flips to 'process'); submit a module-level function with "
-               f"explicit arguments (see repro.api._procpool._localize_shard)")
+               f"explicit arguments (see repro.api._procpool._drain_task)")
 
 
 # ----------------------------------------------------------------------
