@@ -1,8 +1,31 @@
-"""Benchmark regenerating Table 1: peak stability under small movements."""
+"""Peak microbenchmarks: Table 1 and the Section 2.4 peak detection.
 
+* Table 1: peak stability under small movements.
+* ``find_peaks`` on a roaming capture against the loop reference in
+  ``tests/core/_oracle.py``: bit-equal, and at least 2x faster (8.6x on
+  a shared 2-CPU machine).  Results are also written to
+  ``BENCH_peaks.json``.
+"""
+
+import json
+import os
+import time
+
+from repro.core import MultipathSuppressor, find_peaks
 from repro.eval import format_table, table1_peak_stability
 
 from conftest import run_once
+from tests.core._oracle import reference_find_peaks, roaming_groups
+
+#: Roaming capture of the peak-detection floor: 4 clients x 5 steps x 6
+#: APs x 3 frames = 360 spectra.
+PEAK_CLIENTS = 4
+PEAK_STEPS = 5
+PEAK_ROUNDS = 5
+PEAK_SPEEDUP_FLOOR = 2.0
+#: Machine-readable results for cross-PR perf tracking.
+PEAK_RESULTS_PATH = os.path.join(os.environ.get("BENCH_OUTPUT_DIR", "."),
+                                 "BENCH_peaks.json")
 
 
 def test_table1_peak_stability(benchmark):
@@ -26,3 +49,58 @@ def test_table1_peak_stability(benchmark):
     assert result.total_positions == 100
     assert result.fraction_direct_same >= 0.6
     assert result.fraction_direct_changed_reflection_same <= 0.2
+
+
+def measure_peak_detection(num_clients: int = PEAK_CLIENTS,
+                           num_steps: int = PEAK_STEPS,
+                           rounds: int = PEAK_ROUNDS) -> dict[str, float]:
+    """Time ``find_peaks`` against its loop reference on roaming spectra.
+
+    The two run interleaved, one whole pass each per round, and each
+    keeps its best round, so a burst of load on a shared machine slows
+    both or neither.  Every pass must return the same peaks, bit for bit.
+    """
+    spectra = [spectrum
+               for group in roaming_groups(num_clients, num_steps)
+               for spectrum in group]
+    height = MultipathSuppressor().min_relative_height
+    best = {"array": float("inf"), "loop": float("inf")}
+    for _ in range(rounds):
+        found = {}
+        for name, detect in (("array", find_peaks),
+                             ("loop", reference_find_peaks)):
+            start = time.perf_counter()
+            found[name] = [detect(spectrum, height) for spectrum in spectra]
+            best[name] = min(best[name], time.perf_counter() - start)
+        assert found["array"] == found["loop"], \
+            "array find_peaks diverged from the loop reference"
+    return {
+        "num_spectra": len(spectra),
+        "rounds": rounds,
+        "array_us_per_call": best["array"] / len(spectra) * 1e6,
+        "loop_us_per_call": best["loop"] / len(spectra) * 1e6,
+        "speedup": best["loop"] / best["array"],
+    }
+
+
+def test_find_peaks_speedup_floor(benchmark):
+    """E-PEAKS: array ``find_peaks`` >= 2x its loop reference, bit-equal.
+
+    Section 2.4 runs peak detection on every spectrum of a streaming
+    group, so a grid-point loop creeping back into it would show up here
+    first.  Results are written to ``BENCH_peaks.json``.
+    """
+    results = run_once(benchmark, measure_peak_detection)
+    with open(PEAK_RESULTS_PATH, "w", encoding="utf-8") as handle:
+        json.dump(results, handle, indent=2)
+        handle.write("\n")
+    print()
+    print(format_table(
+        ["implementation", "us/call", "vs loop"],
+        [["loop reference", f"{results['loop_us_per_call']:.0f}", "1.0x"],
+         ["array", f"{results['array_us_per_call']:.0f}",
+          f"{results['speedup']:.1f}x"]],
+        title=f"find_peaks on {results['num_spectra']} roaming spectra "
+              f"(best of {results['rounds']})"))
+    print(f"results written to {PEAK_RESULTS_PATH}")
+    assert results["speedup"] >= PEAK_SPEEDUP_FLOOR

@@ -31,7 +31,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from typing import Any
 
 import numpy as np
@@ -58,6 +58,22 @@ from repro.testing import faults
 __all__ = ["Session", "ArrayTrackService"]
 
 
+class _PendingCount:
+    """Frames pending across a service's sessions.
+
+    The service and each of its sessions share one instance: a session
+    adds its buffered frames and subtracts its shed and drained ones, so
+    the service-wide backpressure budget stays exact without rescanning
+    every session on each ingest, and no session refers back to its
+    service (a closed service is freed as soon as its last reference goes).
+    """
+
+    __slots__ = ("frames",)
+
+    def __init__(self) -> None:
+        self.frames = 0
+
+
 class Session:
     """One client's streaming state: pending frames and emitted fixes.
 
@@ -69,14 +85,12 @@ class Session:
     """
 
     def __init__(self, client_id: str, config: SessionConfig,
-                 on_delta: Callable[[int], None] | None = None) -> None:
+                 pending_count: _PendingCount) -> None:
         self.client_id = client_id
         self.config = config
-        #: Owning service's pending-frame accounting callback: called with
-        #: +1 per buffered frame and -1 per dropped/drained frame, keeping
-        #: the service-wide backpressure budget exact without rescanning
-        #: every session on each ingest.
-        self._on_delta = on_delta
+        #: The owning service's pending-frame count, kept up to date with
+        #: this session's buffered, shed and drained frames.
+        self._pending_count = pending_count
         #: Pending ``(timestamp, spectrum)`` pairs per AP, in first-ingest
         #: AP order (this order is what makes a drained session
         #: bit-identical to the same frames passed to
@@ -124,8 +138,7 @@ class Session:
             timestamp_s: float) -> None:
         """Append one frame's spectrum to the pending buffer."""
         self._pending.setdefault(ap_id, []).append((timestamp_s, spectrum))
-        if self._on_delta is not None:
-            self._on_delta(1)
+        self._pending_count.frames += 1
         if self._oldest_pending_s is None or timestamp_s < self._oldest_pending_s:
             self._oldest_pending_s = timestamp_s
         if self.last_ingest_s is None or timestamp_s > self.last_ingest_s:
@@ -158,8 +171,7 @@ class Session:
         self._pending[oldest_ap].pop(oldest_index)
         if not self._pending[oldest_ap]:
             del self._pending[oldest_ap]
-        if self._on_delta is not None:
-            self._on_delta(-1)
+        self._pending_count.frames -= 1
         remaining = [timestamp for frames in self._pending.values()
                      for timestamp, _ in frames]
         self._oldest_pending_s = min(remaining) if remaining else None
@@ -220,8 +232,7 @@ class Session:
         dropped = self.pending_frames
         self._pending = {}
         self._oldest_pending_s = None
-        if dropped and self._on_delta is not None:
-            self._on_delta(-dropped)
+        self._pending_count.frames -= dropped
         return batch
 
 
@@ -286,14 +297,14 @@ class ArrayTrackService:
         self._closed = False
         #: The resilience layer: degradation ladder + breaker, service
         #: counters, and the exact count of frames pending across all
-        #: sessions (kept incrementally via each session's delta callback).
+        #: sessions (each session updates the shared count itself).
         self._ladder = backend_ladder(config.parallel.backend)
         self._breaker = CircuitBreaker(
             self._ladder,
             threshold=config.resilience.breaker_threshold,
             recovery_s=config.resilience.breaker_recovery_s)
         self._resilience_stats = ResilienceStats()
-        self._pending_total = 0
+        self._pending_count = _PendingCount()
         if config.resilience.fault_plan is not None:
             faults.activate_json(config.resilience.fault_plan)
 
@@ -553,13 +564,9 @@ class ArrayTrackService:
         existing = self._sessions.get(client_id)
         if existing is None:
             existing = Session(client_id, self.config.session,
-                               on_delta=self._note_pending_delta)
+                               self._pending_count)
             self._sessions[client_id] = existing
         return existing
-
-    def _note_pending_delta(self, delta: int) -> None:
-        """Session callback keeping the service-wide pending count exact."""
-        self._pending_total += delta
 
     @property
     def sessions(self) -> dict[str, Session]:
@@ -783,12 +790,12 @@ class ArrayTrackService:
                timestamp_s: float) -> None:
         """Buffer one validated frame, enforcing the service-wide budget."""
         budget = self.config.resilience.max_total_pending_frames
-        if budget is not None and self._pending_total >= budget:
+        if budget is not None and self._pending_count.frames >= budget:
             if self.config.resilience.shed_policy == "reject":
                 self._resilience_stats.backpressure_rejected += 1
                 raise BackpressureError(
                     f"service pending-frame budget is full "
-                    f"({self._pending_total}/{budget} frames); rejecting "
+                    f"({self._pending_count.frames}/{budget} frames); rejecting "
                     f"frame from client {session.client_id!r} "
                     f"(shed_policy='reject')")
             self._shed_for(session, budget)
@@ -798,7 +805,7 @@ class ArrayTrackService:
         """Make room under the budget: ingesting client's own oldest
         pending frame goes first (per-client fairness), falling back to
         the session holding the globally oldest frame."""
-        while self._pending_total >= budget:
+        while self._pending_count.frames >= budget:
             victim: Session | None = \
                 session if session.pending_frames else None
             if victim is None:
@@ -846,7 +853,7 @@ class ArrayTrackService:
                 "live_segments": sorted(live_segments()),
             },
             "ingest": {
-                "pending_frames": self._pending_total,
+                "pending_frames": self._pending_count.frames,
                 "pending_budget":
                     self.config.resilience.max_total_pending_frames,
                 "shed_frames": stats.shed_frames,

@@ -72,6 +72,11 @@ def _service(parallel=None, **overrides):
     return ArrayTrackService(config)
 
 
+def _pending(service):
+    """Frames pending across the service's sessions, as health() reports."""
+    return service.health()["ingest"]["pending_frames"]
+
+
 def _process_service(**overrides):
     return _service(parallel={"backend": "process", "num_workers": 2,
                               "min_clients_per_worker": 2}, **overrides)
@@ -292,10 +297,10 @@ class TestBackpressure:
                "session.max_pending_frames": 100})
         for index in range(3):
             service.ingest("ap0", self._spectrum("a", float(index)))
-        assert service._pending_total == 3
+        assert _pending(service) == 3
         service.ingest("ap0", self._spectrum("a", 3.0))
         # Client a's own oldest frame (t=0) was shed to make room.
-        assert service._pending_total == 3
+        assert _pending(service) == 3
         pending = service.session("a").pending_timestamped()["ap0"]
         assert [timestamp for timestamp, _ in pending] == [1.0, 2.0, 3.0]
         assert service.health()["ingest"]["shed_frames"] == 1
@@ -312,7 +317,7 @@ class TestBackpressure:
         assert service.session("a").pending_frames == 0
         assert service.session("b").pending_frames == 1
         assert service.session("newcomer").pending_frames == 1
-        assert service._pending_total == 2
+        assert _pending(service) == 2
 
     def test_reject_policy_raises_named_error_and_counts(self):
         service = _service(
@@ -322,24 +327,23 @@ class TestBackpressure:
         with pytest.raises(BackpressureError, match="budget is full"):
             service.ingest("ap0", self._spectrum("b", 1.0))
         # The rejected frame left no trace; the first client is intact.
-        assert service._pending_total == 1
+        assert _pending(service) == 1
         assert service.health()["ingest"]["backpressure_rejected"] == 1
 
     def test_pending_total_tracks_session_drains(self):
         service = _service(**{"session.emit_every_frames": 100})
         for index in range(4):
             service.ingest("ap0", self._spectrum("a", float(index)))
-        assert service._pending_total == 4
-        assert service.health()["ingest"]["pending_frames"] == 4
+        assert _pending(service) == 4
         service.flush()
-        assert service._pending_total == 0
+        assert _pending(service) == 0
 
     def test_per_session_cap_keeps_service_accounting_exact(self):
         service = _service(**{"session.max_pending_frames": 2})
         for index in range(5):
             service.ingest("ap0", self._spectrum("a", float(index)))
         assert service.session("a").pending_frames == 2
-        assert service._pending_total == 2
+        assert _pending(service) == 2
 
 
 # ----------------------------------------------------------------------
@@ -357,7 +361,7 @@ class TestPoisonFrames:
         service = _service()
         with pytest.raises(PoisonFrameError, match="'c0'.*'ap0'.*non-finite"):
             service.ingest("ap0", self._nan_spectrum())
-        assert service._pending_total == 0
+        assert _pending(service) == 0
         assert service.health()["ingest"]["poison_rejected"] == 1
 
     def test_grid_mismatch_against_pending_frames_rejected(self):
@@ -380,7 +384,7 @@ class TestPoisonFrames:
         with pytest.raises(PoisonFrameError):
             service.ingest_many("ap0", [good, self._nan_spectrum("c1")])
         # Nothing was admitted: no session holds half the burst.
-        assert service._pending_total == 0
+        assert _pending(service) == 0
         assert all(s.pending_frames == 0
                    for s in service.sessions.values())
 
@@ -400,7 +404,7 @@ class TestPoisonFrames:
     def test_rejection_can_be_disabled(self):
         service = _service(**{"resilience.reject_poison_frames": False})
         service.ingest("ap0", self._nan_spectrum())
-        assert service._pending_total == 1
+        assert _pending(service) == 1
 
     def test_injected_poison_fault_is_caught_by_the_gate(self):
         # The fault plan arrives via the config knob, proving the
@@ -412,7 +416,7 @@ class TestPoisonFrames:
         with pytest.raises(PoisonFrameError, match="non-finite"):
             service.ingest("ap0", good)
         service.ingest("ap0", good)          # budget spent: admitted
-        assert service._pending_total == 1
+        assert _pending(service) == 1
 
 
 # ----------------------------------------------------------------------

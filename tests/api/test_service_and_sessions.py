@@ -1,5 +1,8 @@
 """Tests for the ArrayTrackService facade: batch API and streaming sessions."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -541,6 +544,26 @@ class TestIngestMany:
             direct_index=0, client_id=client_id, ap_id=ap.ap_id)
         return [ap.overhear(channel, timestamp_s=0.03 * index, rng=rng)
                 for index in range(num_frames)]
+
+    def test_closed_service_freed_without_cycle_collector(self):
+        """Sessions do not refer back to their service, so a closed
+        service goes as soon as its last reference does."""
+        ap = self._probe_ap()
+        entries = self._burst(ap, 4, "c1", np.random.default_rng(2))
+        gc.collect()
+        gc.disable()
+        try:
+            service = _service(**{"session.emit_every_frames": 4,
+                                  "session.suppress_multipath": True})
+            service.adopt_aps([ap])
+            service.ingest_many("probe", entries)
+            assert list(service.tick()) == ["c1"]
+            service.close()
+            reference = weakref.ref(service)
+            del service
+            assert reference() is None
+        finally:
+            gc.enable()
 
     def test_batched_ingest_matches_serial_ingest_bitwise(self):
         ap = self._probe_ap()

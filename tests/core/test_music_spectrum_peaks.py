@@ -346,3 +346,24 @@ class TestPeaks:
         peaks = find_peaks(AoASpectrum(angles, power))
         assert len(peaks) == 1
         assert peaks[0].index == 358
+
+    @pytest.mark.parametrize("kwargs", [
+        {"max_peaks": -1},
+        {"max_peaks": 1.5},
+        {"max_peaks": True},
+        {"min_relative_prominence": -0.1},
+        {"min_relative_prominence": 1.5},
+        {"min_relative_height": 1.5},
+    ])
+    def test_invalid_arguments_rejected(self, kwargs):
+        spectrum = self._gaussian_spectrum([50, 150, 260], [4, 5, 6],
+                                           [1.0, 0.7, 0.4])
+        with pytest.raises(EstimationError):
+            find_peaks(spectrum, **kwargs)
+
+    def test_max_peaks_caps_strongest_first(self):
+        spectrum = self._gaussian_spectrum([50, 150, 260], [4, 5, 6],
+                                           [1.0, 0.7, 0.4])
+        assert find_peaks(spectrum, max_peaks=0) == []
+        capped = find_peaks(spectrum, max_peaks=np.int64(2))
+        assert [round(peak.angle_deg) for peak in capped] == [50, 150]
