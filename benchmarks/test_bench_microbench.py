@@ -1,21 +1,31 @@
-"""Peak microbenchmarks: Table 1 and the Section 2.4 peak detection.
+"""Microbenchmarks: Table 1, Section 2.4 peak detection, Section 2.5 seeding.
 
 * Table 1: peak stability under small movements.
 * ``find_peaks`` on a roaming capture against the loop reference in
   ``tests/core/_oracle.py``: bit-equal, and at least 2x faster (8.6x on
   a shared 2-CPU machine).  Results are also written to
   ``BENCH_peaks.json``.
+* Bound-and-prune seeding of :class:`~repro.core.batch.BatchLocalizer`
+  against the oracle's full Equation 8 fold plus full-sort seeds, on 64
+  clients of the office testbed: bit-equal, and at least 2.5x faster.
 """
 
 import json
 import os
 import time
 
-from repro.core import MultipathSuppressor, find_peaks
+import numpy as np
+
+from repro.core import (AoASpectrum, BatchLocalizer, LocalizerConfig,
+                        MultipathSuppressor, default_angle_grid, find_peaks,
+                        synthesize_likelihood)
 from repro.eval import format_table, table1_peak_stability
+from repro.geometry import Point2D, bearing_deg
+from repro.testbed import build_office_testbed
 
 from conftest import run_once
-from tests.core._oracle import reference_find_peaks, roaming_groups
+from tests.core._oracle import (reference_find_peaks, reference_seeds,
+                                roaming_groups)
 
 #: Roaming capture of the peak-detection floor: 4 clients x 5 steps x 6
 #: APs x 3 frames = 360 spectra.
@@ -104,3 +114,99 @@ def test_find_peaks_speedup_floor(benchmark):
               f"(best of {results['rounds']})"))
     print(f"results written to {PEAK_RESULTS_PATH}")
     assert results["speedup"] >= PEAK_SPEEDUP_FLOOR
+
+
+#: Section 2.5 seeding floor: the batch_refine shape (64 clients, the six
+#: office APs, a 0.25 m grid, three seeds).
+SEED_CLIENTS = 64
+SEED_ROUNDS = 5
+SEED_SPEEDUP_FLOOR = 2.5
+
+
+def office_clients(num_clients: int, seed: int = 1):
+    """Clients with one Gaussian-lobe spectrum per office AP.
+
+    Each lobe points at the client's true bearing (8 degrees wide, plus a
+    2% noise floor).  Returns the testbed bounds and the client batch.
+    """
+    testbed = build_office_testbed()
+    rng = np.random.default_rng(seed)
+    angles = default_angle_grid(1.0)
+    xmin, ymin, xmax, ymax = testbed.bounds
+    clients = {}
+    for index in range(num_clients):
+        target = Point2D(rng.uniform(xmin + 1.0, xmax - 1.0),
+                         rng.uniform(ymin + 1.0, ymax - 1.0))
+        spectra = []
+        for site in testbed.ap_sites:
+            bearing = bearing_deg(site.position, target)
+            local = (angles - (bearing - site.orientation_deg) + 180.0) \
+                % 360.0 - 180.0
+            power = np.exp(-0.5 * (local / 8.0) ** 2) \
+                + 0.02 * rng.random(angles.shape[0])
+            spectra.append(AoASpectrum(
+                angles, power, ap_position=site.position,
+                ap_orientation_deg=site.orientation_deg, ap_id=site.ap_id))
+        clients[f"client-{index:02d}"] = spectra
+    return testbed.bounds, clients
+
+
+def measure_synthesis_seeding(num_clients: int = SEED_CLIENTS,
+                              rounds: int = SEED_ROUNDS) -> dict[str, float]:
+    """Time pruned seeding against the full fold plus full-sort seeds.
+
+    The localizer's geometry tables are warmed first, as in a running
+    server.  The two run interleaved, one whole batch each per round, and
+    each keeps its best round; every round must pick the same seeds, bit
+    for bit.
+    """
+    bounds, clients = office_clients(num_clients)
+    config = LocalizerConfig(grid_resolution_m=0.25)
+    localizer = BatchLocalizer(bounds, config)
+    localizer.seeds(clients, config.num_seeds)
+
+    def pruned():
+        return localizer.seeds(clients, config.num_seeds)
+
+    def full_fold():
+        return {key: reference_seeds(
+                    synthesize_likelihood(spectra, bounds,
+                                          config.grid_resolution_m,
+                                          floor=config.spectrum_floor),
+                    config.num_seeds)
+                for key, spectra in clients.items()}
+
+    best = {"pruned": float("inf"), "full": float("inf")}
+    for _ in range(rounds):
+        found = {}
+        for name, seed in (("pruned", pruned), ("full", full_fold)):
+            start = time.perf_counter()
+            found[name] = seed()
+            best[name] = min(best[name], time.perf_counter() - start)
+        assert found["pruned"] == found["full"], \
+            "pruned seeding diverged from the full-fold oracle"
+    return {
+        "num_clients": num_clients,
+        "rounds": rounds,
+        "pruned_ms": best["pruned"] * 1e3,
+        "full_ms": best["full"] * 1e3,
+        "speedup": best["full"] / best["pruned"],
+    }
+
+
+def test_synthesis_seeding_speedup_floor(benchmark):
+    """E-SEEDS: pruned Section 2.5 seeding >= 2.5x the full fold, bit-equal.
+
+    Seeding reads only the few cells that can still hold a seed; a full
+    grid fold creeping back into it would show up here first.
+    """
+    results = run_once(benchmark, measure_synthesis_seeding)
+    print()
+    print(format_table(
+        ["implementation", "ms/batch", "vs full fold"],
+        [["full fold + sort", f"{results['full_ms']:.1f}", "1.0x"],
+         ["bound and prune", f"{results['pruned_ms']:.1f}",
+          f"{results['speedup']:.1f}x"]],
+        title=f"Section 2.5 seeds of {results['num_clients']} clients "
+              f"(best of {results['rounds']})"))
+    assert results["speedup"] >= SEED_SPEEDUP_FLOOR

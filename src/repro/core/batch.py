@@ -1,36 +1,40 @@
 """Batched multi-client location synthesis (Equation 8 across many clients).
 
-The seed implementation localized one client per call: for every fix it
-re-derived each AP's bearing table, re-built each spectrum's interpolation
-indices, and folded the Equation 8 product in per-client Python loops.  All
-of that work except the final product depends only on the *deployment* (AP
-positions/orientations, angle grid, search grid), not on the client, so a
-server localizing hundreds of clients against the same six APs repeats it
-hundreds of times.
+Section 2.5 needs only the few best grid cells of each client, which then
+seed a hill climb.  :class:`BatchLocalizer` therefore never folds the whole
+grid: a fix does work in proportion to the cells that can still hold a seed.
+Everything except the final product depends only on the *deployment* (AP
+positions/orientations, angle grid, search grid), so that part is computed
+once and cached.  One batch runs these stages:
 
-:class:`BatchLocalizer` restructures the computation around that
-observation:
-
-1. bearing tables come from the shared
-   :class:`~repro.core.cache.BearingGridCache` (one ``arctan2`` sweep per AP
-   per deployment);
-2. spectra are grouped by AP "placement" (position, orientation, angle
-   grid), the circular-interpolation table is built once per group, and the
-   power planes of *all* clients heard by that AP are gathered in one stacked
-   NumPy fancy-indexing pass;
-3. the Equation 8 product is folded per client, in each client's own
-   spectrum order, so a batched fix is bit-for-bit identical to the same
-   client localized alone;
-4. hill-climbing refinement (Section 2.5) is seeded from each client's own
-   likelihood plane and driven by the vectorized refiner
-   (:func:`repro.core.optimizer.refine_many`): each round stacks the
-   compass-neighbour candidates of every active climber of every client and
-   evaluates them in one Equation 8 pass per AP slot
-   (:class:`_StackedObjective`), replaying the exact tie-breaking and
-   evaluation budget of :func:`~repro.core.optimizer.hill_climb` over
+1. spectra are grouped by (slot, AP placement) and stacked, normalized, in
+   :class:`_StackedObjective`; each placement's circular-interpolation table
+   comes from the shared :class:`~repro.core.cache.BearingGridCache` and is
+   cached with the circular span of spectrum indices each fixed 8x8-cell
+   grid block reads;
+2. one ``maximum.reduceat`` over every stacked row (doubled for the circle)
+   turns those spans into per-block maxima; floored like the fold, padded
+   for rounding and multiplied in slot order, they bound every client's
+   Equation 8 product on every block;
+3. each client's best blocks by bound are folded exactly, with the same
+   gather arithmetic as :func:`~repro.core.likelihood.synthesize_likelihood`,
+   in one stacked pass per (slot, placement), and the seeds are picked by
+   :func:`~repro.core.likelihood.greedy_seeds`.  A client stops once its
+   best unevaluated block's bound is strictly below its last seed's value;
+   otherwise its block budget doubles.  Grid-only fixes take the same path
+   with one seed, so every seed and grid fix is bit-for-bit the one a full
+   fold would pick;
+4. hill-climbing refinement (Section 2.5) is driven by the vectorized
+   refiner (:func:`repro.core.optimizer.refine_many`): each round stacks
+   the compass-neighbour candidates of every active climber of every client
+   and evaluates them in one Equation 8 pass per (slot, placement), replaying
+   the exact tie-breaking and evaluation budget of
+   :func:`~repro.core.optimizer.hill_climb` over
    :func:`~repro.core.likelihood.likelihood_at`, so a refined fix is
    bit-for-bit what that per-candidate climb would reach.
 
+The full per-client plane is built only under ``keep_heatmap``, by
+:func:`~repro.core.likelihood.synthesize_likelihood`.
 :class:`~repro.core.localizer.LocationEstimator` is a thin wrapper running
 this engine with a batch of one, so there is exactly one synthesis code
 path to test and optimize.
@@ -38,33 +42,29 @@ path to test and optimize.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 
 import numpy as np
 
-try:  # SciPy is optional: it accelerates the fold but never changes results.
-    from scipy import sparse as _sparse
-except ImportError:  # pragma: no cover - exercised via the forced fallback test
-    _sparse = None
-
 from repro.errors import EstimationError
-from repro.geometry.vector import Point2D, normalize_angle_deg
+from repro.geometry.vector import Point2D, bearings_deg
 from repro.core.cache import (
     BearingGridCache,
     default_bearing_cache,
     grid_axes,
 )
-from repro.core.likelihood import LikelihoodMap
+from repro.core.likelihood import greedy_seeds, synthesize_likelihood
 from repro.core.localizer import (
     LocalizerConfig,
     LocationEstimate,
 )
-from repro.core.optimizer import HillClimbResult, refine_many
-from repro.core.spectrum import AoASpectrum
+from repro.core.optimizer import refine_many
+from repro.core.spectrum import AoASpectrum, circular_interpolation_table
 
 __all__ = ["BatchLocalizer", "count_distinct_sources"]
+
+#: Side, in grid cells, of the square blocks the Equation 8 bound covers.
+_BLOCK_CELLS = 8
 
 
 def count_distinct_sources(spectra: Sequence[AoASpectrum]) -> int:
@@ -92,123 +92,162 @@ def _placement_key(spectrum: AoASpectrum) -> tuple:
     )
 
 
-@dataclass
-class _PlacementGroup:
-    """All (client, spectrum) jobs sharing one AP placement and angle grid."""
+class _GridLayout:
+    """The search grid cut into fixed square blocks, listed block by block."""
 
-    ap_position: Point2D
-    # Power rows to evaluate, one per job, all on the same angle grid.
-    powers: list[np.ndarray]
-    # (client key, slot in that client's spectrum list) per job.
-    jobs: list[tuple[str, int]]
-    # Representative spectrum (supplies orientation + angle grid).
-    exemplar: AoASpectrum
+    def __init__(self, bounds: tuple[float, float, float, float],
+                 resolution_m: float) -> None:
+        self.x_coords, self.y_coords = grid_axes(bounds, resolution_m)
+        num_x = self.x_coords.shape[0]
+        rows, columns = np.divmod(
+            np.arange(self.y_coords.shape[0] * num_x), num_x)
+        blocks_x = -(-num_x // _BLOCK_CELLS)
+        #: Block index of every flat cell.
+        self.block_of = (rows // _BLOCK_CELLS) * blocks_x \
+            + columns // _BLOCK_CELLS
+        self.num_blocks = int(self.block_of[-1]) + 1
+        # Cells sorted by block (flat order within a block); block ``b``
+        # owns ``block_cells[offsets[b]:offsets[b + 1]]``.
+        self._block_cells = np.argsort(self.block_of, kind="stable")
+        self._offsets = np.zeros(self.num_blocks + 1, dtype=int)
+        self._offsets[1:] = np.cumsum(np.bincount(self.block_of))
+
+    def cells_of(self, owners: np.ndarray, blocks: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+        """Expand ``(owner, block)`` pairs into ``(owner, cell)`` pairs."""
+        sizes = self._offsets[blocks + 1] - self._offsets[blocks]
+        shifts = np.repeat(self._offsets[blocks] - (np.cumsum(sizes) - sizes),
+                           sizes)
+        cells = self._block_cells[shifts + np.arange(shifts.shape[0])]
+        return np.repeat(owners, sizes), cells
 
 
-class _FoldedBatch:
-    """Per-client Equation 8 products, stored row-wise or cell-major.
+class _PlacementTable:
+    """Geometry-only Equation 8 tables of one AP placement on the grid.
 
-    The rectangular sparse path produces one ``(cells, clients)`` matrix;
-    the fallback paths produce one flat ``(cells,)`` row per client.  This
-    wrapper gives the estimation stage a uniform view of both, including a
-    vectorized batch argmax for grid-only fixes.
+    ``lower``/``upper``/``fraction`` interpolate the spectrum at every
+    cell's bearing; ``collocated`` flags the cells at the AP itself.  The
+    span edges locate, on the spectrum row doubled for the circle, the
+    circular span of spectrum indices each block's cells read.
     """
 
-    def __init__(self, order: Sequence[str],
-                 rows: Mapping[str, np.ndarray] | None = None,
-                 cell_major: np.ndarray | None = None) -> None:
-        self._index = {key: index for index, key in enumerate(order)}
-        self._rows = rows
-        self._cell_major = cell_major
-        self._argmax: np.ndarray | None = None
+    __slots__ = ("lower", "upper", "fraction", "collocated", "span_edges",
+                 "span_blocks")
 
-    def flat_values(self, key: str) -> np.ndarray:
-        """Return the client's flat likelihood plane, C-contiguous."""
-        if self._rows is not None:
-            return self._rows[key]
-        assert self._cell_major is not None
-        return np.ascontiguousarray(self._cell_major[:, self._index[key]])
+    def __init__(self, exemplar: AoASpectrum, layout: _GridLayout,
+                 bearing_cache: BearingGridCache,
+                 bounds: tuple[float, float, float, float],
+                 resolution_m: float) -> None:
+        bearing_grid = bearing_cache.get(bounds, resolution_m,
+                                         exemplar.ap_position)
+        self.lower, self.upper, self.fraction = exemplar.interpolation_table(
+            bearing_grid.bearings_deg - exemplar.ap_orientation_deg)
+        self.collocated = np.zeros(self.lower.shape[0], dtype=bool)
+        self.collocated[bearing_grid.collocated] = True
+        start, length = _block_spans(layout, self.lower, self.upper,
+                                     int(exemplar.angles_deg.shape[0]))
+        # Spans as ``[start, stop)`` edges on the doubled row, sorted by
+        # start so the stretches ``reduceat`` reduces between spans stay
+        # short; ``span_blocks`` maps the sorted spans back to blocks.
+        by_start = np.argsort(start, kind="stable")
+        self.span_edges = np.stack((start[by_start],
+                                    start[by_start] + length[by_start]),
+                                   axis=1).ravel()
+        self.span_blocks = np.argsort(by_start)
 
-    def peak(self, key: str) -> tuple[int, float]:
-        """Return ``(flat cell index, likelihood)`` of the client's maximum."""
-        if self._cell_major is not None:
-            if self._argmax is None:
-                # One streaming pass over the whole batch; NumPy's reduction
-                # keeps first-maximum semantics, matching 1-D argmax.
-                self._argmax = np.argmax(self._cell_major, axis=0)
-            column = self._index[key]
-            flat_index = int(self._argmax[column])
-            return flat_index, float(self._cell_major[flat_index, column])
-        assert self._rows is not None
-        values = self._rows[key]
-        flat_index = int(np.argmax(values))
-        return flat_index, float(values[flat_index])
+
+def _block_spans(layout: _GridLayout, lower: np.ndarray, upper: np.ndarray,
+                 num_angles: int) -> tuple[np.ndarray, np.ndarray]:
+    """Shortest circular span ``(start, length)`` of indices per block.
+
+    Each block's span is the circle minus the widest gap between the
+    spectrum indices its cells' ``lower``/``upper`` entries use.
+    """
+    used = np.zeros((layout.num_blocks, num_angles), dtype=bool)
+    used[layout.block_of, lower] = True
+    used[layout.block_of, upper] = True
+    blocks, angles = np.nonzero(used)          # by block, then by angle
+    first = np.ones(blocks.shape[0], dtype=bool)
+    first[1:] = blocks[1:] != blocks[:-1]
+    last = np.roll(first, -1)
+    following = np.roll(angles, -1)
+    following[last] = angles[first] + num_angles
+    gaps = following - angles
+    # Sorting by (block, -gap) puts each block's widest gap first in its
+    # (unchanged) segment; the span starts right after that gap.
+    widest = np.lexsort((-gaps, blocks))[np.flatnonzero(first)]
+    return following[widest] % num_angles, num_angles - gaps[widest] + 1
 
 
 class _SlotEntry:
-    """One (slot index, AP placement) group of the stacked refinement.
+    """One (slot index, AP placement) group of the stacked evaluation.
 
     Holds the stacked (and normalized) power rows of every client whose
     ``slot``-th spectrum sits at this placement, plus the unit-index ->
     power-row mapping the evaluator gathers through.
     """
 
-    __slots__ = ("ap_x", "ap_y", "orientation_deg", "resolution_deg",
-                 "num_angles", "powers", "maxima", "membership", "rows")
+    __slots__ = ("ap_x", "ap_y", "orientation_deg", "angles_deg", "table",
+                 "powers", "maxima", "membership", "units", "rows")
 
-    def __init__(self, exemplar: AoASpectrum) -> None:
+    def __init__(self, exemplar: AoASpectrum, table: _PlacementTable) -> None:
         self.ap_x = float(exemplar.ap_position.x)
         self.ap_y = float(exemplar.ap_position.y)
         self.orientation_deg = float(exemplar.ap_orientation_deg)
-        self.resolution_deg = float(exemplar.resolution_deg)
-        self.num_angles = int(exemplar.angles_deg.shape[0])
+        self.angles_deg = exemplar.angles_deg
+        self.table = table
         self.powers: np.ndarray = np.empty(0)       # (jobs, angles), stacked
         self.maxima: np.ndarray = np.empty(0)       # per-row max (floor term)
         #: ``membership[u]`` is True when unit ``u`` has a row here; None
         #: means *every* unit does (the rectangular fast path, where the
         #: evaluator skips the boolean select entirely).
         self.membership: np.ndarray | None = None
-        self.rows: np.ndarray = np.empty(0, dtype=int)  # unit index -> row
+        self.units: np.ndarray = np.empty(0, dtype=int)  # row -> unit index
+        self.rows: np.ndarray = np.empty(0, dtype=int)   # unit index -> row
 
 
 class _StackedObjective:
-    """Batched Section 2.5 objective: Equation 8 at arbitrary points.
+    """Batched Equation 8 at grid cells and at arbitrary points.
 
     The scalar refinement objective is ``likelihood_at(normalized_spectra,
     position, floor)`` with out-of-bounds candidates rated 0.0; this class
-    is its stacked equivalent for :func:`repro.core.optimizer.refine_many`:
-    ``evaluate(units, xs, ys)`` scores every candidate point against its
-    own client's spectra in one NumPy pass per (slot, AP placement) group.
+    is its stacked equivalent for :func:`repro.core.optimizer.refine_many`
+    (:meth:`evaluate`) and for the grid seeding (:meth:`fold_cells`,
+    :meth:`block_bounds`).  Every candidate is scored against its own
+    client's spectra in one NumPy pass per (slot, AP placement) group.
 
     Bit-exactness with the scalar path holds because every step performs
-    the identical elementwise arithmetic -- the ``arctan2`` bearing (with
-    :func:`~repro.geometry.vector.normalize_angle_deg`'s fold of a
-    float-rounded 360.0 back to 0.0), the circular interpolation of
-    :meth:`~repro.core.spectrum.AoASpectrum.interpolation_table`, the
+    the identical elementwise arithmetic -- the bearing of
+    :func:`~repro.geometry.vector.bearings_deg`, the circular interpolation
+    of :func:`~repro.core.spectrum.circular_interpolation_table`, the
     collocated-point zero of
     :meth:`~repro.core.spectrum.AoASpectrum.power_towards` and the floor
     max of :func:`~repro.core.likelihood.likelihood_at` -- and because the
     per-point product is folded slot by slot, i.e. in each client's own
-    spectrum order, exactly like the scalar fold.
+    spectrum order, exactly like the scalar fold.  Grid cells read the same
+    arithmetic from the cached :class:`_PlacementTable`, so a cell matches
+    :func:`~repro.core.likelihood.synthesize_likelihood` bit for bit.
     """
 
-    def __init__(self, keys: Sequence[str],
-                 prepared: Mapping[str, list[AoASpectrum]],
+    def __init__(self, spectra: dict[str, list[AoASpectrum]],
                  bounds: tuple[float, float, float, float],
-                 config: LocalizerConfig) -> None:
+                 config: LocalizerConfig,
+                 table_for: Callable[[AoASpectrum], _PlacementTable]) -> None:
+        #: The validated batch; unit ``u`` is the client ``keys[u]``.
+        self.spectra = spectra
+        self.keys = list(spectra)
         self._bounds = bounds
         self._floor = config.spectrum_floor
-        num_units = len(keys)
+        self.num_units = len(self.keys)
         entries: dict[tuple[int, tuple], _SlotEntry] = {}
         jobs: dict[tuple[int, tuple], list[tuple[int, np.ndarray]]] = {}
         max_slots = 0
-        for unit, key in enumerate(keys):
-            spectra = prepared[key]
-            max_slots = max(max_slots, len(spectra))
-            for slot, spectrum in enumerate(spectra):
+        for unit, key in enumerate(self.keys):
+            max_slots = max(max_slots, len(spectra[key]))
+            for slot, spectrum in enumerate(spectra[key]):
                 group = (slot, _placement_key(spectrum))
                 if group not in entries:
-                    entries[group] = _SlotEntry(spectrum)
+                    entries[group] = _SlotEntry(spectrum, table_for(spectrum))
                     jobs[group] = []
                 jobs[group].append((unit, spectrum.power))
         #: Entries per slot index; iterating slots in ascending order folds
@@ -229,11 +268,12 @@ class _StackedObjective:
             # own maximum, so recompute it on the rows actually evaluated.
             entry.maxima = np.max(stacked, axis=1)
             units = np.array([unit for unit, _ in group_jobs], dtype=int)
-            rows = np.zeros(num_units, dtype=int)
+            rows = np.zeros(self.num_units, dtype=int)
             rows[units] = np.arange(units.shape[0])
+            entry.units = units
             entry.rows = rows
-            if units.shape[0] != num_units:
-                membership = np.zeros(num_units, dtype=bool)
+            if units.shape[0] != self.num_units:
+                membership = np.zeros(self.num_units, dtype=bool)
                 membership[units] = True
                 entry.membership = membership
             self._slots[slot].append(entry)
@@ -242,70 +282,113 @@ class _StackedObjective:
                  ys: np.ndarray) -> np.ndarray:
         """Return the refinement objective at every candidate point."""
         units = np.asarray(units, dtype=int)
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
+        points = np.stack((np.asarray(xs, dtype=float),
+                           np.asarray(ys, dtype=float)))
         # The scalar objective short-circuits out-of-bounds candidates to
         # 0.0 without touching the spectra; do the same (climbers near the
         # boundary probe outside every round) and fold only the rest.
         xmin, ymin, xmax, ymax = self._bounds
-        inside = (xs >= xmin) & (xs <= xmax) & (ys >= ymin) & (ys <= ymax)
+        inside = (points[0] >= xmin) & (points[0] <= xmax) \
+            & (points[1] >= ymin) & (points[1] <= ymax)
         if not np.all(inside):
-            values = np.zeros(xs.shape[0])
+            values = np.zeros(units.shape[0])
             kept = np.nonzero(inside)[0]
             if kept.shape[0]:
-                values[kept] = self._fold_points(units[kept], xs[kept],
-                                                 ys[kept])
+                values[kept] = self._fold(units[kept], points[:, kept],
+                                          self._point_values)
             return values
-        return self._fold_points(units, xs, ys)
+        return self._fold(units, points, self._point_values)
 
-    def _fold_points(self, units: np.ndarray, xs: np.ndarray,
-                     ys: np.ndarray) -> np.ndarray:
-        """Equation 8 product at in-bounds points, slot-ordered per client."""
-        likelihood = np.ones(xs.shape[0])
+    def fold_cells(self, units: np.ndarray, cells: np.ndarray) -> np.ndarray:
+        """Return Equation 8 at flat grid cells, one client per cell."""
+        return self._fold(units, cells, self._cell_values)
+
+    def block_bounds(self) -> np.ndarray:
+        """Return a ``(units, blocks)`` upper bound of Equation 8 per block.
+
+        Each factor is the floored maximum of the row over the block's span,
+        multiplied in slot order like the exact fold.  The exact cell value
+        can exceed that maximum by a few ulps, because the interpolation
+        rounds, so every factor is padded by a relative 1e-12 (plus two
+        subnormal ulps for rows with subnormal values).  Rounded products
+        are monotone, so the padded product in the same order then bounds
+        every cell's product exactly, product rounding included.
+        """
+        bound: np.ndarray | None = None
+        for slot_entries in self._slots:
+            for entry in slot_entries:
+                factors = self._block_factors(entry)
+                if bound is None:
+                    bound = np.ones((self.num_units, factors.shape[1]))
+                if entry.membership is None:
+                    bound *= factors
+                else:
+                    bound[entry.units] *= factors
+        assert bound is not None
+        return bound
+
+    def _block_factors(self, entry: _SlotEntry) -> np.ndarray:
+        """Padded, floored per-block row maxima of one entry."""
+        table = entry.table
+        doubled = np.concatenate((entry.powers, entry.powers), axis=1)
+        factors = np.maximum.reduceat(doubled, table.span_edges, axis=1)[
+            :, 0::2][:, table.span_blocks]
+        if self._floor > 0:
+            np.maximum(factors, self._floor * entry.maxima[:, None],
+                       out=factors)
+        return factors * (1.0 + 1e-12) + 1e-323
+
+    def _fold(self, units: np.ndarray, where: np.ndarray,
+              values_of: Callable[[_SlotEntry, np.ndarray, np.ndarray],
+                                  np.ndarray]) -> np.ndarray:
+        """Equation 8 product at ``where``, slot-ordered per client."""
+        likelihood = np.ones(units.shape[0])
         for slot_entries in self._slots:
             for entry in slot_entries:
                 if entry.membership is None:
-                    likelihood *= self._spectrum_values(entry, units, xs, ys)
+                    likelihood *= values_of(entry, units, where)
                     continue
                 mask = entry.membership[units]
                 if not np.any(mask):
                     continue
                 selected = np.nonzero(mask)[0]
-                likelihood[selected] *= self._spectrum_values(
-                    entry, units[selected], xs[selected], ys[selected])
+                likelihood[selected] *= values_of(
+                    entry, units[selected], where[..., selected])
         return likelihood
 
-    def _spectrum_values(self, entry: _SlotEntry, owners: np.ndarray,
-                         xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """One placement's ``P_i(theta_i(x))`` term for a set of points."""
-        dx = xs - entry.ap_x
-        dy = ys - entry.ap_y
-        # The scalar objective takes its bearing from
-        # :func:`~repro.geometry.vector.bearing_deg`, i.e. ``math.atan2``.
-        # NumPy's ``arctan2`` kernel disagrees with libm in the last ulp for
-        # a few percent of inputs, which would break the bit-equality
-        # guarantee -- so the (cheap, candidates-only) bearing stays on the
-        # exact scalar call chain; everything after it is IEEE-exact
-        # elementwise arithmetic and safely vectorized.
-        bearings = np.array([
-            normalize_angle_deg(math.degrees(math.atan2(dy_i, dx_i)))
-            if (dx_i != 0.0 or dy_i != 0.0) else 0.0
-            for dx_i, dy_i in zip(dx.tolist(), dy.tolist(), strict=True)])
-        query = (bearings - entry.orientation_deg) % 360.0
-        positions = query / entry.resolution_deg
-        floor_positions = np.floor(positions)
-        lower = floor_positions.astype(int) % entry.num_angles
-        upper = (lower + 1) % entry.num_angles
-        fraction = positions - floor_positions
+    def _point_values(self, entry: _SlotEntry, owners: np.ndarray,
+                      points: np.ndarray) -> np.ndarray:
+        """One placement's ``P_i(theta_i(x))`` term at ``(2, n)`` points."""
+        dx = points[0] - entry.ap_x
+        dy = points[1] - entry.ap_y
+        lower, upper, fraction = circular_interpolation_table(
+            entry.angles_deg, bearings_deg(dx, dy) - entry.orientation_deg)
+        return self._interpolate(entry, owners, lower, upper, fraction,
+                                 np.hypot(dx, dy) < 1e-9)
+
+    def _cell_values(self, entry: _SlotEntry, owners: np.ndarray,
+                     cells: np.ndarray) -> np.ndarray:
+        """One placement's ``P_i(theta_i(x))`` term at flat grid cells."""
+        table = entry.table
+        return self._interpolate(entry, owners, table.lower[cells],
+                                 table.upper[cells], table.fraction[cells],
+                                 table.collocated[cells])
+
+    def _interpolate(self, entry: _SlotEntry, owners: np.ndarray,
+                     lower: np.ndarray, upper: np.ndarray,
+                     fraction: np.ndarray,
+                     collocated: np.ndarray) -> np.ndarray:
         rows = entry.rows[owners]
-        values = (1.0 - fraction) * entry.powers[rows, lower] \
-            + fraction * entry.powers[rows, upper]
-        collocated = np.hypot(dx, dy) < 1e-9
-        if np.any(collocated):
-            # power_towards rates the AP's own location zero (the bearing
-            # is undefined there); the floor below still applies, exactly
-            # like the scalar path.
-            values[collocated] = 0.0
+        # One flat gather per bound reads the same elements as
+        # ``powers[rows, lower]`` at well under half the cost.
+        flat = entry.powers.ravel()
+        starts = rows * entry.powers.shape[1]
+        values = (1.0 - fraction) * flat[starts + lower] \
+            + fraction * flat[starts + upper]
+        # power_towards rates the AP's own location zero (the bearing is
+        # undefined there); the floor below still applies, exactly like
+        # the scalar path.
+        values[collocated] = 0.0
         if self._floor > 0:
             np.maximum(values, self._floor * entry.maxima[rows], out=values)
         return values
@@ -335,10 +418,11 @@ class BatchLocalizer:
         self.config = config if config is not None else LocalizerConfig()
         self._bearing_cache = bearing_cache if bearing_cache is not None \
             else default_bearing_cache()
-        # Sparse interpolation operators, one per (AP placement, resolution);
-        # built lazily and kept for the localizer's lifetime because they
-        # depend only on static deployment geometry.
-        self._plan_cache: dict[tuple, "_sparse.csr_matrix"] = {}
+        self._layout = _GridLayout(self.bounds, self.config.grid_resolution_m)
+        # Interpolation tables and block spans, one per AP placement; built
+        # lazily and kept for the localizer's lifetime because they depend
+        # only on static deployment geometry.
+        self._tables: dict[tuple, _PlacementTable] = {}
 
     # ------------------------------------------------------------------
     # Main entry point
@@ -367,24 +451,61 @@ class BatchLocalizer:
             If the batch is empty, any client has no spectra, or a spectrum
             lacks its AP position.
         """
-        if not spectra_by_client:
-            raise EstimationError("cannot localize an empty client batch")
-        prepared = self._prepare(spectra_by_client)
-        folded = self._fold_batch(prepared)
-        seeds, heatmaps = self._seed_batch(prepared, folded)
-        refined = self._refine_batch(prepared, seeds)
+        objective = self._objective(spectra_by_client)
+        refine = self.config.refine_with_hill_climbing
+        seeds = self._select_seeds(objective,
+                                   self.config.num_seeds if refine else 1)
+        if refine:
+            resolution_m = self.config.grid_resolution_m
+            fixes = [(result.position, result.value) for result in refine_many(
+                objective.evaluate, seeds,
+                initial_step_m=resolution_m / 2.0,
+                min_step_m=resolution_m / 20.0)]
+        else:
+            fixes = [client_seeds[0] for client_seeds in seeds]
         estimates: dict[str, LocationEstimate] = {}
-        for key, spectra in prepared.items():
-            estimates[key] = self._estimate_client(
-                key, spectra, folded, heatmaps.get(key), refined.get(key))
+        for key, (position, value) in zip(objective.keys, fixes, strict=True):
+            spectra = objective.spectra[key]
+            heatmap = None
+            if self.config.keep_heatmap:
+                heatmap = synthesize_likelihood(
+                    spectra, self.bounds, self.config.grid_resolution_m,
+                    normalize_spectra=self.config.normalize_spectra,
+                    floor=self.config.spectrum_floor,
+                    bearing_cache=self._bearing_cache)
+            estimates[key] = LocationEstimate(
+                position=position,
+                likelihood=float(value),
+                num_aps=count_distinct_sources(spectra),
+                client_id=key or spectra[0].client_id,
+                heatmap=heatmap,
+            )
         return estimates
 
+    def seeds(self, spectra_by_client: Mapping[str, Sequence[AoASpectrum]],
+              count: int) -> dict[str, list[tuple[Point2D, float]]]:
+        """Return each client's ``count`` hill-climb seeds and likelihoods.
+
+        These are the seeds :meth:`estimate_batch` climbs from: the best
+        grid cells under the Section 2.5 rule of
+        :meth:`~repro.core.likelihood.LikelihoodMap.top_positions`, picked
+        without folding the whole grid.
+        """
+        if count < 1:
+            raise EstimationError("count must be >= 1")
+        objective = self._objective(spectra_by_client)
+        return dict(zip(objective.keys,
+                        self._select_seeds(objective, count), strict=True))
+
     # ------------------------------------------------------------------
-    # Stage 1: validation and normalization
+    # Stage 1: validation and stacking
     # ------------------------------------------------------------------
-    def _prepare(self, spectra_by_client: Mapping[str, Sequence[AoASpectrum]]
-                 ) -> dict[str, list[AoASpectrum]]:
-        """Validate the batch; normalization happens later, in stacked form."""
+    def _objective(self,
+                   spectra_by_client: Mapping[str, Sequence[AoASpectrum]]
+                   ) -> _StackedObjective:
+        """Validate the batch and stack it for evaluation."""
+        if not spectra_by_client:
+            raise EstimationError("cannot localize an empty client batch")
         prepared: dict[str, list[AoASpectrum]] = {}
         for key, spectra in spectra_by_client.items():
             spectra = list(spectra)
@@ -396,313 +517,74 @@ class BatchLocalizer:
                     raise EstimationError(
                         "every spectrum must carry its AP position for synthesis")
             prepared[key] = spectra
-        return prepared
+        return _StackedObjective(prepared, self.bounds, self.config,
+                                 self._placement_table)
 
-    def _normalize_stack(self, stacked: np.ndarray) -> np.ndarray:
-        """Scale each stacked power row to unit maximum (Equation 8 prep).
-
-        Row-wise equivalent of :meth:`AoASpectrum.normalized` -- the same
-        single division per element -- but performed on the already-stacked
-        batch so no per-spectrum dataclass copies are made on the hot path.
-        """
-        maxima = np.max(stacked, axis=1)
-        if np.any(maxima <= 0):
-            raise EstimationError("cannot normalize an all-zero spectrum")
-        stacked /= maxima[:, None]
-        return stacked
-
-    # ------------------------------------------------------------------
-    # Stage 2: stacked per-AP grid evaluation
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _placement_key(spectrum: AoASpectrum) -> tuple:
-        return _placement_key(spectrum)
-
-    def _interpolation_table(self, exemplar: AoASpectrum
-                             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Return the grid-to-spectrum interpolation table for one placement."""
-        bearing_grid = self._bearing_cache.get(
-            self.bounds, self.config.grid_resolution_m, exemplar.ap_position)
-        return exemplar.interpolation_table(
-            bearing_grid.bearings_deg - exemplar.ap_orientation_deg)
-
-    def _interpolation_plan(self, exemplar: AoASpectrum) -> "_sparse.csr_matrix":
-        """Return the cached ``(cells, angles)`` sparse interpolation operator.
-
-        Row ``g`` holds ``1 - fraction`` at column ``lower[g]`` and
-        ``fraction`` at column ``upper[g]``, so ``plan @ powers`` evaluates
-        the circular interpolation for every grid cell with two multiplies
-        and one (commutative, hence bit-exact) addition per cell -- the same
-        arithmetic as :meth:`_gather_chunk`, at a fraction of the memory
-        traffic.  Depends only on deployment geometry, so it is built once
-        per (AP placement, grid resolution) and reused for every batch.
-        """
-        key = self._placement_key(exemplar) \
-            + (float(self.config.grid_resolution_m),)
-        plan = self._plan_cache.get(key)
-        if plan is None:
-            lower, upper, fraction = self._interpolation_table(exemplar)
-            cells = np.arange(lower.shape[0])
-            plan = _sparse.csr_matrix(
-                (np.concatenate([1.0 - fraction, fraction]),
-                 (np.concatenate([cells, cells]),
-                  np.concatenate([lower, upper]))),
-                shape=(lower.shape[0], int(exemplar.angles_deg.shape[0])))
-            self._plan_cache[key] = plan
-        return plan
-
-    @staticmethod
-    def _gather_chunk(rows: np.ndarray, lower: np.ndarray, upper: np.ndarray,
-                      fraction: np.ndarray, floor: float,
-                      out: np.ndarray | None = None) -> np.ndarray:
-        """Evaluate a chunk of stacked power rows over the grid, in place.
-
-        Computes ``power[lower] * (1 - fraction) + power[upper] * fraction``
-        for every row -- elementwise identical to
-        :func:`repro.core.likelihood.spectrum_grid_powers` (multiplication
-        commutes exactly in IEEE arithmetic) -- while keeping every
-        temporary at chunk size so the hot loop stays cache resident.
-        ``out``, when given, receives the result without an extra copy.
-        """
-        if out is None:
-            gathered = rows[:, lower]
-        else:
-            gathered = np.take(rows, lower, axis=1, out=out)
-        gathered *= 1.0 - fraction
-        upper_part = rows[:, upper]
-        upper_part *= fraction
-        gathered += upper_part
-        if floor > 0:
-            maxima = np.max(rows, axis=1)
-            np.maximum(gathered, floor * maxima[:, None], out=gathered)
-        return gathered
-
-    def _fold_batch(self, prepared: Mapping[str, list[AoASpectrum]]
-                    ) -> _FoldedBatch:
-        """Fold each client's Equation 8 product over the flat grid.
-
-        When every client carries the same sequence of AP placements (the
-        common server workload: each client heard once by each deployed AP)
-        the evaluation runs down the rectangular fast path: the power rows
-        of all clients are stacked per AP and evaluated in one pass -- via
-        the cached sparse interpolation operator when SciPy is available,
-        or chunked in-place gathers otherwise.  Ragged batches (clients
-        heard by different AP subsets) fall back to a per-placement
-        grouping that evaluates each group in one stacked pass and folds
-        per client.  All paths perform the same elementwise operations in
-        each client's own spectrum order, so every client's plane is
-        bit-for-bit the one a single-client fix computes.
-        """
-        keys = list(prepared.keys())
-        sequences = {key: [self._placement_key(s) for s in prepared[key]]
-                     for key in keys}
-        first = sequences[keys[0]]
-        rectangular = len(set(first)) == len(first) and all(
-            sequences[key] == first for key in keys)
-        if rectangular and _sparse is not None:
-            return self._fold_rectangular_sparse(keys, prepared)
-        if rectangular:
-            return self._fold_rectangular_gather(keys, prepared)
-        return self._fold_ragged(keys, prepared, sequences)
-
-    def _stack_slot(self, keys: list[str],
-                    prepared: Mapping[str, list[AoASpectrum]],
-                    slot: int) -> np.ndarray:
-        """Stack (and normalize) every client's power row for one AP slot."""
-        stacked = np.stack([prepared[key][slot].power for key in keys])
-        if self.config.normalize_spectra:
-            stacked = self._normalize_stack(stacked)
-        return stacked
-
-    def _fold_rectangular_sparse(self, keys: list[str],
-                                 prepared: Mapping[str, list[AoASpectrum]]
-                                 ) -> _FoldedBatch:
-        """Fold via cached sparse operators, chunked to stay cache resident.
-
-        Clients are processed in column chunks sized so every per-slot
-        ``(cells, chunk)`` plane and the running product fit in the CPU
-        cache; only the finished product of each chunk streams out to the
-        full ``(cells, clients)`` matrix.
-        """
-        floor = self.config.spectrum_floor
-        slots = []
-        for slot in range(len(prepared[keys[0]])):
-            exemplar = prepared[keys[0]][slot]
-            plan = self._interpolation_plan(exemplar)
-            stacked = self._stack_slot(keys, prepared, slot)
-            maxima = np.max(stacked, axis=1) if floor > 0 else None
-            slots.append((plan, stacked, maxima))
-        num_cells = slots[0][0].shape[0]
-        num_clients = len(keys)
-        chunk = max(1, 524288 // num_cells)
-        accumulator = np.empty((num_cells, num_clients))
-        for start in range(0, num_clients, chunk):
-            stop = min(start + chunk, num_clients)
-            chunk_product: np.ndarray | None = None
-            for plan, stacked, maxima in slots:
-                planes = plan @ stacked[start:stop].T     # (cells, chunk)
-                if floor > 0:
-                    assert maxima is not None
-                    np.maximum(planes, floor * maxima[start:stop][None, :],
-                               out=planes)
-                if chunk_product is None:
-                    chunk_product = planes
-                else:
-                    chunk_product *= planes
-            assert chunk_product is not None
-            accumulator[:, start:stop] = chunk_product
-        return _FoldedBatch(keys, cell_major=accumulator)
-
-    def _fold_rectangular_gather(self, keys: list[str],
-                                 prepared: Mapping[str, list[AoASpectrum]]
-                                 ) -> _FoldedBatch:
-        """SciPy-free fold: chunked in-place gathers sized for the cache."""
-        floor = self.config.spectrum_floor
-        tables = []
-        for slot in range(len(prepared[keys[0]])):
-            exemplar = prepared[keys[0]][slot]
-            lower, upper, fraction = self._interpolation_table(exemplar)
-            stacked = self._stack_slot(keys, prepared, slot)
-            tables.append((lower, upper, fraction, stacked))
-        num_cells = tables[0][0].shape[0]
-        num_clients = len(keys)
-        # Chunk rows so each (chunk, cells) temporary stays near the CPU
-        # cache; the fold then touches main memory once per output row.
-        chunk = max(1, 524288 // num_cells)
-        folded = np.empty((num_clients, num_cells))
-        scratch = np.empty((min(chunk, num_clients), num_cells))
-        for start in range(0, num_clients, chunk):
-            stop = min(start + chunk, num_clients)
-            accumulator: np.ndarray | None = None
-            for lower, upper, fraction, stacked in tables:
-                if accumulator is None:
-                    # The first plane lands straight in the output rows;
-                    # later planes reuse one scratch buffer per chunk.
-                    accumulator = self._gather_chunk(
-                        stacked[start:stop], lower, upper, fraction, floor,
-                        out=folded[start:stop])
-                else:
-                    gathered = self._gather_chunk(
-                        stacked[start:stop], lower, upper, fraction, floor,
-                        out=scratch[:stop - start])
-                    accumulator *= gathered
-            assert accumulator is not None
-        return _FoldedBatch(
-            keys, rows={key: folded[index] for index, key in enumerate(keys)})
-
-    def _fold_ragged(self, keys: list[str],
-                     prepared: Mapping[str, list[AoASpectrum]],
-                     sequences: Mapping[str, list[tuple]]
-                     ) -> _FoldedBatch:
-        groups: dict[tuple, _PlacementGroup] = {}
-        for key in keys:
-            for slot, spectrum in enumerate(prepared[key]):
-                placement = sequences[key][slot]
-                group = groups.get(placement)
-                if group is None:
-                    group = _PlacementGroup(ap_position=spectrum.ap_position,
-                                            powers=[], jobs=[],
-                                            exemplar=spectrum)
-                    groups[placement] = group
-                group.powers.append(spectrum.power)
-                group.jobs.append((key, slot))
-        floor = self.config.spectrum_floor
-        planes: dict[str, list[np.ndarray | None]] = {
-            key: [None] * len(prepared[key]) for key in keys}
-        for group in groups.values():
-            lower, upper, fraction = self._interpolation_table(group.exemplar)
-            stacked = np.stack(group.powers, axis=0)      # (jobs, angles)
-            if self.config.normalize_spectra:
-                stacked = self._normalize_stack(stacked)
-            gathered = self._gather_chunk(stacked, lower, upper, fraction,
-                                          floor)          # (jobs, cells)
-            for row, (key, slot) in enumerate(group.jobs):
-                planes[key][slot] = gathered[row]
-        folded: dict[str, np.ndarray] = {}
-        for key in keys:
-            values: np.ndarray | None = None
-            for plane in planes[key]:
-                assert plane is not None
-                values = plane if values is None else values * plane
-            assert values is not None
-            folded[key] = values
-        return _FoldedBatch(keys, rows=folded)
+    def _placement_table(self, exemplar: AoASpectrum) -> _PlacementTable:
+        """Return the cached geometry tables of one AP placement."""
+        key = _placement_key(exemplar)
+        table = self._tables.get(key)
+        if table is None:
+            table = _PlacementTable(exemplar, self._layout,
+                                    self._bearing_cache, self.bounds,
+                                    self.config.grid_resolution_m)
+            self._tables[key] = table
+        return table
 
     # ------------------------------------------------------------------
-    # Stage 3/4: seeding and refinement
+    # Stage 2/3: bound-and-prune seeding
     # ------------------------------------------------------------------
-    def _seed_batch(self, prepared: Mapping[str, list[AoASpectrum]],
-                    folded: _FoldedBatch
-                    ) -> tuple[dict[str, list[tuple[Point2D, float]]],
-                               dict[str, LikelihoodMap]]:
-        """Extract hill-climb seeds (and optionally heatmaps) per client.
+    def _select_seeds(self, objective: _StackedObjective, count: int
+                      ) -> list[list[tuple[Point2D, float]]]:
+        """Return each client's ``count`` seeds, as a full fold would pick.
 
-        Each client's folded plane is viewed as a grid map just long enough
-        to rank its top cells; the map itself is only *retained* under
-        ``keep_heatmap`` (on the cell-major fold path ``flat_values``
-        copies, so holding every client's map alive through refinement
-        would double the batch's peak memory for nothing).  Grid-only
-        estimates without ``keep_heatmap`` skip the reshape entirely and
-        use the batched argmax.
+        Every round folds each active client's best blocks by bound and
+        runs the greedy seed rule over their cells.  The rule only reads
+        cells at or above its last seed's value, so a client whose best
+        unfolded block is bounded strictly below that value is done: no
+        unfolded cell can precede its last seed, ties included.  Otherwise
+        that client's block budget doubles.
         """
-        needs_seeds = self.config.refine_with_hill_climbing
-        if not needs_seeds and not self.config.keep_heatmap:
-            return {}, {}
-        x_coords, y_coords = grid_axes(self.bounds,
-                                       self.config.grid_resolution_m)
-        shape = (y_coords.shape[0], x_coords.shape[0])
-        seeds: dict[str, list[tuple[Point2D, float]]] = {}
-        heatmaps: dict[str, LikelihoodMap] = {}
-        for key in prepared:
-            heatmap = LikelihoodMap(x_coords, y_coords,
-                                    folded.flat_values(key).reshape(shape))
-            if needs_seeds:
-                seeds[key] = heatmap.top_positions(self.config.num_seeds)
-            if self.config.keep_heatmap:
-                heatmaps[key] = heatmap
-        return seeds, heatmaps
-
-    def _refine_batch(self, prepared: Mapping[str, list[AoASpectrum]],
-                      seeds_by_key: Mapping[str, list[tuple[Point2D, float]]]
-                      ) -> dict[str, HillClimbResult]:
-        """Run the Section 2.5 hill climbing for every client of the batch.
-
-        All clients climb together: each round evaluates the stacked
-        candidates of every active climber through
-        :class:`_StackedObjective` -- one Equation 8 pass per AP slot
-        instead of one Python call per candidate point.
-        """
-        if not self.config.refine_with_hill_climbing:
-            return {}
-        keys = list(prepared.keys())
-        objective = _StackedObjective(keys, prepared, self.bounds, self.config)
-        resolution_m = self.config.grid_resolution_m
-        results = refine_many(objective.evaluate,
-                              [seeds_by_key[key] for key in keys],
-                              initial_step_m=resolution_m / 2.0,
-                              min_step_m=resolution_m / 20.0)
-        return dict(zip(keys, results, strict=True))
-
-    def _estimate_client(self, key: str, spectra: list[AoASpectrum],
-                         folded: _FoldedBatch,
-                         heatmap: LikelihoodMap | None,
-                         refined: HillClimbResult | None
-                         ) -> LocationEstimate:
-        if refined is not None:
-            position, value = refined.position, refined.value
-        else:
-            # Grid-only estimates only need the peak cell, so skip the full
-            # seed ranking and take the (batch-vectorized) argmax directly.
-            x_coords, y_coords = grid_axes(self.bounds,
-                                           self.config.grid_resolution_m)
-            flat_index, value = folded.peak(key)
-            row, column = divmod(flat_index, x_coords.shape[0])
-            position = Point2D(float(x_coords[column]), float(y_coords[row]))
-        client = key or (spectra[0].client_id if spectra else "")
-        return LocationEstimate(
-            position=position,
-            likelihood=float(value),
-            num_aps=count_distinct_sources(spectra),
-            client_id=client,
-            heatmap=heatmap if self.config.keep_heatmap else None,
-        )
+        layout = self._layout
+        num_blocks = layout.num_blocks
+        bounds = objective.block_bounds()
+        order = np.argsort(-bounds, axis=1)
+        ranked = np.take_along_axis(bounds, order, axis=1)
+        num_units = objective.num_units
+        seed_cells = np.full((num_units, count), -1)
+        seed_values = np.zeros((num_units, count))
+        # One block per seed, plus one, holds all seeds of most clients.
+        budgets = np.full(num_units, min(count + 1, num_blocks))
+        active = np.arange(num_units)
+        while active.shape[0]:
+            sizes = budgets[active]
+            owners = np.repeat(active, sizes)
+            ranks = np.arange(owners.shape[0]) \
+                - np.repeat(np.cumsum(sizes) - sizes, sizes)
+            units, cells = layout.cells_of(owners, order[owners, ranks])
+            values = objective.fold_cells(units, cells)
+            picks = greedy_seeds(units, cells, values, num_units,
+                                 layout.x_coords, layout.y_coords,
+                                 count)[active]
+            found = picks >= 0
+            last_values = values[picks[np.arange(active.shape[0]),
+                                       np.sum(found, axis=1) - 1]]
+            next_bounds = ranked[active, np.minimum(sizes, num_blocks - 1)]
+            done = (sizes == num_blocks) | (
+                found[:, -1] & (next_bounds < last_values))
+            seed_cells[active[done]] = np.where(found[done],
+                                                cells[picks[done]], -1)
+            seed_values[active[done]] = np.where(found[done],
+                                                 values[picks[done]], 0.0)
+            active = active[~done]
+            budgets[active] = np.minimum(2 * budgets[active], num_blocks)
+        num_x = layout.x_coords.shape[0]
+        x_coords = layout.x_coords.tolist()
+        y_coords = layout.y_coords.tolist()
+        return [[(Point2D(x_coords[cell % num_x], y_coords[cell // num_x]),
+                  value)
+                 for cell, value in zip(cells_row, values_row, strict=True)
+                 if cell >= 0]
+                for cells_row, values_row in zip(seed_cells.tolist(),
+                                                 seed_values.tolist(),
+                                                 strict=True)]

@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.dtypes import as_float_array
 from repro.errors import EstimationError
-from repro.geometry.vector import Point2D
+from repro.geometry.vector import Point2D, bearings_deg
 
 if TYPE_CHECKING:  # pragma: no cover - import is for annotations only
     from repro.array.geometry import ArrayGeometry
@@ -195,11 +195,16 @@ class BearingGrid:
     bearings_deg:
         Read-only ``(len(y_coords) * len(x_coords),)`` flat array of
         building-frame bearings in ``[0, 360)`` degrees, row-major (y rows).
+    collocated:
+        Read-only flat indices of the cells within 1 nm of the AP, where
+        the bearing is undefined; Equation 8 rates them like
+        :meth:`~repro.core.spectrum.AoASpectrum.power_towards` does.
     """
 
     x_coords: np.ndarray
     y_coords: np.ndarray
     bearings_deg: np.ndarray
+    collocated: np.ndarray
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -264,9 +269,9 @@ class BearingGridCache:
             resolution_m: float, ap_position: Point2D) -> BearingGrid:
         """Return the bearing grid for ``ap_position`` over ``bounds``.
 
-        The bearings are computed exactly like the seed's inline synthesis
-        (``degrees(arctan2(dy, dx)) % 360``) so cached and uncached fixes
-        agree bit for bit.
+        The bearings come from :func:`~repro.geometry.vector.bearings_deg`,
+        the kernel the scalar ``bearing_deg`` wraps, so a cached cell and
+        the same point evaluated alone agree bit for bit.
         """
         key = (
             tuple(float(value) for value in bounds),
@@ -283,13 +288,13 @@ class BearingGridCache:
             self.stats.misses += 1
         x_coords, y_coords = grid_axes(bounds, resolution_m)
         grid_x, grid_y = np.meshgrid(x_coords, y_coords)
-        dx = grid_x - float(ap_position.x)
-        dy = grid_y - float(ap_position.y)
-        bearings = np.degrees(np.arctan2(dy, dx)) % 360.0
+        dx = (grid_x - float(ap_position.x)).ravel()
+        dy = (grid_y - float(ap_position.y)).ravel()
         entry = BearingGrid(
             x_coords=_readonly(x_coords),
             y_coords=_readonly(y_coords),
-            bearings_deg=_readonly(np.ascontiguousarray(bearings.ravel())),
+            bearings_deg=_readonly(bearings_deg(dx, dy)),
+            collocated=_readonly(np.flatnonzero(np.hypot(dx, dy) < 1e-9)),
         )
         with self._lock:
             existing = self._entries.get(key)

@@ -30,6 +30,7 @@ from repro.core.spectrum import AoASpectrum
 
 __all__ = [
     "LikelihoodMap",
+    "greedy_seeds",
     "likelihood_at",
     "spectrum_grid_powers",
     "synthesize_likelihood",
@@ -65,19 +66,9 @@ class LikelihoodMap:
     def resolution_m(self) -> float:
         """Grid spacing in metres (assumed equal along x and y).
 
-        Tight search bounds can collapse an axis to a single cell (the
-        seed code then died with a bare ``IndexError`` on ``x_coords[1]``,
-        taking :meth:`top_positions` and hill-climb seeding down with it).
-        A one-cell axis carries no spacing information, so the other axis
-        answers for it; a fully degenerate 1x1 map reports 0.0, which
-        :meth:`top_positions` handles naturally (its single cell is always
-        returned, no separation applies).
+        See :func:`_grid_spacing`; a fully degenerate 1x1 map reports 0.0.
         """
-        if self.x_coords.shape[0] >= 2:
-            return float(self.x_coords[1] - self.x_coords[0])
-        if self.y_coords.shape[0] >= 2:
-            return float(self.y_coords[1] - self.y_coords[0])
-        return 0.0
+        return _grid_spacing(self.x_coords, self.y_coords)
 
     def peak_position(self) -> Point2D:
         """Return the grid point with the highest likelihood."""
@@ -90,23 +81,38 @@ class LikelihoodMap:
 
         The positions are chosen greedily with a minimum mutual separation of
         three grid cells so that the hill-climbing seeds (Section 2.5 uses
-        the three highest positions) do not all sit on the same lobe.
+        the three highest positions) do not all sit on the same lobe; exact
+        ties go to the lowest flat index, like :meth:`peak_position`.
+
+        No full sort is needed: the greedy rule only reads cells at or above
+        its last seed's value, so it runs over the cells at or above the
+        ``budget``-th largest value, and the budget grows only when those
+        cells yield fewer than ``count`` seeds.
         """
         if count < 1:
             raise EstimationError("count must be >= 1")
-        order = np.argsort(self.values, axis=None)[::-1]
-        min_separation = 3.0 * self.resolution_m
-        results: list[tuple[Point2D, float]] = []
-        for flat_index in order:
-            row, column = np.unravel_index(int(flat_index), self.values.shape)
-            candidate = Point2D(float(self.x_coords[column]), float(self.y_coords[row]))
-            if any(candidate.distance_to(existing) < min_separation
-                   for existing, _ in results):
-                continue
-            results.append((candidate, float(self.values[row, column])))
-            if len(results) == count:
+        flat = self.values.ravel()
+        num_cells = flat.shape[0]
+        budget = 16 * count
+        while True:
+            if budget >= num_cells:
+                candidates = np.arange(num_cells)
+            else:
+                threshold = np.partition(flat, num_cells - budget)[
+                    num_cells - budget]
+                candidates = np.flatnonzero(flat >= threshold)
+            seeds = greedy_seeds(np.zeros_like(candidates), candidates,
+                                 flat[candidates], 1, self.x_coords,
+                                 self.y_coords, count)[0]
+            seeds = seeds[seeds >= 0]
+            if seeds.shape[0] == count or candidates.shape[0] == num_cells:
                 break
-        return results
+            budget *= 4
+        num_x = self.x_coords.shape[0]
+        return [(Point2D(float(self.x_coords[cell % num_x]),
+                         float(self.y_coords[cell // num_x])),
+                 float(flat[cell]))
+                for cell in candidates[seeds].tolist()]
 
     def normalized(self) -> "LikelihoodMap":
         """Return a copy scaled so the maximum value is 1."""
@@ -114,6 +120,71 @@ class LikelihoodMap:
         if peak <= 0:
             raise EstimationError("cannot normalize an all-zero likelihood map")
         return LikelihoodMap(self.x_coords, self.y_coords, self.values / peak)
+
+
+def _grid_spacing(x_coords: np.ndarray, y_coords: np.ndarray) -> float:
+    """Grid spacing in metres of a search grid (assumed equal along x and y).
+
+    Tight search bounds can collapse an axis to a single cell (the seed
+    code then died with a bare ``IndexError`` on ``x_coords[1]``, taking
+    seeding down with it).  A one-cell axis carries no spacing information,
+    so the other axis answers for it; a fully degenerate 1x1 grid reports
+    0.0, which :func:`greedy_seeds` handles naturally (its single cell is
+    always returned, no separation applies).
+    """
+    if x_coords.shape[0] >= 2:
+        return float(x_coords[1] - x_coords[0])
+    if y_coords.shape[0] >= 2:
+        return float(y_coords[1] - y_coords[0])
+    return 0.0
+
+
+def greedy_seeds(owners: np.ndarray, cells: np.ndarray, values: np.ndarray,
+                 num_owners: int, x_coords: np.ndarray, y_coords: np.ndarray,
+                 count: int) -> np.ndarray:
+    """Pick Section 2.5 hill-climb seeds for many owners in one pass.
+
+    ``owners``, ``cells`` and ``values`` list candidate grid cells: the
+    owner (client) index, sorted so each owner's candidates are contiguous,
+    the flat cell index on the ``(y_coords, x_coords)`` grid (distinct per
+    owner) and the cell's likelihood.  Each owner's candidates are taken in
+    ``(-value, cell)`` order, so exact ties go to the lowest flat index, and
+    greedily: a candidate becomes a seed unless it lies within three grid
+    cells of one of the owner's earlier seeds.
+
+    Returns an ``(num_owners, count)`` array of positions into the
+    candidate arrays, best seed first, padded with -1 where an owner has
+    fewer than ``count`` seeds.  No sort is needed: each round takes every
+    owner's best open candidate with two segment reductions, then closes
+    the candidates near the new seeds.
+    """
+    min_separation = 3.0 * _grid_spacing(x_coords, y_coords)
+    starts = np.flatnonzero(np.diff(owners, prepend=-1))
+    sizes = np.diff(starts, append=owners.shape[0])
+    num_x = x_coords.shape[0]
+    xs = x_coords[cells % num_x]
+    ys = y_coords[cells // num_x]
+    # Closed candidates read -inf, below every likelihood.
+    open_values = values.copy()
+    beyond = cells.max(initial=0) + 1
+    seeds = np.full((num_owners, count), -1)
+    for rank in range(count):
+        best = np.repeat(np.maximum.reduceat(open_values, starts), sizes)
+        tied = (open_values == best) & (open_values > -np.inf)
+        first = np.repeat(np.minimum.reduceat(np.where(tied, cells, beyond),
+                                              starts), sizes)
+        chosen = np.flatnonzero(tied & (cells == first))
+        if chosen.shape[0] == 0:
+            break
+        seeds[owners[chosen], rank] = chosen
+        # Close the new seeds and every open candidate near one of them.
+        anchor = np.full(num_owners, -1)
+        anchor[owners[chosen]] = chosen
+        mine = anchor[owners]
+        near = np.hypot(xs - xs[mine], ys - ys[mine]) < min_separation
+        open_values[chosen] = -np.inf
+        open_values[(mine >= 0) & near] = -np.inf
+    return seeds
 
 
 def likelihood_at(spectra: Sequence[AoASpectrum], position: Point2D,
@@ -154,6 +225,8 @@ def spectrum_grid_powers(spectrum: AoASpectrum,
         bearing_grid.bearings_deg - spectrum.ap_orientation_deg)
     power = (1.0 - fraction) * spectrum.power[lower] \
         + fraction * spectrum.power[upper]
+    # The AP's own cell has no bearing; power_towards rates it zero.
+    power[bearing_grid.collocated] = 0.0
     if floor > 0:
         power = np.maximum(power, floor * spectrum.max_power)
     return power

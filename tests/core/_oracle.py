@@ -12,8 +12,11 @@ bit-equality suites in ``tests/core`` and the serial columns of
   smoothing, the configured estimator, mirroring onto the full circle, the
   W(theta) window and, with the ninth antenna, symmetry removal;
   :func:`reference_ap_spectrum` adds the AP's phase-offset compensation;
-* :func:`reference_refinement` is the Section 2.5 hill climb for each
-  client, seeded from its grid heatmap and scored by a bounds-checked
+* :func:`reference_seeds` is the Section 2.5 seed rule over a client's
+  full Equation 8 grid (:func:`~repro.core.likelihood.synthesize_likelihood`):
+  one full sort, then the greedy three-cell separation rule;
+  :func:`reference_refinement` is the hill climb for each client from
+  those seeds, scored by a bounds-checked
   :func:`~repro.core.likelihood.likelihood_at`;
 * :func:`reference_find_peaks` and :func:`reference_peak_regions` are the
   Section 2.4 peak detection and lobe walk one grid point at a time, and
@@ -27,7 +30,6 @@ every pytest run, so ``benchmarks/`` modules can import it too.
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from dataclasses import replace
 
 import numpy as np
 
@@ -36,9 +38,9 @@ from repro.array.deployment import DeployedArray
 from repro.array.geometry import ArrayGeometry
 from repro.array.receiver import SnapshotMatrix
 from repro.channel import movement_track, random_waypoint_track
-from repro.core.batch import BatchLocalizer
 from repro.core.covariance import sample_covariance
-from repro.core.likelihood import likelihood_at
+from repro.core.likelihood import (LikelihoodMap, likelihood_at,
+                                   synthesize_likelihood)
 from repro.core.localizer import LocalizerConfig
 from repro.core.music import bartlett_spectrum, capon_spectrum, music_spectrum
 from repro.core.optimizer import HillClimbResult, refine_from_seeds
@@ -140,19 +142,39 @@ def reference_ap_spectrum(ap: ArrayTrackAP, entry: BufferEntry) -> AoASpectrum:
                               ap.linear_indices)
 
 
+def reference_seeds(heatmap: LikelihoodMap,
+                    count: int) -> list[tuple[Point2D, float]]:
+    """The ``count`` Section 2.5 seeds of a full grid map, by full sort.
+
+    Cells are ranked by ``(-value, flat index)`` -- exact ties go to the
+    lowest flat index, like ``np.argmax`` -- and taken greedily unless
+    within three grid cells of an earlier seed.
+    """
+    values = heatmap.values.ravel()
+    num_x = heatmap.x_coords.shape[0]
+    separation = 3.0 * heatmap.resolution_m
+    seeds: list[tuple[Point2D, float]] = []
+    for cell in np.lexsort((np.arange(values.shape[0]), -values)).tolist():
+        candidate = Point2D(float(heatmap.x_coords[cell % num_x]),
+                            float(heatmap.y_coords[cell // num_x]))
+        if any(candidate.distance_to(seed) < separation for seed, _ in seeds):
+            continue
+        seeds.append((candidate, float(values[cell])))
+        if len(seeds) == count:
+            break
+    return seeds
+
+
 def reference_refinement(bounds: tuple[float, float, float, float],
                          config: LocalizerConfig,
                          spectra_by_client: Mapping[str, Sequence[AoASpectrum]]
                          ) -> dict[str, HillClimbResult]:
     """Section 2.5 hill climb of each client, one likelihood call per point.
 
-    Seeds are the ``num_seeds`` best cells of the client's grid heatmap;
+    Seeds are :func:`reference_seeds` of the client's full grid heatmap;
     the climb scores candidates with ``likelihood_at`` on the (optionally
     normalized) spectra and rates points outside ``bounds`` 0.0.
     """
-    grid = BatchLocalizer(bounds, replace(config, keep_heatmap=True,
-                                          refine_with_hill_climbing=False))
-    grid_estimates = grid.estimate_batch(spectra_by_client)
     xmin, ymin, xmax, ymax = bounds
     results: dict[str, HillClimbResult] = {}
     for key, spectra in spectra_by_client.items():
@@ -165,10 +187,12 @@ def reference_refinement(bounds: tuple[float, float, float, float],
                 return 0.0
             return likelihood_at(scored, position, floor=config.spectrum_floor)
 
-        heatmap = grid_estimates[key].heatmap
-        assert heatmap is not None
+        heatmap = synthesize_likelihood(
+            spectra, bounds, config.grid_resolution_m,
+            normalize_spectra=config.normalize_spectra,
+            floor=config.spectrum_floor)
         results[key] = refine_from_seeds(
-            objective, heatmap.top_positions(config.num_seeds),
+            objective, reference_seeds(heatmap, config.num_seeds),
             initial_step_m=config.grid_resolution_m / 2.0,
             min_step_m=config.grid_resolution_m / 20.0)
     return results

@@ -3,11 +3,9 @@
 import numpy as np
 import pytest
 
-import repro.core.batch as batch_module
 from repro.array import ArrayGeometry
 from repro.core import (
     AoASpectrum,
-    BatchLocalizer,
     BearingGridCache,
     LocalizerConfig,
     LocationEstimator,
@@ -17,6 +15,7 @@ from repro.core import (
     default_angle_grid,
     default_steering_cache,
     grid_axes,
+    likelihood_at,
     music_spectrum,
     synthesize_likelihood,
 )
@@ -147,6 +146,22 @@ class TestBearingGridCache:
                 assert bearings[row, column] == pytest.approx(
                     bearing_deg(ap, cell), abs=1e-9)
 
+    def test_bearings_stay_below_360_and_match_bearing_deg(self):
+        """A bearing a hair below 0 used to wrap to exactly 360.0."""
+        ap = Point2D(-1.0, 1e-15)
+        grid = BearingGridCache().get((0.0, 0.0, 2.0, 1.0), 0.5, ap)
+        x_coords, y_coords = grid_axes((0.0, 0.0, 2.0, 1.0), 0.5)
+        assert np.all(grid.bearings_deg < 360.0)
+        expected = [bearing_deg(ap, Point2D(float(x), float(y)))
+                    for y in y_coords for x in x_coords]
+        assert grid.bearings_deg.tolist() == expected
+
+    def test_collocated_cells_are_flagged(self):
+        grid = BearingGridCache().get(BOUNDS, 0.5, Point2D(1.0, 1.0))
+        assert grid.collocated.tolist() == [2 * grid.shape[1] + 2]
+        assert BearingGridCache().get(
+            BOUNDS, 0.5, Point2D(1.1, 1.0)).collocated.shape == (0,)
+
     def test_entries_are_readonly(self):
         cache = BearingGridCache()
         grid = cache.get(BOUNDS, 1.0, Point2D(0.0, 0.0))
@@ -208,20 +223,6 @@ class TestBatchSingleParity:
             assert batched[key].position.distance_to(
                 sequential[key].position) <= 1e-9
 
-    def test_gather_fallback_matches_sparse_path(self, monkeypatch):
-        """Without SciPy the chunked-gather fold returns identical fixes."""
-        config = LocalizerConfig(grid_resolution_m=0.5,
-                                 refine_with_hill_climbing=False)
-        batch = {f"c{i}": _client_spectra(target, seed=i)
-                 for i, target in enumerate(self._targets(6))}
-        with_sparse = BatchLocalizer(BOUNDS, config).estimate_batch(batch)
-        monkeypatch.setattr(batch_module, "_sparse", None)
-        without_sparse = BatchLocalizer(BOUNDS, config).estimate_batch(batch)
-        for key in batch:
-            assert without_sparse[key].position.distance_to(
-                with_sparse[key].position) == 0.0
-            assert without_sparse[key].likelihood == with_sparse[key].likelihood
-
     def test_keep_heatmap_attaches_per_client_maps(self):
         config = LocalizerConfig(grid_resolution_m=0.5, keep_heatmap=True,
                                  refine_with_hill_climbing=False)
@@ -235,6 +236,26 @@ class TestBatchSingleParity:
             reference = synthesize_likelihood(
                 spectra, BOUNDS, 0.5, floor=config.spectrum_floor)
             np.testing.assert_array_equal(heatmap.values, reference.values)
+
+    @pytest.mark.parametrize("floor", [0.0, 0.02])
+    def test_ap_cell_matches_likelihood_at(self, floor):
+        """The grid rates an AP's own cell like ``power_towards``: zero.
+
+        The fold used to take the bearing ``arctan2(0, 0) = 0`` there,
+        while the climb (``likelihood_at``) rates the cell 0.0 before
+        the floor.
+        """
+        sites = [(Point2D(1.0, 1.0), 30.0)] + AP_SITES[1:]
+        spectra = _client_spectra(Point2D(6.0, 4.0), seed=5, sites=sites)
+        config = LocalizerConfig(grid_resolution_m=0.5, keep_heatmap=True,
+                                 refine_with_hill_climbing=False,
+                                 spectrum_floor=floor)
+        heatmap = LocationEstimator(BOUNDS, config).estimate(spectra).heatmap
+        assert heatmap is not None
+        expected = likelihood_at([s.normalized() for s in spectra],
+                                 Point2D(1.0, 1.0), floor=floor)
+        assert heatmap.values[2, 2] == expected
+        assert (heatmap.values[2, 2] == 0.0) == (floor == 0.0)
 
     def test_empty_batch_and_empty_client_are_rejected(self):
         estimator = LocationEstimator(BOUNDS, LocalizerConfig())

@@ -74,6 +74,37 @@ class TestLikelihood:
         assert tops[0][0].distance_to(tops[1][0]) >= 3 * heatmap.resolution_m
         assert tops[0][1] >= tops[1][1] >= tops[2][1]
 
+    def test_flat_map_ties_go_to_the_lowest_flat_index(self):
+        """Exact ties rank by flat index, as in ``peak_position``.
+
+        The old full sort reversed an unstable ``argsort`` and put
+        (4.5, 2.5) first on this map.
+        """
+        heatmap = LikelihoodMap(0.5 * np.arange(10), 0.5 * np.arange(6),
+                                np.ones((6, 10)))
+        tops = heatmap.top_positions(3)
+        assert tops[0][0] == heatmap.peak_position() == Point2D(0.0, 0.0)
+        assert [position for position, _ in tops] == [
+            Point2D(0.0, 0.0), Point2D(1.5, 0.0), Point2D(3.0, 0.0)]
+
+    def test_top_positions_grows_its_candidate_budget(self):
+        """A seed outside the first selection budget is still found.
+
+        The 50 best cells fill two 5x5 squares, each within three cells of
+        its centre, so the 48 cells of the first budget (16 per seed)
+        yield only two seeds and the third needs a larger budget.
+        """
+        values = np.zeros((20, 20))
+        values[0:5, 0:5] = 2.9 - 0.001 * np.arange(25).reshape(5, 5)
+        values[2, 2] = 3.0
+        values[8:13, 8:13] = 1.9 - 0.001 * np.arange(25).reshape(5, 5)
+        values[10, 10] = 2.0
+        values[17, 17] = 0.5
+        heatmap = LikelihoodMap(np.arange(20.0), np.arange(20.0), values)
+        assert heatmap.top_positions(3) == [
+            (Point2D(2.0, 2.0), 3.0), (Point2D(10.0, 10.0), 2.0),
+            (Point2D(17.0, 17.0), 0.5)]
+
     def test_spectra_without_position_rejected(self):
         angles = default_angle_grid(1.0)
         spectrum = AoASpectrum(angles, np.ones_like(angles))
