@@ -35,7 +35,7 @@ else
     echo
 fi
 
-run_gate "repro-lint" python -m tools.repro_lint --flow --jobs 0 \
+run_gate "repro-lint" python -m tools.repro_lint --jobs 0 \
     --suppression-budget tools/repro_lint/suppression_budget.json \
     src tests benchmarks examples
 

@@ -514,9 +514,11 @@ class ArrayTrackService:
     # ------------------------------------------------------------------
     def localize(self, spectra_by_ap: Mapping[str, Sequence[AoASpectrum]],
                  client_id: str = "") -> LocationEstimate:
-        """Localize one client from per-AP lists of AoA spectra."""
-        self._ensure_open()
-        return self._server._localize_spectra(spectra_by_ap, client_id)
+        """Localize one client from per-AP lists of AoA spectra.
+
+        A batch of one through :meth:`localize_many`.
+        """
+        return self.localize_many({client_id: spectra_by_ap})[client_id]
 
     def localize_many(self,
                       spectra_by_client: Mapping[str, Mapping[str, Sequence[AoASpectrum]]]
@@ -579,6 +581,8 @@ class ArrayTrackService:
                timestamp_s: float | None = None) -> Session:
         """Accumulate one frame into the client's streaming session.
 
+        A batch of one through :meth:`ingest_many`.
+
         Parameters
         ----------
         ap:
@@ -602,20 +606,7 @@ class ArrayTrackService:
             The client's session (``session.ready()`` tells whether the
             next :meth:`tick` will emit a fix for it).
         """
-        spectrum, ap_id = self._resolve_frame(ap, item)
-        spectrum = faults.poison(spectrum)
-        resolved_client = client_id if client_id else spectrum.client_id
-        if not resolved_client:
-            raise ConfigurationError(
-                "cannot ingest a frame without a client id (pass client_id= "
-                "or use spectra that carry one)")
-        resolved_ts = timestamp_s if timestamp_s is not None \
-            else spectrum.timestamp_s
-        if self.config.resilience.reject_poison_frames:
-            self._reject_if_poison(resolved_client, ap_id, spectrum, {})
-        session = self.session(resolved_client)
-        self._admit(session, ap_id, spectrum, resolved_ts)
-        return session
+        return self.ingest_many(ap, [item], client_id, timestamp_s)[0]
 
     def ingest_many(self, ap: str | ArrayTrackAP | None,
                     items: Sequence[AoASpectrum | BufferEntry],
@@ -623,16 +614,13 @@ class ArrayTrackService:
                     timestamp_s: float | None = None) -> list[Session]:
         """Accumulate many frames of one AP in a single batched pass.
 
-        The streaming counterpart of the batched Section 2.3 frontend:
-        where :meth:`ingest` computes one spectrum per raw
-        :class:`~repro.ap.buffer.BufferEntry`, this entry point stacks all
-        of the batch's raw entries into one
+        The streaming counterpart of the batched Section 2.3 frontend: all
+        of the batch's raw :class:`~repro.ap.buffer.BufferEntry` items are
+        stacked into one
         :meth:`~repro.ap.access_point.ArrayTrackAP.compute_spectra` call
         (already-computed :class:`~repro.core.spectrum.AoASpectrum` items
-        pass straight through), then feeds every frame into its client's
-        session exactly like repeated :meth:`ingest` calls would -- same
-        sessions, same pending order, bit-for-bit identical fixes at the
-        next :meth:`tick`.
+        pass straight through), then every frame is fed into its client's
+        session in input order.
 
         Parameters
         ----------
@@ -659,9 +647,11 @@ class ArrayTrackService:
             ap_obj = self._resolve_ap(ap)
             if ap_obj is None:
                 raise ConfigurationError(
-                    "ingesting raw BufferEntries needs their capturing AP: "
-                    "pass the ArrayTrackAP object, or register it first via "
-                    "build_ap()/adopt_aps()")
+                    f"ingesting raw BufferEntries needs their capturing AP, "
+                    f"but {ap!r} is not a registered AP (the first "
+                    f"BufferEntry is from client {entries[0].client_id!r}): "
+                    f"pass the ArrayTrackAP object, or register it first via "
+                    f"build_ap()/adopt_aps()")
             if self.config.resilience.reject_poison_frames:
                 # Raw entries are screened BEFORE the stacked frontend
                 # pass: one NaN snapshot matrix would otherwise blow up
@@ -710,18 +700,7 @@ class ArrayTrackService:
         return None
 
     def _resolve_frame(self, ap: str | ArrayTrackAP | None,
-                       item: AoASpectrum | BufferEntry
-                       ) -> tuple[AoASpectrum, str]:
-        if isinstance(item, BufferEntry):
-            ap_obj = self._resolve_ap(ap)
-            if ap_obj is None:
-                raise ConfigurationError(
-                    "ingesting a raw BufferEntry needs its capturing AP: "
-                    "pass the ArrayTrackAP object, or register it first via "
-                    "build_ap()/adopt_aps()")
-            if self.config.resilience.reject_poison_frames:
-                self._reject_poison_entry(item, ap_obj.ap_id)
-            return ap_obj.compute_spectrum(item), ap_obj.ap_id
+                       item: object) -> tuple[AoASpectrum, str]:
         if isinstance(item, AoASpectrum):
             if isinstance(ap, ArrayTrackAP):
                 ap_id = ap.ap_id

@@ -60,7 +60,7 @@ from repro.core.weighting import (
     cached_geometry_window,
     geometry_window,
 )
-from repro.core.symmetry import SymmetryResolver, resolve_symmetry
+from repro.core.symmetry import SymmetryResolver
 from repro.core.suppression import (
     MultipathSuppressor,
     SuppressorConfig,
@@ -123,7 +123,6 @@ __all__ = [
     "cached_geometry_window",
     "geometry_window",
     "SymmetryResolver",
-    "resolve_symmetry",
     "MultipathSuppressor",
     "SuppressorConfig",
     "group_spectra_by_time",

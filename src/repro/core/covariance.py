@@ -7,6 +7,10 @@ of snapshots (ArrayTrack uses ten samples per frame) the expectation is
 replaced by the sample average; optional diagonal loading keeps the matrix
 well conditioned when the snapshot count is tiny (the N = 1 case of
 Figure 19).
+
+Each estimator has one body, the stacked ``*_many`` form over an
+``(F, M, N)`` snapshot stack that the batched Section 2.3 frontend runs;
+the single-frame name is a batch of one.
 """
 
 from __future__ import annotations
@@ -25,52 +29,30 @@ __all__ = [
 ]
 
 
-def sample_covariance(snapshots: np.ndarray,
-                      diagonal_loading: float = 0.0) -> np.ndarray:
-    """Return the sample covariance matrix of an ``(M, N)`` snapshot matrix.
-
-    Parameters
-    ----------
-    snapshots:
-        ``(M, N)`` complex matrix of M antennas by N time samples.
-    diagonal_loading:
-        Non-negative value added to the diagonal, relative to the mean
-        diagonal power (0 disables loading).
-
-    Returns
-    -------
-    numpy.ndarray
-        ``(M, M)`` Hermitian positive semi-definite matrix.
-    """
+def _one_frame(snapshots: np.ndarray) -> np.ndarray:
+    """Return an ``(M, N)`` snapshot matrix as a ``(1, M, N)`` stack."""
     snapshots = as_complex_array(snapshots)
     if snapshots.ndim != 2:
         raise EstimationError(
             f"snapshot matrix must be two-dimensional, got shape {snapshots.shape}")
-    num_antennas, num_snapshots = snapshots.shape
-    if num_snapshots < 1:
-        raise EstimationError("need at least one snapshot to estimate covariance")
-    if diagonal_loading < 0:
-        raise EstimationError(
-            f"diagonal loading must be non-negative, got {diagonal_loading!r}")
-    covariance = snapshots @ snapshots.conj().T / num_snapshots
-    # Enforce exact Hermitian symmetry (guards against floating point drift).
-    covariance = (covariance + covariance.conj().T) / 2.0
-    if diagonal_loading > 0:
-        mean_power = float(np.real(np.trace(covariance))) / num_antennas
-        covariance = covariance + diagonal_loading * mean_power * np.eye(num_antennas)
-    return covariance
+    return snapshots[None]
+
+
+def sample_covariance(snapshots: np.ndarray,
+                      diagonal_loading: float = 0.0) -> np.ndarray:
+    """Return the ``(M, M)`` sample covariance of an ``(M, N)`` snapshot matrix.
+
+    A batch of one through :func:`sample_covariance_many`.
+    """
+    return sample_covariance_many(_one_frame(snapshots), diagonal_loading)[0]
 
 
 def sample_covariance_many(snapshots: np.ndarray,
                            diagonal_loading: float = 0.0) -> np.ndarray:
     """Return per-frame sample covariances of an ``(F, M, N)`` snapshot stack.
 
-    The batched counterpart of :func:`sample_covariance` for the vectorized
-    Section 2.3 frontend: one stacked ``matmul`` produces every frame's
-    ``(M, M)`` covariance at once.  The stacked matmul dispatches the same
-    per-slice GEMM the single-frame path uses and every other step is
-    elementwise, so frame ``f`` of the result is bit-for-bit identical to
-    ``sample_covariance(snapshots[f], diagonal_loading)``.
+    One stacked ``matmul`` produces every frame's ``(M, M)`` covariance at
+    once; the result is made exactly Hermitian and optionally loaded.
 
     Parameters
     ----------
@@ -109,25 +91,21 @@ def forward_backward_covariance(snapshots: np.ndarray,
                                 diagonal_loading: float = 0.0) -> np.ndarray:
     """Return the forward-backward averaged covariance of a ULA snapshot matrix.
 
-    Forward-backward averaging exploits the conjugate symmetry of a uniform
-    linear array to decorrelate coherent sources using half as many
-    sub-arrays as plain spatial smoothing would need.  It is provided as an
-    optional enhancement (the paper uses forward-only smoothing); the
-    ablation benchmarks compare the two.
+    A batch of one through :func:`forward_backward_covariance_many`.
     """
-    covariance = sample_covariance(snapshots, diagonal_loading)
-    exchange = np.eye(covariance.shape[0])[::-1]
-    backward = exchange @ covariance.conj() @ exchange
-    return (covariance + backward) / 2.0
+    return forward_backward_covariance_many(_one_frame(snapshots),
+                                            diagonal_loading)[0]
 
 
 def forward_backward_covariance_many(snapshots: np.ndarray,
                                      diagonal_loading: float = 0.0) -> np.ndarray:
     """Return per-frame forward-backward covariances of an ``(F, M, N)`` stack.
 
-    Batched counterpart of :func:`forward_backward_covariance`; frame ``f``
-    is bit-for-bit identical to the single-frame call on ``snapshots[f]``
-    (the exchange products broadcast the same per-slice GEMMs).
+    Forward-backward averaging exploits the conjugate symmetry of a uniform
+    linear array to decorrelate coherent sources using half as many
+    sub-arrays as plain spatial smoothing would need.  It is provided as an
+    optional enhancement (the paper uses forward-only smoothing); the
+    ablation benchmarks compare the two.
     """
     covariance = sample_covariance_many(snapshots, diagonal_loading)
     exchange = np.eye(covariance.shape[1])[::-1]

@@ -10,12 +10,10 @@ Capon (MVDR) beamformers are implemented alongside: the paper calls MUSIC the
 "best known" of the eigenstructure algorithms, and the ablation benchmark
 A-ESTIMATOR quantifies how much accuracy the MUSIC choice is worth.
 
-Every estimator has a stacked ``*_many`` counterpart taking an ``(F, M, M)``
-covariance stack, the workhorses of the batched Section 2.3 frontend
-(:meth:`repro.core.pipeline.SpectrumComputer.compute_many`).  The batched
-variants run the identical per-slice GEMM/LAPACK calls the single-frame
-functions issue, so frame ``f`` of a stacked result is bit-for-bit identical
-to the corresponding single-frame call.
+Every estimator has one body, the stacked ``*_many`` form taking an
+``(F, M, M)`` covariance stack that the batched Section 2.3 frontend runs
+(:meth:`repro.core.pipeline.SpectrumComputer.compute_many`); the
+single-frame name is a batch of one.
 """
 
 from __future__ import annotations
@@ -29,12 +27,7 @@ from repro.dtypes import as_complex_array, as_float_array
 from repro.errors import EstimationError
 from repro.array.geometry import ArrayGeometry
 from repro.core.cache import default_steering_cache
-from repro.core.subspace import (
-    SubspaceDecomposition,
-    SubspaceDecompositionBatch,
-    decompose,
-    decompose_many,
-)
+from repro.core.subspace import SubspaceDecompositionBatch, decompose_many
 
 __all__ = [
     "music_spectrum",
@@ -80,31 +73,27 @@ def _check_covariance_stack(covariances: np.ndarray,
     return covariances
 
 
+def _one_covariance(covariance: np.ndarray) -> np.ndarray:
+    """Return an ``(M, M)`` covariance as a ``(1, M, M)`` stack."""
+    covariance = as_complex_array(covariance)
+    if covariance.ndim != 2:
+        raise EstimationError(
+            f"covariance must be a matrix, got shape {covariance.shape}")
+    return covariance[None]
+
+
 def spectrum_from_noise_subspace(noise_subspace: np.ndarray,
                                  steering: np.ndarray) -> np.ndarray:
-    """Evaluate the MUSIC spectrum given a noise subspace and steering matrix.
+    """Evaluate the MUSIC spectrum of one ``(M, M - D)`` noise subspace.
 
-    Parameters
-    ----------
-    noise_subspace:
-        ``(M, M - D)`` matrix of noise eigenvectors ``E_N``.
-    steering:
-        ``(M, K)`` matrix of steering vectors over the angle grid.
-
-    Returns
-    -------
-    numpy.ndarray
-        ``(K,)`` non-negative spectrum values.
+    A batch of one through :func:`spectrum_from_noise_subspace_many`.
     """
     noise_subspace = as_complex_array(noise_subspace)
-    steering = as_complex_array(steering)
-    if noise_subspace.shape[0] != steering.shape[0]:
+    if noise_subspace.ndim != 2:
         raise EstimationError(
-            "noise subspace and steering matrix disagree on the antenna count: "
-            f"{noise_subspace.shape[0]} vs {steering.shape[0]}")
-    projected = noise_subspace.conj().T @ steering          # (M - D, K)
-    denominator = np.sum(np.abs(projected) ** 2, axis=0)     # (K,)
-    return 1.0 / np.maximum(denominator, 1e-12)
+            f"noise subspace must have shape (M, M - D), "
+            f"got {noise_subspace.shape}")
+    return spectrum_from_noise_subspace_many(noise_subspace[None], steering)[0]
 
 
 def spectrum_from_noise_subspace_many(noise_subspaces: np.ndarray,
@@ -147,32 +136,13 @@ def music_spectrum(covariance: np.ndarray, geometry: ArrayGeometry,
                    num_sources: int | None = None,
                    wavelength_m: float = WAVELENGTH_M,
                    elevation_deg: float = 0.0) -> np.ndarray:
-    """Return the MUSIC pseudospectrum over ``angles_deg``.
+    """Return the MUSIC pseudospectrum of one ``(M, M)`` covariance.
 
-    Parameters
-    ----------
-    covariance:
-        ``(M, M)`` (possibly spatially smoothed) array covariance matrix.
-    geometry:
-        Geometry of the (sub-)array the covariance corresponds to.
-    angles_deg:
-        Angle grid, in the array's local frame, to evaluate the spectrum on.
-    num_sources:
-        Number of incoming signals ``D``; estimated from the eigenvalues
-        with the paper's threshold rule when omitted.
-    wavelength_m:
-        Carrier wavelength.
-    elevation_deg:
-        Common elevation of the arrivals (Appendix A height analysis).
+    A batch of one through :func:`music_spectrum_many`.
     """
-    covariance = as_complex_array(covariance)
-    if covariance.shape[0] != geometry.num_elements:
-        raise EstimationError(
-            f"covariance is {covariance.shape[0]}x{covariance.shape[0]} but the "
-            f"geometry has {geometry.num_elements} elements")
-    decomposition: SubspaceDecomposition = decompose(covariance, num_sources)
-    steering = _steering_matrix(geometry, angles_deg, wavelength_m, elevation_deg)
-    return spectrum_from_noise_subspace(decomposition.noise_subspace, steering)
+    return music_spectrum_many(_one_covariance(covariance), geometry,
+                               angles_deg, num_sources, wavelength_m,
+                               elevation_deg)[0]
 
 
 def music_spectrum_many(covariances: np.ndarray, geometry: ArrayGeometry,
@@ -186,8 +156,24 @@ def music_spectrum_many(covariances: np.ndarray, geometry: ArrayGeometry,
     threshold rule runs vectorized, and frames are grouped by their
     estimated source count ``D`` so the Equation 6 noise projection is one
     ``E_N^H A`` GEMM per (geometry, D) group against the cached steering
-    matrix.  Row ``f`` of the result is bit-for-bit identical to
-    ``music_spectrum(covariances[f], ...)``.
+    matrix.
+
+    Parameters
+    ----------
+    covariances:
+        ``(F, M, M)`` (possibly spatially smoothed) array covariances.
+    geometry:
+        Geometry of the (sub-)array the covariances correspond to.
+    angles_deg:
+        Angle grid, in the array's local frame, to evaluate the spectra on.
+    num_sources:
+        Number of incoming signals ``D``, for every frame or one per frame;
+        estimated from the eigenvalues with the paper's threshold rule when
+        omitted.
+    wavelength_m:
+        Carrier wavelength.
+    elevation_deg:
+        Common elevation of the arrivals (Appendix A height analysis).
     """
     covariances = _check_covariance_stack(covariances, geometry)
     steering = _steering_matrix(geometry, angles_deg, wavelength_m,
@@ -205,36 +191,25 @@ def bartlett_spectrum(covariance: np.ndarray, geometry: ArrayGeometry,
                       angles_deg: np.ndarray,
                       wavelength_m: float = WAVELENGTH_M,
                       elevation_deg: float = 0.0) -> np.ndarray:
-    """Return the conventional (Bartlett) beamformer spectrum.
+    """Return the Bartlett spectrum of one ``(M, M)`` covariance.
 
-    ``P(theta) = a^H R a / (a^H a)``; lower resolution than MUSIC but makes
-    no assumption about the number of sources, which is why the array
-    symmetry test (Section 2.3.4) uses it on the non-linear nine-antenna
-    geometry.  The quadratic form is evaluated as one ``R A`` GEMM followed
-    by an elementwise reduction -- the same shape of computation the stacked
-    :func:`bartlett_spectrum_many` runs per frame, keeping the two paths
-    bit-for-bit identical.
+    A batch of one through :func:`bartlett_spectrum_many`.
     """
-    covariance = as_complex_array(covariance)
-    if covariance.shape[0] != geometry.num_elements:
-        raise EstimationError(
-            f"covariance is {covariance.shape[0]}x{covariance.shape[0]} but the "
-            f"geometry has {geometry.num_elements} elements")
-    steering = _steering_matrix(geometry, angles_deg, wavelength_m, elevation_deg)
-    projected = covariance @ steering                        # (M, K)
-    numerator = np.real(np.einsum("mk,mk->k", steering.conj(), projected))
-    normalization = np.real(np.sum(np.abs(steering) ** 2, axis=0))
-    return np.maximum(numerator, 0.0) / np.maximum(normalization, 1e-12)
+    return bartlett_spectrum_many(_one_covariance(covariance), geometry,
+                                  angles_deg, wavelength_m, elevation_deg)[0]
 
 
 def bartlett_spectrum_many(covariances: np.ndarray, geometry: ArrayGeometry,
                            angles_deg: np.ndarray,
                            wavelength_m: float = WAVELENGTH_M,
                            elevation_deg: float = 0.0) -> np.ndarray:
-    """Return Bartlett spectra for an ``(F, M, M)`` covariance stack.
+    """Return conventional (Bartlett) beamformer spectra for a covariance stack.
 
-    Row ``f`` is bit-for-bit identical to ``bartlett_spectrum``
-    on ``covariances[f]``.
+    ``P(theta) = a^H R a / (a^H a)`` per frame; lower resolution than MUSIC
+    but makes no assumption about the number of sources, which is why the
+    array symmetry test (Section 2.3.4) uses it on the non-linear
+    nine-antenna geometry.  The quadratic forms are one stacked ``R A``
+    GEMM followed by an elementwise reduction.
     """
     covariances = _check_covariance_stack(covariances, geometry)
     steering = _steering_matrix(geometry, angles_deg, wavelength_m,
@@ -250,26 +225,13 @@ def capon_spectrum(covariance: np.ndarray, geometry: ArrayGeometry,
                    wavelength_m: float = WAVELENGTH_M,
                    elevation_deg: float = 0.0,
                    diagonal_loading: float = 1e-3) -> np.ndarray:
-    """Return the Capon (MVDR) spectrum ``1 / (a^H R^-1 a)``.
+    """Return the Capon (MVDR) spectrum of one ``(M, M)`` covariance.
 
-    Diagonal loading regularizes the inverse when the covariance is estimated
-    from very few snapshots (the N = 1 case of Figure 19 would otherwise be
-    singular).  The quadratic form is evaluated through
-    ``np.linalg.solve(regularized, steering)`` rather than an explicit
-    ``np.linalg.inv``: better conditioned and one fewer GEMM.
+    A batch of one through :func:`capon_spectrum_many`.
     """
-    covariance = as_complex_array(covariance)
-    if covariance.shape[0] != geometry.num_elements:
-        raise EstimationError(
-            f"covariance is {covariance.shape[0]}x{covariance.shape[0]} but the "
-            f"geometry has {geometry.num_elements} elements")
-    num_antennas = covariance.shape[0]
-    loading = diagonal_loading * float(np.real(np.trace(covariance))) / num_antennas
-    regularized = covariance + loading * np.eye(num_antennas)
-    steering = _steering_matrix(geometry, angles_deg, wavelength_m, elevation_deg)
-    solution = np.linalg.solve(regularized, steering)        # R^-1 A, (M, K)
-    quadratic = np.real(np.einsum("mk,mk->k", steering.conj(), solution))
-    return 1.0 / np.maximum(quadratic, 1e-12)
+    return capon_spectrum_many(_one_covariance(covariance), geometry,
+                               angles_deg, wavelength_m, elevation_deg,
+                               diagonal_loading)[0]
 
 
 def capon_spectrum_many(covariances: np.ndarray, geometry: ArrayGeometry,
@@ -277,16 +239,29 @@ def capon_spectrum_many(covariances: np.ndarray, geometry: ArrayGeometry,
                         wavelength_m: float = WAVELENGTH_M,
                         elevation_deg: float = 0.0,
                         diagonal_loading: float = 1e-3) -> np.ndarray:
-    """Return Capon spectra for an ``(F, M, M)`` covariance stack.
+    """Return Capon (MVDR) spectra ``1 / (a^H R^-1 a)`` for a covariance stack.
 
-    The per-frame diagonal loading vectorizes over the stacked traces and
-    the stacked ``np.linalg.solve`` runs the identical per-slice LAPACK
-    factorization, so row ``f`` is bit-for-bit identical to
-    ``capon_spectrum`` on ``covariances[f]``.
+    Diagonal loading, relative to each frame's mean diagonal power,
+    regularizes the inverse when the covariance is estimated from very few
+    snapshots (the N = 1 case of Figure 19 would otherwise be singular).
+    The quadratic forms are evaluated through one stacked
+    ``np.linalg.solve(regularized, steering)`` rather than an explicit
+    ``np.linalg.inv``: better conditioned and one fewer GEMM.
+
+    Raises
+    ------
+    EstimationError
+        If a frame's covariance has zero trace: the loading scales with the
+        trace, so such a frame stays singular.
     """
     covariances = _check_covariance_stack(covariances, geometry)
     num_antennas = covariances.shape[1]
     traces = np.real(np.trace(covariances, axis1=1, axis2=2))
+    empty = np.flatnonzero(traces == 0)
+    if empty.size:
+        raise EstimationError(
+            f"Capon needs a covariance with non-zero power, but frames "
+            f"{empty.tolist()} have zero trace (all-zero snapshots)")
     loading = diagonal_loading * traces / num_antennas
     regularized = covariances + loading[:, None, None] * np.eye(num_antennas)
     steering = _steering_matrix(geometry, angles_deg, wavelength_m,

@@ -10,6 +10,10 @@ cost of reducing the effective aperture: an eight-antenna array smoothed with
 
 The paper's microbenchmark (Figure 7) leads it to choose ``NG = 2``; the
 :mod:`repro.eval` experiment E-FIG7 regenerates that comparison.
+
+The smoothed covariance has one body, the stacked
+:func:`smoothed_covariance_many` the batched frontend runs; the
+single-frame name is a batch of one.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import numpy as np
 
 from repro.dtypes import as_complex_array
 from repro.errors import EstimationError
-from repro.core.covariance import sample_covariance, sample_covariance_many
+from repro.core.covariance import _one_frame, sample_covariance_many
 
 __all__ = [
     "smoothed_covariance",
@@ -50,13 +54,28 @@ def effective_antennas(num_antennas: int, num_groups: int) -> int:
 def smoothed_covariance(snapshots: np.ndarray, num_groups: int,
                         diagonal_loading: float = 0.0,
                         forward_backward: bool = False) -> np.ndarray:
-    """Return the spatially smoothed covariance of ULA snapshots.
+    """Return the spatially smoothed covariance of ``(M, N)`` ULA snapshots.
+
+    A batch of one through :func:`smoothed_covariance_many`.
+    """
+    return smoothed_covariance_many(_one_frame(snapshots), num_groups,
+                                    diagonal_loading, forward_backward)[0]
+
+
+def smoothed_covariance_many(snapshots: np.ndarray, num_groups: int,
+                             diagonal_loading: float = 0.0,
+                             forward_backward: bool = False) -> np.ndarray:
+    """Return per-frame smoothed covariances of an ``(F, M, N)`` ULA stack.
+
+    Each of the ``NG`` sub-array covariances is one stacked matmul over all
+    frames, accumulated in group order.
 
     Parameters
     ----------
     snapshots:
-        ``(M, N)`` snapshot matrix of a *uniform linear* array; the antenna
-        ordering must follow the physical element order along the array.
+        ``(F, M, N)`` snapshot stack of a *uniform linear* array; the
+        antenna ordering must follow the physical element order along the
+        array.
     num_groups:
         Number of overlapping sub-arrays ``NG`` to average over.  ``NG = 1``
         degenerates to the plain sample covariance (no smoothing).
@@ -70,36 +89,7 @@ def smoothed_covariance(snapshots: np.ndarray, num_groups: int,
     Returns
     -------
     numpy.ndarray
-        ``(Ms, Ms)`` smoothed covariance with ``Ms = M - NG + 1``.
-    """
-    snapshots = as_complex_array(snapshots)
-    if snapshots.ndim != 2:
-        raise EstimationError(
-            f"snapshot matrix must be two-dimensional, got shape {snapshots.shape}")
-    num_antennas = snapshots.shape[0]
-    sub_size = effective_antennas(num_antennas, num_groups)
-    accumulated = np.zeros((sub_size, sub_size), dtype=snapshots.dtype)
-    for group in range(num_groups):
-        sub = snapshots[group:group + sub_size, :]
-        covariance = sample_covariance(sub, diagonal_loading)
-        if forward_backward:
-            exchange = np.eye(sub_size)[::-1]
-            covariance = (covariance + exchange @ covariance.conj() @ exchange) / 2.0
-        accumulated += covariance
-    return accumulated / num_groups
-
-
-def smoothed_covariance_many(snapshots: np.ndarray, num_groups: int,
-                             diagonal_loading: float = 0.0,
-                             forward_backward: bool = False) -> np.ndarray:
-    """Return per-frame smoothed covariances of an ``(F, M, N)`` ULA stack.
-
-    Batched counterpart of :func:`smoothed_covariance` for the vectorized
-    Section 2.3 frontend: each of the ``NG`` sub-array covariances is one
-    stacked matmul over all frames, so the per-frame Python of the serial
-    path collapses into ``NG`` NumPy passes.  The accumulation order over
-    groups matches the serial loop exactly, so frame ``f`` of the result is
-    bit-for-bit identical to ``smoothed_covariance(snapshots[f], ...)``.
+        ``(F, Ms, Ms)`` smoothed covariances with ``Ms = M - NG + 1``.
     """
     snapshots = as_complex_array(snapshots)
     if snapshots.ndim != 3:

@@ -6,6 +6,9 @@ signals and the remaining ``M - D`` to noise.  The paper chooses ``D`` as the
 number of eigenvalues larger than a threshold that is a fraction of the
 largest eigenvalue; the same rule is implemented here (with the standard MDL
 criterion available as an alternative for the ablation experiments).
+
+The decomposition has one body, the stacked :func:`decompose_many` the
+batched frontend runs; the single-frame :func:`decompose` is a batch of one.
 """
 
 from __future__ import annotations
@@ -79,48 +82,16 @@ def decompose(covariance: np.ndarray,
               num_sources: int | None = None,
               threshold_fraction: float = DEFAULT_EIGENVALUE_THRESHOLD_FRACTION,
               max_sources: int | None = None) -> SubspaceDecomposition:
-    """Eigendecompose ``covariance`` and split signal from noise subspace.
+    """Eigendecompose an ``(M, M)`` covariance and split signal from noise.
 
-    Parameters
-    ----------
-    covariance:
-        ``(M, M)`` Hermitian covariance matrix.
-    num_sources:
-        Force the number of signals ``D``; estimated from the eigenvalue
-        threshold rule when omitted.
-    threshold_fraction:
-        An eigenvalue counts as a signal if it exceeds
-        ``threshold_fraction * max(eigenvalues)`` (the paper's rule).
-    max_sources:
-        Upper bound on ``D``; defaults to ``M - 1`` so at least one noise
-        eigenvector always remains (MUSIC needs a non-empty noise subspace).
+    A batch of one through :func:`decompose_many`.
     """
     covariance = as_complex_array(covariance)
     if covariance.ndim != 2 or covariance.shape[0] != covariance.shape[1]:
         raise EstimationError(
             f"covariance must be a square matrix, got shape {covariance.shape}")
-    num_antennas = covariance.shape[0]
-    if num_antennas < 2:
-        raise EstimationError("subspace analysis needs at least two antennas")
-    if not 0.0 < threshold_fraction < 1.0:
-        raise EstimationError(
-            f"threshold_fraction must be in (0, 1), got {threshold_fraction!r}")
-    eigenvalues, eigenvectors = np.linalg.eigh(covariance)
-    # eigh returns ascending order; we want non-increasing.
-    order = np.argsort(eigenvalues)[::-1]
-    eigenvalues = np.real(eigenvalues[order])
-    eigenvectors = eigenvectors[:, order]
-    limit = num_antennas - 1 if max_sources is None else min(max_sources, num_antennas - 1)
-    if limit < 1:
-        raise EstimationError("max_sources must allow at least one signal")
-    if num_sources is None:
-        num_sources = _threshold_source_count(eigenvalues, threshold_fraction)
-    if not 1 <= num_sources:
-        num_sources = 1
-    num_sources = min(num_sources, limit)
-    return SubspaceDecomposition(eigenvalues=eigenvalues,
-                                 eigenvectors=eigenvectors,
-                                 num_sources=int(num_sources))
+    return decompose_many(covariance[None], num_sources, threshold_fraction,
+                          max_sources).frame(0)
 
 
 @dataclass(frozen=True)
@@ -129,8 +100,8 @@ class SubspaceDecompositionBatch:
 
     The batched counterpart of :class:`SubspaceDecomposition` produced by
     :func:`decompose_many`: one stacked ``np.linalg.eigh`` call covers every
-    frame, and the per-frame views returned by :meth:`frame` are bit-for-bit
-    identical to decomposing each covariance on its own.
+    frame, and :meth:`frame` views one of them as a
+    :class:`SubspaceDecomposition`.
 
     Attributes
     ----------
@@ -180,13 +151,10 @@ def decompose_many(covariances: np.ndarray,
                    ) -> SubspaceDecompositionBatch:
     """Eigendecompose an ``(F, M, M)`` covariance stack in one LAPACK sweep.
 
-    The batched counterpart of :func:`decompose`: the stacked
-    ``np.linalg.eigh`` gufunc runs the identical per-slice LAPACK driver the
-    single-matrix call uses, the descending reorder is applied row-wise and
-    the paper's eigenvalue-threshold source-count rule is evaluated for all
-    frames at once -- so ``decompose_many(stack).frame(f)`` is bit-for-bit
-    identical to ``decompose(stack[f])`` for every frame, degenerate
-    (all-zero) covariances included.
+    The stacked ``np.linalg.eigh`` gufunc decomposes every frame, the
+    descending reorder is applied row-wise and the paper's
+    eigenvalue-threshold source-count rule is evaluated for all frames at
+    once.  An all-zero covariance gets ``D = 1``.
 
     Parameters
     ----------
@@ -196,8 +164,12 @@ def decompose_many(covariances: np.ndarray,
         Force the number of signals ``D``: a scalar applies to every frame,
         a length-``F`` sequence forces each frame individually; the
         threshold rule runs per frame when omitted.
-    threshold_fraction, max_sources:
-        As in :func:`decompose`.
+    threshold_fraction:
+        An eigenvalue counts as a signal if it exceeds
+        ``threshold_fraction * max(eigenvalues)`` (the paper's rule).
+    max_sources:
+        Upper bound on ``D``; defaults to ``M - 1`` so at least one noise
+        eigenvector always remains (MUSIC needs a non-empty noise subspace).
     """
     covariances = as_complex_array(covariances)
     if covariances.ndim != 3 or covariances.shape[1] != covariances.shape[2]:
@@ -221,8 +193,7 @@ def decompose_many(covariances: np.ndarray,
                                   dtype=covariances.dtype),
             num_sources=np.empty((0,), dtype=int))
     eigenvalues, eigenvectors = np.linalg.eigh(covariances)
-    # eigh returns ascending order per frame; we want non-increasing.  The
-    # per-row argsort matches the serial path's argsort of the same values.
+    # eigh returns ascending order per frame; we want non-increasing.
     order = np.argsort(eigenvalues, axis=1)[:, ::-1]
     eigenvalues = np.real(np.take_along_axis(eigenvalues, order, axis=1))
     eigenvectors = np.take_along_axis(eigenvectors, order[:, None, :], axis=2)
@@ -243,16 +214,6 @@ def decompose_many(covariances: np.ndarray,
     return SubspaceDecompositionBatch(eigenvalues=eigenvalues,
                                       eigenvectors=eigenvectors,
                                       num_sources=counts.astype(int))
-
-
-def _threshold_source_count(eigenvalues: np.ndarray,
-                            threshold_fraction: float) -> int:
-    """Count eigenvalues above a fraction of the largest (the paper's rule)."""
-    largest = float(eigenvalues[0])
-    if largest <= 0:
-        return 1
-    threshold = threshold_fraction * largest
-    return int(np.sum(eigenvalues > threshold))
 
 
 def estimate_num_sources_mdl(eigenvalues: np.ndarray, num_snapshots: int) -> int:

@@ -12,6 +12,11 @@ row (recorded through diversity synthesis): using all nine antennas it
 power".  Here the nine-antenna Bartlett beamformer provides that per-side
 power comparison -- the non-collinear geometry breaks the mirror symmetry, so
 integrating its response over each half plane reveals the true side.
+
+The side-power test has one body, :meth:`SymmetryResolver.side_powers_stack`
+over an ``(F, M, N)`` snapshot stack; the single-frame
+:meth:`~SymmetryResolver.side_powers` and :meth:`~SymmetryResolver.resolve`
+are batches of one.
 """
 
 from __future__ import annotations
@@ -24,15 +29,15 @@ import numpy as np
 from repro.dtypes import as_complex_array, as_float_array
 from repro.errors import EstimationError
 from repro.array.geometry import ArrayGeometry
-from repro.core.covariance import sample_covariance, sample_covariance_many
-from repro.core.music import bartlett_spectrum, bartlett_spectrum_many
+from repro.core.covariance import _one_frame, sample_covariance_many
+from repro.core.music import bartlett_spectrum_many
 from repro.core.spectrum import (
     AoASpectrum,
     circular_interpolation_table,
     default_angle_grid,
 )
 
-__all__ = ["SymmetryResolver", "resolve_symmetry"]
+__all__ = ["SymmetryResolver"]
 
 
 @dataclass
@@ -62,49 +67,23 @@ class SymmetryResolver:
 
     def side_powers(self, snapshots: np.ndarray,
                     spectrum: AoASpectrum | None = None) -> tuple[float, float]:
-        """Return total Bartlett power in the upper/lower half planes.
+        """Return one ``(M, N)`` frame's upper/lower half-plane Bartlett powers.
 
-        Parameters
-        ----------
-        snapshots:
-            ``(M, N)`` snapshot matrix captured on the resolver's geometry
-            (phase offsets already calibrated out).
-        spectrum:
-            Optional mirrored MUSIC spectrum of the same frame.  When given,
-            the Bartlett response is weighted by the spectrum before
-            integrating each half plane, so the comparison concentrates on
-            the bearings where MUSIC actually sees arrivals instead of being
-            diluted by side-lobe energy.
+        A batch of one through :meth:`side_powers_many`.
         """
-        snapshots = as_complex_array(snapshots)
-        if snapshots.shape[0] != self.geometry.num_elements:
-            raise EstimationError(
-                f"snapshots have {snapshots.shape[0]} rows but the geometry has "
-                f"{self.geometry.num_elements} elements")
-        covariance = sample_covariance(snapshots)
-        angles = default_angle_grid(self.angle_resolution_deg, full_circle=True)
-        power = bartlett_spectrum(covariance, self.geometry, angles, self.wavelength_m)
-        if spectrum is not None:
-            weights = spectrum.power_at_local(angles)
-            peak = float(np.max(weights))
-            if peak > 0:
-                power = power * (weights / peak)
-        upper = float(np.sum(power[angles < 180.0]))
-        lower = float(np.sum(power[angles >= 180.0]))
-        return upper, lower
+        upper, lower = self.side_powers_many(
+            _one_frame(snapshots), None if spectrum is None else [spectrum])
+        return float(upper[0]), float(lower[0])
 
     def side_powers_many(self, snapshots: np.ndarray,
                          spectra: Sequence[AoASpectrum] | None = None
                          ) -> tuple[np.ndarray, np.ndarray]:
         """Return per-frame upper/lower half-plane Bartlett powers of a stack.
 
-        The batched counterpart of :meth:`side_powers` for the vectorized
-        Section 2.3 frontend: one stacked covariance pass and one stacked
-        Bartlett evaluation cover all ``F`` frames, and the optional
-        spectrum weighting reuses a single circular-interpolation table
-        (all spectra of one batch share the same angle grid).  Frame ``f``
-        of the result is bit-for-bit identical to
-        ``side_powers(snapshots[f], spectra[f])``.
+        One stacked covariance pass and one stacked Bartlett evaluation
+        cover all ``F`` frames, and the optional spectrum weighting reuses
+        a single circular-interpolation table (all spectra of one batch
+        share the same angle grid).
 
         Parameters
         ----------
@@ -145,8 +124,11 @@ class SymmetryResolver:
             ``(F, M, N)`` snapshot stack on the resolver's geometry.
         spectrum_power:
             Optional ``(F, K)`` stack of the frames' mirrored spectrum
-            values on ``spectrum_angles`` (weights the Bartlett response,
-            exactly like :meth:`side_powers` with a spectrum).
+            values on ``spectrum_angles``.  When given, each frame's
+            Bartlett response is weighted by its spectrum (scaled to unit
+            peak) before integrating each half plane, so the comparison
+            concentrates on the bearings where MUSIC actually sees
+            arrivals instead of being diluted by side-lobe energy.
         spectrum_angles:
             The shared angle grid of ``spectrum_power``.
         """
@@ -189,24 +171,16 @@ class SymmetryResolver:
                 attenuation: float = 0.0) -> AoASpectrum:
         """Return ``spectrum`` with the weaker half plane suppressed.
 
-        Parameters
-        ----------
-        spectrum:
-            The mirrored 360-degree spectrum produced by the linear array.
-        snapshots:
-            Nine-antenna snapshot matrix for the same frame.
-        attenuation:
-            Residual scale applied to the suppressed half (0 removes it
-            entirely, matching the paper).
+        A batch of one through :meth:`resolve_many`, for one ``(M, N)``
+        snapshot matrix.
         """
-        upper, lower = self.side_powers(snapshots, spectrum)
-        suppress_lower = upper >= lower
-        return spectrum.suppress_half_plane(suppress_lower, attenuation)
+        return self.resolve_many([spectrum], _one_frame(snapshots),
+                                 attenuation)[0]
 
     def resolve_many(self, spectra: Sequence[AoASpectrum],
                      snapshots: np.ndarray,
                      attenuation: float = 0.0) -> list[AoASpectrum]:
-        """Batched :meth:`resolve`: suppress each frame's weaker half plane.
+        """Suppress each frame's weaker half plane.
 
         Parameters
         ----------
@@ -216,13 +190,13 @@ class SymmetryResolver:
         snapshots:
             ``(F, M, N)`` nine-antenna snapshot stack for the same frames.
         attenuation:
-            Residual scale applied to each suppressed half.
+            Residual scale applied to each suppressed half (0 removes it
+            entirely, matching the paper).
 
         Returns
         -------
         list of AoASpectrum
-            One resolved spectrum per frame, bit-for-bit identical to
-            calling :meth:`resolve` frame by frame.
+            One resolved spectrum per frame.
         """
         spectra = list(spectra)
         if not spectra:
@@ -232,10 +206,3 @@ class SymmetryResolver:
         return [spectrum.suppress_half_plane(bool(suppress), attenuation)
                 for spectrum, suppress in zip(spectra, suppress_lower, strict=True)]
 
-
-def resolve_symmetry(spectrum: AoASpectrum, snapshots: np.ndarray,
-                     geometry: ArrayGeometry, wavelength_m: float,
-                     attenuation: float = 0.0) -> AoASpectrum:
-    """Convenience wrapper building a throw-away :class:`SymmetryResolver`."""
-    resolver = SymmetryResolver(geometry, wavelength_m)
-    return resolver.resolve(spectrum, snapshots, attenuation)

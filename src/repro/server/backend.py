@@ -105,24 +105,6 @@ class ArrayTrackServer:
     # ------------------------------------------------------------------
     # Spectra-level API
     # ------------------------------------------------------------------
-    def _localize_spectra(self, spectra_by_ap: Mapping[str, Sequence[AoASpectrum]],
-                          client_id: str = "") -> LocationEstimate:
-        """Localize a client from per-AP lists of AoA spectra.
-
-        Each AP contributes one processed spectrum: when multipath
-        suppression is enabled and the AP captured multiple frames close in
-        time, the suppressed primary is used; otherwise the AP's first
-        spectrum passes through unchanged (step 1 of the Figure 8
-        algorithm).
-        """
-        processed = self._process_per_ap(spectra_by_ap)
-        if not processed:
-            raise EstimationError("no AoA spectra supplied for localization")
-        start = time.perf_counter()
-        estimate = self.estimator.estimate(processed, client_id=client_id)
-        self._last_processing_s = time.perf_counter() - start
-        return estimate
-
     def localize_batch(self,
                        spectra_by_client: Mapping[str, Mapping[str, Sequence[AoASpectrum]]]
                        ) -> dict[str, LocationEstimate]:
@@ -201,8 +183,8 @@ class ArrayTrackServer:
                 continue
             if self.config.enable_multipath_suppression and len(spectra) >= 2:
                 outputs = self.config.suppressor.process(spectra)
-                # One output per time group; use the first group's primary,
-                # which corresponds to the most recent burst of frames.
+                # One output per time group, in ascending time order; use
+                # the first group's primary, i.e. the earliest burst.
                 processed.append(outputs[0])
             else:
                 processed.append(spectra[0])
@@ -211,18 +193,6 @@ class ArrayTrackServer:
     # ------------------------------------------------------------------
     # AP-level API
     # ------------------------------------------------------------------
-    def localize_client(self, aps: Sequence[ArrayTrackAP],
-                        client_id: str) -> LocationEstimate:
-        """Localize ``client_id`` from the frames currently buffered at ``aps``."""
-        if not aps:
-            raise ConfigurationError("need at least one AP to localize")
-        spectra_by_ap: dict[str, list[AoASpectrum]] = {}
-        for ap in aps:
-            spectra = ap.spectra_for_client(client_id)
-            if spectra:
-                spectra_by_ap[ap.ap_id] = spectra
-        return self._localize_spectra(spectra_by_ap, client_id=client_id)
-
     def collect_buffered(self, aps: Sequence[ArrayTrackAP],
                          client_ids: Sequence[str]
                          ) -> dict[str, dict[str, list[AoASpectrum]]]:

@@ -23,7 +23,7 @@ from repro.ap.buffer import BufferEntry
 from repro.array.receiver import SnapshotMatrix
 from repro.core import AoASpectrum, default_angle_grid
 from repro.errors import (BackpressureError, ConfigurationError,
-                          PoisonFrameError)
+                          EstimationError, PoisonFrameError)
 from repro.geometry import Point2D, bearing_deg
 from repro.testing import faults
 
@@ -422,6 +422,32 @@ class TestPoisonFrames:
 # ----------------------------------------------------------------------
 # Satellite 1: the close()/_ensure() lifecycle race
 # ----------------------------------------------------------------------
+class TestDegenerateRawFrames:
+    """Finite frames the poison gate admits but an estimator cannot use."""
+
+    def _zero_entry(self):
+        return BufferEntry(
+            snapshots=SnapshotMatrix(np.zeros((9, 10), dtype=complex),
+                                     client_id="c0"),
+            client_id="c0", timestamp_s=0.0, sequence=0)
+
+    def test_all_zero_entry_under_capon_raises_estimation_error(self):
+        service = _service(estimator="capon")
+        ap = service.build_ap("ap0", AP_POSITIONS[0])
+        with pytest.raises(EstimationError, match=r"frames \[0\].*zero trace"):
+            service.ingest_many(ap, [self._zero_entry()])
+        with pytest.raises(EstimationError, match="zero trace"):
+            service.ingest(ap, self._zero_entry())
+        assert _pending(service) == 0
+
+    @pytest.mark.parametrize("estimator", ["music", "bartlett"])
+    def test_all_zero_entry_is_admitted_by_other_estimators(self, estimator):
+        service = _service(estimator=estimator)
+        ap = service.build_ap("ap0", AP_POSITIONS[0])
+        [session] = service.ingest_many(ap, [self._zero_entry()])
+        assert session.pending_frames == 1
+
+
 class _StubExecutor:
     """Stands in for ProcessPoolExecutor: records lifecycle transitions."""
 

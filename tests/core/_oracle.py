@@ -1,17 +1,24 @@
 """Serial reference implementations of the batched pipeline stages.
 
 ``src/`` holds one implementation per pipeline stage, batched or array-based.
-This module composes three of those stages again, one frame, one client or
-one grid point at a time, from the single-frame primitives (one per paper
-equation).  The
-bit-equality suites in ``tests/core`` and the serial columns of
-``benchmarks/`` compare the batched path against it:
+This module holds the serial references the bit-equality suites in
+``tests/core`` and the serial columns of ``benchmarks/`` check it against,
+one frame, one client or one grid point at a time:
 
+* the Section 2.3 primitives, one frame each: :func:`sample_covariance`,
+  :func:`forward_backward_covariance`, :func:`smoothed_covariance`,
+  :func:`decompose`, :func:`spectrum_from_noise_subspace`, the
+  :func:`music_spectrum`, :func:`bartlett_spectrum` and
+  :func:`capon_spectrum` estimators, and the symmetry test's
+  :func:`side_powers` and :func:`resolve`.  In ``src/`` each of these names
+  is a batch of one through its stacked ``*_many`` form; here each is its
+  own serial body;
 * :func:`reference_spectrum` and :func:`reference_spectrum_with_symmetry`
-  are the Section 2.3 chain for one frame: covariance with spatial
-  smoothing, the configured estimator, mirroring onto the full circle, the
-  W(theta) window and, with the ninth antenna, symmetry removal;
-  :func:`reference_ap_spectrum` adds the AP's phase-offset compensation;
+  compose those primitives into the Section 2.3 chain for one frame:
+  covariance with spatial smoothing, the configured estimator, mirroring
+  onto the full circle, the W(theta) window and, with the ninth antenna,
+  symmetry removal; :func:`reference_ap_spectrum` adds the AP's
+  phase-offset compensation;
 * :func:`reference_seeds` is the Section 2.5 seed rule over a client's
   full Equation 8 grid (:func:`~repro.core.likelihood.synthesize_likelihood`):
   one full sort, then the greedy three-cell separation rule;
@@ -38,22 +45,344 @@ from repro.array.deployment import DeployedArray
 from repro.array.geometry import ArrayGeometry
 from repro.array.receiver import SnapshotMatrix
 from repro.channel import movement_track, random_waypoint_track
-from repro.core.covariance import sample_covariance
+from repro.constants import WAVELENGTH_M
 from repro.core.likelihood import (LikelihoodMap, likelihood_at,
                                    synthesize_likelihood)
 from repro.core.localizer import LocalizerConfig
-from repro.core.music import bartlett_spectrum, capon_spectrum, music_spectrum
+from repro.core.music import _steering_matrix
 from repro.core.optimizer import HillClimbResult, refine_from_seeds
 from repro.core.peaks import SpectrumPeak, match_peak
 from repro.core.pipeline import SpectrumConfig
-from repro.core.smoothing import effective_antennas, smoothed_covariance
+from repro.core.smoothing import effective_antennas
 from repro.core.spectrum import AoASpectrum, default_angle_grid
+from repro.core.subspace import (DEFAULT_EIGENVALUE_THRESHOLD_FRACTION,
+                                 SubspaceDecomposition)
 from repro.core.suppression import MultipathSuppressor
 from repro.core.symmetry import SymmetryResolver
 from repro.core.weighting import apply_geometry_weighting
+from repro.dtypes import as_complex_array
+from repro.errors import EstimationError
 from repro.geometry.vector import Point2D
 from repro.testbed import (ScenarioConfig, SimulatedDeployment,
                            build_office_testbed)
+
+
+def sample_covariance(snapshots: np.ndarray,
+                      diagonal_loading: float = 0.0) -> np.ndarray:
+    """Return the sample covariance matrix of an ``(M, N)`` snapshot matrix.
+
+    Parameters
+    ----------
+    snapshots:
+        ``(M, N)`` complex matrix of M antennas by N time samples.
+    diagonal_loading:
+        Non-negative value added to the diagonal, relative to the mean
+        diagonal power (0 disables loading).
+
+    Returns
+    -------
+    numpy.ndarray
+        ``(M, M)`` Hermitian positive semi-definite matrix.
+    """
+    snapshots = as_complex_array(snapshots)
+    if snapshots.ndim != 2:
+        raise EstimationError(
+            f"snapshot matrix must be two-dimensional, got shape {snapshots.shape}")
+    num_antennas, num_snapshots = snapshots.shape
+    if num_snapshots < 1:
+        raise EstimationError("need at least one snapshot to estimate covariance")
+    if diagonal_loading < 0:
+        raise EstimationError(
+            f"diagonal loading must be non-negative, got {diagonal_loading!r}")
+    covariance = snapshots @ snapshots.conj().T / num_snapshots
+    # Enforce exact Hermitian symmetry (guards against floating point drift).
+    covariance = (covariance + covariance.conj().T) / 2.0
+    if diagonal_loading > 0:
+        mean_power = float(np.real(np.trace(covariance))) / num_antennas
+        covariance = covariance + diagonal_loading * mean_power * np.eye(num_antennas)
+    return covariance
+
+
+def forward_backward_covariance(snapshots: np.ndarray,
+                                diagonal_loading: float = 0.0) -> np.ndarray:
+    """Return the forward-backward averaged covariance of a ULA snapshot matrix.
+
+    Forward-backward averaging exploits the conjugate symmetry of a uniform
+    linear array to decorrelate coherent sources using half as many
+    sub-arrays as plain spatial smoothing would need.  It is provided as an
+    optional enhancement (the paper uses forward-only smoothing); the
+    ablation benchmarks compare the two.
+    """
+    covariance = sample_covariance(snapshots, diagonal_loading)
+    exchange = np.eye(covariance.shape[0])[::-1]
+    backward = exchange @ covariance.conj() @ exchange
+    return (covariance + backward) / 2.0
+
+
+def smoothed_covariance(snapshots: np.ndarray, num_groups: int,
+                        diagonal_loading: float = 0.0,
+                        forward_backward: bool = False) -> np.ndarray:
+    """Return the spatially smoothed covariance of ULA snapshots.
+
+    Parameters
+    ----------
+    snapshots:
+        ``(M, N)`` snapshot matrix of a *uniform linear* array; the antenna
+        ordering must follow the physical element order along the array.
+    num_groups:
+        Number of overlapping sub-arrays ``NG`` to average over.  ``NG = 1``
+        degenerates to the plain sample covariance (no smoothing).
+    diagonal_loading:
+        Optional diagonal loading forwarded to the covariance estimator.
+    forward_backward:
+        When True, also average with the conjugate-reversed (backward)
+        covariance of each sub-array, an additional decorrelation step
+        explored by the ablation benchmarks.
+
+    Returns
+    -------
+    numpy.ndarray
+        ``(Ms, Ms)`` smoothed covariance with ``Ms = M - NG + 1``.
+    """
+    snapshots = as_complex_array(snapshots)
+    if snapshots.ndim != 2:
+        raise EstimationError(
+            f"snapshot matrix must be two-dimensional, got shape {snapshots.shape}")
+    num_antennas = snapshots.shape[0]
+    sub_size = effective_antennas(num_antennas, num_groups)
+    accumulated = np.zeros((sub_size, sub_size), dtype=snapshots.dtype)
+    for group in range(num_groups):
+        sub = snapshots[group:group + sub_size, :]
+        covariance = sample_covariance(sub, diagonal_loading)
+        if forward_backward:
+            exchange = np.eye(sub_size)[::-1]
+            covariance = (covariance + exchange @ covariance.conj() @ exchange) / 2.0
+        accumulated += covariance
+    return accumulated / num_groups
+
+
+def decompose(covariance: np.ndarray,
+              num_sources: int | None = None,
+              threshold_fraction: float = DEFAULT_EIGENVALUE_THRESHOLD_FRACTION,
+              max_sources: int | None = None) -> SubspaceDecomposition:
+    """Eigendecompose ``covariance`` and split signal from noise subspace.
+
+    Parameters
+    ----------
+    covariance:
+        ``(M, M)`` Hermitian covariance matrix.
+    num_sources:
+        Force the number of signals ``D``; estimated from the eigenvalue
+        threshold rule when omitted.
+    threshold_fraction:
+        An eigenvalue counts as a signal if it exceeds
+        ``threshold_fraction * max(eigenvalues)`` (the paper's rule).
+    max_sources:
+        Upper bound on ``D``; defaults to ``M - 1`` so at least one noise
+        eigenvector always remains (MUSIC needs a non-empty noise subspace).
+    """
+    covariance = as_complex_array(covariance)
+    if covariance.ndim != 2 or covariance.shape[0] != covariance.shape[1]:
+        raise EstimationError(
+            f"covariance must be a square matrix, got shape {covariance.shape}")
+    num_antennas = covariance.shape[0]
+    if num_antennas < 2:
+        raise EstimationError("subspace analysis needs at least two antennas")
+    if not 0.0 < threshold_fraction < 1.0:
+        raise EstimationError(
+            f"threshold_fraction must be in (0, 1), got {threshold_fraction!r}")
+    eigenvalues, eigenvectors = np.linalg.eigh(covariance)
+    # eigh returns ascending order; we want non-increasing.
+    order = np.argsort(eigenvalues)[::-1]
+    eigenvalues = np.real(eigenvalues[order])
+    eigenvectors = eigenvectors[:, order]
+    limit = num_antennas - 1 if max_sources is None else min(max_sources, num_antennas - 1)
+    if limit < 1:
+        raise EstimationError("max_sources must allow at least one signal")
+    if num_sources is None:
+        num_sources = _threshold_source_count(eigenvalues, threshold_fraction)
+    if not 1 <= num_sources:
+        num_sources = 1
+    num_sources = min(num_sources, limit)
+    return SubspaceDecomposition(eigenvalues=eigenvalues,
+                                 eigenvectors=eigenvectors,
+                                 num_sources=int(num_sources))
+
+
+def _threshold_source_count(eigenvalues: np.ndarray,
+                            threshold_fraction: float) -> int:
+    """Count eigenvalues above a fraction of the largest (the paper's rule)."""
+    largest = float(eigenvalues[0])
+    if largest <= 0:
+        return 1
+    threshold = threshold_fraction * largest
+    return int(np.sum(eigenvalues > threshold))
+
+
+def spectrum_from_noise_subspace(noise_subspace: np.ndarray,
+                                 steering: np.ndarray) -> np.ndarray:
+    """Evaluate the MUSIC spectrum given a noise subspace and steering matrix.
+
+    Parameters
+    ----------
+    noise_subspace:
+        ``(M, M - D)`` matrix of noise eigenvectors ``E_N``.
+    steering:
+        ``(M, K)`` matrix of steering vectors over the angle grid.
+
+    Returns
+    -------
+    numpy.ndarray
+        ``(K,)`` non-negative spectrum values.
+    """
+    noise_subspace = as_complex_array(noise_subspace)
+    steering = as_complex_array(steering)
+    if noise_subspace.shape[0] != steering.shape[0]:
+        raise EstimationError(
+            "noise subspace and steering matrix disagree on the antenna count: "
+            f"{noise_subspace.shape[0]} vs {steering.shape[0]}")
+    projected = noise_subspace.conj().T @ steering          # (M - D, K)
+    denominator = np.sum(np.abs(projected) ** 2, axis=0)     # (K,)
+    return 1.0 / np.maximum(denominator, 1e-12)
+
+
+def music_spectrum(covariance: np.ndarray, geometry: ArrayGeometry,
+                   angles_deg: np.ndarray,
+                   num_sources: int | None = None,
+                   wavelength_m: float = WAVELENGTH_M,
+                   elevation_deg: float = 0.0) -> np.ndarray:
+    """Return the MUSIC pseudospectrum over ``angles_deg``.
+
+    Parameters
+    ----------
+    covariance:
+        ``(M, M)`` (possibly spatially smoothed) array covariance matrix.
+    geometry:
+        Geometry of the (sub-)array the covariance corresponds to.
+    angles_deg:
+        Angle grid, in the array's local frame, to evaluate the spectrum on.
+    num_sources:
+        Number of incoming signals ``D``; estimated from the eigenvalues
+        with the paper's threshold rule when omitted.
+    wavelength_m:
+        Carrier wavelength.
+    elevation_deg:
+        Common elevation of the arrivals (Appendix A height analysis).
+    """
+    covariance = as_complex_array(covariance)
+    if covariance.shape[0] != geometry.num_elements:
+        raise EstimationError(
+            f"covariance is {covariance.shape[0]}x{covariance.shape[0]} but the "
+            f"geometry has {geometry.num_elements} elements")
+    decomposition: SubspaceDecomposition = decompose(covariance, num_sources)
+    steering = _steering_matrix(geometry, angles_deg, wavelength_m, elevation_deg)
+    return spectrum_from_noise_subspace(decomposition.noise_subspace, steering)
+
+
+def bartlett_spectrum(covariance: np.ndarray, geometry: ArrayGeometry,
+                      angles_deg: np.ndarray,
+                      wavelength_m: float = WAVELENGTH_M,
+                      elevation_deg: float = 0.0) -> np.ndarray:
+    """Return the conventional (Bartlett) beamformer spectrum.
+
+    ``P(theta) = a^H R a / (a^H a)``; lower resolution than MUSIC but makes
+    no assumption about the number of sources, which is why the array
+    symmetry test (Section 2.3.4) uses it on the non-linear nine-antenna
+    geometry.  The quadratic form is evaluated as one ``R A`` GEMM followed
+    by an elementwise reduction -- the same shape of computation the stacked
+    :func:`bartlett_spectrum_many` runs per frame, keeping the two paths
+    bit-for-bit identical.
+    """
+    covariance = as_complex_array(covariance)
+    if covariance.shape[0] != geometry.num_elements:
+        raise EstimationError(
+            f"covariance is {covariance.shape[0]}x{covariance.shape[0]} but the "
+            f"geometry has {geometry.num_elements} elements")
+    steering = _steering_matrix(geometry, angles_deg, wavelength_m, elevation_deg)
+    projected = covariance @ steering                        # (M, K)
+    numerator = np.real(np.einsum("mk,mk->k", steering.conj(), projected))
+    normalization = np.real(np.sum(np.abs(steering) ** 2, axis=0))
+    return np.maximum(numerator, 0.0) / np.maximum(normalization, 1e-12)
+
+
+def capon_spectrum(covariance: np.ndarray, geometry: ArrayGeometry,
+                   angles_deg: np.ndarray,
+                   wavelength_m: float = WAVELENGTH_M,
+                   elevation_deg: float = 0.0,
+                   diagonal_loading: float = 1e-3) -> np.ndarray:
+    """Return the Capon (MVDR) spectrum ``1 / (a^H R^-1 a)``.
+
+    Diagonal loading regularizes the inverse when the covariance is estimated
+    from very few snapshots (the N = 1 case of Figure 19 would otherwise be
+    singular).  The quadratic form is evaluated through
+    ``np.linalg.solve(regularized, steering)`` rather than an explicit
+    ``np.linalg.inv``: better conditioned and one fewer GEMM.
+    """
+    covariance = as_complex_array(covariance)
+    if covariance.shape[0] != geometry.num_elements:
+        raise EstimationError(
+            f"covariance is {covariance.shape[0]}x{covariance.shape[0]} but the "
+            f"geometry has {geometry.num_elements} elements")
+    num_antennas = covariance.shape[0]
+    loading = diagonal_loading * float(np.real(np.trace(covariance))) / num_antennas
+    regularized = covariance + loading * np.eye(num_antennas)
+    steering = _steering_matrix(geometry, angles_deg, wavelength_m, elevation_deg)
+    solution = np.linalg.solve(regularized, steering)        # R^-1 A, (M, K)
+    quadratic = np.real(np.einsum("mk,mk->k", steering.conj(), solution))
+    return 1.0 / np.maximum(quadratic, 1e-12)
+
+
+def side_powers(resolver: SymmetryResolver, snapshots: np.ndarray,
+                spectrum: AoASpectrum | None = None) -> tuple[float, float]:
+    """Return total Bartlett power in the upper/lower half planes.
+
+    Parameters
+    ----------
+    snapshots:
+        ``(M, N)`` snapshot matrix captured on the resolver's geometry
+        (phase offsets already calibrated out).
+    spectrum:
+        Optional mirrored MUSIC spectrum of the same frame.  When given,
+        the Bartlett response is weighted by the spectrum before
+        integrating each half plane, so the comparison concentrates on
+        the bearings where MUSIC actually sees arrivals instead of being
+        diluted by side-lobe energy.
+    """
+    snapshots = as_complex_array(snapshots)
+    if snapshots.shape[0] != resolver.geometry.num_elements:
+        raise EstimationError(
+            f"snapshots have {snapshots.shape[0]} rows but the geometry has "
+            f"{resolver.geometry.num_elements} elements")
+    covariance = sample_covariance(snapshots)
+    angles = default_angle_grid(resolver.angle_resolution_deg, full_circle=True)
+    power = bartlett_spectrum(covariance, resolver.geometry, angles, resolver.wavelength_m)
+    if spectrum is not None:
+        weights = spectrum.power_at_local(angles)
+        peak = float(np.max(weights))
+        if peak > 0:
+            power = power * (weights / peak)
+    upper = float(np.sum(power[angles < 180.0]))
+    lower = float(np.sum(power[angles >= 180.0]))
+    return upper, lower
+
+
+def resolve(resolver: SymmetryResolver, spectrum: AoASpectrum,
+            snapshots: np.ndarray, attenuation: float = 0.0) -> AoASpectrum:
+    """Return ``spectrum`` with the weaker half plane suppressed.
+
+    Parameters
+    ----------
+    spectrum:
+        The mirrored 360-degree spectrum produced by the linear array.
+    snapshots:
+        Nine-antenna snapshot matrix for the same frame.
+    attenuation:
+        Residual scale applied to the suppressed half (0 removes it
+        entirely, matching the paper).
+    """
+    upper, lower = side_powers(resolver, snapshots, spectrum)
+    suppress_lower = upper >= lower
+    return spectrum.suppress_half_plane(suppress_lower, attenuation)
 
 
 def _subarray(array: DeployedArray, indices: Sequence[int]) -> ArrayGeometry:
@@ -128,8 +457,8 @@ def reference_spectrum_with_symmetry(config: SpectrumConfig,
     full_indices = list(full_indices)
     resolver = SymmetryResolver(_subarray(array, full_indices),
                                 array.wavelength_m)
-    return resolver.resolve(spectrum, snapshots.samples[full_indices, :],
-                            attenuation=config.symmetry_attenuation)
+    return resolve(resolver, spectrum, snapshots.samples[full_indices, :],
+                   attenuation=config.symmetry_attenuation)
 
 
 def reference_ap_spectrum(ap: ArrayTrackAP, entry: BufferEntry) -> AoASpectrum:

@@ -21,6 +21,8 @@ from repro.core import (
 )
 from repro.errors import EstimationError
 
+from tests.core import _oracle as oracle
+
 
 def _snapshots_for(bearings, amplitudes, num=200, snr_db=30.0, seed=0, antennas=8):
     geometry = ArrayGeometry.uniform_linear(antennas)
@@ -169,13 +171,14 @@ def _snapshot_stack(num_frames=6, num=10, antennas=8, seed=11):
 
 
 class TestStackedCovariance:
-    """The *_many variants must be bit-for-bit identical per frame."""
+    """The *_many variants must match the serial oracle bit for bit per frame."""
 
     def test_sample_covariance_many_matches_serial_bitwise(self):
         stack = _snapshot_stack()
         batched = sample_covariance_many(stack)
         for frame in range(stack.shape[0]):
-            assert np.array_equal(batched[frame], sample_covariance(stack[frame]))
+            assert np.array_equal(batched[frame],
+                                  oracle.sample_covariance(stack[frame]))
 
     def test_sample_covariance_many_with_loading_matches_serial(self):
         stack = _snapshot_stack(num_frames=4)
@@ -183,14 +186,14 @@ class TestStackedCovariance:
         for frame in range(stack.shape[0]):
             assert np.array_equal(
                 batched[frame],
-                sample_covariance(stack[frame], diagonal_loading=0.05))
+                oracle.sample_covariance(stack[frame], diagonal_loading=0.05))
 
     def test_forward_backward_many_matches_serial_bitwise(self):
         stack = _snapshot_stack(num_frames=4)
         batched = forward_backward_covariance_many(stack)
         for frame in range(stack.shape[0]):
-            assert np.array_equal(batched[frame],
-                                  forward_backward_covariance(stack[frame]))
+            assert np.array_equal(
+                batched[frame], oracle.forward_backward_covariance(stack[frame]))
 
     @pytest.mark.parametrize("groups", [1, 2, 3])
     @pytest.mark.parametrize("forward_backward", [False, True])
@@ -202,8 +205,8 @@ class TestStackedCovariance:
         for frame in range(stack.shape[0]):
             assert np.array_equal(
                 batched[frame],
-                smoothed_covariance(stack[frame], groups,
-                                    forward_backward=forward_backward))
+                oracle.smoothed_covariance(stack[frame], groups,
+                                           forward_backward=forward_backward))
 
     def test_stack_shape_validation(self):
         with pytest.raises(EstimationError):
@@ -213,7 +216,7 @@ class TestStackedCovariance:
 
 
 class TestStackedDecompose:
-    """decompose_many over an (F, M, M) eigh stack vs per-frame decompose."""
+    """decompose_many over an (F, M, M) eigh stack vs the serial oracle."""
 
     def _assert_frames_equal(self, batch, covariances, num_sources=None):
         for frame in range(covariances.shape[0]):
@@ -221,7 +224,7 @@ class TestStackedDecompose:
             if num_sources is not None:
                 forced = num_sources if np.isscalar(num_sources) \
                     else num_sources[frame]
-            serial = decompose(covariances[frame], num_sources=forced)
+            serial = oracle.decompose(covariances[frame], num_sources=forced)
             stacked = batch.frame(frame)
             assert stacked.num_sources == serial.num_sources
             assert np.array_equal(stacked.eigenvalues, serial.eigenvalues)

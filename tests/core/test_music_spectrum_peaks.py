@@ -24,6 +24,8 @@ from repro.core import (
 from repro.errors import EstimationError
 from repro.geometry import Point2D
 
+from tests.core import _oracle as oracle
+
 
 def _covariance_for(bearings, amplitudes, antennas=8, snr_db=30.0, num=200, seed=0,
                     smoothing=1):
@@ -105,7 +107,7 @@ class TestEstimators:
 
 
 class TestStackedEstimators:
-    """The *_many estimators must match the serial calls bit for bit."""
+    """The *_many estimators must match the serial oracle bit for bit."""
 
     def _covariance_stack(self, num_frames=5, seed=2):
         rng = np.random.default_rng(seed)
@@ -125,8 +127,8 @@ class TestStackedEstimators:
         batched = music_spectrum_many(covariances, geometry, angles)
         for frame in range(covariances.shape[0]):
             assert np.array_equal(batched[frame],
-                                  music_spectrum(covariances[frame], geometry,
-                                                 angles))
+                                  oracle.music_spectrum(covariances[frame],
+                                                        geometry, angles))
 
     def test_music_many_forced_counts(self):
         covariances, geometry = self._covariance_stack(num_frames=4)
@@ -136,19 +138,32 @@ class TestStackedEstimators:
         for frame, forced in enumerate([1, 2, 7, 3]):
             assert np.array_equal(
                 batched[frame],
-                music_spectrum(covariances[frame], geometry, angles,
-                               num_sources=forced))
+                oracle.music_spectrum(covariances[frame], geometry, angles,
+                                      num_sources=forced))
 
     def test_bartlett_and_capon_many_match_serial_bitwise(self):
         covariances, geometry = self._covariance_stack()
         angles = default_angle_grid(1.0, full_circle=False)
-        for serial, batched in ((bartlett_spectrum, bartlett_spectrum_many),
-                                (capon_spectrum, capon_spectrum_many)):
+        for serial, batched in (
+                (oracle.bartlett_spectrum, bartlett_spectrum_many),
+                (oracle.capon_spectrum, capon_spectrum_many)):
             stacked = batched(covariances, geometry, angles)
             for frame in range(covariances.shape[0]):
                 assert np.array_equal(stacked[frame],
                                       serial(covariances[frame], geometry,
                                              angles))
+
+    def test_capon_many_names_zero_trace_frames(self):
+        covariances, geometry = self._covariance_stack(num_frames=4)
+        covariances[[1, 3]] = 0.0
+        angles = default_angle_grid(1.0, full_circle=False)
+        with pytest.raises(EstimationError, match=r"frames \[1, 3\]"):
+            capon_spectrum_many(covariances, geometry, angles)
+        # MUSIC and Bartlett still map an all-zero frame to a spectrum.
+        assert np.all(np.isfinite(
+            music_spectrum_many(covariances, geometry, angles)))
+        assert not np.any(
+            bartlett_spectrum_many(covariances, geometry, angles)[[1, 3]])
 
     def test_stack_dimension_mismatch_rejected(self):
         geometry = ArrayGeometry.uniform_linear(8)

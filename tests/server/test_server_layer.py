@@ -9,6 +9,8 @@ from repro.errors import ConfigurationError, EstimationError
 from repro.geometry import Point2D, bearing_deg
 from repro.server import ArrayTrackServer, ClientTracker, ServerConfig
 
+from tests.core._oracle import reference_suppress
+
 
 def _spectrum_towards(ap_position, target, width=3.0, timestamp_s=0.0,
                       extra_peak=None):
@@ -70,10 +72,6 @@ class TestArrayTrackServer:
         with pytest.raises(EstimationError):
             self._service().localize({})
 
-    def test_localize_client_requires_aps(self):
-        with pytest.raises(ConfigurationError):
-            self._server().localize_client([], "c")
-
     def test_latency_breakdown_uses_measured_processing(self):
         service = self._service()
         server = service.server
@@ -126,6 +124,33 @@ class TestArrayTrackServer:
         batched = service.server.localize_batch({"c0": spectra})
         assert batched["c0"].position.distance_to(single.position) <= 1e-9
         assert batched["c0"].position.distance_to(TARGET) < 0.3
+
+    def test_localize_batch_folds_the_earliest_burst_primary(self):
+        """With two bursts at one AP, the earliest burst's primary enters.
+
+        ap0 holds a ghost burst at t=0 and a clean burst at t=1, listed
+        latest first; the fold must take the suppressed t=0 primary.  The
+        t=1 burst points elsewhere, so folding it would move the fix.
+        """
+        ghost = _spectrum_towards(AP_POSITIONS[0], TARGET, timestamp_s=0.0,
+                                  extra_peak=200.0)
+        companion = _spectrum_towards(AP_POSITIONS[0], TARGET, timestamp_s=0.03)
+        clean = [_spectrum_towards(AP_POSITIONS[0], Point2D(15.0, 3.0),
+                                   timestamp_s=t)
+                 for t in (1.0, 1.03)]
+        others = [_spectrum_towards(p, TARGET) for p in AP_POSITIONS[1:]]
+        server = self._server(enable_multipath_suppression=True)
+        batched = server.localize_batch(
+            {"c": {"ap0": clean + [ghost, companion],
+                   "ap1": [others[0]], "ap2": [others[1]]}})["c"]
+        primary = reference_suppress(server.config.suppressor,
+                                     [ghost, companion])
+        earliest = server.synthesize_batch({"c": [primary] + others})["c"]
+        latest = server.synthesize_batch({"c": [clean[0]] + others})["c"]
+        assert batched.position == earliest.position
+        assert batched.likelihood == earliest.likelihood
+        assert earliest.position.distance_to(TARGET) < 0.3
+        assert latest.position != earliest.position
 
     def test_localize_batch_rejects_empty_input(self):
         server = self._server()

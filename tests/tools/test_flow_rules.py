@@ -39,9 +39,8 @@ SEEDED_BUGS = {
 }
 
 
-def lint_flow(*names, flow=True, jobs=1):
-    return run_paths([str(FIXTURES / name) for name in names],
-                     flow=flow, jobs=jobs)
+def lint_flow(*names, jobs=1):
+    return run_paths([str(FIXTURES / name) for name in names], jobs=jobs)
 
 
 def lint_source(tmp_path, source, name="prog.py"):
@@ -288,24 +287,11 @@ class TestShmLifetime:
             "the reasoned RPR004 suppression must stay retired: RPR012's "
             "cross-function proof replaces it")
         result = run_paths([str(REPO_ROOT / "src")])
-        shm_findings = [v for v in result.violations
-                        if v.rule in ("RPR004", "RPR012")]
+        shm_findings = [v for v in result.violations if v.rule == "RPR012"]
         assert shm_findings == []
-
-    def test_no_flow_restores_the_per_file_rpr004(self):
-        bad = str(FIXTURES / "rpr004_bad.py")
-        with_flow = run_paths([bad], flow=True)
-        without_flow = run_paths([bad], flow=False)
-        assert {v.rule for v in with_flow.violations} == {"RPR012"}
-        assert {v.rule for v in without_flow.violations} == {"RPR004"}
 
 
 class TestEngineModes:
-    def test_no_flow_disables_flow_rules(self):
-        result = lint_flow("rpr009_bad.py", flow=False)
-        assert result.violations == []
-        assert result.flow is False
-
     def test_parallel_jobs_match_serial_results(self):
         names = [bad for bad, _good, _n in FLOW_FIXTURE_PAIRS.values()]
         names += [good for _bad, good, _n in FLOW_FIXTURE_PAIRS.values()]

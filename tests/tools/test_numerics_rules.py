@@ -79,11 +79,6 @@ class TestNumericsFixtures:
         assert fired == {rule_id}, (
             f"{fixture} should only trip {rule_id}, got {sorted(fired)}")
 
-    def test_no_flow_skips_numerics(self):
-        bad, _good, _count = NUMERICS_FIXTURE_PAIRS["RPR013"]
-        result = run_paths([str(FIXTURES / bad)], flow=False)
-        assert result.violations == []
-
 
 class TestDtypePinAnnotations:
     def test_annotation_regex_requires_reason_to_satisfy(self):

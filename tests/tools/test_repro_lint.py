@@ -29,8 +29,8 @@ RULE_IDS = [rule.id for rule in RULES]
 FIXTURE_PAIRS = {
     "RPR001": ("rpr001_bad.py", "rpr001_good.py", 3),
     "RPR002": ("rpr002_bad.py", "rpr002_good.py", 2),
-    # RPR003 is retired: RPR009 (tests/tools/test_flow_rules.py) subsumes it.
-    "RPR004": ("rpr004_bad.py", "rpr004_good.py", 1),
+    # RPR003 and RPR004 are retired: RPR009 and RPR012
+    # (tests/tools/test_flow_rules.py) subsume them.
     "RPR005": ("rpr005_bad.py", "rpr005_good.py", 2),
     "RPR006": ("rpr006_bad.py", "rpr006_good.py", 2),
     "RPR007": ("eval/rpr007_bad.py", "eval/rpr007_good.py", 2),

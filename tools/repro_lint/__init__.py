@@ -13,7 +13,7 @@ Usage::
 
 Suppress a single finding inline, with a mandatory reason::
 
-    risky_call()  # repro-lint: disable=RPR004 -- unlinked by caller's finally
+    risky_call()  # repro-lint: disable=RPR012 -- unlinked by caller's finally
 """
 
 from tools.repro_lint.engine import (

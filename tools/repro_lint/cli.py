@@ -36,11 +36,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--format", choices=("text", "json"), default="text",
         help="report format (json is schema-stable; default: text)")
     parser.add_argument(
-        "--flow", action=argparse.BooleanOptionalAction, default=True,
-        help=("run the whole-program flow pass (RPR009-017) over the "
-              "scanned set; --no-flow restores the per-file rules alone "
-              "(RPR004 included)"))
-    parser.add_argument(
         "--jobs", type=int, default=1, metavar="N",
         help=("worker processes for the per-file pass "
               "(0 = one per CPU; default: 1)"))
@@ -142,8 +137,8 @@ def main(argv: Sequence[str] | None = None) -> int:
                   f"checkout: {exc}", file=sys.stderr)
             return 2
     try:
-        result = run_paths(arguments.paths, flow=arguments.flow,
-                           jobs=arguments.jobs, restrict=restrict)
+        result = run_paths(arguments.paths, jobs=arguments.jobs,
+                           restrict=restrict)
     except FileNotFoundError as exc:
         print(f"repro-lint: error: {exc}", file=sys.stderr)
         return 2

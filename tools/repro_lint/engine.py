@@ -4,10 +4,10 @@ The engine parses each file once with the stdlib ``ast`` module, wraps the
 tree in a :class:`ModuleContext` (parent links plus an import-alias map so
 rules can resolve ``np.arange`` and friends to dotted names), runs every
 per-file rule, and then filters the findings through the file's inline
-suppression comments.  With ``flow`` enabled (the default) a second,
-whole-program pass (``tools.repro_lint.flow``) runs the RPR009-017 rules
-over the same file set; the per-file pass can fan out over worker
-processes (``jobs``) while the flow pass always runs in the parent.
+suppression comments.  A second, whole-program pass
+(``tools.repro_lint.flow``) then runs the RPR009-017 rules over the same
+file set; the per-file pass can fan out over worker processes (``jobs``)
+while the flow pass always runs in the parent.
 
 Suppression syntax (same line as the finding)::
 
@@ -98,15 +98,14 @@ class LintResult:
     violations: list[Violation]
     files_checked: int
     parse_failures: int = 0
-    flow: bool = False
     #: Files with at least one ``# repro-lint: disable=`` waiver -> count
     #: (the CLI's suppression budget sums these per top-level directory).
     waivers_by_path: dict[str, int] = field(default_factory=dict)
     #: Honored-waiver counts per rule id (``RPR...`` suppression-budget
     #: keys compare against these).
     waivers_by_rule: dict[str, int] = field(default_factory=dict)
-    #: The numerics pass's float32-readiness inventory (empty without
-    #: ``flow``); see ``tools.repro_lint.numerics.surface``.
+    #: The numerics pass's float32-readiness inventory; see
+    #: ``tools.repro_lint.numerics.surface``.
     dtype_surface: dict[str, object] = field(default_factory=dict)
 
     @property
@@ -215,11 +214,7 @@ def _import_map(tree: ast.Module) -> dict[str, str]:
 
 
 def _known_rule_ids() -> set[str]:
-    """Every valid suppression target: per-file rules plus flow rules.
-
-    Flow ids are always valid (even under ``--no-flow``), so a file does
-    not oscillate between "unknown rule" and "suppressed" across modes.
-    """
+    """Every valid suppression target: per-file rules plus flow rules."""
     from tools.repro_lint.flow import FLOW_RULE_IDS
     from tools.repro_lint.rules import RULES
 
@@ -413,12 +408,11 @@ def _read_for_flow(path: str) -> tuple[str, str] | None:
 
 def run_paths(paths: Sequence[str],
               excluded_dirs: Iterable[str] = DEFAULT_EXCLUDED_DIRS,
-              *, flow: bool = True, jobs: int = 1,
+              *, jobs: int = 1,
               restrict: Iterable[str] | None = None) -> LintResult:
     """Lint every python file under ``paths``; the CLI's workhorse.
 
-    ``flow`` adds the whole-program RPR009-017 pass (and drops per-file
-    RPR004 findings, which RPR012's cross-function proof subsumes).
+    The per-file rules run first, then the whole-program RPR009-017 pass.
     ``jobs`` > 1 runs the per-file pass in that many worker processes
     (0 = one per CPU); the flow pass always runs in the parent.
     ``restrict`` (``--changed-only``) limits the per-file pass and the
@@ -442,37 +436,29 @@ def run_paths(paths: Sequence[str],
     violations: list[Violation] = []
     for outcome in outcomes:
         violations.extend(outcome.violations)
-    dtype_surface: dict[str, object] = {}
-    if flow:
-        # RPR012 proves (or refutes) the shm lifetime across functions;
-        # the per-file RPR004 heuristic would double-report every site.
-        violations = [violation for violation in violations
-                      if violation.rule != "RPR004"]
-        from tools.repro_lint.flow import run_flow
+    from tools.repro_lint.flow import run_flow
 
-        known = _known_rule_ids()
-        suppressions_by_path = {outcome.path: outcome.suppressions
-                                for outcome in outcomes}
-        flow_inputs = [(outcome.path, outcome.source)
-                       for outcome in outcomes
-                       if outcome.source is not None
-                       and not outcome.parse_failed]
-        outcome_paths = {outcome.path for outcome in outcomes}
-        for path in files:
-            if path not in outcome_paths:
-                extra = _read_for_flow(path)
-                if extra is not None:
-                    flow_inputs.append(extra)
-        report = run_flow(flow_inputs)
-        dtype_surface = report.dtype_surface
-        for violation in report.violations:
-            if restricted is not None \
-                    and violation.path not in restricted:
-                continue
-            kept = _silence(
-                [violation],
-                suppressions_by_path.get(violation.path, []), known)
-            violations.extend(kept)
+    known = _known_rule_ids()
+    suppressions_by_path = {outcome.path: outcome.suppressions
+                            for outcome in outcomes}
+    flow_inputs = [(outcome.path, outcome.source)
+                   for outcome in outcomes
+                   if outcome.source is not None
+                   and not outcome.parse_failed]
+    outcome_paths = {outcome.path for outcome in outcomes}
+    for path in files:
+        if path not in outcome_paths:
+            extra = _read_for_flow(path)
+            if extra is not None:
+                flow_inputs.append(extra)
+    report = run_flow(flow_inputs)
+    for violation in report.violations:
+        if restricted is not None and violation.path not in restricted:
+            continue
+        kept = _silence(
+            [violation],
+            suppressions_by_path.get(violation.path, []), known)
+        violations.extend(kept)
     violations.sort(key=Violation.sort_key)
     waivers_by_rule: dict[str, int] = {}
     for outcome in outcomes:
@@ -485,8 +471,7 @@ def run_paths(paths: Sequence[str],
         violations=violations,
         files_checked=len(lint_files),
         parse_failures=sum(1 for outcome in outcomes if outcome.parse_failed),
-        flow=flow,
         waivers_by_path={outcome.path: outcome.waiver_count
                         for outcome in outcomes if outcome.waiver_count},
         waivers_by_rule=dict(sorted(waivers_by_rule.items())),
-        dtype_surface=dtype_surface)
+        dtype_surface=report.dtype_surface)

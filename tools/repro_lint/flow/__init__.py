@@ -1,4 +1,4 @@
-"""Whole-program flow analysis for repro-lint (``--flow``, on by default).
+"""Whole-program flow analysis for repro-lint (runs on every lint pass).
 
 Two passes over the scanned file set: pass 1 (``symbols`` + ``callgraph``)
 builds the cross-file symbol table, the per-class attribute model and an
@@ -78,8 +78,9 @@ FLOW_RULES: list[FlowRule] = [
         "SharedMemory(create=True) handle not proven to reach unlink() "
         "on every path, followed across function boundaries",
         "PR 6/7: pack() creates the segment, _run()'s finally releases "
-        "it; the per-file RPR004 cannot see that split lifetime and "
-        "needed a reasoned suppression this analysis replaces",
+        "it; the retired per-file RPR004 could not see that split "
+        "lifetime and needed a reasoned suppression this analysis "
+        "replaces",
         check_shm_lifetime),
     FlowRule(
         "RPR013", "dtype-pinning-unaudited",

@@ -9,8 +9,8 @@ RPR012 follows each ``SharedMemory(create=True)`` handle across function
 boundaries: the handle is proven released when an enclosing ``finally``
 unlinks it (directly or through a releaser helper), or when it is returned
 and *every* call site's binding is proven released in turn.  This is the
-cross-function proof that replaces the per-file RPR004 check (and its
-suppression) for split-lifetime patterns like ``_ArrayPacker.pack()``.
+cross-function proof that replaced the retired per-file RPR004 check (and
+its suppression) for split-lifetime patterns like ``_ArrayPacker.pack()``.
 """
 
 from __future__ import annotations

@@ -47,14 +47,15 @@ def to_json_payload(result: LintResult) -> dict[str, Any]:
         "tool": "repro-lint",
         "files_checked": result.files_checked,
         "exit_code": result.exit_code,
-        "flow": result.flow,
+        # The flow pass always runs; the key stays for schema stability.
+        "flow": True,
         "parse_failures": result.parse_failures,
         "suppression_counts": dict(sorted(result.waivers_by_path.items())),
         "suppression_counts_by_rule": dict(
             sorted(result.waivers_by_rule.items())),
         "counts_by_rule": result.counts_by_rule(),
-        # Float32-readiness inventory from the numerics pass (empty dict
-        # under --no-flow); see docs/static_analysis.md for the schema.
+        # Float32-readiness inventory from the numerics pass; see
+        # docs/static_analysis.md for the schema.
         "dtype_surface": result.dtype_surface,
         "violations": [
             {

@@ -123,52 +123,14 @@ def _check_matrix_inverse(context: ModuleContext) -> Iterator[Finding]:
 
 
 # ----------------------------------------------------------------------
-# RPR004 -- SharedMemory(create=True) without a finally: unlink()
+# RPR004 (retired) -- SharedMemory(create=True) without a finally: unlink()
+#
+# The per-file check looked for an ``unlink()``/``release`` call in a
+# ``finally`` of the creating function.  It is superseded by RPR012
+# (tools/repro_lint/flow/escape.py), which follows the handle across
+# function boundaries and so also proves split lifetimes like
+# ``_ArrayPacker.pack()``.  The id stays reserved and is not reused.
 # ----------------------------------------------------------------------
-def _finally_unlinks(scope: ast.AST) -> bool:
-    def is_unlink_call(node: ast.AST) -> bool:
-        if not isinstance(node, ast.Call):
-            return False
-        func = node.func
-        if isinstance(func, ast.Attribute):
-            name = func.attr
-        elif isinstance(func, ast.Name):
-            name = func.id
-        else:
-            return False
-        name = name.lower()
-        return "unlink" in name or "release" in name
-
-    for node in ast.walk(scope):
-        if isinstance(node, ast.Try) and node.finalbody:
-            for statement in node.finalbody:
-                if _contains(statement, is_unlink_call):
-                    return True
-    return False
-
-
-def _check_shared_memory_leak(context: ModuleContext) -> Iterator[Finding]:
-    for node in ast.walk(context.tree):
-        if not isinstance(node, ast.Call):
-            continue
-        dotted = context.resolve_call(node)
-        if dotted is None or not dotted.endswith("SharedMemory"):
-            continue
-        creates = any(keyword.arg == "create"
-                      and isinstance(keyword.value, ast.Constant)
-                      and keyword.value.value is True
-                      for keyword in node.keywords)
-        if not creates:
-            continue
-        scope = context.enclosing_function(node) or context.tree
-        if _finally_unlinks(scope):
-            continue
-        line, col = _location(node)
-        yield (line, col,
-               "SharedMemory(create=True) with no unlink() reachable in a "
-               "finally in this function: the segment outlives every error "
-               "path and leaks in /dev/shm; close and unlink in a finally "
-               "(see repro.api._procpool._release_segment)")
 
 
 # ----------------------------------------------------------------------
@@ -434,13 +396,6 @@ RULES: list[Rule] = [
          "PR 5: the Capon quadratic form via inv() was worse conditioned "
          "and one GEMM slower than solve()",
          _check_matrix_inverse),
-    Rule("RPR004", "shared-memory-leak",
-         "SharedMemory(create=True) without unlink() in a finally "
-         "(per-file heuristic; RPR012's cross-function proof replaces "
-         "it when --flow is on)",
-         "PR 6: a segment not unlinked on the error path outlives the "
-         "process and leaks /dev/shm until reboot",
-         _check_shared_memory_leak),
     Rule("RPR005", "executor-pickling-hazard",
          "lambda/closure/local function submitted to an executor",
          "PR 6: spawn-based process pools pickle the task; closures that "
