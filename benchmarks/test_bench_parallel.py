@@ -10,8 +10,8 @@ office testbed with refinement *enabled*, four ways:
   reference in ``tests/core/_oracle.py`` (grid seeds, then per-candidate
   Python hill climbing, one thread) over the same localizer config;
 * ``vectorized`` -- the batched refiner
-  (:func:`repro.core.optimizer.refine_many`): every round evaluates the
-  stacked candidates of all clients' climbers in one Equation 8 pass per AP;
+  (:func:`repro.core.optimizer.refine_many`): every round scores the
+  stacked candidates of all clients' climbers in one pass across all slots;
 * ``vectorized + threads`` -- the same, plus ``parallel.backend=thread``
   sharding the batch across 4 workers (GIL-releasing NumPy overlap only);
 * ``vectorized + processes`` -- the same, plus ``parallel.backend=process``

@@ -25,13 +25,13 @@ once and cached.  One batch runs these stages:
    with one seed, so every seed and grid fix is bit-for-bit the one a full
    fold would pick;
 4. hill-climbing refinement (Section 2.5) is driven by the vectorized
-   refiner (:func:`repro.core.optimizer.refine_many`): each round stacks
-   the compass-neighbour candidates of every active climber of every client
-   and evaluates them in one Equation 8 pass per (slot, placement), replaying
-   the exact tie-breaking and evaluation budget of
-   :func:`~repro.core.optimizer.hill_climb` over
+   refiner (:func:`repro.core.optimizer.refine_many`), which keeps every
+   climber in NumPy arrays: each round stacks the compass-neighbour
+   candidates of every active climber of every client and scores them in
+   one pass across all slots, with the exact tie-breaking and evaluation
+   budget of a serial per-candidate climb over
    :func:`~repro.core.likelihood.likelihood_at`, so a refined fix is
-   bit-for-bit what that per-candidate climb would reach.
+   bit-for-bit what that climb would reach.
 
 The full per-client plane is built only under ``keep_heatmap``, by
 :func:`~repro.core.likelihood.synthesize_likelihood`.
@@ -206,6 +206,69 @@ class _SlotEntry:
         self.rows: np.ndarray = np.empty(0, dtype=int)   # unit index -> row
 
 
+class _PointTable:
+    """One angle grid's spectra as ``(slots, units)`` arrays.
+
+    Entry ``[slot, unit]`` holds the AP position and orientation of the
+    unit's ``slot``-th spectrum, the start of its normalized power row in
+    one concatenated flat matrix and its floor term.  A pair whose
+    spectrum is on another grid (or that has no ``slot``-th spectrum) is
+    flagged in ``absent`` and scores exactly 1.0.
+    """
+
+    __slots__ = ("angles_deg", "ap_x", "ap_y", "orientation_deg", "starts",
+                 "floors", "absent", "powers")
+
+    def __init__(self, placed: list[tuple[int, _SlotEntry]],
+                 num_slots: int, num_units: int, floor: float) -> None:
+        shape = (num_slots, num_units)
+        self.angles_deg = placed[0][1].angles_deg
+        self.ap_x = np.zeros(shape)
+        self.ap_y = np.zeros(shape)
+        self.orientation_deg = np.zeros(shape)
+        self.starts = np.zeros(shape, dtype=int)
+        floors = np.zeros(shape)
+        present = np.zeros(shape, dtype=bool)
+        num_angles = self.angles_deg.shape[0]
+        offset = 0
+        for slot, entry in placed:
+            units = entry.units
+            self.ap_x[slot, units] = entry.ap_x
+            self.ap_y[slot, units] = entry.ap_y
+            self.orientation_deg[slot, units] = entry.orientation_deg
+            self.starts[slot, units] = (offset + np.arange(units.shape[0])) \
+                * num_angles
+            floors[slot, units] = floor * entry.maxima
+            present[slot, units] = True
+            offset += units.shape[0]
+        self.powers = np.concatenate(
+            [entry.powers for _, entry in placed]).ravel()
+        self.floors = floors if floor > 0 else None
+        self.absent = None if np.all(present) else ~present
+
+    def values(self, units: np.ndarray, xs: np.ndarray,
+               ys: np.ndarray) -> np.ndarray:
+        """``P_i(theta_i(x))`` of every slot at each point, ``(slots, n)``."""
+        # ``take`` along the unit axis gathers faster than ``[:, units]``.
+        dx = xs - self.ap_x.take(units, axis=1)
+        dy = ys - self.ap_y.take(units, axis=1)
+        lower, upper, fraction = circular_interpolation_table(
+            self.angles_deg,
+            bearings_deg(dx, dy) - self.orientation_deg.take(units, axis=1))
+        starts = self.starts.take(units, axis=1)
+        values = (1.0 - fraction) * self.powers[starts + lower] \
+            + fraction * self.powers[starts + upper]
+        # power_towards rates the AP's own location zero (the bearing is
+        # undefined there); the floor below still applies, exactly like
+        # the scalar path.
+        values[np.hypot(dx, dy) < 1e-9] = 0.0
+        if self.floors is not None:
+            np.maximum(values, self.floors.take(units, axis=1), out=values)
+        if self.absent is not None:
+            values[self.absent.take(units, axis=1)] = 1.0
+        return values
+
+
 class _StackedObjective:
     """Batched Equation 8 at grid cells and at arbitrary points.
 
@@ -213,8 +276,11 @@ class _StackedObjective:
     position, floor)`` with out-of-bounds candidates rated 0.0; this class
     is its stacked equivalent for :func:`repro.core.optimizer.refine_many`
     (:meth:`evaluate`) and for the grid seeding (:meth:`fold_cells`,
-    :meth:`block_bounds`).  Every candidate is scored against its own
-    client's spectra in one NumPy pass per (slot, AP placement) group.
+    :meth:`block_bounds`).  Grid cells are folded per (slot, AP
+    placement) group; a refinement round's candidates are scored against
+    their own clients' spectra in one pass across all slots, through one
+    :class:`_PointTable` per angle grid (built on the first
+    :meth:`evaluate` call).
 
     Bit-exactness with the scalar path holds because every step performs
     the identical elementwise arithmetic -- the bearing of
@@ -239,6 +305,8 @@ class _StackedObjective:
         self._bounds = bounds
         self._floor = config.spectrum_floor
         self.num_units = len(self.keys)
+        # Built on the first evaluate call, so grid-only batches skip them.
+        self._point_tables: list[_PointTable] | None = None
         entries: dict[tuple[int, tuple], _SlotEntry] = {}
         jobs: dict[tuple[int, tuple], list[tuple[int, np.ndarray]]] = {}
         max_slots = 0
@@ -280,28 +348,49 @@ class _StackedObjective:
 
     def evaluate(self, units: np.ndarray, xs: np.ndarray,
                  ys: np.ndarray) -> np.ndarray:
-        """Return the refinement objective at every candidate point."""
+        """Return the refinement objective at every candidate point.
+
+        One pass across all slots: each angle grid's :class:`_PointTable`
+        scores every (slot, candidate) pair as one ``(slots, n)`` array,
+        and the rows are multiplied in slot order.
+        """
         units = np.asarray(units, dtype=int)
-        points = np.stack((np.asarray(xs, dtype=float),
-                           np.asarray(ys, dtype=float)))
-        # The scalar objective short-circuits out-of-bounds candidates to
-        # 0.0 without touching the spectra; do the same (climbers near the
-        # boundary probe outside every round) and fold only the rest.
+        xs = np.asarray(xs, dtype=float)
+        ys = np.asarray(ys, dtype=float)
+        if self._point_tables is None:
+            self._point_tables = self._build_point_tables()
+        factors: np.ndarray | None = None
+        for table in self._point_tables:
+            values = table.values(units, xs, ys)
+            # Every pair is scored by at most one grid; the others give
+            # exactly 1.0, so this product leaves the values unchanged.
+            factors = values if factors is None else factors * values
+        assert factors is not None
+        likelihood = factors[0]
+        for row in factors[1:]:
+            likelihood = likelihood * row
+        # The scalar objective rates out-of-bounds candidates 0.0 without
+        # reading the spectra (climbers near the boundary probe outside
+        # every round); their products above are discarded here.
         xmin, ymin, xmax, ymax = self._bounds
-        inside = (points[0] >= xmin) & (points[0] <= xmax) \
-            & (points[1] >= ymin) & (points[1] <= ymax)
-        if not np.all(inside):
-            values = np.zeros(units.shape[0])
-            kept = np.nonzero(inside)[0]
-            if kept.shape[0]:
-                values[kept] = self._fold(units[kept], points[:, kept],
-                                          self._point_values)
-            return values
-        return self._fold(units, points, self._point_values)
+        inside = (xs >= xmin) & (xs <= xmax) & (ys >= ymin) & (ys <= ymax)
+        return np.where(inside, likelihood, 0.0)
+
+    def _build_point_tables(self) -> list[_PointTable]:
+        """One :class:`_PointTable` per angle grid of the batch."""
+        grids: dict[tuple[int, float], list[tuple[int, _SlotEntry]]] = {}
+        for slot, slot_entries in enumerate(self._slots):
+            for entry in slot_entries:
+                angles = entry.angles_deg
+                grid = (int(angles.shape[0]), float(angles[1] - angles[0]))
+                grids.setdefault(grid, []).append((slot, entry))
+        return [_PointTable(placed, len(self._slots), self.num_units,
+                            self._floor)
+                for placed in grids.values()]
 
     def fold_cells(self, units: np.ndarray, cells: np.ndarray) -> np.ndarray:
         """Return Equation 8 at flat grid cells, one client per cell."""
-        return self._fold(units, cells, self._cell_values)
+        return self._fold(units, cells)
 
     def block_bounds(self) -> np.ndarray:
         """Return a ``(units, blocks)`` upper bound of Equation 8 per block.
@@ -338,57 +427,38 @@ class _StackedObjective:
                        out=factors)
         return factors * (1.0 + 1e-12) + 1e-323
 
-    def _fold(self, units: np.ndarray, where: np.ndarray,
-              values_of: Callable[[_SlotEntry, np.ndarray, np.ndarray],
-                                  np.ndarray]) -> np.ndarray:
-        """Equation 8 product at ``where``, slot-ordered per client."""
+    def _fold(self, units: np.ndarray, cells: np.ndarray) -> np.ndarray:
+        """Equation 8 product at flat ``cells``, slot-ordered per client."""
         likelihood = np.ones(units.shape[0])
         for slot_entries in self._slots:
             for entry in slot_entries:
                 if entry.membership is None:
-                    likelihood *= values_of(entry, units, where)
+                    likelihood *= self._cell_values(entry, units, cells)
                     continue
                 mask = entry.membership[units]
                 if not np.any(mask):
                     continue
                 selected = np.nonzero(mask)[0]
-                likelihood[selected] *= values_of(
-                    entry, units[selected], where[..., selected])
+                likelihood[selected] *= self._cell_values(
+                    entry, units[selected], cells[selected])
         return likelihood
-
-    def _point_values(self, entry: _SlotEntry, owners: np.ndarray,
-                      points: np.ndarray) -> np.ndarray:
-        """One placement's ``P_i(theta_i(x))`` term at ``(2, n)`` points."""
-        dx = points[0] - entry.ap_x
-        dy = points[1] - entry.ap_y
-        lower, upper, fraction = circular_interpolation_table(
-            entry.angles_deg, bearings_deg(dx, dy) - entry.orientation_deg)
-        return self._interpolate(entry, owners, lower, upper, fraction,
-                                 np.hypot(dx, dy) < 1e-9)
 
     def _cell_values(self, entry: _SlotEntry, owners: np.ndarray,
                      cells: np.ndarray) -> np.ndarray:
         """One placement's ``P_i(theta_i(x))`` term at flat grid cells."""
         table = entry.table
-        return self._interpolate(entry, owners, table.lower[cells],
-                                 table.upper[cells], table.fraction[cells],
-                                 table.collocated[cells])
-
-    def _interpolate(self, entry: _SlotEntry, owners: np.ndarray,
-                     lower: np.ndarray, upper: np.ndarray,
-                     fraction: np.ndarray,
-                     collocated: np.ndarray) -> np.ndarray:
         rows = entry.rows[owners]
         # One flat gather per bound reads the same elements as
         # ``powers[rows, lower]`` at well under half the cost.
         flat = entry.powers.ravel()
         starts = rows * entry.powers.shape[1]
-        values = (1.0 - fraction) * flat[starts + lower] \
-            + fraction * flat[starts + upper]
+        fraction = table.fraction[cells]
+        values = (1.0 - fraction) * flat[starts + table.lower[cells]] \
+            + fraction * flat[starts + table.upper[cells]]
         # power_towards rates the AP's own location zero (the bearing is
         # undefined there); the floor below still applies, exactly like
         # the scalar path.
-        values[collocated] = 0.0
+        values[table.collocated[cells]] = 0.0
         if self._floor > 0:
             np.maximum(values, self._floor * entry.maxima[rows], out=values)
         return values

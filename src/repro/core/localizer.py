@@ -11,6 +11,7 @@ full ArrayTrack pipeline of Figure 15.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from collections.abc import Mapping, Sequence
 
@@ -85,8 +86,14 @@ class LocalizerConfig:
     spectrum_floor: float = 0.02
 
     def __post_init__(self) -> None:
-        if self.grid_resolution_m <= 0:
-            raise EstimationError("grid_resolution_m must be positive")
+        if not math.isfinite(self.grid_resolution_m) \
+                or self.grid_resolution_m <= 0:
+            raise EstimationError(
+                "grid_resolution_m must be positive and finite")
+        if isinstance(self.num_seeds, bool) \
+                or not isinstance(self.num_seeds, int):
+            raise EstimationError(
+                f"num_seeds must be an int, got {self.num_seeds!r}")
         if self.num_seeds < 1:
             raise EstimationError("num_seeds must be >= 1")
         if not 0.0 <= self.spectrum_floor < 1.0:

@@ -6,11 +6,16 @@ climbing on the three positions with highest L(x) in the grid ... to refine
 our location estimate."
 
 The hill climber below is a derivative-free pattern search: from each seed it
-repeatedly evaluates the likelihood at four compass neighbours, moves to the
-best improvement, and halves the step when no neighbour improves, until the
-step falls below a termination threshold.  This matches the paper's intent
+scans the likelihood at four compass neighbours, moves to the first
+improvement, and halves the step when no neighbour improves, until the step
+falls below a termination threshold.  This matches the paper's intent
 (gradient ascent on a smooth likelihood surface) while being robust to the
 plateaus that a coarse angle grid can create.
+
+:func:`refine_many` is the one climb body: it runs every climber of a batch
+as rows of NumPy arrays.  :func:`hill_climb` and :func:`refine_from_seeds`
+are batches of one through it; the serial per-candidate climber they used
+to be lives on as the reference in ``tests/core/_oracle.py``.
 """
 
 from __future__ import annotations
@@ -40,11 +45,10 @@ BatchLikelihoodFunction = Callable[
     [np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
-#: Compass-neighbour probe order of the pattern search.  The serial climber
-#: and the vectorized :func:`refine_many` share this single definition, so
-#: their first-improvement tie-breaking can never drift apart.
-_NEIGHBOUR_DIRECTIONS: tuple[tuple[float, float], ...] = (
-    (1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0))
+#: Compass-neighbour probe order of the pattern search, as ``(4, 2)`` unit
+#: steps: +x, -x, +y, -y.  The first strict improvement in this order wins.
+_NEIGHBOUR_DIRECTIONS = np.array(
+    [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)])
 
 
 @dataclass(frozen=True)
@@ -72,6 +76,11 @@ def hill_climb(likelihood: LikelihoodFunction, start: Point2D,
                max_evaluations: int = 400) -> HillClimbResult:
     """Refine ``start`` by pattern-search hill climbing on ``likelihood``.
 
+    A batch of one through :func:`refine_many`.  Every round evaluates all
+    four compass neighbours, so ``likelihood`` may be called on neighbours
+    the scan then discards; ``iterations`` still counts only the
+    evaluations the first-improvement scan makes.
+
     Parameters
     ----------
     likelihood:
@@ -84,33 +93,11 @@ def hill_climb(likelihood: LikelihoodFunction, start: Point2D,
         Terminate once the step shrinks below this value.
     max_evaluations:
         Hard cap on likelihood evaluations (guards against pathological
-        surfaces).
+        surfaces); must be at least 1.
     """
-    if initial_step_m <= 0 or min_step_m <= 0:
-        raise EstimationError("step sizes must be positive")
-    if min_step_m > initial_step_m:
-        raise EstimationError("min_step_m must not exceed initial_step_m")
-    current = start
-    current_value = likelihood(start)
-    evaluations = 1
-    step = initial_step_m
-    while step >= min_step_m and evaluations < max_evaluations:
-        moved = False
-        for unit_dx, unit_dy in _NEIGHBOUR_DIRECTIONS:
-            dx, dy = unit_dx * step, unit_dy * step
-            candidate = Point2D(current.x + dx, current.y + dy)
-            value = likelihood(candidate)
-            evaluations += 1
-            if value > current_value:
-                current, current_value = candidate, value
-                moved = True
-                break
-            if evaluations >= max_evaluations:
-                break
-        if not moved:
-            step /= 2.0
-    return HillClimbResult(position=current, value=current_value,
-                           iterations=evaluations)
+    [result] = refine_many(_scalar_batch(likelihood), [[(start, 0.0)]],
+                           initial_step_m, min_step_m, max_evaluations)
+    return result
 
 
 def refine_from_seeds(likelihood: LikelihoodFunction,
@@ -120,36 +107,24 @@ def refine_from_seeds(likelihood: LikelihoodFunction,
     """Hill climb from each seed and return the best overall result.
 
     ``seeds`` are ``(position, grid_likelihood)`` pairs, typically the top
-    three grid cells of the heatmap (Section 2.5).
+    three grid cells of the heatmap (Section 2.5).  A batch of one through
+    :func:`refine_many`; ties go to the first seed.
     """
-    if not seeds:
-        raise EstimationError("need at least one seed position")
-    results: list[HillClimbResult] = []
-    for position, _ in seeds:
-        results.append(hill_climb(likelihood, position, initial_step_m, min_step_m))
-    return max(results, key=lambda r: r.value)
+    [result] = refine_many(_scalar_batch(likelihood), [seeds],
+                           initial_step_m, min_step_m)
+    return result
 
 
-class _Climber:
-    """Mutable state of one (unit, seed) hill climb inside the batch."""
+def _scalar_batch(likelihood: LikelihoodFunction) -> BatchLikelihoodFunction:
+    """Wrap a one-unit scalar objective as a :func:`refine_many` evaluator."""
 
-    __slots__ = ("unit", "x", "y", "value", "evaluations", "step")
+    def evaluate(units: np.ndarray, xs: np.ndarray,
+                 ys: np.ndarray) -> np.ndarray:
+        return np.array([likelihood(Point2D(x, y))
+                         for x, y in zip(xs.tolist(), ys.tolist(),
+                                         strict=True)], dtype=float)
 
-    def __init__(self, unit: int, x: float, y: float, step: float) -> None:
-        self.unit = unit
-        self.x = x
-        self.y = y
-        self.value = 0.0
-        self.evaluations = 0
-        self.step = step
-
-    def active(self, min_step_m: float, max_evaluations: int) -> bool:
-        return self.step >= min_step_m and self.evaluations < max_evaluations
-
-    def result(self) -> HillClimbResult:
-        return HillClimbResult(position=Point2D(self.x, self.y),
-                               value=self.value,
-                               iterations=self.evaluations)
+    return evaluate
 
 
 def refine_many(evaluate: BatchLikelihoodFunction,
@@ -159,25 +134,21 @@ def refine_many(evaluate: BatchLikelihoodFunction,
                 max_evaluations: int = 400) -> list[HillClimbResult]:
     """Hill climb every seed of every unit, batching the evaluations.
 
-    Functionally this is :func:`refine_from_seeds` applied independently to
-    each unit (client) of a batch; the difference is purely *how* the
-    likelihood gets evaluated.  Instead of one Python call per candidate
-    point, the candidates of every still-active climber are collected once
-    per round -- all seeds in round zero, then the four compass neighbours
-    of each climber -- and handed to ``evaluate`` as one stacked request, so
-    a batched caller (:class:`repro.core.batch.BatchLocalizer`) folds the
-    Equation 8 product of *all* clients' candidates in a handful of NumPy
-    passes per round.
+    Each (unit, seed) pair is one climber, a row of the climb's state
+    arrays (position, value, evaluations, step).  Round zero scores every
+    seed; each later round stacks the four compass neighbours of every
+    still-active climber and hands them to ``evaluate`` as one request, so
+    a batched caller (:class:`repro.core.batch.BatchLocalizer`) scores a
+    round's candidates of *all* clients in one pass across all slots.
 
-    The serial climber's semantics are replayed exactly on the returned
-    values: neighbours are considered in the shared probe order, the first
-    strict improvement moves the climber (later neighbours of that round are
-    discarded *and not charged to the budget*), the evaluation budget stops
-    a scan mid-neighbour exactly where :func:`hill_climb` would, an
-    improvement-free round halves the step, and per unit the best seed wins
-    with first-seed tie-breaking.  Results are therefore bit-for-bit
-    identical to running :func:`refine_from_seeds` per unit with a scalar
-    objective that matches ``evaluate``.
+    The result is the serial pattern search of every climber: neighbours
+    are scanned in probe order (+x, -x, +y, -y) and the first strict
+    improvement moves the climber.  The later neighbours of that round are
+    evaluated but discarded and not charged to the budget, and the budget
+    cuts a scan mid-neighbour.  A round without improvement halves the
+    step.  A climber stops once its step falls below ``min_step_m`` or it
+    has spent ``max_evaluations``.  Per unit the best seed wins, ties going
+    to the first seed.
 
     Parameters
     ----------
@@ -186,15 +157,16 @@ def refine_many(evaluate: BatchLikelihoodFunction,
         per candidate, where ``units[i]`` is the index (into
         ``seeds_by_unit``) of the unit owning candidate ``i``.
     seeds_by_unit:
-        Per unit, the ``(position, grid_likelihood)`` seed pairs that
-        :func:`refine_from_seeds` takes.
+        Per unit, its ``(position, grid_likelihood)`` seed pairs.
     initial_step_m, min_step_m, max_evaluations:
-        As in :func:`hill_climb`, applied to every climber independently.
+        First step, termination step and evaluation cap, applied to every
+        climber independently.
 
     Returns
     -------
     list
-        One :class:`HillClimbResult` per unit, in ``seeds_by_unit`` order.
+        One :class:`HillClimbResult` per unit, in ``seeds_by_unit`` order;
+        ``iterations`` counts the winning climber's evaluations.
     """
     if initial_step_m <= 0 or min_step_m <= 0:
         raise EstimationError("step sizes must be positive")
@@ -202,24 +174,24 @@ def refine_many(evaluate: BatchLikelihoodFunction,
         raise EstimationError("min_step_m must not exceed initial_step_m")
     if max_evaluations < 1:
         raise EstimationError("max_evaluations must be >= 1")
-    climbers: list[_Climber] = []
-    owners: list[list[_Climber]] = []
+    owners: list[int] = []
+    starts: list[tuple[float, float]] = []
     for unit, seeds in enumerate(seeds_by_unit):
-        seeds = list(seeds)
-        if not seeds:
+        positions = [(float(position.x), float(position.y))
+                     for position, _ in seeds]
+        if not positions:
             raise EstimationError("need at least one seed position")
-        mine: list[_Climber] = []
-        for position, _ in seeds:
-            climber = _Climber(unit, float(position.x), float(position.y),
-                               initial_step_m)
-            climbers.append(climber)
-            mine.append(climber)
-        owners.append(mine)
+        owners.extend([unit] * len(positions))
+        starts.extend(positions)
+    if not owners:
+        return []
+    # One row per climber, grouped by unit in seed order; the positions
+    # are Python floats, so the state arrays are float64.
+    unit = np.array(owners)
+    x, y = np.array(starts).T.copy()
 
-    def _evaluate(points: list[tuple[int, float, float]]) -> np.ndarray:
-        units = np.array([unit for unit, _, _ in points], dtype=int)
-        xs = np.array([x for _, x, _ in points], dtype=float)
-        ys = np.array([y for _, _, y in points], dtype=float)
+    def _evaluate(units: np.ndarray, xs: np.ndarray,
+                  ys: np.ndarray) -> np.ndarray:
         values = np.asarray(evaluate(units, xs, ys), dtype=float)
         if values.shape != xs.shape:
             raise EstimationError(
@@ -227,53 +199,52 @@ def refine_many(evaluate: BatchLikelihoodFunction,
                 f"{xs.shape[0]} candidates")
         return values
 
-    # Round zero: every climber's seed, in one stacked evaluation.
-    seed_values = _evaluate([(c.unit, c.x, c.y) for c in climbers])
-    for climber, value in zip(climbers, seed_values, strict=True):
-        climber.value = float(value)
-        climber.evaluations = 1
+    # A copy: the climb writes into it, and ``evaluate`` may hand back an
+    # array it still owns.
+    value = _evaluate(unit, x, y).copy()
+    evaluations = np.ones(unit.shape[0], dtype=int)
+    step = np.full(unit.shape[0], float(initial_step_m))
+    num_directions = _NEIGHBOUR_DIRECTIONS.shape[0]
+    probe = np.arange(num_directions)
+    active = np.flatnonzero(evaluations < max_evaluations)
+    while active.shape[0]:
+        offsets = _NEIGHBOUR_DIRECTIONS[None] * step[active, None, None]
+        candidate_x = x[active, None] + offsets[..., 0]
+        candidate_y = y[active, None] + offsets[..., 1]
+        values = _evaluate(np.repeat(unit[active], num_directions),
+                           candidate_x.ravel(), candidate_y.ravel()
+                           ).reshape(candidate_x.shape)
+        # The scan stops at the first strict improvement or when the
+        # budget runs out, whichever comes first.
+        considered = np.minimum(num_directions,
+                                max_evaluations - evaluations[active])
+        improved = (values > value[active, None]) \
+            & (probe < considered[:, None])
+        moved = np.any(improved, axis=1)
+        first = np.argmax(improved, axis=1)
+        evaluations[active] += np.where(moved, first + 1, considered)
+        rows = np.flatnonzero(moved)
+        movers = active[rows]
+        x[movers] = candidate_x[rows, first[rows]]
+        y[movers] = candidate_y[rows, first[rows]]
+        value[movers] = values[rows, first[rows]]
+        step[active[~moved]] /= 2.0
+        active = active[(step[active] >= min_step_m)
+                        & (evaluations[active] < max_evaluations)]
 
-    active = [c for c in climbers
-              if c.active(min_step_m, max_evaluations)]
-    while active:
-        # All four compass neighbours of every active climber, stacked.
-        # The serial scan often stops early, so some of these values go
-        # unused -- the replay below charges the budget only for the
-        # evaluations the serial climber would actually have made, which
-        # keeps ``iterations`` (and every downstream decision) identical.
-        candidates: list[tuple[int, float, float]] = []
-        for climber in active:
-            step = climber.step
-            for unit_dx, unit_dy in _NEIGHBOUR_DIRECTIONS:
-                candidates.append((climber.unit,
-                                   climber.x + unit_dx * step,
-                                   climber.y + unit_dy * step))
-        values = _evaluate(candidates)
-        for index, climber in enumerate(active):
-            base = index * len(_NEIGHBOUR_DIRECTIONS)
-            moved = False
-            for offset, (unit_dx, unit_dy) in enumerate(_NEIGHBOUR_DIRECTIONS):
-                value = float(values[base + offset])
-                climber.evaluations += 1
-                if value > climber.value:
-                    climber.x += unit_dx * climber.step
-                    climber.y += unit_dy * climber.step
-                    climber.value = value
-                    moved = True
-                    break
-                if climber.evaluations >= max_evaluations:
-                    break
-            if not moved:
-                climber.step /= 2.0
-        active = [c for c in active
-                  if c.active(min_step_m, max_evaluations)]
-
-    results: list[HillClimbResult] = []
-    for mine in owners:
-        best: _Climber | None = None
-        for climber in mine:
-            if best is None or climber.value > best.value:
-                best = climber
-        assert best is not None
-        results.append(best.result())
-    return results
+    # Per unit, a later seed replaces the best so far only if strictly
+    # better, exactly like a sequential first-wins scan.
+    counts = np.bincount(unit, minlength=len(seeds_by_unit))
+    firsts = np.cumsum(counts) - counts
+    best = firsts.copy()
+    for rank in range(1, int(np.max(counts))):
+        challengers = firsts + rank
+        better = np.flatnonzero(counts > rank)
+        better = better[value[challengers[better]] > value[best[better]]]
+        best[better] = challengers[better]
+    return [HillClimbResult(position=Point2D(bx, by), value=bv,
+                            iterations=bn)
+            for bx, by, bv, bn in zip(x[best].tolist(), y[best].tolist(),
+                                      value[best].tolist(),
+                                      evaluations[best].tolist(),
+                                      strict=True)]

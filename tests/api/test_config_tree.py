@@ -137,6 +137,23 @@ class TestRejection:
         with pytest.raises(ConfigurationError, match=message):
             ArrayTrackConfig.from_dict(data)
 
+    @pytest.mark.parametrize("path, value, message", [
+        ("server.localizer.grid_resolution_m", float("nan"),
+         "grid_resolution_m must be positive and finite"),
+        ("server.localizer.grid_resolution_m", float("inf"),
+         "grid_resolution_m must be positive and finite"),
+        ("server.localizer.num_seeds", 2.0, "num_seeds must be an int"),
+        ("server.localizer.num_seeds", 2.5, "num_seeds must be an int"),
+        ("server.localizer.num_seeds", True, "num_seeds must be an int"),
+    ])
+    def test_invalid_localizer_override_names_path(self, path, value,
+                                                   message):
+        # These used to pass and fail later with a raw ValueError or
+        # TypeError from the first localization.
+        with pytest.raises(ConfigurationError,
+                           match=rf"config\.server\.localizer: {message}"):
+            ArrayTrackConfig().updated({path: value})
+
     def test_invalid_tracker_value_names_path(self):
         with pytest.raises(ConfigurationError, match="smoothing_factor"):
             ArrayTrackConfig.from_dict({"tracker": {"smoothing_factor": 0.0}})

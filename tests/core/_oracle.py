@@ -22,9 +22,11 @@ one frame, one client or one grid point at a time:
 * :func:`reference_seeds` is the Section 2.5 seed rule over a client's
   full Equation 8 grid (:func:`~repro.core.likelihood.synthesize_likelihood`):
   one full sort, then the greedy three-cell separation rule;
-  :func:`reference_refinement` is the hill climb for each client from
-  those seeds, scored by a bounds-checked
-  :func:`~repro.core.likelihood.likelihood_at`;
+  :func:`hill_climb` and :func:`refine_from_seeds` are the Section 2.5
+  pattern search one candidate call at a time (in ``src/`` both names are
+  batches of one through :func:`~repro.core.optimizer.refine_many`), and
+  :func:`reference_refinement` runs them for each client from those seeds,
+  scored by a bounds-checked :func:`~repro.core.likelihood.likelihood_at`;
 * :func:`reference_find_peaks` and :func:`reference_peak_regions` are the
   Section 2.4 peak detection and lobe walk one grid point at a time, and
   :func:`reference_suppress` composes the Figure 8 algorithm from them;
@@ -36,7 +38,7 @@ every pytest run, so ``benchmarks/`` modules can import it too.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -50,7 +52,7 @@ from repro.core.likelihood import (LikelihoodMap, likelihood_at,
                                    synthesize_likelihood)
 from repro.core.localizer import LocalizerConfig
 from repro.core.music import _steering_matrix
-from repro.core.optimizer import HillClimbResult, refine_from_seeds
+from repro.core.optimizer import HillClimbResult
 from repro.core.peaks import SpectrumPeak, match_peak
 from repro.core.pipeline import SpectrumConfig
 from repro.core.smoothing import effective_antennas
@@ -492,6 +494,77 @@ def reference_seeds(heatmap: LikelihoodMap,
         if len(seeds) == count:
             break
     return seeds
+
+
+LikelihoodFunction = Callable[[Point2D], float]
+
+#: Compass-neighbour probe order of the pattern search: +x, -x, +y, -y.
+_NEIGHBOUR_DIRECTIONS: tuple[tuple[float, float], ...] = (
+    (1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0))
+
+
+def hill_climb(likelihood: LikelihoodFunction, start: Point2D,
+               initial_step_m: float = 0.05,
+               min_step_m: float = 0.005,
+               max_evaluations: int = 400) -> HillClimbResult:
+    """Refine ``start`` by pattern-search hill climbing on ``likelihood``.
+
+    Parameters
+    ----------
+    likelihood:
+        Function returning the (non-negative) likelihood of a position.
+    start:
+        Seed position (a high-likelihood grid cell).
+    initial_step_m:
+        First step size; half a grid cell by default.
+    min_step_m:
+        Terminate once the step shrinks below this value.
+    max_evaluations:
+        Hard cap on likelihood evaluations (guards against pathological
+        surfaces).
+    """
+    if initial_step_m <= 0 or min_step_m <= 0:
+        raise EstimationError("step sizes must be positive")
+    if min_step_m > initial_step_m:
+        raise EstimationError("min_step_m must not exceed initial_step_m")
+    current = start
+    current_value = likelihood(start)
+    evaluations = 1
+    step = initial_step_m
+    while step >= min_step_m and evaluations < max_evaluations:
+        moved = False
+        for unit_dx, unit_dy in _NEIGHBOUR_DIRECTIONS:
+            dx, dy = unit_dx * step, unit_dy * step
+            candidate = Point2D(current.x + dx, current.y + dy)
+            value = likelihood(candidate)
+            evaluations += 1
+            if value > current_value:
+                current, current_value = candidate, value
+                moved = True
+                break
+            if evaluations >= max_evaluations:
+                break
+        if not moved:
+            step /= 2.0
+    return HillClimbResult(position=current, value=current_value,
+                           iterations=evaluations)
+
+
+def refine_from_seeds(likelihood: LikelihoodFunction,
+                      seeds: Sequence[tuple[Point2D, float]],
+                      initial_step_m: float = 0.05,
+                      min_step_m: float = 0.005) -> HillClimbResult:
+    """Hill climb from each seed and return the best overall result.
+
+    ``seeds`` are ``(position, grid_likelihood)`` pairs, typically the top
+    three grid cells of the heatmap (Section 2.5).
+    """
+    if not seeds:
+        raise EstimationError("need at least one seed position")
+    results: list[HillClimbResult] = []
+    for position, _ in seeds:
+        results.append(hill_climb(likelihood, position, initial_step_m, min_step_m))
+    return max(results, key=lambda r: r.value)
 
 
 def reference_refinement(bounds: tuple[float, float, float, float],

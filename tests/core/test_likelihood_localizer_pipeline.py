@@ -21,6 +21,16 @@ from repro.core import (
 from repro.errors import EstimationError
 from repro.geometry import Point2D, bearing_deg, rectangular_room
 
+from tests.core import _oracle
+
+#: The public climb (a batch of one through ``refine_many``) and the serial
+#: oracle climb must both behave as below.
+CLIMBERS = pytest.mark.parametrize(
+    "climb, refine",
+    [(hill_climb, refine_from_seeds),
+     (_oracle.hill_climb, _oracle.refine_from_seeds)],
+    ids=["refine_many", "oracle"])
+
 
 def _spectrum_towards(ap_position, target, width=3.0, orientation=0.0):
     """A synthetic spectrum whose single peak points from the AP at the target."""
@@ -152,33 +162,55 @@ class TestLikelihood:
 
 
 class TestHillClimbing:
-    def test_converges_to_smooth_maximum(self):
+    @CLIMBERS
+    def test_converges_to_smooth_maximum(self, climb, refine):
         target = Point2D(3.0, 4.0)
 
         def likelihood(p):
             return float(np.exp(-((p.x - target.x) ** 2 + (p.y - target.y) ** 2)))
 
-        result = hill_climb(likelihood, Point2D(2.5, 3.5), initial_step_m=0.2,
-                            min_step_m=0.001)
+        result = climb(likelihood, Point2D(2.5, 3.5), initial_step_m=0.2,
+                       min_step_m=0.001)
         assert result.position.distance_to(target) < 0.01
         assert result.iterations > 1
 
-    def test_refine_from_seeds_picks_best_basin(self):
+    @CLIMBERS
+    def test_refine_from_seeds_picks_best_basin(self, climb, refine):
         def likelihood(p):
             # Two bumps; the one at (8, 8) is higher.
             return (np.exp(-((p.x - 2) ** 2 + (p.y - 2) ** 2))
                     + 2 * np.exp(-((p.x - 8) ** 2 + (p.y - 8) ** 2)))
 
-        result = refine_from_seeds(likelihood,
-                                   [(Point2D(2.2, 2.2), 1.0), (Point2D(7.5, 7.5), 1.5)],
-                                   initial_step_m=0.2, min_step_m=0.001)
+        result = refine(likelihood,
+                        [(Point2D(2.2, 2.2), 1.0), (Point2D(7.5, 7.5), 1.5)],
+                        initial_step_m=0.2, min_step_m=0.001)
         assert result.position.distance_to(Point2D(8.0, 8.0)) < 0.05
 
-    def test_parameter_validation(self):
+    @CLIMBERS
+    def test_parameter_validation(self, climb, refine):
         with pytest.raises(EstimationError):
-            hill_climb(lambda p: 0.0, Point2D(0, 0), initial_step_m=0.0)
+            climb(lambda p: 0.0, Point2D(0, 0), initial_step_m=0.0)
         with pytest.raises(EstimationError):
-            refine_from_seeds(lambda p: 0.0, [])
+            refine(lambda p: 0.0, [])
+
+    def test_zero_budget_rejected(self):
+        # The serial climb used to spend one evaluation anyway; the batch of
+        # one rejects the budget exactly as refine_many does.
+        with pytest.raises(EstimationError, match="max_evaluations"):
+            hill_climb(lambda p: 0.0, Point2D(0, 0), max_evaluations=0)
+
+
+class TestLocalizerConfigValidation:
+    @pytest.mark.parametrize("resolution", [float("nan"), float("inf"),
+                                            0.0, -0.1])
+    def test_rejects_bad_grid_resolution(self, resolution):
+        with pytest.raises(EstimationError, match="grid_resolution_m"):
+            LocalizerConfig(grid_resolution_m=resolution)
+
+    @pytest.mark.parametrize("count", [2.0, 2.5, True, "3"])
+    def test_rejects_non_int_seed_count(self, count):
+        with pytest.raises(EstimationError, match="num_seeds must be an int"):
+            LocalizerConfig(num_seeds=count)
 
 
 class TestEndToEndLocalization:
