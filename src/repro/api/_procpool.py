@@ -55,6 +55,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.core.cache import default_bearing_cache
 from repro.core.localizer import LocationEstimate
 from repro.core.spectrum import AoASpectrum
 from repro.core.suppression import MultipathSuppressor
@@ -237,9 +238,12 @@ def _initialize_worker(config: "ArrayTrackConfig",
     """
     global _WORKER
     assert config.bounds is not None
-    server = ArrayTrackServer(config.bounds, config.server)
-    server.warm_geometry_caches(warm_positions)
-    _WORKER = _WorkerState(server=server, suppressor=config.suppressor)
+    default_bearing_cache().warm(
+        config.bounds, config.server.localizer.grid_resolution_m,
+        warm_positions)
+    _WORKER = _WorkerState(server=ArrayTrackServer(config.bounds,
+                                                   config.server),
+                           suppressor=config.suppressor)
 
 
 def _require_worker() -> _WorkerState:
@@ -288,43 +292,59 @@ def _decode_spectrum(arrays: Sequence[np.ndarray],
         timestamp_s=timestamp_s)
 
 
-#: A batch's frames as the shard step takes them: per client and per AP, the
-#: ``(timestamp_s, spectrum)`` pairs in arrival order.  The client and AP
-#: orders are part of the bit-equality contract.
-FramesByClient = Mapping[str, Mapping[str, Sequence[tuple[float, AoASpectrum]]]]
+#: A batch's spectra as the shard step takes them: per client and per AP,
+#: in arrival order.  The client and AP orders are part of the
+#: bit-equality contract.
+SpectraByClient = Mapping[str, Mapping[str, Sequence[AoASpectrum]]]
 
-#: One shard as shipped to a worker: :data:`FramesByClient` with every
-#: spectrum replaced by its :data:`_SpectrumRef`, as ordered tuples.
-_Shard = tuple[tuple[str, tuple[tuple[str, tuple[tuple[float, _SpectrumRef],
-                                                  ...]], ...]], ...]
+#: The capture times the streaming suppression stage groups on, one per
+#: spectrum of :data:`SpectraByClient`: the sessions' ingest-resolved
+#: timestamps, which may differ from each ``spectrum.timestamp_s``.
+TimesByClient = Mapping[str, Mapping[str, Sequence[float]]]
+
+#: One shard as shipped to a worker: per client and per AP, the spectra as
+#: :data:`_SpectrumRef` tuples and their stream times (empty off-stream).
+_Shard = tuple[tuple[str, tuple[tuple[str, tuple[_SpectrumRef, ...],
+                                      tuple[float, ...]], ...]], ...]
 
 
 def drain_shard(server: ArrayTrackServer, suppressor: MultipathSuppressor,
-                frames_by_client: FramesByClient,
-                suppress: bool) -> dict[str, LocationEstimate]:
-    """Suppress and synthesize one shard of clients: the step every rung runs.
+                spectra_by_client: SpectraByClient,
+                stream_times: TimesByClient | None = None
+                ) -> dict[str, LocationEstimate]:
+    """Turn one shard's per-AP frames into fixes: the step every rung runs.
 
-    The serial, thread and process rungs all call this, so a fix does not
-    depend on which rung served it.  With ``suppress`` on (the streaming
-    ``session.suppress_multipath`` stage), each AP's frames are grouped on
-    the paired ``timestamp_s`` -- the ingest-resolved time, which may
-    differ from ``spectrum.timestamp_s`` -- and every group's suppressed
-    primary enters the raw synthesis (Section 2.4, then Equation 8 and the
-    hill climb); the server's batch-path suppressor is skipped so it cannot
-    run a second time.  With it off, the spectra take the full batch path.
+    This is the only code that picks the spectra Equation 8 folds, so a fix
+    does not depend on which rung served it.  Per client and per AP:
+
+    * with ``stream_times`` given (the streaming
+      ``session.suppress_multipath`` stage), the frames are grouped on
+      those times and every group's suppressed primary is folded;
+    * otherwise, with ``server.enable_multipath_suppression`` on and at
+      least two frames, they are grouped on each spectrum's own
+      ``timestamp_s`` and the earliest group's primary is folded
+      (Section 2.4 outputs one primary per group; the batch path keeps
+      the first burst);
+    * otherwise the AP's first frame is folded.
+
+    ``suppressor`` holds the service's top-level ``suppressor`` section,
+    which parameterizes both rules.  The folded spectra then go through
+    :meth:`~repro.server.backend.ArrayTrackServer.synthesize_batch`
+    (Equation 8 and the hill climb).
     """
-    if not suppress:
-        return server.localize_batch(
-            {client_id: {ap_id: [spectrum for _, spectrum in frames]
-                         for ap_id, frames in per_ap.items()}
-             for client_id, per_ap in frames_by_client.items()})
+    earliest_group = server.config.enable_multipath_suppression
     processed: dict[str, list[AoASpectrum]] = {}
-    for client_id, per_ap in frames_by_client.items():
+    for client_id, per_ap in spectra_by_client.items():
+        times = None if stream_times is None else stream_times[client_id]
         spectra: list[AoASpectrum] = []
-        for frames in per_ap.values():
-            spectra.extend(suppressor.process(
-                [spectrum for _, spectrum in frames],
-                timestamps=[timestamp for timestamp, _ in frames]))
+        for ap_id, frames in per_ap.items():
+            if times is not None:
+                spectra.extend(suppressor.process(frames,
+                                                  timestamps=times[ap_id]))
+            elif earliest_group and len(frames) >= 2:
+                spectra.append(suppressor.process(frames)[0])
+            elif frames:
+                spectra.append(frames[0])
         processed[client_id] = spectra
     return server.synthesize_batch(processed)
 
@@ -336,14 +356,16 @@ def _drain_task(handle: _SegmentHandle, shard: _Shard,
     faults.worker_shard("before-attach")
     with _attached_arrays(handle) as arrays:
         faults.worker_shard("after-attach")
-        frames = {
-            client_id: {ap_id: [(timestamp, _decode_spectrum(arrays, ref))
-                                for timestamp, ref in refs]
-                        for ap_id, refs in per_ap}
+        spectra = {
+            client_id: {ap_id: [_decode_spectrum(arrays, ref) for ref in refs]
+                        for ap_id, refs, _ in per_ap}
             for client_id, per_ap in shard}
-        estimates = drain_shard(worker.server, worker.suppressor, frames,
-                                suppress)
-        del frames
+        stream_times = None if not suppress else {
+            client_id: {ap_id: times for ap_id, _, times in per_ap}
+            for client_id, per_ap in shard}
+        estimates = drain_shard(worker.server, worker.suppressor, spectra,
+                                stream_times)
+        del spectra
     faults.worker_shard("before-return")
     return estimates
 
@@ -483,8 +505,9 @@ class ProcessShardPool:
     # Batched calls
     # ------------------------------------------------------------------
     def localize_shards(self, shards: Sequence[Sequence[str]],
-                        frames_by_client: FramesByClient,
-                        suppress: bool) -> dict[str, LocationEstimate]:
+                        spectra_by_client: SpectraByClient,
+                        stream_times: TimesByClient | None
+                        ) -> dict[str, LocationEstimate]:
         """Run :func:`drain_shard` per shard on the pool, merged in order.
 
         Failures are supervised as the class docstring describes; an
@@ -495,10 +518,12 @@ class ProcessShardPool:
         packer = _ArrayPacker()
         encoded = {
             client_id: tuple(
-                (ap_id, tuple((float(timestamp),
-                               _encode_spectrum(packer, spectrum))
-                              for timestamp, spectrum in frames))
-                for ap_id, frames in frames_by_client[client_id].items())
+                (ap_id,
+                 tuple(_encode_spectrum(packer, spectrum)
+                       for spectrum in spectra),
+                 () if stream_times is None else
+                 tuple(float(t) for t in stream_times[client_id][ap_id]))
+                for ap_id, spectra in spectra_by_client[client_id].items())
             for shard in shards for client_id in shard}
         payloads: list[_Shard] = [
             tuple((client_id, encoded[client_id]) for client_id in shard)
@@ -514,7 +539,8 @@ class ProcessShardPool:
                 f"could not allocate the batch's shared-memory segment: "
                 f"{exc}") from exc
         try:
-            return self._supervise(executor, handle, payloads, suppress)
+            return self._supervise(executor, handle, payloads,
+                                   stream_times is not None)
         finally:
             _release_segment(segment)
 

@@ -28,6 +28,7 @@ facade with no glue code.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field, fields
 from collections.abc import Callable, Mapping
@@ -53,6 +54,17 @@ def _require_int(name: str, value: Any, minimum: int) -> None:
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
         raise ConfigurationError(
             f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def _require_finite(name: str, value: Any, positive: bool = False) -> None:
+    """Reject a non-number ``value`` (bools included), NaN, an infinity, or
+    a negative one (zero too when ``positive``)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value) or value < 0 \
+            or (positive and value == 0):
+        kind = "positive" if positive else "non-negative"
+        raise ConfigurationError(
+            f"{name} must be a finite {kind} number, got {value!r}")
 
 
 def default_server_config() -> ServerConfig:
@@ -91,9 +103,11 @@ class SessionConfig:
         suppressed primary -- instead of the raw spectra -- feeds the
         synthesis.  Off by default: the disabled path is bit-for-bit
         identical to draining the raw spectra through
-        :meth:`~repro.api.ArrayTrackService.localize_many`.  The stage is
+        :meth:`~repro.api.ArrayTrackService.localize_many` (which applies
+        ``server.enable_multipath_suppression``).  The stage is
         parameterized by the service tree's top-level ``suppressor``
-        section; the tracker knobs live in the ``tracker`` section.
+        section, the same one the batch path reads; the tracker knobs
+        live in the ``tracker`` section.
     """
 
     emit_every_frames: int = 3
@@ -103,8 +117,8 @@ class SessionConfig:
 
     def __post_init__(self) -> None:
         _require_int("emit_every_frames", self.emit_every_frames, 0)
-        if self.max_age_s is not None and self.max_age_s < 0:
-            raise ConfigurationError("max_age_s must be non-negative or None")
+        if self.max_age_s is not None:
+            _require_finite("max_age_s", self.max_age_s)
         _require_int("max_pending_frames", self.max_pending_frames, 1)
         if not isinstance(self.suppress_multipath, bool):
             raise ConfigurationError(
@@ -247,11 +261,7 @@ class ResilienceConfig:
         _require_int("max_retries", self.max_retries, 0)
         for name in ("backoff_base_s", "backoff_max_s", "backoff_jitter",
                      "breaker_recovery_s"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or isinstance(value, bool) \
-                    or value < 0:
-                raise ConfigurationError(
-                    f"{name} must be a non-negative number, got {value!r}")
+            _require_finite(name, getattr(self, name))
         if self.backoff_jitter > 1:
             raise ConfigurationError(
                 f"backoff_jitter must be in [0, 1], "
@@ -260,13 +270,9 @@ class ResilienceConfig:
                 or not isinstance(self.retry_seed, int):
             raise ConfigurationError(
                 f"retry_seed must be an integer, got {self.retry_seed!r}")
-        if self.shard_timeout_s is not None and (
-                not isinstance(self.shard_timeout_s, (int, float))
-                or isinstance(self.shard_timeout_s, bool)
-                or self.shard_timeout_s <= 0):
-            raise ConfigurationError(
-                f"shard_timeout_s must be a positive number or None, "
-                f"got {self.shard_timeout_s!r}")
+        if self.shard_timeout_s is not None:
+            _require_finite("shard_timeout_s", self.shard_timeout_s,
+                            positive=True)
         _require_int("breaker_threshold", self.breaker_threshold, 1)
         if self.max_total_pending_frames is not None:
             _require_int("max_total_pending_frames",
@@ -287,7 +293,7 @@ class ResilienceConfig:
 # ----------------------------------------------------------------------
 #: Which fields of each section are themselves nested config dataclasses.
 _NESTED_FIELDS: dict[type, dict[str, type]] = {
-    ServerConfig: {"localizer": LocalizerConfig, "suppressor": SuppressorConfig},
+    ServerConfig: {"localizer": LocalizerConfig},
     APConfig: {"spectrum": SpectrumConfig},
 }
 
@@ -401,19 +407,21 @@ class ArrayTrackConfig:
         :meth:`repro.api.ArrayTrackService.build_ap` use it.
     server:
         Central-server configuration
-        (:class:`~repro.server.backend.ServerConfig`), including the
-        localizer and the *batch-path* multipath-suppressor sections.  The
-        facade default applies
+        (:class:`~repro.server.backend.ServerConfig`): the localizer
+        section and the batch-path ``enable_multipath_suppression``
+        switch.  The facade default applies
         :data:`~repro.constants.DEFAULT_SPECTRUM_FLOOR`.
     session:
         Streaming-session configuration (:class:`SessionConfig`),
         including the ``suppress_multipath`` stage toggle.
     suppressor:
-        Parameters of the *streaming* multipath-suppression stage
+        Parameters of the Section 2.4 multipath suppression
         (:class:`~repro.core.suppression.SuppressorConfig`): peak-match
-        tolerance, grouping window/span and group size.  Only consulted
-        when ``session.suppress_multipath`` is enabled; the batch path
-        keeps its own ``server.suppressor`` section.
+        tolerance, grouping window/span and group size.  The one section
+        both switches read: ``session.suppress_multipath`` (every group's
+        primary, grouped on ingest-resolved times) and
+        ``server.enable_multipath_suppression`` (the earliest group's
+        primary on the batch path).
     tracker:
         Per-client fix tracker configuration
         (:class:`~repro.server.tracker.TrackerConfig`): EMA smoothing,

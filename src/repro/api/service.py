@@ -28,6 +28,7 @@ is that service as a single public object, built from one
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -39,8 +40,9 @@ import numpy as np
 from repro.ap.access_point import ArrayTrackAP
 from repro.ap.buffer import BufferEntry
 from repro.ap.latency import LatencyBreakdown, LatencyModel
-from repro.api._procpool import (FramesByClient, PoolStats, ProcessShardPool,
-                                 drain_shard, live_segments, shm_leak_events)
+from repro.api._procpool import (PoolStats, ProcessShardPool, SpectraByClient,
+                                 TimesByClient, drain_shard, live_segments,
+                                 shm_leak_events)
 from repro.api._resilience import (CircuitBreaker, ResilienceStats,
                                    backend_ladder)
 from repro.api.config import ArrayTrackConfig, SessionConfig
@@ -204,13 +206,14 @@ class Session:
         return {ap_id: [spectrum for _, spectrum in frames]
                 for ap_id, frames in self._pending.items()}
 
-    def pending_timestamped(self) -> dict[str, list[tuple[float, AoASpectrum]]]:
-        """Return the pending per-AP ``(timestamp, spectrum)`` pairs.
+    def pending_times(self) -> dict[str, list[float]]:
+        """Return the pending frames' per-AP timestamps, without removing them.
 
         The timestamps are the ingest-resolved ones (which the multipath
-        suppression stage groups on); the pairs are not removed.
+        suppression stage groups on), in the order of
+        :meth:`pending_spectra`.
         """
-        return {ap_id: list(frames)
+        return {ap_id: [timestamp for timestamp, _ in frames]
                 for ap_id, frames in self._pending.items()}
 
     def pending_grid_shape(self, ap_id: str) -> tuple[int, ...] | None:
@@ -420,8 +423,9 @@ class ArrayTrackService:
         return self._procpool
 
     def _run_sharded(self, shards: list[list[str]],
-                     frames_by_client: FramesByClient,
-                     suppress: bool) -> dict[str, LocationEstimate]:
+                     spectra_by_client: SpectraByClient,
+                     stream_times: TimesByClient | None
+                     ) -> dict[str, LocationEstimate]:
         """Run :func:`drain_shard` per shard on the thread pool, merge in order.
 
         The NumPy reductions inside each shard's Equation 8 fold release
@@ -431,17 +435,30 @@ class ArrayTrackService:
         futures = [
             self._pool().submit(
                 drain_shard, self._server, self._suppressor,
-                {client_id: frames_by_client[client_id] for client_id in shard},
-                suppress)
+                {client_id: spectra_by_client[client_id]
+                 for client_id in shard},
+                stream_times)
             for shard in shards]
         estimates: dict[str, LocationEstimate] = {}
         for future in futures:
             estimates.update(future.result())
         return estimates
 
+    def _drain(self, spectra_by_client: SpectraByClient,
+               stream_times: TimesByClient | None
+               ) -> dict[str, LocationEstimate]:
+        """Serve one batch: :func:`drain_shard` here when it does not
+        shard, else :meth:`_fanout` down the degradation ladder."""
+        shards = self._shards(list(spectra_by_client))
+        if shards is None:
+            return drain_shard(self._server, self._suppressor,
+                               spectra_by_client, stream_times)
+        return self._fanout(shards, spectra_by_client, stream_times)
+
     def _fanout(self, shards: list[list[str]],
-                frames_by_client: FramesByClient,
-                suppress: bool) -> dict[str, LocationEstimate]:
+                spectra_by_client: SpectraByClient,
+                stream_times: TimesByClient | None
+                ) -> dict[str, LocationEstimate]:
         """Serve one sharded batch, walking the degradation ladder.
 
         The circuit breaker picks the entry rung (the configured backend
@@ -464,13 +481,13 @@ class ArrayTrackService:
             try:
                 if rung == "process":
                     estimates = self._process_pool().localize_shards(
-                        shards, frames_by_client, suppress)
+                        shards, spectra_by_client, stream_times)
                 elif rung == "thread":
-                    estimates = self._run_sharded(shards, frames_by_client,
-                                                  suppress)
+                    estimates = self._run_sharded(shards, spectra_by_client,
+                                                  stream_times)
                 else:
                     estimates = drain_shard(self._server, self._suppressor,
-                                            frames_by_client, suppress)
+                                            spectra_by_client, stream_times)
             except TransientError as exc:
                 self._breaker.record_failure(index)
                 if index + 1 >= len(self._ladder):
@@ -532,16 +549,7 @@ class ArrayTrackService:
         bit-for-bit identical to the serial path either way.
         """
         self._ensure_open()
-        shards = self._shards(list(spectra_by_client))
-        if shards is None:
-            return self._server.localize_batch(spectra_by_client)
-        return self._fanout(
-            shards,
-            {client_id: {ap_id: [(spectrum.timestamp_s, spectrum)
-                                 for spectrum in spectra]
-                         for ap_id, spectra in per_ap.items()}
-             for client_id, per_ap in spectra_by_client.items()},
-            suppress=False)
+        return self._drain(spectra_by_client, None)
 
     def localize_buffered(self, client_ids: Sequence[str],
                           aps: Sequence[ArrayTrackAP] | None = None
@@ -680,9 +688,10 @@ class ArrayTrackService:
             # up holding half a burst.  Intra-batch grid consistency per
             # (client, AP) is enforced through the shared shape map.
             batch_shapes: dict[tuple[str, str], tuple[int, ...]] = {}
-            for resolved_client, ap_id, resolved, _ts in resolved_frames:
+            for resolved_client, ap_id, resolved, resolved_ts \
+                    in resolved_frames:
                 self._reject_if_poison(resolved_client, ap_id, resolved,
-                                       batch_shapes)
+                                       resolved_ts, batch_shapes)
         sessions: list[Session] = []
         for resolved_client, ap_id, resolved, resolved_ts in resolved_frames:
             session = self.session(resolved_client)
@@ -729,20 +738,26 @@ class ArrayTrackService:
                 f"{ap_id!r}: non-finite snapshot samples")
 
     def _reject_if_poison(self, client_id: str, ap_id: str,
-                          spectrum: AoASpectrum,
+                          spectrum: AoASpectrum, timestamp_s: float,
                           batch_shapes: dict[tuple[str, str],
                                              tuple[int, ...]]) -> None:
         """Reject one frame that would poison a stacked pipeline pass.
 
         Two gates: non-finite values (NaN/inf power or angles -- legal by
         :class:`~repro.core.spectrum.AoASpectrum` construction, since its
-        non-negativity check is False for NaN), and an angle-grid shape
-        that contradicts the client's pending frames at the same AP or an
+        non-negativity check is False for NaN -- or a NaN/inf timestamp,
+        the frame's own or the ``timestamp_s`` it was ingested under,
+        which would break the triggers, the tracker's time order and
+        suppression's time grouping), and an angle-grid shape that
+        contradicts the client's pending frames at the same AP or an
         earlier frame of the same batch (``batch_shapes`` accumulates
         per-``(client, ap)`` shapes across one ``ingest_many`` call).
         """
         reason: str | None = None
-        if not np.all(np.isfinite(spectrum.power)):
+        if not (math.isfinite(timestamp_s)
+                and math.isfinite(spectrum.timestamp_s)):
+            reason = "non-finite timestamp"
+        elif not np.all(np.isfinite(spectrum.power)):
             reason = "non-finite power values"
         elif not np.all(np.isfinite(spectrum.angles_deg)):
             reason = "non-finite angle-grid values"
@@ -882,16 +897,12 @@ class ArrayTrackService:
         # discard a poisoned session explicitly via session.drain().
         # Sessions are only read here, and the tracker commit below stays
         # on the calling thread.
-        keys = list(sessions)
-        frames_by_client = {client_id: sessions[client_id].pending_timestamped()
-                            for client_id in keys}
-        suppress = self.config.session.suppress_multipath
-        shards = self._shards(keys)
-        if shards is None:
-            estimates = drain_shard(self._server, self._suppressor,
-                                    frames_by_client, suppress)
-        else:
-            estimates = self._fanout(shards, frames_by_client, suppress)
+        estimates = self._drain(
+            {client_id: session.pending_spectra()
+             for client_id, session in sessions.items()},
+            {client_id: session.pending_times()
+             for client_id, session in sessions.items()}
+            if self.config.session.suppress_multipath else None)
         timestamps: dict[str, float] = {}
         for client_id in estimates:
             session = sessions[client_id]

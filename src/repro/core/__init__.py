@@ -9,7 +9,7 @@ estimator (2.5).
 Beyond the paper, :mod:`repro.core.cache` memoizes the geometry-derived
 tables (Equation 6 steering matrices, Equation 8 bearing grids) and
 :mod:`repro.core.batch` evaluates the Equation 8 synthesis for many clients
-in one vectorized pass; the single-client estimator is a batch of one.
+in one vectorized pass; a single-client fix is a batch of one.
 """
 
 from repro.core.cache import (
@@ -75,7 +75,7 @@ from repro.core.likelihood import (
 )
 from repro.core.optimizer import HillClimbResult, hill_climb, refine_from_seeds
 from repro.core.pipeline import SpectrumComputer, SpectrumConfig
-from repro.core.localizer import LocalizerConfig, LocationEstimate, LocationEstimator
+from repro.core.localizer import LocalizerConfig, LocationEstimate
 from repro.core.batch import BatchLocalizer, count_distinct_sources
 
 __all__ = [
@@ -137,5 +137,4 @@ __all__ = [
     "SpectrumConfig",
     "LocalizerConfig",
     "LocationEstimate",
-    "LocationEstimator",
 ]

@@ -35,9 +35,8 @@ once and cached.  One batch runs these stages:
 
 The full per-client plane is built only under ``keep_heatmap``, by
 :func:`~repro.core.likelihood.synthesize_likelihood`.
-:class:`~repro.core.localizer.LocationEstimator` is a thin wrapper running
-this engine with a batch of one, so there is exactly one synthesis code
-path to test and optimize.
+A single-client fix is this engine with a batch of one, so there is
+exactly one synthesis code path to test and optimize.
 """
 
 from __future__ import annotations

@@ -1,27 +1,27 @@
-"""End-to-end location estimation from processed AoA spectra (Section 2.5).
+"""The Section 2.5 estimator's configuration and its result type.
 
-The :class:`LocationEstimator` is the server-side synthesis step: it takes
-the per-AP spectra of a client (already weighted / symmetry-resolved /
-multipath-suppressed as configured), evaluates the likelihood of Equation 8
-over a grid of candidate positions, and refines the best grid cells with hill
-climbing.  It is deliberately independent of how the spectra were produced,
-so the same estimator serves the "unoptimized" baseline of Figure 13 and the
-full ArrayTrack pipeline of Figure 15.
+:class:`LocalizerConfig` parameterizes the server-side synthesis step, and
+:class:`LocationEstimate` is one fix it produces.  The step itself is
+:class:`~repro.core.batch.BatchLocalizer`: it takes the per-AP spectra of
+many clients (already weighted / symmetry-resolved / multipath-suppressed
+as configured), evaluates the likelihood of Equation 8 over a grid of
+candidate positions, and refines the best grid cells with hill climbing.
+It is deliberately independent of how the spectra were produced, so the
+same estimator serves the "unoptimized" baseline of Figure 13 and the full
+ArrayTrack pipeline of Figure 15.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from collections.abc import Mapping, Sequence
 
 from repro.constants import DEFAULT_GRID_RESOLUTION_M
 from repro.errors import EstimationError
 from repro.geometry.vector import Point2D
 from repro.core.likelihood import LikelihoodMap
-from repro.core.spectrum import AoASpectrum
 
-__all__ = ["LocationEstimate", "LocalizerConfig", "LocationEstimator"]
+__all__ = ["LocationEstimate", "LocalizerConfig"]
 
 
 @dataclass(frozen=True)
@@ -98,66 +98,3 @@ class LocalizerConfig:
             raise EstimationError("num_seeds must be >= 1")
         if not 0.0 <= self.spectrum_floor < 1.0:
             raise EstimationError("spectrum_floor must be in [0, 1)")
-
-
-class LocationEstimator:
-    """Estimates client positions from per-AP AoA spectra.
-
-    Since the batched-engine refactor this class is a thin facade over
-    :class:`~repro.core.batch.BatchLocalizer`: a single-client estimate is a
-    batch of one, so the vectorized synthesis path is the *only* synthesis
-    path and single/batch fixes can never diverge.
-
-    Parameters
-    ----------
-    bounds:
-        ``(xmin, ymin, xmax, ymax)`` search area in metres (typically the
-        floorplan bounding box).
-    config:
-        Estimator configuration; defaults follow the paper.
-    """
-
-    def __init__(self, bounds: tuple[float, float, float, float],
-                 config: LocalizerConfig | None = None) -> None:
-        # Imported here because batch.py needs LocationEstimate from this
-        # module at import time.
-        from repro.core.batch import BatchLocalizer
-
-        self._batch = BatchLocalizer(bounds, config)
-
-    @property
-    def bounds(self) -> tuple[float, float, float, float]:
-        """Search-area bounds in metres."""
-        return self._batch.bounds
-
-    @property
-    def config(self) -> LocalizerConfig:
-        """The estimator configuration shared by single and batched fixes."""
-        return self._batch.config
-
-    # ------------------------------------------------------------------
-    # Main entry points
-    # ------------------------------------------------------------------
-    def estimate(self, spectra: Sequence[AoASpectrum],
-                 client_id: str = "") -> LocationEstimate:
-        """Return the most likely client position given ``spectra``.
-
-        Raises
-        ------
-        EstimationError
-            If no spectra are provided or none carries an AP position.
-        """
-        spectra = list(spectra)
-        if not spectra:
-            raise EstimationError("cannot localize without any AoA spectra")
-        return self._batch.estimate_batch({client_id: spectra})[client_id]
-
-    def estimate_batch(self,
-                       spectra_by_client: Mapping[str, Sequence[AoASpectrum]]
-                       ) -> dict[str, LocationEstimate]:
-        """Localize many clients in one vectorized pass.
-
-        See :meth:`repro.core.batch.BatchLocalizer.estimate_batch`; results
-        are bit-for-bit identical to calling :meth:`estimate` per client.
-        """
-        return self._batch.estimate_batch(spectra_by_client)

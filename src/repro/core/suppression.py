@@ -18,6 +18,7 @@ The algorithm (Figure 8):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from collections.abc import Sequence
 
@@ -136,20 +137,29 @@ class MultipathSuppressor:
     max_span_s: float | None = None
 
     def __post_init__(self) -> None:
-        if self.tolerance_deg < 0:
-            raise EstimationError("tolerance_deg must be non-negative")
+        # ``nan < 0`` is False, so each float is checked for finiteness
+        # too: a NaN window or span would make every frame its own group,
+        # a NaN tolerance would match no peak.
+        if not math.isfinite(self.tolerance_deg) or self.tolerance_deg < 0:
+            raise EstimationError("tolerance_deg must be finite and non-negative")
         if not 0.0 <= self.min_relative_height <= 1.0:
             # Validated here so a bad value fails at construction/config-load
             # time instead of surfacing as a find_peaks error mid-stream.
             raise EstimationError("min_relative_height must be in [0, 1]")
         if not 0.0 <= self.residual_fraction < 1.0:
             raise EstimationError("residual_fraction must be in [0, 1)")
-        if self.window_s < 0:
-            raise EstimationError("window_s must be non-negative")
-        if self.max_group_size < 1:
-            raise EstimationError("max_group_size must be >= 1")
-        if self.max_span_s is not None and self.max_span_s < 0:
-            raise EstimationError("max_span_s must be non-negative or None")
+        if not math.isfinite(self.window_s) or self.window_s < 0:
+            raise EstimationError("window_s must be finite and non-negative")
+        if isinstance(self.max_group_size, bool) \
+                or not isinstance(self.max_group_size, int) \
+                or self.max_group_size < 1:
+            raise EstimationError(
+                f"max_group_size must be an int >= 1, "
+                f"got {self.max_group_size!r}")
+        if self.max_span_s is not None and (
+                not math.isfinite(self.max_span_s) or self.max_span_s < 0):
+            raise EstimationError(
+                "max_span_s must be finite and non-negative or None")
 
     # ------------------------------------------------------------------
     # Core algorithm

@@ -29,10 +29,7 @@ from repro.baselines import (
     RssFingerprint,
 )
 from repro.channel import movement_track, perturb_position, random_waypoint_track
-from repro.constants import DEFAULT_SPECTRUM_FLOOR
 from repro.core import (
-    LocalizerConfig,
-    LocationEstimator,
     MultipathSuppressor,
     SpectrumConfig,
     find_peaks,
@@ -105,17 +102,6 @@ def _default_scenario(**overrides) -> ScenarioConfig:
     parameters = dict(frames_per_client=3, seed=2013)
     parameters.update(overrides)
     return ScenarioConfig(**parameters)
-
-
-def _localizer_config(grid_resolution_m: float) -> LocalizerConfig:
-    """Localizer settings for experiments driving the bare estimator.
-
-    Matches the facade's documented defaults (notably the
-    :data:`~repro.constants.DEFAULT_SPECTRUM_FLOOR` floor) so estimator-
-    level and service-level experiments stay comparable.
-    """
-    return LocalizerConfig(grid_resolution_m=grid_resolution_m,
-                           spectrum_floor=DEFAULT_SPECTRUM_FLOOR)
 
 
 def _service(bounds: tuple[float, float, float, float],
@@ -478,18 +464,14 @@ def fig14_heatmaps(client_id: str = "client-19",
     """
     testbed = build_office_testbed()
     deployment = SimulatedDeployment(testbed, _default_scenario())
-    estimator = LocationEstimator(testbed.bounds,
-                                  _localizer_config(grid_resolution_m))
+    service = _service(testbed.bounds, grid_resolution_m)
     spectra = deployment.collect_client_spectra(client_id)
     ground_truth = testbed.client_position(client_id)
-    suppressor = MultipathSuppressor()
-    processed = {ap: suppressor.process(ap_spectra)[0]
-                 for ap, ap_spectra in spectra.items()}
     errors: dict[int, float] = {}
     ap_order = testbed.ap_ids()
     for count in range(1, len(ap_order) + 1):
-        subset = [processed[ap] for ap in ap_order[:count] if ap in processed]
-        estimate = estimator.estimate(subset, client_id)
+        subset = {ap: spectra[ap] for ap in ap_order[:count] if ap in spectra}
+        estimate = service.localize(subset, client_id)
         errors[count] = estimate.error_to(ground_truth) * 100.0
     return errors
 

@@ -1,24 +1,20 @@
-"""The central ArrayTrack server: spectra aggregation and location synthesis.
+"""The central ArrayTrack server: location synthesis and latency accounting.
 
 Figure 1 splits the system into per-AP functionality (detection, diversity
 synthesis, buffering) and server functionality (AoA spectrum computation,
 multipath suppression, maximum-likelihood position estimation).  In this
-library the spectrum computation lives with the AP object for convenience;
-the :class:`ArrayTrackServer` performs the cross-frame and cross-AP steps:
+library the spectrum computation lives with the AP object for convenience,
+and the Section 2.4 step that picks each AP's spectra lives with the
+service: :func:`repro.api._procpool.drain_shard` is the one place that
+groups and suppresses a client's per-AP frames, on every backend rung.
+The :class:`ArrayTrackServer` holds what is left below it:
 
-* group each AP's spectra of a client by capture time and run multipath
-  suppression on each group (Section 2.4);
-* synthesize the suppressed spectra of all APs into a likelihood surface and
-  extract the location estimate (Section 2.5);
+* gather the frames buffered at a fleet of APs
+  (:meth:`ArrayTrackServer.collect_buffered`);
+* synthesize the chosen spectra of many clients into fixes in one
+  :class:`~repro.core.batch.BatchLocalizer` pass (Section 2.5,
+  :meth:`ArrayTrackServer.synthesize_batch`);
 * account for the end-to-end latency of the fix (Section 4.4).
-
-Beyond the paper's single-client flow, :meth:`ArrayTrackServer.localize_batch`
-accepts many clients at once and hands them to the vectorized
-:class:`~repro.core.batch.BatchLocalizer`, which evaluates the Equation 8
-grid for the whole batch in stacked NumPy passes while reusing the cached
-per-AP bearing tables.  Batched fixes are bit-for-bit identical to
-localizing each client alone -- the single-client path *is* the batch path
-with a batch of one.
 
 Applications reach this backend through
 :class:`repro.api.ArrayTrackService`.
@@ -33,9 +29,9 @@ from collections.abc import Mapping, Sequence
 from repro.errors import ConfigurationError, EstimationError
 from repro.ap.access_point import ArrayTrackAP
 from repro.ap.latency import LatencyBreakdown, LatencyModel
-from repro.core.localizer import LocalizerConfig, LocationEstimate, LocationEstimator
+from repro.core.batch import BatchLocalizer
+from repro.core.localizer import LocalizerConfig, LocationEstimate
 from repro.core.spectrum import AoASpectrum
-from repro.core.suppression import MultipathSuppressor
 
 __all__ = ["ServerConfig", "ArrayTrackServer"]
 
@@ -49,10 +45,12 @@ class ServerConfig:
     localizer:
         Grid/hill-climbing configuration of the position estimator.
     enable_multipath_suppression:
-        Run the Section 2.4 algorithm on each AP's spectra when multiple
-        frames of a client are available.
-    suppressor:
-        Parameters of the multipath suppression step.
+        On the batch path (``localize_many``, ``localize_buffered``, and
+        ``tick`` with ``session.suppress_multipath`` off), run the Section
+        2.4 algorithm on an AP's frames when a client has at least two
+        there, grouped on each spectrum's own ``timestamp_s``, and fold the
+        earliest group's primary.  The service tree's top-level
+        ``suppressor`` section sets the algorithm's parameters.
 
     The server always records the wall-clock time of its latest synthesis
     (:attr:`ArrayTrackServer.last_processing_s`), which the latency
@@ -61,7 +59,6 @@ class ServerConfig:
 
     localizer: LocalizerConfig = field(default_factory=LocalizerConfig)
     enable_multipath_suppression: bool = True
-    suppressor: MultipathSuppressor = field(default_factory=MultipathSuppressor)
 
 
 class ArrayTrackServer:
@@ -83,71 +80,23 @@ class ArrayTrackServer:
                  latency_model: LatencyModel | None = None) -> None:
         self.config = config if config is not None else ServerConfig()
         self.bounds = tuple(float(value) for value in bounds)
-        self.estimator = LocationEstimator(bounds, self.config.localizer)
+        self.localizer = BatchLocalizer(bounds, self.config.localizer)
         self.latency_model = latency_model if latency_model is not None else LatencyModel()
         self._last_processing_s: float | None = None
 
-    def warm_geometry_caches(self,
-                             ap_positions: Sequence[tuple[float, float]]) -> int:
-        """Precompute the bearing grids of the given AP positions.
-
-        The per-AP bearing tables normally build lazily on the first batch
-        that references an AP; a process-backend worker calls this from its
-        initializer so every worker pays the arctan2 sweeps once, before
-        the first real shard arrives.  Returns the number of grids warmed.
-        """
-        from repro.core.cache import default_bearing_cache
-
-        return default_bearing_cache().warm(
-            self.bounds, self.config.localizer.grid_resolution_m,
-            ap_positions)
-
     # ------------------------------------------------------------------
-    # Spectra-level API
+    # Synthesis
     # ------------------------------------------------------------------
-    def localize_batch(self,
-                       spectra_by_client: Mapping[str, Mapping[str, Sequence[AoASpectrum]]]
-                       ) -> dict[str, LocationEstimate]:
-        """Localize many clients in one vectorized synthesis pass.
-
-        Parameters
-        ----------
-        spectra_by_client:
-            For every client id, the per-AP spectra mapping that
-            :meth:`repro.api.ArrayTrackService.localize` takes.  Multipath
-            suppression runs per client and per AP exactly as in the
-            single-client path.
-
-        Returns
-        -------
-        dict
-            One :class:`~repro.core.localizer.LocationEstimate` per client,
-            identical to localizing each client alone but sharing the
-            bearing-grid work and the stacked Equation 8 evaluation across
-            the whole batch.
-
-        Raises
-        ------
-        EstimationError
-            If the batch is empty or any client contributes no spectra.
-        """
-        if not spectra_by_client:
-            raise EstimationError("no clients supplied for batch localization")
-        return self.synthesize_batch(
-            {client_id: self._process_per_ap(spectra_by_ap)
-             for client_id, spectra_by_ap in spectra_by_client.items()})
-
     def synthesize_batch(self,
                          spectra_by_client: Mapping[str, Sequence[AoASpectrum]]
                          ) -> dict[str, LocationEstimate]:
-        """Synthesize already-processed spectra into one fix per client.
+        """Synthesize already-chosen spectra into one fix per client.
 
-        This is the raw synthesis entry below :meth:`localize_batch`: the
-        per-AP grouping and multipath suppression are the *caller's*
-        responsibility (the streaming sessions run their own suppression
-        stage on ingest-resolved timestamps before calling it), while the
-        stacked Equation 8 evaluation and the processing-time measurement
-        are identical to the full batch path.
+        The Equation 8 fold and hill climb of
+        :meth:`~repro.core.batch.BatchLocalizer.estimate_batch`, timed so
+        :meth:`latency_breakdown` can substitute the measured processing
+        time.  The spectra enter exactly as given: picking them (Section
+        2.4) is :func:`repro.api._procpool.drain_shard`'s job.
 
         Parameters
         ----------
@@ -160,35 +109,10 @@ class ArrayTrackServer:
         EstimationError
             If the batch is empty or any client contributes no spectra.
         """
-        if not spectra_by_client:
-            raise EstimationError("no clients supplied for batch localization")
-        processed_by_client: dict[str, list[AoASpectrum]] = {}
-        for client_id, spectra in spectra_by_client.items():
-            processed = list(spectra)
-            if not processed:
-                raise EstimationError(
-                    f"no AoA spectra supplied for client {client_id!r}")
-            processed_by_client[client_id] = processed
         start = time.perf_counter()
-        estimates = self.estimator.estimate_batch(processed_by_client)
+        estimates = self.localizer.estimate_batch(spectra_by_client)
         self._last_processing_s = time.perf_counter() - start
         return estimates
-
-    def _process_per_ap(self, spectra_by_ap: Mapping[str, Sequence[AoASpectrum]]
-                        ) -> list[AoASpectrum]:
-        processed: list[AoASpectrum] = []
-        for ap_id, spectra in spectra_by_ap.items():
-            spectra = list(spectra)
-            if not spectra:
-                continue
-            if self.config.enable_multipath_suppression and len(spectra) >= 2:
-                outputs = self.config.suppressor.process(spectra)
-                # One output per time group, in ascending time order; use
-                # the first group's primary, i.e. the earliest burst.
-                processed.append(outputs[0])
-            else:
-                processed.append(spectra[0])
-        return processed
 
     # ------------------------------------------------------------------
     # AP-level API
@@ -198,11 +122,11 @@ class ArrayTrackServer:
                          ) -> dict[str, dict[str, list[AoASpectrum]]]:
         """Gather the buffered per-AP spectra of every requested client.
 
-        This is the collection half of :meth:`localize_clients`, exposed
-        separately so the service facade can shard the resulting batch
-        across workers while keeping one definition of which frames enter
-        a buffered sweep.  Each AP computes the spectra of *all* requested
-        clients' pending frames in one batched Section 2.3 frontend pass
+        The collection half of
+        :meth:`repro.api.ArrayTrackService.localize_buffered`, which then
+        localizes the result like any ``localize_many`` batch.  Each AP
+        computes the spectra of *all* requested clients' pending frames in
+        one batched Section 2.3 frontend pass
         (:meth:`~repro.ap.access_point.ArrayTrackAP.spectra_for_clients`),
         so a buffered sweep costs one stacked covariance/eigh/projection
         sweep per AP rather than one per frame.  Clients no AP currently
@@ -232,24 +156,6 @@ class ArrayTrackServer:
             raise EstimationError(
                 "none of the requested clients has any buffered frames")
         return spectra_by_client
-
-    def localize_clients(self, aps: Sequence[ArrayTrackAP],
-                         client_ids: Sequence[str]) -> dict[str, LocationEstimate]:
-        """Batch-localize every client in ``client_ids`` from buffered frames.
-
-        Clients no AP currently holds frames for (never transmitted, or
-        their frames aged out of the circular buffers) are omitted from the
-        result rather than failing the whole sweep; callers detect them by
-        diffing the returned keys against ``client_ids``.
-
-        Raises
-        ------
-        ConfigurationError
-            If ``aps`` is empty.
-        EstimationError
-            If none of the requested clients has any buffered frames.
-        """
-        return self.localize_batch(self.collect_buffered(aps, client_ids))
 
     # ------------------------------------------------------------------
     # Latency accounting (Section 4.4)

@@ -1,6 +1,7 @@
 """Tests for the ArrayTrackConfig tree: round-tripping, validation, overrides."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -24,13 +25,13 @@ class TestRoundTrip:
             server=ServerConfig(
                 localizer=LocalizerConfig(grid_resolution_m=0.5,
                                           spectrum_floor=0.1),
-                enable_multipath_suppression=False,
-                suppressor=SuppressorConfig(tolerance_deg=7.0)),
+                enable_multipath_suppression=False),
             session=SessionConfig(emit_every_frames=5, max_age_s=0.25),
+            suppressor=SuppressorConfig(tolerance_deg=7.0),
         )
         restored = ArrayTrackConfig.from_dict(config.to_dict())
         assert restored == config
-        assert restored.server.suppressor.tolerance_deg == 7.0
+        assert restored.suppressor.tolerance_deg == 7.0
 
     def test_json_round_trip(self):
         config = ArrayTrackConfig(bounds=(0.0, 0.0, 8.0, 4.0),
@@ -50,6 +51,58 @@ class TestRoundTrip:
     def test_bounds_list_normalized_to_tuple(self):
         config = ArrayTrackConfig.from_dict({"bounds": [0, 0, 5, 5]})
         assert config.bounds == (0.0, 0.0, 5.0, 5.0)
+
+
+def _leaves(tree, prefix=""):
+    """Dotted paths of every non-mapping value in a ``to_dict()`` tree."""
+    paths = []
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            paths.extend(_leaves(value, f"{prefix}{key}."))
+        else:
+            paths.append(prefix + key)
+    return paths
+
+
+#: Every configuration knob, by dotted path.  Adding or removing one
+#: must show up here in review.
+CONFIG_LEAVES = [
+    "ap.apply_phase_offsets", "ap.buffer_capacity", "ap.num_antennas",
+    "ap.snapshots_per_frame", "ap.snr_db",
+    "ap.spectrum.angle_resolution_deg", "ap.spectrum.apply_weighting",
+    "ap.spectrum.elevation_deg", "ap.spectrum.forward_backward",
+    "ap.spectrum.method", "ap.spectrum.num_sources",
+    "ap.spectrum.smoothing_groups", "ap.spectrum.symmetry_attenuation",
+    "ap.use_symmetry_antenna",
+    "bounds", "estimator",
+    "parallel.backend", "parallel.min_clients_per_worker",
+    "parallel.num_workers",
+    "resilience.backoff_base_s", "resilience.backoff_jitter",
+    "resilience.backoff_max_s", "resilience.breaker_recovery_s",
+    "resilience.breaker_threshold", "resilience.fault_plan",
+    "resilience.max_retries", "resilience.max_total_pending_frames",
+    "resilience.reject_poison_frames", "resilience.retry_seed",
+    "resilience.shard_timeout_s", "resilience.shed_policy",
+    "server.enable_multipath_suppression",
+    "server.localizer.grid_resolution_m", "server.localizer.keep_heatmap",
+    "server.localizer.normalize_spectra", "server.localizer.num_seeds",
+    "server.localizer.refine_with_hill_climbing",
+    "server.localizer.spectrum_floor",
+    "session.emit_every_frames", "session.max_age_s",
+    "session.max_pending_frames", "session.suppress_multipath",
+    "suppressor.max_group_size", "suppressor.max_span_s",
+    "suppressor.min_relative_height", "suppressor.residual_fraction",
+    "suppressor.tolerance_deg", "suppressor.window_s",
+    "tracker.max_history", "tracker.on_out_of_order",
+    "tracker.smoothing_factor",
+]
+
+
+class TestLeaves:
+    def test_config_leaves_are_pinned(self):
+        leaves = sorted(_leaves(ArrayTrackConfig().to_dict()))
+        assert leaves == CONFIG_LEAVES
+        assert len(leaves) == 51
 
 
 class TestDefaults:
@@ -125,6 +178,26 @@ class TestRejection:
                 {f"ARRAYTRACK_{section.upper()}__{key.upper()}":
                  json.dumps(value)})
 
+    @pytest.mark.parametrize("leaf", [
+        spec.name for spec in fields(SuppressorConfig)])
+    def test_server_suppressor_section_is_unknown(self, leaf):
+        # The top-level ``suppressor`` section parameterizes both switches.
+        value = getattr(SuppressorConfig(), leaf)
+        data = {"server": {"suppressor": {leaf: value}}}
+        with pytest.raises(ConfigurationError,
+                           match=r"unknown key\(s\) \['suppressor'\] "
+                                 r"under config\.server"):
+            ArrayTrackConfig.from_dict(data)
+        with pytest.raises(ConfigurationError, match=r"config\.server\b"):
+            ArrayTrackConfig.from_json(json.dumps(data))
+        path = rf"unknown configuration path 'server\.suppressor\.{leaf}'"
+        with pytest.raises(ConfigurationError, match=path):
+            ArrayTrackConfig().updated({f"server.suppressor.{leaf}": value})
+        with pytest.raises(ConfigurationError, match=path):
+            ArrayTrackConfig().with_env_overrides(
+                {f"ARRAYTRACK_SERVER__SUPPRESSOR__{leaf.upper()}":
+                 json.dumps(value)})
+
     @pytest.mark.parametrize("data, message", [
         ({"server": {"localizer": {"grid_resolution_m": -1.0}}},
          r"config\.server\.localizer: grid_resolution_m must be positive"),
@@ -158,17 +231,34 @@ class TestRejection:
         with pytest.raises(ConfigurationError, match="smoothing_factor"):
             ArrayTrackConfig.from_dict({"tracker": {"smoothing_factor": 0.0}})
 
-    def test_invalid_suppressor_value_fails_at_config_load(self):
-        # A bad peak floor must fail here, not as an EstimationError from
-        # find_peaks once a stream is already running.
-        with pytest.raises(ConfigurationError, match="min_relative_height"):
-            ArrayTrackConfig.from_dict(
-                {"suppressor": {"min_relative_height": 1.5}})
+    @pytest.mark.parametrize("key, value", [
+        ("min_relative_height", 1.5),
+        # NaN windows made every frame its own group (suppression silently
+        # off) and a NaN tolerance matched no peak.
+        ("window_s", float("nan")),
+        ("window_s", float("inf")),
+        ("max_span_s", float("nan")),
+        ("tolerance_deg", float("nan")),
+        ("max_group_size", 2.5),
+        ("max_group_size", True),
+    ])
+    def test_invalid_suppressor_value_fails_at_config_load(self, key, value):
+        # A bad value must fail here, not as an EstimationError from
+        # find_peaks (or as silently skipped suppression) once a stream is
+        # already running.
+        with pytest.raises(ConfigurationError,
+                           match=rf"config\.suppressor: {key}"):
+            ArrayTrackConfig.from_dict({"suppressor": {key: value}})
 
-    def test_invalid_session_value(self):
-        with pytest.raises(ConfigurationError, match="suppress_multipath"):
-            ArrayTrackConfig.from_dict(
-                {"session": {"suppress_multipath": "yes"}})
+    @pytest.mark.parametrize("key, value", [
+        ("suppress_multipath", "yes"),
+        ("max_age_s", float("nan")),
+        ("max_age_s", float("inf")),
+    ])
+    def test_invalid_session_value(self, key, value):
+        with pytest.raises(ConfigurationError,
+                           match=rf"config\.session: {key}"):
+            ArrayTrackConfig.from_dict({"session": {key: value}})
 
     def test_section_must_be_mapping(self):
         with pytest.raises(ConfigurationError, match="must be a mapping"):
@@ -254,6 +344,7 @@ class TestSessionConfigValidation:
     @pytest.mark.parametrize("kwargs", [
         {"emit_every_frames": -1},
         {"max_age_s": -0.5},
+        {"max_age_s": float("nan")},
         {"max_pending_frames": 0},
         {"suppress_multipath": 1},
         {"emit_every_frames": True},
@@ -327,12 +418,18 @@ class TestResilienceSection:
         {"max_retries": -1},
         {"max_retries": True},
         {"backoff_base_s": -0.1},
+        {"backoff_base_s": float("nan")},
+        {"backoff_max_s": float("inf")},
+        {"backoff_jitter": float("nan")},
         {"backoff_jitter": -0.5},
         {"backoff_jitter": 1.5},
         {"retry_seed": 1.5},
         {"shard_timeout_s": 0.0},
+        {"shard_timeout_s": float("inf")},
+        {"shard_timeout_s": float("nan")},
         {"breaker_threshold": 0},
         {"breaker_recovery_s": -1.0},
+        {"breaker_recovery_s": float("nan")},
         {"max_total_pending_frames": 0},
         {"shed_policy": "drop-newest"},
         {"reject_poison_frames": "yes"},
@@ -342,10 +439,20 @@ class TestResilienceSection:
         with pytest.raises(ConfigurationError):
             ResilienceConfig(**kwargs)
 
-    def test_invalid_value_names_path_from_dict(self):
-        with pytest.raises(ConfigurationError, match="resilience"):
-            ArrayTrackConfig.from_dict(
-                {"resilience": {"shed_policy": "panic"}})
+    @pytest.mark.parametrize("key, value", [
+        ("shed_policy", "panic"),
+        # inf overflowed the pool's deadline arithmetic; NaN timed every
+        # shard out at once, slept NaN or never half-opened the breaker.
+        ("shard_timeout_s", float("inf")),
+        ("shard_timeout_s", float("nan")),
+        ("backoff_base_s", float("nan")),
+        ("backoff_jitter", float("nan")),
+        ("breaker_recovery_s", float("nan")),
+    ])
+    def test_invalid_value_names_path_from_dict(self, key, value):
+        with pytest.raises(ConfigurationError,
+                           match=rf"config\.resilience: {key}"):
+            ArrayTrackConfig.from_dict({"resilience": {key: value}})
 
     def test_env_override_reaches_resilience_section(self):
         config = ArrayTrackConfig(bounds=(0.0, 0.0, 5.0, 5.0))

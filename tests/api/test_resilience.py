@@ -301,8 +301,7 @@ class TestBackpressure:
         service.ingest("ap0", self._spectrum("a", 3.0))
         # Client a's own oldest frame (t=0) was shed to make room.
         assert _pending(service) == 3
-        pending = service.session("a").pending_timestamped()["ap0"]
-        assert [timestamp for timestamp, _ in pending] == [1.0, 2.0, 3.0]
+        assert service.session("a").pending_times()["ap0"] == [1.0, 2.0, 3.0]
         assert service.health()["ingest"]["shed_frames"] == 1
 
     def test_shed_oldest_falls_back_to_globally_oldest_session(self):
@@ -400,6 +399,34 @@ class TestPoisonFrames:
         with pytest.raises(PoisonFrameError, match="snapshot samples"):
             service.ingest_many(ap, [entry])
         assert service.health()["ingest"]["poison_rejected"] == 2
+
+    @pytest.mark.parametrize("own, override", [
+        (float("nan"), None),
+        (float("inf"), None),
+        (1.0, float("nan")),
+        (float("nan"), 1.0),
+    ], ids=["own-nan", "own-inf", "override-nan", "own-nan-override-finite"])
+    def test_non_finite_timestamp_rejected_atomically(self, own, override):
+        # A session that already emitted its t=0 fix used to admit NaN-timed
+        # frames, and the next tick() committed a second fix at t=0.0.
+        service = _service(**{"session.emit_every_frames": 3})
+        target = Point2D(10.0, 5.0)
+        for position in AP_POSITIONS:
+            service.ingest("ap0", _spectrum_towards(position, target,
+                                                    client_id="c0"))
+        assert set(service.tick()) == {"c0"}
+        good = _spectrum_towards(AP_POSITIONS[1], target, timestamp_s=1.0,
+                                 client_id="c0")
+        burst = [good] + [
+            _spectrum_towards(position, target, timestamp_s=own,
+                              client_id="c0")
+            for position in AP_POSITIONS]
+        with pytest.raises(PoisonFrameError, match="non-finite timestamp"):
+            service.ingest_many("ap0", burst, timestamp_s=override)
+        assert _pending(service) == 0
+        assert service.health()["ingest"]["poison_rejected"] == 1
+        assert service.tick() == {}
+        assert [point.timestamp_s for point in service.track("c0")] == [0.0]
 
     def test_rejection_can_be_disabled(self):
         service = _service(**{"resilience.reject_poison_frames": False})

@@ -599,8 +599,7 @@ class TestIngestMany:
         assert len(sessions) == 3
         session = service.session("c2")
         assert session.pending_frames == 3
-        pending = session.pending_timestamped()["probe"]
-        assert [timestamp for timestamp, _ in pending] == [0.0, 0.5, 0.03]
+        assert session.pending_times()["probe"] == [0.0, 0.5, 0.03]
 
     def test_raw_entries_need_known_ap(self):
         ap = self._probe_ap()

@@ -6,9 +6,9 @@ import pytest
 from repro.array import ArrayGeometry
 from repro.core import (
     AoASpectrum,
+    BatchLocalizer,
     BearingGridCache,
     LocalizerConfig,
-    LocationEstimator,
     SteeringCache,
     clear_default_caches,
     count_distinct_sources,
@@ -188,10 +188,10 @@ class TestBatchSingleParity:
     def test_batch_matches_sequential(self, refine):
         config = LocalizerConfig(grid_resolution_m=0.5,
                                  refine_with_hill_climbing=refine)
-        estimator = LocationEstimator(BOUNDS, config)
+        estimator = BatchLocalizer(BOUNDS, config)
         batch = {f"c{i}": _client_spectra(target, seed=i)
                  for i, target in enumerate(self._targets(8))}
-        sequential = {key: estimator.estimate(spectra, key)
+        sequential = {key: estimator.estimate_batch({key: spectra})[key]
                       for key, spectra in batch.items()}
         batched = estimator.estimate_batch(batch)
         for key in batch:
@@ -204,7 +204,7 @@ class TestBatchSingleParity:
 
     def test_ragged_batch_matches_sequential(self):
         """Clients heard by different AP subsets (and orders) still agree."""
-        estimator = LocationEstimator(
+        estimator = BatchLocalizer(
             BOUNDS, LocalizerConfig(grid_resolution_m=0.5))
         targets = self._targets(4)
         batch = {
@@ -216,7 +216,7 @@ class TestBatchSingleParity:
             "c3": _client_spectra(targets[3], seed=3,
                                   sites=AP_SITES[1:]),
         }
-        sequential = {key: estimator.estimate(spectra, key)
+        sequential = {key: estimator.estimate_batch({key: spectra})[key]
                       for key, spectra in batch.items()}
         batched = estimator.estimate_batch(batch)
         for key in batch:
@@ -226,7 +226,7 @@ class TestBatchSingleParity:
     def test_keep_heatmap_attaches_per_client_maps(self):
         config = LocalizerConfig(grid_resolution_m=0.5, keep_heatmap=True,
                                  refine_with_hill_climbing=False)
-        estimator = LocationEstimator(BOUNDS, config)
+        estimator = BatchLocalizer(BOUNDS, config)
         batch = {f"c{i}": _client_spectra(target, seed=i)
                  for i, target in enumerate(self._targets(3))}
         batched = estimator.estimate_batch(batch)
@@ -250,7 +250,8 @@ class TestBatchSingleParity:
         config = LocalizerConfig(grid_resolution_m=0.5, keep_heatmap=True,
                                  refine_with_hill_climbing=False,
                                  spectrum_floor=floor)
-        heatmap = LocationEstimator(BOUNDS, config).estimate(spectra).heatmap
+        heatmap = BatchLocalizer(BOUNDS, config).estimate_batch(
+            {"": spectra})[""].heatmap
         assert heatmap is not None
         expected = likelihood_at([s.normalized() for s in spectra],
                                  Point2D(1.0, 1.0), floor=floor)
@@ -258,7 +259,7 @@ class TestBatchSingleParity:
         assert (heatmap.values[2, 2] == 0.0) == (floor == 0.0)
 
     def test_empty_batch_and_empty_client_are_rejected(self):
-        estimator = LocationEstimator(BOUNDS, LocalizerConfig())
+        estimator = BatchLocalizer(BOUNDS, LocalizerConfig())
         with pytest.raises(EstimationError):
             estimator.estimate_batch({})
         with pytest.raises(EstimationError):
@@ -278,7 +279,7 @@ class TestCountDistinctSources:
         assert count_distinct_sources([]) == 0
 
     def test_estimate_num_aps_counts_mixed_sources(self):
-        estimator = LocationEstimator(
+        estimator = BatchLocalizer(
             BOUNDS, LocalizerConfig(grid_resolution_m=0.5,
                                     refine_with_hill_climbing=False))
         target = Point2D(6.0, 4.0)
@@ -287,4 +288,4 @@ class TestCountDistinctSources:
             _spectrum_towards(AP_SITES[1][0], target),    # anonymous
             _spectrum_towards(AP_SITES[2][0], target),    # anonymous
         ]
-        assert estimator.estimate(spectra).num_aps == 3
+        assert estimator.estimate_batch({"": spectra})[""].num_aps == 3

@@ -7,9 +7,9 @@ from repro.array import ArrayGeometry, ArrayReceiver, DeployedArray
 from repro.channel import ChannelBuilder, ChannelModelConfig
 from repro.core import (
     AoASpectrum,
+    BatchLocalizer,
     LikelihoodMap,
     LocalizerConfig,
-    LocationEstimator,
     SpectrumComputer,
     SpectrumConfig,
     default_angle_grid,
@@ -154,9 +154,9 @@ class TestLikelihood:
         target = Point2D(5.02, 4.0)
         spectra = [_spectrum_towards(Point2D(5.0, 0.0), target),
                    _spectrum_towards(Point2D(5.1, 9.0), target)]
-        estimator = LocationEstimator(
+        estimator = BatchLocalizer(
             (5.0, 0.0, 5.05, 9.0), LocalizerConfig(grid_resolution_m=0.1))
-        estimate = estimator.estimate(spectra, client_id="edge")
+        estimate = estimator.estimate_batch({"edge": spectra})["edge"]
         assert 5.0 <= estimate.position.x <= 5.05
         assert estimate.likelihood > 0.0
 
@@ -239,15 +239,15 @@ class TestEndToEndLocalization:
 
     def test_three_ap_localization_is_sub_metre_median(self, room_setup):
         room, builder, arrays = room_setup
-        estimator = LocationEstimator(room.bounding_box(0.5),
-                                      LocalizerConfig(grid_resolution_m=0.2,
-                                                      spectrum_floor=0.05))
+        estimator = BatchLocalizer(room.bounding_box(0.5),
+                                   LocalizerConfig(grid_resolution_m=0.2,
+                                                   spectrum_floor=0.05))
         errors = []
         rng = np.random.default_rng(1)
         for trial in range(6):
             client = Point2D(float(rng.uniform(4, 16)), float(rng.uniform(3, 8)))
             spectra = self._spectra_for(builder, arrays, client, seed=trial)
-            estimate = estimator.estimate(spectra, "c")
+            estimate = estimator.estimate_batch({"c": spectra})["c"]
             errors.append(estimate.error_to(client))
         assert float(np.median(errors)) < 1.0
 
@@ -255,13 +255,13 @@ class TestEndToEndLocalization:
         room, builder, arrays = room_setup
         client = Point2D(7.3, 4.6)
         spectra = self._spectra_for(builder, arrays, client)
-        coarse = LocationEstimator(room.bounding_box(0.5),
-                                   LocalizerConfig(grid_resolution_m=0.5,
-                                                   refine_with_hill_climbing=False))
-        refined = LocationEstimator(room.bounding_box(0.5),
-                                    LocalizerConfig(grid_resolution_m=0.5))
-        coarse_estimate = coarse.estimate(spectra)
-        refined_estimate = refined.estimate(spectra)
+        coarse = BatchLocalizer(room.bounding_box(0.5),
+                                LocalizerConfig(grid_resolution_m=0.5,
+                                                refine_with_hill_climbing=False))
+        refined = BatchLocalizer(room.bounding_box(0.5),
+                                 LocalizerConfig(grid_resolution_m=0.5))
+        coarse_estimate = coarse.estimate_batch({"": spectra})[""]
+        refined_estimate = refined.estimate_batch({"": spectra})[""]
         # Hill climbing maximizes the likelihood; it must never return a less
         # likely point than the best grid cell it started from.
         assert refined_estimate.likelihood >= coarse_estimate.likelihood - 1e-12
@@ -271,22 +271,22 @@ class TestEndToEndLocalization:
         room, builder, arrays = room_setup
         client = Point2D(7.3, 4.6)
         spectra = self._spectra_for(builder, arrays, client)
-        estimator = LocationEstimator(room.bounding_box(0.5),
-                                      LocalizerConfig(grid_resolution_m=0.5,
-                                                      keep_heatmap=True))
-        estimate = estimator.estimate(spectra)
+        estimator = BatchLocalizer(room.bounding_box(0.5),
+                                   LocalizerConfig(grid_resolution_m=0.5,
+                                                   keep_heatmap=True))
+        estimate = estimator.estimate_batch({"": spectra})[""]
         assert estimate.heatmap is not None
         assert estimate.num_aps == 3
 
     def test_estimator_requires_spectra(self, room_setup):
         room, _, _ = room_setup
-        estimator = LocationEstimator(room.bounding_box(0.5))
+        estimator = BatchLocalizer(room.bounding_box(0.5))
         with pytest.raises(EstimationError):
-            estimator.estimate([])
+            estimator.estimate_batch({"": []})
 
     def test_invalid_bounds_rejected(self):
         with pytest.raises(EstimationError):
-            LocationEstimator((0, 0, 0, 10))
+            BatchLocalizer((0, 0, 0, 10))
 
 
 class TestSpectrumComputerPipeline:

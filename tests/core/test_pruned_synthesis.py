@@ -135,7 +135,7 @@ def test_fixes_leave_scipy_unimported():
     script = """
 import sys
 import numpy as np
-from repro.core import AoASpectrum, LocationEstimator, LocalizerConfig
+from repro.core import AoASpectrum, BatchLocalizer, LocalizerConfig
 from repro.core import default_angle_grid
 from repro.geometry import Point2D
 
@@ -145,9 +145,9 @@ spectra = [AoASpectrum(angles, 1.0 + np.cos(np.radians(angles - offset)),
            for position, offset in ((Point2D(0.0, 0.0), 40.0),
                                     (Point2D(6.0, 0.0), 130.0))]
 for refine in (True, False):
-    LocationEstimator((0.0, 0.0, 6.0, 4.0), LocalizerConfig(
+    BatchLocalizer((0.0, 0.0, 6.0, 4.0), LocalizerConfig(
         grid_resolution_m=0.25, refine_with_hill_climbing=refine,
-    )).estimate(spectra, "client")
+    )).estimate_batch({"client": spectra})["client"]
 print("scipy" in sys.modules)
 """
     source_root = str(Path(repro.__file__).resolve().parents[1])

@@ -1,4 +1,5 @@
-"""Tests for the ArrayTrack server backend and the client tracker."""
+"""Tests for the ArrayTrack server backend, the batch path above it, and the
+client tracker."""
 
 import numpy as np
 import pytest
@@ -95,19 +96,19 @@ class TestArrayTrackServer:
             }
         return clients
 
-    def test_localize_batch_matches_sequential_loop(self):
+    def test_localize_many_matches_sequential_loop(self):
         service = self._service()
         clients = self._batch_of_clients(5)
         sequential = {client_id: service.localize(spectra, client_id)
                       for client_id, spectra in clients.items()}
-        batched = service.server.localize_batch(clients)
+        batched = service.localize_many(clients)
         assert set(batched) == set(clients)
         for client_id in clients:
             assert batched[client_id].position.distance_to(
                 sequential[client_id].position) <= 1e-9
             assert batched[client_id].client_id == client_id
 
-    def test_localize_batch_runs_multipath_suppression_per_client(self):
+    def test_localize_many_runs_multipath_suppression_per_client(self):
         """Each client's per-AP frames are suppressed exactly as when alone."""
         ghost_bearing = 200.0
         spectra = {
@@ -121,11 +122,13 @@ class TestArrayTrackServer:
         }
         service = self._service(enable_multipath_suppression=True)
         single = service.localize(spectra, "c0")
-        batched = service.server.localize_batch({"c0": spectra})
-        assert batched["c0"].position.distance_to(single.position) <= 1e-9
+        batched = service.localize_many(
+            {**self._batch_of_clients(2), "c0": spectra})
+        assert batched["c0"].position == single.position
+        assert batched["c0"].likelihood == single.likelihood
         assert batched["c0"].position.distance_to(TARGET) < 0.3
 
-    def test_localize_batch_folds_the_earliest_burst_primary(self):
+    def test_localize_many_folds_the_earliest_burst_primary(self):
         """With two bursts at one AP, the earliest burst's primary enters.
 
         ap0 holds a ghost burst at t=0 and a clean burst at t=1, listed
@@ -139,29 +142,30 @@ class TestArrayTrackServer:
                                    timestamp_s=t)
                  for t in (1.0, 1.03)]
         others = [_spectrum_towards(p, TARGET) for p in AP_POSITIONS[1:]]
-        server = self._server(enable_multipath_suppression=True)
-        batched = server.localize_batch(
+        service = self._service(enable_multipath_suppression=True)
+        batched = service.localize_many(
             {"c": {"ap0": clean + [ghost, companion],
                    "ap1": [others[0]], "ap2": [others[1]]}})["c"]
-        primary = reference_suppress(server.config.suppressor,
+        primary = reference_suppress(service.config.suppressor,
                                      [ghost, companion])
-        earliest = server.synthesize_batch({"c": [primary] + others})["c"]
-        latest = server.synthesize_batch({"c": [clean[0]] + others})["c"]
+        localizer = service.server.localizer
+        earliest = localizer.estimate_batch({"c": [primary] + others})["c"]
+        latest = localizer.estimate_batch({"c": [clean[0]] + others})["c"]
         assert batched.position == earliest.position
         assert batched.likelihood == earliest.likelihood
         assert earliest.position.distance_to(TARGET) < 0.3
         assert latest.position != earliest.position
 
-    def test_localize_batch_rejects_empty_input(self):
-        server = self._server()
-        with pytest.raises(EstimationError):
-            server.localize_batch({})
-        with pytest.raises(EstimationError):
-            server.localize_batch({"c": {}})
+    def test_localize_many_rejects_empty_input(self):
+        service = self._service()
+        with pytest.raises(EstimationError, match="empty client batch"):
+            service.localize_many({})
+        with pytest.raises(EstimationError, match="'c'"):
+            service.localize_many({"c": {}})
 
-    def test_localize_clients_requires_aps(self):
+    def test_localize_buffered_requires_aps(self):
         with pytest.raises(ConfigurationError):
-            self._server().localize_clients([], ["c"])
+            self._service().localize_buffered(["c"], aps=[])
 
     def test_synthesize_batch_skips_server_side_suppression(self):
         """Pre-suppressed spectra must enter the synthesis untouched."""
@@ -170,23 +174,24 @@ class TestArrayTrackServer:
                                   extra_peak=ghost_bearing)
         companion = _spectrum_towards(AP_POSITIONS[0], TARGET, timestamp_s=0.03)
         others = [_spectrum_towards(p, TARGET) for p in AP_POSITIONS[1:]]
-        server = self._server(enable_multipath_suppression=True)
-        # localize_batch groups ap0's pair and folds the one suppressed
+        service = self._service(enable_multipath_suppression=True)
+        # localize_many groups ap0's pair and folds the one suppressed
         # primary (3 spectra total); synthesize_batch folds exactly what it
         # is given (all 4 raw spectra) -- no second suppression pass.
-        suppressed = server.localize_batch(
+        suppressed = service.localize_many(
             {"c": {"ap0": [ghost, companion],
                    "ap1": [others[0]], "ap2": [others[1]]}})["c"]
-        raw = server.synthesize_batch({"c": [ghost, companion] + others})["c"]
+        raw = service.server.synthesize_batch(
+            {"c": [ghost, companion] + others})["c"]
         assert suppressed.position.distance_to(TARGET) < 0.3
         assert raw.likelihood != suppressed.likelihood
 
-    def test_synthesize_batch_matches_unsuppressed_localize_batch(self):
-        server = self._server(enable_multipath_suppression=False)
+    def test_synthesize_batch_matches_unsuppressed_localize_many(self):
+        service = self._service(enable_multipath_suppression=False)
         spectra = {f"ap{i}": [_spectrum_towards(p, TARGET)]
                    for i, p in enumerate(AP_POSITIONS)}
-        via_batch = server.localize_batch({"c": spectra})["c"]
-        via_synthesis = server.synthesize_batch(
+        via_batch = service.localize_many({"c": spectra})["c"]
+        via_synthesis = service.server.synthesize_batch(
             {"c": [s[0] for s in spectra.values()]})["c"]
         assert via_batch.position == via_synthesis.position
         assert via_batch.likelihood == via_synthesis.likelihood
@@ -198,7 +203,7 @@ class TestArrayTrackServer:
         with pytest.raises(EstimationError, match="'c'"):
             server.synthesize_batch({"c": []})
 
-    def test_localize_batch_ragged_ap_subsets(self):
+    def test_localize_many_ragged_ap_subsets(self):
         """Clients heard by different AP subsets localize in one batch."""
         service = self._service()
         rng = np.random.default_rng(13)
@@ -210,7 +215,7 @@ class TestArrayTrackServer:
             clients[f"c{index}"] = spectra
         sequential = {cid: service.localize(s, cid)
                       for cid, s in clients.items()}
-        batched = service.server.localize_batch(clients)
+        batched = service.localize_many(clients)
         for cid in clients:
             assert batched[cid].position.distance_to(
                 sequential[cid].position) <= 1e-9

@@ -6,7 +6,7 @@ from repro.api import ArrayTrackConfig, ArrayTrackService
 from repro.core import LocalizerConfig
 from repro.geometry import Point2D
 from repro.channel import random_waypoint_track
-from repro.server import ArrayTrackServer, ClientTracker, ServerConfig
+from repro.server import ClientTracker, ServerConfig
 from repro.testbed import ScenarioConfig, SimulatedDeployment, build_office_testbed
 
 
@@ -83,27 +83,24 @@ class TestFullPipeline:
                 client_id)
         sequential = {client_id: service.localize(spectra, client_id)
                       for client_id, spectra in spectra_by_client.items()}
-        batched = service.server.localize_batch(spectra_by_client)
+        batched = service.localize_many(spectra_by_client)
         for client_id in client_ids:
             assert batched[client_id].position.distance_to(
                 sequential[client_id].position) <= 1e-9
             assert batched[client_id].num_aps == sequential[client_id].num_aps
 
-    def test_localize_clients_end_to_end(self):
-        """AP-level batch entry point produces fixes for every buffered client."""
+    def test_localize_buffered_end_to_end(self):
+        """The buffered sweep produces fixes for every buffered client."""
         testbed = build_office_testbed()
         deployment = SimulatedDeployment(testbed,
                                          ScenarioConfig(frames_per_client=1,
                                                         seed=31))
-        server = ArrayTrackServer(
-            testbed.bounds,
-            ServerConfig(localizer=LocalizerConfig(grid_resolution_m=0.4,
-                                                   spectrum_floor=0.05)))
+        service = _service(testbed.bounds)
         client_ids = testbed.client_ids()[:3]
         for client_id in client_ids:
             deployment.capture_client(client_id)
-        estimates = server.localize_clients(list(deployment.aps.values()),
-                                            client_ids)
+        estimates = service.localize_buffered(
+            client_ids, aps=list(deployment.aps.values()))
         assert set(estimates) == set(client_ids)
         for client_id in client_ids:
             truth = testbed.client_position(client_id)
