@@ -1,8 +1,7 @@
 """Benchmark: batched Section 2.3 AoA frontend throughput.
 
-PRs 1-4 batched everything downstream of the spectrum -- the Equation 8 grid
-fold, the hill-climb refinement and the thread-sharded service -- but every
-AoA spectrum itself was still produced one frame at a time: per-frame
+Earlier layers batched everything downstream of the spectrum -- the
+Equation 8 grid fold and the hill-climb refinement -- but every AoA spectrum itself was still produced one frame at a time: per-frame
 covariance, per-frame 8x8 ``eigh``, per-frame noise-projection GEMM and a
 recomputed W(theta) window.  This benchmark measures the stacked frontend
 (:meth:`repro.core.pipeline.SpectrumComputer.compute_many` reached through

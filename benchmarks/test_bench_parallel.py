@@ -4,7 +4,7 @@ The Section 2.5 refinement used to be the scaling cliff of the batched
 engine: grid synthesis ran in stacked NumPy passes, then hill climbing fell
 back to one Python likelihood call per candidate point per climber.  This
 benchmark measures end-to-end ``ArrayTrackService.localize_many`` over the
-office testbed with refinement *enabled*, four ways:
+office testbed with refinement *enabled*, three ways:
 
 * ``serial seed`` -- the pre-optimization path: the serial Section 2.5
   reference in ``tests/core/_oracle.py`` (grid seeds, then per-candidate
@@ -12,19 +12,17 @@ office testbed with refinement *enabled*, four ways:
 * ``vectorized`` -- the batched refiner
   (:func:`repro.core.optimizer.refine_many`): every round scores the
   stacked candidates of all clients' climbers in one pass across all slots;
-* ``vectorized + threads`` -- the same, plus ``parallel.backend=thread``
-  sharding the batch across 4 workers (GIL-releasing NumPy overlap only);
 * ``vectorized + processes`` -- the same, plus ``parallel.backend=process``
-  sharding across 4 spawned worker processes with shared-memory spectra
-  (no interpreter lock shared between shards).
+  sharding across one spawned worker process per visible CPU, with
+  shared-memory spectra (no interpreter lock shared between shards).
 
-Asserted: the thread configuration beats the serial seed path by >= 3x at
-256 clients / 4 workers, the process configuration additionally beats the
-thread backend by >= 2x *on a multi-core runner* (the bar is skipped, and
-recorded in the JSON, when fewer than 4 CPUs are visible -- process
-sharding cannot beat threads on one core), and every configuration produces
-fixes bit-for-bit identical to the serial seed path (the refinement replay
-and the shard merge preserve every tie-break).
+Asserted: the vectorized configuration beats the serial seed path by >= 3x
+at 256 clients, the process configuration additionally beats the
+vectorized one by >= 2x *on a multi-core runner* (the bar is skipped, and
+recorded in the JSON, when fewer than 4 CPUs are visible -- sharding over
+two cores cannot double the rate), and every configuration produces fixes
+bit-for-bit identical to the serial seed path (the refinement replay and
+the shard merge preserve every tie-break).
 
 Timings are emitted to ``BENCH_parallel.json`` (same schema style as
 ``BENCH_frontend.json``) so the perf trajectory covers parallel scale-out.
@@ -54,11 +52,13 @@ from tests.core._oracle import reference_refinement
 
 GRID_RESOLUTION_M = 0.25
 NUM_CLIENTS = 256
-NUM_WORKERS = 4
+#: One worker per visible CPU: more workers than cores only time-slice.
+NUM_WORKERS = os.cpu_count() or 1
 REPETITIONS = 3
 SPEEDUP_FLOOR = 3.0
-#: Process-over-thread bar; only meaningful with real cores to spread over.
-PROCESS_VS_THREAD_FLOOR = 2.0
+#: Process-over-vectorized bar; only meaningful with real cores to spread
+#: over.
+PROCESS_VS_VECTORIZED_FLOOR = 2.0
 MIN_CPUS_FOR_PROCESS_BAR = 4
 #: Reduced problem size for the --bench-smoke CI canary.
 SMOKE_CLIENTS = 24
@@ -130,7 +130,6 @@ def measure_parallel(num_clients: int = NUM_CLIENTS) -> dict[str, object]:
     clients = _synthesize_clients(testbed, num_clients, rng)
     services = {
         "vectorized": _service(testbed, backend="none"),
-        "vectorized + threads": _service(testbed, backend="thread"),
         "vectorized + processes": _service(testbed, backend="process"),
     }
     # The serial seed climbs what the server would synthesize: each AP's
@@ -148,8 +147,7 @@ def measure_parallel(num_clients: int = NUM_CLIENTS) -> dict[str, object]:
             functools.partial(service.localize_many, clients))
         service.close()
     reference = estimates["serial seed"]
-    for name in ("vectorized", "vectorized + threads",
-                 "vectorized + processes"):
+    for name in ("vectorized", "vectorized + processes"):
         assert list(estimates[name]) == list(reference), (
             f"{name} returned clients out of order")
         for client_id, expected in reference.items():
@@ -171,8 +169,8 @@ def measure_parallel(num_clients: int = NUM_CLIENTS) -> dict[str, object]:
                 "speedup_vs_serial": serial_s / seconds,
             }
             for name, seconds in timings.items()},
-        "process_vs_thread": (timings["vectorized + threads"]
-                              / timings["vectorized + processes"]),
+        "process_vs_vectorized": (timings["vectorized"]
+                                  / timings["vectorized + processes"]),
         "process_bar_applies": (os.cpu_count() or 1)
         >= MIN_CPUS_FOR_PROCESS_BAR,
     }
@@ -187,11 +185,11 @@ def test_parallel_localization_speedup(benchmark, bench_smoke):
 
     The serial seed path re-enters the Equation 8 likelihood once per
     candidate point of every climber; the vectorized refiner folds each
-    round's candidates in stacked passes, the thread backend shards the
-    batch across workers, and the process backend spreads the shards over
-    worker processes.  All are asserted bit-identical to the serial fixes
-    at any size; the speedup bars apply at 256 clients / 4 workers (the
-    process-over-thread bar additionally needs >= 4 visible CPUs).
+    round's candidates in stacked passes, and the process backend spreads
+    shards of the batch over worker processes.  All are asserted
+    bit-identical to the serial fixes at any size; the speedup bars apply
+    at 256 clients (the process-over-vectorized bar additionally needs
+    >= 4 visible CPUs).
     """
     num_clients = SMOKE_CLIENTS if bench_smoke else NUM_CLIENTS
     results = run_once(benchmark, measure_parallel, num_clients)
@@ -209,17 +207,17 @@ def test_parallel_localization_speedup(benchmark, bench_smoke):
               f"{NUM_WORKERS} workers, {results['cpu_count']} cpus"))
     bar_note = "applies" if results["process_bar_applies"] \
         else "skipped: fewer than 4 visible CPUs"
-    print(f"process vs thread: {results['process_vs_thread']:.2f}x "
+    print(f"process vs vectorized: {results['process_vs_vectorized']:.2f}x "
           f"(bar {bar_note})")
     print(f"results written to {RESULTS_PATH}")
     if not bench_smoke:
-        speedup = configs["vectorized + threads"]["speedup_vs_serial"]
+        speedup = configs["vectorized"]["speedup_vs_serial"]
         assert speedup >= SPEEDUP_FLOOR, (
-            f"vectorized + sharded refinement must be >= {SPEEDUP_FLOOR}x "
+            f"vectorized refinement must be >= {SPEEDUP_FLOOR}x "
             f"the serial seed path, got {speedup:.2f}x")
-        assert configs["vectorized + threads"]["seconds"] \
+        assert configs["vectorized"]["seconds"] \
             <= configs["serial seed"]["seconds"], (
-            "the parallel path must not lose to the serial seed path")
+            "the vectorized path must not lose to the serial seed path")
         if results["process_bar_applies"]:
             process_speedup = \
                 configs["vectorized + processes"]["speedup_vs_serial"]
@@ -227,11 +225,12 @@ def test_parallel_localization_speedup(benchmark, bench_smoke):
                 f"process sharding must be >= {SPEEDUP_FLOOR}x the serial "
                 f"seed path on a multi-core runner, "
                 f"got {process_speedup:.2f}x")
-            assert results["process_vs_thread"] \
-                >= PROCESS_VS_THREAD_FLOOR, (
-                f"process sharding must be >= {PROCESS_VS_THREAD_FLOOR}x "
-                f"the thread backend on a multi-core runner, "
-                f"got {results['process_vs_thread']:.2f}x")
+            assert results["process_vs_vectorized"] \
+                >= PROCESS_VS_VECTORIZED_FLOOR, (
+                f"process sharding must be >= "
+                f"{PROCESS_VS_VECTORIZED_FLOOR}x the unsharded vectorized "
+                f"path on a multi-core runner, "
+                f"got {results['process_vs_vectorized']:.2f}x")
 
 
 if __name__ == "__main__":

@@ -1,10 +1,8 @@
 """Process-backend sharding: a persistent spawn pool + shared-memory spectra.
 
-``ParallelConfig.backend = "thread"`` shards batches across threads, which
-only overlaps the GIL-releasing NumPy regions; everything Python-bound in a
-shard still serializes on one interpreter lock.  This module is the
-``"process"`` backend that breaks that ceiling: a lazy, persistent pool of
-*spawned* worker processes, each owning its own :class:`~repro.server.
+This module is the ``ParallelConfig.backend = "process"`` rung of the
+service's degradation ladder: a lazy, persistent pool of *spawned* worker
+processes, each owning its own :class:`~repro.server.
 backend.ArrayTrackServer` (and therefore its own steering/bearing/window
 caches, warmed in the worker initializer), with the bulk frame data --
 angle grids and spectrum power rows -- moved through one
@@ -18,8 +16,8 @@ things cross the pickle pipe:
 
 Workers rebuild each shard's :class:`~repro.core.spectrum.AoASpectrum`
 objects as zero-copy read-only views into the segment, run
-:func:`drain_shard` -- the one suppression + synthesis step the serial and
-thread rungs run too -- and return fixes.  Because every stage is
+:func:`drain_shard` -- the one suppression + synthesis step the serial
+rung runs too -- and return fixes.  Because every stage is
 deterministic and the shard merge preserves the caller's client order,
 process-sharded results are bit-for-bit identical to the serial path
 (asserted by ``tests/api/test_process_backend.py``).

@@ -1,13 +1,13 @@
 """Circuit breaker and counters behind the service's degradation ladder.
 
-The process backend is the fastest rung of a ladder, not a single point of
-failure: when its pool keeps breaking even *with* supervision (rebuild +
-retry in :mod:`repro.api._procpool`), the service steps down to the thread
-backend, and from there to plain serial execution -- which cannot fail for
-infrastructure reasons at all.  The :class:`CircuitBreaker` here decides
-which rung a batch enters at and when to probe a faster rung again
-(half-open), so a persistent failure costs each batch at most one doomed
-attempt per recovery window instead of a full retry storm.
+The process backend is the fast rung of a two-rung ladder, not a single
+point of failure: when its pool keeps breaking even *with* supervision
+(rebuild + retry in :mod:`repro.api._procpool`), the service steps down to
+plain serial execution -- which cannot fail for infrastructure reasons at
+all.  The :class:`CircuitBreaker` here decides which rung a batch enters at
+and when to probe the process rung again (half-open), so a persistent
+failure costs each batch at most one doomed attempt per recovery window
+instead of a full retry storm.
 
 Everything is deliberately deterministic and clock-injectable: tests drive
 the breaker through open -> half-open -> closed with a fake monotonic
@@ -29,36 +29,33 @@ __all__ = ["CircuitBreaker", "ResilienceStats", "backend_ladder"]
 def backend_ladder(backend: str) -> tuple[str, ...]:
     """The degradation ladder for a configured backend, fastest first.
 
-    The configured backend is the entry rung; every later rung is strictly
-    simpler infrastructure.  ``serial`` is always the last rung, which is
-    what makes "never fail a batch serial could have served" enforceable.
+    ``serial`` is always the last rung, which is what makes "never fail a
+    batch serial could have served" enforceable.
     """
-    if backend == "process":
-        return ("process", "thread", "serial")
-    if backend == "thread":
-        return ("thread", "serial")
-    return ("serial",)
+    return ("process", "serial") if backend == "process" else ("serial",)
 
 
 class CircuitBreaker:
-    """Tracks per-rung failures and picks the entry rung for each batch.
+    """Counts the configured rung's failures and picks each batch's entry rung.
 
     States (reported by :attr:`state`):
 
     ``closed``
         No degradation: batches enter at the configured backend (rung 0).
     ``open``
-        A rung has failed ``threshold`` consecutive times; batches enter
-        at the degraded rung until ``recovery_s`` of (monotonic) time has
+        Rung 0 has failed ``threshold`` consecutive times; batches enter at
+        the serial rung until ``recovery_s`` of (monotonic) time has
         passed.
     ``half-open``
-        The recovery window has elapsed: the next batch probes one rung
-        *up* from the degraded level.  A successful probe re-closes the
-        breaker up to that rung; a failed probe re-opens the window.
+        The recovery window has elapsed: the next batch probes rung 0.  A
+        successful probe closes the breaker; a failed one re-opens the
+        window.
 
-    Failures only count when they are transient (the callers gate on
-    :class:`~repro.errors.TransientError`); a deterministic data error
-    says nothing about the infrastructure and must not trip the breaker.
+    Only rung 0 is tracked: the serial rung is the floor, so its outcome
+    changes nothing.  Failures only count when they are transient (the
+    caller gates on :class:`~repro.errors.TransientError`); a
+    deterministic data error says nothing about the infrastructure and
+    must not trip the breaker.
     """
 
     def __init__(self, ladder: tuple[str, ...], *, threshold: int,
@@ -70,12 +67,9 @@ class CircuitBreaker:
         self.threshold = threshold
         self.recovery_s = recovery_s
         self._clock = clock
-        #: Current degraded floor: batches enter here (0 = configured rung).
-        self._level = 0
-        #: Consecutive transient failures per rung since its last success.
-        self._failures = [0] * len(ladder)
-        #: Monotonic time the current degradation window opened (None when
-        #: closed).
+        #: Consecutive transient failures of rung 0 since its last success.
+        self._failures = 0
+        #: Monotonic time the breaker opened (None while closed).
         self._opened_at: float | None = None
 
     # ------------------------------------------------------------------
@@ -83,37 +77,23 @@ class CircuitBreaker:
     # ------------------------------------------------------------------
     def entry_index(self) -> int:
         """The ladder index the next batch should enter at."""
-        if self._level == 0:
-            return 0
-        if self._opened_at is not None \
-                and self._clock() - self._opened_at >= self.recovery_s:
-            # Half-open: probe one rung up from the degraded floor.
-            return self._level - 1
-        return self._level
+        return 1 if self.state == "open" else 0
 
-    def record_failure(self, index: int) -> None:
-        """Record one transient failure of the rung at ``index``."""
-        if index < self._level:
-            # A half-open probe failed: re-open the window, stay degraded.
+    def record_failure(self) -> None:
+        """Record one transient failure of rung 0."""
+        if self._opened_at is not None:
+            # A half-open probe failed: re-open the window.
             self._opened_at = self._clock()
             return
-        self._failures[index] += 1
-        if self._failures[index] >= self.threshold \
-                and index + 1 < len(self.ladder):
-            self._level = index + 1
+        self._failures += 1
+        if self._failures >= self.threshold and len(self.ladder) > 1:
             self._opened_at = self._clock()
-            self._failures[index] = 0
+            self._failures = 0
 
-    def record_success(self, index: int) -> None:
-        """Record one successful batch served by the rung at ``index``."""
-        self._failures[index] = 0
-        if index < self._level:
-            # A half-open probe succeeded: close back up to that rung.
-            self._level = index
-            self._opened_at = self._clock() if index > 0 else None
-        elif index == 0:
-            self._level = 0
-            self._opened_at = None
+    def record_success(self) -> None:
+        """Record one batch served by rung 0 (closes a half-open breaker)."""
+        self._failures = 0
+        self._opened_at = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -121,26 +101,25 @@ class CircuitBreaker:
     @property
     def state(self) -> str:
         """``closed``, ``open``, or ``half-open``."""
-        if self._level == 0:
+        if self._opened_at is None:
             return "closed"
-        if self._opened_at is not None \
-                and self._clock() - self._opened_at >= self.recovery_s:
+        if self._clock() - self._opened_at >= self.recovery_s:
             return "half-open"
         return "open"
 
     @property
     def level(self) -> int:
-        """The current degraded floor (0 = not degraded)."""
-        return self._level
+        """1 while the breaker is open or half-open, else 0."""
+        return 0 if self._opened_at is None else 1
 
     def snapshot(self) -> dict[str, object]:
         """JSON-safe state for :meth:`~repro.api.ArrayTrackService.health`."""
         return {
             "state": self.state,
             "ladder": list(self.ladder),
-            "level": self._level,
+            "level": self.level,
             "entry_backend": self.ladder[self.entry_index()],
-            "failures": list(self._failures),
+            "failures": self._failures,
             "threshold": self.threshold,
             "recovery_s": self.recovery_s,
         }
@@ -158,7 +137,7 @@ class ResilienceStats:
         #: Frames rejected as poison (NaN/inf values, mismatched grids).
         self.poison_rejected = 0
         #: Batches served by a lower rung than they entered at, keyed by
-        #: the rung that served them (e.g. ``{"thread": 2, "serial": 1}``).
+        #: the rung that served them (e.g. ``{"serial": 2}``).
         self.fallbacks: dict[str, int] = {}
         #: Message of the transient error behind the most recent fallback.
         self.last_fallback_error: str | None = None
@@ -167,13 +146,3 @@ class ResilienceStats:
         """Count one batch falling through to ``backend``."""
         self.fallbacks[backend] = self.fallbacks.get(backend, 0) + 1
         self.last_fallback_error = f"{type(error).__name__}: {error}"
-
-    def snapshot(self) -> dict[str, object]:
-        """JSON-safe counter state for ``health()``."""
-        return {
-            "shed_frames": self.shed_frames,
-            "backpressure_rejected": self.backpressure_rejected,
-            "poison_rejected": self.poison_rejected,
-            "fallbacks": dict(self.fallbacks),
-            "last_fallback_error": self.last_fallback_error,
-        }

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from collections.abc import Iterable, Mapping, Sequence
 from typing import Any
@@ -229,14 +228,12 @@ class Session:
             return None
         return tuple(frames[0][1].angles_deg.shape)
 
-    def drain(self) -> dict[str, list[AoASpectrum]]:
-        """Remove and return the pending per-AP spectra."""
-        batch = self.pending_spectra()
-        dropped = self.pending_frames
+    def drain(self) -> None:
+        """Discard the pending frames (read them first with
+        :meth:`pending_spectra`)."""
+        self._pending_count.frames -= self.pending_frames
         self._pending = {}
         self._oldest_pending_s = None
-        self._pending_count.frames -= dropped
-        return batch
 
 
 class ArrayTrackService:
@@ -293,9 +290,7 @@ class ArrayTrackService:
         self._suppressor = config.suppressor
         self._sessions: dict[str, Session] = {}
         self._aps: dict[str, ArrayTrackAP] = {}
-        #: Lazily created worker pools of the ``parallel`` config section
-        #: (thread backend / process backend respectively).
-        self._executor: ThreadPoolExecutor | None = None
+        #: Lazily created worker pool of the ``parallel`` config section.
         self._procpool: ProcessShardPool | None = None
         self._closed = False
         #: The resilience layer: degradation ladder + breaker, service
@@ -390,7 +385,7 @@ class ArrayTrackService:
         the merged result in the caller's original client order.
         """
         parallel = self.config.parallel
-        if parallel.backend not in ("thread", "process"):
+        if parallel.backend != "process":
             return None
         num_shards = min(parallel.num_workers,
                          len(keys) // parallel.min_clients_per_worker)
@@ -404,15 +399,8 @@ class ArrayTrackService:
     def _ensure_open(self) -> None:
         if self._closed:
             raise ConfigurationError(
-                "this ArrayTrackService is closed (its worker pools are "
+                "this ArrayTrackService is closed (its worker pool is "
                 "shut down); build a new service instead of reusing it")
-
-    def _pool(self) -> ThreadPoolExecutor:
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(
-                max_workers=self.config.parallel.num_workers,
-                thread_name_prefix="arraytrack-worker")
-        return self._executor
 
     def _process_pool(self) -> ProcessShardPool:
         if self._procpool is None:
@@ -422,99 +410,52 @@ class ArrayTrackService:
                                               warm_positions=warm)
         return self._procpool
 
-    def _run_sharded(self, shards: list[list[str]],
-                     spectra_by_client: SpectraByClient,
-                     stream_times: TimesByClient | None
-                     ) -> dict[str, LocationEstimate]:
-        """Run :func:`drain_shard` per shard on the thread pool, merge in order.
-
-        The NumPy reductions inside each shard's Equation 8 fold release
-        the GIL, so shards genuinely overlap.
-        """
-        faults.thread_shard()
-        futures = [
-            self._pool().submit(
-                drain_shard, self._server, self._suppressor,
-                {client_id: spectra_by_client[client_id]
-                 for client_id in shard},
-                stream_times)
-            for shard in shards]
-        estimates: dict[str, LocationEstimate] = {}
-        for future in futures:
-            estimates.update(future.result())
-        return estimates
-
     def _drain(self, spectra_by_client: SpectraByClient,
                stream_times: TimesByClient | None
                ) -> dict[str, LocationEstimate]:
-        """Serve one batch: :func:`drain_shard` here when it does not
-        shard, else :meth:`_fanout` down the degradation ladder."""
-        shards = self._shards(list(spectra_by_client))
-        if shards is None:
-            return drain_shard(self._server, self._suppressor,
-                               spectra_by_client, stream_times)
-        return self._fanout(shards, spectra_by_client, stream_times)
+        """Serve one batch down the degradation ladder.
 
-    def _fanout(self, shards: list[list[str]],
-                spectra_by_client: SpectraByClient,
-                stream_times: TimesByClient | None
-                ) -> dict[str, LocationEstimate]:
-        """Serve one sharded batch, walking the degradation ladder.
-
-        The circuit breaker picks the entry rung (the configured backend
-        while closed; a degraded rung while open; one rung back up on a
-        half-open probe).  A rung that fails with a
-        :class:`~repro.errors.TransientError` trips the breaker and the
-        batch *immediately* falls to the next rung -- a batch that serial
-        execution could serve is never failed.  Non-transient errors
-        (deterministic data problems) propagate from whichever rung hit
-        them: retrying or degrading those would re-fail identically.
-        Every rung runs :func:`drain_shard`, so the result is bit-for-bit
-        the same wherever the batch lands.  The serving rung's whole pass
-        is recorded as the server's processing time, since each shard's
-        own measurement covers only that shard.
+        A batch that shards enters at the rung the circuit breaker picks:
+        the process pool while closed or half-open, serial while open.  A
+        process pass that fails with a
+        :class:`~repro.errors.TransientError` counts against the breaker
+        and the batch *immediately* falls to the serial rung -- a batch
+        that serial execution could serve is never failed.  Non-transient
+        errors (deterministic data problems) propagate: retrying or
+        degrading those would re-fail identically.  Both rungs run
+        :func:`drain_shard`, so the result is bit-for-bit the same wherever
+        the batch lands.  The process pass is recorded whole as the
+        server's processing time, since each shard's own measurement
+        covers only that shard.
         """
-        entry = self._breaker.entry_index()
-        for index in range(entry, len(self._ladder)):
-            rung = self._ladder[index]
+        shards = self._shards(list(spectra_by_client))
+        if shards is not None and self._breaker.entry_index() == 0:
             start = time.perf_counter()
             try:
-                if rung == "process":
-                    estimates = self._process_pool().localize_shards(
-                        shards, spectra_by_client, stream_times)
-                elif rung == "thread":
-                    estimates = self._run_sharded(shards, spectra_by_client,
-                                                  stream_times)
-                else:
-                    estimates = drain_shard(self._server, self._suppressor,
-                                            spectra_by_client, stream_times)
+                estimates = self._process_pool().localize_shards(
+                    shards, spectra_by_client, stream_times)
             except TransientError as exc:
-                self._breaker.record_failure(index)
-                if index + 1 >= len(self._ladder):
-                    raise
-                self._resilience_stats.record_fallback(
-                    self._ladder[index + 1], exc)
-                continue
-            self._server.record_processing_time(time.perf_counter() - start)
-            self._breaker.record_success(index)
-            return estimates
-        raise AssertionError("unreachable: the serial rung cannot "
-                             "fail transiently")  # pragma: no cover
+                self._breaker.record_failure()
+                self._resilience_stats.record_fallback("serial", exc)
+            else:
+                self._server.record_processing_time(
+                    time.perf_counter() - start)
+                self._breaker.record_success()
+                return estimates
+        return drain_shard(self._server, self._suppressor,
+                           spectra_by_client, stream_times)
 
     def close(self) -> None:
-        """Shut down the worker pools and mark the service closed.
+        """Shut down the worker pool and mark the service closed.
 
         Idempotent.  After ``close()`` the localization entry points
         (:meth:`localize`, :meth:`localize_many`,
         :meth:`localize_buffered`, :meth:`tick`, :meth:`flush`) raise
         :class:`~repro.errors.ConfigurationError` instead of silently
-        rebuilding the pools -- with the process backend a rebuilt pool
-        would re-spawn workers, which is far too expensive to happen by
-        accident.  Build a new service to continue.
+        rebuilding the pool -- a rebuilt pool would re-spawn workers,
+        which is far too expensive to happen by accident.  Build a new
+        service to continue.
         """
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
         if self._procpool is not None:
             self._procpool.close()
             self._procpool = None
@@ -542,11 +483,11 @@ class ArrayTrackService:
                       ) -> dict[str, LocationEstimate]:
         """Localize many clients in one vectorized synthesis pass.
 
-        With ``parallel.backend="thread"`` or ``"process"`` and a large
-        enough batch, the clients are split into contiguous shards and
-        each shard's suppression + synthesis runs on a worker thread or a
-        worker process (spectra travel through shared memory); results are
-        bit-for-bit identical to the serial path either way.
+        With ``parallel.backend="process"`` and a large enough batch, the
+        clients are split into contiguous shards and each shard's
+        suppression + synthesis runs in a worker process (spectra travel
+        through shared memory); results are bit-for-bit identical to the
+        serial path either way.
         """
         self._ensure_open()
         return self._drain(spectra_by_client, None)

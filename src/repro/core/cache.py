@@ -15,11 +15,12 @@ deployment rather than once per frame or per fix:
 The seed implementation recomputed both on every call, which is fine for a
 single experiment but dominates the per-fix cost once a server handles many
 clients against a fixed set of APs.  :class:`SteeringCache` and
-:class:`BearingGridCache` memoize them behind content-derived keys; module
-level default instances are shared by :mod:`repro.core.music`,
+:class:`BearingGridCache` memoize them behind content-derived keys (and
+:class:`WindowCache` does the same for the Section 2.3.3 geometry window);
+module level default instances are shared by :mod:`repro.core.music`,
 :mod:`repro.core.likelihood` and :mod:`repro.core.batch` so that every AP
 with the same geometry (and every fix against the same floorplan) reuses one
-table.
+table.  All three are key-and-compute adapters over one lock-guarded LRU.
 
 Cached arrays are returned with ``writeable=False``: callers treat them as
 immutable lookup tables, never as scratch space.
@@ -31,7 +32,7 @@ import threading
 from collections import OrderedDict
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Generic, TypeVar
 
 import numpy as np
 
@@ -87,7 +88,67 @@ def _readonly(array: np.ndarray) -> np.ndarray:
     return array
 
 
-class SteeringCache:
+_V = TypeVar("_V")
+
+
+class _LRU(Generic[_V]):
+    """A lock-guarded LRU of immutable tables: every cache here is one.
+
+    The module-level default caches are shared by every service and caller
+    thread of a process, and the lookup/move-to-end/evict sequences are
+    not atomic on their own (a concurrent eviction between ``get()`` and
+    ``move_to_end()`` raises ``KeyError``), so every entry/stats mutation
+    takes the lock.  The (expensive) table computation runs outside it: a
+    racing duplicate compute is benign and identical, and the first stored
+    table wins.
+
+    Parameters
+    ----------
+    max_entries:
+        Number of distinct tables retained; least recently used entries
+        are evicted beyond that.
+    """
+
+    def __init__(self, max_entries: int) -> None:
+        if max_entries < 1:
+            raise EstimationError("max_entries must be >= 1")
+        self.max_entries = max_entries
+        self.stats = CacheStats()  # guarded-by: _lock
+        self._entries: "OrderedDict[tuple, _V]" = OrderedDict()  # guarded-by: _lock
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
+
+    def _lookup(self, key: tuple, compute: Callable[[], _V]) -> _V:
+        """Return the entry under ``key``, storing ``compute()`` on a miss."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self.stats.hits += 1
+                self._entries.move_to_end(key)
+                return entry
+            self.stats.misses += 1
+        entry = compute()
+        with self._lock:
+            existing = self._entries.get(key)
+            if existing is not None:
+                self._entries.move_to_end(key)
+                return existing
+            self._entries[key] = entry
+            if len(self._entries) > self.max_entries:
+                self._entries.popitem(last=False)
+                self.stats.evictions += 1
+        return entry
+
+    def clear(self) -> None:
+        """Drop every entry (counters are kept; use ``stats.reset()``)."""
+        with self._lock:
+            self._entries.clear()
+
+
+class SteeringCache(_LRU[np.ndarray]):
     """LRU cache of steering matrices keyed on geometry, grid and carrier.
 
     The key is content-derived -- element positions and angle grid enter via
@@ -98,40 +159,13 @@ class SteeringCache:
     Parameters
     ----------
     max_entries:
-        Number of distinct steering matrices retained; least recently used
-        entries are evicted beyond that.  A deployment needs one entry per
-        distinct (geometry, angle grid, wavelength, elevation) combination,
-        so the default is generous.
+        Number of distinct steering matrices retained.  A deployment needs
+        one entry per distinct (geometry, angle grid, wavelength,
+        elevation) combination, so the default is generous.
     """
 
     def __init__(self, max_entries: int = 128) -> None:
-        if max_entries < 1:
-            raise EstimationError("max_entries must be >= 1")
-        self.max_entries = max_entries
-        self.stats = CacheStats()  # guarded-by: _lock
-        self._entries: "OrderedDict[tuple, np.ndarray]" = OrderedDict()  # guarded-by: _lock
-        # The service's thread-sharded execution drives this cache from
-        # worker threads; the lookup/move-to-end/evict sequences are not
-        # atomic on their own (a concurrent eviction between get() and
-        # move_to_end() raises KeyError), so every entry/stats mutation
-        # takes this lock.  The (expensive) table computation itself stays
-        # outside: a racing duplicate compute is benign and identical.
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def _key(self, element_positions: np.ndarray, angles_deg: np.ndarray,
-             wavelength_m: float, elevation_deg: float) -> tuple:
-        return (
-            element_positions.shape,
-            element_positions.tobytes(),
-            angles_deg.shape,
-            angles_deg.tobytes(),
-            float(wavelength_m),
-            float(elevation_deg),
-        )
+        super().__init__(max_entries)
 
     def get(self, geometry: ArrayGeometry, angles_deg: np.ndarray,
             wavelength_m: float, elevation_deg: float = 0.0) -> np.ndarray:
@@ -154,33 +188,10 @@ class SteeringCache:
         """
         angles = np.ascontiguousarray(as_float_array(angles_deg))
         positions = np.ascontiguousarray(geometry.element_positions)
-        key = self._key(positions, angles, wavelength_m, elevation_deg)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self.stats.hits += 1
-                self._entries.move_to_end(key)
-                return entry
-            self.stats.misses += 1
-        steering = geometry.steering_matrix(angles, elevation_deg, wavelength_m)
-        entry = _readonly(np.ascontiguousarray(steering))
-        with self._lock:
-            existing = self._entries.get(key)
-            if existing is not None:
-                # Another thread computed the same table first; both are
-                # identical, keep the stored one.
-                self._entries.move_to_end(key)
-                return existing
-            self._entries[key] = entry
-            if len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-                self.stats.evictions += 1
-        return entry
-
-    def clear(self) -> None:
-        """Drop every entry (counters are kept; use ``stats.reset()``)."""
-        with self._lock:
-            self._entries.clear()
+        key = (positions.shape, positions.tobytes(), angles.shape,
+               angles.tobytes(), float(wavelength_m), float(elevation_deg))
+        return self._lookup(key, lambda: _readonly(np.ascontiguousarray(
+            geometry.steering_matrix(angles, elevation_deg, wavelength_m))))
 
 
 @dataclass(frozen=True)
@@ -243,7 +254,7 @@ def grid_axes(bounds: tuple[float, float, float, float],
     return x_coords, y_coords
 
 
-class BearingGridCache:
+class BearingGridCache(_LRU[BearingGrid]):
     """Cache of per-AP bearing tables over a fixed search grid.
 
     One entry exists per ``(bounds, resolution, AP position)``: for a static
@@ -252,18 +263,7 @@ class BearingGridCache:
     """
 
     def __init__(self, max_entries: int = 256) -> None:
-        if max_entries < 1:
-            raise EstimationError("max_entries must be >= 1")
-        self.max_entries = max_entries
-        self.stats = CacheStats()  # guarded-by: _lock
-        self._entries: "OrderedDict[tuple, BearingGrid]" = OrderedDict()  # guarded-by: _lock
-        # See SteeringCache: worker threads share this cache, so entry and
-        # stats mutations are locked; the arctan2 sweep runs outside.
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        super().__init__(max_entries)
 
     def get(self, bounds: tuple[float, float, float, float],
             resolution_m: float, ap_position: Point2D) -> BearingGrid:
@@ -279,33 +279,20 @@ class BearingGridCache:
             float(ap_position.x),
             float(ap_position.y),
         )
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self.stats.hits += 1
-                self._entries.move_to_end(key)
-                return entry
-            self.stats.misses += 1
-        x_coords, y_coords = grid_axes(bounds, resolution_m)
-        grid_x, grid_y = np.meshgrid(x_coords, y_coords)
-        dx = (grid_x - float(ap_position.x)).ravel()
-        dy = (grid_y - float(ap_position.y)).ravel()
-        entry = BearingGrid(
-            x_coords=_readonly(x_coords),
-            y_coords=_readonly(y_coords),
-            bearings_deg=_readonly(bearings_deg(dx, dy)),
-            collocated=_readonly(np.flatnonzero(np.hypot(dx, dy) < 1e-9)),
-        )
-        with self._lock:
-            existing = self._entries.get(key)
-            if existing is not None:
-                self._entries.move_to_end(key)
-                return existing
-            self._entries[key] = entry
-            if len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-                self.stats.evictions += 1
-        return entry
+
+        def compute() -> BearingGrid:
+            x_coords, y_coords = grid_axes(bounds, resolution_m)
+            grid_x, grid_y = np.meshgrid(x_coords, y_coords)
+            dx = (grid_x - float(ap_position.x)).ravel()
+            dy = (grid_y - float(ap_position.y)).ravel()
+            return BearingGrid(
+                x_coords=_readonly(x_coords),
+                y_coords=_readonly(y_coords),
+                bearings_deg=_readonly(bearings_deg(dx, dy)),
+                collocated=_readonly(np.flatnonzero(np.hypot(dx, dy) < 1e-9)),
+            )
+
+        return self._lookup(key, compute)
 
     def warm(self, bounds: tuple[float, float, float, float],
              resolution_m: float,
@@ -328,38 +315,21 @@ class BearingGridCache:
             count += 1
         return count
 
-    def clear(self) -> None:
-        """Drop every entry (counters are kept; use ``stats.reset()``)."""
-        with self._lock:
-            self._entries.clear()
 
-
-class WindowCache:
+class WindowCache(_LRU[np.ndarray]):
     """LRU cache of Section 2.3.3 geometry windows keyed on grid and angle.
 
     The W(theta) window of :func:`repro.core.weighting.geometry_window` is a
     pure function of the angle grid and the reliable-angle parameter, yet the
     seed pipeline recomputed it for every frame.  Like its sibling
     :class:`SteeringCache`, the key is content-derived (the grid enters via
-    its raw bytes) so every AP sharing a grid signature shares one window,
-    and entry/stats mutations are lock-protected because the service's
-    thread-sharded execution drives spectrum computation from worker
-    threads.  The computation itself is injected by the caller (keeps this
-    module free of a weighting import cycle) and runs outside the lock: a
-    racing duplicate compute is benign and identical.
+    its raw bytes) so every AP sharing a grid signature shares one window.
+    The computation itself is injected by the caller (keeps this module
+    free of a weighting import cycle).
     """
 
     def __init__(self, max_entries: int = 64) -> None:
-        if max_entries < 1:
-            raise EstimationError("max_entries must be >= 1")
-        self.max_entries = max_entries
-        self.stats = CacheStats()  # guarded-by: _lock
-        self._entries: "OrderedDict[tuple, np.ndarray]" = OrderedDict()  # guarded-by: _lock
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        super().__init__(max_entries)
 
     def get(self, angles_deg: np.ndarray, reliable_angle_deg: float,
             compute: Callable[[], np.ndarray]) -> np.ndarray:
@@ -381,29 +351,8 @@ class WindowCache:
         """
         angles = np.ascontiguousarray(as_float_array(angles_deg))
         key = (angles.shape, angles.tobytes(), float(reliable_angle_deg))
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self.stats.hits += 1
-                self._entries.move_to_end(key)
-                return entry
-            self.stats.misses += 1
-        entry = _readonly(np.ascontiguousarray(compute()))
-        with self._lock:
-            existing = self._entries.get(key)
-            if existing is not None:
-                self._entries.move_to_end(key)
-                return existing
-            self._entries[key] = entry
-            if len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-                self.stats.evictions += 1
-        return entry
-
-    def clear(self) -> None:
-        """Drop every entry (counters are kept; use ``stats.reset()``)."""
-        with self._lock:
-            self._entries.clear()
+        return self._lookup(
+            key, lambda: _readonly(np.ascontiguousarray(compute())))
 
 
 # ----------------------------------------------------------------------

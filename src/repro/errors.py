@@ -40,8 +40,8 @@ class TransientError(ArrayTrackError):
 
     The resilience layer treats this family -- and only this family -- as
     recoverable: the process pool retries shards on it, and the service's
-    circuit breaker falls down the backend ladder (process -> thread ->
-    serial) instead of failing the batch.  Deterministic data errors
+    circuit breaker falls from the process backend to serial execution
+    instead of failing the batch.  Deterministic data errors
     (:class:`EstimationError`, :class:`ConfigurationError`, ...) stay
     outside it on purpose: retrying them would re-fail identically.
     """

@@ -26,10 +26,6 @@ The supported kinds, and where their hooks live:
     :class:`~repro.errors.FaultInjectedError` from the parent-side
     shared-memory packer before the segment is created
     (:func:`shm_allocation`).
-``thread-shard-failure``
-    :class:`~repro.errors.FaultInjectedError` from the thread-backend fan
-    out (:func:`thread_shard`); drives the thread -> serial rung of the
-    degradation ladder.
 ``poison-frame``
     :func:`poison` corrupts an ingested spectrum with a NaN power value,
     exercising the service's poison-frame rejection.
@@ -62,14 +58,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 __all__ = ["ENV_VAR", "KINDS", "STAGES", "KILL_EXIT_CODE", "FaultSpec",
            "activate", "activate_json", "deactivate", "injected_faults",
            "active_specs", "fired_counts", "worker_shard", "shm_allocation",
-           "thread_shard", "poison"]
+           "poison"]
 
 #: Environment variable carrying the JSON fault plan into spawned workers.
 ENV_VAR = "ARRAYTRACK_FAULTS"
 
 #: Every fault kind this harness can fire.
 KINDS = ("kill-worker-mid-shard", "slow-worker", "shm-allocation-failure",
-         "thread-shard-failure", "poison-frame")
+         "poison-frame")
 
 #: Worker-shard stages at which kill/slow faults can anchor.
 STAGES = ("before-attach", "after-attach", "before-return")
@@ -309,14 +305,6 @@ def shm_allocation() -> None:
         raise FaultInjectedError(
             "injected shared-memory allocation failure (fault "
             "'shm-allocation-failure')")
-
-
-def thread_shard() -> None:
-    """Hook at the start of a thread-backend fan out."""
-    if _fire("thread-shard-failure") is not None:
-        raise FaultInjectedError(
-            "injected thread-backend shard failure (fault "
-            "'thread-shard-failure')")
 
 
 def poison(spectrum: "AoASpectrum") -> "AoASpectrum":

@@ -1,6 +1,6 @@
 """Tests for the sharded parallel execution layer (the ``parallel`` section).
 
-The contract under test: with ``parallel.backend="thread"`` every batched
+The contract under test: with ``parallel.backend="process"`` every batched
 entry point (`localize_many`, `localize_buffered`, `tick`/`flush`) produces
 bit-for-bit the same fixes, in the same client order, as the serial path --
 sharding only changes *where* each shard's synthesis runs.
@@ -52,6 +52,18 @@ def _service(parallel=None, **overrides):
     return ArrayTrackService(config)
 
 
+#: Small pool: spawn cost dominates, equality does not need more workers.
+PROCESS = {"backend": "process", "num_workers": 2,
+           "min_clients_per_worker": 2}
+
+
+@pytest.fixture(scope="module")
+def process_service():
+    """One process-backed service for every test its default config suits."""
+    with _service(parallel=PROCESS) as service:
+        yield service
+
+
 def _assert_identical(sharded, serial):
     assert list(sharded) == list(serial)
     for key in serial:
@@ -70,7 +82,7 @@ class TestParallelConfigSection:
     def test_round_trips_with_non_default_values(self):
         config = ArrayTrackConfig(
             bounds=BOUNDS,
-            parallel=ParallelConfig(backend="thread", num_workers=2,
+            parallel=ParallelConfig(backend="process", num_workers=2,
                                     min_clients_per_worker=4))
         restored = ArrayTrackConfig.from_dict(config.to_dict())
         assert restored == config
@@ -79,15 +91,18 @@ class TestParallelConfigSection:
 
     def test_env_override_reaches_parallel_section(self):
         config = ArrayTrackConfig(bounds=BOUNDS).with_env_overrides({
-            "ARRAYTRACK_PARALLEL__BACKEND": "thread",
+            "ARRAYTRACK_PARALLEL__BACKEND": "process",
             "ARRAYTRACK_PARALLEL__NUM_WORKERS": "3",
         })
-        assert config.parallel.backend == "thread"
+        assert config.parallel.backend == "process"
         assert config.parallel.num_workers == 3
 
     @pytest.mark.parametrize("kwargs", [
         {"backend": "fork"},
         {"backend": ""},
+        # The thread backend is retired: it beat "none" on no measured
+        # shape (docs/api.md).
+        {"backend": "thread"},
         {"num_workers": 0},
         {"num_workers": 2.5},
         # bool is an int subclass; ARRAYTRACK_PARALLEL__NUM_WORKERS=true
@@ -104,37 +119,37 @@ class TestParallelConfigSection:
         with pytest.raises(ConfigurationError, match="backend"):
             ArrayTrackConfig.from_dict({"parallel": {"backend": "mpi"}})
 
+    @pytest.mark.parametrize("load", [
+        lambda: ArrayTrackConfig.from_dict(
+            {"parallel": {"backend": "thread"}}),
+        lambda: ArrayTrackConfig.from_json(
+            '{"parallel": {"backend": "thread"}}'),
+        lambda: ArrayTrackConfig().with_env_overrides(
+            {"ARRAYTRACK_PARALLEL__BACKEND": "thread"}),
+    ], ids=["dict", "json", "env"])
+    def test_thread_backend_rejected_at_load(self, load):
+        with pytest.raises(ConfigurationError,
+                           match="'none' or 'process'.*'thread'"):
+            load()
+
 
 class TestShardedLocalizeMany:
-    def test_bit_identical_to_serial_and_order_preserving(self):
+    def test_bit_identical_to_serial_and_order_preserving(
+            self, process_service):
         clients = _clients(24)
         serial = _service().localize_many(clients)
-        with _service(parallel={"backend": "thread", "num_workers": 4,
-                                "min_clients_per_worker": 2}) as sharded_svc:
-            sharded = sharded_svc.localize_many(clients)
-        _assert_identical(sharded, serial)
+        _assert_identical(process_service.localize_many(clients), serial)
 
     def test_small_batches_stay_serial(self):
-        service = _service(parallel={"backend": "thread", "num_workers": 4,
-                                     "min_clients_per_worker": 8})
+        service = _service(parallel={**PROCESS, "min_clients_per_worker": 8})
         # 9 clients < 2 shards x 8 -> no fan-out, and no pool is created.
         fixes = service.localize_many(_clients(9))
         assert len(fixes) == 9
-        assert service._executor is None
+        assert service._procpool is None
 
     def test_pool_is_lazy_and_close_is_idempotent(self):
-        service = _service(parallel={"backend": "thread", "num_workers": 2,
-                                     "min_clients_per_worker": 2})
-        assert service._executor is None
-        service.localize_many(_clients(8))
-        assert service._executor is not None
-        service.close()
-        assert service._executor is None
-        service.close()
-
-    def test_double_close_is_idempotent_for_process_backend(self):
-        service = _service(parallel={"backend": "process", "num_workers": 2,
-                                     "min_clients_per_worker": 2})
+        service = _service(parallel=PROCESS)
+        assert service._procpool is None
         service.localize_many(_clients(6))
         assert service._procpool is not None
         service.close()
@@ -142,11 +157,9 @@ class TestShardedLocalizeMany:
         service.close()
         assert live_segments() == frozenset()
 
-    @pytest.mark.parametrize("backend", ["none", "thread", "process"])
-    def test_use_after_close_raises_clear_error(self, backend):
-        parallel = None if backend == "none" else {
-            "backend": backend, "num_workers": 2,
-            "min_clients_per_worker": 2}
+    @pytest.mark.parametrize("parallel", [None, PROCESS],
+                             ids=["none", "process"])
+    def test_use_after_close_raises_clear_error(self, parallel):
         service = _service(parallel=parallel)
         service.close()
         with pytest.raises(ConfigurationError, match="closed"):
@@ -158,13 +171,11 @@ class TestShardedLocalizeMany:
         with pytest.raises(ConfigurationError, match="closed"):
             service.localize_buffered(["c0"])
 
-    def test_measured_processing_time_covers_whole_pass(self):
-        service = _service(parallel={"backend": "thread", "num_workers": 2,
-                                     "min_clients_per_worker": 2})
-        service.localize_many(_clients(8))
-        assert service.last_processing_s is not None
-        assert service.last_processing_s > 0.0
-        service.close()
+    def test_measured_processing_time_covers_whole_pass(
+            self, process_service):
+        process_service.localize_many(_clients(8))
+        assert process_service.last_processing_s is not None
+        assert process_service.last_processing_s > 0.0
 
 
 class TestShardedStreaming:
@@ -186,10 +197,7 @@ class TestShardedStreaming:
         overrides = {"session.emit_every_frames": 1,
                      "session.suppress_multipath": suppress}
         serial_svc = _service(**overrides)
-        sharded_svc = _service(parallel={"backend": "thread",
-                                         "num_workers": 4,
-                                         "min_clients_per_worker": 2},
-                               **overrides)
+        sharded_svc = _service(parallel=PROCESS, **overrides)
         self._ingest(serial_svc, 12)
         self._ingest(sharded_svc, 12)
         serial = serial_svc.tick()
@@ -205,10 +213,7 @@ class TestShardedStreaming:
     def test_flush_uses_sharding_too(self):
         overrides = {"session.emit_every_frames": 0}
         serial_svc = _service(**overrides)
-        sharded_svc = _service(parallel={"backend": "thread",
-                                         "num_workers": 2,
-                                         "min_clients_per_worker": 2},
-                               **overrides)
+        sharded_svc = _service(parallel=PROCESS, **overrides)
         self._ingest(serial_svc, 8)
         self._ingest(sharded_svc, 8)
         _assert_identical(sharded_svc.flush(), serial_svc.flush())
@@ -231,8 +236,7 @@ class TestShardedBuffered:
 
         client_ids = [f"c{i}" for i in range(6)]
         serial = build(None).localize_buffered(client_ids)
-        sharded_svc = build({"backend": "thread", "num_workers": 3,
-                             "min_clients_per_worker": 1})
+        sharded_svc = build({**PROCESS, "min_clients_per_worker": 1})
         sharded = sharded_svc.localize_buffered(client_ids)
         _assert_identical(sharded, serial)
         sharded_svc.close()

@@ -2,8 +2,8 @@
 
 The contract under test is ISSUE 10's acceptance criterion: an injected
 worker crash mid-batch recovers via retry with bit-identical results and
-zero leaked shm segments, the circuit breaker degrades process -> thread ->
-serial and recovers half-open, and ingest sheds/rejects under pressure --
+zero leaked shm segments, the circuit breaker degrades process -> serial and
+recovers half-open, and ingest sheds/rejects under pressure --
 all deterministically, via :mod:`repro.testing.faults`.
 """
 
@@ -140,10 +140,10 @@ class TestWorkerCrashRecovery:
 
 
 # ----------------------------------------------------------------------
-# The degradation ladder: process -> thread -> serial and back (half-open)
+# The degradation ladder: process -> serial and back (half-open)
 # ----------------------------------------------------------------------
 class TestDegradationLadder:
-    def test_exhausted_retries_degrade_to_thread_then_probe_back(
+    def test_exhausted_retries_degrade_to_serial_then_probe_back(
             self, serial_fixes):
         # Kill every worker task, leave no retry budget, and trip the
         # breaker on the first failure; recovery window held open wide.
@@ -153,23 +153,26 @@ class TestDegradationLadder:
                "resilience.breaker_threshold": 1,
                "resilience.breaker_recovery_s": 1000.0})
         with service:
-            # The batch is served anyway -- by the thread rung -- and is
+            # The batch is served anyway -- by the serial rung -- and is
             # still bit-identical.
             _assert_identical(service.localize_many(_clients(6)),
                               serial_fixes)
             health = service.health()
-            assert health["backend"]["active"] == "thread"
+            assert health["backend"]["active"] == "serial"
             assert health["breaker"]["state"] == "open"
-            assert health["fallbacks"]["served_by"] == {"thread": 1}
+            assert health["fallbacks"]["served_by"] == {"serial": 1}
             assert "PoolSupervisionError" in health["fallbacks"]["last_error"]
             assert service._procpool.stats.supervision_failures == 1
-            # While the breaker is open, batches enter at thread directly:
+            # While the breaker is open, batches enter at serial directly:
             # no doomed process attempt, no further supervision failures.
             _assert_identical(service.localize_many(_clients(6)),
                               serial_fixes)
             assert service._procpool.stats.supervision_failures == 1
-            # Entering at thread is not a fallback (nothing fell mid-call).
-            assert service.health()["fallbacks"]["served_by"] == {"thread": 1}
+            # Entering at serial is not a fallback (nothing fell mid-call),
+            # and a batch the serial rung serves does not close the breaker.
+            health = service.health()
+            assert health["fallbacks"]["served_by"] == {"serial": 1}
+            assert health["breaker"]["state"] == "open"
             # Heal the pool, force the recovery window open: the next
             # batch half-open-probes the process rung and re-closes.
             faults.deactivate()
@@ -181,30 +184,23 @@ class TestDegradationLadder:
             assert health["breaker"]["state"] == "closed"
             assert health["backend"]["active"] == "process"
 
-    def test_thread_fault_degrades_to_serial(self, serial_fixes):
-        faults.activate(faults.FaultSpec(kind="thread-shard-failure",
+    def test_shm_allocation_failure_degrades_to_serial(self, serial_fixes):
+        faults.activate(faults.FaultSpec(kind="shm-allocation-failure",
                                          times=1))
-        service = _service(parallel={"backend": "thread", "num_workers": 2,
-                                     "min_clients_per_worker": 2})
-        with service:
+        with _process_service() as service:
             _assert_identical(service.localize_many(_clients(6)),
                               serial_fixes)
             health = service.health()
             assert health["fallbacks"]["served_by"] == {"serial": 1}
             # One failure is below the default threshold: still closed.
             assert health["breaker"]["state"] == "closed"
-            # Budget spent: the thread rung serves the next batch itself.
+            assert health["breaker"]["failures"] == 1
+            # Budget spent: the process rung serves the next batch itself.
             _assert_identical(service.localize_many(_clients(6)),
                               serial_fixes)
-            assert service.health()["fallbacks"]["served_by"] == {"serial": 1}
-
-    def test_shm_allocation_failure_degrades_to_thread(self, serial_fixes):
-        faults.activate(faults.FaultSpec(kind="shm-allocation-failure",
-                                         times=1))
-        with _process_service() as service:
-            _assert_identical(service.localize_many(_clients(6)),
-                              serial_fixes)
-            assert service.health()["fallbacks"]["served_by"] == {"thread": 1}
+            health = service.health()
+            assert health["fallbacks"]["served_by"] == {"serial": 1}
+            assert health["breaker"]["failures"] == 0
 
 
 class TestCircuitBreakerUnit:
@@ -216,70 +212,61 @@ class TestCircuitBreakerUnit:
         return breaker, state
 
     def test_ladders(self):
-        assert backend_ladder("process") == ("process", "thread", "serial")
-        assert backend_ladder("thread") == ("thread", "serial")
+        assert backend_ladder("process") == ("process", "serial")
         assert backend_ladder("none") == ("serial",)
 
     def test_opens_after_threshold_and_probes_after_recovery(self):
         breaker, clock = self._breaker()
         assert breaker.state == "closed" and breaker.entry_index() == 0
-        breaker.record_failure(0)
+        breaker.record_failure()
         assert breaker.entry_index() == 0    # below threshold
-        breaker.record_failure(0)
+        breaker.record_failure()
         assert breaker.state == "open" and breaker.entry_index() == 1
+        assert breaker.level == 1
         clock["now"] = 9.9
         assert breaker.entry_index() == 1    # window still open
         clock["now"] = 10.0
         assert breaker.state == "half-open"
         assert breaker.entry_index() == 0    # the probe
-        breaker.record_success(0)
+        breaker.record_success()
         assert breaker.state == "closed" and breaker.entry_index() == 0
+        assert breaker.level == 0
 
     def test_failed_probe_reopens_the_window(self):
         breaker, clock = self._breaker()
-        breaker.record_failure(0)
-        breaker.record_failure(0)
+        breaker.record_failure()
+        breaker.record_failure()
         clock["now"] = 10.0
         assert breaker.entry_index() == 0
-        breaker.record_failure(0)            # the probe failed
+        breaker.record_failure()             # the probe failed
         assert breaker.state == "open" and breaker.entry_index() == 1
         clock["now"] = 19.9
         assert breaker.entry_index() == 1    # a fresh full window
         clock["now"] = 20.0
         assert breaker.entry_index() == 0
 
-    def test_degradation_cascades_to_serial_and_recovers_stepwise(self):
-        breaker, clock = self._breaker()
-        breaker.record_failure(0)
-        breaker.record_failure(0)            # -> thread
-        breaker.record_failure(1)
-        breaker.record_failure(1)            # -> serial
-        assert breaker.level == 2 and breaker.entry_index() == 2
-        clock["now"] = 10.0
-        assert breaker.entry_index() == 1    # probe thread first
-        breaker.record_success(1)
-        assert breaker.level == 1            # thread restored, still open
-        clock["now"] = 20.0
-        assert breaker.entry_index() == 0    # then probe process
-        breaker.record_success(0)
-        assert breaker.level == 0 and breaker.state == "closed"
+    def test_success_resets_the_failure_count(self):
+        breaker, _ = self._breaker()
+        breaker.record_failure()
+        breaker.record_success()
+        breaker.record_failure()
+        assert breaker.state == "closed" and breaker.entry_index() == 0
 
-    def test_successes_on_the_degraded_rung_do_not_close(self):
-        breaker, clock = self._breaker()
-        breaker.record_failure(0)
-        breaker.record_failure(0)
-        breaker.record_success(1)
-        breaker.record_success(1)
-        assert breaker.state == "open" and breaker.entry_index() == 1
+    def test_serial_only_ladder_never_opens(self):
+        breaker = CircuitBreaker(backend_ladder("none"), threshold=1,
+                                 recovery_s=10.0, clock=lambda: 0.0)
+        breaker.record_failure()
+        assert breaker.state == "closed" and breaker.entry_index() == 0
 
     def test_snapshot_is_json_safe(self):
         import json
         breaker, _ = self._breaker()
-        breaker.record_failure(0)
+        breaker.record_failure()
         snapshot = json.loads(json.dumps(breaker.snapshot()))
-        assert snapshot["state"] == "closed"
-        assert snapshot["ladder"] == ["process", "thread", "serial"]
-        assert snapshot["failures"] == [1, 0, 0]
+        assert snapshot == {"state": "closed", "ladder": ["process", "serial"],
+                            "level": 0, "entry_backend": "process",
+                            "failures": 1, "threshold": 2,
+                            "recovery_s": 10.0}
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.ap import APConfig, ArrayTrackAP
-from repro.api import ArrayTrackConfig, ArrayTrackService
+from repro.api import ArrayTrackConfig, ArrayTrackService, Session
 from repro.channel import MultipathChannel
 from repro.core import AoASpectrum, LocalizerConfig, default_angle_grid
 from repro.errors import ConfigurationError, EstimationError
@@ -198,6 +198,28 @@ class TestStreamingSessions:
                        client_id="c", timestamp_s=1.5)
         fixes = service.tick()
         assert set(fixes) == {"c"}
+
+    def test_tick_reads_each_drained_session_once(self, monkeypatch):
+        # The drain after a fix only discards: the one pending_spectra()
+        # read per client is the batch tick() synthesizes from.
+        service = _service(**{"session.emit_every_frames": 3})
+        for index in range(4):
+            target = Point2D(3.0 + 3.0 * index, 5.0)
+            for ap_id, spectra in _spectra_for(target).items():
+                service.ingest(ap_id, spectra[0], client_id=f"c{index}",
+                               timestamp_s=0.0)
+        reads = []
+        original = Session.pending_spectra
+
+        def counting(session):
+            reads.append(session.client_id)
+            return original(session)
+
+        monkeypatch.setattr(Session, "pending_spectra", counting)
+        fixes = service.tick()
+        assert set(fixes) == {"c0", "c1", "c2", "c3"}
+        assert sorted(reads) == ["c0", "c1", "c2", "c3"]
+        assert service.session("c0").drain() is None
 
     def test_flush_drains_without_triggers(self):
         service = _service(**{"session.emit_every_frames": 100})

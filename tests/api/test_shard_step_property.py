@@ -1,8 +1,7 @@
 """The one Section 2.4 step, checked against the oracle.
 
 ``drain_shard`` is the only code that picks the spectra Equation 8 folds.
-Whatever the switches, the backend and the client order, a fix must be the
-one :class:`~repro.core.batch.BatchLocalizer` computes from spectra chosen
+Whatever the switches and the client order, a fix must be the one :class:`~repro.core.batch.BatchLocalizer` computes from spectra chosen
 by :func:`~repro.core.suppression.group_spectra_by_time` plus the reference
 Figure 8 suppression in ``tests/core/_oracle.py``:
 
@@ -11,12 +10,17 @@ Figure 8 suppression in ``tests/core/_oracle.py``:
 * else ``server.enable_multipath_suppression`` on and at least two frames:
   the earliest group's primary, grouped on each spectrum's own time;
 * else the AP's first frame.
+
+Sharding must not change a fix either: ``drain_shard`` over the service's
+contiguous split, merged in order, equals one ``drain_shard`` over the
+whole batch.
 """
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.api import ArrayTrackConfig, ArrayTrackService
+from repro.api._procpool import drain_shard
 from repro.core import (AoASpectrum, BatchLocalizer, default_angle_grid,
                         group_spectra_by_time)
 from repro.geometry import Point2D, bearing_deg
@@ -73,15 +77,15 @@ def scenarios(draw):
     return [frames[index] for index in order]
 
 
-def _service(stream, batch_rule, backend):
+def _service(stream, batch_rule, parallel=None):
     config = ArrayTrackConfig(bounds=BOUNDS).updated({
         "server.localizer.grid_resolution_m": 0.5,
         "server.enable_multipath_suppression": batch_rule,
         "session.suppress_multipath": stream,
-        "parallel.backend": backend,
-        "parallel.num_workers": 2,
-        "parallel.min_clients_per_worker": 1,
     })
+    if parallel is not None:
+        config = config.updated({
+            f"parallel.{key}": value for key, value in parallel.items()})
     return ArrayTrackService(config)
 
 
@@ -122,10 +126,10 @@ def _assert_same_fix(actual, expected):
 
 @settings(max_examples=40, deadline=None)
 @given(frames=scenarios(), stream=st.booleans(), batch_rule=st.booleans(),
-       backend=st.sampled_from(["none", "thread"]), data=st.data())
+       data=st.data())
 def test_shard_step_equals_grouping_plus_oracle(frames, stream, batch_rule,
-                                                backend, data):
-    with _service(stream, batch_rule, backend) as service:
+                                                data):
+    with _service(stream, batch_rule) as service:
         # Per client and per AP, (spectrum, override) in ingest order.
         per_client = {}
         for client_id, ap_id, spectrum, override in frames:
@@ -150,3 +154,36 @@ def test_shard_step_equals_grouping_plus_oracle(frames, stream, batch_rule,
         assert list(permuted) == order
         for client_id, estimate in in_order.items():
             _assert_same_fix(permuted[client_id], estimate)
+
+
+@settings(max_examples=40, deadline=None)
+@given(frames=scenarios(), stream=st.booleans(), batch_rule=st.booleans(),
+       num_workers=st.integers(2, 4), min_clients=st.integers(1, 2))
+def test_sharded_drain_equals_one_drain(frames, stream, batch_rule,
+                                        num_workers, min_clients):
+    # A process-backed service only for its split: nothing here localizes,
+    # so no pool starts.
+    service = _service(stream, batch_rule, {
+        "backend": "process", "num_workers": num_workers,
+        "min_clients_per_worker": min_clients})
+    batch, times = {}, {}
+    for client_id, ap_id, spectrum, override in frames:
+        batch.setdefault(client_id, {}).setdefault(ap_id, []).append(spectrum)
+        times.setdefault(client_id, {}).setdefault(ap_id, []).append(override)
+    stream_times = times if stream else None
+    shards = service._shards(list(batch))
+    assume(shards is not None)
+    assert [client_id for shard in shards for client_id in shard] \
+        == list(batch)
+    merged = {}
+    for shard in shards:
+        merged.update(drain_shard(
+            service.server, service.config.suppressor,
+            {client_id: batch[client_id] for client_id in shard},
+            stream_times))
+    whole = drain_shard(service.server, service.config.suppressor, batch,
+                        stream_times)
+    assert list(merged) == list(whole)
+    for client_id, estimate in whole.items():
+        _assert_same_fix(merged[client_id], estimate)
+    assert service._procpool is None

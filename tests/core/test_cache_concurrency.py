@@ -1,9 +1,10 @@
 """Threaded stress tests for the shared LRU caches (``repro.core.cache``).
 
-The service's thread-sharded execution drives :class:`SteeringCache`,
-:class:`WindowCache` and :class:`BearingGridCache` from worker threads, so
-their get/evict/clear sequences must hold up under real contention -- not
-just under repro-lint's static RPR009 proof.  Each test hammers one cache
+The module-level :class:`SteeringCache`, :class:`WindowCache` and
+:class:`BearingGridCache` instances are shared by every service and caller
+thread of a process, so their get/evict/clear sequences (one LRU under all
+three) must hold up under real contention -- not just under repro-lint's
+static RPR009 proof.  Each test hammers one cache
 from many threads with a working set larger than ``max_entries`` (so
 evictions race lookups and inserts race ``clear``), then asserts nothing
 was lost, duplicated or corrupted: every returned entry is bit-for-bit the

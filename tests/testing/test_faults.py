@@ -34,6 +34,9 @@ class TestFaultSpec:
     def test_validation_rejects_unknown_kind_stage_and_bad_numbers(self):
         with pytest.raises(ConfigurationError, match="unknown fault kind"):
             faults.FaultSpec(kind="explode-the-moon")
+        # Retired together with the thread backend it drove.
+        with pytest.raises(ConfigurationError, match="unknown fault kind"):
+            faults.FaultSpec(kind="thread-shard-failure")
         with pytest.raises(ConfigurationError, match="unknown fault stage"):
             faults.FaultSpec(kind="slow-worker", stage="mid-attach")
         with pytest.raises(ConfigurationError, match="probability"):
@@ -57,7 +60,7 @@ class TestFaultSpec:
 
 class TestActivation:
     def test_activate_exports_env_and_deactivate_clears_it(self):
-        spec = faults.FaultSpec(kind="thread-shard-failure", times=1)
+        spec = faults.FaultSpec(kind="shm-allocation-failure", times=1)
         faults.activate(spec)
         assert faults.ENV_VAR in os.environ
         decoded = json.loads(os.environ[faults.ENV_VAR])
@@ -84,22 +87,22 @@ class TestActivation:
 
     def test_injected_faults_context_manager_restores_clean_state(self):
         with faults.injected_faults(
-                faults.FaultSpec(kind="thread-shard-failure")):
+                faults.FaultSpec(kind="shm-allocation-failure")):
             with pytest.raises(FaultInjectedError):
-                faults.thread_shard()
-        faults.thread_shard()   # no active plan: a no-op
+                faults.shm_allocation()
+        faults.shm_allocation()   # no active plan: a no-op
         assert faults.ENV_VAR not in os.environ
 
 
 class TestDeterminism:
     def test_probability_stream_is_seeded_and_reproducible(self):
         def schedule(seed):
-            faults.activate(faults.FaultSpec(kind="thread-shard-failure",
+            faults.activate(faults.FaultSpec(kind="shm-allocation-failure",
                                              probability=0.3, seed=seed))
             fired = []
             for _ in range(40):
                 try:
-                    faults.thread_shard()
+                    faults.shm_allocation()
                     fired.append(False)
                 except FaultInjectedError:
                     fired.append(True)
@@ -111,16 +114,16 @@ class TestDeterminism:
         assert any(schedule(5)) and not all(schedule(5))
 
     def test_times_budget_bounds_firings_in_process(self):
-        faults.activate(faults.FaultSpec(kind="thread-shard-failure",
+        faults.activate(faults.FaultSpec(kind="shm-allocation-failure",
                                          times=2))
         fired = 0
         for _ in range(10):
             try:
-                faults.thread_shard()
+                faults.shm_allocation()
             except FaultInjectedError:
                 fired += 1
         assert fired == 2
-        assert faults.fired_counts() == {"thread-shard-failure": 2}
+        assert faults.fired_counts() == {"shm-allocation-failure": 2}
 
     def test_token_dir_budget_is_claimed_atomically(self, tmp_path):
         spec = faults.FaultSpec(kind="shm-allocation-failure", times=2,
@@ -172,5 +175,4 @@ class TestHooks:
     def test_hooks_are_noops_without_a_plan(self):
         faults.worker_shard("before-attach")
         faults.shm_allocation()
-        faults.thread_shard()
         assert faults.fired_counts() == {}
