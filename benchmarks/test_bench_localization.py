@@ -41,11 +41,11 @@ def test_fig13_static_cdf(benchmark):
 
 
 def test_fig14_heatmaps(benchmark):
-    """E-FIG14: heatmap peak converges to the client as APs are added."""
+    """E-FIG14: the refined fix converges to the client as APs are added."""
     errors = run_once(benchmark, fig14_heatmaps)
     print()
     print(format_key_values({f"{k} AP(s)": f"{v:.0f} cm" for k, v in errors.items()},
-                            title="Figure 14: heatmap-peak error vs number of APs"))
+                            title="Figure 14: fix error vs number of APs"))
     assert errors[6] <= errors[1]
     assert errors[6] < 150.0
 

@@ -17,15 +17,14 @@ import time
 import numpy as np
 
 from repro.core import (AoASpectrum, BatchLocalizer, LocalizerConfig,
-                        MultipathSuppressor, default_angle_grid, find_peaks,
-                        synthesize_likelihood)
+                        MultipathSuppressor, default_angle_grid, find_peaks)
 from repro.eval import format_table, table1_peak_stability
 from repro.geometry import Point2D, bearing_deg
 from repro.testbed import build_office_testbed
 
 from conftest import run_once
 from tests.core._oracle import (reference_find_peaks, reference_seeds,
-                                roaming_groups)
+                                roaming_groups, synthesize_likelihood)
 
 #: Roaming capture of the peak-detection floor: 4 clients x 5 steps x 6
 #: APs x 3 frames = 360 spectra.

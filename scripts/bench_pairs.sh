@@ -5,11 +5,15 @@
 #                          [--tiny] [--out DIR] WORKLOAD
 #
 # Runs N pairs of `perfbench/run.py --workload WORKLOAD --seed K --seconds S`,
-# one on the committed tree of REF (default HEAD, exported to a temp dir)
-# and one on this checkout's working tree (uncommitted edits included).
-# The side that runs first alternates from pair to pair, so a drift in
-# machine speed does not favour one side.  Each run's last JSON line is
-# kept in DIR (default: a temp dir, printed at the end).
+# one on the committed tree of REF (default HEAD) and one on this checkout's
+# working tree (tracked and untracked files not ignored by git, uncommitted
+# edits included).  Both sides are prepared the same way: exported into
+# sibling directories of one temp dir (REF with `git archive`, the working
+# tree with `git ls-files`) and run from there, so where a tree lives
+# cannot favour one side.  The side that runs first alternates from pair
+# to pair, so a drift in machine speed does not favour one side either.
+# Each run's last JSON line is kept in DIR (default: a temp dir, printed at
+# the end).
 #
 # It then prints, per end-to-end metric of BENCHMARK.json, the median and
 # quartiles of each side and how many pairs the change won; the metric's
@@ -33,7 +37,7 @@ while [ $# -gt 0 ]; do
         --ref) ref="$2"; shift 2 ;;
         --tiny) tiny="--tiny"; shift ;;
         --out) out="$2"; shift 2 ;;
-        -h|--help) sed -n '2,17p' "$0"; exit 0 ;;
+        -h|--help) sed -n '2,20p' "$0"; exit 0 ;;
         -*) echo "bench_pairs: unknown option $1" >&2; exit 2 ;;
         *) workload="$1"; shift ;;
     esac
@@ -43,9 +47,16 @@ if [ -z "${workload}" ]; then
     exit 2
 fi
 
-parent=$(mktemp -d)
-trap 'rm -rf "${parent}"' EXIT
+trees=$(mktemp -d)
+trap 'rm -rf "${trees}"' EXIT
+parent="${trees}/parent"
+change="${trees}/change"
+mkdir "${parent}" "${change}"
 git archive "${ref}" | tar -x -C "${parent}"
+# A tracked file deleted from the working tree is skipped, not exported.
+git ls-files -z -co --exclude-standard \
+    | tar --null --ignore-failed-read -T - -cf - 2>/dev/null \
+    | tar -x -C "${change}"
 if [ -z "${out}" ]; then
     out=$(mktemp -d)
 fi
@@ -62,9 +73,9 @@ run_side() {  # side tree pair
 for pair in $(seq 1 "${pairs}"); do
     if [ $((pair % 2)) -eq 1 ]; then
         run_side parent "${parent}" "${pair}"
-        run_side change "${root}" "${pair}"
+        run_side change "${change}" "${pair}"
     else
-        run_side change "${root}" "${pair}"
+        run_side change "${change}" "${pair}"
         run_side parent "${parent}" "${pair}"
     fi
 done

@@ -65,15 +65,9 @@ from repro.core.suppression import (
     MultipathSuppressor,
     SuppressorConfig,
     group_spectra_by_time,
-    suppress_multipath,
 )
-from repro.core.likelihood import (
-    LikelihoodMap,
-    likelihood_at,
-    spectrum_grid_powers,
-    synthesize_likelihood,
-)
-from repro.core.optimizer import HillClimbResult, hill_climb, refine_from_seeds
+from repro.core.likelihood import LikelihoodMap
+from repro.core.optimizer import HillClimbResult
 from repro.core.pipeline import SpectrumComputer, SpectrumConfig
 from repro.core.localizer import LocalizerConfig, LocationEstimate
 from repro.core.batch import BatchLocalizer, count_distinct_sources
@@ -91,7 +85,6 @@ __all__ = [
     "default_steering_cache",
     "default_window_cache",
     "grid_axes",
-    "spectrum_grid_powers",
     "forward_backward_covariance",
     "forward_backward_covariance_many",
     "sample_covariance",
@@ -126,13 +119,8 @@ __all__ = [
     "MultipathSuppressor",
     "SuppressorConfig",
     "group_spectra_by_time",
-    "suppress_multipath",
     "LikelihoodMap",
-    "likelihood_at",
-    "synthesize_likelihood",
     "HillClimbResult",
-    "hill_climb",
-    "refine_from_seeds",
     "SpectrumComputer",
     "SpectrumConfig",
     "LocalizerConfig",

@@ -16,9 +16,8 @@ once and cached.  One batch runs these stages:
    turns those spans into per-block maxima; floored like the fold, padded
    for rounding and multiplied in slot order, they bound every client's
    Equation 8 product on every block;
-3. each client's best blocks by bound are folded exactly, with the same
-   gather arithmetic as :func:`~repro.core.likelihood.synthesize_likelihood`,
-   in one stacked pass per (slot, placement), and the seeds are picked by
+3. each client's best blocks by bound are folded exactly in one stacked
+   pass per (slot, placement), and the seeds are picked by
    :func:`~repro.core.likelihood.greedy_seeds`.  A client stops once its
    best unevaluated block's bound is strictly below its last seed's value;
    otherwise its block budget doubles.  Grid-only fixes take the same path
@@ -29,14 +28,14 @@ once and cached.  One batch runs these stages:
    climber in NumPy arrays: each round stacks the compass-neighbour
    candidates of every active climber of every client and scores them in
    one pass across all slots, with the exact tie-breaking and evaluation
-   budget of a serial per-candidate climb over
-   :func:`~repro.core.likelihood.likelihood_at`, so a refined fix is
-   bit-for-bit what that climb would reach.
+   budget of a serial per-candidate climb.
 
-The full per-client plane is built only under ``keep_heatmap``, by
-:func:`~repro.core.likelihood.synthesize_likelihood`.
-A single-client fix is this engine with a batch of one, so there is
-exactly one synthesis code path to test and optimize.
+:class:`_StackedObjective` is the only Equation 8 in ``src/``: grid seeds,
+grid-only fixes, refinement candidates and the full per-client planes of
+:meth:`BatchLocalizer.heatmaps` (Figure 14) all read it.  The serial
+per-point and full-grid evaluators it must match bit for bit live in
+``tests/core/_oracle.py``.  A single-client fix is this engine with a batch
+of one, so there is exactly one synthesis code path to test and optimize.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ from repro.core.cache import (
     default_bearing_cache,
     grid_axes,
 )
-from repro.core.likelihood import greedy_seeds, synthesize_likelihood
+from repro.core.likelihood import LikelihoodMap, greedy_seeds
 from repro.core.localizer import (
     LocalizerConfig,
     LocationEstimate,
@@ -257,9 +256,8 @@ class _PointTable:
         starts = self.starts.take(units, axis=1)
         values = (1.0 - fraction) * self.powers[starts + lower] \
             + fraction * self.powers[starts + upper]
-        # power_towards rates the AP's own location zero (the bearing is
-        # undefined there); the floor below still applies, exactly like
-        # the scalar path.
+        # The AP's own location is rated zero (the bearing is undefined
+        # there); the floor below still applies, as at a grid cell.
         values[np.hypot(dx, dy) < 1e-9] = 0.0
         if self.floors is not None:
             np.maximum(values, self.floors.take(units, axis=1), out=values)
@@ -269,29 +267,29 @@ class _PointTable:
 
 
 class _StackedObjective:
-    """Batched Equation 8 at grid cells and at arbitrary points.
+    """Equation 8 of a client batch, at grid cells and at arbitrary points.
 
-    The scalar refinement objective is ``likelihood_at(normalized_spectra,
-    position, floor)`` with out-of-bounds candidates rated 0.0; this class
-    is its stacked equivalent for :func:`repro.core.optimizer.refine_many`
-    (:meth:`evaluate`) and for the grid seeding (:meth:`fold_cells`,
-    :meth:`block_bounds`).  Grid cells are folded per (slot, AP
-    placement) group; a refinement round's candidates are scored against
-    their own clients' spectra in one pass across all slots, through one
-    :class:`_PointTable` per angle grid (built on the first
-    :meth:`evaluate` call).
+    ``L(x) = prod_i max(P_i(theta_i(x)), floor * max P_i)`` over each
+    client's (optionally normalized) spectra, folded in the client's own
+    spectrum order; the AP's own location contributes zero before the
+    floor, since its bearing is undefined.  This is the only Equation 8 in
+    ``src/``: :meth:`fold_cells` serves grid seeding, grid-only fixes and
+    full heatmaps, :meth:`block_bounds` bounds it per grid block for the
+    prune, and :meth:`evaluate` scores refinement candidates (rating
+    points outside the bounds 0.0) for
+    :func:`repro.core.optimizer.refine_many`.  Grid cells are folded per
+    (slot, AP placement) group from the cached :class:`_PlacementTable`; a
+    refinement round's candidates are scored against their own clients'
+    spectra in one pass across all slots, through one :class:`_PointTable`
+    per angle grid (built on the first :meth:`evaluate` call).
 
-    Bit-exactness with the scalar path holds because every step performs
-    the identical elementwise arithmetic -- the bearing of
+    Both paths perform the same elementwise arithmetic -- the bearing of
     :func:`~repro.geometry.vector.bearings_deg`, the circular interpolation
     of :func:`~repro.core.spectrum.circular_interpolation_table`, the
-    collocated-point zero of
-    :meth:`~repro.core.spectrum.AoASpectrum.power_towards` and the floor
-    max of :func:`~repro.core.likelihood.likelihood_at` -- and because the
-    per-point product is folded slot by slot, i.e. in each client's own
-    spectrum order, exactly like the scalar fold.  Grid cells read the same
-    arithmetic from the cached :class:`_PlacementTable`, so a cell matches
-    :func:`~repro.core.likelihood.synthesize_likelihood` bit for bit.
+    collocated zero and the floor max -- folded slot by slot, so a point
+    on a grid cell scores exactly what the cell folds.  The serial
+    per-point and full-grid references in ``tests/core/_oracle.py`` pin
+    both paths bit for bit.
     """
 
     def __init__(self, spectra: dict[str, list[AoASpectrum]],
@@ -331,8 +329,8 @@ class _StackedObjective:
                         "cannot normalize an all-zero spectrum")
                 stacked = stacked / maxima[:, None]
             entry.powers = stacked
-            # ``likelihood_at`` floors against each (normalized) spectrum's
-            # own maximum, so recompute it on the rows actually evaluated.
+            # The floor is relative to each (normalized) spectrum's own
+            # maximum, so recompute it on the rows actually evaluated.
             entry.maxima = np.max(stacked, axis=1)
             units = np.array([unit for unit, _ in group_jobs], dtype=int)
             rows = np.zeros(self.num_units, dtype=int)
@@ -368,9 +366,9 @@ class _StackedObjective:
         likelihood = factors[0]
         for row in factors[1:]:
             likelihood = likelihood * row
-        # The scalar objective rates out-of-bounds candidates 0.0 without
-        # reading the spectra (climbers near the boundary probe outside
-        # every round); their products above are discarded here.
+        # Out-of-bounds candidates are rated 0.0 whatever the spectra say
+        # (climbers near the boundary probe outside every round); their
+        # products above are discarded here.
         xmin, ymin, xmax, ymax = self._bounds
         inside = (xs >= xmin) & (xs <= xmax) & (ys >= ymin) & (ys <= ymax)
         return np.where(inside, likelihood, 0.0)
@@ -454,9 +452,8 @@ class _StackedObjective:
         fraction = table.fraction[cells]
         values = (1.0 - fraction) * flat[starts + table.lower[cells]] \
             + fraction * flat[starts + table.upper[cells]]
-        # power_towards rates the AP's own location zero (the bearing is
-        # undefined there); the floor below still applies, exactly like
-        # the scalar path.
+        # The AP's own cell is rated zero (the bearing is undefined there);
+        # the floor below still applies, as at an arbitrary point.
         values[table.collocated[cells]] = 0.0
         if self._floor > 0:
             np.maximum(values, self._floor * entry.maxima[rows], out=values)
@@ -535,19 +532,11 @@ class BatchLocalizer:
         estimates: dict[str, LocationEstimate] = {}
         for key, (position, value) in zip(objective.keys, fixes, strict=True):
             spectra = objective.spectra[key]
-            heatmap = None
-            if self.config.keep_heatmap:
-                heatmap = synthesize_likelihood(
-                    spectra, self.bounds, self.config.grid_resolution_m,
-                    normalize_spectra=self.config.normalize_spectra,
-                    floor=self.config.spectrum_floor,
-                    bearing_cache=self._bearing_cache)
             estimates[key] = LocationEstimate(
                 position=position,
                 likelihood=float(value),
                 num_aps=count_distinct_sources(spectra),
                 client_id=key or spectra[0].client_id,
-                heatmap=heatmap,
             )
         return estimates
 
@@ -557,14 +546,35 @@ class BatchLocalizer:
 
         These are the seeds :meth:`estimate_batch` climbs from: the best
         grid cells under the Section 2.5 rule of
-        :meth:`~repro.core.likelihood.LikelihoodMap.top_positions`, picked
-        without folding the whole grid.
+        :func:`~repro.core.likelihood.greedy_seeds` (exact ties to the
+        lowest flat index, no two seeds within three cells), picked without
+        folding the whole grid.
         """
         if count < 1:
             raise EstimationError("count must be >= 1")
         objective = self._objective(spectra_by_client)
         return dict(zip(objective.keys,
                         self._select_seeds(objective, count), strict=True))
+
+    def heatmaps(self, spectra_by_client: Mapping[str, Sequence[AoASpectrum]]
+                 ) -> dict[str, LikelihoodMap]:
+        """Return each client's Equation 8 on every grid cell (Figure 14).
+
+        One fold of every cell of every client through the objective the
+        fixes read, so each map's cells are bit for bit the values seeding
+        ranks.  The whole plane is built, so memory grows with clients
+        times cells; a fix never needs it.
+        """
+        objective = self._objective(spectra_by_client)
+        x_coords, y_coords = self._layout.x_coords, self._layout.y_coords
+        shape = (y_coords.shape[0], x_coords.shape[0])
+        num_cells = shape[0] * shape[1]
+        values = objective.fold_cells(
+            np.repeat(np.arange(objective.num_units), num_cells),
+            np.tile(np.arange(num_cells), objective.num_units))
+        return {key: LikelihoodMap(x_coords.copy(), y_coords.copy(), plane)
+                for key, plane in zip(objective.keys,
+                                      values.reshape(-1, *shape), strict=True)}
 
     # ------------------------------------------------------------------
     # Stage 1: validation and stacking

@@ -18,7 +18,7 @@ clients against a fixed set of APs.  :class:`SteeringCache` and
 :class:`BearingGridCache` memoize them behind content-derived keys (and
 :class:`WindowCache` does the same for the Section 2.3.3 geometry window);
 module level default instances are shared by :mod:`repro.core.music`,
-:mod:`repro.core.likelihood` and :mod:`repro.core.batch` so that every AP
+:mod:`repro.core.weighting` and :mod:`repro.core.batch` so that every AP
 with the same geometry (and every fix against the same floorplan) reuses one
 table.  All three are key-and-compute adapters over one lock-guarded LRU.
 
@@ -202,14 +202,16 @@ class BearingGrid:
     ----------
     x_coords, y_coords:
         Grid coordinates (metres) along each axis, identical to the axes of
-        the :class:`~repro.core.likelihood.LikelihoodMap` built on them.
+        the :class:`~repro.core.likelihood.LikelihoodMap` planes of
+        :meth:`~repro.core.batch.BatchLocalizer.heatmaps`.
     bearings_deg:
         Read-only ``(len(y_coords) * len(x_coords),)`` flat array of
         building-frame bearings in ``[0, 360)`` degrees, row-major (y rows).
     collocated:
         Read-only flat indices of the cells within 1 nm of the AP, where
-        the bearing is undefined; Equation 8 rates them like
-        :meth:`~repro.core.spectrum.AoASpectrum.power_towards` does.
+        the bearing is undefined; Equation 8 rates them zero before the
+        floor, as :class:`~repro.core.batch.BatchLocalizer` does at any
+        point within 1 nm of an AP.
     """
 
     x_coords: np.ndarray

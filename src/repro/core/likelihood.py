@@ -1,4 +1,4 @@
-"""AoA spectra synthesis: combining per-AP spectra into a location likelihood.
+"""Equation 8's grid map and the Section 2.5 seed rule.
 
 Section 2.5, Equation 8: given processed spectra ``P_1 .. P_N`` from N APs,
 the likelihood of the client being at position x is
@@ -7,34 +7,23 @@ the likelihood of the client being at position x is
 
 where ``theta_i(x)`` is the bearing of x as seen from AP i.  ArrayTrack
 evaluates L on a 10 cm grid (the "heatmaps" of Figure 14) and then refines
-the best grid cells by hill climbing (:mod:`repro.core.optimizer`).
+the best grid cells by hill climbing (:mod:`repro.core.optimizer`).  The
+product itself has one implementation, the stacked objective of
+:mod:`repro.core.batch`; this module holds the grid map it fills
+(:meth:`~repro.core.batch.BatchLocalizer.heatmaps`) and the greedy seed
+rule (:func:`greedy_seeds`) that picks the climb's starting cells.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Sequence
 
 import numpy as np
 
-from repro.constants import DEFAULT_GRID_RESOLUTION_M
 from repro.errors import EstimationError
 from repro.geometry.vector import Point2D
-from repro.core.cache import (
-    BearingGrid,
-    BearingGridCache,
-    default_bearing_cache,
-    grid_axes,
-)
-from repro.core.spectrum import AoASpectrum
 
-__all__ = [
-    "LikelihoodMap",
-    "greedy_seeds",
-    "likelihood_at",
-    "spectrum_grid_powers",
-    "synthesize_likelihood",
-]
+__all__ = ["LikelihoodMap", "greedy_seeds"]
 
 
 @dataclass
@@ -75,51 +64,6 @@ class LikelihoodMap:
         flat_index = int(np.argmax(self.values))
         row, column = np.unravel_index(flat_index, self.values.shape)
         return Point2D(float(self.x_coords[column]), float(self.y_coords[row]))
-
-    def top_positions(self, count: int) -> list[tuple[Point2D, float]]:
-        """Return the ``count`` best grid points and their likelihoods.
-
-        The positions are chosen greedily with a minimum mutual separation of
-        three grid cells so that the hill-climbing seeds (Section 2.5 uses
-        the three highest positions) do not all sit on the same lobe; exact
-        ties go to the lowest flat index, like :meth:`peak_position`.
-
-        No full sort is needed: the greedy rule only reads cells at or above
-        its last seed's value, so it runs over the cells at or above the
-        ``budget``-th largest value, and the budget grows only when those
-        cells yield fewer than ``count`` seeds.
-        """
-        if count < 1:
-            raise EstimationError("count must be >= 1")
-        flat = self.values.ravel()
-        num_cells = flat.shape[0]
-        budget = 16 * count
-        while True:
-            if budget >= num_cells:
-                candidates = np.arange(num_cells)
-            else:
-                threshold = np.partition(flat, num_cells - budget)[
-                    num_cells - budget]
-                candidates = np.flatnonzero(flat >= threshold)
-            seeds = greedy_seeds(np.zeros_like(candidates), candidates,
-                                 flat[candidates], 1, self.x_coords,
-                                 self.y_coords, count)[0]
-            seeds = seeds[seeds >= 0]
-            if seeds.shape[0] == count or candidates.shape[0] == num_cells:
-                break
-            budget *= 4
-        num_x = self.x_coords.shape[0]
-        return [(Point2D(float(self.x_coords[cell % num_x]),
-                         float(self.y_coords[cell // num_x])),
-                 float(flat[cell]))
-                for cell in candidates[seeds].tolist()]
-
-    def normalized(self) -> "LikelihoodMap":
-        """Return a copy scaled so the maximum value is 1."""
-        peak = float(np.max(self.values))
-        if peak <= 0:
-            raise EstimationError("cannot normalize an all-zero likelihood map")
-        return LikelihoodMap(self.x_coords, self.y_coords, self.values / peak)
 
 
 def _grid_spacing(x_coords: np.ndarray, y_coords: np.ndarray) -> float:
@@ -185,95 +129,3 @@ def greedy_seeds(owners: np.ndarray, cells: np.ndarray, values: np.ndarray,
         open_values[chosen] = -np.inf
         open_values[(mine >= 0) & near] = -np.inf
     return seeds
-
-
-def likelihood_at(spectra: Sequence[AoASpectrum], position: Point2D,
-                  floor: float = 0.0) -> float:
-    """Return ``L(position)`` (Equation 8) for a set of per-AP spectra.
-
-    Parameters
-    ----------
-    floor:
-        Minimum value (relative to each spectrum's maximum) a spectrum
-        contributes to the product.  A small positive floor keeps a single
-        AP whose spectrum happens to be blind towards the true location
-        from vetoing it outright; 0 reproduces the plain product.
-    """
-    if not spectra:
-        raise EstimationError("need at least one AoA spectrum")
-    likelihood = 1.0
-    for spectrum in spectra:
-        value = spectrum.power_towards(position)
-        if floor > 0:
-            value = max(value, floor * spectrum.max_power)
-        likelihood *= value
-    return float(likelihood)
-
-
-def spectrum_grid_powers(spectrum: AoASpectrum,
-                         bearing_grid: BearingGrid,
-                         floor: float = 0.0) -> np.ndarray:
-    """Evaluate one spectrum's ``P_i(theta_i(x))`` over a cached bearing grid.
-
-    Returns the flat ``(num_cells,)`` power plane this spectrum contributes
-    to the Equation 8 product.  Both the single-client synthesis below and
-    the stacked evaluation in :mod:`repro.core.batch` reduce to this same
-    arithmetic, which is what guarantees batched and sequential fixes agree
-    bit for bit.
-    """
-    lower, upper, fraction = spectrum.interpolation_table(
-        bearing_grid.bearings_deg - spectrum.ap_orientation_deg)
-    power = (1.0 - fraction) * spectrum.power[lower] \
-        + fraction * spectrum.power[upper]
-    # The AP's own cell has no bearing; power_towards rates it zero.
-    power[bearing_grid.collocated] = 0.0
-    if floor > 0:
-        power = np.maximum(power, floor * spectrum.max_power)
-    return power
-
-
-def synthesize_likelihood(spectra: Sequence[AoASpectrum],
-                          bounds: tuple[float, float, float, float],
-                          resolution_m: float = DEFAULT_GRID_RESOLUTION_M,
-                          normalize_spectra: bool = True,
-                          floor: float = 0.0,
-                          bearing_cache: BearingGridCache | None = None
-                          ) -> LikelihoodMap:
-    """Evaluate Equation 8 on a regular grid covering ``bounds``.
-
-    Parameters
-    ----------
-    spectra:
-        Processed AoA spectra, one (or more) per AP; each must carry its
-        AP's position and orientation.
-    bounds:
-        ``(xmin, ymin, xmax, ymax)`` of the search area, in metres.
-    resolution_m:
-        Grid spacing; the paper uses a 10 cm grid.
-    normalize_spectra:
-        Normalize each spectrum to unit maximum before multiplying, so no
-        single AP dominates the product through its absolute scale.
-    floor:
-        Minimum relative value each spectrum contributes (see
-        :func:`likelihood_at`).
-    bearing_cache:
-        Cache of per-AP bearing tables; the shared default cache is used
-        when omitted, so repeated fixes against a static deployment reuse
-        the same ``arctan2`` sweep per AP.
-    """
-    if not spectra:
-        raise EstimationError("need at least one AoA spectrum")
-    cache = bearing_cache if bearing_cache is not None else default_bearing_cache()
-    x_coords, y_coords = grid_axes(bounds, resolution_m)
-    shape = (y_coords.shape[0], x_coords.shape[0])
-    values: np.ndarray | None = None
-    for spectrum in spectra:
-        if spectrum.ap_position is None:
-            raise EstimationError(
-                "every spectrum must carry its AP position for synthesis")
-        usable = spectrum.normalized() if normalize_spectra else spectrum
-        bearing_grid = cache.get(bounds, resolution_m, usable.ap_position)
-        power = spectrum_grid_powers(usable, bearing_grid, floor=floor)
-        values = power if values is None else values * power
-    assert values is not None
-    return LikelihoodMap(x_coords, y_coords, values.reshape(shape))

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from repro.constants import DEFAULT_GRID_RESOLUTION_M
 from repro.errors import EstimationError
 from repro.geometry.vector import Point2D
-from repro.core.likelihood import LikelihoodMap
 
 __all__ = ["LocationEstimate", "LocalizerConfig"]
 
@@ -38,16 +37,12 @@ class LocationEstimate:
         Number of APs whose spectra contributed.
     client_id:
         Identifier of the localized client.
-    heatmap:
-        The grid likelihood map, retained when the estimator is configured
-        to keep it (Figure 14 visualizations); ``None`` otherwise.
     """
 
     position: Point2D
     likelihood: float
     num_aps: int
     client_id: str = ""
-    heatmap: LikelihoodMap | None = None
 
     def error_to(self, ground_truth: Point2D) -> float:
         """Return the Euclidean localization error against ``ground_truth``."""
@@ -58,6 +53,9 @@ class LocationEstimate:
 class LocalizerConfig:
     """Configuration of the grid search / hill climbing location estimator.
 
+    A fix never builds the full grid map; the Figure 14 surfaces come from
+    :meth:`~repro.core.batch.BatchLocalizer.heatmaps`, on request.
+
     Attributes
     ----------
     grid_resolution_m:
@@ -67,9 +65,6 @@ class LocalizerConfig:
         cells (disable for the fastest, grid-only estimates).
     num_seeds:
         Number of top grid cells used to seed hill climbing (3 in the paper).
-    keep_heatmap:
-        Attach the full likelihood map to each estimate (memory heavy; used
-        by the Figure 14 experiment and the visual examples).
     normalize_spectra:
         Normalize each AP's spectrum to unit maximum before multiplying.
     spectrum_floor:
@@ -81,7 +76,6 @@ class LocalizerConfig:
     grid_resolution_m: float = DEFAULT_GRID_RESOLUTION_M
     refine_with_hill_climbing: bool = True
     num_seeds: int = 3
-    keep_heatmap: bool = False
     normalize_spectra: bool = True
     spectrum_floor: float = 0.02
 

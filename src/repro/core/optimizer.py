@@ -13,9 +13,8 @@ falls below a termination threshold.  This matches the paper's intent
 plateaus that a coarse angle grid can create.
 
 :func:`refine_many` is the one climb body: it runs every climber of a batch
-as rows of NumPy arrays.  :func:`hill_climb` and :func:`refine_from_seeds`
-are batches of one through it; the serial per-candidate climber they used
-to be lives on as the reference in ``tests/core/_oracle.py``.
+as rows of NumPy arrays.  The serial per-candidate climber it replaces
+lives on as the reference in ``tests/core/_oracle.py``.
 """
 
 from __future__ import annotations
@@ -28,14 +27,7 @@ import numpy as np
 from repro.errors import EstimationError
 from repro.geometry.vector import Point2D
 
-__all__ = [
-    "HillClimbResult",
-    "hill_climb",
-    "refine_from_seeds",
-    "refine_many",
-]
-
-LikelihoodFunction = Callable[[Point2D], float]
+__all__ = ["HillClimbResult", "refine_many"]
 
 #: Batched likelihood evaluator used by :func:`refine_many`.  Called with
 #: three equal-length arrays -- the unit (client) index of each candidate
@@ -68,63 +60,6 @@ class HillClimbResult:
     position: Point2D
     value: float
     iterations: int
-
-
-def hill_climb(likelihood: LikelihoodFunction, start: Point2D,
-               initial_step_m: float = 0.05,
-               min_step_m: float = 0.005,
-               max_evaluations: int = 400) -> HillClimbResult:
-    """Refine ``start`` by pattern-search hill climbing on ``likelihood``.
-
-    A batch of one through :func:`refine_many`.  Every round evaluates all
-    four compass neighbours, so ``likelihood`` may be called on neighbours
-    the scan then discards; ``iterations`` still counts only the
-    evaluations the first-improvement scan makes.
-
-    Parameters
-    ----------
-    likelihood:
-        Function returning the (non-negative) likelihood of a position.
-    start:
-        Seed position (a high-likelihood grid cell).
-    initial_step_m:
-        First step size; half a grid cell by default.
-    min_step_m:
-        Terminate once the step shrinks below this value.
-    max_evaluations:
-        Hard cap on likelihood evaluations (guards against pathological
-        surfaces); must be at least 1.
-    """
-    [result] = refine_many(_scalar_batch(likelihood), [[(start, 0.0)]],
-                           initial_step_m, min_step_m, max_evaluations)
-    return result
-
-
-def refine_from_seeds(likelihood: LikelihoodFunction,
-                      seeds: Sequence[tuple[Point2D, float]],
-                      initial_step_m: float = 0.05,
-                      min_step_m: float = 0.005) -> HillClimbResult:
-    """Hill climb from each seed and return the best overall result.
-
-    ``seeds`` are ``(position, grid_likelihood)`` pairs, typically the top
-    three grid cells of the heatmap (Section 2.5).  A batch of one through
-    :func:`refine_many`; ties go to the first seed.
-    """
-    [result] = refine_many(_scalar_batch(likelihood), [seeds],
-                           initial_step_m, min_step_m)
-    return result
-
-
-def _scalar_batch(likelihood: LikelihoodFunction) -> BatchLikelihoodFunction:
-    """Wrap a one-unit scalar objective as a :func:`refine_many` evaluator."""
-
-    def evaluate(units: np.ndarray, xs: np.ndarray,
-                 ys: np.ndarray) -> np.ndarray:
-        return np.array([likelihood(Point2D(x, y))
-                         for x, y in zip(xs.tolist(), ys.tolist(),
-                                         strict=True)], dtype=float)
-
-    return evaluate
 
 
 def refine_many(evaluate: BatchLikelihoodFunction,

@@ -23,7 +23,7 @@ from numpy.typing import ArrayLike
 from repro.constants import DEFAULT_ANGLE_RESOLUTION_DEG
 from repro.dtypes import as_float_array
 from repro.errors import EstimationError
-from repro.geometry.vector import Point2D, bearing_deg
+from repro.geometry.vector import Point2D
 
 __all__ = ["AoASpectrum", "circular_interpolation_table", "default_angle_grid"]
 
@@ -176,27 +176,6 @@ class AoASpectrum:
         """
         lower, upper, fraction = self.interpolation_table(local_angles_deg)
         return (1.0 - fraction) * self.power[lower] + fraction * self.power[upper]
-
-    def power_at_global(self, global_bearings_deg: ArrayLike) -> np.ndarray:
-        """Return interpolated power at building-frame bearings (degrees)."""
-        bearings = np.atleast_1d(as_float_array(global_bearings_deg))
-        return self.power_at_local(bearings - self.ap_orientation_deg)
-
-    def power_towards(self, position: Point2D) -> float:
-        """Return the spectrum value in the direction of a candidate location.
-
-        This is the ``P_i(theta_i)`` term of Equation 8: the AP evaluates
-        its spectrum at the bearing of the hypothesised client position.
-        """
-        if self.ap_position is None:
-            raise EstimationError(
-                "spectrum has no AP position; cannot evaluate towards a point")
-        if self.ap_position.distance_to(position) < 1e-9:
-            # The bearing of the AP's own location is undefined; a client is
-            # never collocated with the AP antenna array, so rate it zero.
-            return 0.0
-        bearing = bearing_deg(self.ap_position, position)
-        return float(self.power_at_global(bearing)[0])
 
     # ------------------------------------------------------------------
     # Transformations

@@ -32,8 +32,7 @@ from repro.errors import EstimationError
 from repro.core.peaks import SpectrumPeak, find_peaks, match_peak, peak_regions
 from repro.core.spectrum import AoASpectrum
 
-__all__ = ["MultipathSuppressor", "SuppressorConfig", "suppress_multipath",
-           "group_spectra_by_time"]
+__all__ = ["MultipathSuppressor", "SuppressorConfig", "group_spectra_by_time"]
 
 
 def group_spectra_by_time(spectra: Sequence[AoASpectrum],
@@ -237,9 +236,3 @@ class MultipathSuppressor:
 #: service-level configuration tree (:class:`repro.api.ArrayTrackConfig`)
 #: composes it directly under this alias.
 SuppressorConfig = MultipathSuppressor
-
-
-def suppress_multipath(group: Sequence[AoASpectrum],
-                       tolerance_deg: float = PEAK_MATCH_TOLERANCE_DEG) -> AoASpectrum:
-    """Convenience wrapper: suppress one group with default parameters."""
-    return MultipathSuppressor(tolerance_deg=tolerance_deg).suppress(group)

@@ -456,11 +456,13 @@ def fig15_arraytrack_localization(num_clients: int | None = 20,
 
 def fig14_heatmaps(client_id: str = "client-19",
                    grid_resolution_m: float = 0.25) -> dict[int, float]:
-    """E-FIG14: heatmap peak error as APs are added one at a time.
+    """E-FIG14: fix error as APs are added one at a time.
 
-    Returns the localization error (cm) of the heatmap maximum when the
-    spectra of the first k APs (k = 1..6) are combined; the paper's figure
-    shows the corresponding likelihood surfaces.
+    Returns the localization error (cm) of the service's refined fix (the
+    grid seeds plus hill climbing) when the spectra of the first k APs
+    (k = 1..6) are combined.  The paper's figure shows the corresponding
+    likelihood surfaces; :meth:`repro.core.BatchLocalizer.heatmaps`
+    builds them.
     """
     testbed = build_office_testbed()
     deployment = SimulatedDeployment(testbed, _default_scenario())

@@ -1,6 +1,7 @@
 """Tests for the ArrayTrackConfig tree: round-tripping, validation, overrides."""
 
 import json
+import re
 from dataclasses import fields
 
 import pytest
@@ -84,7 +85,7 @@ CONFIG_LEAVES = [
     "resilience.reject_poison_frames", "resilience.retry_seed",
     "resilience.shard_timeout_s", "resilience.shed_policy",
     "server.enable_multipath_suppression",
-    "server.localizer.grid_resolution_m", "server.localizer.keep_heatmap",
+    "server.localizer.grid_resolution_m",
     "server.localizer.normalize_spectra", "server.localizer.num_seeds",
     "server.localizer.refine_with_hill_climbing",
     "server.localizer.spectrum_floor",
@@ -102,7 +103,7 @@ class TestLeaves:
     def test_config_leaves_are_pinned(self):
         leaves = sorted(_leaves(ArrayTrackConfig().to_dict()))
         assert leaves == CONFIG_LEAVES
-        assert len(leaves) == 51
+        assert len(leaves) == 50
 
 
 class TestDefaults:
@@ -164,19 +165,24 @@ class TestRejection:
         ("resilience", "supervise_pool", False),
         ("resilience", "breaker_enabled", False),
         ("server", "measure_processing_time", True),
+        # ``BatchLocalizer.heatmaps`` builds the full plane on request.
+        ("server.localizer", "keep_heatmap", True),
     ])
     def test_removed_switches_are_unknown_keys(self, section, key, value):
-        data = {section: {key: value}}
-        path = rf"config\.{section}\b"
+        data = {key: value}
+        for part in reversed(section.split(".")):
+            data = {part: data}
+        path = rf"config\.{re.escape(section)}\b"
         with pytest.raises(ConfigurationError, match=path):
             ArrayTrackConfig.from_dict(data)
         with pytest.raises(ConfigurationError, match=path):
             ArrayTrackConfig.from_json(json.dumps(data))
         with pytest.raises(ConfigurationError,
-                           match=rf"unknown configuration path '{section}\.{key}'"):
+                           match=rf"unknown configuration path "
+                                 rf"'{re.escape(section)}\.{key}'"):
             ArrayTrackConfig().with_env_overrides(
-                {f"ARRAYTRACK_{section.upper()}__{key.upper()}":
-                 json.dumps(value)})
+                {f"ARRAYTRACK_{section.upper().replace('.', '__')}__"
+                 f"{key.upper()}": json.dumps(value)})
 
     @pytest.mark.parametrize("leaf", [
         spec.name for spec in fields(SuppressorConfig)])

@@ -19,14 +19,20 @@ one frame, one client or one grid point at a time:
   onto the full circle, the W(theta) window and, with the ninth antenna,
   symmetry removal; :func:`reference_ap_spectrum` adds the AP's
   phase-offset compensation;
+* Equation 8 one AP and one point at a time: :func:`power_towards` reads
+  a spectrum at the bearing of a point, :func:`likelihood_at` multiplies
+  those readings, and :func:`synthesize_likelihood` folds every grid cell
+  AP by AP.  In ``src/`` the one Equation 8 is the stacked objective of
+  :class:`~repro.core.batch.BatchLocalizer`, which serves seeds, fixes,
+  refinement and :meth:`~repro.core.batch.BatchLocalizer.heatmaps`;
 * :func:`reference_seeds` is the Section 2.5 seed rule over a client's
-  full Equation 8 grid (:func:`~repro.core.likelihood.synthesize_likelihood`):
-  one full sort, then the greedy three-cell separation rule;
-  :func:`hill_climb` and :func:`refine_from_seeds` are the Section 2.5
-  pattern search one candidate call at a time (in ``src/`` both names are
-  batches of one through :func:`~repro.core.optimizer.refine_many`), and
+  full Equation 8 grid (:func:`synthesize_likelihood`): one full sort,
+  then the greedy three-cell separation rule; :func:`hill_climb` and
+  :func:`refine_from_seeds` are the Section 2.5 pattern search one
+  candidate call at a time (``src/`` climbs every climber of a batch at
+  once in :func:`~repro.core.optimizer.refine_many`), and
   :func:`reference_refinement` runs them for each client from those seeds,
-  scored by a bounds-checked :func:`~repro.core.likelihood.likelihood_at`;
+  scored by a bounds-checked :func:`likelihood_at`;
 * :func:`reference_find_peaks` and :func:`reference_peak_regions` are the
   Section 2.4 peak detection and lobe walk one grid point at a time, and
   :func:`reference_suppress` composes the Figure 8 algorithm from them;
@@ -47,9 +53,9 @@ from repro.array.deployment import DeployedArray
 from repro.array.geometry import ArrayGeometry
 from repro.array.receiver import SnapshotMatrix
 from repro.channel import movement_track, random_waypoint_track
-from repro.constants import WAVELENGTH_M
-from repro.core.likelihood import (LikelihoodMap, likelihood_at,
-                                   synthesize_likelihood)
+from repro.constants import DEFAULT_GRID_RESOLUTION_M, WAVELENGTH_M
+from repro.core.cache import BearingGridCache, default_bearing_cache, grid_axes
+from repro.core.likelihood import LikelihoodMap
 from repro.core.localizer import LocalizerConfig
 from repro.core.music import _steering_matrix
 from repro.core.optimizer import HillClimbResult
@@ -64,7 +70,7 @@ from repro.core.symmetry import SymmetryResolver
 from repro.core.weighting import apply_geometry_weighting
 from repro.dtypes import as_complex_array
 from repro.errors import EstimationError
-from repro.geometry.vector import Point2D
+from repro.geometry.vector import Point2D, bearing_deg
 from repro.testbed import (ScenarioConfig, SimulatedDeployment,
                            build_office_testbed)
 
@@ -471,6 +477,100 @@ def reference_ap_spectrum(ap: ArrayTrackAP, entry: BufferEntry) -> AoASpectrum:
             ap.config.spectrum, snapshots, ap.array, ap.linear_indices)
     return reference_spectrum(ap.config.spectrum, snapshots, ap.array,
                               ap.linear_indices)
+
+
+def power_towards(spectrum: AoASpectrum, position: Point2D) -> float:
+    """Return the spectrum value in the direction of a candidate location.
+
+    This is the ``P_i(theta_i)`` term of Equation 8: the AP evaluates
+    its spectrum at the bearing of the hypothesised client position.
+    """
+    if spectrum.ap_position is None:
+        raise EstimationError(
+            "spectrum has no AP position; cannot evaluate towards a point")
+    if spectrum.ap_position.distance_to(position) < 1e-9:
+        # The bearing of the AP's own location is undefined; a client is
+        # never collocated with the AP antenna array, so rate it zero.
+        return 0.0
+    bearing = bearing_deg(spectrum.ap_position, position)
+    return float(spectrum.power_at_local(
+        bearing - spectrum.ap_orientation_deg)[0])
+
+
+def likelihood_at(spectra: Sequence[AoASpectrum], position: Point2D,
+                  floor: float = 0.0) -> float:
+    """Return ``L(position)`` (Equation 8) for a set of per-AP spectra.
+
+    Parameters
+    ----------
+    floor:
+        Minimum value (relative to each spectrum's maximum) a spectrum
+        contributes to the product.  A small positive floor keeps a single
+        AP whose spectrum happens to be blind towards the true location
+        from vetoing it outright; 0 reproduces the plain product.
+    """
+    if not spectra:
+        raise EstimationError("need at least one AoA spectrum")
+    likelihood = 1.0
+    for spectrum in spectra:
+        value = power_towards(spectrum, position)
+        if floor > 0:
+            value = max(value, floor * spectrum.max_power)
+        likelihood *= value
+    return float(likelihood)
+
+
+def synthesize_likelihood(spectra: Sequence[AoASpectrum],
+                          bounds: tuple[float, float, float, float],
+                          resolution_m: float = DEFAULT_GRID_RESOLUTION_M,
+                          normalize_spectra: bool = True,
+                          floor: float = 0.0,
+                          bearing_cache: BearingGridCache | None = None
+                          ) -> LikelihoodMap:
+    """Evaluate Equation 8 on a regular grid covering ``bounds``.
+
+    Parameters
+    ----------
+    spectra:
+        Processed AoA spectra, one (or more) per AP; each must carry its
+        AP's position and orientation.
+    bounds:
+        ``(xmin, ymin, xmax, ymax)`` of the search area, in metres.
+    resolution_m:
+        Grid spacing; the paper uses a 10 cm grid.
+    normalize_spectra:
+        Normalize each spectrum to unit maximum before multiplying, so no
+        single AP dominates the product through its absolute scale.
+    floor:
+        Minimum relative value each spectrum contributes (see
+        :func:`likelihood_at`).
+    bearing_cache:
+        Cache of per-AP bearing tables; the shared default cache is used
+        when omitted.
+    """
+    if not spectra:
+        raise EstimationError("need at least one AoA spectrum")
+    cache = bearing_cache if bearing_cache is not None else default_bearing_cache()
+    x_coords, y_coords = grid_axes(bounds, resolution_m)
+    shape = (y_coords.shape[0], x_coords.shape[0])
+    values: np.ndarray | None = None
+    for spectrum in spectra:
+        if spectrum.ap_position is None:
+            raise EstimationError(
+                "every spectrum must carry its AP position for synthesis")
+        usable = spectrum.normalized() if normalize_spectra else spectrum
+        bearing_grid = cache.get(bounds, resolution_m, usable.ap_position)
+        lower, upper, fraction = usable.interpolation_table(
+            bearing_grid.bearings_deg - usable.ap_orientation_deg)
+        power = (1.0 - fraction) * usable.power[lower] \
+            + fraction * usable.power[upper]
+        # The AP's own cell has no bearing; power_towards rates it zero.
+        power[bearing_grid.collocated] = 0.0
+        if floor > 0:
+            power = np.maximum(power, floor * usable.max_power)
+        values = power if values is None else values * power
+    assert values is not None
+    return LikelihoodMap(x_coords, y_coords, values.reshape(shape))
 
 
 def reference_seeds(heatmap: LikelihoodMap,

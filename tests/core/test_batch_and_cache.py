@@ -15,12 +15,12 @@ from repro.core import (
     default_angle_grid,
     default_steering_cache,
     grid_axes,
-    likelihood_at,
     music_spectrum,
-    synthesize_likelihood,
 )
 from repro.errors import EstimationError
 from repro.geometry import Point2D, bearing_deg
+
+from tests.core._oracle import likelihood_at, synthesize_likelihood
 
 BOUNDS = (0.0, 0.0, 12.0, 8.0)
 AP_SITES = [
@@ -168,13 +168,16 @@ class TestBearingGridCache:
         with pytest.raises(ValueError):
             grid.bearings_deg[0] = 0.0
 
-    def test_synthesize_likelihood_uses_supplied_cache(self):
+    def test_heatmaps_use_supplied_cache(self):
         cache = BearingGridCache()
         target = Point2D(6.0, 4.0)
         spectra = _client_spectra(target, seed=1)
-        synthesize_likelihood(spectra, BOUNDS, 0.5, bearing_cache=cache)
+        config = LocalizerConfig(grid_resolution_m=0.5)
+        BatchLocalizer(BOUNDS, config, cache).heatmaps({"c": spectra})
         assert cache.stats.misses == len(spectra)
-        synthesize_likelihood(spectra, BOUNDS, 0.5, bearing_cache=cache)
+        # A second localizer builds its own placement tables from the
+        # shared bearing grids.
+        BatchLocalizer(BOUNDS, config, cache).heatmaps({"c": spectra})
         assert cache.stats.hits == len(spectra)
 
 
@@ -223,36 +226,34 @@ class TestBatchSingleParity:
             assert batched[key].position.distance_to(
                 sequential[key].position) <= 1e-9
 
-    def test_keep_heatmap_attaches_per_client_maps(self):
-        config = LocalizerConfig(grid_resolution_m=0.5, keep_heatmap=True,
-                                 refine_with_hill_climbing=False)
-        estimator = BatchLocalizer(BOUNDS, config)
+    def test_heatmaps_equal_oracle_synthesis_per_client(self):
+        config = LocalizerConfig(grid_resolution_m=0.5)
         batch = {f"c{i}": _client_spectra(target, seed=i)
                  for i, target in enumerate(self._targets(3))}
-        batched = estimator.estimate_batch(batch)
+        heatmaps = BatchLocalizer(BOUNDS, config).heatmaps(batch)
+        assert list(heatmaps) == list(batch)
         for key, spectra in batch.items():
-            heatmap = batched[key].heatmap
-            assert heatmap is not None
             reference = synthesize_likelihood(
                 spectra, BOUNDS, 0.5, floor=config.spectrum_floor)
-            np.testing.assert_array_equal(heatmap.values, reference.values)
+            np.testing.assert_array_equal(heatmaps[key].x_coords,
+                                          reference.x_coords)
+            np.testing.assert_array_equal(heatmaps[key].y_coords,
+                                          reference.y_coords)
+            np.testing.assert_array_equal(heatmaps[key].values,
+                                          reference.values)
 
     @pytest.mark.parametrize("floor", [0.0, 0.02])
     def test_ap_cell_matches_likelihood_at(self, floor):
-        """The grid rates an AP's own cell like ``power_towards``: zero.
+        """The grid rates an AP's own cell like a point there: zero.
 
         The fold used to take the bearing ``arctan2(0, 0) = 0`` there,
-        while the climb (``likelihood_at``) rates the cell 0.0 before
-        the floor.
+        while the per-point reference (``likelihood_at``) rates the cell
+        0.0 before the floor.
         """
         sites = [(Point2D(1.0, 1.0), 30.0)] + AP_SITES[1:]
         spectra = _client_spectra(Point2D(6.0, 4.0), seed=5, sites=sites)
-        config = LocalizerConfig(grid_resolution_m=0.5, keep_heatmap=True,
-                                 refine_with_hill_climbing=False,
-                                 spectrum_floor=floor)
-        heatmap = BatchLocalizer(BOUNDS, config).estimate_batch(
-            {"": spectra})[""].heatmap
-        assert heatmap is not None
+        config = LocalizerConfig(grid_resolution_m=0.5, spectrum_floor=floor)
+        heatmap = BatchLocalizer(BOUNDS, config).heatmaps({"": spectra})[""]
         expected = likelihood_at([s.normalized() for s in spectra],
                                  Point2D(1.0, 1.0), floor=floor)
         assert heatmap.values[2, 2] == expected

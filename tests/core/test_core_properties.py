@@ -14,13 +14,14 @@ from hypothesis.extra import numpy as hnp
 from repro.array import ArrayGeometry
 from repro.core import (
     AoASpectrum,
+    BatchLocalizer,
+    LocalizerConfig,
     MultipathSuppressor,
     default_angle_grid,
     geometry_window,
     sample_covariance,
     spectrum_from_noise_subspace,
 )
-from repro.core.likelihood import synthesize_likelihood
 from repro.geometry import Point2D
 
 angles = st.floats(min_value=0.0, max_value=360.0, allow_nan=False,
@@ -134,7 +135,9 @@ class TestLikelihoodProperties:
                                   360 - np.abs(angles_grid - bearing))
             power = np.exp(-0.5 * (distance / 5.0) ** 2) + 1e-5
             spectra.append(AoASpectrum(angles_grid, power, ap_position=ap_position))
-        heatmap = synthesize_likelihood(spectra, (0, 0, 10, 10), resolution_m=0.5)
+        heatmap = BatchLocalizer((0, 0, 10, 10), LocalizerConfig(
+            grid_resolution_m=0.5, spectrum_floor=0.0)).heatmaps(
+                {"c": spectra})["c"]
         assert np.all(heatmap.values >= 0.0)
         assert np.all(heatmap.values <= 1.0 + 1e-9)
         assert heatmap.peak_position().distance_to(target) < 1.5

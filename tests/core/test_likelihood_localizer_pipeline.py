@@ -1,4 +1,4 @@
-"""Tests for likelihood synthesis, hill climbing and the end-to-end localizer."""
+"""Tests for likelihood synthesis, heatmaps and the end-to-end localizer."""
 
 import numpy as np
 import pytest
@@ -13,23 +13,10 @@ from repro.core import (
     SpectrumComputer,
     SpectrumConfig,
     default_angle_grid,
-    hill_climb,
-    likelihood_at,
-    refine_from_seeds,
-    synthesize_likelihood,
 )
+from repro.core.likelihood import greedy_seeds
 from repro.errors import EstimationError
 from repro.geometry import Point2D, bearing_deg, rectangular_room
-
-from tests.core import _oracle
-
-#: The public climb (a batch of one through ``refine_many``) and the serial
-#: oracle climb must both behave as below.
-CLIMBERS = pytest.mark.parametrize(
-    "climb, refine",
-    [(hill_climb, refine_from_seeds),
-     (_oracle.hill_climb, _oracle.refine_from_seeds)],
-    ids=["refine_many", "oracle"])
 
 
 def _spectrum_towards(ap_position, target, width=3.0, orientation=0.0):
@@ -42,6 +29,26 @@ def _spectrum_towards(ap_position, target, width=3.0, orientation=0.0):
                        ap_orientation_deg=orientation)
 
 
+def _heatmap(spectra, bounds, resolution_m, **config):
+    """One client's full Equation 8 map from :meth:`BatchLocalizer.heatmaps`."""
+    localizer = BatchLocalizer(bounds, LocalizerConfig(
+        grid_resolution_m=resolution_m, **config))
+    return localizer.heatmaps({"c": spectra})["c"]
+
+
+def _greedy(heatmap, count):
+    """The Section 2.5 seed rule over every cell of ``heatmap``."""
+    values = heatmap.values.ravel()
+    cells = np.arange(values.shape[0])
+    seeds = greedy_seeds(np.zeros_like(cells), cells, values, 1,
+                         heatmap.x_coords, heatmap.y_coords, count)[0]
+    num_x = heatmap.x_coords.shape[0]
+    return [(Point2D(float(heatmap.x_coords[cell % num_x]),
+                     float(heatmap.y_coords[cell // num_x])),
+             float(values[cell]))
+            for cell in seeds[seeds >= 0].tolist()]
+
+
 class TestLikelihood:
     def test_synthetic_spectra_peak_at_target(self):
         target = Point2D(6.0, 4.0)
@@ -50,38 +57,44 @@ class TestLikelihood:
             _spectrum_towards(Point2D(12.0, 0.0), target, orientation=45.0),
             _spectrum_towards(Point2D(6.0, 9.0), target, orientation=180.0),
         ]
-        heatmap = synthesize_likelihood(spectra, (0, 0, 12, 9), resolution_m=0.1)
+        heatmap = _heatmap(spectra, (0, 0, 12, 9), 0.1)
         peak = heatmap.peak_position()
         assert peak.distance_to(target) < 0.2
 
-    def test_likelihood_at_is_product(self):
+    def test_likelihood_is_the_product_of_per_ap_maps(self):
         target = Point2D(5.0, 5.0)
         spectra = [_spectrum_towards(Point2D(0.0, 0.0), target),
                    _spectrum_towards(Point2D(10.0, 0.0), target)]
-        combined = likelihood_at(spectra, target)
-        individual = [s.power_towards(target) for s in spectra]
-        assert combined == pytest.approx(individual[0] * individual[1])
+        localizer = BatchLocalizer((0, 0, 10, 10), LocalizerConfig(
+            grid_resolution_m=0.5, normalize_spectra=False,
+            spectrum_floor=0.0))
+        maps = localizer.heatmaps({"both": spectra, "first": spectra[:1],
+                                   "second": spectra[1:]})
+        np.testing.assert_array_equal(
+            maps["both"].values, maps["first"].values * maps["second"].values)
 
     def test_floor_prevents_single_ap_veto(self):
         target = Point2D(5.0, 5.0)
         good = _spectrum_towards(Point2D(0.0, 0.0), target)
         # The blind AP's only peak points far away from the target's bearing.
         blind = _spectrum_towards(Point2D(10.0, 0.0), Point2D(20.0, 9.0))
-        without_floor = likelihood_at([good, blind], target, floor=0.0)
-        with_floor = likelihood_at([good, blind], target, floor=0.05)
+        without_floor, with_floor = (
+            _heatmap([good, blind], (0, 0, 10, 10), 0.5, spectrum_floor=floor)
+            .values[10, 10] for floor in (0.0, 0.05))
         assert with_floor > without_floor
 
-    def test_heatmap_validation_and_top_positions(self):
+    def test_heatmap_validation_and_seeds(self):
         with pytest.raises(EstimationError):
             LikelihoodMap(np.arange(3.0), np.arange(4.0), np.zeros((3, 3)))
         target = Point2D(6.0, 4.0)
         spectra = [_spectrum_towards(Point2D(0.0, 0.0), target),
                    _spectrum_towards(Point2D(12.0, 0.0), target)]
-        heatmap = synthesize_likelihood(spectra, (0, 0, 12, 9), resolution_m=0.25)
-        tops = heatmap.top_positions(3)
+        localizer = BatchLocalizer((0, 0, 12, 9),
+                                   LocalizerConfig(grid_resolution_m=0.25))
+        tops = localizer.seeds({"c": spectra}, 3)["c"]
         assert len(tops) == 3
         # Seeds are mutually separated.
-        assert tops[0][0].distance_to(tops[1][0]) >= 3 * heatmap.resolution_m
+        assert tops[0][0].distance_to(tops[1][0]) >= 3 * 0.25
         assert tops[0][1] >= tops[1][1] >= tops[2][1]
 
     def test_flat_map_ties_go_to_the_lowest_flat_index(self):
@@ -92,18 +105,14 @@ class TestLikelihood:
         """
         heatmap = LikelihoodMap(0.5 * np.arange(10), 0.5 * np.arange(6),
                                 np.ones((6, 10)))
-        tops = heatmap.top_positions(3)
+        tops = _greedy(heatmap, 3)
         assert tops[0][0] == heatmap.peak_position() == Point2D(0.0, 0.0)
         assert [position for position, _ in tops] == [
             Point2D(0.0, 0.0), Point2D(1.5, 0.0), Point2D(3.0, 0.0)]
 
-    def test_top_positions_grows_its_candidate_budget(self):
-        """A seed outside the first selection budget is still found.
-
-        The 50 best cells fill two 5x5 squares, each within three cells of
-        its centre, so the 48 cells of the first budget (16 per seed)
-        yield only two seeds and the third needs a larger budget.
-        """
+    def test_greedy_seeds_skip_cells_near_earlier_seeds(self):
+        """The 50 best cells fill two 5x5 squares, each within three cells
+        of its centre, so the third seed comes from far down the ranking."""
         values = np.zeros((20, 20))
         values[0:5, 0:5] = 2.9 - 0.001 * np.arange(25).reshape(5, 5)
         values[2, 2] = 3.0
@@ -111,7 +120,7 @@ class TestLikelihood:
         values[10, 10] = 2.0
         values[17, 17] = 0.5
         heatmap = LikelihoodMap(np.arange(20.0), np.arange(20.0), values)
-        assert heatmap.top_positions(3) == [
+        assert _greedy(heatmap, 3) == [
             (Point2D(2.0, 2.0), 3.0), (Point2D(10.0, 10.0), 2.0),
             (Point2D(17.0, 17.0), 0.5)]
 
@@ -119,33 +128,35 @@ class TestLikelihood:
         angles = default_angle_grid(1.0)
         spectrum = AoASpectrum(angles, np.ones_like(angles))
         with pytest.raises(EstimationError):
-            synthesize_likelihood([spectrum], (0, 0, 1, 1))
+            _heatmap([spectrum], (0, 0, 1, 1), 0.1)
 
     def test_degenerate_single_column_bounds(self):
         # Regression: bounds tighter than one grid cell along x collapse
         # the map to a single column; ``resolution_m`` read x_coords[1]
         # unconditionally and died with a bare IndexError, taking
-        # top_positions and hill-climb seeding down with it.
+        # hill-climb seeding down with it.
         target = Point2D(5.04, 4.0)
         spectra = [_spectrum_towards(Point2D(5.0, 0.0), target),
                    _spectrum_towards(Point2D(5.1, 9.0), target)]
-        heatmap = synthesize_likelihood(spectra, (5.0, 0.0, 5.05, 9.0),
-                                        resolution_m=0.1)
+        bounds = (5.0, 0.0, 5.05, 9.0)
+        heatmap = _heatmap(spectra, bounds, 0.1)
         assert heatmap.values.shape[1] == 1
         # The one-cell x axis answers with the y spacing.
         assert heatmap.resolution_m == pytest.approx(0.1)
-        tops = heatmap.top_positions(3)
+        tops = BatchLocalizer(bounds, LocalizerConfig(
+            grid_resolution_m=0.1)).seeds({"c": spectra}, 3)["c"]
         assert len(tops) >= 1
         assert all(position.x == 5.0 for position, _ in tops)
 
     def test_degenerate_single_cell_map(self):
         target = Point2D(5.0, 4.0)
         spectra = [_spectrum_towards(Point2D(0.0, 4.0), target)]
-        heatmap = synthesize_likelihood(spectra, (5.0, 4.0, 5.04, 4.04),
-                                        resolution_m=0.1)
+        bounds = (5.0, 4.0, 5.04, 4.04)
+        heatmap = _heatmap(spectra, bounds, 0.1)
         assert heatmap.values.shape == (1, 1)
         assert heatmap.resolution_m == 0.0
-        [(position, value)] = heatmap.top_positions(3)
+        [(position, value)] = BatchLocalizer(bounds, LocalizerConfig(
+            grid_resolution_m=0.1)).seeds({"c": spectra}, 3)["c"]
         assert (position.x, position.y) == (5.0, 4.0)
         assert value == heatmap.values[0, 0]
 
@@ -159,45 +170,6 @@ class TestLikelihood:
         estimate = estimator.estimate_batch({"edge": spectra})["edge"]
         assert 5.0 <= estimate.position.x <= 5.05
         assert estimate.likelihood > 0.0
-
-
-class TestHillClimbing:
-    @CLIMBERS
-    def test_converges_to_smooth_maximum(self, climb, refine):
-        target = Point2D(3.0, 4.0)
-
-        def likelihood(p):
-            return float(np.exp(-((p.x - target.x) ** 2 + (p.y - target.y) ** 2)))
-
-        result = climb(likelihood, Point2D(2.5, 3.5), initial_step_m=0.2,
-                       min_step_m=0.001)
-        assert result.position.distance_to(target) < 0.01
-        assert result.iterations > 1
-
-    @CLIMBERS
-    def test_refine_from_seeds_picks_best_basin(self, climb, refine):
-        def likelihood(p):
-            # Two bumps; the one at (8, 8) is higher.
-            return (np.exp(-((p.x - 2) ** 2 + (p.y - 2) ** 2))
-                    + 2 * np.exp(-((p.x - 8) ** 2 + (p.y - 8) ** 2)))
-
-        result = refine(likelihood,
-                        [(Point2D(2.2, 2.2), 1.0), (Point2D(7.5, 7.5), 1.5)],
-                        initial_step_m=0.2, min_step_m=0.001)
-        assert result.position.distance_to(Point2D(8.0, 8.0)) < 0.05
-
-    @CLIMBERS
-    def test_parameter_validation(self, climb, refine):
-        with pytest.raises(EstimationError):
-            climb(lambda p: 0.0, Point2D(0, 0), initial_step_m=0.0)
-        with pytest.raises(EstimationError):
-            refine(lambda p: 0.0, [])
-
-    def test_zero_budget_rejected(self):
-        # The serial climb used to spend one evaluation anyway; the batch of
-        # one rejects the budget exactly as refine_many does.
-        with pytest.raises(EstimationError, match="max_evaluations"):
-            hill_climb(lambda p: 0.0, Point2D(0, 0), max_evaluations=0)
 
 
 class TestLocalizerConfigValidation:
@@ -267,15 +239,18 @@ class TestEndToEndLocalization:
         assert refined_estimate.likelihood >= coarse_estimate.likelihood - 1e-12
         assert refined_estimate.error_to(client) <= coarse_estimate.error_to(client) + 0.3
 
-    def test_keep_heatmap_option(self, room_setup):
+    def test_heatmaps_peak_at_the_grid_fix(self, room_setup):
         room, builder, arrays = room_setup
         client = Point2D(7.3, 4.6)
         spectra = self._spectra_for(builder, arrays, client)
         estimator = BatchLocalizer(room.bounding_box(0.5),
-                                   LocalizerConfig(grid_resolution_m=0.5,
-                                                   keep_heatmap=True))
+                                   LocalizerConfig(
+                                       grid_resolution_m=0.5,
+                                       refine_with_hill_climbing=False))
+        heatmap = estimator.heatmaps({"": spectra})[""]
         estimate = estimator.estimate_batch({"": spectra})[""]
-        assert estimate.heatmap is not None
+        assert heatmap.peak_position() == estimate.position
+        assert float(np.max(heatmap.values)) == estimate.likelihood
         assert estimate.num_aps == 3
 
     def test_estimator_requires_spectra(self, room_setup):

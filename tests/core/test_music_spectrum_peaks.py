@@ -248,21 +248,24 @@ class TestAoASpectrum:
         assert spectrum.power_at_local(359.5)[0] == pytest.approx(0.5)
         assert spectrum.power_at_local(0.5)[0] == pytest.approx(0.5)
 
-    def test_global_lookup_uses_orientation(self):
+    def test_oracle_lookup_towards_a_point_uses_orientation(self):
         angles = default_angle_grid(1.0)
         power = np.zeros_like(angles)
         power[90] = 1.0  # local 90 degrees
-        spectrum = AoASpectrum(angles, power, ap_orientation_deg=30.0)
-        assert spectrum.power_at_global(120.0)[0] == pytest.approx(1.0)
+        spectrum = AoASpectrum(angles, power, ap_position=Point2D(0.0, 0.0),
+                               ap_orientation_deg=30.0)
+        # Building bearing 120 degrees is local 90 degrees.
+        target = Point2D(np.cos(np.radians(120.0)), np.sin(np.radians(120.0)))
+        assert oracle.power_towards(spectrum, target) == pytest.approx(1.0)
 
-    def test_power_towards_position(self):
+    def test_oracle_power_towards_position(self):
         angles = default_angle_grid(1.0)
         power = np.ones_like(angles)
         power[45] = 10.0
         spectrum = AoASpectrum(angles, power, ap_position=Point2D(0.0, 0.0))
-        towards_peak = spectrum.power_towards(Point2D(1.0, 1.0))
+        towards_peak = oracle.power_towards(spectrum, Point2D(1.0, 1.0))
         assert towards_peak == pytest.approx(10.0)
-        assert spectrum.power_towards(Point2D(0.0, 0.0)) == 0.0
+        assert oracle.power_towards(spectrum, Point2D(0.0, 0.0)) == 0.0
 
     def test_normalized_and_scaled(self):
         angles = default_angle_grid(1.0)

@@ -1,10 +1,10 @@
 """Hill-climb edge cases and vectorized refiner / serial oracle equality.
 
 The vectorized refiner (:func:`repro.core.optimizer.refine_many`) is the one
-climb body in ``src/``; the public :func:`~repro.core.optimizer.hill_climb`
-and :func:`~repro.core.optimizer.refine_from_seeds` are batches of one
-through it.  It promises bit-for-bit the results of the serial
-per-candidate climber kept in ``tests/core/_oracle.py`` -- same
+climb body in ``src/``; :func:`_climb` and :func:`_refine` below drive it
+with one scalar objective, the shape of the serial oracle climber.  It
+promises bit-for-bit the results of the serial per-candidate climber kept
+in ``tests/core/_oracle.py`` -- same
 first-improvement tie-breaking, same evaluation-budget accounting, same
 first-seed-wins selection.  These tests pin down the edge cases that make
 that promise meaningful (budget exhausted mid-neighbour-scan, plateaus,
@@ -19,19 +19,13 @@ from hypothesis import given, settings, strategies as st
 import repro.core.batch as batch_module
 from repro.core.batch import BatchLocalizer
 from repro.core.localizer import LocalizerConfig
-from repro.core.optimizer import hill_climb, refine_from_seeds, refine_many
+from repro.core.optimizer import refine_many
 from repro.core.spectrum import AoASpectrum, default_angle_grid
 from repro.errors import EstimationError
 from repro.geometry.vector import Point2D, bearing_deg
 
 from tests.core import _oracle
 from tests.core._oracle import reference_refinement
-
-#: The public climb (a batch of one) and the serial oracle climb; pinned
-#: expectations must hold for both.
-CLIMBERS = pytest.mark.parametrize(
-    "climb", [hill_climb, _oracle.hill_climb], ids=["refine_many", "oracle"])
-
 
 def _batch_adapter(functions):
     """Wrap per-unit scalar objectives as a refine_many batch evaluator."""
@@ -41,6 +35,62 @@ def _batch_adapter(functions):
                          for unit, x, y in zip(units, xs, ys, strict=True)])
 
     return evaluate
+
+
+def _climb(likelihood, start, initial_step_m=0.05, min_step_m=0.005,
+           max_evaluations=400):
+    """One climber of a scalar objective through refine_many."""
+    [result] = refine_many(_batch_adapter([likelihood]), [[(start, 0.0)]],
+                           initial_step_m, min_step_m, max_evaluations)
+    return result
+
+
+def _refine(likelihood, seeds, initial_step_m=0.05, min_step_m=0.005):
+    """Every seed of one scalar objective through refine_many."""
+    [result] = refine_many(_batch_adapter([likelihood]), [seeds],
+                           initial_step_m, min_step_m)
+    return result
+
+
+#: The array climb (through the scalar adapter) and the serial oracle
+#: climb; pinned expectations must hold for both.
+CLIMBERS = pytest.mark.parametrize(
+    "climb, refine", [(_climb, _refine),
+                      (_oracle.hill_climb, _oracle.refine_from_seeds)],
+    ids=["refine_many", "oracle"])
+
+
+class TestHillClimbing:
+    @CLIMBERS
+    def test_converges_to_smooth_maximum(self, climb, refine):
+        target = Point2D(3.0, 4.0)
+
+        def likelihood(p):
+            return float(np.exp(-((p.x - target.x) ** 2 + (p.y - target.y) ** 2)))
+
+        result = climb(likelihood, Point2D(2.5, 3.5), initial_step_m=0.2,
+                       min_step_m=0.001)
+        assert result.position.distance_to(target) < 0.01
+        assert result.iterations > 1
+
+    @CLIMBERS
+    def test_refine_from_seeds_picks_best_basin(self, climb, refine):
+        def likelihood(p):
+            # Two bumps; the one at (8, 8) is higher.
+            return (np.exp(-((p.x - 2) ** 2 + (p.y - 2) ** 2))
+                    + 2 * np.exp(-((p.x - 8) ** 2 + (p.y - 8) ** 2)))
+
+        result = refine(likelihood,
+                        [(Point2D(2.2, 2.2), 1.0), (Point2D(7.5, 7.5), 1.5)],
+                        initial_step_m=0.2, min_step_m=0.001)
+        assert result.position.distance_to(Point2D(8.0, 8.0)) < 0.05
+
+    @CLIMBERS
+    def test_parameter_validation(self, climb, refine):
+        with pytest.raises(EstimationError):
+            climb(lambda p: 0.0, Point2D(0, 0), initial_step_m=0.0)
+        with pytest.raises(EstimationError):
+            refine(lambda p: 0.0, [])
 
 
 def _assert_same(vectorized, serial):
@@ -54,7 +104,7 @@ class TestPlateauTermination:
     """Equal-value neighbours never move the climber; the step decays."""
 
     @CLIMBERS
-    def test_plateau_halves_until_min_step(self, climb):
+    def test_plateau_halves_until_min_step(self, climb, refine):
         flat = lambda p: 1.0  # noqa: E731
         result = climb(flat, Point2D(2.0, 3.0),
                        initial_step_m=0.05, min_step_m=0.005)
@@ -79,7 +129,8 @@ class TestEvaluationBudget:
     """max_evaluations stops the scan mid-neighbour, exactly."""
 
     @CLIMBERS
-    def test_budget_exhausted_mid_scan_without_improvement(self, climb):
+    def test_budget_exhausted_mid_scan_without_improvement(self, climb,
+                                                           refine):
         # Only the fourth probe direction (-y) improves, but the budget of
         # 3 dies after the second neighbour: the climber must stay put and
         # report exactly 3 evaluations.
@@ -91,7 +142,7 @@ class TestEvaluationBudget:
         assert result.iterations == 3
 
     @CLIMBERS
-    def test_budget_final_evaluation_still_moves(self, climb):
+    def test_budget_final_evaluation_still_moves(self, climb, refine):
         # The improving -y neighbour is evaluated exactly on the budget
         # boundary (5th evaluation): the move is taken, then the climb ends.
         downhill = lambda p: -p.y  # noqa: E731
@@ -235,17 +286,17 @@ class TestOracleProperty:
 
 
 class TestBatchOfOne:
-    """The public single-unit names are refine_many with one unit."""
+    """refine_many with one unit is the serial oracle climb."""
 
-    def test_hill_climb_and_refine_from_seeds_equal_oracle(self):
+    def test_one_unit_equals_oracle(self):
         rng = np.random.default_rng(3)
         objective = _quantized_objective(rng, 1024, (0.0, 0.0, 10.0, 10.0))
         seeds = [(Point2D(2.0, 3.0), 0.0), (Point2D(7.5, 1.0), 0.0)]
         for budget in (1, 3, 400):
             _assert_same(
-                hill_climb(objective, seeds[0][0], 0.4, 0.01, budget),
+                _climb(objective, seeds[0][0], 0.4, 0.01, budget),
                 _oracle.hill_climb(objective, seeds[0][0], 0.4, 0.01, budget))
-        _assert_same(refine_from_seeds(objective, seeds, 0.4, 0.01),
+        _assert_same(_refine(objective, seeds, 0.4, 0.01),
                      _oracle.refine_from_seeds(objective, seeds, 0.4, 0.01))
 
 
@@ -340,7 +391,7 @@ class TestBatchLocalizerEquality:
     def test_mixed_grids_ragged_and_collocated_probes(self, floor,
                                                       monkeypatch):
         # Clients a quarter or half metre from an AP: their climbers probe
-        # the AP's own position, where power_towards rates it zero.
+        # the AP's own position, which Equation 8 rates zero.
         near_aps = [Point2D(0.75, 0.5), Point2D(1.0, 0.5),
                     Point2D(19.25, 0.5), Point2D(0.5, 11.0)]
         clients = _synthetic_clients(10, ragged=True, positions=near_aps,

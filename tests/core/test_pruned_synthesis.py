@@ -2,10 +2,11 @@
 
 :class:`~repro.core.batch.BatchLocalizer` folds Equation 8 only on the grid
 blocks whose upper bound can still hold a seed.  The property below checks
-that its seeds, and its grid-only fixes, are bit-identical to an
-independent reference: the full grid of
-:func:`~repro.core.likelihood.synthesize_likelihood`, ranked by one full
-sort (:func:`tests.core._oracle.reference_seeds`).
+that its seeds, its grid-only fixes and its full
+:meth:`~repro.core.batch.BatchLocalizer.heatmaps` are bit-identical to an
+independent reference: the serial full grid of
+:func:`tests.core._oracle.synthesize_likelihood`, ranked by one full sort
+(:func:`tests.core._oracle.reference_seeds`).
 """
 
 import os
@@ -19,10 +20,10 @@ from hypothesis import given, settings, strategies as st
 
 import repro
 from repro.core import (AoASpectrum, BatchLocalizer, LocalizerConfig,
-                        default_angle_grid, synthesize_likelihood)
+                        default_angle_grid)
 from repro.geometry import Point2D
 
-from tests.core._oracle import reference_seeds
+from tests.core._oracle import reference_seeds, synthesize_likelihood
 
 RESOLUTION_M = 0.25
 #: A 33 x 21 cell grid (5 x 3 blocks) and a one-cell-wide strip.
@@ -92,16 +93,24 @@ def _pairs(seeds):
 
 @settings(max_examples=150, deadline=None)
 @given(batches())
-def test_pruned_seeds_and_grid_fixes_match_full_fold_oracle(case):
+def test_seeds_grid_fixes_and_heatmaps_match_full_fold_oracle(case):
     bounds, config, batch = case
-    seeds = BatchLocalizer(bounds, config).seeds(batch, config.num_seeds)
+    localizer = BatchLocalizer(bounds, config)
+    seeds = localizer.seeds(batch, config.num_seeds)
+    heatmaps = localizer.heatmaps(batch)
     grid = BatchLocalizer(bounds, replace(
         config, refine_with_hill_climbing=False)).estimate_batch(batch)
+    assert list(heatmaps) == list(batch)
     for key, spectra in batch.items():
         heatmap = synthesize_likelihood(
             spectra, bounds, RESOLUTION_M,
             normalize_spectra=config.normalize_spectra,
             floor=config.spectrum_floor)
+        np.testing.assert_array_equal(heatmaps[key].x_coords,
+                                      heatmap.x_coords)
+        np.testing.assert_array_equal(heatmaps[key].y_coords,
+                                      heatmap.y_coords)
+        np.testing.assert_array_equal(heatmaps[key].values, heatmap.values)
         assert _pairs(seeds[key]) == _pairs(
             reference_seeds(heatmap, config.num_seeds))
         peak = heatmap.peak_position()

@@ -17,7 +17,6 @@ from repro.core import (
     default_window_cache,
     geometry_window,
     group_spectra_by_time,
-    suppress_multipath,
 )
 from repro.errors import EstimationError
 
@@ -238,12 +237,12 @@ class TestMultipathSuppression:
 
     def test_singleton_group_passes_through(self):
         spectrum = _gaussian([50, 120], [1.0, 0.8])
-        assert suppress_multipath([spectrum]) is spectrum
+        assert MultipathSuppressor().suppress([spectrum]) is spectrum
 
     def test_unstable_peak_removed_stable_kept(self):
         primary = _gaussian([50, 120], [1.0, 0.8])
         companion = _gaussian([51, 150], [1.0, 0.8])  # reflection moved 30 degrees
-        suppressed = suppress_multipath([primary, companion])
+        suppressed = MultipathSuppressor().suppress([primary, companion])
         assert suppressed.power_at_local(50.0)[0] == pytest.approx(
             primary.power_at_local(50.0)[0])
         assert suppressed.power_at_local(120.0)[0] < 0.1 * primary.power_at_local(120.0)[0]
@@ -251,7 +250,7 @@ class TestMultipathSuppression:
     def test_both_peaks_stable_nothing_removed(self):
         primary = _gaussian([50, 120], [1.0, 0.8])
         companion = _gaussian([52, 118], [0.9, 0.9])
-        suppressed = suppress_multipath([primary, companion])
+        suppressed = MultipathSuppressor().suppress([primary, companion])
         assert suppressed.power_at_local(120.0)[0] == pytest.approx(
             primary.power_at_local(120.0)[0])
 

@@ -86,6 +86,21 @@ class TestFlowFixtures:
 
 
 class TestGuardedByInference:
+    def test_subclass_write_of_inherited_guard_fires(self):
+        fixture = FIXTURES / "rpr009_inherited_bad.py"
+        flagged = [number for number, line in enumerate(
+            fixture.read_text(encoding="utf-8").splitlines(), start=1)
+            if "# RPR009" in line]
+        violations = lint_flow(fixture.name).violations
+        assert [(v.rule, v.line) for v in violations] == [
+            ("RPR009", line) for line in flagged]
+        assert flagged
+
+    def test_subclasses_under_inherited_lock_stay_quiet(self):
+        violations = lint_flow("rpr009_inherited_good.py").violations
+        assert violations == [], [(v.rule, v.line, v.message)
+                                  for v in violations]
+
     def test_interprocedural_locked_caller_proof(self, tmp_path):
         result = lint_source(tmp_path, """\
             import threading

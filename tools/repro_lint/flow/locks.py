@@ -104,8 +104,11 @@ def _lock_identity(expr: ast.AST, function: FunctionModel,
             cls = program.classes.get(function.class_qualname)
         elif types is not None:
             cls = types.classes.get(base)
-        if cls is not None and expr.attr in cls.lock_attrs:
-            return f"{cls.qualname}.{expr.attr}", cls.lock_attrs[expr.attr]
+        if cls is not None:
+            owner = _visible_locks(cls, program).get(expr.attr)
+            if owner is not None:
+                return (f"{owner.qualname}.{expr.attr}",
+                        owner.lock_attrs[expr.attr])
     if isinstance(expr, ast.Name):
         kind = module.module_locks.get(expr.id)
         if kind is not None:
@@ -231,43 +234,68 @@ def _sorted_modules(program: Program) -> list[ModuleModel]:
 # ----------------------------------------------------------------------
 # RPR009 -- guarded-by inference
 # ----------------------------------------------------------------------
-def _own_lock_held(cls: ClassModel, held: tuple[str, ...]) -> str | None:
-    """Bare name of the innermost held lock belonging to ``cls``, if any."""
-    prefix = cls.qualname + "."
+def _visible_locks(cls: ClassModel,
+                   program: Program) -> dict[str, ClassModel]:
+    """Lock attributes ``cls`` owns or inherits -> the class defining each.
+
+    The nearest definition wins, so an inherited lock has the identity of
+    the base that assigns it, in base and subclass methods alike.
+    """
+    locks: dict[str, ClassModel] = {}
+    for member in program.lineage(cls):
+        for attr in member.lock_attrs:
+            locks.setdefault(attr, member)
+    return locks
+
+
+def _lock_held(locks: dict[str, ClassModel],
+               held: tuple[str, ...]) -> str | None:
+    """Bare name of the innermost held lock among ``locks``, if any."""
     for identity in reversed(held):
-        if identity.startswith(prefix):
-            attr = identity[len(prefix):]
-            if attr in cls.lock_attrs:
-                return attr
+        owner, _, attr = identity.rpartition(".")
+        if attr in locks and locks[attr].qualname == owner:
+            return attr
     return None
 
 
-def _guarded_map(cls: ClassModel,
+def _guarded_map(cls: ClassModel, locks: dict[str, ClassModel],
+                 program: Program,
                  summaries: dict[str, FunctionSummary]) -> dict[str, str]:
-    """attr -> guarding lock name, from inference plus annotations."""
+    """attr -> guarding lock name, from inference plus annotations.
+
+    Base classes defined in the program contribute their locked writes,
+    container defaults and annotations; the nearest class's annotation
+    of an attribute wins.
+    """
+    lineage = program.lineage(cls)
     guarded: dict[str, str] = {}
-    for method in cls.methods.values():
-        summary = summaries.get(method.qualname)
-        if summary is None:
-            continue
-        for access in summary.accesses:
-            if not access.write:
+    for member in lineage:
+        for method in member.methods.values():
+            summary = summaries.get(method.qualname)
+            if summary is None:
                 continue
-            lock = _own_lock_held(cls, access.held)
-            if lock is not None:
-                guarded.setdefault(access.attr, lock)
-    if len(cls.lock_attrs) == 1:
+            for access in summary.accesses:
+                if not access.write:
+                    continue
+                lock = _lock_held(locks, access.held)
+                if lock is not None:
+                    guarded.setdefault(access.attr, lock)
+    if len(locks) == 1:
         # A class that owns exactly one lock guards its mutable containers
         # by default -- even before any locked write exists to learn from.
-        only = next(iter(cls.lock_attrs))
-        for attr in sorted(cls.container_attrs):
-            guarded.setdefault(attr, only)
-    for attr, annotation in cls.annotations.items():
+        only = next(iter(locks))
+        for member in lineage:
+            for attr in sorted(member.container_attrs):
+                guarded.setdefault(attr, only)
+    annotations: dict[str, str] = {}
+    for member in reversed(lineage):
+        annotations.update(member.annotations)
+    for attr, annotation in annotations.items():
         if annotation == "none":
             guarded.pop(attr, None)
-        elif annotation in cls.lock_attrs:
+        elif annotation in locks:
             guarded[attr] = annotation
-    for lock in cls.lock_attrs:
+    for lock in locks:
         guarded.pop(lock, None)
     return guarded
 
@@ -309,9 +337,10 @@ def check_guarded_by(program: Program, graph: CallGraph,
                      ) -> Iterator[Violation]:
     for module in _sorted_modules(program):
         for cls in module.classes.values():
-            if not cls.lock_attrs:
+            locks = _visible_locks(cls, program)
+            if not locks:
                 continue
-            guarded = _guarded_map(cls, summaries)
+            guarded = _guarded_map(cls, locks, program, summaries)
             if not guarded:
                 continue
             for method in cls.methods.values():
@@ -324,7 +353,7 @@ def check_guarded_by(program: Program, graph: CallGraph,
                     lock = guarded.get(access.attr)
                     if lock is None:
                         continue
-                    identity = f"{cls.qualname}.{lock}"
+                    identity = f"{locks[lock].qualname}.{lock}"
                     if identity in access.held:
                         continue
                     if _declares(method, lock):

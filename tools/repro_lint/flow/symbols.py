@@ -118,6 +118,40 @@ class Program:
             for cls in module.classes.values():
                 self.classes[cls.qualname] = cls
             self.functions.update(module.all_functions)
+        self._lineages: dict[str, list[ClassModel]] = {}
+
+    def lineage(self, cls: ClassModel) -> list[ClassModel]:
+        """``cls``, then its base classes defined in the program.
+
+        Depth first in base order, each class once, so the nearest
+        definition of an attribute comes first.  ``Base[T]`` counts as
+        ``Base``; bases outside the scanned files are skipped.
+        """
+        cached = self._lineages.get(cls.qualname)
+        if cached is not None:
+            return cached
+        order: list[ClassModel] = []
+        seen: set[str] = set()
+        pending = [cls]
+        while pending:
+            current = pending.pop()
+            if current.qualname in seen:
+                continue
+            seen.add(current.qualname)
+            order.append(current)
+            module = self.modules.get(current.module)
+            bases = []
+            for expr in current.node.bases:
+                if isinstance(expr, ast.Subscript):
+                    expr = expr.value
+                base = self.resolve_class(
+                    module.context.dotted_name(expr), module) \
+                    if module is not None else None
+                if base is not None:
+                    bases.append(base)
+            pending.extend(reversed(bases))
+        self._lineages[cls.qualname] = order
+        return order
 
     # ------------------------------------------------------------------
     # Approximate, suffix-based resolution
