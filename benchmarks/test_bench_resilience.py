@@ -1,10 +1,12 @@
-"""Benchmark: supervised process-pool throughput under injected crashes.
+"""Benchmark: process-pool throughput under injected crashes.
 
-PR 7's resilience layer promises that worker crashes are absorbed -- the
-pool is rebuilt, failed shards are retried with backoff, and the batch's
-fixes stay bit-for-bit identical to the serial path.  That promise has a
-price: every crash costs one spawn-pool rebuild plus a backoff sleep.
-This benchmark quantifies the price and pins a floor under it.
+The resilience layer promises that worker crashes are absorbed -- the
+crashed round's batch is served by the serial rung in the same call, the
+broken pool is discarded and respawned by the next sharded call, and the
+batch's fixes stay bit-for-bit identical to the serial path.  That
+promise has a price: every crash costs one serial batch plus one
+spawn-pool respawn.  This benchmark quantifies the price and pins a floor
+under it.
 
 Two configurations run the same ``localize_many`` batch repeatedly on the
 ``parallel.backend="process"`` service:
@@ -13,15 +15,16 @@ Two configurations run the same ``localize_many`` batch repeatedly on the
 * ``10% crash rate`` -- a :class:`repro.testing.faults.FaultSpec` killing
   a worker mid-shard (``os._exit`` after shm attach) with seeded
   probability 0.1 per shard execution, so roughly one batch in five loses
-  a worker and must rebuild + retry.
+  a worker, falls to the serial rung and makes the next batch respawn
+  the pool.
 
 Asserted, at any size: every batch of both configurations is bit-identical
 to the serial fixes -- crashes must never change answers.  At full size
 the **degraded-throughput bound** applies: with a 10% per-shard crash rate
-the supervised pool must retain at least ``DEGRADED_THROUGHPUT_FLOOR``
-(10%) of its fault-free throughput.  The bound is deliberately loose --
-each crash costs a full spawn-pool rebuild (~1 s class on CI) -- it exists
-to catch pathological regressions (retry storms, unbounded backoff,
+the pool must retain at least ``DEGRADED_THROUGHPUT_FLOOR`` (10%) of its
+fault-free throughput.  The bound is deliberately loose -- each crash
+costs a full spawn-pool respawn (~1 s class on CI) -- it exists to catch
+pathological regressions (respawn storms, a breaker that never opens,
 rebuild-per-shard instead of rebuild-per-failure), not to promise crashes
 are cheap.
 
@@ -54,7 +57,8 @@ NUM_WORKERS = 2
 NUM_BATCHES = 25
 CRASH_PROBABILITY = 0.1
 #: Seed of the per-worker crash schedule: the first sub-0.1 draw sits at a
-#: worker's 7th shard, so fresh (rebuilt) workers always survive the retry.
+#: worker's 7th shard, so a respawned pool serves several batches before
+#: its next crash.
 CRASH_SEED = 5
 #: Faulty throughput must stay above this fraction of fault-free.
 DEGRADED_THROUGHPUT_FLOOR = 0.1
@@ -207,20 +211,21 @@ def test_resilience_overhead(benchmark, bench_smoke):
     print(format_table(
         ["configuration", "fixes/s", "p50 (ms)", "p99 (ms)"],
         rows,
-        title=f"Supervised process pool, {results['clients_per_batch']} "
+        title=f"Process pool, {results['clients_per_batch']} "
               f"clients/batch, {NUM_WORKERS} workers, "
               f"{results['crash_probability']:.0%} crash rate"))
     pool = results["faulty"]["pool"]
+    fallbacks = results["faulty"]["fallbacks"]
     print(f"crashes absorbed: {pool['broken_pools']} broken pools, "
-          f"{pool['rebuilds']} rebuilds, {pool['shard_retries']} shard "
-          f"retries, {pool['backoff_slept_s']:.2f}s backoff")
+          f"{pool['rebuilds']} rebuilds, "
+          f"{fallbacks.get('serial', 0)} batches served by the serial rung")
     print(f"throughput ratio: {results['throughput_ratio']:.2f} "
           f"(floor {DEGRADED_THROUGHPUT_FLOOR}, "
           f"{'applies' if results['floor_applies'] else 'skipped in smoke'})")
     print(f"results written to {RESULTS_PATH}")
     if results["floor_applies"]:
         assert results["throughput_ratio"] >= DEGRADED_THROUGHPUT_FLOOR, (
-            f"supervised pool kept only {results['throughput_ratio']:.0%} "
+            f"the process pool kept only {results['throughput_ratio']:.0%} "
             f"of fault-free throughput under a "
             f"{results['crash_probability']:.0%} crash rate; the degraded "
             f"bound is {DEGRADED_THROUGHPUT_FLOOR:.0%}")

@@ -22,11 +22,12 @@ deterministic and the shard merge preserves the caller's client order,
 process-sharded results are bit-for-bit identical to the serial path
 (asserted by ``tests/api/test_process_backend.py``).
 
-Pool failures are always supervised: a worker crash or a blown per-shard
-deadline rebuilds the pool and retries only the failed shards, and an
-exhausted retry budget raises :class:`~repro.errors.PoolSupervisionError`,
-a :class:`~repro.errors.TransientError` the service's degradation ladder
-absorbs.
+A pool failure -- a worker crash, a blown per-shard deadline or a failed
+segment allocation -- discards the pool and raises
+:class:`~repro.errors.PoolSupervisionError`, a
+:class:`~repro.errors.TransientError` the service's degradation ladder
+absorbs by serving the batch serially; the next sharded call respawns the
+pool.
 
 Shared-memory lifecycle: the parent creates one segment per batched call and
 always closes *and unlinks* it in a ``finally`` -- success, worker
@@ -40,7 +41,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import os
-import random
 import threading
 import time
 import uuid
@@ -49,7 +49,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from multiprocessing import get_context, shared_memory
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 import numpy as np
 
@@ -58,7 +58,7 @@ from repro.core.localizer import LocationEstimate
 from repro.core.spectrum import AoASpectrum
 from repro.core.suppression import MultipathSuppressor
 from repro.errors import (ConfigurationError, EstimationError,
-                          PoolSupervisionError)
+                          FaultInjectedError, PoolSupervisionError)
 from repro.geometry.vector import Point2D
 from repro.server.backend import ArrayTrackServer
 from repro.testing import faults
@@ -373,25 +373,19 @@ def _drain_task(handle: _SegmentHandle, shard: _Shard,
 # ----------------------------------------------------------------------
 @dataclass
 class PoolStats:
-    """Monotonic supervision counters of one :class:`ProcessShardPool`.
+    """Monotonic failure counters of one :class:`ProcessShardPool`.
 
     Surfaced (merged with the module-level shm counters) through
     ``ArrayTrackService.health()``; the counters never reset over the
     pool's lifetime, so deltas between snapshots are meaningful.
     """
 
-    #: Executors torn down and respawned by the supervisor.
+    #: Executors discarded after a failed round (the next call respawns).
     rebuilds: int = 0
-    #: Shard failures that surfaced as a broken executor (worker death).
+    #: Rounds that failed on a broken executor (worker death).
     broken_pools: int = 0
-    #: Shard failures that surfaced as a blown ``shard_timeout_s`` deadline.
+    #: Rounds that failed on a blown ``shard_timeout_s`` deadline.
     shard_timeouts: int = 0
-    #: Individual shard re-submissions across all retry rounds.
-    shard_retries: int = 0
-    #: Batches that exhausted ``max_retries`` (raised PoolSupervisionError).
-    supervision_failures: int = 0
-    #: Total backoff delay slept by the supervisor, in seconds.
-    backoff_slept_s: float = 0.0
 
     def snapshot(self) -> dict[str, int | float]:
         """JSON-safe counter state."""
@@ -399,9 +393,9 @@ class PoolStats:
             "rebuilds": self.rebuilds,
             "broken_pools": self.broken_pools,
             "shard_timeouts": self.shard_timeouts,
-            "shard_retries": self.shard_retries,
-            "supervision_failures": self.supervision_failures,
-            "backoff_slept_s": self.backoff_slept_s,
+            # No in-pool retries any more; zero for perfbench/run.py.
+            "shard_retries": 0,
+            "backoff_slept_s": 0.0,
         }
 
 
@@ -417,16 +411,16 @@ class ProcessShardPool:
     returns -- on success, on a worker exception (which re-raises here with
     the original remote traceback chained), and on a worker crash.
 
-    A worker crash or a blown per-shard deadline does not fail the batch:
-    the supervisor tears the executor down, respawns it, and re-runs only
-    the failed shards -- up to ``resilience.max_retries`` times with
-    exponential backoff -- before giving up with
+    Each call makes one submission round and never retries.  A broken
+    executor (at submit or result time), a blown ``shard_timeout_s``
+    deadline or a failed segment allocation discards the executor --
+    terminating its workers -- and raises
     :class:`~repro.errors.PoolSupervisionError` (a
-    :class:`~repro.errors.TransientError`, so the service's circuit
-    breaker can still serve the batch on a slower backend).  Completed
-    shards are never re-run, every stage is deterministic, and the merge
-    happens in shard order, so supervised results stay bit-identical to
-    the serial path.
+    :class:`~repro.errors.TransientError`), so the service's circuit
+    breaker serves the batch on the serial rung within the same call; the
+    next sharded call respawns the pool.  A task-level exception -- the
+    worker itself raised -- propagates chained and discards nothing:
+    re-running a deterministic error would re-fail identically.
 
     The started/closed lifecycle is guarded by a lock: a ``close()``
     racing an in-flight call can neither resurrect the executor nor shut
@@ -448,8 +442,6 @@ class ProcessShardPool:
         self._executor: ProcessPoolExecutor | None = None
         self._pool_closed = False
         self.stats = PoolStats()
-        #: Deterministic jitter stream of the supervisor's backoff delays.
-        self._backoff_rng = random.Random(config.resilience.retry_seed)
 
     @property
     def started(self) -> bool:
@@ -481,14 +473,14 @@ class ProcessShardPool:
         return self._executor
 
     def _discard_executor(self, executor: ProcessPoolExecutor) -> None:
-        """Tear one executor down so the next attempt spawns a fresh pool.
+        """Tear one executor down so the next call spawns a fresh pool.
 
-        Compare-and-swap under the lock: if a concurrent :meth:`close` (or
-        another supervisor round) already took this executor, it is not
-        popped -- and shutting an already-shut executor down again is a
-        no-op, so the two paths cannot double-free.  Timed-out workers may
-        still be running; they are terminated best-effort so a wedged
-        worker cannot pin the old pool's resources.
+        Compare-and-swap under the lock: if a concurrent :meth:`close`
+        already took this executor, it is not popped -- and shutting an
+        already-shut executor down again is a no-op, so the two paths
+        cannot double-free.  Timed-out workers may still be running; they
+        are terminated best-effort so a wedged worker cannot pin the old
+        pool's resources.
         """
         with self._lock:
             if self._executor is executor:
@@ -499,6 +491,15 @@ class ProcessShardPool:
             if process.is_alive():
                 process.terminate()
 
+    def _fail(self, executor: ProcessPoolExecutor, cause: BaseException,
+              what: str) -> NoReturn:
+        """Discard ``executor`` and raise the failed round's transient error."""
+        self._discard_executor(executor)
+        self.stats.rebuilds += 1
+        raise PoolSupervisionError(
+            f"{what}; the batch falls to the serial rung and the next "
+            f"sharded call respawns the pool") from cause
+
     # ------------------------------------------------------------------
     # Batched calls
     # ------------------------------------------------------------------
@@ -508,10 +509,9 @@ class ProcessShardPool:
                         ) -> dict[str, LocationEstimate]:
         """Run :func:`drain_shard` per shard on the pool, merged in order.
 
-        Failures are supervised as the class docstring describes; an
-        exhausted retry budget raises
-        :class:`~repro.errors.PoolSupervisionError` chained to the last
-        infrastructure failure.
+        One submission round; a failed round raises
+        :class:`~repro.errors.PoolSupervisionError` chained to its cause,
+        as the class docstring describes.
         """
         packer = _ArrayPacker()
         encoded = {
@@ -529,16 +529,14 @@ class ProcessShardPool:
         executor = self._ensure()
         try:
             segment, handle = packer.pack()
-        except OSError as exc:
-            # No /dev/shm headroom (or an injected allocation failure
-            # raised FaultInjectedError before this point): transient
-            # infrastructure, not data -- let the breaker degrade.
-            raise PoolSupervisionError(
-                f"could not allocate the batch's shared-memory segment: "
-                f"{exc}") from exc
+        except (OSError, FaultInjectedError) as exc:
+            # No /dev/shm headroom (or an injected allocation failure):
+            # transient infrastructure, not data.
+            self._fail(executor, exc, f"could not allocate the batch's "
+                                      f"shared-memory segment: {exc}")
         try:
-            return self._supervise(executor, handle, payloads,
-                                   stream_times is not None)
+            return self._round(executor, handle, payloads,
+                               stream_times is not None)
         finally:
             _release_segment(segment)
 
@@ -546,105 +544,36 @@ class ProcessShardPool:
     #: wraps the pool under both names.
     tick_shards = localize_shards
 
-    def _supervise(self, executor: ProcessPoolExecutor,
-                   handle: _SegmentHandle, payloads: Sequence[_Shard],
-                   suppress: bool) -> dict[str, LocationEstimate]:
-        """Submit the shards, rebuilding the pool and retrying failed ones."""
-        resilience = self._config.resilience
-        results: list[dict[str, LocationEstimate] | None] = \
-            [None] * len(payloads)
-        pending = list(range(len(payloads)))
-        attempt = 0
-        while pending:
-            failure, failed = self._collect(executor, handle, payloads,
-                                            suppress, pending, results)
-            if failure is None:
-                break
-            self._discard_executor(executor)
-            self.stats.rebuilds += 1
-            if attempt >= resilience.max_retries:
-                self.stats.supervision_failures += 1
-                raise PoolSupervisionError(
-                    f"{len(failed)} shard(s) still failing after "
-                    f"{attempt + 1} attempt(s); retry budget "
-                    f"(max_retries={resilience.max_retries}) exhausted"
-                ) from failure
-            attempt += 1
-            self.stats.shard_retries += len(failed)
-            delay = self._backoff_delay(attempt)
-            self.stats.backoff_slept_s += delay
-            time.sleep(delay)
-            pending = failed
-            executor = self._ensure()
-        merged: dict[str, LocationEstimate] = {}
-        for result in results:
-            assert result is not None  # every index left `pending` resolved
-            merged.update(result)
-        return merged
-
-    def _backoff_delay(self, attempt: int) -> float:
-        """Exponential backoff with deterministic, seeded jitter."""
-        resilience = self._config.resilience
-        delay = min(resilience.backoff_base_s * 2.0 ** (attempt - 1),
-                    resilience.backoff_max_s)
-        jitter = resilience.backoff_jitter
-        if jitter:
-            delay *= 1.0 + jitter * (2.0 * self._backoff_rng.random() - 1.0)
-        return delay
-
-    def _collect(self, executor: ProcessPoolExecutor,
-                 handle: _SegmentHandle, payloads: Sequence[_Shard],
-                 suppress: bool, pending: Sequence[int],
-                 results: list[dict[str, LocationEstimate] | None]
-                 ) -> tuple[BaseException | None, list[int]]:
-        """Run one supervision round over the pending shard indices.
-
-        Fills ``results`` for every shard that completed and returns
-        ``(failure, failed_indices)``, where ``failure`` is the
-        representative *infrastructure* failure of the round (broken
-        executor or deadline) or None when everything completed.  A
-        task-level exception -- the worker itself raised -- is not an
-        infrastructure failure: it cancels the round and propagates with
-        the remote traceback chained (retrying a deterministic error would
-        re-fail identically).
-        """
-        resilience = self._config.resilience
-        deadline = None if resilience.shard_timeout_s is None \
-            else time.monotonic() + resilience.shard_timeout_s
+    def _round(self, executor: ProcessPoolExecutor, handle: _SegmentHandle,
+               payloads: Sequence[_Shard], suppress: bool
+               ) -> dict[str, LocationEstimate]:
+        """Submit every shard once and merge the results in shard order."""
+        timeout_s = self._config.resilience.shard_timeout_s
+        deadline = None if timeout_s is None \
+            else time.monotonic() + timeout_s
+        futures: list[Future[dict[str, LocationEstimate]]] = []
         try:
-            futures: dict[int, Future[dict[str, LocationEstimate]]] = {
-                index: executor.submit(_drain_task, handle, payloads[index],
-                                       suppress)
-                for index in pending}
-        except BrokenExecutor as exc:
-            # The pool was already broken (e.g. by a crash in a previous
-            # call) and refused the submission: the whole round failed.
-            self.stats.broken_pools += 1
-            return exc, list(pending)
-        failure: BaseException | None = None
-        failed: list[int] = []
-        try:
-            for index, future in futures.items():
+            futures = [executor.submit(_drain_task, handle, payload, suppress)
+                       for payload in payloads]
+            merged: dict[str, LocationEstimate] = {}
+            for future in futures:
                 remaining = None if deadline is None \
                     else max(deadline - time.monotonic(), 0.0)
-                try:
-                    results[index] = future.result(timeout=remaining)
-                except (TimeoutError, concurrent.futures.TimeoutError) as exc:
-                    self.stats.shard_timeouts += 1
-                    failure = exc
-                    failed.append(index)
-                except BrokenExecutor as exc:
-                    self.stats.broken_pools += 1
-                    failure = exc
-                    failed.append(index)
+                merged.update(future.result(timeout=remaining))
+            return merged
+        except BrokenExecutor as exc:
+            self.stats.broken_pools += 1
+            self._fail(executor, exc, f"a pool worker died: {exc}")
+        except (TimeoutError, concurrent.futures.TimeoutError) as exc:
+            self.stats.shard_timeouts += 1
+            self._fail(executor, exc, f"a shard overran "
+                                      f"shard_timeout_s={timeout_s}")
         except BaseException:
-            for future in futures.values():
+            # A task-level exception: the pool is healthy, so only the
+            # round's unfinished shards are cancelled.
+            for future in futures:
                 future.cancel()
             raise
-        if failure is not None:
-            for future in futures.values():
-                future.cancel()
-        return failure, failed
 
     # ------------------------------------------------------------------
     # Lifecycle

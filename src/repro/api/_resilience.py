@@ -1,13 +1,13 @@
 """Circuit breaker and counters behind the service's degradation ladder.
 
 The process backend is the fast rung of a two-rung ladder, not a single
-point of failure: when its pool keeps breaking even *with* supervision
-(rebuild + retry in :mod:`repro.api._procpool`), the service steps down to
-plain serial execution -- which cannot fail for infrastructure reasons at
-all.  The :class:`CircuitBreaker` here decides which rung a batch enters at
-and when to probe the process rung again (half-open), so a persistent
-failure costs each batch at most one doomed attempt per recovery window
-instead of a full retry storm.
+point of failure: when a pool round fails (:mod:`repro.api._procpool`
+discards the pool and raises), the service serves the batch on plain
+serial execution -- which cannot fail for infrastructure reasons at all.
+The :class:`CircuitBreaker` here is the ladder's one retry policy: it
+decides which rung a batch enters at and when to probe the process rung
+again (half-open), so a persistent failure costs at most one doomed
+attempt per recovery window instead of one per batch.
 
 Everything is deliberately deterministic and clock-injectable: tests drive
 the breaker through open -> half-open -> closed with a fake monotonic

@@ -31,7 +31,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field, fields
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
 from typing import Any
 
 from repro.ap.access_point import APConfig
@@ -178,39 +178,24 @@ class ResilienceConfig:
     """Configuration of the service's fault-tolerance layer.
 
     Three concerns live here (see ``docs/robustness.md`` for the failure-
-    mode catalogue): **pool supervision** (retry crashed/stalled process
-    shards with exponential backoff and rebuild the pool), **graceful
-    degradation** (a circuit breaker that falls from the process backend
-    to serial execution after repeated failures and half-open-probes its
-    way back), and **admission control** (a service-wide
-    pending-frame budget with a shed policy, plus poison-frame rejection
-    at ingest).  Supervision and degradation are always on: a batch that
-    serial execution could serve never fails for infrastructure reasons.
-    Every knob round-trips through dict/JSON/env exactly like the rest of
-    :class:`ArrayTrackConfig`.
+    mode catalogue): **fault detection** (a per-shard deadline on the
+    process pool), **graceful degradation** (a failed pool round is
+    served by serial execution in the same call, and a circuit breaker
+    skips the process backend after repeated failures and
+    half-open-probes its way back), and **admission control** (a
+    service-wide pending-frame budget with a shed policy, plus
+    poison-frame rejection at ingest).  Degradation is always on: a batch
+    that serial execution could serve never fails for infrastructure
+    reasons.  Every knob round-trips through dict/JSON/env exactly like
+    the rest of :class:`ArrayTrackConfig`.
 
     Attributes
     ----------
-    max_retries:
-        Retry rounds per batched call after the initial attempt; once
-        exhausted the call raises
-        :class:`~repro.errors.PoolSupervisionError` (which the breaker may
-        then absorb by degrading).
-    backoff_base_s:
-        First retry delay; round ``n`` sleeps ``backoff_base_s * 2**(n-1)``
-        before resubmitting the failed shards (``0`` = a single attempt).
-    backoff_max_s:
-        Upper bound on any single backoff sleep.
-    backoff_jitter:
-        Jitter fraction in ``[0, 1]``: each sleep is scaled by a factor
-        drawn uniformly from ``[1 - jitter, 1 + jitter]`` (decorrelates
-        retry storms; above 1 the factor could go negative).
-    retry_seed:
-        Seed of the jitter RNG, so retry schedules are reproducible.
     shard_timeout_s:
-        Per-shard deadline per attempt (None disables): a shard still
+        Per-shard deadline of a pool round (None disables): a shard still
         running after this long is treated like a crashed one -- the pool
-        is torn down (workers terminated) and the shard retried.
+        is torn down (workers terminated), the batch is served serially
+        and the next sharded call respawns the pool.
     breaker_threshold:
         Consecutive transient failures of one rung before the breaker
         opens and the service enters that rung's degraded mode.  (Each
@@ -240,11 +225,6 @@ class ResilienceConfig:
         testing/benchmarking only.
     """
 
-    max_retries: int = 2
-    backoff_base_s: float = 0.05
-    backoff_max_s: float = 2.0
-    backoff_jitter: float = 0.25
-    retry_seed: int = 0
     shard_timeout_s: float | None = None
     breaker_threshold: int = 3
     breaker_recovery_s: float = 30.0
@@ -258,18 +238,7 @@ class ResilienceConfig:
             raise ConfigurationError(
                 f"reject_poison_frames must be a boolean, "
                 f"got {self.reject_poison_frames!r}")
-        _require_int("max_retries", self.max_retries, 0)
-        for name in ("backoff_base_s", "backoff_max_s", "backoff_jitter",
-                     "breaker_recovery_s"):
-            _require_finite(name, getattr(self, name))
-        if self.backoff_jitter > 1:
-            raise ConfigurationError(
-                f"backoff_jitter must be in [0, 1], "
-                f"got {self.backoff_jitter!r}")
-        if isinstance(self.retry_seed, bool) \
-                or not isinstance(self.retry_seed, int):
-            raise ConfigurationError(
-                f"retry_seed must be an integer, got {self.retry_seed!r}")
+        _require_finite("breaker_recovery_s", self.breaker_recovery_s)
         if self.shard_timeout_s is not None:
             _require_finite("shard_timeout_s", self.shard_timeout_s,
                             positive=True)
@@ -297,25 +266,14 @@ _NESTED_FIELDS: dict[type, dict[str, type]] = {
     APConfig: {"spectrum": SpectrumConfig},
 }
 
-#: Defaults applied when a nested key is absent from a partial dict.  The
-#: one entry keeps partial trees consistent with the facade's documented
-#: defaults: a ``{"server": {}}`` section still gets the 0.05 floor rather
-#: than silently falling back to the bare ``ServerConfig()`` default.
-_SECTION_DEFAULTS: dict[type, dict[str, Callable[[], Any]]] = {
-    ServerConfig: {
-        "localizer": lambda: LocalizerConfig(
-            spectrum_floor=DEFAULT_SPECTRUM_FLOOR),
-    },
-}
-
-#: Field defaults merged into a *partial* nested mapping before parsing,
-#: keyed by ``(parent section, nested key)``.  This keeps hand-written
-#: partial trees like ``{"server": {"localizer": {"grid_resolution_m":
-#: 0.2}}}`` on the facade's documented 0.05 floor instead of silently
-#: reverting to the bare ``LocalizerConfig`` default; an explicit value in
-#: the mapping always wins.
-_NESTED_FIELD_DEFAULTS: dict[tuple[type, str], dict[str, Any]] = {
-    (ServerConfig, "localizer"): {"spectrum_floor": DEFAULT_SPECTRUM_FLOOR},
+#: Field defaults merged into a nested mapping before parsing, per parent
+#: section and nested key.  An absent nested key counts as an empty
+#: mapping, so ``{"server": {}}`` and hand-written partial trees like
+#: ``{"server": {"localizer": {"grid_resolution_m": 0.2}}}`` both stay on
+#: the facade's documented 0.05 floor instead of silently reverting to the
+#: bare ``LocalizerConfig`` default; an explicit value always wins.
+_NESTED_FIELD_DEFAULTS: dict[type, dict[str, dict[str, Any]]] = {
+    ServerConfig: {"localizer": {"spectrum_floor": DEFAULT_SPECTRUM_FLOOR}},
 }
 
 
@@ -341,26 +299,24 @@ def _section_from_dict(cls: type, data: Mapping[str, Any], path: str) -> Any:
             f"unknown key(s) {unknown} under {path}; "
             f"valid keys: {sorted(valid)}")
     nested = _NESTED_FIELDS.get(cls, {})
+    defaults = _NESTED_FIELD_DEFAULTS.get(cls, {})
     kwargs: dict[str, Any] = {}
+    # An absent nested section with defaults parses as an empty one.
+    data = {**dict.fromkeys(defaults, {}), **data}
     for key, value in data.items():
         if key in nested:
             if isinstance(value, nested[key]):
                 kwargs[key] = value
             elif isinstance(value, Mapping):
-                defaults = _NESTED_FIELD_DEFAULTS.get((cls, key))
-                if defaults:
-                    value = {**defaults, **dict(value)}
-                kwargs[key] = _section_from_dict(nested[key], value,
-                                                 f"{path}.{key}")
+                kwargs[key] = _section_from_dict(
+                    nested[key], {**defaults.get(key, {}), **dict(value)},
+                    f"{path}.{key}")
             else:
                 raise ConfigurationError(
                     f"{path}.{key} must be a mapping or a "
                     f"{nested[key].__name__}, got {type(value).__name__}")
         else:
             kwargs[key] = value
-    for key, factory in _SECTION_DEFAULTS.get(cls, {}).items():
-        if key not in kwargs:
-            kwargs[key] = factory()
     try:
         return cls(**kwargs)
     except ArrayTrackError as exc:
@@ -432,10 +388,10 @@ class ArrayTrackConfig:
         when enabled, batched calls are bit-for-bit identical to the
         serial path.
     resilience:
-        Fault tolerance (:class:`ResilienceConfig`): the pool supervision
-        budget (retry/backoff/deadline), the circuit-breaker thresholds,
-        the service-wide pending-frame budget with its shed policy, and
-        poison-frame rejection.  See ``docs/robustness.md``.
+        Fault tolerance (:class:`ResilienceConfig`): the pool's per-shard
+        deadline, the circuit-breaker thresholds, the service-wide
+        pending-frame budget with its shed policy, and poison-frame
+        rejection.  See ``docs/robustness.md``.
     """
 
     bounds: tuple[float, float, float, float] | None = None

@@ -420,13 +420,13 @@ class ArrayTrackService:
         process pass that fails with a
         :class:`~repro.errors.TransientError` counts against the breaker
         and the batch *immediately* falls to the serial rung -- a batch
-        that serial execution could serve is never failed.  Non-transient
-        errors (deterministic data problems) propagate: retrying or
-        degrading those would re-fail identically.  Both rungs run
-        :func:`drain_shard`, so the result is bit-for-bit the same wherever
-        the batch lands.  The process pass is recorded whole as the
-        server's processing time, since each shard's own measurement
-        covers only that shard.
+        that serial execution could serve is never failed; a pool that
+        failed is respawned by the next sharded call.  Non-transient errors
+        (deterministic data problems) propagate: degrading those would
+        re-fail identically.  Both rungs run :func:`drain_shard`, so the
+        result is bit-for-bit the same wherever the batch lands.  The
+        process pass is recorded whole as the server's processing time,
+        since each shard's own measurement covers only that shard.
         """
         shards = self._shards(list(spectra_by_client))
         if shards is not None and self._breaker.entry_index() == 0:
@@ -763,7 +763,7 @@ class ArrayTrackService:
         ``backend`` (``configured`` backend and the ladder rung batches
         currently enter at); ``breaker`` (the
         :meth:`~repro.api._resilience.CircuitBreaker.snapshot` dict);
-        ``pool`` (``started`` plus the supervision counters and the
+        ``pool`` (``started`` plus the pool's failure counters and the
         module-wide shm accounting); ``ingest`` (pending frames vs budget
         and the shed/reject counters); ``fallbacks`` (batches served per
         degraded rung and the last transient error); ``sessions`` (live

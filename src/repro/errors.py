@@ -36,19 +36,21 @@ class ConfigurationError(ArrayTrackError):
 
 
 class TransientError(ArrayTrackError):
-    """Infrastructure failure that a retry or a degraded backend may absorb.
+    """Infrastructure failure that a degraded backend may absorb.
 
     The resilience layer treats this family -- and only this family -- as
-    recoverable: the process pool retries shards on it, and the service's
-    circuit breaker falls from the process backend to serial execution
-    instead of failing the batch.  Deterministic data errors
-    (:class:`EstimationError`, :class:`ConfigurationError`, ...) stay
-    outside it on purpose: retrying them would re-fail identically.
+    recoverable: the service's circuit breaker falls from the process
+    backend to serial execution instead of failing the batch.
+    Deterministic data errors (:class:`EstimationError`,
+    :class:`ConfigurationError`, ...) stay outside it on purpose: degrading
+    on them would re-fail identically and mask a bug.
     """
 
 
 class PoolSupervisionError(TransientError):
-    """A supervised worker pool exhausted its retry budget for a batch."""
+    """A worker pool round failed: a worker died, a shard overran its
+    deadline, or the batch's shared-memory segment could not be allocated.
+    """
 
 
 class FaultInjectedError(TransientError):

@@ -78,11 +78,10 @@ CONFIG_LEAVES = [
     "bounds", "estimator",
     "parallel.backend", "parallel.min_clients_per_worker",
     "parallel.num_workers",
-    "resilience.backoff_base_s", "resilience.backoff_jitter",
-    "resilience.backoff_max_s", "resilience.breaker_recovery_s",
+    "resilience.breaker_recovery_s",
     "resilience.breaker_threshold", "resilience.fault_plan",
-    "resilience.max_retries", "resilience.max_total_pending_frames",
-    "resilience.reject_poison_frames", "resilience.retry_seed",
+    "resilience.max_total_pending_frames",
+    "resilience.reject_poison_frames",
     "resilience.shard_timeout_s", "resilience.shed_policy",
     "server.enable_multipath_suppression",
     "server.localizer.grid_resolution_m",
@@ -103,7 +102,7 @@ class TestLeaves:
     def test_config_leaves_are_pinned(self):
         leaves = sorted(_leaves(ArrayTrackConfig().to_dict()))
         assert leaves == CONFIG_LEAVES
-        assert len(leaves) == 50
+        assert len(leaves) == 45
 
 
 class TestDefaults:
@@ -167,6 +166,12 @@ class TestRejection:
         ("server", "measure_processing_time", True),
         # ``BatchLocalizer.heatmaps`` builds the full plane on request.
         ("server.localizer", "keep_heatmap", True),
+        # A failed pool round is served serially, not retried in the pool.
+        ("resilience", "max_retries", 2),
+        ("resilience", "backoff_base_s", 0.05),
+        ("resilience", "backoff_max_s", 2.0),
+        ("resilience", "backoff_jitter", 0.25),
+        ("resilience", "retry_seed", 0),
     ])
     def test_removed_switches_are_unknown_keys(self, section, key, value):
         data = {key: value}
@@ -411,8 +416,8 @@ class TestResilienceSection:
         config = ArrayTrackConfig(
             bounds=(0.0, 0.0, 5.0, 5.0),
             resilience=ResilienceConfig(
-                max_retries=5, backoff_base_s=0.01, shard_timeout_s=3.0,
-                breaker_threshold=1, max_total_pending_frames=128,
+                shard_timeout_s=3.0, breaker_threshold=1,
+                breaker_recovery_s=0.5, max_total_pending_frames=128,
                 shed_policy="reject",
                 fault_plan='[{"kind": "poison-frame"}]'))
         restored = ArrayTrackConfig.from_dict(config.to_dict())
@@ -421,21 +426,15 @@ class TestResilienceSection:
         assert ArrayTrackConfig.from_json(config.to_json()) == config
 
     @pytest.mark.parametrize("kwargs", [
-        {"max_retries": -1},
-        {"max_retries": True},
-        {"backoff_base_s": -0.1},
-        {"backoff_base_s": float("nan")},
-        {"backoff_max_s": float("inf")},
-        {"backoff_jitter": float("nan")},
-        {"backoff_jitter": -0.5},
-        {"backoff_jitter": 1.5},
-        {"retry_seed": 1.5},
         {"shard_timeout_s": 0.0},
+        {"shard_timeout_s": -1.0},
         {"shard_timeout_s": float("inf")},
         {"shard_timeout_s": float("nan")},
         {"breaker_threshold": 0},
+        {"breaker_threshold": True},
         {"breaker_recovery_s": -1.0},
         {"breaker_recovery_s": float("nan")},
+        {"breaker_recovery_s": float("inf")},
         {"max_total_pending_frames": 0},
         {"shed_policy": "drop-newest"},
         {"reject_poison_frames": "yes"},
@@ -448,11 +447,11 @@ class TestResilienceSection:
     @pytest.mark.parametrize("key, value", [
         ("shed_policy", "panic"),
         # inf overflowed the pool's deadline arithmetic; NaN timed every
-        # shard out at once, slept NaN or never half-opened the breaker.
+        # shard out at once or never half-opened the breaker.
         ("shard_timeout_s", float("inf")),
         ("shard_timeout_s", float("nan")),
-        ("backoff_base_s", float("nan")),
-        ("backoff_jitter", float("nan")),
+        ("breaker_threshold", 0),
+        ("breaker_recovery_s", float("inf")),
         ("breaker_recovery_s", float("nan")),
     ])
     def test_invalid_value_names_path_from_dict(self, key, value):
@@ -463,11 +462,11 @@ class TestResilienceSection:
     def test_env_override_reaches_resilience_section(self):
         config = ArrayTrackConfig(bounds=(0.0, 0.0, 5.0, 5.0))
         updated = config.with_env_overrides({
-            "ARRAYTRACK_RESILIENCE__MAX_RETRIES": "4",
+            "ARRAYTRACK_RESILIENCE__BREAKER_THRESHOLD": "4",
             "ARRAYTRACK_RESILIENCE__SHARD_TIMEOUT_S": "2.5",
             "ARRAYTRACK_RESILIENCE__SHED_POLICY": "reject",
         })
-        assert updated.resilience.max_retries == 4
+        assert updated.resilience.breaker_threshold == 4
         assert updated.resilience.shard_timeout_s == 2.5
         assert updated.resilience.shed_policy == "reject"
 

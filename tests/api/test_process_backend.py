@@ -8,10 +8,11 @@ including batches below ``2 * min_clients_per_worker``, where the process
 service silently stays serial.  And because the backend moves spectra
 through ``multiprocessing.shared_memory``, every test also asserts clean
 teardown: no live segment after any call, none after ``close()``, and no
-``arraytrack_*`` name left in ``/dev/shm``.
+``arraytrack_<pid>_*`` name of this process left in ``/dev/shm``.
 """
 
 import glob
+import os
 
 import numpy as np
 import pytest
@@ -83,8 +84,10 @@ def _assert_identical(actual, expected):
 
 
 def _assert_no_segments():
+    # Only this process's names (the pattern ``_new_segment_name`` builds):
+    # another process of this program may hold segments of its own.
     assert live_segments() == frozenset()
-    assert glob.glob(f"/dev/shm/{SEGMENT_PREFIX}*") == []
+    assert glob.glob(f"/dev/shm/{SEGMENT_PREFIX}{os.getpid():x}_*") == []
 
 
 @pytest.fixture(autouse=True)

@@ -1,15 +1,19 @@
-"""Tests for the resilience layer: supervision, breaker, admission control.
+"""Tests for the resilience layer: recovery, breaker, admission control.
 
-The contract under test is ISSUE 10's acceptance criterion: an injected
-worker crash mid-batch recovers via retry with bit-identical results and
-zero leaked shm segments, the circuit breaker degrades process -> serial and
-recovers half-open, and ingest sheds/rejects under pressure --
-all deterministically, via :mod:`repro.testing.faults`.
+The contract under test: a batch whose pool round fails -- an injected
+worker crash mid-batch, a blown shard deadline, a failed shm allocation --
+is served by the serial rung in the same call with bit-identical results
+and zero leaked shm segments, the next sharded call respawns the pool, the
+circuit breaker degrades process -> serial and recovers half-open, and
+ingest sheds/rejects under pressure -- all deterministically, via
+:mod:`repro.testing.faults`.
 """
 
 import glob
+import os
 import threading
 import time
+import uuid
 
 import numpy as np
 import pytest
@@ -17,6 +21,7 @@ import pytest
 from repro.api import ArrayTrackConfig, ArrayTrackService
 from repro.api import _procpool
 from repro.api._procpool import (SEGMENT_PREFIX, ProcessShardPool,
+                                 _ArrayPacker, _release_segment,
                                  live_segments, shm_leak_events)
 from repro.api._resilience import CircuitBreaker, backend_ladder
 from repro.ap.buffer import BufferEntry
@@ -31,14 +36,24 @@ BOUNDS = (0.0, 0.0, 20.0, 10.0)
 AP_POSITIONS = [Point2D(1.0, 1.0), Point2D(19.0, 1.0), Point2D(10.0, 9.5)]
 
 
+def _own_segment_paths():
+    """This process's segments in ``/dev/shm``, by the name pattern
+    ``_new_segment_name`` builds; other processes' segments are theirs."""
+    return glob.glob(f"/dev/shm/{SEGMENT_PREFIX}{os.getpid():x}_*")
+
+
+def _assert_no_segments():
+    assert live_segments() == frozenset()
+    assert _own_segment_paths() == []
+
+
 @pytest.fixture(autouse=True)
 def clean_faults_and_segments():
     """Every test starts fault-free and must leak no shm segments."""
     faults.deactivate()
     yield
     faults.deactivate()
-    assert live_segments() == frozenset()
-    assert glob.glob(f"/dev/shm/{SEGMENT_PREFIX}*") == []
+    _assert_no_segments()
 
 
 def _spectrum_towards(ap_position, target, timestamp_s=0.0, client_id=""):
@@ -98,7 +113,7 @@ def serial_fixes():
 
 
 # ----------------------------------------------------------------------
-# Satellite 3: crash at every stage of the worker's shm lifecycle
+# A failed pool round: serial serves the batch, the next call respawns
 # ----------------------------------------------------------------------
 class TestWorkerCrashRecovery:
     @pytest.mark.parametrize("stage", list(faults.STAGES))
@@ -111,16 +126,43 @@ class TestWorkerCrashRecovery:
             recovered = service.localize_many(_clients(6))
             _assert_identical(recovered, serial_fixes)
             stats = service._procpool.stats
-            assert stats.broken_pools >= 1
-            assert stats.rebuilds >= 1
-            assert stats.shard_retries >= 1
+            assert stats.broken_pools == 1
+            assert stats.rebuilds == 1
             health = service.health()
+            assert health["fallbacks"]["served_by"] == {"serial": 1}
+            assert "PoolSupervisionError" in health["fallbacks"]["last_error"]
             assert health["breaker"]["state"] == "closed"
             assert health["backend"]["active"] == "process"
             # Exactly one worker died, and it died by injection.
             assert len(list(tmp_path.iterdir())) == 1
-        assert live_segments() == frozenset()
-        assert glob.glob(f"/dev/shm/{SEGMENT_PREFIX}*") == []
+        _assert_no_segments()
+
+    def test_crashed_batch_is_served_serially_then_the_pool_respawns(
+            self, tmp_path, serial_fixes):
+        faults.activate(faults.FaultSpec(
+            kind="kill-worker-mid-shard", times=1, token_dir=str(tmp_path)))
+        with _process_service() as service:
+            # The crashed round is not retried: the serial rung serves the
+            # batch in the same call, and the broken pool is discarded.
+            _assert_identical(service.localize_many(_clients(6)),
+                              serial_fixes)
+            health = service.health()
+            assert health["fallbacks"]["served_by"] == {"serial": 1}
+            assert health["breaker"]["failures"] == 1
+            assert health["breaker"]["state"] == "closed"
+            assert health["pool"]["started"] is False
+            assert health["pool"]["rebuilds"] == 1
+            # The next batch respawns the pool and the process rung serves
+            # it: no new fallback, and the breaker's count is reset.
+            _assert_identical(service.localize_many(_clients(6)),
+                              serial_fixes)
+            health = service.health()
+            assert health["fallbacks"]["served_by"] == {"serial": 1}
+            assert health["breaker"]["failures"] == 0
+            assert health["pool"]["started"] is True
+            assert health["pool"]["rebuilds"] == 1
+            assert health["pool"]["broken_pools"] == 1
+            assert len(list(tmp_path.iterdir())) == 1
 
     def test_shard_timeout_recovers_bit_identically(self, tmp_path,
                                                     serial_fixes):
@@ -131,26 +173,28 @@ class TestWorkerCrashRecovery:
                 **{"resilience.shard_timeout_s": 5.0}) as service:
             start = time.monotonic()
             recovered = service.localize_many(_clients(6))
-            # The wedged shard was deadlined and retried, far faster than
-            # the injected 30 s sleep.
+            # The wedged shard was deadlined and the batch served serially,
+            # far faster than the injected 30 s sleep.
             assert time.monotonic() - start < 25.0
             _assert_identical(recovered, serial_fixes)
-            assert service._procpool.stats.shard_timeouts >= 1
-            assert service._procpool.stats.rebuilds >= 1
+            assert service._procpool.stats.shard_timeouts == 1
+            assert service._procpool.stats.rebuilds == 1
+            health = service.health()
+            assert health["fallbacks"]["served_by"] == {"serial": 1}
+            assert "shard_timeout_s" in health["fallbacks"]["last_error"]
 
 
 # ----------------------------------------------------------------------
 # The degradation ladder: process -> serial and back (half-open)
 # ----------------------------------------------------------------------
 class TestDegradationLadder:
-    def test_exhausted_retries_degrade_to_serial_then_probe_back(
+    def test_broken_pool_degrades_to_serial_then_probe_back(
             self, serial_fixes):
-        # Kill every worker task, leave no retry budget, and trip the
-        # breaker on the first failure; recovery window held open wide.
+        # Kill every worker task and trip the breaker on the first
+        # failure; recovery window held open wide.
         faults.activate(faults.FaultSpec(kind="kill-worker-mid-shard"))
         service = _process_service(
-            **{"resilience.max_retries": 0,
-               "resilience.breaker_threshold": 1,
+            **{"resilience.breaker_threshold": 1,
                "resilience.breaker_recovery_s": 1000.0})
         with service:
             # The batch is served anyway -- by the serial rung -- and is
@@ -162,12 +206,13 @@ class TestDegradationLadder:
             assert health["breaker"]["state"] == "open"
             assert health["fallbacks"]["served_by"] == {"serial": 1}
             assert "PoolSupervisionError" in health["fallbacks"]["last_error"]
-            assert service._procpool.stats.supervision_failures == 1
+            assert service._procpool.stats.rebuilds == 1
             # While the breaker is open, batches enter at serial directly:
-            # no doomed process attempt, no further supervision failures.
+            # no doomed process attempt, no further pool failures.
             _assert_identical(service.localize_many(_clients(6)),
                               serial_fixes)
-            assert service._procpool.stats.supervision_failures == 1
+            assert service._procpool.stats.rebuilds == 1
+            assert service.health()["pool"]["started"] is False
             # Entering at serial is not a fallback (nothing fell mid-call),
             # and a batch the serial rung serves does not close the breaker.
             health = service.health()
@@ -569,6 +614,33 @@ class TestShmLeakAccounting:
         assert shm_leak_events() == before
         assert segment.name not in live_segments()
 
+    def test_packed_segment_matches_the_own_segment_pattern(self):
+        # The teardown checks glob this process's name pattern only; a
+        # packed segment must match it, or those checks would be vacuous.
+        packer = _ArrayPacker()
+        packer.add(np.arange(4.0))
+        segment, handle = packer.pack()
+        try:
+            assert f"/dev/shm/{handle.name}" in _own_segment_paths()
+        finally:
+            _release_segment(segment)
+        assert _own_segment_paths() == []
+
+    def test_foreign_process_segment_does_not_fail_the_check(self):
+        from multiprocessing import shared_memory
+
+        # Another process of this program (a benchmark run alongside,
+        # say) holds a segment under its own pid.
+        foreign = shared_memory.SharedMemory(
+            create=True, size=8,
+            name=f"{SEGMENT_PREFIX}{os.getpid() + 1:x}_{uuid.uuid4().hex[:12]}")
+        try:
+            assert glob.glob(f"/dev/shm/{foreign.name}") != []
+            _assert_no_segments()
+        finally:
+            foreign.close()
+            foreign.unlink()
+
     def test_leak_counter_reaches_health(self):
         with _service() as service:
             assert service.health()["pool"]["shm_leak_events"] \
@@ -590,8 +662,11 @@ class TestHealth:
                                      "active": "process"}
         assert set(health["pool"]) == {
             "started", "rebuilds", "broken_pools", "shard_timeouts",
-            "shard_retries", "supervision_failures", "backoff_slept_s",
-            "shm_leak_events", "live_segments"}
+            "shard_retries", "backoff_slept_s", "shm_leak_events",
+            "live_segments"}
+        # No in-pool retry tier: these two stay zero.
+        assert health["pool"]["shard_retries"] == 0
+        assert health["pool"]["backoff_slept_s"] == 0.0
         assert set(health["ingest"]) == {
             "pending_frames", "pending_budget", "shed_frames",
             "backpressure_rejected", "poison_rejected"}

@@ -377,9 +377,8 @@ def _check_unbounded_retry_loop(context: ModuleContext) -> Iterator[Finding]:
             yield (line, col,
                    "retry loop catches a broad exception and loops again "
                    f"without {' or '.join(missing)}; a persistent failure "
-                   "must exhaust a bounded budget with exponential backoff "
-                   "(see ResilienceConfig.max_retries/backoff_base_s), not "
-                   "spin or hammer forever")
+                   "must exhaust a bounded budget with exponential backoff, "
+                   "not spin or hammer forever")
 
 
 # ----------------------------------------------------------------------
