@@ -5,6 +5,9 @@
   ``tests/core/_oracle.py``: bit-equal, and at least 2x faster (8.6x on
   a shared 2-CPU machine).  Results are also written to
   ``BENCH_peaks.json``.
+* Section 2.4 suppression of a roaming capture in tick-sized calls: one
+  stacked ``suppress_many`` call per tick against the same code run one
+  group per call, bit-equal and at least 2x faster.
 * Bound-and-prune seeding of :class:`~repro.core.batch.BatchLocalizer`
   against the oracle's full Equation 8 fold plus full-sort seeds, on 64
   clients of the office testbed: bit-equal, and at least 2.5x faster.
@@ -113,6 +116,74 @@ def test_find_peaks_speedup_floor(benchmark):
               f"(best of {results['rounds']})"))
     print(f"results written to {PEAK_RESULTS_PATH}")
     assert results["speedup"] >= PEAK_SPEEDUP_FLOOR
+
+
+#: Stacked suppression floor: the stream_track capture (8 roaming clients,
+#: 20 steps, six APs: 960 groups of 3 spectra), cut into ticks of 48
+#: groups (8 clients x 6 APs).
+STACK_CLIENTS = 8
+STACK_STEPS = 20
+STACK_TICK_GROUPS = 48
+STACK_ROUNDS = 5
+STACK_SPEEDUP_FLOOR = 2.0
+
+
+def measure_stacked_suppression(num_clients: int = STACK_CLIENTS,
+                                num_steps: int = STACK_STEPS,
+                                tick_groups: int = STACK_TICK_GROUPS,
+                                rounds: int = STACK_ROUNDS
+                                ) -> dict[str, float]:
+    """Time one stacked call per tick against one call per group.
+
+    Both run :meth:`~repro.core.suppression.MultipathSuppressor.
+    suppress_many`, interleaved, one whole capture each per round, and
+    each keeps its best round.  Every round must suppress bit-equally.
+    """
+    groups = roaming_groups(num_clients, num_steps)
+    ticks = [groups[start:start + tick_groups]
+             for start in range(0, len(groups), tick_groups)]
+    suppressor = MultipathSuppressor()
+    runs = {"stacked": lambda tick: suppressor.suppress_many(tick),
+            "per_group": lambda tick: [suppressor.suppress_many([group])[0]
+                                       for group in tick]}
+    best = {name: float("inf") for name in runs}
+    for _ in range(rounds):
+        found = {}
+        for name, run in runs.items():
+            start = time.perf_counter()
+            found[name] = [spectrum for tick in ticks for spectrum in run(tick)]
+            best[name] = min(best[name], time.perf_counter() - start)
+        assert [spectrum.power.tobytes() for spectrum in found["stacked"]] \
+            == [spectrum.power.tobytes() for spectrum in found["per_group"]], \
+            "the stacked suppression diverged from one call per group"
+    return {
+        "num_groups": len(groups),
+        "num_ticks": len(ticks),
+        "rounds": rounds,
+        "stacked_ms_per_tick": best["stacked"] / len(ticks) * 1e3,
+        "per_group_ms_per_tick": best["per_group"] / len(ticks) * 1e3,
+        "speedup": best["per_group"] / best["stacked"],
+    }
+
+
+def test_stacked_suppression_floor(benchmark):
+    """E-STACK: one stacked Section 2.4 call per tick >= 2x one per group.
+
+    The streaming drain suppresses every group of a tick in one
+    ``suppress_many`` call; a per-group loop creeping back into it would
+    show up here first.
+    """
+    results = run_once(benchmark, measure_stacked_suppression)
+    print()
+    print(format_table(
+        ["calls", "ms/tick", "vs per group"],
+        [["one per group", f"{results['per_group_ms_per_tick']:.2f}", "1.0x"],
+         ["one per tick", f"{results['stacked_ms_per_tick']:.2f}",
+          f"{results['speedup']:.1f}x"]],
+        title=f"Section 2.4 suppression of {results['num_groups']} roaming "
+              f"groups in {results['num_ticks']} ticks "
+              f"(best of {results['rounds']})"))
+    assert results["speedup"] >= STACK_SPEEDUP_FLOOR
 
 
 #: Section 2.5 seeding floor: the batch_refine shape (64 clients, the six

@@ -44,6 +44,7 @@ import os
 import threading
 import time
 import uuid
+from itertools import islice
 from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -326,25 +327,43 @@ def drain_shard(server: ArrayTrackServer, suppressor: MultipathSuppressor,
     * otherwise the AP's first frame is folded.
 
     ``suppressor`` holds the service's top-level ``suppressor`` section,
-    which parameterizes both rules.  The folded spectra then go through
+    which parameterizes both rules.  Either way the shard's groups go
+    through one stacked pass: one
+    :meth:`~repro.core.suppression.MultipathSuppressor.process` call over
+    every (client, AP) stream of the shard, or one
+    :meth:`~repro.core.suppression.MultipathSuppressor.suppress_many` call
+    over each stream's earliest group (a lone first frame is a group of
+    one and passes unchanged).  The folded spectra then go through
     :meth:`~repro.server.backend.ArrayTrackServer.synthesize_batch`
     (Equation 8 and the hill climb).
     """
+    if stream_times is not None:
+        folded = suppressor.process(
+            {(client_id, ap_id): frames
+             for client_id, per_ap in spectra_by_client.items()
+             for ap_id, frames in per_ap.items()},
+            timestamps={(client_id, ap_id): times
+                        for client_id, per_ap in stream_times.items()
+                        for ap_id, times in per_ap.items()})
+        return server.synthesize_batch({
+            client_id: [spectrum for ap_id in per_ap
+                        for spectrum in folded[client_id, ap_id]]
+            for client_id, per_ap in spectra_by_client.items()})
     earliest_group = server.config.enable_multipath_suppression
-    processed: dict[str, list[AoASpectrum]] = {}
+    groups: list[list[AoASpectrum]] = []
+    per_client: list[tuple[str, int]] = []
     for client_id, per_ap in spectra_by_client.items():
-        times = None if stream_times is None else stream_times[client_id]
-        spectra: list[AoASpectrum] = []
-        for ap_id, frames in per_ap.items():
-            if times is not None:
-                spectra.extend(suppressor.process(frames,
-                                                  timestamps=times[ap_id]))
-            elif earliest_group and len(frames) >= 2:
-                spectra.append(suppressor.process(frames)[0])
+        start = len(groups)
+        for frames in per_ap.values():
+            if earliest_group and len(frames) >= 2:
+                groups.append(suppressor.group(frames)[0])
             elif frames:
-                spectra.append(frames[0])
-        processed[client_id] = spectra
-    return server.synthesize_batch(processed)
+                groups.append([frames[0]])
+        per_client.append((client_id, len(groups) - start))
+    outputs = iter(suppressor.suppress_many(groups))
+    return server.synthesize_batch({
+        client_id: list(islice(outputs, count))
+        for client_id, count in per_client})
 
 
 def _drain_task(handle: _SegmentHandle, shard: _Shard,

@@ -28,11 +28,10 @@ is that service as a single public object, built from one
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import replace
 from collections.abc import Iterable, Mapping, Sequence
-from typing import Any
+from typing import Any, NoReturn
 
 import numpy as np
 
@@ -49,6 +48,7 @@ from repro.api.registry import EstimatorSpec, get_estimator
 from repro.core.localizer import LocationEstimate
 from repro.core.pipeline import SpectrumConfig
 from repro.core.spectrum import AoASpectrum
+from repro.dtypes import as_float_array
 from repro.errors import (BackpressureError, ConfigurationError,
                           PoisonFrameError, TransientError)
 from repro.geometry.vector import Point2D
@@ -605,8 +605,7 @@ class ArrayTrackService:
                 # Raw entries are screened BEFORE the stacked frontend
                 # pass: one NaN snapshot matrix would otherwise blow up
                 # the whole batch's eigendecomposition.
-                for entry in entries:
-                    self._reject_poison_entry(entry, ap_obj.ap_id)
+                self._screen_entries(entries, ap_obj.ap_id)
             batch = ap_obj.compute_spectra(entries)
             for index, spectrum in zip(entry_indices, batch, strict=True):
                 spectra[index] = spectrum
@@ -623,16 +622,11 @@ class ArrayTrackService:
                 else resolved.timestamp_s
             resolved_frames.append(
                 (resolved_client, ap_id, resolved, resolved_ts))
-        if self.config.resilience.reject_poison_frames:
+        if self.config.resilience.reject_poison_frames and resolved_frames:
             # Validate the whole batch before touching any session, so one
             # poison frame rejects the call atomically -- no session ends
-            # up holding half a burst.  Intra-batch grid consistency per
-            # (client, AP) is enforced through the shared shape map.
-            batch_shapes: dict[tuple[str, str], tuple[int, ...]] = {}
-            for resolved_client, ap_id, resolved, resolved_ts \
-                    in resolved_frames:
-                self._reject_if_poison(resolved_client, ap_id, resolved,
-                                       resolved_ts, batch_shapes)
+            # up holding half a burst.
+            self._screen_frames(resolved_frames)
         sessions: list[Session] = []
         for resolved_client, ap_id, resolved, resolved_ts in resolved_frames:
             session = self.session(resolved_client)
@@ -670,19 +664,23 @@ class ArrayTrackService:
     # ------------------------------------------------------------------
     # Admission control (the ``resilience`` config section)
     # ------------------------------------------------------------------
-    def _reject_poison_entry(self, entry: BufferEntry, ap_id: str) -> None:
-        """Reject a raw buffer entry with non-finite snapshot samples."""
-        if not np.all(np.isfinite(entry.snapshots.samples)):
-            self._resilience_stats.poison_rejected += 1
-            raise PoisonFrameError(
-                f"rejecting raw frame from client {entry.client_id!r} at AP "
-                f"{ap_id!r}: non-finite snapshot samples")
+    def _screen_entries(self, entries: Sequence[BufferEntry],
+                        ap_id: str) -> None:
+        """Reject raw buffer entries with non-finite snapshot samples.
 
-    def _reject_if_poison(self, client_id: str, ap_id: str,
-                          spectrum: AoASpectrum, timestamp_s: float,
-                          batch_shapes: dict[tuple[str, str],
-                                             tuple[int, ...]]) -> None:
-        """Reject one frame that would poison a stacked pipeline pass.
+        One check over every entry's samples; the error names the first
+        offending entry in input order.
+        """
+        bad = _nonfinite([entry.snapshots.samples for entry in entries])
+        if bad.any():
+            entry = entries[int(bad.argmax())]
+            self._reject(f"rejecting raw frame from client "
+                         f"{entry.client_id!r} at AP {ap_id!r}: non-finite "
+                         f"snapshot samples")
+
+    def _screen_frames(self, frames: Sequence[tuple[str, str, AoASpectrum,
+                                                    float]]) -> None:
+        """Reject a batch holding a frame that would poison a stacked pass.
 
         Two gates: non-finite values (NaN/inf power or angles -- legal by
         :class:`~repro.core.spectrum.AoASpectrum` construction, since its
@@ -691,18 +689,21 @@ class ArrayTrackService:
         which would break the triggers, the tracker's time order and
         suppression's time grouping), and an angle-grid shape that
         contradicts the client's pending frames at the same AP or an
-        earlier frame of the same batch (``batch_shapes`` accumulates
-        per-``(client, ap)`` shapes across one ``ingest_many`` call).
+        earlier frame of the same batch.  The values of the whole batch
+        are checked at once; the error names the first offending frame in
+        input order, and within a frame the first failing gate in the
+        order timestamp, power, angles, grid shape.
         """
-        reason: str | None = None
-        if not (math.isfinite(timestamp_s)
-                and math.isfinite(spectrum.timestamp_s)):
-            reason = "non-finite timestamp"
-        elif not np.all(np.isfinite(spectrum.power)):
-            reason = "non-finite power values"
-        elif not np.all(np.isfinite(spectrum.angles_deg)):
-            reason = "non-finite angle-grid values"
-        else:
+        spectra = [spectrum for _, _, spectrum, _ in frames]
+        bad_time = ~np.isfinite(as_float_array(
+            [(timestamp, spectrum.timestamp_s)
+             for _, _, spectrum, timestamp in frames])).all(axis=1)
+        bad_power = _nonfinite([spectrum.power for spectrum in spectra])
+        bad_angles = _nonfinite([spectrum.angles_deg for spectrum in spectra])
+        bad = bad_time | bad_power | bad_angles
+        first_bad = int(bad.argmax()) if bad.any() else len(frames)
+        batch_shapes: dict[tuple[str, str], tuple[int, ...]] = {}
+        for client_id, ap_id, spectrum, _ in frames[:first_bad]:
             shape = tuple(spectrum.angles_deg.shape)
             key = (client_id, ap_id)
             expected = batch_shapes.get(key)
@@ -711,15 +712,23 @@ class ArrayTrackService:
                 expected = None if session is None \
                     else session.pending_grid_shape(ap_id)
             if expected is not None and shape != expected:
-                reason = (f"angle-grid shape {shape} contradicts the "
-                          f"client's other frames at this AP {expected}")
-            else:
-                batch_shapes[key] = shape
-        if reason is not None:
-            self._resilience_stats.poison_rejected += 1
-            raise PoisonFrameError(
-                f"rejecting frame from client {client_id!r} at AP "
-                f"{ap_id!r}: {reason}")
+                self._reject(f"rejecting frame from client {client_id!r} at "
+                             f"AP {ap_id!r}: angle-grid shape {shape} "
+                             f"contradicts the client's other frames at this "
+                             f"AP {expected}")
+            batch_shapes[key] = shape
+        if first_bad < len(frames):
+            client_id, ap_id, _, _ = frames[first_bad]
+            reason = ("non-finite timestamp" if bad_time[first_bad]
+                      else "non-finite power values" if bad_power[first_bad]
+                      else "non-finite angle-grid values")
+            self._reject(f"rejecting frame from client {client_id!r} at AP "
+                         f"{ap_id!r}: {reason}")
+
+    def _reject(self, message: str) -> NoReturn:
+        """Count one rejected call and raise its poison-frame error."""
+        self._resilience_stats.poison_rejected += 1
+        raise PoisonFrameError(message)
 
     def _admit(self, session: Session, ap_id: str, spectrum: AoASpectrum,
                timestamp_s: float) -> None:
@@ -894,3 +903,14 @@ class ArrayTrackService:
         """Return the end-to-end latency breakdown of a fix."""
         return self._server.latency_breakdown(payload_bytes, bitrate_mbps,
                                               use_measured_processing)
+
+
+def _nonfinite(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """Whether each array holds a NaN or an infinity, from one check."""
+    finite = np.isfinite(np.concatenate(arrays, axis=None))
+    if finite.all():
+        return np.zeros(len(arrays), dtype=bool)
+    sizes = np.array([array.size for array in arrays])
+    seen = np.concatenate(([0], np.cumsum(~finite)))
+    ends = np.cumsum(sizes)
+    return seen[ends] > seen[ends - sizes]

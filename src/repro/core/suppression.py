@@ -18,9 +18,12 @@ The algorithm (Figure 8):
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
-from collections.abc import Sequence
+from collections.abc import Hashable, Mapping, Sequence
+from itertools import islice
+from typing import TypeVar, overload
 
 import numpy as np
 
@@ -29,10 +32,16 @@ from repro.constants import (
     PEAK_MATCH_TOLERANCE_DEG,
 )
 from repro.errors import EstimationError
-from repro.core.peaks import SpectrumPeak, find_peaks, match_peak, peak_regions
+from repro.core.peaks import find_peaks_many, lobe_extents
+# The single-spectrum names stay bound here, where perfbench/tracing.py
+# wraps them; the stacked pass calls only the two above.
+from repro.core.peaks import find_peaks as find_peaks
+from repro.core.peaks import peak_regions as peak_regions
 from repro.core.spectrum import AoASpectrum
 
 __all__ = ["MultipathSuppressor", "SuppressorConfig", "group_spectra_by_time"]
+
+_Key = TypeVar("_Key", bound=Hashable)
 
 
 def group_spectra_by_time(spectra: Sequence[AoASpectrum],
@@ -167,6 +176,8 @@ class MultipathSuppressor:
                  primary_index: int = 0) -> AoASpectrum:
         """Run the Figure 8 algorithm on one group of spectra.
 
+        A batch of one through :meth:`suppress_many`.
+
         Parameters
         ----------
         group:
@@ -184,52 +195,217 @@ class MultipathSuppressor:
                 f"{len(group)} spectra")
         primary = group[primary_index]
         companions = [s for i, s in enumerate(group) if i != primary_index]
-        if not companions:
-            return primary
-        primary_peaks = find_peaks(primary, self.min_relative_height)
-        companion_peaks = [find_peaks(s, self.min_relative_height) for s in companions]
-        stable_peaks = [peak for peak in primary_peaks
-                        if self._is_stable(peak, companion_peaks)]
-        unstable_peaks = [peak for peak in primary_peaks if peak not in stable_peaks]
-        # Grid points belonging to a stable (matched) peak's lobe are
-        # protected: an adjacent unstable lobe must never erase the bearing
-        # of a peak the algorithm decided to keep (typically the direct path).
-        protected = np.zeros(primary.power.shape[0], dtype=bool)
-        for peak in stable_peaks:
-            protected |= peak_regions(primary, peak)
-        power = primary.power.copy()
-        for peak in unstable_peaks:
-            lobe = peak_regions(primary, peak) & ~protected
-            power[lobe] *= self.residual_fraction
-        return primary.copy_with_power(power)
+        return self.suppress_many([[primary, *companions]])[0]
 
-    def _is_stable(self, peak: SpectrumPeak,
-                   companion_peaks: Sequence[Sequence[SpectrumPeak]]) -> bool:
-        """A peak is stable when every companion spectrum has a matching peak."""
-        return all(
-            match_peak(peak, peaks, self.tolerance_deg) is not None
-            for peaks in companion_peaks
-        )
+    def suppress_many(self, groups: Sequence[Sequence[AoASpectrum]]
+                      ) -> list[AoASpectrum]:
+        """Run the Figure 8 algorithm on every group in one stacked pass.
+
+        Each group's first spectrum is its primary; one output per group,
+        in order.  A singleton group's primary is returned unchanged.  The
+        pass:
+
+        1. stacks every spectrum of every group into one ``(k, n)`` power
+           array per grid length (each row keeps its own angles);
+        2. finds the peaks of every stack with :func:`find_peaks_many`;
+        3. marks a primary peak stable when every companion of its group
+           has a peak within ``tolerance_deg``, over a padded ``(spectra,
+           peaks)`` angle table and the wrap formula of
+           :func:`~repro.geometry.vector.angle_difference_deg`;
+        4. scales each unstable lobe of a primary outside its stable lobes
+           by ``residual_fraction``, once per covering lobe, as the
+           one-lobe-at-a-time multiplications do.
+        """
+        if any(len(group) == 0 for group in groups):
+            raise EstimationError("cannot suppress an empty spectrum group")
+        result = [group[0] for group in groups]
+        active = [number for number, group in enumerate(groups)
+                  if len(group) > 1]
+        if not active:
+            return result
+        spectra = [spectrum for number in active for spectrum in groups[number]]
+        sizes = np.array([len(groups[number]) for number in active])
+        first = np.cumsum(sizes) - sizes
+        group_of = np.repeat(np.arange(len(active)), sizes)
+        # Steps 1 and 2: one stack and one peak search per grid length.
+        stacks: list[tuple[np.ndarray, np.ndarray]] = []
+        columns: list[tuple[np.ndarray, ...]] = []
+        for members in _by_length(spectra):
+            power = np.array([spectra[member].power for member in members])
+            angles = np.array([spectra[member].angles_deg
+                               for member in members])
+            found = find_peaks_many(power, self.min_relative_height)
+            stacks.append((power, members))
+            columns.append((members[found.rows], found.index, found.power,
+                            angles[found.rows, found.index]))
+        owner, index, peak_power, angle = (
+            np.concatenate(column) for column in zip(*columns, strict=True))
+        # Step 3: match the primaries' peaks.
+        primary = np.flatnonzero(owner == first[group_of[owner]])
+        stable = self._stable(primary, owner, _normalized(angle), first,
+                              sizes, group_of, len(spectra))
+        # Step 4: the lobes of every primary peak of a group that has an
+        # unstable one; the stable lobes protect, the others scale.
+        lobed = np.zeros(len(active), dtype=bool)
+        lobed[group_of[owner[primary[~stable]]]] = True
+        for power, members in stacks:
+            row = np.full(len(spectra), -1)
+            row[members] = np.arange(members.shape[0])
+            heads = np.flatnonzero(row[first] >= 0)
+            take = (row[owner[primary]] >= 0) \
+                & lobed[group_of[owner[primary]]]
+            peaks = primary[take]
+            left, right = lobe_extents(power, row[owner[peaks]], index[peaks],
+                                       peak_power[peaks])
+            protecting, scaling = _coverage(
+                power.shape[1], heads.shape[0],
+                np.searchsorted(heads, group_of[owner[peaks]]), stable[take],
+                index[peaks] - left, left + right + 1)
+            suppressed = power[row[first[heads]]]
+            for times in range(1, int(scaling.max(initial=0)) + 1):
+                suppressed = np.where((scaling >= times) & (protecting == 0),
+                                      suppressed * self.residual_fraction,
+                                      suppressed)
+            for head, power_row in zip(heads.tolist(), suppressed,
+                                       strict=True):
+                number = active[head]
+                result[number] = _with_power(groups[number][0], power_row)
+        return result
+
+    def _stable(self, primary: np.ndarray, owner: np.ndarray,
+                angle: np.ndarray, first: np.ndarray, sizes: np.ndarray,
+                group_of: np.ndarray, num_spectra: int) -> np.ndarray:
+        """Whether each primary peak has a match on every companion.
+
+        ``primary`` indexes the primary peaks among all peaks (``owner``:
+        each peak's spectrum; ``angle``: its normalized angle).  The peaks
+        sit in a ``(spectra, peaks)`` angle table padded with NaN, which is
+        within no tolerance of any angle.
+        """
+        order = np.argsort(owner, kind="stable")
+        spectrum = owner[order]
+        table = np.full((num_spectra, int(np.bincount(owner).max(initial=0))),
+                        np.nan)
+        table[spectrum, np.arange(order.shape[0])
+              - np.searchsorted(spectrum, spectrum)] = angle[order]
+        group = group_of[owner[primary]]
+        slots = np.arange(1, int(sizes.max()))
+        present = slots < sizes[group, np.newaxis]
+        companions = np.where(present, first[group, np.newaxis] + slots, 0)
+        difference = np.abs(angle[primary, np.newaxis, np.newaxis]
+                            - table[companions]) % 360.0
+        distance = np.minimum(difference, 360.0 - difference)
+        matched = (distance <= self.tolerance_deg).any(axis=2)
+        return (matched | ~present).all(axis=1)
 
     # ------------------------------------------------------------------
     # Batch interface
     # ------------------------------------------------------------------
+    def group(self, spectra: Sequence[AoASpectrum],
+              window_s: float | None = None,
+              timestamps: Sequence[float] | None = None
+              ) -> list[list[AoASpectrum]]:
+        """Group ``spectra`` by time with this suppressor's window rules.
+
+        ``window_s`` overrides the configured window for this call;
+        ``timestamps`` overrides the spectra's own capture times (see
+        :func:`group_spectra_by_time`).
+        """
+        window = self.window_s if window_s is None else window_s
+        return group_spectra_by_time(spectra, window, self.max_group_size,
+                                     self.max_span_s, timestamps)
+
+    @overload
     def process(self, spectra: Sequence[AoASpectrum],
                 window_s: float | None = None,
                 timestamps: Sequence[float] | None = None
-                ) -> list[AoASpectrum]:
+                ) -> list[AoASpectrum]: ...
+
+    @overload
+    def process(self, spectra: Mapping[_Key, Sequence[AoASpectrum]],
+                window_s: float | None = None,
+                timestamps: Mapping[_Key, Sequence[float]] | None = None
+                ) -> dict[_Key, list[AoASpectrum]]: ...
+
+    def process(self, spectra: Sequence[AoASpectrum]
+                | Mapping[_Key, Sequence[AoASpectrum]],
+                window_s: float | None = None,
+                timestamps: Sequence[float]
+                | Mapping[_Key, Sequence[float]] | None = None
+                ) -> list[AoASpectrum] | dict[_Key, list[AoASpectrum]]:
         """Group ``spectra`` by time and suppress each group.
 
-        Returns one output spectrum per group (the processed primary), which
-        is what the synthesis step consumes.  ``window_s`` overrides the
-        configured window for this call; ``timestamps`` overrides the
-        spectra's own capture times (see :func:`group_spectra_by_time`).
+        ``spectra`` is one stream of frames, or a mapping of streams (one
+        per client and AP, say) with ``timestamps`` keyed alike; frames
+        are grouped within their own stream only.  Every group then goes
+        through one :meth:`suppress_many` pass.  Returns one output
+        spectrum per group (the processed primary), which is what the
+        synthesis step consumes: a list for one stream, a dict of lists
+        keyed like ``spectra`` for many.
         """
-        window = self.window_s if window_s is None else window_s
-        groups = group_spectra_by_time(spectra, window, self.max_group_size,
-                                       self.max_span_s, timestamps)
-        return [self.suppress(group) for group in groups]
+        if not isinstance(spectra, Mapping):
+            if isinstance(timestamps, Mapping):
+                raise EstimationError(
+                    "one stream takes its timestamps as a sequence")
+            return self.suppress_many(self.group(spectra, window_s,
+                                                 timestamps))
+        if timestamps is not None and not isinstance(timestamps, Mapping):
+            raise EstimationError(
+                "a mapping of streams takes its timestamps as a mapping "
+                "keyed alike")
+        groups = {key: self.group(frames, window_s,
+                                  None if timestamps is None
+                                  else timestamps[key])
+                  for key, frames in spectra.items()}
+        outputs = iter(self.suppress_many(
+            [group for stream in groups.values() for group in stream]))
+        return {key: list(islice(outputs, len(stream)))
+                for key, stream in groups.items()}
 
+
+def _by_length(spectra: Sequence[AoASpectrum]) -> list[np.ndarray]:
+    """Positions of ``spectra``, one ascending array per grid length."""
+    members: dict[int, list[int]] = {}
+    for position, spectrum in enumerate(spectra):
+        members.setdefault(spectrum.power.shape[0], []).append(position)
+    return [np.array(positions) for positions in members.values()]
+
+
+def _coverage(n: int, num_rows: int, row: np.ndarray, stable: np.ndarray,
+              start: np.ndarray, length: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Count the stable and the unstable lobes over each row's grid.
+
+    Lobe ``j`` on row ``row[j]`` covers ``length[j]`` points from
+    ``start[j]`` round the circle.  Returns two ``(num_rows, n)`` counts.
+    """
+    length = np.minimum(length, n)
+    lobe = np.repeat(np.arange(length.shape[0]), length)
+    step = np.arange(lobe.shape[0]) - np.repeat(np.cumsum(length) - length,
+                                                length)
+    point = row[lobe] * n + (start[lobe] + step) % n
+    kept = stable[lobe]
+    size = num_rows * n
+    return (np.bincount(point[kept], minlength=size).reshape(num_rows, n),
+            np.bincount(point[~kept], minlength=size).reshape(num_rows, n))
+
+
+def _with_power(spectrum: AoASpectrum, power: np.ndarray) -> AoASpectrum:
+    """``spectrum`` carrying ``power``, a scaled copy of its own power row.
+
+    The row keeps the validated grid length and, scaled by factors in
+    ``[0, 1)``, stays non-negative, so the spectrum is not validated again
+    as :meth:`~repro.core.spectrum.AoASpectrum.copy_with_power` would.
+    """
+    suppressed = copy.copy(spectrum)
+    suppressed.power = power
+    return suppressed
+
+
+def _normalized(angles_deg: np.ndarray) -> np.ndarray:
+    """:func:`~repro.geometry.vector.normalize_angle_deg` of every angle."""
+    normalized = angles_deg % 360.0
+    return np.where(normalized >= 360.0, 0.0, normalized)
 
 #: The suppression step is configured by the same dataclass that implements
 #: it: :class:`MultipathSuppressor` carries only plain parameters, so the

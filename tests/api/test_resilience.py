@@ -432,6 +432,52 @@ class TestPoisonFrames:
             service.ingest_many(ap, [entry])
         assert service.health()["ingest"]["poison_rejected"] == 2
 
+    @pytest.mark.parametrize("order", ["power-first", "timestamp-first"])
+    def test_first_poison_frame_in_input_order_is_named(self, order):
+        service = _service()
+        good = _spectrum_towards(AP_POSITIONS[0], Point2D(10.0, 5.0),
+                                 client_id="c0")
+        nan_power = self._nan_spectrum("c1")
+        inf_time = _spectrum_towards(AP_POSITIONS[0], Point2D(10.0, 5.0),
+                                     timestamp_s=float("inf"),
+                                     client_id="c2")
+        poison = [nan_power, inf_time]
+        expected = "'c1'.*non-finite power values"
+        if order == "timestamp-first":
+            poison.reverse()
+            expected = "'c2'.*non-finite timestamp"
+        with pytest.raises(PoisonFrameError, match=expected):
+            service.ingest_many("ap0", [good, *poison, good])
+        # One rejected call counts once, and no session holds a frame.
+        assert service.health()["ingest"]["poison_rejected"] == 1
+        assert _pending(service) == 0
+        assert all(s.pending_frames == 0
+                   for s in service.sessions.values())
+
+    def test_raw_batch_with_one_nan_entry_is_rejected_before_the_frontend(
+            self, monkeypatch):
+        service = _service()
+        ap = service.build_ap("ap0", AP_POSITIONS[0])
+
+        def entry(client_id, samples):
+            return BufferEntry(
+                snapshots=SnapshotMatrix(samples, client_id=client_id),
+                client_id=client_id, timestamp_s=0.0, sequence=0)
+
+        clean = np.ones((8, 10), dtype=complex)
+        dirty = clean.copy()
+        dirty[4, 7] = np.nan
+        batch = [entry("c0", clean), entry("c1", dirty), entry("c2", clean)]
+
+        def frontend(entries):
+            raise AssertionError("the frontend ran on a poisoned batch")
+
+        monkeypatch.setattr(ap, "compute_spectra", frontend)
+        with pytest.raises(PoisonFrameError, match="'c1'.*snapshot samples"):
+            service.ingest_many(ap, batch)
+        assert service.health()["ingest"]["poison_rejected"] == 1
+        assert _pending(service) == 0
+
     @pytest.mark.parametrize("own, override", [
         (float("nan"), None),
         (float("inf"), None),

@@ -274,6 +274,25 @@ class TestMultipathSuppression:
             spectra, timestamps=(0.0, 0.03, 1.0))
         assert len(outputs) == 2
 
+    def test_process_over_many_streams_groups_each_stream_on_its_own(self):
+        # Frames of two streams 10 ms apart never share a group, and one
+        # call over both equals one call per stream.
+        first = [_gaussian([50, 120], [1.0, 0.8]),
+                 _gaussian([51, 150], [1.0, 0.8])]
+        second = [_gaussian([80, 200], [1.0, 0.9]),
+                  _gaussian([80, 260], [1.0, 0.9]),
+                  _gaussian([81, 200], [1.0, 0.9])]
+        times = {"a": (0.0, 0.03), "b": (0.01, 0.04, 1.0)}
+        suppressor = MultipathSuppressor()
+        outputs = suppressor.process({"a": first, "b": second},
+                                     timestamps=times)
+        assert list(outputs) == ["a", "b"]
+        for key, stream in (("a", first), ("b", second)):
+            alone = suppressor.process(stream, timestamps=times[key])
+            assert [spectrum.power.tobytes() for spectrum in outputs[key]] \
+                == [spectrum.power.tobytes() for spectrum in alone]
+        assert len(outputs["a"]) == 1 and len(outputs["b"]) == 2
+
     @pytest.mark.parametrize("kwargs", [
         {"residual_fraction": 1.5},
         {"tolerance_deg": -1.0},
