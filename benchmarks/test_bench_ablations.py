@@ -5,7 +5,7 @@ changed, quantifying how much that component of ArrayTrack's pipeline is
 worth on the simulated testbed.
 """
 
-from repro.api import get_estimator
+from repro.api import ArrayTrackConfig
 from repro.core import SpectrumConfig
 from repro.eval import format_error_statistics, run_localization_sweep
 from repro.testbed import ScenarioConfig
@@ -114,15 +114,16 @@ def test_ablation_symmetry_removal(benchmark):
 def test_ablation_estimator_choice(benchmark):
     """A-ESTIMATOR: MUSIC versus the Bartlett and Capon beamformers.
 
-    Estimators are selected by name through the facade's registry
-    (:func:`repro.api.get_estimator`); ``specialize`` yields exactly the
+    Estimators are selected through the config tree's
+    ``ap.spectrum.method`` leaf, which yields exactly the
     ``SpectrumConfig(method=...)`` this ablation always hardcoded, so the
-    registry path reproduces the historical results verbatim.
+    config path reproduces the historical results verbatim.
     """
     def run():
         results = {}
         for name in ("music", "bartlett", "capon"):
-            spectrum = get_estimator(name).specialize(SpectrumConfig())
+            spectrum = ArrayTrackConfig().updated(
+                {"ap.spectrum.method": name}).ap.spectrum
             assert spectrum == SpectrumConfig(method=name)
             scenario = ScenarioConfig(
                 frames_per_client=3, seed=2013, spectrum=spectrum)

@@ -18,8 +18,8 @@ The documented one-line import is the service facade::
     service = ArrayTrackService(ArrayTrackConfig(bounds=testbed.bounds))
     estimate = service.localize(spectra_by_ap, "client-17")
 
-See ``docs/api.md`` for the facade guide (streaming sessions, the
-estimator registry, the config schema) and ``examples/quickstart.py`` for
+See ``docs/api.md`` for the facade guide (streaming sessions, choosing
+the spectrum estimator, the config schema) and ``examples/quickstart.py`` for
 the flow spelled out step by step.
 """
 
@@ -49,17 +49,12 @@ if TYPE_CHECKING:  # pragma: no cover - import-time types for tooling only
     from repro.api import (  # noqa: F401
         ArrayTrackConfig,
         ArrayTrackService,
-        EstimatorSpec,
         ParallelConfig,
         ResilienceConfig,
         Session,
         SessionConfig,
         SuppressorConfig,
         TrackerConfig,
-        available_estimators,
-        create_baseline,
-        get_estimator,
-        register_estimator,
     )
 
 __version__ = "1.1.0"
@@ -70,34 +65,24 @@ __version__ = "1.1.0"
 _LAZY_EXPORTS = {
     "ArrayTrackConfig": "repro.api",
     "ArrayTrackService": "repro.api",
-    "EstimatorSpec": "repro.api",
     "ParallelConfig": "repro.api",
     "ResilienceConfig": "repro.api",
     "Session": "repro.api",
     "SessionConfig": "repro.api",
     "SuppressorConfig": "repro.api",
     "TrackerConfig": "repro.api",
-    "available_estimators": "repro.api",
-    "create_baseline": "repro.api",
-    "get_estimator": "repro.api",
-    "register_estimator": "repro.api",
 }
 
 __all__ = [
     # Service facade (the documented public API)
     "ArrayTrackConfig",
     "ArrayTrackService",
-    "EstimatorSpec",
     "ParallelConfig",
     "ResilienceConfig",
     "Session",
     "SessionConfig",
     "SuppressorConfig",
     "TrackerConfig",
-    "available_estimators",
-    "create_baseline",
-    "get_estimator",
-    "register_estimator",
     # Physical constants
     "ANTENNA_SPACING_M",
     "CARRIER_FREQUENCY_HZ",

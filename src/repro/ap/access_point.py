@@ -75,6 +75,8 @@ class APConfig:
             raise ConfigurationError("an AP needs at least two antennas")
         if self.snapshots_per_frame < 1:
             raise ConfigurationError("snapshots_per_frame must be >= 1")
+        if self.buffer_capacity < 1:
+            raise ConfigurationError("buffer_capacity must be >= 1")
 
 
 class ArrayTrackAP:

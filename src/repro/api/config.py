@@ -183,10 +183,13 @@ class ResilienceConfig:
     served by serial execution in the same call, and a circuit breaker
     skips the process backend after repeated failures and
     half-open-probes its way back), and **admission control** (a
-    service-wide pending-frame budget with a shed policy, plus
-    poison-frame rejection at ingest).  Degradation is always on: a batch
-    that serial execution could serve never fails for infrastructure
-    reasons.  Every knob round-trips through dict/JSON/env exactly like
+    service-wide pending-frame budget with a shed policy).  Degradation
+    and poison-frame rejection at ingest are always on: a batch that
+    serial execution could serve never fails for infrastructure reasons,
+    and a frame carrying NaN/inf values or a grid shape that contradicts
+    the client's pending frames at the same AP is refused with
+    :class:`~repro.errors.PoisonFrameError` before it reaches a stacked
+    pass.  Every knob round-trips through dict/JSON/env exactly like
     the rest of :class:`ArrayTrackConfig`.
 
     Attributes
@@ -214,11 +217,6 @@ class ResilienceConfig:
         frame (falling back to the globally oldest when that client has
         none), ``"reject"`` raises
         :class:`~repro.errors.BackpressureError`.
-    reject_poison_frames:
-        Reject frames carrying NaN/inf values or a grid shape that
-        contradicts the client's pending frames at the same AP with
-        :class:`~repro.errors.PoisonFrameError`, before they can poison a
-        stacked frontend or synthesis pass.
     fault_plan:
         Optional JSON fault-injection plan (see
         :mod:`repro.testing.faults`) activated when the service is built;
@@ -230,14 +228,9 @@ class ResilienceConfig:
     breaker_recovery_s: float = 30.0
     max_total_pending_frames: int | None = None
     shed_policy: str = "shed-oldest"
-    reject_poison_frames: bool = True
     fault_plan: str | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.reject_poison_frames, bool):
-            raise ConfigurationError(
-                f"reject_poison_frames must be a boolean, "
-                f"got {self.reject_poison_frames!r}")
         _require_finite("breaker_recovery_s", self.breaker_recovery_s)
         if self.shard_timeout_s is not None:
             _require_finite("shard_timeout_s", self.shard_timeout_s,
@@ -287,6 +280,31 @@ def _section_to_dict(section: Any) -> dict[str, Any]:
     return out
 
 
+def _check_leaf(path: str, name: str, annotation: Any, value: Any) -> None:
+    """Reject a leaf whose value does not fit its field's annotated type.
+
+    Bool leaves take only ``True``/``False`` (``ARRAYTRACK_..._X=False`` is
+    not JSON and would otherwise arrive as the truthy string ``'False'``);
+    float leaves take only a finite non-bool number (or None when the
+    annotation allows it).  The layer dataclasses' own checks run first,
+    so their messages win where they exist.
+    """
+    if annotation == "bool":
+        if isinstance(value, bool):
+            return
+        expected = "a boolean"
+    elif annotation in ("float", "float | None"):
+        if (value is None and annotation != "float") or (
+                isinstance(value, (int, float))
+                and not isinstance(value, bool) and math.isfinite(value)):
+            return
+        expected = "a finite number"
+    else:
+        return
+    raise ConfigurationError(f"invalid value under {path}: {name} must be "
+                             f"{expected}, got {value!r}")
+
+
 def _section_from_dict(cls: type, data: Mapping[str, Any], path: str) -> Any:
     """Build one config dataclass from a mapping, strictly validated."""
     if not isinstance(data, Mapping):
@@ -318,11 +336,12 @@ def _section_from_dict(cls: type, data: Mapping[str, Any], path: str) -> Any:
         else:
             kwargs[key] = value
     try:
-        return cls(**kwargs)
-    except ArrayTrackError as exc:
+        section = cls(**kwargs)
+    except (ArrayTrackError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"invalid value under {path}: {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"invalid value under {path}: {exc}") from exc
+    for spec in fields(cls):
+        _check_leaf(path, spec.name, spec.type, getattr(section, spec.name))
+    return section
 
 
 def _assign_path(data: dict[str, Any], path: str, value: Any) -> None:
@@ -353,13 +372,11 @@ class ArrayTrackConfig:
         floorplan bounding box).  Must be set -- either here or via the
         ``bounds=`` argument of :class:`~repro.api.ArrayTrackService` --
         before a service can be built.
-    estimator:
-        Registry key of the AoA spectrum estimator (``"music"``,
-        ``"bartlett"``, ``"capon"``, or anything added through
-        :func:`repro.api.register_estimator`).
     ap:
         Per-AP configuration (:class:`~repro.ap.access_point.APConfig`),
-        including the per-frame spectrum pipeline section.  APs built via
+        including the per-frame spectrum pipeline section, whose
+        ``method`` picks the AoA estimator (``"music"``, ``"bartlett"``
+        or ``"capon"``).  APs built via
         :meth:`repro.api.ArrayTrackService.build_ap` use it.
     server:
         Central-server configuration
@@ -389,13 +406,12 @@ class ArrayTrackConfig:
         serial path.
     resilience:
         Fault tolerance (:class:`ResilienceConfig`): the pool's per-shard
-        deadline, the circuit-breaker thresholds, the service-wide
-        pending-frame budget with its shed policy, and poison-frame
-        rejection.  See ``docs/robustness.md``.
+        deadline, the circuit-breaker thresholds and the service-wide
+        pending-frame budget with its shed policy.  See
+        ``docs/robustness.md``.
     """
 
     bounds: tuple[float, float, float, float] | None = None
-    estimator: str = "music"
     ap: APConfig = field(default_factory=APConfig)
     server: ServerConfig = field(default_factory=default_server_config)
     session: SessionConfig = field(default_factory=SessionConfig)
@@ -418,10 +434,6 @@ class ArrayTrackConfig:
             if xmax <= xmin or ymax <= ymin:
                 raise ConfigurationError(f"degenerate bounds {bounds!r}")
             self.bounds = bounds
-        if not isinstance(self.estimator, str) or not self.estimator:
-            raise ConfigurationError(
-                f"estimator must be a non-empty registry key, "
-                f"got {self.estimator!r}")
 
     # ------------------------------------------------------------------
     # Serialization
@@ -441,7 +453,6 @@ class ArrayTrackConfig:
         """Return the full tree as plain dicts/lists/scalars (JSON-safe)."""
         return {
             "bounds": list(self.bounds) if self.bounds is not None else None,
-            "estimator": self.estimator,
             "ap": _section_to_dict(self.ap),
             "server": _section_to_dict(self.server),
             "session": _section_to_dict(self.session),
@@ -462,8 +473,8 @@ class ArrayTrackConfig:
         if not isinstance(data, Mapping):
             raise ConfigurationError(
                 f"config must be a mapping, got {type(data).__name__}")
-        valid = {"bounds", "estimator", "ap", "server", "session",
-                 "suppressor", "tracker", "parallel", "resilience"}
+        valid = {"bounds", "ap", "server", "session", "suppressor",
+                 "tracker", "parallel", "resilience"}
         unknown = sorted(set(data) - valid)
         if unknown:
             raise ConfigurationError(
@@ -548,8 +559,8 @@ class ArrayTrackConfig:
         omitted.
 
         Only variables whose first segment names a config section
-        (``bounds``, ``estimator``, ``ap``, ``server``, ``session``,
-        ``suppressor``, ``tracker``, ``parallel``, ``resilience``) are
+        (``bounds``, ``ap``, ``server``, ``session``, ``suppressor``,
+        ``tracker``, ``parallel``, ``resilience``) are
         consumed; other ``ARRAYTRACK_*`` variables (``ARRAYTRACK_HOME``,
         ``ARRAYTRACK_LOG_LEVEL``, ...) are ignored so unrelated deployment
         environment does not crash service startup.  *Within* a recognized

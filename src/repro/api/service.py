@@ -22,7 +22,7 @@ is that service as a single public object, built from one
   (:meth:`ArrayTrackService.track` / :meth:`ArrayTrackService.latest_fix`);
 * **AP fleet wiring** -- :meth:`ArrayTrackService.build_ap` constructs
   :class:`~repro.ap.access_point.ArrayTrackAP`\\ s from the config tree's
-  ``ap`` section (with the registry-resolved estimator applied), so the
+  ``ap`` section (``ap.spectrum.method`` picks the AoA estimator), so the
   whole deployment is configured from one place.
 """
 
@@ -44,7 +44,6 @@ from repro.api._procpool import (PoolStats, ProcessShardPool, SpectraByClient,
 from repro.api._resilience import (CircuitBreaker, ResilienceStats,
                                    backend_ladder)
 from repro.api.config import ArrayTrackConfig, SessionConfig
-from repro.api.registry import EstimatorSpec, get_estimator
 from repro.core.localizer import LocationEstimate
 from repro.core.pipeline import SpectrumConfig
 from repro.core.spectrum import AoASpectrum
@@ -276,12 +275,7 @@ class ArrayTrackService:
             raise ConfigurationError(
                 "ArrayTrackService needs a search area: set "
                 "ArrayTrackConfig.bounds or pass bounds=(xmin, ymin, xmax, ymax)")
-        spec = get_estimator(config.estimator)
-        spectrum = spec.specialize(config.ap.spectrum)
-        if spectrum != config.ap.spectrum:
-            config = replace(config, ap=replace(config.ap, spectrum=spectrum))
         self.config = config
-        self.estimator_spec: EstimatorSpec = spec
         self._server = ArrayTrackServer(config.bounds, config.server,
                                         latency_model)
         self.tracker: ClientTracker = config.tracker.build()
@@ -336,7 +330,7 @@ class ArrayTrackService:
 
     @property
     def spectrum_config(self) -> SpectrumConfig:
-        """The effective per-frame spectrum config (estimator applied)."""
+        """The per-frame spectrum config every built AP runs."""
         return self.config.ap.spectrum
 
     @property
@@ -601,11 +595,10 @@ class ArrayTrackService:
                     f"BufferEntry is from client {entries[0].client_id!r}): "
                     f"pass the ArrayTrackAP object, or register it first via "
                     f"build_ap()/adopt_aps()")
-            if self.config.resilience.reject_poison_frames:
-                # Raw entries are screened BEFORE the stacked frontend
-                # pass: one NaN snapshot matrix would otherwise blow up
-                # the whole batch's eigendecomposition.
-                self._screen_entries(entries, ap_obj.ap_id)
+            # Raw entries are screened BEFORE the stacked frontend pass:
+            # one NaN snapshot matrix would otherwise blow up the whole
+            # batch's eigendecomposition.
+            self._screen_entries(entries, ap_obj.ap_id)
             batch = ap_obj.compute_spectra(entries)
             for index, spectrum in zip(entry_indices, batch, strict=True):
                 spectra[index] = spectrum
@@ -622,7 +615,7 @@ class ArrayTrackService:
                 else resolved.timestamp_s
             resolved_frames.append(
                 (resolved_client, ap_id, resolved, resolved_ts))
-        if self.config.resilience.reject_poison_frames and resolved_frames:
+        if resolved_frames:
             # Validate the whole batch before touching any session, so one
             # poison frame rejects the call atomically -- no session ends
             # up holding half a burst.

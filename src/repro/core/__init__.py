@@ -55,11 +55,7 @@ from repro.core.music import (
 )
 from repro.core.spectrum import AoASpectrum, default_angle_grid
 from repro.core.peaks import SpectrumPeak, find_peaks, match_peak, peak_regions
-from repro.core.weighting import (
-    apply_geometry_weighting,
-    cached_geometry_window,
-    geometry_window,
-)
+from repro.core.weighting import cached_geometry_window, geometry_window
 from repro.core.symmetry import SymmetryResolver
 from repro.core.suppression import (
     MultipathSuppressor,
@@ -112,7 +108,6 @@ __all__ = [
     "find_peaks",
     "match_peak",
     "peak_regions",
-    "apply_geometry_weighting",
     "cached_geometry_window",
     "geometry_window",
     "SymmetryResolver",

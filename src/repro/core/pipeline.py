@@ -245,8 +245,7 @@ class SpectrumComputer:
                                                   full_power, full_angles)
         # Vectorized Section 2.3.4 suppression: scale each frame's weaker
         # half plane in place on the power stack, then build the output
-        # objects once (the same elementwise multiply as
-        # AoASpectrum.suppress_half_plane applies to one spectrum).
+        # objects once.
         suppress_lower = upper >= lower
         mask_lower = full_angles >= 180.0
         rows_lower = np.nonzero(suppress_lower)[0]

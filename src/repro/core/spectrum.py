@@ -14,8 +14,8 @@ location expressed in building coordinates (Section 2.5).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-from typing import Any
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -40,10 +40,11 @@ def default_angle_grid(resolution_deg: float = DEFAULT_ANGLE_RESOLUTION_DEG,
         True for ``[0, 360)``; False for ``[0, 180]`` (a linear array's
         unambiguous range).
     """
-    if resolution_deg <= 0:
+    if not resolution_deg > 0:
         raise EstimationError(
             f"angle resolution must be positive, got {resolution_deg!r}")
-    if abs((180.0 / resolution_deg) - round(180.0 / resolution_deg)) > 1e-9:
+    steps = 180.0 / resolution_deg
+    if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9:
         raise EstimationError(
             f"angle resolution must divide 180 evenly, got {resolution_deg!r}")
     # Build both grids on their exact point count.  The previous
@@ -185,76 +186,3 @@ class AoASpectrum:
         if factor < 0:
             raise EstimationError("scale factor must be non-negative")
         return replace(self, power=self.power * factor)
-
-    def apply_window(self, window: np.ndarray) -> "AoASpectrum":
-        """Return a copy multiplied pointwise by ``window`` (same grid)."""
-        window = as_float_array(window)
-        if window.shape != self.power.shape:
-            raise EstimationError(
-                f"window shape {window.shape} does not match spectrum "
-                f"shape {self.power.shape}")
-        if np.any(window < 0):
-            raise EstimationError("window values must be non-negative")
-        return replace(self, power=self.power * window)
-
-    def half_plane_power(self) -> tuple[float, float]:
-        """Return total power in the upper (0-180) and lower (180-360) halves."""
-        upper_mask = self.angles_deg < 180.0
-        upper = float(np.sum(self.power[upper_mask]))
-        lower = float(np.sum(self.power[~upper_mask]))
-        return upper, lower
-
-    def suppress_half_plane(self, suppress_lower: bool,
-                            attenuation: float = 0.0) -> "AoASpectrum":
-        """Return a copy with one half plane scaled by ``attenuation``.
-
-        Used by array-symmetry removal (Section 2.3.4): the half with less
-        total power, as judged by the ninth antenna, is removed.
-        """
-        if not 0.0 <= attenuation <= 1.0:
-            raise EstimationError("attenuation must be in [0, 1]")
-        mask_lower = self.angles_deg >= 180.0
-        power = self.power.copy()
-        if suppress_lower:
-            power[mask_lower] *= attenuation
-        else:
-            power[~mask_lower] *= attenuation
-        return replace(self, power=power)
-
-    # ------------------------------------------------------------------
-    # Constructors
-    # ------------------------------------------------------------------
-    @staticmethod
-    def from_half_spectrum(angles_deg: np.ndarray, power: np.ndarray,
-                           **metadata: Any) -> "AoASpectrum":
-        """Mirror a ``[0, 180]`` linear-array spectrum onto the full circle.
-
-        A linear array cannot tell which side of the array a signal arrives
-        from (Section 2.3.4), so its spectrum on ``[0, 180]`` is mirrored to
-        ``(180, 360)``: ``P(360 - theta) = P(theta)``.
-        """
-        angles_deg = as_float_array(angles_deg)
-        power = as_float_array(power)
-        if angles_deg.ndim != 1 or angles_deg.shape != power.shape:
-            raise EstimationError("angles and power must be 1-D arrays of equal length")
-        if angles_deg.shape[0] < 3:
-            raise EstimationError("a half spectrum needs at least three grid points")
-        if angles_deg[0] != 0.0 or abs(angles_deg[-1] - 180.0) > 1e-9:
-            raise EstimationError("half spectrum must cover exactly [0, 180] degrees")
-        # Build the full circle on its exact point count.  The previous
-        # ``np.arange(0.0, 360.0, resolution)`` construction had the same
-        # float-accumulation seam bug ``default_angle_grid`` was cured of:
-        # for resolutions like 0.3 the accumulated grid points drift off the
-        # exact angles (the 180-degree mirror seam lands on 180.00000000000003)
-        # and the point count depends on rounding luck.  ``np.linspace`` on
-        # the count derived from the input grid pins both, and yields the
-        # identical grid object ``default_angle_grid(resolution)`` builds.
-        half_points = angles_deg.shape[0]
-        full_angles = np.linspace(0.0, 360.0, 2 * (half_points - 1),
-                                  endpoint=False)
-        full_power = np.zeros_like(full_angles)
-        full_power[:half_points] = power
-        # Mirror: P(360 - theta) = P(theta), endpoints excluded.
-        mirrored = power[1:-1][::-1]
-        full_power[half_points:] = mirrored
-        return AoASpectrum(full_angles, full_power, **metadata)

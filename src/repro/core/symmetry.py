@@ -14,28 +14,24 @@ power comparison -- the non-collinear geometry breaks the mirror symmetry, so
 integrating its response over each half plane reveals the true side.
 
 The side-power test has one body, :meth:`SymmetryResolver.side_powers_stack`
-over an ``(F, M, N)`` snapshot stack; the single-frame
-:meth:`~SymmetryResolver.side_powers` and :meth:`~SymmetryResolver.resolve`
-are batches of one.
+over an ``(F, M, N)`` snapshot stack; the batched frontend
+(:meth:`~repro.core.pipeline.SpectrumComputer.compute_many_with_symmetry_stacked`)
+calls it with its mirrored power stack and scales each frame's weaker half
+plane in place.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Sequence
 
 import numpy as np
 
 from repro.dtypes import as_complex_array, as_float_array
 from repro.errors import EstimationError
 from repro.array.geometry import ArrayGeometry
-from repro.core.covariance import _one_frame, sample_covariance_many
+from repro.core.covariance import sample_covariance_many
 from repro.core.music import bartlett_spectrum_many
-from repro.core.spectrum import (
-    AoASpectrum,
-    circular_interpolation_table,
-    default_angle_grid,
-)
+from repro.core.spectrum import circular_interpolation_table, default_angle_grid
 
 __all__ = ["SymmetryResolver"]
 
@@ -65,58 +61,16 @@ class SymmetryResolver:
                 "symmetry resolution requires a non-collinear geometry; add an "
                 "off-row antenna (Section 2.3.4)")
 
-    def side_powers(self, snapshots: np.ndarray,
-                    spectrum: AoASpectrum | None = None) -> tuple[float, float]:
-        """Return one ``(M, N)`` frame's upper/lower half-plane Bartlett powers.
-
-        A batch of one through :meth:`side_powers_many`.
-        """
-        upper, lower = self.side_powers_many(
-            _one_frame(snapshots), None if spectrum is None else [spectrum])
-        return float(upper[0]), float(lower[0])
-
-    def side_powers_many(self, snapshots: np.ndarray,
-                         spectra: Sequence[AoASpectrum] | None = None
-                         ) -> tuple[np.ndarray, np.ndarray]:
-        """Return per-frame upper/lower half-plane Bartlett powers of a stack.
-
-        One stacked covariance pass and one stacked Bartlett evaluation
-        cover all ``F`` frames, and the optional spectrum weighting reuses
-        a single circular-interpolation table (all spectra of one batch
-        share the same angle grid).
-
-        Parameters
-        ----------
-        snapshots:
-            ``(F, M, N)`` snapshot stack captured on the resolver's
-            geometry (phase offsets already calibrated out).
-        spectra:
-            Optional mirrored MUSIC spectra of the same frames (one per
-            frame, sharing one angle grid).
-        """
-        spectra = list(spectra) if spectra is not None else None
-        if not spectra:
-            return self.side_powers_stack(snapshots, None, None)
-        snapshots = as_complex_array(snapshots)
-        if snapshots.ndim == 3 and len(spectra) != snapshots.shape[0]:
-            raise EstimationError(
-                f"got {len(spectra)} spectra for {snapshots.shape[0]} frames")
-        if any(not np.array_equal(spectrum.angles_deg, spectra[0].angles_deg)
-               for spectrum in spectra[1:]):
-            raise EstimationError(
-                "all spectra of one batch must share one angle grid")
-        spectrum_power = np.stack([spectrum.power for spectrum in spectra])
-        return self.side_powers_stack(snapshots, spectrum_power,
-                                      spectra[0].angles_deg)
-
     def side_powers_stack(self, snapshots: np.ndarray,
                           spectrum_power: np.ndarray | None,
                           spectrum_angles: np.ndarray | None
                           ) -> tuple[np.ndarray, np.ndarray]:
-        """Raw-array core of :meth:`side_powers_many`.
+        """Return per-frame upper/lower half-plane Bartlett powers of a stack.
 
-        The batched frontend calls this directly with its mirrored power
-        stack so no intermediate :class:`AoASpectrum` objects are built.
+        One stacked covariance pass and one stacked Bartlett evaluation
+        cover all ``F`` frames, and the optional spectrum weighting reuses
+        a single circular-interpolation table (all frames share one
+        spectrum angle grid).
 
         Parameters
         ----------
@@ -166,43 +120,3 @@ class SymmetryResolver:
         upper_power = np.sum(power[:, upper_mask], axis=1)
         lower_power = np.sum(power[:, ~upper_mask], axis=1)
         return upper_power, lower_power
-
-    def resolve(self, spectrum: AoASpectrum, snapshots: np.ndarray,
-                attenuation: float = 0.0) -> AoASpectrum:
-        """Return ``spectrum`` with the weaker half plane suppressed.
-
-        A batch of one through :meth:`resolve_many`, for one ``(M, N)``
-        snapshot matrix.
-        """
-        return self.resolve_many([spectrum], _one_frame(snapshots),
-                                 attenuation)[0]
-
-    def resolve_many(self, spectra: Sequence[AoASpectrum],
-                     snapshots: np.ndarray,
-                     attenuation: float = 0.0) -> list[AoASpectrum]:
-        """Suppress each frame's weaker half plane.
-
-        Parameters
-        ----------
-        spectra:
-            The mirrored 360-degree spectra produced by the linear array,
-            one per frame, sharing one angle grid.
-        snapshots:
-            ``(F, M, N)`` nine-antenna snapshot stack for the same frames.
-        attenuation:
-            Residual scale applied to each suppressed half (0 removes it
-            entirely, matching the paper).
-
-        Returns
-        -------
-        list of AoASpectrum
-            One resolved spectrum per frame.
-        """
-        spectra = list(spectra)
-        if not spectra:
-            return []
-        upper, lower = self.side_powers_many(snapshots, spectra)
-        suppress_lower = upper >= lower
-        return [spectrum.suppress_half_plane(bool(suppress), attenuation)
-                for spectrum, suppress in zip(spectra, suppress_lower, strict=True)]
-

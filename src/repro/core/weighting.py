@@ -21,9 +21,8 @@ import numpy as np
 from repro.dtypes import as_float_array
 from repro.errors import EstimationError
 from repro.core.cache import default_window_cache
-from repro.core.spectrum import AoASpectrum
 
-__all__ = ["geometry_window", "cached_geometry_window", "apply_geometry_weighting"]
+__all__ = ["geometry_window", "cached_geometry_window"]
 
 #: Bearing (degrees away from the array axis) beyond which the spectrum is
 #: considered fully reliable; the paper uses 15 degrees.
@@ -69,16 +68,3 @@ def cached_geometry_window(angles_deg: np.ndarray,
     return default_window_cache().get(
         angles_deg, reliable_angle_deg,
         lambda: geometry_window(angles_deg, reliable_angle_deg))
-
-
-def apply_geometry_weighting(spectrum: AoASpectrum,
-                             reliable_angle_deg: float = DEFAULT_RELIABLE_ANGLE_DEG
-                             ) -> AoASpectrum:
-    """Return ``spectrum`` multiplied by the array-geometry window W(theta).
-
-    The window is looked up in the shared cache, so repeated calls over the
-    same grid (every frame of every AP with the default resolution) cost a
-    dictionary lookup plus the elementwise multiply.
-    """
-    window = cached_geometry_window(spectrum.angles_deg, reliable_angle_deg)
-    return spectrum.apply_window(window)

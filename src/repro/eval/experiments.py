@@ -22,11 +22,12 @@ import numpy as np
 
 from repro.ap.collision import CollisionResolver, merge_channels
 from repro.ap.latency import LatencyModel
-from repro.api import ArrayTrackConfig, ArrayTrackService, create_baseline
+from repro.api import ArrayTrackConfig, ArrayTrackService
 from repro.baselines import (
     FingerprintLocalizer,
     ModelBasedRssLocalizer,
     RssFingerprint,
+    WeightedCentroidLocalizer,
 )
 from repro.channel import movement_track, perturb_position, random_waypoint_track
 from repro.core import (
@@ -809,9 +810,7 @@ def baseline_comparison(num_clients: int | None = 15,
     fingerprint_localizer = FingerprintLocalizer(k=3)
     fingerprint_localizer.train(fingerprints)
     model_localizer = ModelBasedRssLocalizer(ap_positions, transmit_power_dbm)
-    # The weighted-centroid baseline is looked up by name in the estimator
-    # registry, the same way benchmark sweeps select it.
-    centroid_localizer = create_baseline("rssi", ap_positions)
+    centroid_localizer = WeightedCentroidLocalizer(ap_positions)
 
     clients = testbed.client_ids()
     if num_clients is not None:

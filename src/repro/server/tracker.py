@@ -16,6 +16,7 @@ from there on, or rejected with a clear error, depending on the configured
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, replace
@@ -159,10 +160,17 @@ class ClientTracker:
     def ensure_accepts(self, client_id: str, timestamp_s: float) -> None:
         """Raise if :meth:`update` would refuse a fix at ``timestamp_s``.
 
-        Only the ``"reject"`` out-of-order policy refuses anything.  The
-        check never mutates the tracker, so callers emitting a batch of
-        fixes can validate every client *before* committing any of them.
+        A NaN or infinite timestamp is refused under every policy: it has
+        no chronological position, so it would break the time order of
+        every later fix.  Otherwise only the ``"reject"`` out-of-order
+        policy refuses anything.  The check never mutates the tracker, so
+        callers emitting a batch of fixes can validate every client
+        *before* committing any of them.
         """
+        if not math.isfinite(timestamp_s):
+            raise EstimationError(
+                f"non-finite fix timestamp {timestamp_s!r} for client "
+                f"{client_id!r}")
         if self.on_out_of_order != "reject":
             return
         history = self._tracks.get(client_id)

@@ -2,10 +2,11 @@
 
 import json
 import re
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 
 import pytest
 
+from repro.ap import APConfig
 from repro.api import (ArrayTrackConfig, ResilienceConfig, SessionConfig,
                        TrackerConfig, default_server_config)
 from repro.constants import DEFAULT_SPECTRUM_FLOOR
@@ -22,7 +23,7 @@ class TestRoundTrip:
     def test_dict_round_trip_with_non_default_values(self):
         config = ArrayTrackConfig(
             bounds=(1.0, 2.0, 30.0, 18.0),
-            estimator="capon",
+            ap=APConfig(spectrum=SpectrumConfig(method="capon")),
             server=ServerConfig(
                 localizer=LocalizerConfig(grid_resolution_m=0.5,
                                           spectrum_floor=0.1),
@@ -35,8 +36,9 @@ class TestRoundTrip:
         assert restored.suppressor.tolerance_deg == 7.0
 
     def test_json_round_trip(self):
-        config = ArrayTrackConfig(bounds=(0.0, 0.0, 8.0, 4.0),
-                                  estimator="bartlett")
+        config = ArrayTrackConfig(
+            bounds=(0.0, 0.0, 8.0, 4.0),
+            ap=APConfig(spectrum=SpectrumConfig(method="bartlett")))
         assert ArrayTrackConfig.from_json(config.to_json()) == config
 
     def test_file_round_trip(self, tmp_path):
@@ -75,13 +77,12 @@ CONFIG_LEAVES = [
     "ap.spectrum.method", "ap.spectrum.num_sources",
     "ap.spectrum.smoothing_groups", "ap.spectrum.symmetry_attenuation",
     "ap.use_symmetry_antenna",
-    "bounds", "estimator",
+    "bounds",
     "parallel.backend", "parallel.min_clients_per_worker",
     "parallel.num_workers",
     "resilience.breaker_recovery_s",
     "resilience.breaker_threshold", "resilience.fault_plan",
     "resilience.max_total_pending_frames",
-    "resilience.reject_poison_frames",
     "resilience.shard_timeout_s", "resilience.shed_policy",
     "server.enable_multipath_suppression",
     "server.localizer.grid_resolution_m",
@@ -102,7 +103,121 @@ class TestLeaves:
     def test_config_leaves_are_pinned(self):
         leaves = sorted(_leaves(ArrayTrackConfig().to_dict()))
         assert leaves == CONFIG_LEAVES
-        assert len(leaves) == 45
+        assert len(leaves) == 43
+
+
+def _section_leaves():
+    """``(dotted path, annotation)`` of every leaf inside a section."""
+    def walk(section, prefix):
+        for spec in fields(section):
+            value = getattr(section, spec.name)
+            if is_dataclass(value):
+                yield from walk(value, f"{prefix}{spec.name}.")
+            else:
+                yield prefix + spec.name, spec.type
+    config = ArrayTrackConfig()
+    for spec in fields(config):
+        value = getattr(config, spec.name)
+        if is_dataclass(value):
+            yield from walk(value, f"{spec.name}.")
+
+
+BOOL_LEAVES = sorted(path for path, annotation in _section_leaves()
+                     if annotation == "bool")
+FLOAT_LEAVES = sorted(path for path, annotation in _section_leaves()
+                      if annotation in ("float", "float | None"))
+
+
+def _nested(path, value):
+    data = value
+    for part in reversed(path.split(".")):
+        data = {part: data}
+    return data
+
+
+def _env_name(path):
+    return "ARRAYTRACK_" + path.upper().replace(".", "__")
+
+
+def _names_path(path):
+    section = path.rsplit(".", 1)[0]
+    return rf"invalid value under config\.{re.escape(section)}: "
+
+
+class TestLeafTypes:
+    def test_typed_leaves_cover_every_bool_and_float_default(self):
+        defaults = ArrayTrackConfig().to_dict()
+        by_value = {"bool": [], "float": []}
+        for path in _leaves(defaults):
+            value = defaults
+            for part in path.split("."):
+                value = value[part]
+            if isinstance(value, bool):
+                by_value["bool"].append(path)
+            elif isinstance(value, float) and path != "bounds":
+                by_value["float"].append(path)
+        assert sorted(by_value["bool"]) == BOOL_LEAVES
+        assert set(by_value["float"]) <= set(FLOAT_LEAVES)
+        assert len(BOOL_LEAVES) == 8
+        assert len(FLOAT_LEAVES) == 15
+
+    @pytest.mark.parametrize("path", BOOL_LEAVES)
+    @pytest.mark.parametrize("value", ["False", "true", 0, 1, None])
+    def test_bool_leaf_takes_only_a_bool_from_a_dict(self, path, value):
+        with pytest.raises(ConfigurationError, match=_names_path(path)):
+            ArrayTrackConfig.from_dict(_nested(path, value))
+
+    @pytest.mark.parametrize("path", BOOL_LEAVES)
+    @pytest.mark.parametrize("raw", ["False", "True", "0", "1", "null"])
+    def test_bool_leaf_takes_only_a_bool_from_the_environment(self, path,
+                                                              raw):
+        # ``False`` is not JSON, so it used to arrive as the truthy string.
+        with pytest.raises(ConfigurationError, match=_names_path(path)):
+            ArrayTrackConfig().with_env_overrides({_env_name(path): raw})
+
+    @pytest.mark.parametrize("path", BOOL_LEAVES)
+    def test_bool_leaf_accepts_json_booleans(self, path):
+        config = ArrayTrackConfig().with_env_overrides(
+            {_env_name(path): "false"})
+        value = config.to_dict()
+        for part in path.split("."):
+            value = value[part]
+        assert value is False
+
+    @pytest.mark.parametrize("path", FLOAT_LEAVES)
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf"), True, "0.5"])
+    def test_float_leaf_takes_only_a_finite_number_from_a_dict(self, path,
+                                                              value):
+        with pytest.raises(ConfigurationError, match=_names_path(path)):
+            ArrayTrackConfig.from_dict(_nested(path, value))
+
+    @pytest.mark.parametrize("path", FLOAT_LEAVES)
+    @pytest.mark.parametrize("raw", ["NaN", "Infinity", "-Infinity", "true",
+                                     "fast"])
+    def test_float_leaf_takes_only_a_finite_number_from_the_environment(
+            self, path, raw):
+        with pytest.raises(ConfigurationError, match=_names_path(path)):
+            ArrayTrackConfig().with_env_overrides({_env_name(path): raw})
+
+    def test_generic_check_names_the_leaf(self):
+        with pytest.raises(ConfigurationError,
+                           match=r"config\.server\.localizer: "
+                                 r"refine_with_hill_climbing must be a "
+                                 r"boolean, got 'False'"):
+            ArrayTrackConfig().with_env_overrides(
+                {"ARRAYTRACK_SERVER__LOCALIZER__REFINE_WITH_HILL_CLIMBING":
+                 "False"})
+        with pytest.raises(ConfigurationError,
+                           match=r"config\.ap: snr_db must be a finite "
+                                 r"number, got nan"):
+            ArrayTrackConfig.from_dict({"ap": {"snr_db": float("nan")}})
+
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_buffer_capacity_below_one_fails_at_load(self, value):
+        with pytest.raises(ConfigurationError,
+                           match=r"config\.ap: buffer_capacity must be >= 1"):
+            ArrayTrackConfig.from_dict({"ap": {"buffer_capacity": value}})
 
 
 class TestDefaults:
@@ -172,6 +287,8 @@ class TestRejection:
         ("resilience", "backoff_max_s", 2.0),
         ("resilience", "backoff_jitter", 0.25),
         ("resilience", "retry_seed", 0),
+        # Poison screening at ingest is always on.
+        ("resilience", "reject_poison_frames", False),
     ])
     def test_removed_switches_are_unknown_keys(self, section, key, value):
         data = {key: value}
@@ -214,6 +331,12 @@ class TestRejection:
          r"config\.server\.localizer: grid_resolution_m must be positive"),
         ({"ap": {"spectrum": {"angle_resolution_deg": 0.0}}},
          r"config\.ap\.spectrum: angle resolution must be positive"),
+        # NaN raised a bare ValueError from round(); 1e-320 overflowed
+        # 180 / resolution and escaped the loader as an OverflowError.
+        ({"ap": {"spectrum": {"angle_resolution_deg": float("nan")}}},
+         r"config\.ap\.spectrum: angle resolution must be positive"),
+        ({"ap": {"spectrum": {"angle_resolution_deg": 1e-320}}},
+         r"config\.ap\.spectrum: angle resolution must divide 180"),
         ({"ap": {"spectrum": {"symmetry_attenuation": 2.0}}},
          r"config\.ap\.spectrum: symmetry_attenuation must be in \[0, 1\]"),
     ])
@@ -281,9 +404,22 @@ class TestRejection:
         with pytest.raises(ConfigurationError, match="bounds"):
             ArrayTrackConfig(bounds=(0.0, 0.0, 1.0))
 
-    def test_empty_estimator_name(self):
-        with pytest.raises(ConfigurationError, match="estimator"):
-            ArrayTrackConfig(estimator="")
+    @pytest.mark.parametrize("value", ["music", "bartlett", ""])
+    def test_estimator_key_is_unknown(self, value):
+        # ``ap.spectrum.method`` is the one estimator switch.
+        with pytest.raises(ConfigurationError,
+                           match=r"unknown key\(s\) \['estimator'\] "
+                                 r"under config"):
+            ArrayTrackConfig.from_dict({"estimator": value})
+        with pytest.raises(ConfigurationError, match="'estimator'"):
+            ArrayTrackConfig.from_json(json.dumps({"estimator": value}))
+        with pytest.raises(ConfigurationError,
+                           match="unknown configuration path 'estimator'"):
+            ArrayTrackConfig().updated({"estimator": value})
+        # Not a section name: ignored like ARRAYTRACK_HOME.
+        config = ArrayTrackConfig()
+        assert config.with_env_overrides(
+            {"ARRAYTRACK_ESTIMATOR": value}) is config
 
     def test_non_mapping_config(self):
         with pytest.raises(ConfigurationError):
@@ -314,12 +450,12 @@ class TestOverrides:
     def test_env_overrides(self):
         config = ArrayTrackConfig(bounds=(0.0, 0.0, 5.0, 5.0))
         updated = config.with_env_overrides({
-            "ARRAYTRACK_ESTIMATOR": "bartlett",
+            "ARRAYTRACK_AP__SPECTRUM__METHOD": "bartlett",
             "ARRAYTRACK_SERVER__LOCALIZER__SPECTRUM_FLOOR": "0.1",
             "ARRAYTRACK_SESSION__MAX_AGE_S": "0.5",
             "UNRELATED_VARIABLE": "ignored",
         })
-        assert updated.estimator == "bartlett"
+        assert updated.ap.spectrum.method == "bartlett"
         assert updated.server.localizer.spectrum_floor == 0.1
         assert updated.session.max_age_s == 0.5
 
@@ -334,9 +470,10 @@ class TestOverrides:
         updated = config.with_env_overrides({
             "ARRAYTRACK_HOME": "/opt/arraytrack",
             "ARRAYTRACK_LOG_LEVEL": "debug",
-            "ARRAYTRACK_ESTIMATOR": "capon",
+            "ARRAYTRACK_ESTIMATOR": "bartlett",
+            "ARRAYTRACK_AP__SPECTRUM__METHOD": "capon",
         })
-        assert updated.estimator == "capon"
+        assert updated.ap.spectrum.method == "capon"
 
     def test_env_override_typo_inside_section_still_rejected(self):
         config = ArrayTrackConfig()
@@ -410,7 +547,6 @@ class TestResilienceSection:
         assert config.resilience == ResilienceConfig()
         assert config.resilience.max_total_pending_frames is None
         assert config.resilience.shed_policy == "shed-oldest"
-        assert config.resilience.reject_poison_frames is True
 
     def test_round_trips_with_non_default_values(self):
         config = ArrayTrackConfig(
@@ -437,7 +573,6 @@ class TestResilienceSection:
         {"breaker_recovery_s": float("inf")},
         {"max_total_pending_frames": 0},
         {"shed_policy": "drop-newest"},
-        {"reject_poison_frames": "yes"},
         {"fault_plan": 42},
     ])
     def test_invalid_parameters_rejected(self, kwargs):

@@ -39,8 +39,9 @@ class TestConfigPickling:
         assert restored.to_json() == config.to_json()
 
     def test_every_section_survives_with_non_default_values(self):
-        config = ArrayTrackConfig(bounds=BOUNDS, estimator="bartlett").updated({
+        config = ArrayTrackConfig(bounds=BOUNDS).updated({
             "ap.num_antennas": 4,
+            "ap.spectrum.method": "bartlett",
             "ap.spectrum.angle_resolution_deg": 2.0,
             "server.localizer.grid_resolution_m": 0.2,
             "server.enable_multipath_suppression": False,
@@ -58,7 +59,7 @@ class TestConfigPickling:
         assert restored.parallel.num_workers == 3
         assert restored.session.suppress_multipath is True
         assert restored.server.localizer.grid_resolution_m == 0.2
-        assert restored.estimator == "bartlett"
+        assert restored.ap.spectrum.method == "bartlett"
         assert restored.bounds == BOUNDS
 
     def test_pickle_payload_is_the_plain_dict_tree(self):

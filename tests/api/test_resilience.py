@@ -506,11 +506,6 @@ class TestPoisonFrames:
         assert service.tick() == {}
         assert [point.timestamp_s for point in service.track("c0")] == [0.0]
 
-    def test_rejection_can_be_disabled(self):
-        service = _service(**{"resilience.reject_poison_frames": False})
-        service.ingest("ap0", self._nan_spectrum())
-        assert _pending(service) == 1
-
     def test_injected_poison_fault_is_caught_by_the_gate(self):
         # The fault plan arrives via the config knob, proving the
         # config-activation path end to end.
@@ -537,7 +532,7 @@ class TestDegenerateRawFrames:
             client_id="c0", timestamp_s=0.0, sequence=0)
 
     def test_all_zero_entry_under_capon_raises_estimation_error(self):
-        service = _service(estimator="capon")
+        service = _service(**{"ap.spectrum.method": "capon"})
         ap = service.build_ap("ap0", AP_POSITIONS[0])
         with pytest.raises(EstimationError, match=r"frames \[0\].*zero trace"):
             service.ingest_many(ap, [self._zero_entry()])
@@ -547,7 +542,7 @@ class TestDegenerateRawFrames:
 
     @pytest.mark.parametrize("estimator", ["music", "bartlett"])
     def test_all_zero_entry_is_admitted_by_other_estimators(self, estimator):
-        service = _service(estimator=estimator)
+        service = _service(**{"ap.spectrum.method": estimator})
         ap = service.build_ap("ap0", AP_POSITIONS[0])
         [session] = service.ingest_many(ap, [self._zero_entry()])
         assert session.pending_frames == 1

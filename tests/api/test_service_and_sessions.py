@@ -453,6 +453,36 @@ class TestClientTrackAccess:
         assert set(fixes) == {"c"}
         assert len(service.track("c")) == 2
 
+    @pytest.mark.parametrize("policy", ["insert", "reject"])
+    @pytest.mark.parametrize("now_s", [float("nan"), float("inf")])
+    def test_non_finite_tick_time_commits_nothing(self, policy, now_s):
+        # A fix stamped NaN used to be committed; a later tick at 0.5
+        # after a fix at 1.0 was then appended after it, leaving the
+        # track at [1.0, nan, 0.5].
+        service = _service(**{"session.emit_every_frames": 1,
+                              "tracker.on_out_of_order": policy})
+
+        def ingest(timestamp_s):
+            for index, client_id in enumerate(("a", "b")):
+                service.ingest(f"ap{index}",
+                               _spectrum_towards(AP_POSITIONS[index], TARGET),
+                               client_id=client_id, timestamp_s=timestamp_s)
+
+        ingest(0.0)
+        assert set(service.tick(now_s=1.0)) == {"a", "b"}
+        ingest(1.5)
+        with pytest.raises(EstimationError, match="non-finite"):
+            service.tick(now_s=now_s)
+        for client_id in ("a", "b"):
+            assert service.session(client_id).pending_frames == 1
+            assert len(service.session(client_id).fixes) == 1
+            assert [point.timestamp_s
+                    for point in service.track(client_id)] == [1.0]
+        assert set(service.tick(now_s=2.0)) == {"a", "b"}
+        for client_id in ("a", "b"):
+            assert [point.timestamp_s
+                    for point in service.track(client_id)] == [1.0, 2.0]
+
     def test_reject_policy_is_atomic_across_clients(self):
         """One stale client must not let other drained clients lose fixes."""
         service = _service(**{"session.emit_every_frames": 1,

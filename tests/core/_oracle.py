@@ -10,9 +10,15 @@ one frame, one client or one grid point at a time:
   :func:`decompose`, :func:`spectrum_from_noise_subspace`, the
   :func:`music_spectrum`, :func:`bartlett_spectrum` and
   :func:`capon_spectrum` estimators, and the symmetry test's
-  :func:`side_powers` and :func:`resolve`.  In ``src/`` each of these names
-  is a batch of one through its stacked ``*_many`` form; here each is its
-  own serial body;
+  :func:`side_powers` and :func:`resolve`.  In ``src/`` each of the
+  estimator and covariance names is a batch of one through its stacked
+  ``*_many`` form, and the side-power test is
+  :meth:`~repro.core.symmetry.SymmetryResolver.side_powers_stack`; here
+  each is its own serial body;
+* :func:`mirror_half_spectrum`, :func:`apply_geometry_weighting` and
+  :func:`suppress_half_plane` are the per-spectrum mirror, W(theta) window
+  and half-plane removal that ``src/`` runs only on the stacked power
+  array of :class:`~repro.core.pipeline.SpectrumComputer`;
 * :func:`reference_spectrum` and :func:`reference_spectrum_with_symmetry`
   compose those primitives into the Section 2.3 chain for one frame:
   covariance with spatial smoothing, the configured estimator, mirroring
@@ -45,6 +51,8 @@ every pytest run, so ``benchmarks/`` modules can import it too.
 from __future__ import annotations
 
 from collections.abc import Callable, Mapping, Sequence
+from dataclasses import replace
+from typing import Any
 
 import numpy as np
 
@@ -67,8 +75,8 @@ from repro.core.subspace import (DEFAULT_EIGENVALUE_THRESHOLD_FRACTION,
                                  SubspaceDecomposition)
 from repro.core.suppression import MultipathSuppressor
 from repro.core.symmetry import SymmetryResolver
-from repro.core.weighting import apply_geometry_weighting
-from repro.dtypes import as_complex_array
+from repro.core.weighting import geometry_window
+from repro.dtypes import as_complex_array, as_float_array
 from repro.errors import EstimationError
 from repro.geometry.vector import Point2D, bearing_deg
 from repro.testbed import (ScenarioConfig, SimulatedDeployment,
@@ -340,6 +348,46 @@ def capon_spectrum(covariance: np.ndarray, geometry: ArrayGeometry,
     return 1.0 / np.maximum(quadratic, 1e-12)
 
 
+def mirror_half_spectrum(angles_deg: np.ndarray, power: np.ndarray,
+                         **metadata: Any) -> AoASpectrum:
+    """Mirror a ``[0, 180]`` linear-array spectrum onto the full circle.
+
+    A linear array cannot tell which side of the array a signal arrives
+    from (Section 2.3.4), so its spectrum on ``[0, 180]`` is mirrored to
+    ``(180, 360)``: ``P(360 - theta) = P(theta)``.  The full circle is
+    built on its exact point count with ``np.linspace``, so it is the grid
+    ``default_angle_grid(resolution)`` builds, seam point included.
+    """
+    power = as_float_array(power)
+    half_points = len(angles_deg)
+    full_angles = np.linspace(0.0, 360.0, 2 * (half_points - 1),
+                              endpoint=False)
+    full_power = np.zeros_like(full_angles)
+    full_power[:half_points] = power
+    # Mirror: P(360 - theta) = P(theta), endpoints excluded.
+    full_power[half_points:] = power[1:-1][::-1]
+    return AoASpectrum(full_angles, full_power, **metadata)
+
+
+def apply_geometry_weighting(spectrum: AoASpectrum) -> AoASpectrum:
+    """Return ``spectrum`` multiplied by the array-geometry window W(theta)."""
+    return replace(spectrum,
+                   power=spectrum.power * geometry_window(spectrum.angles_deg))
+
+
+def suppress_half_plane(spectrum: AoASpectrum, suppress_lower: bool,
+                        attenuation: float = 0.0) -> AoASpectrum:
+    """Return a copy of ``spectrum`` with one half plane scaled by
+    ``attenuation`` (Section 2.3.4: the half with less power goes)."""
+    mask_lower = spectrum.angles_deg >= 180.0
+    power = spectrum.power.copy()
+    if suppress_lower:
+        power[mask_lower] *= attenuation
+    else:
+        power[~mask_lower] *= attenuation
+    return replace(spectrum, power=power)
+
+
 def side_powers(resolver: SymmetryResolver, snapshots: np.ndarray,
                 spectrum: AoASpectrum | None = None) -> tuple[float, float]:
     """Return total Bartlett power in the upper/lower half planes.
@@ -390,7 +438,7 @@ def resolve(resolver: SymmetryResolver, spectrum: AoASpectrum,
     """
     upper, lower = side_powers(resolver, snapshots, spectrum)
     suppress_lower = upper >= lower
-    return spectrum.suppress_half_plane(suppress_lower, attenuation)
+    return suppress_half_plane(spectrum, suppress_lower, attenuation)
 
 
 def _subarray(array: DeployedArray, indices: Sequence[int]) -> ArrayGeometry:
@@ -439,7 +487,7 @@ def reference_spectrum(config: SpectrumConfig, snapshots: SnapshotMatrix,
     half_power = reference_half_spectrum(
         config, snapshots.samples[linear_indices, :],
         _subarray(array, linear_indices), array.wavelength_m)
-    spectrum = AoASpectrum.from_half_spectrum(
+    spectrum = mirror_half_spectrum(
         default_angle_grid(config.angle_resolution_deg, full_circle=False),
         half_power,
         ap_position=array.position,

@@ -1,7 +1,9 @@
 """Each public single-frame Section 2.3 name against its serial oracle copy.
 
 In ``src/`` every single-frame primitive is a batch of one through its
-stacked form; ``tests/core/_oracle.py`` keeps the serial bodies.  These
+stacked form, and the symmetry side-power test exists only as the stacked
+``SymmetryResolver.side_powers_stack``; ``tests/core/_oracle.py`` keeps the
+serial bodies.  These
 tests check, bit for bit, that a batch of one equals the serial body on a
 mixed capture set: an eight-antenna ULA (the linear rows of the nine-antenna
 symmetry array) with 1 to 19 snapshots per frame and every seventh frame
@@ -15,7 +17,6 @@ import pytest
 from repro.array import ArrayGeometry, DeployedArray, DiversitySynthesizer
 from repro.channel import MultipathChannel
 from repro.core import (
-    AoASpectrum,
     SymmetryResolver,
     bartlett_spectrum,
     capon_spectrum,
@@ -145,26 +146,19 @@ def _weighting_spectra(frame):
     """No spectrum, then the frame's mirrored MUSIC spectrum."""
     half = oracle.music_spectrum(oracle.sample_covariance(_linear(frame)),
                                  ULA, HALF)
-    return (None, AoASpectrum.from_half_spectrum(HALF, half))
+    return (None, oracle.mirror_half_spectrum(HALF, half))
 
 
-def _check_side_powers():
+def _check_side_powers_stack():
     resolver = SymmetryResolver(ARRAY.geometry, ARRAY.wavelength_m)
     for frame in FRAMES:
         for spectrum in _weighting_spectra(frame):
-            batch = resolver.side_powers(frame, spectrum)
-            assert batch == oracle.side_powers(resolver, frame, spectrum)
-            assert all(isinstance(value, float) for value in batch)
-
-
-def _check_resolve():
-    resolver = SymmetryResolver(ARRAY.geometry, ARRAY.wavelength_m)
-    for frame in FRAMES:
-        spectrum = _weighting_spectra(frame)[1]
-        for attenuation in (0.0, 0.1):
-            assert np.array_equal(
-                resolver.resolve(spectrum, frame, attenuation).power,
-                oracle.resolve(resolver, spectrum, frame, attenuation).power)
+            upper, lower = resolver.side_powers_stack(
+                frame[None],
+                None if spectrum is None else spectrum.power[None],
+                None if spectrum is None else spectrum.angles_deg)
+            assert (float(upper[0]), float(lower[0])) == \
+                oracle.side_powers(resolver, frame, spectrum)
 
 
 CHECKS = {
@@ -176,8 +170,7 @@ CHECKS = {
     "music_spectrum": _check_music_spectrum,
     "bartlett_spectrum": _check_bartlett_spectrum,
     "capon_spectrum": _check_capon_spectrum,
-    "SymmetryResolver.side_powers": _check_side_powers,
-    "SymmetryResolver.resolve": _check_resolve,
+    "SymmetryResolver.side_powers_stack": _check_side_powers_stack,
 }
 
 
@@ -200,10 +193,8 @@ def test_capture_mix_covers_zero_frames_and_snapshot_counts():
     lambda: music_spectrum(np.zeros((1, 8, 8)), ULA, HALF),
     lambda: spectrum_from_noise_subspace(np.zeros((1, 8, 7)),
                                          ULA.steering_matrix(HALF)),
-    lambda: SymmetryResolver(ARRAY.geometry, ARRAY.wavelength_m).side_powers(
-        np.zeros((1, 9, 4))),
 ], ids=["covariance-1d", "covariance-3d", "smoothed-3d", "decompose-ragged",
-        "decompose-3d", "music-3d", "noise-subspace-3d", "side-powers-3d"])
+        "decompose-3d", "music-3d", "noise-subspace-3d"])
 def test_single_frame_names_reject_stacks(call):
     with pytest.raises(EstimationError):
         call()

@@ -118,9 +118,9 @@ class TestComputeManyEquality:
         _assert_spectra_equal(serial, batched)
 
     def test_fractional_resolution_0_3(self):
-        # The 0.3-degree grid is the float-accumulation stress case the
-        # from_half_spectrum seam fix targets; the batched grid must still
-        # match the serial one bitwise.
+        # The 0.3-degree grid is the float-accumulation stress case of
+        # the mirror seam; the batched grid must still match the serial
+        # one bitwise.
         config = SpectrumConfig(angle_resolution_deg=0.3)
         ap = _ap(config)
         rng = np.random.default_rng(31)

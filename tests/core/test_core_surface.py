@@ -14,8 +14,7 @@ CORE_NAMES = [
     "SpectrumConfig", "SpectrumPeak", "SteeringCache",
     "SubspaceDecomposition", "SubspaceDecompositionBatch",
     "SuppressorConfig", "SymmetryResolver", "WindowCache",
-    "apply_geometry_weighting", "bartlett_spectrum",
-    "bartlett_spectrum_many", "cached_geometry_window", "capon_spectrum",
+    "bartlett_spectrum", "bartlett_spectrum_many", "cached_geometry_window", "capon_spectrum",
     "capon_spectrum_many", "clear_default_caches", "count_distinct_sources",
     "decompose", "decompose_many", "default_angle_grid",
     "default_bearing_cache", "default_steering_cache", "default_window_cache",
@@ -31,7 +30,7 @@ CORE_NAMES = [
 
 def test_core_all_is_pinned():
     assert sorted(repro.core.__all__) == CORE_NAMES
-    assert len(CORE_NAMES) == 52
+    assert len(CORE_NAMES) == 51
 
 
 def test_every_core_name_resolves():

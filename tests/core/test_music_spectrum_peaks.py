@@ -8,6 +8,8 @@ from repro.array import ArrayGeometry, ArrayReceiver, DeployedArray
 from repro.channel import MultipathChannel
 from repro.core import (
     AoASpectrum,
+    SpectrumComputer,
+    SpectrumConfig,
     bartlett_spectrum,
     bartlett_spectrum_many,
     capon_spectrum,
@@ -194,8 +196,7 @@ class TestAoASpectrum:
         assert grid[-1] == 180.0  # bitwise exact, not approx
         assert np.all(np.diff(grid) > 0)
         # The half grid must mirror cleanly onto the full circle.
-        spectrum = AoASpectrum.from_half_spectrum(
-            grid, np.ones_like(grid))
+        spectrum = oracle.mirror_half_spectrum(grid, np.ones_like(grid))
         assert spectrum.angles_deg.shape[0] == 2 * (expected_points - 1)
 
     @pytest.mark.parametrize("resolution_deg", [0.3, 0.9, 1.0, 2.0])
@@ -208,37 +209,32 @@ class TestAoASpectrum:
 
     @pytest.mark.parametrize("resolution_deg", [0.1, 0.3, 0.75, 0.9])
     def test_mirrored_grid_matches_default_full_circle_exactly(
-            self, resolution_deg):
-        # Regression: from_half_spectrum built the full circle with
+            self, resolution_deg, capture_snapshots, deployed_ula8):
+        # Regression: the mirror once built the full circle with
         # ``np.arange(0.0, 360.0, resolution)`` -- the float-accumulation
         # seam bug default_angle_grid was already cured of.  For
         # resolutions like 0.3 the accumulated points drift off the exact
         # grid (the mirror seam landed on 180.00000000000003 instead of
-        # 180.0).  The mirrored grid must now equal the canonical
+        # 180.0).  The frontend's mirrored grid must equal the canonical
         # full-circle grid bit for bit.
-        half = default_angle_grid(resolution_deg, full_circle=False)
-        spectrum = AoASpectrum.from_half_spectrum(half, np.ones_like(half))
+        config = SpectrumConfig(angle_resolution_deg=resolution_deg)
+        spectrum = SpectrumComputer(config).compute(capture_snapshots,
+                                                    deployed_ula8)
         full = default_angle_grid(resolution_deg, full_circle=True)
         assert np.array_equal(spectrum.angles_deg, full)
         seam = spectrum.angles_deg.shape[0] // 2
         assert spectrum.angles_deg[seam] == 180.0  # bitwise exact
 
-    def test_from_half_spectrum_mirrors_power_exactly(self):
-        half = default_angle_grid(0.3, full_circle=False)
-        power = np.exp(-0.5 * ((half - 60.0) / 5.0) ** 2)
-        spectrum = AoASpectrum.from_half_spectrum(half, power)
-        half_points = half.shape[0]
-        assert np.array_equal(spectrum.power[:half_points], power)
-        assert np.array_equal(spectrum.power[half_points:],
-                              power[1:-1][::-1])
-
-    def test_mirror_from_half_spectrum(self):
-        angles = default_angle_grid(1.0, full_circle=False)
-        power = np.exp(-0.5 * ((angles - 60.0) / 5.0) ** 2)
-        spectrum = AoASpectrum.from_half_spectrum(angles, power)
-        assert spectrum.angles_deg.shape == (360,)
-        assert spectrum.power_at_local(300.0)[0] == pytest.approx(
-            spectrum.power_at_local(60.0)[0], rel=1e-6)
+    def test_frontend_mirrors_power_exactly(self, capture_snapshots,
+                                            deployed_ula8):
+        # P(360 - theta) = P(theta), bit for bit, endpoints excluded.
+        config = SpectrumConfig(angle_resolution_deg=0.3,
+                                apply_weighting=False)
+        power = SpectrumComputer(config).compute(capture_snapshots,
+                                                 deployed_ula8).power
+        half_points = default_angle_grid(0.3, full_circle=False).shape[0]
+        assert np.array_equal(power[half_points:],
+                              power[1:half_points - 1][::-1])
 
     def test_power_lookup_interpolates_and_wraps(self):
         angles = default_angle_grid(1.0)
@@ -274,17 +270,6 @@ class TestAoASpectrum:
         assert spectrum.scaled(2.0).max_power == pytest.approx(4.0)
         with pytest.raises(EstimationError):
             spectrum.scaled(-1.0)
-
-    def test_half_plane_power_and_suppression(self):
-        angles = default_angle_grid(1.0)
-        power = np.ones_like(angles)
-        spectrum = AoASpectrum(angles, power)
-        upper, lower = spectrum.half_plane_power()
-        assert upper == pytest.approx(lower)
-        suppressed = spectrum.suppress_half_plane(suppress_lower=True)
-        upper2, lower2 = suppressed.half_plane_power()
-        assert lower2 == pytest.approx(0.0)
-        assert upper2 == pytest.approx(upper)
 
 
 class TestPeaks:

@@ -9,9 +9,10 @@ from repro.channel import MultipathChannel
 from repro.core import (
     AoASpectrum,
     MultipathSuppressor,
+    SpectrumComputer,
+    SpectrumConfig,
     SymmetryResolver,
     WindowCache,
-    apply_geometry_weighting,
     cached_geometry_window,
     default_angle_grid,
     default_window_cache,
@@ -47,7 +48,8 @@ class TestGeometryWeighting:
 
     def test_weighting_attenuates_endfire_peaks_only(self):
         spectrum = _gaussian([5.0, 90.0], [1.0, 1.0])
-        weighted = apply_geometry_weighting(spectrum)
+        weighted = spectrum.copy_with_power(
+            spectrum.power * cached_geometry_window(spectrum.angles_deg))
         assert weighted.power_at_local(90.0)[0] == pytest.approx(
             spectrum.power_at_local(90.0)[0])
         assert weighted.power_at_local(5.0)[0] < 0.2 * spectrum.power_at_local(5.0)[0]
@@ -120,10 +122,9 @@ class TestWindowCache:
     def test_default_cache_shared_by_weighting(self):
         default_window_cache().clear()
         angles = default_angle_grid(0.75)
-        spectrum = AoASpectrum(angles, np.ones_like(angles))
         before = default_window_cache().stats.lookups
-        apply_geometry_weighting(spectrum)
-        apply_geometry_weighting(spectrum)
+        cached_geometry_window(angles)
+        cached_geometry_window(angles.copy())
         stats = default_window_cache().stats
         assert stats.lookups >= before + 2
         assert stats.hits >= 1
@@ -138,6 +139,16 @@ class TestSymmetryResolver:
                                         rng=np.random.default_rng(seed))
         return array, snapshots
 
+    def _side_powers(self, azimuth):
+        """Upper/lower side powers of one capture, weighted by its
+        mirrored spectrum."""
+        array, snapshots = self._capture(azimuth)
+        resolver = SymmetryResolver(array.geometry, array.wavelength_m)
+        spectrum = _gaussian([azimuth, 360.0 - azimuth], [1.0, 1.0])
+        upper, lower = resolver.side_powers_stack(
+            snapshots.samples[None], spectrum.power[None], spectrum.angles_deg)
+        return float(upper[0]), float(lower[0])
+
     def test_linear_geometry_rejected(self):
         with pytest.raises(EstimationError):
             SymmetryResolver(ArrayGeometry.uniform_linear(8), 0.1249)
@@ -145,24 +156,18 @@ class TestSymmetryResolver:
     @settings(max_examples=15, deadline=None)
     @given(st.floats(min_value=25.0, max_value=155.0))
     def test_upper_half_sources_keep_upper_half(self, azimuth):
-        array, snapshots = self._capture(azimuth)
-        resolver = SymmetryResolver(array.geometry, array.wavelength_m)
-        spectrum = _gaussian([azimuth, 360.0 - azimuth], [1.0, 1.0])
-        resolved = resolver.resolve(spectrum, snapshots.samples)
-        assert resolved.power_at_local(azimuth)[0] > resolved.power_at_local(
-            360.0 - azimuth)[0]
+        upper, lower = self._side_powers(azimuth)
+        assert upper > lower
 
     @settings(max_examples=15, deadline=None)
     @given(st.floats(min_value=205.0, max_value=335.0))
     def test_lower_half_sources_keep_lower_half(self, azimuth):
-        array, snapshots = self._capture(azimuth)
-        resolver = SymmetryResolver(array.geometry, array.wavelength_m)
-        spectrum = _gaussian([azimuth, 360.0 - azimuth], [1.0, 1.0])
-        resolved = resolver.resolve(spectrum, snapshots.samples)
-        assert resolved.power_at_local(azimuth)[0] > resolved.power_at_local(
-            360.0 - azimuth)[0]
+        upper, lower = self._side_powers(azimuth)
+        assert lower > upper
 
-    def test_resolve_many_matches_serial_bitwise(self):
+    def test_side_powers_stack_decisions_match_serial(self):
+        # A stack of four frames may round differently from one frame at a
+        # time in the last bits; the side decision must not change.
         rng = np.random.default_rng(61)
         azimuths = [40.0, 300.0, 120.0, 250.0]
         captures = [self._capture(azimuth, seed=seed)
@@ -173,30 +178,29 @@ class TestSymmetryResolver:
                              [1.0, float(rng.uniform(0.5, 1.0))])
                    for azimuth in azimuths]
         stack = np.stack([snapshots.samples for _, snapshots in captures])
-        batched = resolver.resolve_many(spectra, stack, attenuation=0.1)
-        for spectrum, (_, snapshots), resolved in zip(spectra, captures, batched, strict=True):
-            serial = oracle.resolve(resolver, spectrum, snapshots.samples,
-                                    attenuation=0.1)
-            assert np.array_equal(serial.power, resolved.power)
-        assert resolver.resolve_many([], stack[:0]) == []
-
-    def test_side_powers_many_requires_shared_grid(self):
-        array, snapshots = self._capture(60.0)
-        resolver = SymmetryResolver(array.geometry, array.wavelength_m)
-        coarse = default_angle_grid(2.0)
-        mismatched = [_gaussian([60.0], [1.0]),
-                      AoASpectrum(coarse, np.ones_like(coarse))]
-        stack = np.stack([snapshots.samples, snapshots.samples])
-        with pytest.raises(EstimationError):
-            resolver.side_powers_many(stack, mismatched)
+        upper, lower = resolver.side_powers_stack(
+            stack, np.stack([spectrum.power for spectrum in spectra]),
+            spectra[0].angles_deg)
+        for index, (spectrum, (_, snapshots)) in enumerate(
+                zip(spectra, captures, strict=True)):
+            serial = oracle.side_powers(resolver, snapshots.samples, spectrum)
+            assert np.allclose((upper[index], lower[index]), serial,
+                               rtol=1e-12, atol=0.0)
+            assert (upper[index] >= lower[index]) == (serial[0] >= serial[1])
 
     def test_attenuation_keeps_residual(self):
+        # The frontend scales the weaker half plane by
+        # ``symmetry_attenuation``; 1.0 leaves both halves as they are.
         array, snapshots = self._capture(60.0)
-        resolver = SymmetryResolver(array.geometry, array.wavelength_m)
-        spectrum = _gaussian([60.0, 300.0], [1.0, 1.0])
-        resolved = resolver.resolve(spectrum, snapshots.samples, attenuation=0.1)
-        assert resolved.power_at_local(300.0)[0] == pytest.approx(
-            0.1 * spectrum.power_at_local(300.0)[0], rel=0.05)
+        linear = list(range(8))
+        kept, residual = (
+            SpectrumComputer(SpectrumConfig(symmetry_attenuation=attenuation))
+            .compute_with_symmetry(snapshots, array, linear)
+            for attenuation in (1.0, 0.1))
+        lower = kept.angles_deg >= 180.0
+        assert np.array_equal(residual.power[~lower], kept.power[~lower])
+        assert np.allclose(residual.power[lower], 0.1 * kept.power[lower],
+                           rtol=1e-12, atol=0.0)
 
 
 class TestMultipathSuppression:

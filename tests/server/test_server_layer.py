@@ -315,6 +315,22 @@ class TestClientTracker:
         tracker.update("a", self._estimate(2.0, 0.0), 2.0)
         assert tracker.latest("a").timestamp_s == 2.0
 
+    @pytest.mark.parametrize("policy", ["insert", "reject"])
+    @pytest.mark.parametrize("timestamp", [float("nan"), float("inf"),
+                                           float("-inf")])
+    def test_non_finite_timestamp_refused_under_every_policy(self, policy,
+                                                             timestamp):
+        tracker = ClientTracker(smoothing_factor=1.0, on_out_of_order=policy)
+        tracker.update("a", self._estimate(0.0, 0.0), 1.0)
+        with pytest.raises(EstimationError, match="non-finite"):
+            tracker.ensure_accepts("a", timestamp)
+        with pytest.raises(EstimationError, match="non-finite"):
+            tracker.update("a", self._estimate(1.0, 0.0), timestamp)
+        with pytest.raises(EstimationError, match="non-finite"):
+            tracker.update("new", self._estimate(1.0, 0.0), timestamp)
+        assert [p.timestamp_s for p in tracker.track("a")] == [1.0]
+        assert tracker.track("new") == []
+
     def test_tracker_config_builds_equivalent_tracker(self):
         from repro.server import TrackerConfig
 
