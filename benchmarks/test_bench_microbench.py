@@ -8,6 +8,8 @@
 * Section 2.4 suppression of a roaming capture in tick-sized calls: one
   stacked ``suppress_many`` call per tick against the same code run one
   group per call, bit-equal and at least 2x faster.
+* The Section 2.3 frontend of a roaming capture: one cross-AP pass per
+  streaming step against one pass per AP, bit-equal and faster.
 * Bound-and-prune seeding of :class:`~repro.core.batch.BatchLocalizer`
   against the oracle's full Equation 8 fold plus full-sort seeds, on 64
   clients of the office testbed: bit-equal, and at least 2.5x faster.
@@ -26,8 +28,10 @@ from repro.geometry import Point2D, bearing_deg
 from repro.testbed import build_office_testbed
 
 from conftest import run_once
+from repro.ap.access_point import compute_spectra_across
 from tests.core._oracle import (reference_find_peaks, reference_seeds,
-                                roaming_groups, synthesize_likelihood)
+                                roaming_captures, roaming_groups,
+                                synthesize_likelihood)
 
 #: Roaming capture of the peak-detection floor: 4 clients x 5 steps x 6
 #: APs x 3 frames = 360 spectra.
@@ -184,6 +188,77 @@ def test_stacked_suppression_floor(benchmark):
               f"groups in {results['num_ticks']} ticks "
               f"(best of {results['rounds']})"))
     assert results["speedup"] >= STACK_SPEEDUP_FLOOR
+
+
+#: Tick frontend floor: the stream_track capture (8 roaming clients, 20
+#: steps, six APs, bursts of 3 frames: 144 frames per step).  Ten solo
+#: runs on a shared 2-CPU machine read 1.19x-1.47x.
+TICK_CLIENTS = 8
+TICK_STEPS = 20
+TICK_ROUNDS = 5
+TICK_SPEEDUP_FLOOR = 1.1
+
+
+def measure_tick_frontend(num_clients: int = TICK_CLIENTS,
+                          num_steps: int = TICK_STEPS,
+                          rounds: int = TICK_ROUNDS) -> dict[str, float]:
+    """Time one cross-AP frontend pass per step against one per AP.
+
+    The streaming service computes every frame pending at a tick in one
+    :func:`~repro.ap.access_point.compute_spectra_across` call; the
+    per-AP run makes the same call once per AP, as each ``ingest_many``
+    used to.  The two run interleaved, one whole capture each per round,
+    and each keeps its best round.  Every round must give bit-equal
+    spectra.
+    """
+    steps = [[(ap, entry) for ap, entries in step.items()
+              for entry in entries]
+             for step in roaming_captures(num_clients, num_steps)]
+    runs = {"per_tick": lambda frames: compute_spectra_across(frames),
+            "per_ap": lambda frames: [
+                spectrum for ap in dict.fromkeys(ap for ap, _ in frames)
+                for spectrum in compute_spectra_across(
+                    [frame for frame in frames if frame[0] is ap])]}
+    best = {name: float("inf") for name in runs}
+    for _ in range(rounds):
+        found = {}
+        for name, run in runs.items():
+            start = time.perf_counter()
+            found[name] = [spectrum for frames in steps
+                           for spectrum in run(frames)]
+            best[name] = min(best[name], time.perf_counter() - start)
+        assert [(spectrum.power.tobytes(), spectrum.ap_position)
+                for spectrum in found["per_tick"]] \
+            == [(spectrum.power.tobytes(), spectrum.ap_position)
+                for spectrum in found["per_ap"]], \
+            "the cross-AP frontend diverged from one pass per AP"
+    return {
+        "num_frames": sum(len(frames) for frames in steps),
+        "num_steps": len(steps),
+        "rounds": rounds,
+        "per_tick_ms_per_step": best["per_tick"] / len(steps) * 1e3,
+        "per_ap_ms_per_step": best["per_ap"] / len(steps) * 1e3,
+        "speedup": best["per_ap"] / best["per_tick"],
+    }
+
+
+def test_tick_frontend_floor(benchmark):
+    """E-TICK: one cross-AP Section 2.3 pass per step beats one per AP.
+
+    ``tick`` computes every pending raw frame of every AP in one stacked
+    pass; a per-AP loop creeping back into it would show up here first.
+    """
+    results = run_once(benchmark, measure_tick_frontend)
+    print()
+    print(format_table(
+        ["calls", "ms/step", "vs per AP"],
+        [["one per AP", f"{results['per_ap_ms_per_step']:.2f}", "1.0x"],
+         ["one per step", f"{results['per_tick_ms_per_step']:.2f}",
+          f"{results['speedup']:.2f}x"]],
+        title=f"Section 2.3 frontend of {results['num_frames']} roaming "
+              f"frames in {results['num_steps']} steps "
+              f"(best of {results['rounds']})"))
+    assert results["speedup"] >= TICK_SPEEDUP_FLOOR
 
 
 #: Section 2.5 seeding floor: the batch_refine shape (64 clients, the six

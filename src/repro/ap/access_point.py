@@ -15,13 +15,13 @@ front half of the server pipeline:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from collections.abc import Sequence
+from dataclasses import astuple, dataclass, field
+from collections.abc import Hashable, Sequence
 
 import numpy as np
 
 from repro.constants import DEFAULT_NUM_SNAPSHOTS, WAVELENGTH_M
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, EstimationError
 from repro.array.calibration import PhaseCalibrator
 from repro.array.deployment import DeployedArray
 from repro.array.diversity import DiversitySynthesizer
@@ -29,11 +29,12 @@ from repro.array.geometry import ArrayGeometry
 from repro.array.receiver import ArrayReceiver, SnapshotMatrix
 from repro.ap.buffer import BufferEntry, CircularFrameBuffer
 from repro.channel.paths import MultipathChannel
+from repro.core.music import check_capon_traces
 from repro.core.pipeline import SpectrumComputer, SpectrumConfig
 from repro.core.spectrum import AoASpectrum
 from repro.geometry.vector import Point2D
 
-__all__ = ["APConfig", "ArrayTrackAP"]
+__all__ = ["APConfig", "ArrayTrackAP", "compute_spectra_across"]
 
 
 @dataclass
@@ -233,41 +234,12 @@ class ArrayTrackAP:
                         ) -> list[AoASpectrum]:
         """Return the AoA spectra of many buffered frames in one batched pass.
 
-        The AP-level entry point of the vectorized Section 2.3 frontend:
-        the entries' calibrated snapshots enter
-        :meth:`~repro.core.pipeline.SpectrumComputer.compute_many` (or its
-        symmetry-resolving sibling) as one stack, so the whole batch costs
-        one covariance/eigh/projection sweep instead of one per frame.
-        Entries whose captures differ in snapshot shape (e.g. a Figure 19
-        sample-count sweep left mixed frames in the buffer) are grouped by
-        shape and batched per group.  Results are returned in input order.
+        A one-AP call of :func:`compute_spectra_across`, the one Section
+        2.3 frontend path: the whole batch costs one covariance/eigh/
+        projection sweep per snapshot shape instead of one per frame.
+        Results are returned in input order.
         """
-        entries = list(entries)
-        if not entries:
-            return []
-        groups: dict[tuple[int, int], list[int]] = {}
-        for index, entry in enumerate(entries):
-            groups.setdefault(entry.snapshots.samples.shape, []).append(index)
-        spectra: list[AoASpectrum | None] = [None] * len(entries)
-        for indices in groups.values():
-            stack = np.stack([entries[index].snapshots.samples
-                              for index in indices])
-            if self.config.apply_phase_offsets:
-                # All frames' phase offsets compensated in one broadcast
-                # multiply (elementwise identical to per-frame
-                # ``_compensate``).
-                correction = np.exp(-1j * self._calibration_offsets)[:, None]
-                stack = stack * correction[None, :, :]
-            metadata = [entries[index].snapshots for index in indices]
-            if self.config.use_symmetry_antenna:
-                outputs = self._spectrum_computer.compute_many_with_symmetry_stacked(
-                    stack, metadata, self.array, self.linear_indices)
-            else:
-                outputs = self._spectrum_computer.compute_many_stacked(
-                    stack, metadata, self.array, self.linear_indices)
-            for index, spectrum in zip(indices, outputs, strict=True):
-                spectra[index] = spectrum
-        return spectra  # type: ignore[return-value]
+        return compute_spectra_across([(self, entry) for entry in entries])
 
     def spectra_for_client(self, client_id: str) -> list[AoASpectrum]:
         """Return spectra for every buffered frame of ``client_id``.
@@ -277,31 +249,115 @@ class ArrayTrackAP:
         """
         return self.compute_spectra(self.buffer.entries_for_client(client_id))
 
-    def spectra_for_clients(self, client_ids: Sequence[str]
-                            ) -> dict[str, list[AoASpectrum]]:
-        """Return per-client spectra for every requested client's frames.
+    def screen_entries(self, entries: Sequence[BufferEntry]) -> None:
+        """Raise for finite raw entries this AP's frontend cannot compute.
 
-        All requested clients' buffered frames are stacked into *one*
-        batched frontend pass (the per-AP collection step of
-        :meth:`repro.server.backend.ArrayTrackServer.collect_buffered`),
-        then split back per client.  Clients without buffered frames are
-        omitted.
+        The checks that let a service buffer raw frames and compute their
+        spectra later without a failing pass: every snapshot matrix has
+        one row per array element and at least one snapshot, and under
+        the Capon estimator every frame's covariance trace is large enough
+        for its diagonal loading (:func:`~repro.core.music.
+        check_capon_traces`).  That trace is at least the linear rows'
+        sample energy over ``linear antennas x snapshots``: spatial
+        smoothing averages at most that many sub-arrays, which together
+        cover every linear row.
+
+        Raises
+        ------
+        EstimationError
+            Naming the first misshapen entry in input order, or every
+            frame the Capon estimator would refuse.
         """
-        entries_by_client = {
-            client_id: self.buffer.entries_for_client(client_id)
-            for client_id in client_ids}
-        flat = [entry for client_id in client_ids
-                for entry in entries_by_client[client_id]]
-        spectra = self.compute_spectra(flat)
-        result: dict[str, list[AoASpectrum]] = {}
-        cursor = 0
-        for client_id in client_ids:
-            count = len(entries_by_client[client_id])
-            if count:
-                result[client_id] = spectra[cursor:cursor + count]
-            cursor += count
-        return result
+        rows = self.array.num_elements
+        for entry in entries:
+            shape = entry.snapshots.samples.shape
+            if shape[0] != rows or shape[1] < 1:
+                raise EstimationError(
+                    f"raw frame from client {entry.client_id!r} has a "
+                    f"{shape} snapshot matrix; AP {self.ap_id!r} needs "
+                    f"{rows} rows and at least one snapshot")
+        if self._spectrum_computer.config.method == "capon":
+            linear = self.linear_indices
+            check_capon_traces(
+                [np.vdot(samples, samples).real / samples.size
+                 for samples in (entry.snapshots.samples[linear]
+                                 for entry in entries)],
+                len(linear))
+
+    def _frontend_key(self) -> Hashable:
+        """What decides this AP's frontend numerics, apart from snapshot shape.
+
+        APs with equal keys can share one stacked pass: array geometry,
+        wavelength, linear and full rows (both follow from the config's
+        antenna count and symmetry flag) and the spectrum configuration.
+        """
+        positions = self.array.geometry.element_positions
+        return (positions.shape, positions.tobytes(), self.array.wavelength_m,
+                self.config.num_antennas, self.config.use_symmetry_antenna,
+                astuple(self._spectrum_computer.config))
+
+    def _calibrated_stack(self, entries: Sequence[BufferEntry]) -> np.ndarray:
+        """Stack the entries' samples and compensate the phase offsets.
+
+        All frames' offsets are compensated in one broadcast multiply,
+        elementwise identical to the per-frame :meth:`_compensate`.
+        """
+        stack = np.stack([entry.snapshots.samples for entry in entries])
+        if not self.config.apply_phase_offsets:
+            return stack
+        correction = np.exp(-1j * self._calibration_offsets)[:, None]
+        return stack * correction[None, :, :]
 
     def clear(self) -> None:
         """Drop all buffered frames (between experiment runs)."""
         self.buffer.clear()
+
+
+def compute_spectra_across(frames: Sequence[tuple[ArrayTrackAP, BufferEntry]]
+                           ) -> list[AoASpectrum]:
+    """Return the AoA spectra of raw frames from any APs, in input order.
+
+    The Section 2.3 frontend, batched across APs: frames are grouped by
+    their AP's frontend key (array geometry, wavelength, linear and full
+    rows, spectrum configuration) and snapshot shape, and each group runs
+    one stacked pass.  Every AP's frames are phase-calibrated with its own
+    offsets before the group is concatenated, and each spectrum carries
+    its own AP's position and orientation.  Each frame's spectrum is the
+    one a batch of one would give, bit for bit, so how frames are batched
+    never shows in the output.
+
+    Parameters
+    ----------
+    frames:
+        ``(ap, entry)`` pairs: a raw buffer entry and the AP that captured
+        it.
+    """
+    frames = list(frames)
+    keys: dict[ArrayTrackAP, Hashable] = {}
+    groups: dict[tuple, dict[ArrayTrackAP, list[int]]] = {}
+    for index, (ap, entry) in enumerate(frames):
+        if ap not in keys:
+            keys[ap] = ap._frontend_key()
+        groups.setdefault((keys[ap], entry.snapshots.samples.shape), {}) \
+            .setdefault(ap, []).append(index)
+    spectra: list[AoASpectrum | None] = [None] * len(frames)
+    for group in groups.values():
+        order = [index for indices in group.values() for index in indices]
+        parts = [ap._calibrated_stack([frames[index][1] for index in indices])
+                 for ap, indices in group.items()]
+        stack = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        metadata = [frames[index][1].snapshots for index in order]
+        arrays = [frames[index][0].array for index in order]
+        ap = next(iter(group))
+        computer = ap._spectrum_computer
+        if ap.config.use_symmetry_antenna:
+            outputs = computer.compute_many_with_symmetry_stacked(
+                stack, metadata, ap.array, ap.linear_indices,
+                frame_arrays=arrays)
+        else:
+            outputs = computer.compute_many_stacked(
+                stack, metadata, ap.array, ap.linear_indices,
+                frame_arrays=arrays)
+        for index, spectrum in zip(order, outputs, strict=True):
+            spectra[index] = spectrum
+    return spectra  # type: ignore[return-value]

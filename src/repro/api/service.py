@@ -29,15 +29,16 @@ is that service as a single public object, built from one
 from __future__ import annotations
 
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from collections.abc import Iterable, Mapping, Sequence
-from typing import Any, NoReturn
+from typing import Any, NamedTuple, NoReturn
 
 import numpy as np
 
-from repro.ap.access_point import ArrayTrackAP
+from repro.ap.access_point import ArrayTrackAP, compute_spectra_across
 from repro.ap.buffer import BufferEntry
 from repro.ap.latency import LatencyBreakdown, LatencyModel
+from repro.array.receiver import SnapshotMatrix
 from repro.api._procpool import (PoolStats, ProcessShardPool, SpectraByClient,
                                  TimesByClient, drain_shard, live_segments,
                                  shm_leak_events)
@@ -46,7 +47,7 @@ from repro.api._resilience import (CircuitBreaker, ResilienceStats,
 from repro.api.config import ArrayTrackConfig, SessionConfig
 from repro.core.localizer import LocationEstimate
 from repro.core.pipeline import SpectrumConfig
-from repro.core.spectrum import AoASpectrum
+from repro.core.spectrum import AoASpectrum, default_angle_grid
 from repro.dtypes import as_float_array
 from repro.errors import (BackpressureError, ConfigurationError,
                           PoisonFrameError, TransientError)
@@ -74,14 +75,56 @@ class _PendingCount:
         self.frames = 0
 
 
+class _RawFrame(NamedTuple):
+    """A screened raw frame whose spectrum is computed at the first read."""
+
+    ap: ArrayTrackAP
+    entry: BufferEntry
+    #: Shape of the angle grid its spectrum will have.
+    grid_shape: tuple[int, ...]
+
+
+#: A pending frame: a computed spectrum or a raw frame awaiting the frontend.
+_Pending = AoASpectrum | _RawFrame
+
+
+def _grid_shape(frame: _Pending) -> tuple[int, ...]:
+    """Shape of the frame's angle grid, computed or still to come."""
+    if isinstance(frame, _RawFrame):
+        return frame.grid_shape
+    return tuple(frame.angles_deg.shape)
+
+
+def _compute_pending(sessions: Iterable[Session]) -> None:
+    """Replace the sessions' pending raw frames by their spectra, in place.
+
+    One :func:`~repro.ap.access_point.compute_spectra_across` pass covers
+    every raw frame of every given session.  The sessions change only once
+    the whole pass has succeeded.
+    """
+    slots = [(frames, index, item)
+             for session in sessions
+             for frames in session._pending.values()
+             for index, (_, item) in enumerate(frames)
+             if isinstance(item, _RawFrame)]
+    if not slots:
+        return
+    spectra = compute_spectra_across([(raw.ap, raw.entry)
+                                      for _, _, raw in slots])
+    for (frames, index, _), spectrum in zip(slots, spectra, strict=True):
+        frames[index] = (frames[index][0], spectrum)
+
+
 class Session:
     """One client's streaming state: pending frames and emitted fixes.
 
     Sessions are created lazily by :meth:`ArrayTrackService.ingest` /
     :meth:`ArrayTrackService.session`; callers never construct them
-    directly.  A session accumulates AoA spectra per AP until one of its
-    configured triggers fires, at which point the service drains it
-    through the batched synthesis engine and records the fix.
+    directly.  A session accumulates frames per AP -- AoA spectra, or
+    screened raw frames whose spectra are computed when first read --
+    until one of its configured triggers fires, at which point the
+    service drains it through the batched synthesis engine and records
+    the fix.
     """
 
     def __init__(self, client_id: str, config: SessionConfig,
@@ -91,13 +134,14 @@ class Session:
         #: The owning service's pending-frame count, kept up to date with
         #: this session's buffered, shed and drained frames.
         self._pending_count = pending_count
-        #: Pending ``(timestamp, spectrum)`` pairs per AP, in first-ingest
-        #: AP order (this order is what makes a drained session
-        #: bit-identical to the same frames passed to
-        #: :meth:`ArrayTrackService.localize_many` directly).  The stored
-        #: timestamp is the ingest-resolved one, which may legitimately
-        #: differ from ``spectrum.timestamp_s``.
-        self._pending: dict[str, list[tuple[float, AoASpectrum]]] = {}
+        #: Pending ``(timestamp, frame)`` pairs per AP, in first-ingest AP
+        #: order (this order is what makes a drained session bit-identical
+        #: to the same frames passed to
+        #: :meth:`ArrayTrackService.localize_many` directly).  A frame is a
+        #: spectrum or a raw frame not yet through the frontend.  The
+        #: stored timestamp is the ingest-resolved one, which may
+        #: legitimately differ from the frame's own.
+        self._pending: dict[str, list[tuple[float, _Pending]]] = {}
         self._oldest_pending_s: float | None = None
         #: Timestamp of the most recently ingested frame (simulation time).
         self.last_ingest_s: float | None = None
@@ -134,10 +178,9 @@ class Session:
     # ------------------------------------------------------------------
     # Accumulation
     # ------------------------------------------------------------------
-    def add(self, ap_id: str, spectrum: AoASpectrum,
-            timestamp_s: float) -> None:
-        """Append one frame's spectrum to the pending buffer."""
-        self._pending.setdefault(ap_id, []).append((timestamp_s, spectrum))
+    def add(self, ap_id: str, frame: _Pending, timestamp_s: float) -> None:
+        """Append one frame (a spectrum or a raw frame) to the pending buffer."""
+        self._pending.setdefault(ap_id, []).append((timestamp_s, frame))
         self._pending_count.frames += 1
         if self._oldest_pending_s is None or timestamp_s < self._oldest_pending_s:
             self._oldest_pending_s = timestamp_s
@@ -200,8 +243,13 @@ class Session:
         return False
 
     def pending_spectra(self) -> dict[str, list[AoASpectrum]]:
-        """Return the pending per-AP spectra without removing them."""
-        return {ap_id: [spectrum for _, spectrum in frames]
+        """Return the pending per-AP spectra without removing them.
+
+        Pending raw frames are computed first, all in one stacked
+        frontend pass, and kept as spectra.
+        """
+        _compute_pending([self])
+        return {ap_id: [spectrum for _, spectrum in frames]  # type: ignore[misc]
                 for ap_id, frames in self._pending.items()}
 
     def pending_times(self) -> dict[str, list[float]]:
@@ -225,7 +273,7 @@ class Session:
         frames = self._pending.get(ap_id)
         if not frames:
             return None
-        return tuple(frames[0][1].angles_deg.shape)
+        return _grid_shape(frames[0][1])
 
     def drain(self) -> None:
         """Discard the pending frames (read them first with
@@ -358,7 +406,27 @@ class ArrayTrackService:
         return ap
 
     def adopt_aps(self, aps: Iterable[ArrayTrackAP]) -> None:
-        """Register externally constructed APs (e.g. a simulated deployment's)."""
+        """Register externally constructed APs (e.g. a simulated deployment's).
+
+        Raises
+        ------
+        ConfigurationError
+            If an AP's spectrum configuration differs from the tree's
+            ``ap.spectrum`` section, naming the first differing leaf; no
+            AP is registered then.
+        """
+        aps = list(aps)
+        expected = self.config.ap.spectrum
+        for ap in aps:
+            for leaf in fields(SpectrumConfig):
+                own = getattr(ap.config.spectrum, leaf.name)
+                wanted = getattr(expected, leaf.name)
+                if own != wanted:
+                    raise ConfigurationError(
+                        f"AP {ap.ap_id!r} runs ap.spectrum.{leaf.name}="
+                        f"{own!r} but this service's config sets {wanted!r}: "
+                        f"build the AP with build_ap(), or load the service "
+                        f"with the AP's spectrum section")
         for ap in aps:
             self._aps[ap.ap_id] = ap
 
@@ -555,15 +623,16 @@ class ArrayTrackService:
                     items: Sequence[AoASpectrum | BufferEntry],
                     client_id: str | None = None,
                     timestamp_s: float | None = None) -> list[Session]:
-        """Accumulate many frames of one AP in a single batched pass.
+        """Screen and buffer many frames of one AP in a single call.
 
-        The streaming counterpart of the batched Section 2.3 frontend: all
-        of the batch's raw :class:`~repro.ap.buffer.BufferEntry` items are
-        stacked into one
-        :meth:`~repro.ap.access_point.ArrayTrackAP.compute_spectra` call
-        (already-computed :class:`~repro.core.spectrum.AoASpectrum` items
-        pass straight through), then every frame is fed into its client's
-        session in input order.
+        Already-computed :class:`~repro.core.spectrum.AoASpectrum` items
+        and raw :class:`~repro.ap.buffer.BufferEntry` items are screened
+        together, and the call is admitted or refused whole.  Raw entries
+        are buffered as they are, with their AP: their spectra are
+        computed when first read (:meth:`tick`, :meth:`flush` or
+        :meth:`Session.pending_spectra`), in one stacked Section 2.3 pass
+        across every AP and session being read.  Every frame is fed into
+        its client's session in input order.
 
         Parameters
         ----------
@@ -580,12 +649,21 @@ class ArrayTrackService:
         list of Session
             The per-frame sessions, in input order (one client streaming a
             burst yields the same session object repeated).
+
+        Raises
+        ------
+        PoisonFrameError
+            If a frame holds non-finite values (raw samples, their energy,
+            spectrum power or angles, timestamps) or an angle grid that
+            contradicts the client's other frames at this AP.
+        EstimationError
+            If a raw entry's snapshot matrix does not fit the AP's array,
+            or has too little power for the Capon estimator.
         """
-        items = list(items)
-        entry_indices = [index for index, item in enumerate(items)
-                         if isinstance(item, BufferEntry)]
+        items = [faults.poison(item)
+                 if isinstance(item, (AoASpectrum, BufferEntry)) else item
+                 for item in items]
         entries = [item for item in items if isinstance(item, BufferEntry)]
-        spectra: list[AoASpectrum | BufferEntry] = list(items)
         if entries:
             ap_obj = self._resolve_ap(ap)
             if ap_obj is None:
@@ -595,35 +673,24 @@ class ArrayTrackService:
                     f"BufferEntry is from client {entries[0].client_id!r}): "
                     f"pass the ArrayTrackAP object, or register it first via "
                     f"build_ap()/adopt_aps()")
-            # Raw entries are screened BEFORE the stacked frontend pass:
-            # one NaN snapshot matrix would otherwise blow up the whole
-            # batch's eigendecomposition.
-            self._screen_entries(entries, ap_obj.ap_id)
-            batch = ap_obj.compute_spectra(entries)
-            for index, spectrum in zip(entry_indices, batch, strict=True):
-                spectra[index] = spectrum
-        resolved_frames: list[tuple[str, str, AoASpectrum, float]] = []
-        for item_spectrum in spectra:
-            resolved, ap_id = self._resolve_frame(ap, item_spectrum)
-            resolved = faults.poison(resolved)
-            resolved_client = client_id if client_id else resolved.client_id
-            if not resolved_client:
-                raise ConfigurationError(
-                    "cannot ingest a frame without a client id (pass "
-                    "client_id= or use spectra that carry one)")
-            resolved_ts = timestamp_s if timestamp_s is not None \
-                else resolved.timestamp_s
-            resolved_frames.append(
-                (resolved_client, ap_id, resolved, resolved_ts))
+            self._screen_entries(entries, ap_obj)
+            grid_shape = default_angle_grid(
+                ap_obj.config.spectrum.angle_resolution_deg).shape
+            items = [_RawFrame(ap_obj, item, grid_shape)
+                     if isinstance(item, BufferEntry) else item
+                     for item in items]
+        resolved_frames = [self._resolve_frame(ap, item, client_id,
+                                               timestamp_s)
+                           for item in items]
         if resolved_frames:
             # Validate the whole batch before touching any session, so one
             # poison frame rejects the call atomically -- no session ends
             # up holding half a burst.
             self._screen_frames(resolved_frames)
         sessions: list[Session] = []
-        for resolved_client, ap_id, resolved, resolved_ts in resolved_frames:
+        for resolved_client, ap_id, frame, resolved_ts in resolved_frames:
             session = self.session(resolved_client)
-            self._admit(session, ap_id, resolved, resolved_ts)
+            self._admit(session, ap_id, frame, resolved_ts)
             sessions.append(session)
         return sessions
 
@@ -636,68 +703,111 @@ class ArrayTrackService:
             return self._aps.get(str(ap))
         return None
 
-    def _resolve_frame(self, ap: str | ArrayTrackAP | None,
-                       item: object) -> tuple[AoASpectrum, str]:
-        if isinstance(item, AoASpectrum):
-            if isinstance(ap, ArrayTrackAP):
-                ap_id = ap.ap_id
-            elif ap is not None:
-                ap_id = str(ap)
-            else:
-                ap_id = item.ap_id
-            if not ap_id:
-                raise ConfigurationError(
-                    "cannot ingest a spectrum without an AP id (pass ap= or "
-                    "use spectra that carry one)")
-            return item, ap_id
-        raise ConfigurationError(
-            f"cannot ingest a {type(item).__name__}; expected an AoASpectrum "
-            f"or a BufferEntry")
+    @staticmethod
+    def _resolve_frame(ap: str | ArrayTrackAP | None, item: object,
+                       client_id: str | None, timestamp_s: float | None
+                       ) -> tuple[str, str, _Pending, float]:
+        """Return one item's ``(client id, AP id, pending frame, timestamp)``.
+
+        A raw frame falls back on the client id, AP id and timestamp of its
+        snapshots, which its spectrum will carry.
+        """
+        own: AoASpectrum | SnapshotMatrix
+        if isinstance(item, _RawFrame):
+            own = item.entry.snapshots
+        elif isinstance(item, AoASpectrum):
+            own = item
+        else:
+            raise ConfigurationError(
+                f"cannot ingest a {type(item).__name__}; expected an "
+                f"AoASpectrum or a BufferEntry")
+        if isinstance(ap, ArrayTrackAP):
+            ap_id = ap.ap_id
+        elif ap is not None:
+            ap_id = str(ap)
+        else:
+            ap_id = own.ap_id
+        if not ap_id:
+            raise ConfigurationError(
+                "cannot ingest a spectrum without an AP id (pass ap= or "
+                "use spectra that carry one)")
+        resolved_client = client_id if client_id else own.client_id
+        if not resolved_client:
+            raise ConfigurationError(
+                "cannot ingest a frame without a client id (pass "
+                "client_id= or use spectra that carry one)")
+        resolved_ts = timestamp_s if timestamp_s is not None \
+            else own.timestamp_s
+        return resolved_client, ap_id, item, resolved_ts
 
     # ------------------------------------------------------------------
     # Admission control (the ``resilience`` config section)
     # ------------------------------------------------------------------
     def _screen_entries(self, entries: Sequence[BufferEntry],
-                        ap_id: str) -> None:
-        """Reject raw buffer entries with non-finite snapshot samples.
+                        ap: ArrayTrackAP) -> None:
+        """Reject raw buffer entries whose frontend pass would fail.
 
-        One check over every entry's samples; the error names the first
-        offending entry in input order.
+        Raw entries are screened, not computed, at ingest.  Each entry's
+        sample energy (the sum of its squared magnitudes) must be finite:
+        that refuses NaN or infinite samples and finite samples so large
+        that the covariance overflows, under every estimator.  The error
+        names the first offending entry in input order.  Then the AP's
+        own checks run (:meth:`~repro.ap.access_point.ArrayTrackAP.
+        screen_entries`).
         """
-        bad = _nonfinite([entry.snapshots.samples for entry in entries])
+        energy = np.array([np.vdot(entry.snapshots.samples,
+                                   entry.snapshots.samples).real
+                           for entry in entries])
+        bad = ~np.isfinite(energy)
         if bad.any():
             entry = entries[int(bad.argmax())]
+            reason = ("non-finite snapshot samples"
+                      if not np.isfinite(entry.snapshots.samples).all()
+                      else "snapshot sample energy overflows")
             self._reject(f"rejecting raw frame from client "
-                         f"{entry.client_id!r} at AP {ap_id!r}: non-finite "
-                         f"snapshot samples")
+                         f"{entry.client_id!r} at AP {ap.ap_id!r}: {reason}")
+        ap.screen_entries(entries)
 
-    def _screen_frames(self, frames: Sequence[tuple[str, str, AoASpectrum,
+    def _screen_frames(self, frames: Sequence[tuple[str, str, _Pending,
                                                     float]]) -> None:
         """Reject a batch holding a frame that would poison a stacked pass.
 
-        Two gates: non-finite values (NaN/inf power or angles -- legal by
-        :class:`~repro.core.spectrum.AoASpectrum` construction, since its
-        non-negativity check is False for NaN -- or a NaN/inf timestamp,
-        the frame's own or the ``timestamp_s`` it was ingested under,
-        which would break the triggers, the tracker's time order and
-        suppression's time grouping), and an angle-grid shape that
-        contradicts the client's pending frames at the same AP or an
-        earlier frame of the same batch.  The values of the whole batch
-        are checked at once; the error names the first offending frame in
-        input order, and within a frame the first failing gate in the
-        order timestamp, power, angles, grid shape.
+        Two gates: non-finite values (NaN/inf power or angles of a
+        spectrum -- legal by :class:`~repro.core.spectrum.AoASpectrum`
+        construction, since its non-negativity check is False for NaN --
+        or a NaN/inf timestamp, the frame's own or the ``timestamp_s`` it
+        was ingested under, which would break the triggers, the tracker's
+        time order and suppression's time grouping), and an angle-grid
+        shape that contradicts the client's pending frames at the same AP
+        or an earlier frame of the same batch.  The values of the whole
+        batch are checked at once; the error names the first offending
+        frame in input order, and within a frame the first failing gate in
+        the order timestamp, power, angles, grid shape.  A raw frame's
+        samples were screened already, and its grid shape is the one its
+        AP's spectrum configuration gives.
         """
-        spectra = [spectrum for _, _, spectrum, _ in frames]
+        own_times = [frame.entry.snapshots.timestamp_s
+                     if isinstance(frame, _RawFrame) else frame.timestamp_s
+                     for _, _, frame, _ in frames]
         bad_time = ~np.isfinite(as_float_array(
-            [(timestamp, spectrum.timestamp_s)
-             for _, _, spectrum, timestamp in frames])).all(axis=1)
-        bad_power = _nonfinite([spectrum.power for spectrum in spectra])
-        bad_angles = _nonfinite([spectrum.angles_deg for spectrum in spectra])
+            [(timestamp, own) for (_, _, _, timestamp), own
+             in zip(frames, own_times, strict=True)])).all(axis=1)
+        spectra = [frame for _, _, frame, _ in frames
+                   if isinstance(frame, AoASpectrum)]
+        bad_power = np.zeros(len(frames), dtype=bool)
+        bad_angles = np.zeros(len(frames), dtype=bool)
+        if spectra:
+            rows = [index for index, (_, _, frame, _) in enumerate(frames)
+                    if isinstance(frame, AoASpectrum)]
+            bad_power[rows] = _nonfinite([spectrum.power
+                                          for spectrum in spectra])
+            bad_angles[rows] = _nonfinite([spectrum.angles_deg
+                                           for spectrum in spectra])
         bad = bad_time | bad_power | bad_angles
         first_bad = int(bad.argmax()) if bad.any() else len(frames)
         batch_shapes: dict[tuple[str, str], tuple[int, ...]] = {}
-        for client_id, ap_id, spectrum, _ in frames[:first_bad]:
-            shape = tuple(spectrum.angles_deg.shape)
+        for client_id, ap_id, frame, _ in frames[:first_bad]:
+            shape = _grid_shape(frame)
             key = (client_id, ap_id)
             expected = batch_shapes.get(key)
             if expected is None:
@@ -723,7 +833,7 @@ class ArrayTrackService:
         self._resilience_stats.poison_rejected += 1
         raise PoisonFrameError(message)
 
-    def _admit(self, session: Session, ap_id: str, spectrum: AoASpectrum,
+    def _admit(self, session: Session, ap_id: str, frame: _Pending,
                timestamp_s: float) -> None:
         """Buffer one validated frame, enforcing the service-wide budget."""
         budget = self.config.resilience.max_total_pending_frames
@@ -736,7 +846,7 @@ class ArrayTrackService:
                     f"frame from client {session.client_id!r} "
                     f"(shed_policy='reject')")
             self._shed_for(session, budget)
-        session.add(ap_id, spectrum, timestamp_s)
+        session.add(ap_id, frame, timestamp_s)
 
     def _shed_for(self, session: Session, budget: int) -> None:
         """Make room under the budget: ingesting client's own oldest
@@ -839,7 +949,9 @@ class ArrayTrackService:
         # exception propagates with all sessions intact; the caller can
         # discard a poisoned session explicitly via session.drain().
         # Sessions are only read here, and the tracker commit below stays
-        # on the calling thread.
+        # on the calling thread.  Every drained session's raw frames go
+        # through one stacked frontend pass first.
+        _compute_pending(sessions.values())
         estimates = self._drain(
             {client_id: session.pending_spectra()
              for client_id, session in sessions.items()},

@@ -36,9 +36,16 @@ __all__ = [
     "bartlett_spectrum_many",
     "capon_spectrum",
     "capon_spectrum_many",
+    "check_capon_traces",
     "spectrum_from_noise_subspace",
     "spectrum_from_noise_subspace_many",
 ]
+
+
+#: Frames per stacked Bartlett GEMM.  It bounds the complex ``(F, M, K)``
+#: product to 0.8 MB for nine antennas on the 2-degree grid of the Section
+#: 2.3.4 side-power scan.
+_BARTLETT_CHUNK = 32
 
 
 def _steering_matrix(geometry: ArrayGeometry, angles_deg: np.ndarray,
@@ -208,14 +215,22 @@ def bartlett_spectrum_many(covariances: np.ndarray, geometry: ArrayGeometry,
     ``P(theta) = a^H R a / (a^H a)`` per frame; lower resolution than MUSIC
     but makes no assumption about the number of sources, which is why the
     array symmetry test (Section 2.3.4) uses it on the non-linear
-    nine-antenna geometry.  The quadratic forms are one stacked ``R A``
-    GEMM followed by an elementwise reduction.
+    nine-antenna geometry.  The quadratic forms are stacked ``R A`` GEMMs
+    followed by an elementwise reduction, :data:`_BARTLETT_CHUNK` frames
+    at a time: the complex ``(F, M, K)`` product is the largest temporary
+    of a frontend pass, and every frame's values are the same whatever
+    the chunk holds.
     """
     covariances = _check_covariance_stack(covariances, geometry)
     steering = _steering_matrix(geometry, angles_deg, wavelength_m,
                                 elevation_deg)
-    projected = covariances @ steering                       # (F, M, K)
-    numerator = np.real(np.einsum("mk,fmk->fk", steering.conj(), projected))
+    conjugate = steering.conj()
+    numerator = np.empty((covariances.shape[0], steering.shape[1]))
+    for start in range(0, covariances.shape[0], _BARTLETT_CHUNK):
+        chunk = slice(start, start + _BARTLETT_CHUNK)
+        projected = covariances[chunk] @ steering             # (C, M, K)
+        numerator[chunk] = np.real(np.einsum("mk,fmk->fk", conjugate,
+                                             projected))
     normalization = np.real(np.sum(np.abs(steering) ** 2, axis=0))
     return np.maximum(numerator, 0.0) / np.maximum(normalization, 1e-12)
 
@@ -251,17 +266,13 @@ def capon_spectrum_many(covariances: np.ndarray, geometry: ArrayGeometry,
     Raises
     ------
     EstimationError
-        If a frame's covariance has zero trace: the loading scales with the
-        trace, so such a frame stays singular.
+        If a frame's covariance trace is zero or too small to load in
+        range (:func:`check_capon_traces`).
     """
     covariances = _check_covariance_stack(covariances, geometry)
     num_antennas = covariances.shape[1]
     traces = np.real(np.trace(covariances, axis1=1, axis2=2))
-    empty = np.flatnonzero(traces == 0)
-    if empty.size:
-        raise EstimationError(
-            f"Capon needs a covariance with non-zero power, but frames "
-            f"{empty.tolist()} have zero trace (all-zero snapshots)")
+    check_capon_traces(traces, num_antennas, diagonal_loading)
     loading = diagonal_loading * traces / num_antennas
     regularized = covariances + loading[:, None, None] * np.eye(num_antennas)
     steering = _steering_matrix(geometry, angles_deg, wavelength_m,
@@ -269,3 +280,38 @@ def capon_spectrum_many(covariances: np.ndarray, geometry: ArrayGeometry,
     solution = np.linalg.solve(regularized, steering)        # (F, M, K)
     quadratic = np.real(np.einsum("mk,fmk->fk", steering.conj(), solution))
     return 1.0 / np.maximum(quadratic, 1e-12)
+
+
+def check_capon_traces(traces: np.ndarray, num_antennas: int,
+                       diagonal_loading: float = 1e-3) -> None:
+    """Raise if any frame's covariance trace is too small for Capon.
+
+    Capon's diagonal loading ``diagonal_loading * trace / num_antennas``
+    is what keeps the solve in range.  A zero trace (all-zero snapshots)
+    cannot be loaded at all, and a trace below
+    ``num_antennas**2 * 2**-1000 / diagonal_loading`` loads so little that
+    ``(R + loading I)^-1 a`` may overflow; at or above it every solution
+    stays below ``2**1000`` and every spectrum value above ``2**-1000``.
+    ``traces`` may also be lower bounds of the traces (such as the linear
+    rows' sample energy over ``antennas x snapshots``), which only makes
+    the check stricter.
+
+    Raises
+    ------
+    EstimationError
+        Naming every frame with zero trace, or else every frame whose
+        trace is below the bound.
+    """
+    traces = as_float_array(traces)
+    empty = np.flatnonzero(traces == 0)
+    if empty.size:
+        raise EstimationError(
+            f"Capon needs a covariance with non-zero power, but frames "
+            f"{empty.tolist()} have zero trace (all-zero snapshots)")
+    minimum = num_antennas ** 2 * 2.0 ** -1000 / diagonal_loading
+    weak = np.flatnonzero(traces < minimum)
+    if weak.size:
+        raise EstimationError(
+            f"Capon needs a covariance trace of at least {minimum:.1e} to "
+            f"stay in range under its diagonal loading, but frames "
+            f"{weak.tolist()} have less")

@@ -46,7 +46,8 @@ from repro.core.music import (
     music_spectrum_many,
 )
 from repro.core.smoothing import effective_antennas, smoothed_covariance_many
-from repro.core.spectrum import AoASpectrum, default_angle_grid
+from repro.core.spectrum import (AoASpectrum, _stacked_spectra,
+                                 default_angle_grid)
 from repro.core.symmetry import SymmetryResolver
 from repro.core.weighting import cached_geometry_window
 
@@ -182,21 +183,28 @@ class SpectrumComputer:
     def compute_many_stacked(self, stack: np.ndarray,
                              frames: Sequence[SnapshotMatrix],
                              array: DeployedArray,
-                             linear_indices: Sequence[int] | None = None
+                             linear_indices: Sequence[int] | None = None,
+                             frame_arrays: Sequence[DeployedArray] | None = None
                              ) -> list[AoASpectrum]:
         """Raw-stack variant of :meth:`compute_many`.
 
         Callers that already hold the calibrated ``(F, M, N)`` sample stack
-        (the AP compensates all frames' phase offsets in one broadcast
-        multiply) skip the per-frame re-stacking; ``frames`` only supplies
-        each spectrum's metadata (client id, AP id, timestamp).
+        skip the per-frame re-stacking; ``frames`` only supplies each
+        spectrum's metadata (client id, AP id, timestamp).
+
+        ``frame_arrays`` lets one stack span several APs: it gives every
+        frame's own deployed array, whose position and orientation its
+        spectrum carries.  Those arrays must share ``array``'s geometry
+        and wavelength, which alone drive the numerics.  When omitted,
+        every frame was captured on ``array``.
         """
         stack, frames = self._check_stack(stack, frames)
         if not frames:
             return []
         full_angles, full_power = self._full_power_stack(stack, array,
                                                          linear_indices)
-        return self._build_spectra(frames, array, full_angles, full_power)
+        return self._build_spectra(frames, array, frame_arrays, full_angles,
+                                   full_power)
 
     def compute_many_with_symmetry(self, snapshots_list: Sequence[SnapshotMatrix],
                                    array: DeployedArray,
@@ -219,13 +227,14 @@ class SpectrumComputer:
     def compute_many_with_symmetry_stacked(
             self, stack: np.ndarray, frames: Sequence[SnapshotMatrix],
             array: DeployedArray, linear_indices: Sequence[int],
-            full_indices: Sequence[int] | None = None
+            full_indices: Sequence[int] | None = None,
+            frame_arrays: Sequence[DeployedArray] | None = None
             ) -> list[AoASpectrum]:
         """Raw-stack variant of :meth:`compute_many_with_symmetry`.
 
-        See :meth:`compute_many_stacked` for the contract; the Section
-        2.3.4 suppression is applied vectorized on the power stack before
-        the output objects are built.
+        See :meth:`compute_many_stacked` for the contract, ``frame_arrays``
+        included; the Section 2.3.4 suppression is applied vectorized on
+        the power stack before the output objects are built.
         """
         stack, frames = self._check_stack(stack, frames)
         if not frames:
@@ -254,7 +263,8 @@ class SpectrumComputer:
             full_power[np.ix_(rows_lower, mask_lower)] *= attenuation
         if rows_upper.size:
             full_power[np.ix_(rows_upper, ~mask_lower)] *= attenuation
-        return self._build_spectra(frames, array, full_angles, full_power)
+        return self._build_spectra(frames, array, frame_arrays, full_angles,
+                                   full_power)
 
     def compute_with_symmetry(self, snapshots: SnapshotMatrix,
                               array: DeployedArray,
@@ -383,18 +393,24 @@ class SpectrumComputer:
             full_power = full_power * window[None, :]
         return full_angles, full_power
 
-    def _build_spectra(self, snapshots_list: Sequence[SnapshotMatrix],
-                       array: DeployedArray, full_angles: np.ndarray,
+    @staticmethod
+    def _build_spectra(snapshots_list: Sequence[SnapshotMatrix],
+                       array: DeployedArray,
+                       frame_arrays: Sequence[DeployedArray] | None,
+                       full_angles: np.ndarray,
                        full_power: np.ndarray) -> list[AoASpectrum]:
-        """Wrap the finished power stack into per-frame spectrum objects."""
-        return [AoASpectrum(
-                    full_angles, full_power[index],
-                    ap_position=array.position,
-                    ap_orientation_deg=array.orientation_deg,
-                    client_id=snapshots.client_id,
-                    ap_id=snapshots.ap_id,
-                    timestamp_s=snapshots.timestamp_s)
-                for index, snapshots in enumerate(snapshots_list)]
+        """Wrap the finished power stack into per-frame spectrum objects.
+
+        The stack is validated once, not row by row.
+        """
+        if frame_arrays is None:
+            frame_arrays = [array] * len(snapshots_list)
+        return _stacked_spectra(
+            full_angles, full_power,
+            [(placed.position, placed.orientation_deg, snapshots.client_id,
+              snapshots.ap_id, snapshots.timestamp_s)
+             for placed, snapshots in zip(frame_arrays, snapshots_list,
+                                          strict=True)])
 
     def _half_spectra_stack(self, linear_stack: np.ndarray,
                             geometry: ArrayGeometry,

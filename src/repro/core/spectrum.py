@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from collections.abc import Iterable
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -118,14 +119,11 @@ class AoASpectrum:
     def __post_init__(self) -> None:
         angles = np.asarray(self.angles_deg, dtype=float)
         power = np.asarray(self.power, dtype=float)
-        if angles.ndim != 1 or power.ndim != 1 or angles.shape != power.shape:
+        if power.ndim != 1:
             raise EstimationError(
                 "angles and power must be one-dimensional arrays of equal length, "
                 f"got {angles.shape} and {power.shape}")
-        if angles.shape[0] < 4:
-            raise EstimationError("an AoA spectrum needs at least four grid points")
-        if np.any(power < 0):
-            raise EstimationError("spectrum power values must be non-negative")
+        _check_power(angles, power)
         self.angles_deg = angles
         self.power = power
 
@@ -186,3 +184,49 @@ class AoASpectrum:
         if factor < 0:
             raise EstimationError("scale factor must be non-negative")
         return replace(self, power=self.power * factor)
+
+
+def _check_power(angles: np.ndarray, power: np.ndarray) -> None:
+    """The :class:`AoASpectrum` invariants, for one spectrum or a stack.
+
+    ``power`` is one spectrum's ``(K,)`` values or an ``(F, K)`` stack of
+    them, on the one-dimensional grid ``angles``.
+    """
+    if angles.ndim != 1 or power.shape[-1:] != angles.shape:
+        raise EstimationError(
+            "angles and power must be one-dimensional arrays of equal length, "
+            f"got {angles.shape} and {power.shape}")
+    if angles.shape[0] < 4:
+        raise EstimationError("an AoA spectrum needs at least four grid points")
+    if np.any(power < 0):
+        raise EstimationError("spectrum power values must be non-negative")
+
+
+def _stacked_spectra(angles_deg: np.ndarray, power: np.ndarray,
+                     metadata: Iterable[tuple[Point2D | None, float, str,
+                                              str, float]]
+                     ) -> list[AoASpectrum]:
+    """Wrap the rows of an ``(F, K)`` power stack as spectra on one grid.
+
+    The batched frontend's constructor: the checks of
+    :meth:`AoASpectrum.__post_init__` run once over the whole stack, and
+    each row (a view into ``power``) then becomes a spectrum without
+    running them again.  ``metadata`` gives every row's
+    ``(ap_position, ap_orientation_deg, client_id, ap_id, timestamp_s)``.
+    """
+    angles = as_float_array(angles_deg)
+    power = as_float_array(power)
+    if power.ndim != 2:
+        raise EstimationError(
+            f"a spectrum stack must have shape (F, K), got {power.shape}")
+    _check_power(angles, power)
+    spectra = []
+    for row, (position, orientation_deg, client_id, ap_id, timestamp_s) \
+            in zip(power, metadata, strict=True):
+        spectrum = object.__new__(AoASpectrum)
+        vars(spectrum).update(
+            angles_deg=angles, power=row, ap_position=position,
+            ap_orientation_deg=orientation_deg, client_id=client_id,
+            ap_id=ap_id, timestamp_s=timestamp_s)
+        spectra.append(spectrum)
+    return spectra

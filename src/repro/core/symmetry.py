@@ -116,7 +116,12 @@ class SymmetryResolver:
             if np.any(positive):
                 power[positive] = power[positive] \
                     * (weights[positive] / peaks[positive, None])
-        upper_mask = angles < 180.0
-        upper_power = np.sum(power[:, upper_mask], axis=1)
-        lower_power = np.sum(power[:, ~upper_mask], axis=1)
+        # The grid is uniform on [0, 360), so the upper half plane
+        # (angles < 180) is its first half.  Contiguous slices keep every
+        # row's sum in one order whatever the stack holds; a boolean-mask
+        # column selection returns a Fortran-ordered copy for F > 1, whose
+        # row sums then depend on the batch.
+        half = angles.shape[0] // 2
+        upper_power = np.sum(power[:, :half], axis=1)
+        lower_power = np.sum(power[:, half:], axis=1)
         return upper_power, lower_power

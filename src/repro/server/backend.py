@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 from collections.abc import Mapping, Sequence
 
 from repro.errors import ConfigurationError, EstimationError
-from repro.ap.access_point import ArrayTrackAP
+from repro.ap.access_point import ArrayTrackAP, compute_spectra_across
+from repro.ap.buffer import BufferEntry
 from repro.ap.latency import LatencyBreakdown, LatencyModel
 from repro.core.batch import BatchLocalizer
 from repro.core.localizer import LocalizerConfig, LocationEstimate
@@ -124,13 +125,13 @@ class ArrayTrackServer:
 
         The collection half of
         :meth:`repro.api.ArrayTrackService.localize_buffered`, which then
-        localizes the result like any ``localize_many`` batch.  Each AP
-        computes the spectra of *all* requested clients' pending frames in
-        one batched Section 2.3 frontend pass
-        (:meth:`~repro.ap.access_point.ArrayTrackAP.spectra_for_clients`),
-        so a buffered sweep costs one stacked covariance/eigh/projection
-        sweep per AP rather than one per frame.  Clients no AP currently
-        holds frames for are omitted from the result.
+        localizes the result like any ``localize_many`` batch.  Every
+        requested client's pending frames at every AP go through one
+        cross-AP Section 2.3 frontend pass
+        (:func:`~repro.ap.access_point.compute_spectra_across`), so a
+        buffered sweep costs one stacked covariance/eigh/projection sweep
+        per frontend key rather than one per AP or per frame.  Clients no
+        AP currently holds frames for are omitted from the result.
 
         Raises
         ------
@@ -141,20 +142,25 @@ class ArrayTrackServer:
         """
         if not aps:
             raise ConfigurationError("need at least one AP to localize")
-        client_ids = list(client_ids)
-        per_ap_spectra = [ap.spectra_for_clients(client_ids) for ap in aps]
-        spectra_by_client: dict[str, dict[str, list[AoASpectrum]]] = {}
+        frames: list[tuple[ArrayTrackAP, BufferEntry]] = []
+        # (client id, AP id, frame count) per non-empty buffer slice.
+        slices: list[tuple[str, str, int]] = []
         for client_id in client_ids:
-            per_ap: dict[str, list[AoASpectrum]] = {}
-            for ap, ap_spectra in zip(aps, per_ap_spectra, strict=True):
-                spectra = ap_spectra.get(client_id)
-                if spectra:
-                    per_ap[ap.ap_id] = spectra
-            if per_ap:
-                spectra_by_client[client_id] = per_ap
-        if not spectra_by_client:
+            for ap in aps:
+                entries = ap.buffer.entries_for_client(client_id)
+                if entries:
+                    slices.append((client_id, ap.ap_id, len(entries)))
+                    frames.extend((ap, entry) for entry in entries)
+        if not slices:
             raise EstimationError(
                 "none of the requested clients has any buffered frames")
+        spectra = compute_spectra_across(frames)
+        spectra_by_client: dict[str, dict[str, list[AoASpectrum]]] = {}
+        cursor = 0
+        for client_id, ap_id, count in slices:
+            spectra_by_client.setdefault(client_id, {})[ap_id] = \
+                spectra[cursor:cursor + count]
+            cursor += count
         return spectra_by_client
 
     # ------------------------------------------------------------------

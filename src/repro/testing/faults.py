@@ -27,8 +27,9 @@ The supported kinds, and where their hooks live:
     shared-memory packer before the segment is created
     (:func:`shm_allocation`).
 ``poison-frame``
-    :func:`poison` corrupts an ingested spectrum with a NaN power value,
-    exercising the service's poison-frame rejection.
+    :func:`poison` corrupts an ingested item -- a spectrum's power or a
+    raw buffer entry's snapshot samples -- with a NaN, exercising the
+    service's poison-frame rejection.
 
 Determinism: each spec owns a ``random.Random(seed)`` stream for its
 ``probability`` draws, and budgets (``times``) are enforced either
@@ -53,6 +54,7 @@ import numpy as np
 from repro.errors import ConfigurationError, FaultInjectedError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from repro.ap.buffer import BufferEntry
     from repro.core.spectrum import AoASpectrum
 
 __all__ = ["ENV_VAR", "KINDS", "STAGES", "KILL_EXIT_CODE", "FaultSpec",
@@ -307,15 +309,22 @@ def shm_allocation() -> None:
             "'shm-allocation-failure')")
 
 
-def poison(spectrum: "AoASpectrum") -> "AoASpectrum":
-    """Maybe corrupt one ingested spectrum with a NaN power value.
+def poison(item: "AoASpectrum | BufferEntry") -> "AoASpectrum | BufferEntry":
+    """Maybe corrupt one ingested item with a NaN.
 
     Returns the input unchanged while the fault is cold; when it fires, a
-    *copy* with ``power[0] = NaN`` is returned (the caller's array is
-    never mutated), which the service's poison-frame rejection must catch.
+    *copy* is returned with ``power[0] = NaN`` for a spectrum, or with its
+    first snapshot sample NaN for a raw buffer entry (the caller's arrays
+    are never mutated), which the service's poison-frame rejection must
+    catch.
     """
     if _fire("poison-frame") is None:
-        return spectrum
-    power = np.array(spectrum.power, copy=True)
-    power[0] = np.nan
-    return replace(spectrum, power=power)
+        return item
+    snapshots = getattr(item, "snapshots", None)
+    if snapshots is None:
+        power = np.array(item.power, copy=True)  # type: ignore[union-attr]
+        power[0] = np.nan
+        return replace(item, power=power)
+    samples = np.array(snapshots.samples, copy=True)
+    samples.flat[0] = np.nan
+    return replace(item, snapshots=replace(snapshots, samples=samples))

@@ -14,6 +14,7 @@ import os
 import threading
 import time
 import uuid
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from repro.api._procpool import (SEGMENT_PREFIX, ProcessShardPool,
 from repro.api._resilience import CircuitBreaker, backend_ladder
 from repro.ap.buffer import BufferEntry
 from repro.array.receiver import SnapshotMatrix
+from repro.channel import MultipathChannel
 from repro.core import AoASpectrum, default_angle_grid
 from repro.errors import (BackpressureError, ConfigurationError,
                           EstimationError, PoisonFrameError)
@@ -546,6 +548,79 @@ class TestDegenerateRawFrames:
         ap = service.build_ap("ap0", AP_POSITIONS[0])
         [session] = service.ingest_many(ap, [self._zero_entry()])
         assert session.pending_frames == 1
+
+
+class TestOverflowingRawFrames:
+    """Finite samples whose energy overflows are refused alike by every
+    estimator; every raw frame admitted yields a finite fix."""
+
+    def _entry(self, ap, index, scale):
+        channel = MultipathChannel.from_bearings(
+            [bearing_deg(ap.position, Point2D(7.0, 4.0))], [1.0],
+            client_id="c0")
+        entry = ap.overhear(channel, rng=np.random.default_rng(10 + index))
+        return replace(entry, snapshots=replace(
+            entry.snapshots, samples=entry.snapshots.samples * scale))
+
+    @pytest.mark.parametrize("method", ["music", "bartlett", "capon"])
+    @pytest.mark.parametrize("scale", [1e0, 1e50, 1e100, 1e150, 1e153,
+                                       1e154, 1e155, 1e200, 1e300])
+    def test_refused_at_ingest_or_a_finite_fix_at_tick(self, method, scale):
+        service = _service(**{"ap.spectrum.method": method,
+                              "session.emit_every_frames": 3})
+        refused = 0
+        for index, position in enumerate(AP_POSITIONS):
+            ap = service.build_ap(f"ap{index}", position,
+                                  rng=np.random.default_rng(index))
+            try:
+                service.ingest_many(ap, [self._entry(ap, index, scale)])
+            except PoisonFrameError as exc:
+                assert "sample energy overflows" in str(exc)
+                refused += 1
+        assert service.health()["ingest"]["poison_rejected"] == refused
+        assert _pending(service) == len(AP_POSITIONS) - refused
+        fixes = service.tick()
+        if refused == 0:
+            [fix] = fixes.values()
+            assert np.isfinite([fix.position.x, fix.position.y,
+                                fix.likelihood]).all()
+        else:
+            # A capture's scale is the same at every AP, so all go or none.
+            assert refused == len(AP_POSITIONS)
+            assert fixes == {}
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e-160, 1e-200])
+    def test_capon_refuses_captures_too_weak_to_load(self, scale):
+        """Such a frame's Capon solve overflows: refused at ingest, so it
+        never reaches a tick."""
+        service = _service(**{"ap.spectrum.method": "capon"})
+        ap = service.build_ap("ap0", AP_POSITIONS[0])
+        with pytest.raises(EstimationError, match="Capon needs"):
+            service.ingest_many(ap, [self._entry(ap, 0, scale)])
+        assert _pending(service) == 0
+
+    def test_poison_fault_on_a_raw_entry_is_caught_by_the_sample_screen(self):
+        service = _service(**{"resilience.fault_plan":
+                              '[{"kind": "poison-frame", "times": 1}]'})
+        ap = service.build_ap("ap0", AP_POSITIONS[0])
+        entry = self._entry(ap, 0, 1.0)
+        with pytest.raises(PoisonFrameError,
+                           match="'c0'.*non-finite snapshot samples"):
+            service.ingest_many(ap, [entry])
+        assert not np.isnan(entry.snapshots.samples).any()
+        service.ingest_many(ap, [entry])     # budget spent: admitted
+        assert _pending(service) == 1
+        assert service.health()["ingest"]["poison_rejected"] == 1
+
+    def test_misshapen_entry_is_refused_at_ingest(self):
+        service = _service()
+        ap = service.build_ap("ap0", AP_POSITIONS[0])
+        good = self._entry(ap, 0, 1.0)
+        short = replace(good, snapshots=replace(
+            good.snapshots, samples=good.snapshots.samples[:8]))
+        with pytest.raises(EstimationError, match=r"\(8, 10\).*9 rows"):
+            service.ingest_many(ap, [good, short])
+        assert _pending(service) == 0
 
 
 class _StubExecutor:

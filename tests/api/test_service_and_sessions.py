@@ -9,7 +9,8 @@ import pytest
 from repro.ap import APConfig, ArrayTrackAP
 from repro.api import ArrayTrackConfig, ArrayTrackService, Session
 from repro.channel import MultipathChannel
-from repro.core import AoASpectrum, LocalizerConfig, default_angle_grid
+from repro.core import (AoASpectrum, LocalizerConfig, SpectrumConfig,
+                        default_angle_grid)
 from repro.errors import ConfigurationError, EstimationError
 from repro.geometry import Point2D, bearing_deg
 from repro.server import ServerConfig
@@ -554,6 +555,26 @@ class TestIngestValidation:
         assert session.client_id == "c9"
         assert session.pending_frames == 1
         assert session.last_ingest_s == 0.5
+
+    def test_adopt_aps_rejects_a_spectrum_config_mismatch(self):
+        service = _service(**{"ap.spectrum.method": "bartlett"})
+
+        def ap(ap_id, **spectrum):
+            return ArrayTrackAP(ap_id, Point2D(0.0, 0.0), config=APConfig(
+                apply_phase_offsets=False,
+                spectrum=SpectrumConfig(**{"method": "bartlett", **spectrum})))
+
+        with pytest.raises(ConfigurationError,
+                           match=r"'ap1' runs ap\.spectrum\.method='music'"):
+            service.adopt_aps([ap("ap0"), ap("ap1", method="music")])
+        with pytest.raises(ConfigurationError,
+                           match=r"ap\.spectrum\.angle_resolution_deg=2\.0"):
+            service.adopt_aps([ap("ap2", angle_resolution_deg=2.0)])
+        # All or nothing: the matching ap0 was not registered either.
+        assert service.aps == {}
+        # Leaves outside ap.spectrum (here apply_phase_offsets) may differ.
+        service.adopt_aps([ap("ap0")])
+        assert list(service.aps) == ["ap0"]
 
     def test_empty_tick_batch_never_reaches_engine(self):
         service = _service()

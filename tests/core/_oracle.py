@@ -42,7 +42,8 @@ one frame, one client or one grid point at a time:
 * :func:`reference_find_peaks` and :func:`reference_peak_regions` are the
   Section 2.4 peak detection and lobe walk one grid point at a time, and
   :func:`reference_suppress` composes the Figure 8 algorithm from them;
-  :func:`roaming_groups` captures the streaming input they are checked on.
+  :func:`roaming_captures` and :func:`roaming_groups` capture the
+  streaming input they are checked on.
 
 Import it as ``tests.core._oracle``: the repo root is on ``sys.path`` for
 every pytest run, so ``benchmarks/`` modules can import it too.
@@ -858,15 +859,16 @@ def reference_suppress(suppressor: MultipathSuppressor,
     return primary.copy_with_power(power)
 
 
-def roaming_groups(num_clients: int, num_steps: int, frames_per_burst: int = 3,
-                   seed: int = 1) -> list[list[AoASpectrum]]:
-    """Suppression groups of a roaming capture in the office testbed.
+def roaming_captures(num_clients: int, num_steps: int,
+                     frames_per_burst: int = 3, seed: int = 1
+                     ) -> list[dict[ArrayTrackAP, list[BufferEntry]]]:
+    """Raw frames of a roaming capture in the office testbed.
 
     Each client walks a corridor lane and, at every step, sends a burst of
     ``frames_per_burst`` frames a few centimetres apart that all six APs
     overhear at the deployment's default SNR -- the streaming workload the
-    Section 2.4 stage sees.  Returns one group (the burst's spectra at one
-    AP) per step, client and AP.
+    service ingests.  Returns, per step, every AP's buffered entries in
+    capture order.
     """
     testbed = build_office_testbed()
     deployment = SimulatedDeployment(testbed, ScenarioConfig(
@@ -880,13 +882,33 @@ def roaming_groups(num_clients: int, num_steps: int, frames_per_burst: int = 3,
             num_samples=num_steps)
         for index in range(num_clients)
     }
-    groups: list[list[AoASpectrum]] = []
+    steps: list[dict[ArrayTrackAP, list[BufferEntry]]] = []
     for step in range(num_steps):
         for client_id, track in tracks.items():
             burst = movement_track(track[step], frames_per_burst,
                                    max_step_m=0.05, rng=walk_rng)
             deployment.capture_client(client_id, positions=burst,
                                       start_time_s=0.5 * step)
-            groups.extend(deployment.spectra_for_client(client_id).values())
-        deployment.clear()
+        steps.append({ap: ap.buffer.drain()
+                      for ap in deployment.aps.values()})
+    return steps
+
+
+def roaming_groups(num_clients: int, num_steps: int, frames_per_burst: int = 3,
+                   seed: int = 1) -> list[list[AoASpectrum]]:
+    """Suppression groups of a :func:`roaming_captures` capture.
+
+    The Section 2.4 stage's input: one group (the burst's spectra at one
+    AP) per step, client and AP.
+    """
+    groups: list[list[AoASpectrum]] = []
+    for step in roaming_captures(num_clients, num_steps, frames_per_burst,
+                                 seed):
+        for index in range(num_clients):
+            client_id = f"roamer-{index}"
+            for ap, entries in step.items():
+                mine = [entry for entry in entries
+                        if entry.client_id == client_id]
+                if mine:
+                    groups.append(ap.compute_spectra(mine))
     return groups

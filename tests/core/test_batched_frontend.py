@@ -16,6 +16,7 @@ from repro.channel import MultipathChannel
 from repro.core import SpectrumComputer, SpectrumConfig
 from repro.errors import EstimationError
 from repro.geometry import Point2D
+from repro.server import ArrayTrackServer
 
 from tests.core._oracle import (
     reference_ap_spectrum,
@@ -271,18 +272,28 @@ class TestAccessPointBatching:
                   for entry in ap.buffer.entries_for_client("alice")]
         _assert_spectra_equal(serial, ap.spectra_for_client("alice"))
 
-    def test_spectra_for_clients_splits_one_batch_per_client(self):
-        ap = _ap(SpectrumConfig(angle_resolution_deg=1.0))
+    def test_collect_buffered_splits_one_cross_ap_pass_per_client(self):
+        aps = [ArrayTrackAP(ap_id, position, orientation_deg=orientation,
+                            config=APConfig(spectrum=SpectrumConfig(
+                                angle_resolution_deg=1.0)),
+                            rng=np.random.default_rng(seed))
+               for ap_id, position, orientation, seed in (
+                   ("ap-1", Point2D(0.0, 0.0), 30.0, 53),
+                   ("ap-2", Point2D(9.0, 4.0), 200.0, 59))]
         rng = np.random.default_rng(53)
-        _capture_frames(ap, 3, rng, client_id="alice")
-        _capture_frames(ap, 2, rng, client_id="bob")
-        result = ap.spectra_for_clients(["alice", "bob", "ghost"])
-        assert sorted(result) == ["alice", "bob"]
-        assert len(result["alice"]) == 3
-        assert len(result["bob"]) == 2
-        for client_id in ("alice", "bob"):
-            serial = [reference_ap_spectrum(ap, entry)
-                      for entry in ap.buffer.entries_for_client(client_id)]
-            _assert_spectra_equal(serial, result[client_id])
-            for spectrum in result[client_id]:
-                assert spectrum.client_id == client_id
+        for ap in aps:
+            _capture_frames(ap, 3, rng, client_id="alice")
+            _capture_frames(ap, 2, rng, client_id="bob")
+        server = ArrayTrackServer((0.0, 0.0, 10.0, 10.0))
+        result = server.collect_buffered(aps, ["alice", "bob", "ghost"])
+        assert list(result) == ["alice", "bob"]
+        for client_id, count in (("alice", 3), ("bob", 2)):
+            assert list(result[client_id]) == ["ap-1", "ap-2"]
+            for ap in aps:
+                spectra = result[client_id][ap.ap_id]
+                assert len(spectra) == count
+                serial = [reference_ap_spectrum(ap, entry) for entry
+                          in ap.buffer.entries_for_client(client_id)]
+                _assert_spectra_equal(serial, spectra)
+                assert all(spectrum.ap_position == ap.position
+                           for spectrum in spectra)

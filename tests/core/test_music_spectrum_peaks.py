@@ -167,6 +167,21 @@ class TestStackedEstimators:
         assert not np.any(
             bartlett_spectrum_many(covariances, geometry, angles)[[1, 3]])
 
+    def test_capon_many_refuses_traces_too_small_to_load(self):
+        covariances, geometry = self._covariance_stack(num_frames=3)
+        angles = default_angle_grid(1.0, full_circle=False)
+        minimum = covariances.shape[1] ** 2 * 2.0 ** -1000 / 1e-3
+        traces = np.real(np.trace(covariances, axis1=1, axis2=2))
+        # Power-of-two factors put frame 1's trace just under the bound
+        # and frame 2's just over it.
+        exponents = np.ceil(np.log2(minimum / traces))
+        covariances[1] *= 2.0 ** (exponents[1] - 1)
+        covariances[2] *= 2.0 ** exponents[2]
+        with pytest.raises(EstimationError, match=r"frames \[1\] have less"):
+            capon_spectrum_many(covariances, geometry, angles)
+        power = capon_spectrum_many(covariances[[0, 2]], geometry, angles)
+        assert np.all(np.isfinite(power)) and np.all(power >= 2.0 ** -1000)
+
     def test_stack_dimension_mismatch_rejected(self):
         geometry = ArrayGeometry.uniform_linear(8)
         angles = default_angle_grid(1.0, full_circle=False)
