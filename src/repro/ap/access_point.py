@@ -29,7 +29,7 @@ from repro.array.geometry import ArrayGeometry
 from repro.array.receiver import ArrayReceiver, SnapshotMatrix
 from repro.ap.buffer import BufferEntry, CircularFrameBuffer
 from repro.channel.paths import MultipathChannel
-from repro.core.music import check_capon_traces
+from repro.core.music import check_capon_traces, check_nonzero_traces
 from repro.core.pipeline import SpectrumComputer, SpectrumConfig
 from repro.core.spectrum import AoASpectrum
 from repro.geometry.vector import Point2D
@@ -78,6 +78,15 @@ class APConfig:
             raise ConfigurationError("snapshots_per_frame must be >= 1")
         if self.buffer_capacity < 1:
             raise ConfigurationError("buffer_capacity must be >= 1")
+        # Checked here so a row too short for its smoothing fails at load
+        # rather than at the first frame.
+        groups = self.spectrum.smoothing_groups
+        size = self.num_antennas - groups + 1
+        if size < 2:
+            raise ConfigurationError(
+                f"spectrum.smoothing_groups={groups} over num_antennas="
+                f"{self.num_antennas} leaves only {size} virtual antennas; "
+                f"need at least 2")
 
 
 class ArrayTrackAP:
@@ -121,7 +130,6 @@ class ArrayTrackAP:
         self._calibrated = not self.config.apply_phase_offsets
         if self.config.apply_phase_offsets:
             self.calibrate()
-        self.warm_spectrum_caches()
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -211,21 +219,6 @@ class ArrayTrackAP:
     # ------------------------------------------------------------------
     # Spectrum computation (Section 2.3)
     # ------------------------------------------------------------------
-    def warm_spectrum_caches(self) -> None:
-        """Precompute the steering matrices this AP's spectra will use.
-
-        The Equation 6 steering continuum depends only on the (static)
-        antenna geometry, angle grid and carrier, so it is computed once and
-        served from the shared :class:`~repro.core.cache.SteeringCache` for
-        every subsequent frame.  Called at construction; a fleet of APs with
-        identical :class:`APConfig` shares the same cache entries, so the
-        per-AP cost after the first AP is a dictionary lookup.
-        """
-        full_indices = list(range(self.array.num_elements)) \
-            if self.config.use_symmetry_antenna else None
-        self._spectrum_computer.warm_caches(self.array, self.linear_indices,
-                                            full_indices)
-
     def compute_spectrum(self, entry: BufferEntry) -> AoASpectrum:
         """Return the AoA spectrum for one buffered frame (a batch of one)."""
         return self.compute_spectra([entry])[0]
@@ -254,19 +247,22 @@ class ArrayTrackAP:
 
         The checks that let a service buffer raw frames and compute their
         spectra later without a failing pass: every snapshot matrix has
-        one row per array element and at least one snapshot, and under
-        the Capon estimator every frame's covariance trace is large enough
-        for its diagonal loading (:func:`~repro.core.music.
-        check_capon_traces`).  That trace is at least the linear rows'
-        sample energy over ``linear antennas x snapshots``: spatial
-        smoothing averages at most that many sub-arrays, which together
-        cover every linear row.
+        one row per array element and at least one snapshot, every
+        frame's linear rows carry non-zero sample energy (samples whose
+        squares underflow count as zero: their spectrum would be all zero
+        or arbitrary), and under the Capon estimator every frame's
+        covariance trace is large enough for its diagonal loading
+        (:func:`~repro.core.music.check_capon_traces`).  That trace is at
+        least the linear rows' sample energy over ``linear antennas x
+        snapshots``: spatial smoothing averages at most that many
+        sub-arrays, which together cover every linear row.
 
         Raises
         ------
         EstimationError
             Naming the first misshapen entry in input order, or every
-            frame the Capon estimator would refuse.
+            frame with zero energy, or every frame the Capon estimator
+            would refuse.
         """
         rows = self.array.num_elements
         for entry in entries:
@@ -276,13 +272,15 @@ class ArrayTrackAP:
                     f"raw frame from client {entry.client_id!r} has a "
                     f"{shape} snapshot matrix; AP {self.ap_id!r} needs "
                     f"{rows} rows and at least one snapshot")
-        if self._spectrum_computer.config.method == "capon":
-            linear = self.linear_indices
-            check_capon_traces(
-                [np.vdot(samples, samples).real / samples.size
-                 for samples in (entry.snapshots.samples[linear]
-                                 for entry in entries)],
-                len(linear))
+        linear = self.linear_indices
+        energies = [np.vdot(samples, samples).real / samples.size
+                    for samples in (entry.snapshots.samples[linear]
+                                    for entry in entries)]
+        method = self._spectrum_computer.config.method
+        if method == "capon":
+            check_capon_traces(energies, len(linear))
+        else:
+            check_nonzero_traces(energies, method)
 
     def _frontend_key(self) -> Hashable:
         """What decides this AP's frontend numerics, apart from snapshot shape.

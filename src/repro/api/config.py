@@ -390,7 +390,7 @@ class ArrayTrackConfig:
     suppressor:
         Parameters of the Section 2.4 multipath suppression
         (:class:`~repro.core.suppression.SuppressorConfig`): peak-match
-        tolerance, grouping window/span and group size.  The one section
+        tolerance, grouping window and group size.  The one section
         both switches read: ``session.suppress_multipath`` (every group's
         primary, grouped on ingest-resolved times) and
         ``server.enable_multipath_suppression`` (the earliest group's

@@ -116,7 +116,7 @@ def _compute_pending(sessions: Iterable[Session]) -> None:
 
 
 class Session:
-    """One client's streaming state: pending frames and emitted fixes.
+    """One client's streaming state: its pending frames.
 
     Sessions are created lazily by :meth:`ArrayTrackService.ingest` /
     :meth:`ArrayTrackService.session`; callers never construct them
@@ -124,7 +124,8 @@ class Session:
     screened raw frames whose spectra are computed when first read --
     until one of its configured triggers fires, at which point the
     service drains it through the batched synthesis engine and records
-    the fix.
+    the fix in the tracker (:meth:`ArrayTrackService.track`,
+    :meth:`ArrayTrackService.latest_fix`).
     """
 
     def __init__(self, client_id: str, config: SessionConfig,
@@ -145,12 +146,6 @@ class Session:
         self._oldest_pending_s: float | None = None
         #: Timestamp of the most recently ingested frame (simulation time).
         self.last_ingest_s: float | None = None
-        #: Every fix emitted for this client, as tracker points in
-        #: *emission order* -- frozen snapshots of each fix as it was
-        #: recorded.  The authoritative, timestamp-sorted and currently-
-        #: smoothed history is :meth:`ArrayTrackService.track`; the two
-        #: can differ once out-of-order fixes were inserted.
-        self.fixes: list[TrackPoint] = []
 
     # ------------------------------------------------------------------
     # State
@@ -169,11 +164,6 @@ class Session:
     def oldest_pending_s(self) -> float | None:
         """Timestamp of the oldest pending frame (None when empty)."""
         return self._oldest_pending_s
-
-    @property
-    def last_fix(self) -> TrackPoint | None:
-        """The most recently emitted fix, or None."""
-        return self.fixes[-1] if self.fixes else None
 
     # ------------------------------------------------------------------
     # Accumulation
@@ -658,7 +648,8 @@ class ArrayTrackService:
             contradicts the client's other frames at this AP.
         EstimationError
             If a raw entry's snapshot matrix does not fit the AP's array,
-            or has too little power for the Capon estimator.
+            has zero sample energy, or has too little power for the Capon
+            estimator.
         """
         items = [faults.poison(item)
                  if isinstance(item, (AoASpectrum, BufferEntry)) else item
@@ -966,15 +957,12 @@ class ArrayTrackService:
                  else 0.0)
             # Validate every client against the tracker's out-of-order
             # policy BEFORE committing anything: a rejected fix must leave
-            # all sessions (frames, fix logs) and the tracker untouched.
+            # all sessions and the tracker untouched.
             self.tracker.ensure_accepts(client_id, timestamps[client_id])
         fixes: dict[str, LocationEstimate] = {}
         for client_id, estimate in estimates.items():
-            session = sessions[client_id]
-            point = self.tracker.update(client_id, estimate,
-                                        timestamps[client_id])
-            session.drain()
-            session.fixes.append(point)
+            self.tracker.update(client_id, estimate, timestamps[client_id])
+            sessions[client_id].drain()
             fixes[client_id] = estimate
         return fixes
 

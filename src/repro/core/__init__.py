@@ -25,8 +25,6 @@ from repro.core.cache import (
     grid_axes,
 )
 from repro.core.covariance import (
-    forward_backward_covariance,
-    forward_backward_covariance_many,
     sample_covariance,
     sample_covariance_many,
 )
@@ -81,8 +79,6 @@ __all__ = [
     "default_steering_cache",
     "default_window_cache",
     "grid_axes",
-    "forward_backward_covariance",
-    "forward_backward_covariance_many",
     "sample_covariance",
     "sample_covariance_many",
     "SubspaceDecomposition",

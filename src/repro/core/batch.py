@@ -180,13 +180,13 @@ def _block_spans(layout: _GridLayout, lower: np.ndarray, upper: np.ndarray,
 class _SlotEntry:
     """One (slot index, AP placement) group of the stacked evaluation.
 
-    Holds the stacked (and normalized) power rows of every client whose
+    Holds the stacked, normalized power rows of every client whose
     ``slot``-th spectrum sits at this placement, plus the unit-index ->
     power-row mapping the evaluator gathers through.
     """
 
     __slots__ = ("ap_x", "ap_y", "orientation_deg", "angles_deg", "table",
-                 "powers", "maxima", "membership", "units", "rows")
+                 "powers", "membership", "units", "rows")
 
     def __init__(self, exemplar: AoASpectrum, table: _PlacementTable) -> None:
         self.ap_x = float(exemplar.ap_position.x)
@@ -195,7 +195,6 @@ class _SlotEntry:
         self.angles_deg = exemplar.angles_deg
         self.table = table
         self.powers: np.ndarray = np.empty(0)       # (jobs, angles), stacked
-        self.maxima: np.ndarray = np.empty(0)       # per-row max (floor term)
         #: ``membership[u]`` is True when unit ``u`` has a row here; None
         #: means *every* unit does (the rectangular fast path, where the
         #: evaluator skips the boolean select entirely).
@@ -208,14 +207,14 @@ class _PointTable:
     """One angle grid's spectra as ``(slots, units)`` arrays.
 
     Entry ``[slot, unit]`` holds the AP position and orientation of the
-    unit's ``slot``-th spectrum, the start of its normalized power row in
-    one concatenated flat matrix and its floor term.  A pair whose
+    unit's ``slot``-th spectrum and the start of its normalized power row
+    in one concatenated flat matrix.  A pair whose
     spectrum is on another grid (or that has no ``slot``-th spectrum) is
     flagged in ``absent`` and scores exactly 1.0.
     """
 
     __slots__ = ("angles_deg", "ap_x", "ap_y", "orientation_deg", "starts",
-                 "floors", "absent", "powers")
+                 "floor", "absent", "powers")
 
     def __init__(self, placed: list[tuple[int, _SlotEntry]],
                  num_slots: int, num_units: int, floor: float) -> None:
@@ -225,7 +224,6 @@ class _PointTable:
         self.ap_y = np.zeros(shape)
         self.orientation_deg = np.zeros(shape)
         self.starts = np.zeros(shape, dtype=int)
-        floors = np.zeros(shape)
         present = np.zeros(shape, dtype=bool)
         num_angles = self.angles_deg.shape[0]
         offset = 0
@@ -236,12 +234,11 @@ class _PointTable:
             self.orientation_deg[slot, units] = entry.orientation_deg
             self.starts[slot, units] = (offset + np.arange(units.shape[0])) \
                 * num_angles
-            floors[slot, units] = floor * entry.maxima
             present[slot, units] = True
             offset += units.shape[0]
         self.powers = np.concatenate(
             [entry.powers for _, entry in placed]).ravel()
-        self.floors = floors if floor > 0 else None
+        self.floor = floor
         self.absent = None if np.all(present) else ~present
 
     def values(self, units: np.ndarray, xs: np.ndarray,
@@ -259,8 +256,8 @@ class _PointTable:
         # The AP's own location is rated zero (the bearing is undefined
         # there); the floor below still applies, as at a grid cell.
         values[np.hypot(dx, dy) < 1e-9] = 0.0
-        if self.floors is not None:
-            np.maximum(values, self.floors.take(units, axis=1), out=values)
+        if self.floor > 0:
+            np.maximum(values, self.floor, out=values)
         if self.absent is not None:
             values[self.absent.take(units, axis=1)] = 1.0
         return values
@@ -270,7 +267,7 @@ class _StackedObjective:
     """Equation 8 of a client batch, at grid cells and at arbitrary points.
 
     ``L(x) = prod_i max(P_i(theta_i(x)), floor * max P_i)`` over each
-    client's (optionally normalized) spectra, folded in the client's own
+    client's normalized spectra, folded in the client's own
     spectrum order; the AP's own location contributes zero before the
     floor, since its bearing is undefined.  This is the only Equation 8 in
     ``src/``: :meth:`fold_cells` serves grid seeding, grid-only fixes and
@@ -322,16 +319,12 @@ class _StackedObjective:
             slot = group[0]
             group_jobs = jobs[group]
             stacked = np.stack([power for _, power in group_jobs])
-            if config.normalize_spectra:
-                maxima = np.max(stacked, axis=1)
-                if np.any(maxima <= 0):
-                    raise EstimationError(
-                        "cannot normalize an all-zero spectrum")
-                stacked = stacked / maxima[:, None]
-            entry.powers = stacked
-            # The floor is relative to each (normalized) spectrum's own
-            # maximum, so recompute it on the rows actually evaluated.
-            entry.maxima = np.max(stacked, axis=1)
+            maxima = np.max(stacked, axis=1)
+            if np.any(maxima <= 0):
+                raise EstimationError("cannot normalize an all-zero spectrum")
+            # Each row's maximum becomes exactly 1.0, so the floor
+            # relative to it is the floor itself.
+            entry.powers = stacked / maxima[:, None]
             units = np.array([unit for unit, _ in group_jobs], dtype=int)
             rows = np.zeros(self.num_units, dtype=int)
             rows[units] = np.arange(units.shape[0])
@@ -420,8 +413,7 @@ class _StackedObjective:
         factors = np.maximum.reduceat(doubled, table.span_edges, axis=1)[
             :, 0::2][:, table.span_blocks]
         if self._floor > 0:
-            np.maximum(factors, self._floor * entry.maxima[:, None],
-                       out=factors)
+            np.maximum(factors, self._floor, out=factors)
         return factors * (1.0 + 1e-12) + 1e-323
 
     def _fold(self, units: np.ndarray, cells: np.ndarray) -> np.ndarray:
@@ -456,7 +448,7 @@ class _StackedObjective:
         # the floor below still applies, as at an arbitrary point.
         values[table.collocated[cells]] = 0.0
         if self._floor > 0:
-            np.maximum(values, self._floor * entry.maxima[rows], out=values)
+            np.maximum(values, self._floor, out=values)
         return values
 
 

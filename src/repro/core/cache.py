@@ -6,8 +6,8 @@ deployment rather than once per frame or per fix:
 
 * the MUSIC/Bartlett/Capon **steering matrix** of Equation 6 -- the array
   response ``a(theta)`` evaluated over the angle grid -- depends only on the
-  element positions, the angle grid, the carrier wavelength and the assumed
-  elevation (Section 2.3.1);
+  element positions, the angle grid and the carrier wavelength (Section
+  2.3.1);
 * the **bearing grid** of Equation 8 -- the bearing ``theta_i(x)`` of every
   candidate grid cell ``x`` as seen from AP ``i`` -- depends only on the
   search bounds, the grid resolution and the AP position (Section 2.5).
@@ -160,15 +160,15 @@ class SteeringCache(_LRU[np.ndarray]):
     ----------
     max_entries:
         Number of distinct steering matrices retained.  A deployment needs
-        one entry per distinct (geometry, angle grid, wavelength,
-        elevation) combination, so the default is generous.
+        one entry per distinct (geometry, angle grid, wavelength)
+        combination, so the default is generous.
     """
 
     def __init__(self, max_entries: int = 128) -> None:
         super().__init__(max_entries)
 
     def get(self, geometry: ArrayGeometry, angles_deg: np.ndarray,
-            wavelength_m: float, elevation_deg: float = 0.0) -> np.ndarray:
+            wavelength_m: float) -> np.ndarray:
         """Return the ``(M, K)`` steering matrix, computing it on first use.
 
         Parameters
@@ -177,9 +177,9 @@ class SteeringCache(_LRU[np.ndarray]):
             An :class:`~repro.array.geometry.ArrayGeometry`.
         angles_deg:
             1-D azimuth grid in the array's local frame.
-        wavelength_m, elevation_deg:
-            Carrier wavelength and common arrival elevation (Equation 6 /
-            Appendix A).
+        wavelength_m:
+            Carrier wavelength (Equation 6).  Arrivals are taken in the
+            array's horizontal plane.
 
         Returns
         -------
@@ -189,9 +189,9 @@ class SteeringCache(_LRU[np.ndarray]):
         angles = np.ascontiguousarray(as_float_array(angles_deg))
         positions = np.ascontiguousarray(geometry.element_positions)
         key = (positions.shape, positions.tobytes(), angles.shape,
-               angles.tobytes(), float(wavelength_m), float(elevation_deg))
+               angles.tobytes(), float(wavelength_m))
         return self._lookup(key, lambda: _readonly(np.ascontiguousarray(
-            geometry.steering_matrix(angles, elevation_deg, wavelength_m))))
+            geometry.steering_matrix(angles, wavelength_m=wavelength_m))))
 
 
 @dataclass(frozen=True)

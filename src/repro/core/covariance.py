@@ -24,8 +24,6 @@ from repro.errors import EstimationError
 __all__ = [
     "sample_covariance",
     "sample_covariance_many",
-    "forward_backward_covariance",
-    "forward_backward_covariance_many",
 ]
 
 
@@ -86,28 +84,3 @@ def sample_covariance_many(snapshots: np.ndarray,
             + (diagonal_loading * mean_power)[:, None, None] * np.eye(num_antennas)
     return covariance
 
-
-def forward_backward_covariance(snapshots: np.ndarray,
-                                diagonal_loading: float = 0.0) -> np.ndarray:
-    """Return the forward-backward averaged covariance of a ULA snapshot matrix.
-
-    A batch of one through :func:`forward_backward_covariance_many`.
-    """
-    return forward_backward_covariance_many(_one_frame(snapshots),
-                                            diagonal_loading)[0]
-
-
-def forward_backward_covariance_many(snapshots: np.ndarray,
-                                     diagonal_loading: float = 0.0) -> np.ndarray:
-    """Return per-frame forward-backward covariances of an ``(F, M, N)`` stack.
-
-    Forward-backward averaging exploits the conjugate symmetry of a uniform
-    linear array to decorrelate coherent sources using half as many
-    sub-arrays as plain spatial smoothing would need.  It is provided as an
-    optional enhancement (the paper uses forward-only smoothing); the
-    ablation benchmarks compare the two.
-    """
-    covariance = sample_covariance_many(snapshots, diagonal_loading)
-    exchange = np.eye(covariance.shape[1])[::-1]
-    backward = (exchange @ covariance.conj()) @ exchange
-    return (covariance + backward) / 2.0

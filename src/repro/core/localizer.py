@@ -65,8 +65,6 @@ class LocalizerConfig:
         cells (disable for the fastest, grid-only estimates).
     num_seeds:
         Number of top grid cells used to seed hill climbing (3 in the paper).
-    normalize_spectra:
-        Normalize each AP's spectrum to unit maximum before multiplying.
     spectrum_floor:
         Minimum relative value a spectrum contributes to the likelihood
         product; keeps one blind AP from vetoing the true location (0
@@ -76,7 +74,6 @@ class LocalizerConfig:
     grid_resolution_m: float = DEFAULT_GRID_RESOLUTION_M
     refine_with_hill_climbing: bool = True
     num_seeds: int = 3
-    normalize_spectra: bool = True
     spectrum_floor: float = 0.02
 
     def __post_init__(self) -> None:

@@ -37,6 +37,7 @@ __all__ = [
     "capon_spectrum",
     "capon_spectrum_many",
     "check_capon_traces",
+    "check_nonzero_traces",
     "spectrum_from_noise_subspace",
     "spectrum_from_noise_subspace_many",
 ]
@@ -49,20 +50,21 @@ _BARTLETT_CHUNK = 32
 
 
 def _steering_matrix(geometry: ArrayGeometry, angles_deg: np.ndarray,
-                     wavelength_m: float, elevation_deg: float) -> np.ndarray:
+                     wavelength_m: float) -> np.ndarray:
     """Return the (cached) steering matrix for ``geometry`` over ``angles_deg``.
 
     The steering continuum of Equation 6 is a pure function of the static
     array geometry, so it is served from the shared
     :class:`~repro.core.cache.SteeringCache`: every AP with the same antenna
-    layout computes it once per (grid, wavelength, elevation) and reuses it
-    for every subsequent frame.  The returned matrix is read-only.
+    layout computes it once per (grid, wavelength) and reuses it for every
+    subsequent frame.  Arrivals are taken in the array's horizontal plane:
+    Appendix A bounds the AP/client height error instead of compensating
+    for it.  The returned matrix is read-only.
     """
     angles = as_float_array(angles_deg)
     if angles.ndim != 1 or angles.shape[0] < 2:
         raise EstimationError("angle grid must be a 1-D array with >= 2 entries")
-    return default_steering_cache().get(geometry, angles, wavelength_m,
-                                        elevation_deg)
+    return default_steering_cache().get(geometry, angles, wavelength_m)
 
 
 def _check_covariance_stack(covariances: np.ndarray,
@@ -141,22 +143,19 @@ def spectrum_from_noise_subspace_many(noise_subspaces: np.ndarray,
 def music_spectrum(covariance: np.ndarray, geometry: ArrayGeometry,
                    angles_deg: np.ndarray,
                    num_sources: int | None = None,
-                   wavelength_m: float = WAVELENGTH_M,
-                   elevation_deg: float = 0.0) -> np.ndarray:
+                   wavelength_m: float = WAVELENGTH_M) -> np.ndarray:
     """Return the MUSIC pseudospectrum of one ``(M, M)`` covariance.
 
     A batch of one through :func:`music_spectrum_many`.
     """
     return music_spectrum_many(_one_covariance(covariance), geometry,
-                               angles_deg, num_sources, wavelength_m,
-                               elevation_deg)[0]
+                               angles_deg, num_sources, wavelength_m)[0]
 
 
 def music_spectrum_many(covariances: np.ndarray, geometry: ArrayGeometry,
                         angles_deg: np.ndarray,
                         num_sources: int | Sequence[int] | None = None,
-                        wavelength_m: float = WAVELENGTH_M,
-                        elevation_deg: float = 0.0) -> np.ndarray:
+                        wavelength_m: float = WAVELENGTH_M) -> np.ndarray:
     """Return MUSIC pseudospectra for an ``(F, M, M)`` covariance stack.
 
     One stacked ``np.linalg.eigh`` covers every frame, the eigenvalue
@@ -179,12 +178,9 @@ def music_spectrum_many(covariances: np.ndarray, geometry: ArrayGeometry,
         omitted.
     wavelength_m:
         Carrier wavelength.
-    elevation_deg:
-        Common elevation of the arrivals (Appendix A height analysis).
     """
     covariances = _check_covariance_stack(covariances, geometry)
-    steering = _steering_matrix(geometry, angles_deg, wavelength_m,
-                                elevation_deg)
+    steering = _steering_matrix(geometry, angles_deg, wavelength_m)
     batch: SubspaceDecompositionBatch = decompose_many(covariances, num_sources)
     power = np.empty((covariances.shape[0], steering.shape[1]))
     for count in np.unique(batch.num_sources):
@@ -196,20 +192,18 @@ def music_spectrum_many(covariances: np.ndarray, geometry: ArrayGeometry,
 
 def bartlett_spectrum(covariance: np.ndarray, geometry: ArrayGeometry,
                       angles_deg: np.ndarray,
-                      wavelength_m: float = WAVELENGTH_M,
-                      elevation_deg: float = 0.0) -> np.ndarray:
+                      wavelength_m: float = WAVELENGTH_M) -> np.ndarray:
     """Return the Bartlett spectrum of one ``(M, M)`` covariance.
 
     A batch of one through :func:`bartlett_spectrum_many`.
     """
     return bartlett_spectrum_many(_one_covariance(covariance), geometry,
-                                  angles_deg, wavelength_m, elevation_deg)[0]
+                                  angles_deg, wavelength_m)[0]
 
 
 def bartlett_spectrum_many(covariances: np.ndarray, geometry: ArrayGeometry,
                            angles_deg: np.ndarray,
-                           wavelength_m: float = WAVELENGTH_M,
-                           elevation_deg: float = 0.0) -> np.ndarray:
+                           wavelength_m: float = WAVELENGTH_M) -> np.ndarray:
     """Return conventional (Bartlett) beamformer spectra for a covariance stack.
 
     ``P(theta) = a^H R a / (a^H a)`` per frame; lower resolution than MUSIC
@@ -222,8 +216,7 @@ def bartlett_spectrum_many(covariances: np.ndarray, geometry: ArrayGeometry,
     the chunk holds.
     """
     covariances = _check_covariance_stack(covariances, geometry)
-    steering = _steering_matrix(geometry, angles_deg, wavelength_m,
-                                elevation_deg)
+    steering = _steering_matrix(geometry, angles_deg, wavelength_m)
     conjugate = steering.conj()
     numerator = np.empty((covariances.shape[0], steering.shape[1]))
     for start in range(0, covariances.shape[0], _BARTLETT_CHUNK):
@@ -238,21 +231,19 @@ def bartlett_spectrum_many(covariances: np.ndarray, geometry: ArrayGeometry,
 def capon_spectrum(covariance: np.ndarray, geometry: ArrayGeometry,
                    angles_deg: np.ndarray,
                    wavelength_m: float = WAVELENGTH_M,
-                   elevation_deg: float = 0.0,
                    diagonal_loading: float = 1e-3) -> np.ndarray:
     """Return the Capon (MVDR) spectrum of one ``(M, M)`` covariance.
 
     A batch of one through :func:`capon_spectrum_many`.
     """
     return capon_spectrum_many(_one_covariance(covariance), geometry,
-                               angles_deg, wavelength_m, elevation_deg,
+                               angles_deg, wavelength_m,
                                diagonal_loading)[0]
 
 
 def capon_spectrum_many(covariances: np.ndarray, geometry: ArrayGeometry,
                         angles_deg: np.ndarray,
                         wavelength_m: float = WAVELENGTH_M,
-                        elevation_deg: float = 0.0,
                         diagonal_loading: float = 1e-3) -> np.ndarray:
     """Return Capon (MVDR) spectra ``1 / (a^H R^-1 a)`` for a covariance stack.
 
@@ -262,6 +253,12 @@ def capon_spectrum_many(covariances: np.ndarray, geometry: ArrayGeometry,
     The quadratic forms are evaluated through one stacked
     ``np.linalg.solve(regularized, steering)`` rather than an explicit
     ``np.linalg.inv``: better conditioned and one fewer GEMM.
+
+    Each frame is solved scaled by ``2**-e``, where ``2**e`` brackets its
+    trace, and the spectrum is scaled back by ``2**e`` afterwards.  Both
+    scalings are exact in floating point, so the spectrum scales exactly
+    with the covariance, and the ``1e-12`` floor on the quadratic form is
+    relative to the frame's power rather than absolute.
 
     Raises
     ------
@@ -273,13 +270,15 @@ def capon_spectrum_many(covariances: np.ndarray, geometry: ArrayGeometry,
     num_antennas = covariances.shape[1]
     traces = np.real(np.trace(covariances, axis1=1, axis2=2))
     check_capon_traces(traces, num_antennas, diagonal_loading)
-    loading = diagonal_loading * traces / num_antennas
-    regularized = covariances + loading[:, None, None] * np.eye(num_antennas)
-    steering = _steering_matrix(geometry, angles_deg, wavelength_m,
-                                elevation_deg)
+    exponents = np.frexp(traces)[1]
+    scales = np.ldexp(1.0, -exponents)
+    loading = diagonal_loading * (traces * scales) / num_antennas
+    regularized = covariances * scales[:, None, None] \
+        + loading[:, None, None] * np.eye(num_antennas)
+    steering = _steering_matrix(geometry, angles_deg, wavelength_m)
     solution = np.linalg.solve(regularized, steering)        # (F, M, K)
     quadratic = np.real(np.einsum("mk,fmk->fk", steering.conj(), solution))
-    return 1.0 / np.maximum(quadratic, 1e-12)
+    return np.ldexp(1.0 / np.maximum(quadratic, 1e-12), exponents[:, None])
 
 
 def check_capon_traces(traces: np.ndarray, num_antennas: int,
@@ -288,10 +287,11 @@ def check_capon_traces(traces: np.ndarray, num_antennas: int,
 
     Capon's diagonal loading ``diagonal_loading * trace / num_antennas``
     is what keeps the solve in range.  A zero trace (all-zero snapshots)
-    cannot be loaded at all, and a trace below
-    ``num_antennas**2 * 2**-1000 / diagonal_loading`` loads so little that
-    ``(R + loading I)^-1 a`` may overflow; at or above it every solution
-    stays below ``2**1000`` and every spectrum value above ``2**-1000``.
+    cannot be loaded at all, and below
+    ``num_antennas**2 * 2**-1000 / diagonal_loading`` the power-of-two
+    scale of :func:`capon_spectrum_many` and the spectrum values, which
+    scale with the trace, leave the normal floating-point range; at or
+    above it every spectrum value stays above ``2**-1000``.
     ``traces`` may also be lower bounds of the traces (such as the linear
     rows' sample energy over ``antennas x snapshots``), which only makes
     the check stricter.
@@ -302,12 +302,7 @@ def check_capon_traces(traces: np.ndarray, num_antennas: int,
         Naming every frame with zero trace, or else every frame whose
         trace is below the bound.
     """
-    traces = as_float_array(traces)
-    empty = np.flatnonzero(traces == 0)
-    if empty.size:
-        raise EstimationError(
-            f"Capon needs a covariance with non-zero power, but frames "
-            f"{empty.tolist()} have zero trace (all-zero snapshots)")
+    traces = check_nonzero_traces(traces, "Capon")
     minimum = num_antennas ** 2 * 2.0 ** -1000 / diagonal_loading
     weak = np.flatnonzero(traces < minimum)
     if weak.size:
@@ -315,3 +310,25 @@ def check_capon_traces(traces: np.ndarray, num_antennas: int,
             f"Capon needs a covariance trace of at least {minimum:.1e} to "
             f"stay in range under its diagonal loading, but frames "
             f"{weak.tolist()} have less")
+
+
+def check_nonzero_traces(traces: np.ndarray, estimator: str) -> np.ndarray:
+    """Raise if any frame's covariance trace is zero; return the traces.
+
+    A zero trace (all-zero snapshots, or samples whose squares underflow)
+    leaves every estimator without a usable spectrum: Bartlett's is all
+    zero, MUSIC's eigenvectors are arbitrary and Capon cannot load it.
+    ``estimator`` names the estimator in the message.
+
+    Raises
+    ------
+    EstimationError
+        Naming every frame with zero trace.
+    """
+    traces = as_float_array(traces)
+    empty = np.flatnonzero(traces == 0)
+    if empty.size:
+        raise EstimationError(
+            f"{estimator} needs a covariance with non-zero power, but frames "
+            f"{empty.tolist()} have zero trace (all-zero snapshots)")
+    return traces

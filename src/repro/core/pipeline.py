@@ -7,9 +7,12 @@ weighting (2.3.3), and -- when a nine-antenna capture is available --
 array-symmetry removal (2.3.4).  Multipath suppression (2.4) operates across
 frames and therefore lives one level up, in the server.
 
-The ``method`` knob also exposes the Bartlett and Capon estimators so the
-ablation benchmark can swap the spectrum estimator while keeping everything
-else fixed.
+The frontend is the paper's: forward-only spatial smoothing, an
+automatically chosen source count and arrivals in the array's horizontal
+plane (Appendix A bounds the AP/client height error instead of
+compensating for it).  The ``method`` knob also exposes the Bartlett and
+Capon estimators so the ablation benchmark can swap the spectrum estimator
+while keeping everything else fixed.
 
 The frontend is batched: :meth:`SpectrumComputer.compute_many` (and
 :meth:`SpectrumComputer.compute_many_with_symmetry`) take all of a capture
@@ -55,6 +58,12 @@ __all__ = ["SpectrumConfig", "SpectrumComputer"]
 
 _VALID_METHODS = ("music", "bartlett", "capon")
 
+#: Residual scale applied to the rejected half plane during array symmetry
+#: removal (Section 2.3.4).  A small non-zero value keeps an occasional
+#: wrong side decision from zeroing the true bearing out of the likelihood
+#: product entirely.
+SYMMETRY_ATTENUATION = 0.1
+
 
 @dataclass
 class SpectrumConfig:
@@ -69,30 +78,14 @@ class SpectrumConfig:
         Angle grid step of the output spectrum.
     apply_weighting:
         Apply the array-geometry window W(theta) of Section 2.3.3.
-    num_sources:
-        Force the MUSIC source count; automatic thresholding when None.
     method:
         Spectrum estimator: "music" (the paper), "bartlett" or "capon".
-    forward_backward:
-        Also apply forward-backward averaging during smoothing (ablation).
-    elevation_deg:
-        Assumed common elevation of arrivals (0 unless a height difference
-        between AP and client is being modelled explicitly).
-    symmetry_attenuation:
-        Residual scale applied to the rejected half plane during array
-        symmetry removal.  A small non-zero value keeps an occasional wrong
-        side decision from zeroing the true bearing out of the likelihood
-        product entirely.  Must lie in [0, 1].
     """
 
     smoothing_groups: int = DEFAULT_SMOOTHING_GROUPS
     angle_resolution_deg: float = DEFAULT_ANGLE_RESOLUTION_DEG
     apply_weighting: bool = True
-    num_sources: int | None = None
     method: str = "music"
-    forward_backward: bool = False
-    elevation_deg: float = 0.0
-    symmetry_attenuation: float = 0.1
 
     def __post_init__(self) -> None:
         if self.smoothing_groups < 1:
@@ -100,13 +93,9 @@ class SpectrumConfig:
         if self.method not in _VALID_METHODS:
             raise EstimationError(
                 f"unknown spectrum method {self.method!r}; valid: {_VALID_METHODS}")
-        # Both values are checked here so a bad config fails at load time
-        # rather than at the first AP build or the first frame.
+        # Checked here so a bad config fails at load time rather than at
+        # the first AP build or the first frame.
         default_angle_grid(self.angle_resolution_deg, full_circle=False)
-        if not 0.0 <= self.symmetry_attenuation <= 1.0:
-            raise EstimationError(
-                f"symmetry_attenuation must be in [0, 1], "
-                f"got {self.symmetry_attenuation!r}")
 
 
 class SpectrumComputer:
@@ -239,7 +228,6 @@ class SpectrumComputer:
         stack, frames = self._check_stack(stack, frames)
         if not frames:
             return []
-        attenuation = self.config.symmetry_attenuation
         full_angles, full_power = self._full_power_stack(stack, array,
                                                          linear_indices)
         if full_indices is None:
@@ -260,9 +248,9 @@ class SpectrumComputer:
         rows_lower = np.nonzero(suppress_lower)[0]
         rows_upper = np.nonzero(~suppress_lower)[0]
         if rows_lower.size:
-            full_power[np.ix_(rows_lower, mask_lower)] *= attenuation
+            full_power[np.ix_(rows_lower, mask_lower)] *= SYMMETRY_ATTENUATION
         if rows_upper.size:
-            full_power[np.ix_(rows_upper, ~mask_lower)] *= attenuation
+            full_power[np.ix_(rows_upper, ~mask_lower)] *= SYMMETRY_ATTENUATION
         return self._build_spectra(frames, array, frame_arrays, full_angles,
                                    full_power)
 
@@ -280,51 +268,6 @@ class SpectrumComputer:
         """
         return self.compute_many_with_symmetry(
             [snapshots], array, linear_indices, full_indices)[0]
-
-    # ------------------------------------------------------------------
-    # Cache warm-up
-    # ------------------------------------------------------------------
-    def warm_caches(self, array: DeployedArray,
-                    linear_indices: Sequence[int] | None = None,
-                    full_indices: Sequence[int] | None = None) -> None:
-        """Precompute the steering matrices this pipeline will look up.
-
-        Populates the shared :class:`~repro.core.cache.SteeringCache` with
-        the Equation 6 steering continuum of the (smoothed) MUSIC sub-array
-        and, when ``full_indices`` are given, the full-geometry grid the
-        symmetry resolver's Bartlett scan uses (Section 2.3.4).  Safe to
-        call any number of times; identical geometries share one entry, so
-        warming a fleet of identical APs costs one computation total.
-        """
-        from repro.core.cache import default_steering_cache
-
-        cache = default_steering_cache()
-        num_elements = array.geometry.num_elements
-        if linear_indices is None:
-            linear_indices = list(range(num_elements))
-        else:
-            linear_indices = list(linear_indices)
-        linear_geometry = array.geometry.subarray(linear_indices) \
-            if len(linear_indices) != num_elements else array.geometry
-        if self.config.smoothing_groups > 1:
-            sub_size = effective_antennas(len(linear_indices),
-                                          self.config.smoothing_groups)
-            linear_geometry = linear_geometry.subarray(list(range(sub_size)))
-        half_angles = default_angle_grid(self.config.angle_resolution_deg,
-                                         full_circle=False)
-        cache.get(linear_geometry, half_angles, array.wavelength_m,
-                  self.config.elevation_deg)
-        if self.config.apply_weighting:
-            cached_geometry_window(default_angle_grid(
-                self.config.angle_resolution_deg, full_circle=True))
-        if full_indices is not None:
-            full_indices = list(full_indices)
-            full_geometry = array.geometry.subarray(full_indices) \
-                if len(full_indices) != num_elements else array.geometry
-            resolver = SymmetryResolver(full_geometry, array.wavelength_m)
-            full_angles = default_angle_grid(resolver.angle_resolution_deg,
-                                             full_circle=True)
-            cache.get(full_geometry, full_angles, array.wavelength_m, 0.0)
 
     # ------------------------------------------------------------------
     # Internals
@@ -425,20 +368,17 @@ class SpectrumComputer:
         num_antennas = linear_stack.shape[1]
         if config.smoothing_groups > 1:
             sub_size = effective_antennas(num_antennas, config.smoothing_groups)
-            covariances = smoothed_covariance_many(
-                linear_stack, config.smoothing_groups,
-                forward_backward=config.forward_backward)
+            covariances = smoothed_covariance_many(linear_stack,
+                                                   config.smoothing_groups)
             sub_geometry = geometry.subarray(list(range(sub_size)))
         else:
             covariances = sample_covariance_many(linear_stack)
             sub_geometry = geometry
         if config.method == "music":
             return music_spectrum_many(covariances, sub_geometry, angles,
-                                       num_sources=config.num_sources,
-                                       wavelength_m=wavelength_m,
-                                       elevation_deg=config.elevation_deg)
+                                       wavelength_m=wavelength_m)
         if config.method == "bartlett":
             return bartlett_spectrum_many(covariances, sub_geometry, angles,
-                                          wavelength_m, config.elevation_deg)
+                                          wavelength_m)
         return capon_spectrum_many(covariances, sub_geometry, angles,
-                                   wavelength_m, config.elevation_deg)
+                                   wavelength_m)

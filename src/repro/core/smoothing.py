@@ -52,19 +52,17 @@ def effective_antennas(num_antennas: int, num_groups: int) -> int:
 
 
 def smoothed_covariance(snapshots: np.ndarray, num_groups: int,
-                        diagonal_loading: float = 0.0,
-                        forward_backward: bool = False) -> np.ndarray:
+                        diagonal_loading: float = 0.0) -> np.ndarray:
     """Return the spatially smoothed covariance of ``(M, N)`` ULA snapshots.
 
     A batch of one through :func:`smoothed_covariance_many`.
     """
     return smoothed_covariance_many(_one_frame(snapshots), num_groups,
-                                    diagonal_loading, forward_backward)[0]
+                                    diagonal_loading)[0]
 
 
 def smoothed_covariance_many(snapshots: np.ndarray, num_groups: int,
-                             diagonal_loading: float = 0.0,
-                             forward_backward: bool = False) -> np.ndarray:
+                             diagonal_loading: float = 0.0) -> np.ndarray:
     """Return per-frame smoothed covariances of an ``(F, M, N)`` ULA stack.
 
     Each of the ``NG`` sub-array covariances is one stacked matmul over all
@@ -81,10 +79,6 @@ def smoothed_covariance_many(snapshots: np.ndarray, num_groups: int,
         degenerates to the plain sample covariance (no smoothing).
     diagonal_loading:
         Optional diagonal loading forwarded to the covariance estimator.
-    forward_backward:
-        When True, also average with the conjugate-reversed (backward)
-        covariance of each sub-array, an additional decorrelation step
-        explored by the ablation benchmarks.
 
     Returns
     -------
@@ -102,12 +96,7 @@ def smoothed_covariance_many(snapshots: np.ndarray, num_groups: int,
                            dtype=snapshots.dtype)
     for group in range(num_groups):
         sub = snapshots[:, group:group + sub_size, :]
-        covariance = sample_covariance_many(sub, diagonal_loading)
-        if forward_backward:
-            exchange = np.eye(sub_size)[::-1]
-            covariance = (covariance
-                          + (exchange @ covariance.conj()) @ exchange) / 2.0
-        accumulated += covariance
+        accumulated += sample_covariance_many(sub, diagonal_loading)
     return accumulated / num_groups
 
 

@@ -47,7 +47,6 @@ _Key = TypeVar("_Key", bound=Hashable)
 def group_spectra_by_time(spectra: Sequence[AoASpectrum],
                           window_s: float = MULTIPATH_SUPPRESSION_WINDOW_S,
                           max_group_size: int = 3,
-                          max_span_s: float | None = None,
                           timestamps: Sequence[float] | None = None
                           ) -> list[list[AoASpectrum]]:
     """Group spectra whose frames were captured closely together in time.
@@ -59,7 +58,8 @@ def group_spectra_by_time(spectra: Sequence[AoASpectrum],
     -- the spacing constraint is between neighbouring frames, so frames at
     0 / 60 / 120 ms form one group rather than splitting the third frame
     away from its 60 ms-near companion).  A spectrum with no close-enough
-    companion ends up in a singleton group.
+    companion ends up in a singleton group.  A group's span is bounded by
+    ``(max_group_size - 1) * window_s``.
 
     Parameters
     ----------
@@ -69,10 +69,6 @@ def group_spectra_by_time(spectra: Sequence[AoASpectrum],
         Maximum gap between *consecutive* frames of one group.
     max_group_size:
         Maximum frames per group.
-    max_span_s:
-        Explicit cap on a group's total time span (first to last frame).
-        When None the span is bounded only implicitly, by
-        ``(max_group_size - 1) * window_s``.
     timestamps:
         Capture times overriding each spectrum's own ``timestamp_s`` (one
         per spectrum) -- the streaming sessions group on their
@@ -82,8 +78,6 @@ def group_spectra_by_time(spectra: Sequence[AoASpectrum],
         raise EstimationError("max_group_size must be >= 1")
     if window_s < 0:
         raise EstimationError("window_s must be non-negative")
-    if max_span_s is not None and max_span_s < 0:
-        raise EstimationError("max_span_s must be non-negative or None")
     spectra = list(spectra)
     if timestamps is None:
         times = [spectrum.timestamp_s for spectrum in spectra]
@@ -94,19 +88,15 @@ def group_spectra_by_time(spectra: Sequence[AoASpectrum],
                 f"got {len(times)} timestamps for {len(spectra)} spectra")
     order = sorted(range(len(spectra)), key=lambda i: times[i])
     groups: list[list[AoASpectrum]] = []
-    group_first_ts = 0.0
     group_last_ts = 0.0
     for i in order:
         timestamp = times[i]
         if (groups
                 and len(groups[-1]) < max_group_size
-                and timestamp - group_last_ts <= window_s
-                and (max_span_s is None
-                     or timestamp - group_first_ts <= max_span_s)):
+                and timestamp - group_last_ts <= window_s):
             groups[-1].append(spectra[i])
         else:
             groups.append([spectra[i]])
-            group_first_ts = timestamp
         group_last_ts = timestamp
     return groups
 
@@ -132,9 +122,6 @@ class MultipathSuppressor:
         (the paper's 100 ms window).
     max_group_size:
         Maximum frames per suppression group ("two to three" in the paper).
-    max_span_s:
-        Explicit cap on a group's first-to-last time span (None bounds it
-        only implicitly, by ``(max_group_size - 1) * window_s``).
     """
 
     tolerance_deg: float = PEAK_MATCH_TOLERANCE_DEG
@@ -142,11 +129,10 @@ class MultipathSuppressor:
     residual_fraction: float = 0.05
     window_s: float = MULTIPATH_SUPPRESSION_WINDOW_S
     max_group_size: int = 3
-    max_span_s: float | None = None
 
     def __post_init__(self) -> None:
         # ``nan < 0`` is False, so each float is checked for finiteness
-        # too: a NaN window or span would make every frame its own group,
+        # too: a NaN window would make every frame its own group,
         # a NaN tolerance would match no peak.
         if not math.isfinite(self.tolerance_deg) or self.tolerance_deg < 0:
             raise EstimationError("tolerance_deg must be finite and non-negative")
@@ -164,10 +150,6 @@ class MultipathSuppressor:
             raise EstimationError(
                 f"max_group_size must be an int >= 1, "
                 f"got {self.max_group_size!r}")
-        if self.max_span_s is not None and (
-                not math.isfinite(self.max_span_s) or self.max_span_s < 0):
-            raise EstimationError(
-                "max_span_s must be finite and non-negative or None")
 
     # ------------------------------------------------------------------
     # Core algorithm
@@ -313,7 +295,7 @@ class MultipathSuppressor:
         """
         window = self.window_s if window_s is None else window_s
         return group_spectra_by_time(spectra, window, self.max_group_size,
-                                     self.max_span_s, timestamps)
+                                     timestamps)
 
     @overload
     def process(self, spectra: Sequence[AoASpectrum],

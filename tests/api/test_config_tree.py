@@ -73,9 +73,7 @@ CONFIG_LEAVES = [
     "ap.apply_phase_offsets", "ap.buffer_capacity", "ap.num_antennas",
     "ap.snapshots_per_frame", "ap.snr_db",
     "ap.spectrum.angle_resolution_deg", "ap.spectrum.apply_weighting",
-    "ap.spectrum.elevation_deg", "ap.spectrum.forward_backward",
-    "ap.spectrum.method", "ap.spectrum.num_sources",
-    "ap.spectrum.smoothing_groups", "ap.spectrum.symmetry_attenuation",
+    "ap.spectrum.method", "ap.spectrum.smoothing_groups",
     "ap.use_symmetry_antenna",
     "bounds",
     "parallel.backend", "parallel.min_clients_per_worker",
@@ -86,12 +84,12 @@ CONFIG_LEAVES = [
     "resilience.shard_timeout_s", "resilience.shed_policy",
     "server.enable_multipath_suppression",
     "server.localizer.grid_resolution_m",
-    "server.localizer.normalize_spectra", "server.localizer.num_seeds",
+    "server.localizer.num_seeds",
     "server.localizer.refine_with_hill_climbing",
     "server.localizer.spectrum_floor",
     "session.emit_every_frames", "session.max_age_s",
     "session.max_pending_frames", "session.suppress_multipath",
-    "suppressor.max_group_size", "suppressor.max_span_s",
+    "suppressor.max_group_size",
     "suppressor.min_relative_height", "suppressor.residual_fraction",
     "suppressor.tolerance_deg", "suppressor.window_s",
     "tracker.max_history", "tracker.on_out_of_order",
@@ -103,7 +101,7 @@ class TestLeaves:
     def test_config_leaves_are_pinned(self):
         leaves = sorted(_leaves(ArrayTrackConfig().to_dict()))
         assert leaves == CONFIG_LEAVES
-        assert len(leaves) == 43
+        assert len(leaves) == 37
 
 
 def _section_leaves():
@@ -158,8 +156,8 @@ class TestLeafTypes:
                 by_value["float"].append(path)
         assert sorted(by_value["bool"]) == BOOL_LEAVES
         assert set(by_value["float"]) <= set(FLOAT_LEAVES)
-        assert len(BOOL_LEAVES) == 8
-        assert len(FLOAT_LEAVES) == 15
+        assert len(BOOL_LEAVES) == 6
+        assert len(FLOAT_LEAVES) == 12
 
     @pytest.mark.parametrize("path", BOOL_LEAVES)
     @pytest.mark.parametrize("value", ["False", "true", 0, 1, None])
@@ -289,6 +287,17 @@ class TestRejection:
         ("resilience", "retry_seed", 0),
         # Poison screening at ingest is always on.
         ("resilience", "reject_poison_frames", False),
+        # The Section 2.3 frontend is the paper's: forward-only smoothing,
+        # arrivals in the horizontal plane, an automatic source count and
+        # a fixed 2.3.4 attenuation.
+        ("ap.spectrum", "forward_backward", True),
+        ("ap.spectrum", "elevation_deg", 10.0),
+        ("ap.spectrum", "num_sources", 2),
+        ("ap.spectrum", "symmetry_attenuation", 0.1),
+        # The Equation 8 stack is always normalized.
+        ("server.localizer", "normalize_spectra", False),
+        # The gap rule and max_group_size bound a group's span.
+        ("suppressor", "max_span_s", 0.2),
     ])
     def test_removed_switches_are_unknown_keys(self, section, key, value):
         data = {key: value}
@@ -337,12 +346,19 @@ class TestRejection:
          r"config\.ap\.spectrum: angle resolution must be positive"),
         ({"ap": {"spectrum": {"angle_resolution_deg": 1e-320}}},
          r"config\.ap\.spectrum: angle resolution must divide 180"),
-        ({"ap": {"spectrum": {"symmetry_attenuation": 2.0}}},
-         r"config\.ap\.spectrum: symmetry_attenuation must be in \[0, 1\]"),
     ])
     def test_invalid_value_wrapped_with_path(self, data, message):
         with pytest.raises(ConfigurationError, match=message):
             ArrayTrackConfig.from_dict(data)
+
+    def test_smoothing_too_deep_for_the_row_fails_at_load(self):
+        # Used to load; only building an AP from it raised.
+        with pytest.raises(ConfigurationError,
+                           match=r"config\.ap: spectrum\.smoothing_groups=2 "
+                                 r"over num_antennas=2 leaves only 1 virtual "
+                                 r"antennas"):
+            ArrayTrackConfig().updated({"ap.num_antennas": 2,
+                                        "ap.spectrum.smoothing_groups": 2})
 
     @pytest.mark.parametrize("path, value, message", [
         ("server.localizer.grid_resolution_m", float("nan"),
@@ -371,7 +387,6 @@ class TestRejection:
         # off) and a NaN tolerance matched no peak.
         ("window_s", float("nan")),
         ("window_s", float("inf")),
-        ("max_span_s", float("nan")),
         ("tolerance_deg", float("nan")),
         ("max_group_size", 2.5),
         ("max_group_size", True),

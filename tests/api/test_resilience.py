@@ -543,24 +543,69 @@ class TestDegenerateRawFrames:
         assert _pending(service) == 0
 
     @pytest.mark.parametrize("estimator", ["music", "bartlett"])
-    def test_all_zero_entry_is_admitted_by_other_estimators(self, estimator):
+    def test_all_zero_entry_is_refused_by_other_estimators(self, estimator):
+        # Bartlett's spectrum of it is all zero (every later tick raised
+        # "cannot normalize an all-zero spectrum") and MUSIC's eigenvectors
+        # are arbitrary (a fix anywhere), so it is refused like Capon's.
         service = _service(**{"ap.spectrum.method": estimator})
         ap = service.build_ap("ap0", AP_POSITIONS[0])
-        [session] = service.ingest_many(ap, [self._zero_entry()])
-        assert session.pending_frames == 1
+        with pytest.raises(EstimationError, match=r"frames \[0\].*zero trace"):
+            service.ingest_many(ap, [self._zero_entry()])
+        assert _pending(service) == 0
+
+    @staticmethod
+    def _fix(method, scale):
+        """Tick one capture per AP scaled by ``scale``: the fix, or None
+        when every AP refused its frame at ingest."""
+        service = _service(**{"ap.spectrum.method": method,
+                              "session.emit_every_frames": 3})
+        refused = 0
+        for index, position in enumerate(AP_POSITIONS):
+            ap = service.build_ap(f"ap{index}", position,
+                                  rng=np.random.default_rng(index))
+            try:
+                service.ingest_many(ap, [_scaled_entry(ap, index, scale)])
+            except EstimationError:
+                refused += 1
+        fixes = service.tick()
+        # A capture's scale is the same at every AP, so all go or none.
+        assert refused in (0, len(AP_POSITIONS))
+        if refused:
+            assert fixes == {}
+            return None
+        [fix] = fixes.values()
+        return fix.position
+
+    @pytest.mark.parametrize("method", ["music", "bartlett", "capon"])
+    @pytest.mark.parametrize("scale", [0.0, 1e-164, 1e-162, 1e-161, 1e-160,
+                                       1e-150, 1e7, 1e9])
+    def test_scaled_capture_is_refused_or_fixed_like_the_unscaled_one(
+            self, method, scale):
+        # Samples from about 1e-162 down have squares that underflow to a
+        # zero energy; Capon's floor used to be absolute, so its fix
+        # drifted from 1e7 up.
+        unscaled = self._fix(method, 1.0)
+        assert unscaled.distance_to(Point2D(7.0, 4.0)) < 0.25
+        fix = self._fix(method, scale)
+        if scale <= 1e-162 or (method == "capon" and scale < 1e-100):
+            assert fix is None
+        else:
+            assert abs(fix.x - unscaled.x) <= 0.25
+            assert abs(fix.y - unscaled.y) <= 0.25
+
+
+def _scaled_entry(ap, index, scale):
+    """One capture of a client at (7, 4) at ``ap``, samples times ``scale``."""
+    channel = MultipathChannel.from_bearings(
+        [bearing_deg(ap.position, Point2D(7.0, 4.0))], [1.0], client_id="c0")
+    entry = ap.overhear(channel, rng=np.random.default_rng(10 + index))
+    return replace(entry, snapshots=replace(
+        entry.snapshots, samples=entry.snapshots.samples * scale))
 
 
 class TestOverflowingRawFrames:
     """Finite samples whose energy overflows are refused alike by every
     estimator; every raw frame admitted yields a finite fix."""
-
-    def _entry(self, ap, index, scale):
-        channel = MultipathChannel.from_bearings(
-            [bearing_deg(ap.position, Point2D(7.0, 4.0))], [1.0],
-            client_id="c0")
-        entry = ap.overhear(channel, rng=np.random.default_rng(10 + index))
-        return replace(entry, snapshots=replace(
-            entry.snapshots, samples=entry.snapshots.samples * scale))
 
     @pytest.mark.parametrize("method", ["music", "bartlett", "capon"])
     @pytest.mark.parametrize("scale", [1e0, 1e50, 1e100, 1e150, 1e153,
@@ -573,7 +618,7 @@ class TestOverflowingRawFrames:
             ap = service.build_ap(f"ap{index}", position,
                                   rng=np.random.default_rng(index))
             try:
-                service.ingest_many(ap, [self._entry(ap, index, scale)])
+                service.ingest_many(ap, [_scaled_entry(ap, index, scale)])
             except PoisonFrameError as exc:
                 assert "sample energy overflows" in str(exc)
                 refused += 1
@@ -596,14 +641,14 @@ class TestOverflowingRawFrames:
         service = _service(**{"ap.spectrum.method": "capon"})
         ap = service.build_ap("ap0", AP_POSITIONS[0])
         with pytest.raises(EstimationError, match="Capon needs"):
-            service.ingest_many(ap, [self._entry(ap, 0, scale)])
+            service.ingest_many(ap, [_scaled_entry(ap, 0, scale)])
         assert _pending(service) == 0
 
     def test_poison_fault_on_a_raw_entry_is_caught_by_the_sample_screen(self):
         service = _service(**{"resilience.fault_plan":
                               '[{"kind": "poison-frame", "times": 1}]'})
         ap = service.build_ap("ap0", AP_POSITIONS[0])
-        entry = self._entry(ap, 0, 1.0)
+        entry = _scaled_entry(ap, 0, 1.0)
         with pytest.raises(PoisonFrameError,
                            match="'c0'.*non-finite snapshot samples"):
             service.ingest_many(ap, [entry])
@@ -615,7 +660,7 @@ class TestOverflowingRawFrames:
     def test_misshapen_entry_is_refused_at_ingest(self):
         service = _service()
         ap = service.build_ap("ap0", AP_POSITIONS[0])
-        good = self._entry(ap, 0, 1.0)
+        good = _scaled_entry(ap, 0, 1.0)
         short = replace(good, snapshots=replace(
             good.snapshots, samples=good.snapshots.samples[:8]))
         with pytest.raises(EstimationError, match=r"\(8, 10\).*9 rows"):

@@ -279,7 +279,7 @@ class TestStreamingSessions:
         assert session.oldest_pending_s == 3.0
         assert sorted(session.pending_aps) == ["ap0", "ap1"]
 
-    def test_fixes_recorded_in_session_and_tracker(self):
+    def test_fixes_recorded_in_tracker(self):
         service = _service(**{"session.emit_every_frames": 1})
         for step in range(3):
             service.ingest("ap0",
@@ -287,11 +287,23 @@ class TestStreamingSessions:
                                              timestamp_s=float(step)),
                            client_id="c", timestamp_s=float(step))
             service.tick()
-        session = service.session("c")
-        assert len(session.fixes) == 3
-        assert session.last_fix is session.fixes[-1]
-        assert len(service.tracker.track("c")) == 3
-        assert service.tracker.latest("c").timestamp_s == 2.0
+        assert len(service.track("c")) == 3
+        assert service.latest_fix("c") is service.track("c")[-1]
+        assert service.latest_fix("c").timestamp_s == 2.0
+
+    def test_fix_history_is_capped_by_the_tracker(self):
+        # The tracker's capped history is the only fix history; the
+        # session keeps none that could grow for the session's lifetime.
+        service = _service(**{"session.emit_every_frames": 1,
+                              "tracker.max_history": 4})
+        for step in range(10):
+            service.ingest("ap0",
+                           _spectrum_towards(AP_POSITIONS[0], TARGET),
+                           client_id="c", timestamp_s=float(step))
+            service.tick()
+        assert [point.timestamp_s for point in service.track("c")] == \
+            [6.0, 7.0, 8.0, 9.0]
+        assert not hasattr(service.session("c"), "fixes")
 
     def test_client_id_from_spectrum(self):
         service = _service()
@@ -476,7 +488,6 @@ class TestClientTrackAccess:
             service.tick(now_s=now_s)
         for client_id in ("a", "b"):
             assert service.session(client_id).pending_frames == 1
-            assert len(service.session(client_id).fixes) == 1
             assert [point.timestamp_s
                     for point in service.track(client_id)] == [1.0]
         assert set(service.tick(now_s=2.0)) == {"a", "b"}
@@ -512,7 +523,6 @@ class TestClientTrackAccess:
         assert service.session("good").pending_frames == 1
         assert service.session("bad").pending_frames == 1
         assert len(service.track("good")) == 1
-        assert len(service.session("good").fixes) == 1
 
 
 class TestIngestValidation:
@@ -596,7 +606,7 @@ class TestIngestValidation:
         # Nothing was drained and no fix recorded.
         assert service.session("good").pending_frames == 1
         assert service.session("bad").pending_frames == 1
-        assert service.session("good").fixes == []
+        assert service.track("good") == []
         # Discarding the poisoned session lets the good one proceed.
         service.session("bad").drain()
         fixes = service.tick()

@@ -102,14 +102,12 @@ def _oracle_spectra(service, per_client):
             if stream:
                 groups = group_spectra_by_time(
                     raw, suppressor.window_s, suppressor.max_group_size,
-                    suppressor.max_span_s,
                     timestamps=[override for _, override in frames])
                 spectra.extend(reference_suppress(suppressor, group)
                                for group in groups)
             elif batch_rule and len(raw) >= 2:
                 groups = group_spectra_by_time(
-                    raw, suppressor.window_s, suppressor.max_group_size,
-                    suppressor.max_span_s)
+                    raw, suppressor.window_s, suppressor.max_group_size)
                 spectra.append(reference_suppress(suppressor, groups[0]))
             else:
                 spectra.append(raw[0])

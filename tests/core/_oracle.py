@@ -6,13 +6,12 @@ This module holds the serial references the bit-equality suites in
 one frame, one client or one grid point at a time:
 
 * the Section 2.3 primitives, one frame each: :func:`sample_covariance`,
-  :func:`forward_backward_covariance`, :func:`smoothed_covariance`,
-  :func:`decompose`, :func:`spectrum_from_noise_subspace`, the
-  :func:`music_spectrum`, :func:`bartlett_spectrum` and
-  :func:`capon_spectrum` estimators, and the symmetry test's
-  :func:`side_powers` and :func:`resolve`.  In ``src/`` each of the
-  estimator and covariance names is a batch of one through its stacked
-  ``*_many`` form, and the side-power test is
+  :func:`smoothed_covariance`, :func:`decompose`,
+  :func:`spectrum_from_noise_subspace`, the :func:`music_spectrum`,
+  :func:`bartlett_spectrum` and :func:`capon_spectrum` estimators, and
+  the symmetry test's :func:`side_powers` and :func:`resolve`.  In
+  ``src/`` each of the estimator and covariance names is a batch of one
+  through its stacked ``*_many`` form, and the side-power test is
   :meth:`~repro.core.symmetry.SymmetryResolver.side_powers_stack`; here
   each is its own serial body;
 * :func:`mirror_half_spectrum`, :func:`apply_geometry_weighting` and
@@ -51,6 +50,7 @@ every pytest run, so ``benchmarks/`` modules can import it too.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import replace
 from typing import Any
@@ -69,7 +69,7 @@ from repro.core.localizer import LocalizerConfig
 from repro.core.music import _steering_matrix
 from repro.core.optimizer import HillClimbResult
 from repro.core.peaks import SpectrumPeak, match_peak
-from repro.core.pipeline import SpectrumConfig
+from repro.core.pipeline import SYMMETRY_ATTENUATION, SpectrumConfig
 from repro.core.smoothing import effective_antennas
 from repro.core.spectrum import AoASpectrum, default_angle_grid
 from repro.core.subspace import (DEFAULT_EIGENVALUE_THRESHOLD_FRACTION,
@@ -120,25 +120,8 @@ def sample_covariance(snapshots: np.ndarray,
     return covariance
 
 
-def forward_backward_covariance(snapshots: np.ndarray,
-                                diagonal_loading: float = 0.0) -> np.ndarray:
-    """Return the forward-backward averaged covariance of a ULA snapshot matrix.
-
-    Forward-backward averaging exploits the conjugate symmetry of a uniform
-    linear array to decorrelate coherent sources using half as many
-    sub-arrays as plain spatial smoothing would need.  It is provided as an
-    optional enhancement (the paper uses forward-only smoothing); the
-    ablation benchmarks compare the two.
-    """
-    covariance = sample_covariance(snapshots, diagonal_loading)
-    exchange = np.eye(covariance.shape[0])[::-1]
-    backward = exchange @ covariance.conj() @ exchange
-    return (covariance + backward) / 2.0
-
-
 def smoothed_covariance(snapshots: np.ndarray, num_groups: int,
-                        diagonal_loading: float = 0.0,
-                        forward_backward: bool = False) -> np.ndarray:
+                        diagonal_loading: float = 0.0) -> np.ndarray:
     """Return the spatially smoothed covariance of ULA snapshots.
 
     Parameters
@@ -151,10 +134,6 @@ def smoothed_covariance(snapshots: np.ndarray, num_groups: int,
         degenerates to the plain sample covariance (no smoothing).
     diagonal_loading:
         Optional diagonal loading forwarded to the covariance estimator.
-    forward_backward:
-        When True, also average with the conjugate-reversed (backward)
-        covariance of each sub-array, an additional decorrelation step
-        explored by the ablation benchmarks.
 
     Returns
     -------
@@ -170,11 +149,7 @@ def smoothed_covariance(snapshots: np.ndarray, num_groups: int,
     accumulated = np.zeros((sub_size, sub_size), dtype=snapshots.dtype)
     for group in range(num_groups):
         sub = snapshots[group:group + sub_size, :]
-        covariance = sample_covariance(sub, diagonal_loading)
-        if forward_backward:
-            exchange = np.eye(sub_size)[::-1]
-            covariance = (covariance + exchange @ covariance.conj() @ exchange) / 2.0
-        accumulated += covariance
+        accumulated += sample_covariance(sub, diagonal_loading)
     return accumulated / num_groups
 
 
@@ -266,8 +241,7 @@ def spectrum_from_noise_subspace(noise_subspace: np.ndarray,
 def music_spectrum(covariance: np.ndarray, geometry: ArrayGeometry,
                    angles_deg: np.ndarray,
                    num_sources: int | None = None,
-                   wavelength_m: float = WAVELENGTH_M,
-                   elevation_deg: float = 0.0) -> np.ndarray:
+                   wavelength_m: float = WAVELENGTH_M) -> np.ndarray:
     """Return the MUSIC pseudospectrum over ``angles_deg``.
 
     Parameters
@@ -283,8 +257,6 @@ def music_spectrum(covariance: np.ndarray, geometry: ArrayGeometry,
         with the paper's threshold rule when omitted.
     wavelength_m:
         Carrier wavelength.
-    elevation_deg:
-        Common elevation of the arrivals (Appendix A height analysis).
     """
     covariance = as_complex_array(covariance)
     if covariance.shape[0] != geometry.num_elements:
@@ -292,14 +264,13 @@ def music_spectrum(covariance: np.ndarray, geometry: ArrayGeometry,
             f"covariance is {covariance.shape[0]}x{covariance.shape[0]} but the "
             f"geometry has {geometry.num_elements} elements")
     decomposition: SubspaceDecomposition = decompose(covariance, num_sources)
-    steering = _steering_matrix(geometry, angles_deg, wavelength_m, elevation_deg)
+    steering = _steering_matrix(geometry, angles_deg, wavelength_m)
     return spectrum_from_noise_subspace(decomposition.noise_subspace, steering)
 
 
 def bartlett_spectrum(covariance: np.ndarray, geometry: ArrayGeometry,
                       angles_deg: np.ndarray,
-                      wavelength_m: float = WAVELENGTH_M,
-                      elevation_deg: float = 0.0) -> np.ndarray:
+                      wavelength_m: float = WAVELENGTH_M) -> np.ndarray:
     """Return the conventional (Bartlett) beamformer spectrum.
 
     ``P(theta) = a^H R a / (a^H a)``; lower resolution than MUSIC but makes
@@ -315,7 +286,7 @@ def bartlett_spectrum(covariance: np.ndarray, geometry: ArrayGeometry,
         raise EstimationError(
             f"covariance is {covariance.shape[0]}x{covariance.shape[0]} but the "
             f"geometry has {geometry.num_elements} elements")
-    steering = _steering_matrix(geometry, angles_deg, wavelength_m, elevation_deg)
+    steering = _steering_matrix(geometry, angles_deg, wavelength_m)
     projected = covariance @ steering                        # (M, K)
     numerator = np.real(np.einsum("mk,mk->k", steering.conj(), projected))
     normalization = np.real(np.sum(np.abs(steering) ** 2, axis=0))
@@ -325,7 +296,6 @@ def bartlett_spectrum(covariance: np.ndarray, geometry: ArrayGeometry,
 def capon_spectrum(covariance: np.ndarray, geometry: ArrayGeometry,
                    angles_deg: np.ndarray,
                    wavelength_m: float = WAVELENGTH_M,
-                   elevation_deg: float = 0.0,
                    diagonal_loading: float = 1e-3) -> np.ndarray:
     """Return the Capon (MVDR) spectrum ``1 / (a^H R^-1 a)``.
 
@@ -333,7 +303,10 @@ def capon_spectrum(covariance: np.ndarray, geometry: ArrayGeometry,
     from very few snapshots (the N = 1 case of Figure 19 would otherwise be
     singular).  The quadratic form is evaluated through
     ``np.linalg.solve(regularized, steering)`` rather than an explicit
-    ``np.linalg.inv``: better conditioned and one fewer GEMM.
+    ``np.linalg.inv``: better conditioned and one fewer GEMM.  The solve
+    runs on the covariance scaled by ``2**-e``, where ``2**e`` brackets its
+    trace, so the ``1e-12`` floor is relative to the frame's power; the
+    result is scaled back by ``2**e``.
     """
     covariance = as_complex_array(covariance)
     if covariance.shape[0] != geometry.num_elements:
@@ -341,12 +314,15 @@ def capon_spectrum(covariance: np.ndarray, geometry: ArrayGeometry,
             f"covariance is {covariance.shape[0]}x{covariance.shape[0]} but the "
             f"geometry has {geometry.num_elements} elements")
     num_antennas = covariance.shape[0]
-    loading = diagonal_loading * float(np.real(np.trace(covariance))) / num_antennas
-    regularized = covariance + loading * np.eye(num_antennas)
-    steering = _steering_matrix(geometry, angles_deg, wavelength_m, elevation_deg)
+    trace = float(np.real(np.trace(covariance)))
+    exponent = math.frexp(trace)[1]
+    scale = math.ldexp(1.0, -exponent)
+    loading = diagonal_loading * (trace * scale) / num_antennas
+    regularized = covariance * scale + loading * np.eye(num_antennas)
+    steering = _steering_matrix(geometry, angles_deg, wavelength_m)
     solution = np.linalg.solve(regularized, steering)        # R^-1 A, (M, K)
     quadratic = np.real(np.einsum("mk,mk->k", steering.conj(), solution))
-    return 1.0 / np.maximum(quadratic, 1e-12)
+    return np.ldexp(1.0 / np.maximum(quadratic, 1e-12), exponent)
 
 
 def mirror_half_spectrum(angles_deg: np.ndarray, power: np.ndarray,
@@ -458,23 +434,19 @@ def reference_half_spectrum(config: SpectrumConfig,
     if config.smoothing_groups > 1:
         sub_size = effective_antennas(linear_samples.shape[0],
                                       config.smoothing_groups)
-        covariance = smoothed_covariance(
-            linear_samples, config.smoothing_groups,
-            forward_backward=config.forward_backward)
+        covariance = smoothed_covariance(linear_samples,
+                                         config.smoothing_groups)
         sub_geometry = geometry.subarray(list(range(sub_size)))
     else:
         covariance = sample_covariance(linear_samples)
         sub_geometry = geometry
     if config.method == "music":
         return music_spectrum(covariance, sub_geometry, angles,
-                              num_sources=config.num_sources,
-                              wavelength_m=wavelength_m,
-                              elevation_deg=config.elevation_deg)
+                              wavelength_m=wavelength_m)
     if config.method == "bartlett":
         return bartlett_spectrum(covariance, sub_geometry, angles,
-                                 wavelength_m, config.elevation_deg)
-    return capon_spectrum(covariance, sub_geometry, angles,
-                          wavelength_m, config.elevation_deg)
+                                 wavelength_m)
+    return capon_spectrum(covariance, sub_geometry, angles, wavelength_m)
 
 
 def reference_spectrum(config: SpectrumConfig, snapshots: SnapshotMatrix,
@@ -515,7 +487,7 @@ def reference_spectrum_with_symmetry(config: SpectrumConfig,
     resolver = SymmetryResolver(_subarray(array, full_indices),
                                 array.wavelength_m)
     return resolve(resolver, spectrum, snapshots.samples[full_indices, :],
-                   attenuation=config.symmetry_attenuation)
+                   attenuation=SYMMETRY_ATTENUATION)
 
 
 def reference_ap_spectrum(ap: ArrayTrackAP, entry: BufferEntry) -> AoASpectrum:
@@ -572,11 +544,13 @@ def likelihood_at(spectra: Sequence[AoASpectrum], position: Point2D,
 def synthesize_likelihood(spectra: Sequence[AoASpectrum],
                           bounds: tuple[float, float, float, float],
                           resolution_m: float = DEFAULT_GRID_RESOLUTION_M,
-                          normalize_spectra: bool = True,
                           floor: float = 0.0,
                           bearing_cache: BearingGridCache | None = None
                           ) -> LikelihoodMap:
     """Evaluate Equation 8 on a regular grid covering ``bounds``.
+
+    Each spectrum is normalized to unit maximum before multiplying, so no
+    single AP dominates the product through its absolute scale.
 
     Parameters
     ----------
@@ -587,9 +561,6 @@ def synthesize_likelihood(spectra: Sequence[AoASpectrum],
         ``(xmin, ymin, xmax, ymax)`` of the search area, in metres.
     resolution_m:
         Grid spacing; the paper uses a 10 cm grid.
-    normalize_spectra:
-        Normalize each spectrum to unit maximum before multiplying, so no
-        single AP dominates the product through its absolute scale.
     floor:
         Minimum relative value each spectrum contributes (see
         :func:`likelihood_at`).
@@ -607,7 +578,7 @@ def synthesize_likelihood(spectra: Sequence[AoASpectrum],
         if spectrum.ap_position is None:
             raise EstimationError(
                 "every spectrum must carry its AP position for synthesis")
-        usable = spectrum.normalized() if normalize_spectra else spectrum
+        usable = spectrum.normalized()
         bearing_grid = cache.get(bounds, resolution_m, usable.ap_position)
         lower, upper, fraction = usable.interpolation_table(
             bearing_grid.bearings_deg - usable.ap_orientation_deg)
@@ -723,14 +694,13 @@ def reference_refinement(bounds: tuple[float, float, float, float],
     """Section 2.5 hill climb of each client, one likelihood call per point.
 
     Seeds are :func:`reference_seeds` of the client's full grid heatmap;
-    the climb scores candidates with ``likelihood_at`` on the (optionally
-    normalized) spectra and rates points outside ``bounds`` 0.0.
+    the climb scores candidates with ``likelihood_at`` on the normalized
+    spectra and rates points outside ``bounds`` 0.0.
     """
     xmin, ymin, xmax, ymax = bounds
     results: dict[str, HillClimbResult] = {}
     for key, spectra in spectra_by_client.items():
-        scored = [spectrum.normalized() for spectrum in spectra] \
-            if config.normalize_spectra else list(spectra)
+        scored = [spectrum.normalized() for spectrum in spectra]
 
         def objective(position: Point2D,
                       scored: list[AoASpectrum] = scored) -> float:
@@ -740,7 +710,6 @@ def reference_refinement(bounds: tuple[float, float, float, float],
 
         heatmap = synthesize_likelihood(
             spectra, bounds, config.grid_resolution_m,
-            normalize_spectra=config.normalize_spectra,
             floor=config.spectrum_floor)
         results[key] = refine_from_seeds(
             objective, reference_seeds(heatmap, config.num_seeds),

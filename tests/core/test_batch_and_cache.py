@@ -73,13 +73,13 @@ class TestSteeringCache:
         cache = SteeringCache()
         geometry = self._geometry()
         angles = default_angle_grid(2.0, full_circle=False)
-        cached = cache.get(geometry, angles, 0.125, elevation_deg=10.0)
-        direct = geometry.steering_matrix(angles, 10.0, 0.125)
+        cached = cache.get(geometry, angles, 0.125)
+        direct = geometry.steering_matrix(angles, 0.0, 0.125)
         np.testing.assert_array_equal(cached, direct)
         with pytest.raises(ValueError):
             cached[0, 0] = 0.0
 
-    def test_key_distinguishes_geometry_grid_wavelength_elevation(self):
+    def test_key_distinguishes_geometry_grid_wavelength(self):
         cache = SteeringCache()
         geometry = self._geometry()
         angles = default_angle_grid(2.0, full_circle=False)
@@ -87,9 +87,8 @@ class TestSteeringCache:
         cache.get(ArrayGeometry.uniform_linear(6), angles, 0.125)
         cache.get(geometry, default_angle_grid(1.0, full_circle=False), 0.125)
         cache.get(geometry, angles, 0.0612)
-        cache.get(geometry, angles, 0.125, elevation_deg=5.0)
-        assert cache.stats.misses == 5 and cache.stats.hits == 0
-        assert len(cache) == 5
+        assert cache.stats.misses == 4 and cache.stats.hits == 0
+        assert len(cache) == 4
 
     def test_lru_eviction(self):
         cache = SteeringCache(max_entries=2)

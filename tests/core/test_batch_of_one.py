@@ -7,8 +7,8 @@ serial bodies.  These
 tests check, bit for bit, that a batch of one equals the serial body on a
 mixed capture set: an eight-antenna ULA (the linear rows of the nine-antenna
 symmetry array) with 1 to 19 snapshots per frame and every seventh frame
-all-zero, with and without diagonal loading, ``NG`` from 1 to 3 with and
-without forward-backward averaging, and forced and estimated source counts.
+all-zero, with and without diagonal loading, ``NG`` from 1 to 3, and
+forced and estimated source counts.
 """
 
 import numpy as np
@@ -22,7 +22,6 @@ from repro.core import (
     capon_spectrum,
     decompose,
     default_angle_grid,
-    forward_backward_covariance,
     music_spectrum,
     sample_covariance,
     smoothed_covariance,
@@ -71,22 +70,13 @@ def _check_sample_covariance():
                 oracle.sample_covariance(_linear(frame), loading))
 
 
-def _check_forward_backward_covariance():
-    for frame in FRAMES:
-        for loading in LOADINGS:
-            assert np.array_equal(
-                forward_backward_covariance(_linear(frame), loading),
-                oracle.forward_backward_covariance(_linear(frame), loading))
-
-
 def _check_smoothed_covariance():
     for frame in FRAMES:
         for groups in (1, 2, 3):
-            for forward_backward in (False, True):
-                for loading in LOADINGS:
-                    args = (_linear(frame), groups, loading, forward_backward)
-                    assert np.array_equal(smoothed_covariance(*args),
-                                          oracle.smoothed_covariance(*args))
+            for loading in LOADINGS:
+                args = (_linear(frame), groups, loading)
+                assert np.array_equal(smoothed_covariance(*args),
+                                      oracle.smoothed_covariance(*args))
 
 
 def _covariances():
@@ -163,7 +153,6 @@ def _check_side_powers_stack():
 
 CHECKS = {
     "sample_covariance": _check_sample_covariance,
-    "forward_backward_covariance": _check_forward_backward_covariance,
     "smoothed_covariance": _check_smoothed_covariance,
     "decompose": _check_decompose,
     "spectrum_from_noise_subspace": _check_spectrum_from_noise_subspace,

@@ -84,25 +84,6 @@ class TestComputeManyEquality:
         batched = computer.compute_many(snapshots, ap.array, ap.linear_indices)
         _assert_spectra_equal(serial, batched)
 
-    @pytest.mark.parametrize("forward_backward", [False, True])
-    @pytest.mark.parametrize("num_sources", [None, 1, 3, 7])
-    def test_forward_backward_and_source_counts(self, forward_backward,
-                                                num_sources):
-        config = SpectrumConfig(smoothing_groups=2,
-                                forward_backward=forward_backward,
-                                num_sources=num_sources,
-                                angle_resolution_deg=1.0)
-        ap = _ap(config)
-        rng = np.random.default_rng(23)
-        entries = _capture_frames(ap, 6, rng)
-        computer = ap._spectrum_computer
-        snapshots = [entry.snapshots for entry in entries]
-        serial = [reference_spectrum(config, item, ap.array,
-                                     ap.linear_indices)
-                  for item in snapshots]
-        batched = computer.compute_many(snapshots, ap.array, ap.linear_indices)
-        _assert_spectra_equal(serial, batched)
-
     @pytest.mark.parametrize("apply_weighting", [False, True])
     def test_weighting_toggle(self, apply_weighting):
         config = SpectrumConfig(apply_weighting=apply_weighting,

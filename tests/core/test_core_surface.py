@@ -19,7 +19,6 @@ CORE_NAMES = [
     "decompose", "decompose_many", "default_angle_grid",
     "default_bearing_cache", "default_steering_cache", "default_window_cache",
     "effective_antennas", "estimate_num_sources_mdl", "find_peaks",
-    "forward_backward_covariance", "forward_backward_covariance_many",
     "geometry_window", "grid_axes", "group_spectra_by_time", "match_peak",
     "music_spectrum", "music_spectrum_many", "peak_regions",
     "sample_covariance", "sample_covariance_many", "smooth_snapshots",
@@ -30,7 +29,7 @@ CORE_NAMES = [
 
 def test_core_all_is_pinned():
     assert sorted(repro.core.__all__) == CORE_NAMES
-    assert len(CORE_NAMES) == 51
+    assert len(CORE_NAMES) == 49
 
 
 def test_every_core_name_resolves():

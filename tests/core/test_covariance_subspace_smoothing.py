@@ -11,8 +11,6 @@ from repro.core import (
     decompose_many,
     effective_antennas,
     estimate_num_sources_mdl,
-    forward_backward_covariance,
-    forward_backward_covariance_many,
     sample_covariance,
     sample_covariance_many,
     smooth_snapshots,
@@ -50,11 +48,6 @@ class TestSampleCovariance:
         plain = sample_covariance(capture_snapshots.samples)
         loaded = sample_covariance(capture_snapshots.samples, diagonal_loading=0.1)
         assert np.all(np.real(np.diag(loaded)) > np.real(np.diag(plain)))
-
-    def test_forward_backward_is_persymmetric(self, capture_snapshots):
-        covariance = forward_backward_covariance(capture_snapshots.samples)
-        exchange = np.eye(covariance.shape[0])[::-1]
-        assert np.allclose(covariance, exchange @ covariance.conj() @ exchange)
 
 
 class TestSubspace:
@@ -188,25 +181,13 @@ class TestStackedCovariance:
                 batched[frame],
                 oracle.sample_covariance(stack[frame], diagonal_loading=0.05))
 
-    def test_forward_backward_many_matches_serial_bitwise(self):
-        stack = _snapshot_stack(num_frames=4)
-        batched = forward_backward_covariance_many(stack)
-        for frame in range(stack.shape[0]):
-            assert np.array_equal(
-                batched[frame], oracle.forward_backward_covariance(stack[frame]))
-
     @pytest.mark.parametrize("groups", [1, 2, 3])
-    @pytest.mark.parametrize("forward_backward", [False, True])
-    def test_smoothed_covariance_many_matches_serial_bitwise(
-            self, groups, forward_backward):
+    def test_smoothed_covariance_many_matches_serial_bitwise(self, groups):
         stack = _snapshot_stack(num_frames=5)
-        batched = smoothed_covariance_many(stack, groups,
-                                           forward_backward=forward_backward)
+        batched = smoothed_covariance_many(stack, groups)
         for frame in range(stack.shape[0]):
             assert np.array_equal(
-                batched[frame],
-                oracle.smoothed_covariance(stack[frame], groups,
-                                           forward_backward=forward_backward))
+                batched[frame], oracle.smoothed_covariance(stack[frame], groups))
 
     def test_stack_shape_validation(self):
         with pytest.raises(EstimationError):

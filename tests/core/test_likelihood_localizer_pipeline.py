@@ -66,8 +66,7 @@ class TestLikelihood:
         spectra = [_spectrum_towards(Point2D(0.0, 0.0), target),
                    _spectrum_towards(Point2D(10.0, 0.0), target)]
         localizer = BatchLocalizer((0, 0, 10, 10), LocalizerConfig(
-            grid_resolution_m=0.5, normalize_spectra=False,
-            spectrum_floor=0.0))
+            grid_resolution_m=0.5, spectrum_floor=0.0))
         maps = localizer.heatmaps({"both": spectra, "first": spectra[:1],
                                    "second": spectra[1:]})
         np.testing.assert_array_equal(

@@ -182,6 +182,19 @@ class TestStackedEstimators:
         power = capon_spectrum_many(covariances[[0, 2]], geometry, angles)
         assert np.all(np.isfinite(power)) and np.all(power >= 2.0 ** -1000)
 
+    def test_capon_many_scales_exactly_with_the_covariance(self):
+        # The 1e-12 floor on the quadratic form is relative to each
+        # frame's trace, so a power-of-two scaled covariance gives the
+        # same spectrum scaled by that power, bit for bit.
+        covariances, geometry = self._covariance_stack()
+        angles = default_angle_grid(1.0, full_circle=False)
+        power = capon_spectrum_many(covariances, geometry, angles)
+        for exponent in range(-100, 101):
+            scale = 2.0 ** exponent
+            assert np.array_equal(
+                capon_spectrum_many(covariances * scale, geometry, angles),
+                power * scale), exponent
+
     def test_stack_dimension_mismatch_rejected(self):
         geometry = ArrayGeometry.uniform_linear(8)
         angles = default_angle_grid(1.0, full_circle=False)

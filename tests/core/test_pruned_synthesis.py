@@ -65,7 +65,6 @@ def batches(draw):
     config = LocalizerConfig(
         grid_resolution_m=RESOLUTION_M,
         num_seeds=draw(st.integers(1, 4)),
-        normalize_spectra=draw(st.booleans()),
         spectrum_floor=draw(st.sampled_from([0.0, 0.02, 0.05])))
     angles = default_angle_grid(draw(st.sampled_from([2.0, 5.0, 10.0])))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -103,9 +102,7 @@ def test_seeds_grid_fixes_and_heatmaps_match_full_fold_oracle(case):
     assert list(heatmaps) == list(batch)
     for key, spectra in batch.items():
         heatmap = synthesize_likelihood(
-            spectra, bounds, RESOLUTION_M,
-            normalize_spectra=config.normalize_spectra,
-            floor=config.spectrum_floor)
+            spectra, bounds, RESOLUTION_M, floor=config.spectrum_floor)
         np.testing.assert_array_equal(heatmaps[key].x_coords,
                                       heatmap.x_coords)
         np.testing.assert_array_equal(heatmaps[key].y_coords,
@@ -119,22 +116,23 @@ def test_seeds_grid_fixes_and_heatmaps_match_full_fold_oracle(case):
 
 
 def test_interpolation_rounding_stays_inside_the_bound():
-    """A flat spectrum's interpolation can round above its maximum.
+    """A flat plateau's interpolation can round above its value.
 
     ``(1 - f) * c + f * c`` exceeds ``c`` by an ulp on some cells, so the
     block bound must be padded; unpadded, the prune skips blocks holding
-    such cells and picks other seeds than the full fold.
+    such cells and picks other seeds than the full fold.  The spectrum's
+    maximum points away from the grid, so every cell reads the plateau
+    ``1.3 / 2.0`` of the normalized spectrum.
     """
     angles = default_angle_grid(10.0)
-    spectra = [AoASpectrum(angles, np.full(angles.shape[0], 1.3),
-                           ap_position=Point2D(6.061082223134817,
-                                               2.818196365599801),
-                           ap_orientation_deg=158.43566840495848)]
+    power = np.full(angles.shape[0], 1.3)
+    power[angles == 200.0] = 2.0
+    spectra = [AoASpectrum(angles, power, ap_position=Point2D(-0.7, -0.3),
+                           ap_orientation_deg=20.0)]
     config = LocalizerConfig(grid_resolution_m=RESOLUTION_M,
-                             normalize_spectra=False, spectrum_floor=0.0)
-    heatmap = synthesize_likelihood(spectra, WIDE, RESOLUTION_M,
-                                    normalize_spectra=False)
-    assert np.max(heatmap.values) > 1.3
+                             spectrum_floor=0.0)
+    heatmap = synthesize_likelihood(spectra, WIDE, RESOLUTION_M)
+    assert np.max(heatmap.values) > 0.65
     seeds = BatchLocalizer(WIDE, config).seeds({"c": spectra}, 3)["c"]
     assert _pairs(seeds) == _pairs(reference_seeds(heatmap, 3))
 

@@ -10,7 +10,6 @@ from repro.core import (
     AoASpectrum,
     MultipathSuppressor,
     SpectrumComputer,
-    SpectrumConfig,
     SymmetryResolver,
     WindowCache,
     cached_geometry_window,
@@ -19,6 +18,7 @@ from repro.core import (
     geometry_window,
     group_spectra_by_time,
 )
+from repro.core.pipeline import SYMMETRY_ATTENUATION
 from repro.errors import EstimationError
 
 from tests.core import _oracle as oracle
@@ -190,17 +190,17 @@ class TestSymmetryResolver:
 
     def test_attenuation_keeps_residual(self):
         # The frontend scales the weaker half plane by
-        # ``symmetry_attenuation``; 1.0 leaves both halves as they are.
+        # ``SYMMETRY_ATTENUATION`` and leaves the other as it was.
         array, snapshots = self._capture(60.0)
         linear = list(range(8))
-        kept, residual = (
-            SpectrumComputer(SpectrumConfig(symmetry_attenuation=attenuation))
-            .compute_with_symmetry(snapshots, array, linear)
-            for attenuation in (1.0, 0.1))
+        computer = SpectrumComputer()
+        kept = computer.compute(snapshots, array, linear)
+        residual = computer.compute_with_symmetry(snapshots, array, linear)
         lower = kept.angles_deg >= 180.0
+        assert SYMMETRY_ATTENUATION == 0.1
         assert np.array_equal(residual.power[~lower], kept.power[~lower])
-        assert np.allclose(residual.power[lower], 0.1 * kept.power[lower],
-                           rtol=1e-12, atol=0.0)
+        assert np.array_equal(residual.power[lower],
+                              kept.power[lower] * SYMMETRY_ATTENUATION)
 
 
 class TestMultipathSuppression:
@@ -220,14 +220,15 @@ class TestMultipathSuppression:
         groups = group_spectra_by_time(spectra, window_s=0.1, max_group_size=3)
         assert [len(g) for g in groups] == [3]
 
-    def test_grouping_explicit_span_cap(self):
-        spectra = [_gaussian([50], [1.0], timestamp_s=t)
-                   for t in (0.0, 0.06, 0.12)]
-        groups = group_spectra_by_time(spectra, window_s=0.1,
-                                       max_group_size=3, max_span_s=0.1)
-        # The 120 ms frame would stretch the group span past the cap, so
-        # it starts a new group even though its gap is inside the window.
-        assert [len(g) for g in groups] == [2, 1]
+    @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12),
+           st.integers(1, 4))
+    def test_group_span_is_bounded_by_gap_and_size(self, times, size):
+        spectra = [_gaussian([50], [1.0], timestamp_s=t) for t in times]
+        for group in group_spectra_by_time(spectra, window_s=0.1,
+                                           max_group_size=size):
+            span = group[-1].timestamp_s - group[0].timestamp_s
+            assert len(group) <= size
+            assert span <= (size - 1) * 0.1 + 1e-12
 
     def test_grouping_on_supplied_timestamps(self):
         # Streaming sessions group on ingest-resolved times, which may
@@ -304,7 +305,6 @@ class TestMultipathSuppression:
         {"min_relative_height": 1.5},
         {"window_s": -0.1},
         {"max_group_size": 0},
-        {"max_span_s": -1.0},
     ])
     def test_invalid_parameters(self, kwargs):
         # Bad values fail at construction/config-load time, not as a

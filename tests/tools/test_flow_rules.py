@@ -79,7 +79,7 @@ class TestFlowFixtures:
     def test_flow_rule_metadata_is_complete(self):
         assert FLOW_RULE_IDS == {"RPR009", "RPR010", "RPR011", "RPR012",
                                  "RPR013", "RPR014", "RPR015", "RPR016",
-                                 "RPR017"}
+                                 "RPR017", "RPR019"}
         for rule in FLOW_RULES:
             assert rule.id.startswith("RPR") and len(rule.id) == 6
             assert rule.name and rule.summary and rule.motivation

@@ -1,6 +1,6 @@
 """Tests for the numerics flow pass (``tools/repro_lint/numerics``).
 
-Each numerics rule (RPR013-017) is exercised against its good/bad fixture
+Each numerics rule (RPR013-017, RPR019) is exercised against its good/bad fixture
 pair, against targeted inline programs (annotation placement, dtype
 preservation proofs, NEP 50 weak scalars), and against the real ``src/``
 tree: the merged source must carry zero unwaived numerics findings and a
@@ -21,14 +21,15 @@ FIXTURES = Path(__file__).parent / "fixtures"
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 #: rule id -> (bad fixture, good fixture, expected finding count in bad).
-#: The rpr013/rpr015 pairs live in the fixtures/repro(/core) mirror because
-#: those rules only apply to library-scoped paths.
+#: The rpr013/rpr015/rpr019 pairs live in the fixtures/repro(/core) mirror
+#: because those rules only apply to library-scoped paths.
 NUMERICS_FIXTURE_PAIRS = {
     "RPR013": ("repro/rpr013_bad.py", "repro/rpr013_good.py", 3),
     "RPR014": ("rpr014_bad.py", "rpr014_good.py", 2),
     "RPR015": ("repro/core/rpr015_bad.py", "repro/core/rpr015_good.py", 3),
     "RPR016": ("rpr016_bad.py", "rpr016_good.py", 3),
     "RPR017": ("rpr017_bad.py", "rpr017_good.py", 2),
+    "RPR019": ("repro/core/rpr019_bad.py", "repro/core/rpr019_good.py", 3),
 }
 
 #: The seeded historical bug classes, each caught by its intended rule.
@@ -38,6 +39,7 @@ SEEDED_BUGS = {
     "scalarized hot loop": ("repro/core/rpr015_bad.py", "RPR015"),
     "unseeded rng": ("rpr016_bad.py", "RPR016"),
     "empty-buffer read": ("rpr017_bad.py", "RPR017"),
+    "batch-dependent mask sum": ("repro/core/rpr019_bad.py", "RPR019"),
 }
 
 
@@ -172,6 +174,73 @@ class TestDtypePreservationProofs:
         assert [v for v in result.violations if v.rule == "RPR014"] == []
 
 
+class TestMaskColumnReduction:
+    def test_side_powers_body_before_the_contiguous_slices_fires(self,
+                                                                 tmp_path):
+        # The Section 2.3.4 side-power sums as they stood before the fix.
+        result = lint_source(tmp_path, """\
+            import numpy as np
+
+
+            def side_powers_stack(power, angles):
+                upper_mask = angles < 180.0
+                upper_power = np.sum(power[:, upper_mask], axis=1)
+                lower_power = np.sum(power[:, ~upper_mask], axis=1)
+                return upper_power, lower_power
+            """)
+        assert [(v.rule, v.line) for v in result.violations] == \
+            [("RPR019", 6), ("RPR019", 7)]
+
+    @pytest.mark.parametrize("selection", [
+        "power[:, angles >= 180.0]",
+        "power[:, (angles > 10.0) & (angles < 90.0)]",
+        "power[..., np.logical_not(np.isnan(angles))]",
+        "power[:, :, mask]",
+    ])
+    @pytest.mark.parametrize("reduction", ["np.sum({}, axis=1)",
+                                           "np.mean({}, axis=-1)",
+                                           "{}.sum(axis=1)", "{}.var()"])
+    def test_summing_reductions_over_mask_columns_fire(
+            self, tmp_path, selection, reduction):
+        result = lint_source(tmp_path, f"""\
+            import numpy as np
+
+
+            def reduce(power, angles):
+                mask = np.zeros(angles.shape, dtype=bool)
+                return {reduction.format(selection)}
+            """)
+        assert [v.rule for v in result.violations] == ["RPR019"]
+
+    @pytest.mark.parametrize("expression", [
+        "np.max(power[:, angles < 180.0], axis=1)",
+        "np.sum(power[angles < 180.0], axis=1)",
+        "np.sum(power[:, :half], axis=1)",
+        "np.sum(power[:, index], axis=1)",
+        "np.sum(np.ascontiguousarray(power[:, angles < 180.0]), axis=1)",
+    ])
+    def test_exact_or_contiguous_reductions_stay_quiet(self, tmp_path,
+                                                        expression):
+        result = lint_source(tmp_path, f"""\
+            import numpy as np
+
+
+            def reduce(power, angles, index, half):
+                return {expression}
+            """)
+        assert result.violations == []
+
+    def test_rule_applies_to_library_code_only(self, tmp_path):
+        result = lint_source(tmp_path, """\
+            import numpy as np
+
+
+            def reference(power, angles):
+                return np.sum(power[:, angles < 180.0], axis=1)
+            """, name="tests/prog.py")
+        assert result.violations == []
+
+
 class TestChangedOnlyRestriction:
     def test_restrict_filters_flow_findings_to_changed_paths(self):
         bad = str(FIXTURES / "repro" / "rpr013_bad.py")
@@ -221,7 +290,7 @@ class TestMergedSourceContract:
     def test_src_has_zero_unwaived_numerics_findings(self, src_result):
         numerics = [v for v in src_result.violations
                     if v.rule in ("RPR013", "RPR014", "RPR015",
-                                  "RPR016", "RPR017")]
+                                  "RPR016", "RPR017", "RPR019")]
         assert numerics == [], [(v.path, v.line, v.rule) for v in numerics]
         for rule, count in src_result.waivers_by_rule.items():
             assert not rule.startswith("RPR01") or count == 0

@@ -4,10 +4,10 @@ Two passes over the scanned file set: pass 1 (``symbols`` + ``callgraph``)
 builds the cross-file symbol table, the per-class attribute model and an
 approximate call graph; pass 2 runs the rules on it -- the concurrency
 contracts (``locks`` + ``escape``, RPR009-012) and the numerics contracts
-(``tools.repro_lint.numerics``, RPR013-017).  Per-file rules see one file
-at a time; these see the program, so they can follow a lock across
-methods, an ordering across classes, or a hard-coded dtype across the
-public localization path.
+(``tools.repro_lint.numerics``, RPR013-017 and RPR019).  Per-file rules
+see one file at a time; these see the program, so they can follow a lock
+across methods, an ordering across classes, or a hard-coded dtype across
+the public localization path.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from tools.repro_lint.flow.symbols import Program, build_program
 from tools.repro_lint.numerics import (build_dtype_surface,
                                        check_dtype_pinning,
                                        check_hot_loop_scalarization,
+                                       check_mask_column_reduction,
                                        check_mixed_precision,
                                        check_nondeterministic_rng,
                                        check_partial_init_and_axis)
@@ -125,6 +126,15 @@ FLOW_RULES: list[FlowRule] = [
         "uninitialized or axis-collapsed aggregates return plausible "
         "numbers, so only an analyzer (not a test oracle) catches them",
         check_partial_init_and_axis),
+    FlowRule(
+        "RPR019", "mask-column-reduction",
+        "sum/mean/prod/std/var (or a cumulative sum) over a boolean-mask "
+        "column selection such as x[:, mask] in library code",
+        "side_powers_stack once summed power[:, upper_mask] along axis 1: "
+        "the mask copy is Fortran-ordered for more than one frame, so a "
+        "frame's Section 2.3.4 side powers depended on its batch in the "
+        "last bits and a near-tie could flip its half-plane decision",
+        check_mask_column_reduction),
 ]
 
 FLOW_RULE_IDS = frozenset(rule.id for rule in FLOW_RULES)

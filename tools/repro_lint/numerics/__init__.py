@@ -9,8 +9,8 @@ Layout mirrors ``tools/repro_lint/flow``:
     Transfer functions over the NumPy surface the repo uses (constructor
     pins, per-function dtype/rank environments, expression evaluation).
 ``rules``
-    The RPR013-017 checks, driven by the flow pass's symbol table and
-    call graph.
+    The RPR013-017 and RPR019 checks, driven by the flow pass's symbol
+    table and call graph.
 ``surface``
     The add-only ``dtype_surface`` JSON section: per public
     ``repro.api``/``repro.core`` function, proven-polymorphic /
@@ -20,6 +20,7 @@ Layout mirrors ``tools/repro_lint/flow``:
 from tools.repro_lint.numerics.domain import DTYPE_PINNED_RE
 from tools.repro_lint.numerics.rules import (check_dtype_pinning,
                                              check_hot_loop_scalarization,
+                                             check_mask_column_reduction,
                                              check_mixed_precision,
                                              check_nondeterministic_rng,
                                              check_partial_init_and_axis)
@@ -30,6 +31,7 @@ __all__ = [
     "build_dtype_surface",
     "check_dtype_pinning",
     "check_hot_loop_scalarization",
+    "check_mask_column_reduction",
     "check_mixed_precision",
     "check_nondeterministic_rng",
     "check_partial_init_and_axis",

@@ -1,4 +1,4 @@
-"""The RPR013-017 numerics rules over the whole-program model.
+"""The RPR013-017 and RPR019 numerics rules over the whole-program model.
 
 Each check shares the flow pass's symbol table and call graph (pass 1 of
 ``tools/repro_lint/flow``) and the transfer functions of
@@ -31,6 +31,7 @@ from tools.repro_lint.numerics.transfer import (collect_pins, infer_env,
 __all__ = [
     "check_dtype_pinning",
     "check_hot_loop_scalarization",
+    "check_mask_column_reduction",
     "check_mixed_precision",
     "check_nondeterministic_rng",
     "check_partial_init_and_axis",
@@ -531,3 +532,114 @@ def check_partial_init_and_axis(program: Program, graph: CallGraph,
                         f"plausible scalar; pass axis= explicitly "
                         f"(axis=None spelled out is accepted as "
                         f"deliberate)"))
+
+
+# ----------------------------------------------------------------------
+# RPR019 -- summing over a boolean-mask column selection
+# ----------------------------------------------------------------------
+_SUMMING_REDUCTIONS = frozenset({
+    "sum", "mean", "prod", "average", "std", "var", "cumsum", "cumprod",
+    "nansum", "nanmean", "nanprod", "nanstd", "nanvar", "nancumsum",
+    "nancumprod"})
+_MASK_FUNCTIONS = frozenset({"isfinite", "isnan", "isinf", "isclose",
+                             "logical_and", "logical_or", "logical_not",
+                             "logical_xor"})
+_MASK_OPERATORS = (ast.BitAnd, ast.BitOr, ast.BitXor)
+
+
+def _mask_bindings(function: FunctionModel, module: ModuleModel
+                   ) -> dict[str, ast.AST]:
+    """``name -> value`` of the function's single-target assignments."""
+    bindings: dict[str, ast.AST] = {}
+    for node in ast.walk(function.node):
+        if module.owner.get(node) is function \
+                and isinstance(node, ast.Assign) and len(node.targets) == 1 \
+                and isinstance(node.targets[0], ast.Name):
+            bindings[node.targets[0].id] = node.value
+    return bindings
+
+
+def _is_mask(expr: ast.AST, context: ModuleContext,
+             bindings: dict[str, ast.AST], dtypes: dict[str, str],
+             seen: frozenset[str] = frozenset()) -> bool:
+    """True if ``expr`` is syntactically a boolean mask: a comparison, a
+    bitwise combination or inversion of one, a NumPy predicate, or a
+    name bound to one (or inferred as ``bool``)."""
+    if isinstance(expr, ast.Compare):
+        return True
+    if isinstance(expr, ast.UnaryOp) and isinstance(expr.op, ast.Invert):
+        return _is_mask(expr.operand, context, bindings, dtypes, seen)
+    if isinstance(expr, ast.BinOp) and isinstance(expr.op, _MASK_OPERATORS):
+        return any(_is_mask(side, context, bindings, dtypes, seen)
+                   for side in (expr.left, expr.right))
+    if isinstance(expr, ast.Call):
+        dotted = context.resolve_call(expr)
+        return dotted is not None and dotted.startswith("numpy.") \
+            and dotted.rsplit(".", 1)[-1] in _MASK_FUNCTIONS
+    if isinstance(expr, ast.Name) and expr.id not in seen:
+        if dtypes.get(expr.id) == "bool":
+            return True
+        value = bindings.get(expr.id)
+        return value is not None and _is_mask(
+            value, context, bindings, dtypes, seen | {expr.id})
+    return False
+
+
+def _mask_column_selection(expr: ast.AST, context: ModuleContext,
+                           bindings: dict[str, ast.AST],
+                           dtypes: dict[str, str]) -> bool:
+    """True for ``x[:, mask]``-style subscripts: a boolean mask on an axis
+    after a full slice (or ``...``), which NumPy materializes as a
+    Fortran-ordered copy once more than one row is selected."""
+    if not isinstance(expr, ast.Subscript) \
+            or not isinstance(expr.slice, ast.Tuple):
+        return False
+    leading_slice = False
+    for index in expr.slice.elts:
+        if isinstance(index, ast.Slice) or (
+                isinstance(index, ast.Constant) and index.value is Ellipsis):
+            leading_slice = True
+        elif leading_slice and _is_mask(index, context, bindings, dtypes):
+            return True
+    return False
+
+
+def check_mask_column_reduction(program: Program, graph: CallGraph,
+                                summaries: dict[str, FunctionSummary]
+                                ) -> Iterator[Violation]:
+    for module in _sorted_modules(program):
+        if not _in_repro_scope(module):
+            continue
+        context = module.context
+        for function in module.all_functions.values():
+            bindings = _mask_bindings(function, module)
+            dtypes = infer_env(function, module).dtypes
+            for node in ast.walk(function.node):
+                if module.owner.get(node) is not function \
+                        or not isinstance(node, ast.Call):
+                    continue
+                operand: ast.AST | None = None
+                dotted = context.resolve_call(node)
+                if dotted is not None and dotted.startswith("numpy.") \
+                        and dotted.rsplit(".", 1)[-1] in _SUMMING_REDUCTIONS:
+                    operand = node.args[0] if node.args else None
+                    tail = dotted.rsplit(".", 1)[-1]
+                elif isinstance(node.func, ast.Attribute) \
+                        and node.func.attr in _SUMMING_REDUCTIONS:
+                    operand = node.func.value
+                    tail = node.func.attr
+                if operand is None or not _mask_column_selection(
+                        operand, context, bindings, dtypes):
+                    continue
+                yield Violation(
+                    path=module.path, line=node.lineno,
+                    col=node.col_offset, rule="RPR019",
+                    message=(
+                        f"{tail} over a boolean-mask column selection: "
+                        f"x[:, mask] copies the selected columns into a "
+                        f"Fortran-ordered array once more than one row is "
+                        f"selected, so each row's summation order -- and "
+                        f"its last bits -- depend on how many rows share "
+                        f"the batch; reduce contiguous slices "
+                        f"(x[:, :half]) or a C-ordered copy "
+                        f"(np.ascontiguousarray(x[:, mask])) instead"))
