@@ -351,14 +351,17 @@ class TestRejection:
         with pytest.raises(ConfigurationError, match=message):
             ArrayTrackConfig.from_dict(data)
 
-    def test_smoothing_too_deep_for_the_row_fails_at_load(self):
+    @pytest.mark.parametrize("antennas, groups", [(2, 2), (4, 4), (8, 9)])
+    def test_smoothing_too_deep_for_the_row_fails_at_load(self, antennas,
+                                                          groups):
         # Used to load; only building an AP from it raised.
+        size = antennas - groups + 1
         with pytest.raises(ConfigurationError,
-                           match=r"config\.ap: spectrum\.smoothing_groups=2 "
-                                 r"over num_antennas=2 leaves only 1 virtual "
-                                 r"antennas"):
-            ArrayTrackConfig().updated({"ap.num_antennas": 2,
-                                        "ap.spectrum.smoothing_groups": 2})
+                           match=rf"config\.ap: spectrum\.smoothing_groups="
+                                 rf"{groups} over num_antennas={antennas} "
+                                 rf"leaves only {size} virtual antennas"):
+            ArrayTrackConfig().updated({"ap.num_antennas": antennas,
+                                        "ap.spectrum.smoothing_groups": groups})
 
     @pytest.mark.parametrize("path, value, message", [
         ("server.localizer.grid_resolution_m", float("nan"),

@@ -2,8 +2,8 @@
 
 House rule for every vectorized path in this repo: the batched frontend must
 be *bit-for-bit* identical to the serial per-frame reference in
-``tests/core/_oracle.py``, across every estimator method, smoothing setting,
-forward-backward averaging, forced and automatic source counts, and with
+``tests/core/_oracle.py``, across every estimator method, smoothing depth,
+signal-to-noise ratio (which moves the automatic source count), and with
 symmetry removal on or off.  These tests randomize the capture conditions
 and assert exact array equality.
 """
@@ -78,6 +78,26 @@ class TestComputeManyEquality:
         entries = _capture_frames(ap, 7, rng)
         computer = ap._spectrum_computer
         snapshots = [entry.snapshots for entry in entries]
+        serial = [reference_spectrum(config, item, ap.array,
+                                     ap.linear_indices)
+                  for item in snapshots]
+        batched = computer.compute_many(snapshots, ap.array, ap.linear_indices)
+        _assert_spectra_equal(serial, batched)
+
+    @pytest.mark.parametrize("snr_db", [-3.0, 18.0])
+    @pytest.mark.parametrize("smoothing_groups", [1, 2, 3, 4])
+    def test_smoothing_depths_and_source_counts(self, smoothing_groups,
+                                                snr_db):
+        # The automatic source count is the only one the frontend uses;
+        # each depth shortens the virtual row, and low SNR spreads the
+        # frames of one batch over several counts.
+        config = SpectrumConfig(smoothing_groups=smoothing_groups,
+                                angle_resolution_deg=1.0)
+        ap = _ap(config)
+        rng = np.random.default_rng(23)
+        snapshots = [entry.snapshots
+                     for entry in _capture_frames(ap, 6, rng, snr_db=snr_db)]
+        computer = ap._spectrum_computer
         serial = [reference_spectrum(config, item, ap.array,
                                      ap.linear_indices)
                   for item in snapshots]

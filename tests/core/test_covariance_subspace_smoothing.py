@@ -189,6 +189,17 @@ class TestStackedCovariance:
             assert np.array_equal(
                 batched[frame], oracle.smoothed_covariance(stack[frame], groups))
 
+    @pytest.mark.parametrize("groups", [1, 2, 3])
+    def test_loaded_smoothed_covariance_many_matches_serial_bitwise(
+            self, groups):
+        stack = _snapshot_stack(num_frames=5)
+        batched = smoothed_covariance_many(stack, groups, diagonal_loading=0.05)
+        for frame in range(stack.shape[0]):
+            assert np.array_equal(
+                batched[frame],
+                oracle.smoothed_covariance(stack[frame], groups,
+                                           diagonal_loading=0.05))
+
     def test_stack_shape_validation(self):
         with pytest.raises(EstimationError):
             sample_covariance_many(np.zeros((8, 4)))

@@ -303,7 +303,9 @@ class TestMultipathSuppression:
         {"tolerance_deg": -1.0},
         {"min_relative_height": -0.1},
         {"min_relative_height": 1.5},
+        {"tolerance_deg": float("nan")},
         {"window_s": -0.1},
+        {"window_s": float("nan")},
         {"max_group_size": 0},
     ])
     def test_invalid_parameters(self, kwargs):
