@@ -13,8 +13,9 @@ office testbed with refinement *enabled*, three ways:
   (:func:`repro.core.optimizer.refine_many`): every round scores the
   stacked candidates of all clients' climbers in one pass across all slots;
 * ``vectorized + processes`` -- the same, plus ``parallel.backend=process``
-  sharding across one spawned worker process per visible CPU, with
-  shared-memory spectra (no interpreter lock shared between shards).
+  sharding across one spawned worker process per visible CPU, each
+  shard's spectra pickled to its worker (no interpreter lock shared
+  between shards).
 
 Asserted: the vectorized configuration beats the serial seed path by >= 3x
 at 256 clients, the process configuration additionally beats the

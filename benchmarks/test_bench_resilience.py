@@ -13,10 +13,10 @@ Two configurations run the same ``localize_many`` batch repeatedly on the
 
 * ``fault-free`` -- no injected faults (the PR-6 happy path);
 * ``10% crash rate`` -- a :class:`repro.testing.faults.FaultSpec` killing
-  a worker mid-shard (``os._exit`` after shm attach) with seeded
-  probability 0.1 per shard execution, so roughly one batch in five loses
-  a worker, falls to the serial rung and makes the next batch respawn
-  the pool.
+  a worker mid-shard (``os._exit`` once the shard's spectra are in the
+  worker, the ``after-attach`` stage) with seeded probability 0.1 per
+  shard execution, so roughly one batch in five loses a worker, falls to
+  the serial rung and makes the next batch respawn the pool.
 
 Asserted, at any size: every batch of both configurations is bit-identical
 to the serial fixes -- crashes must never change answers.  At full size

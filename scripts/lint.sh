@@ -3,7 +3,7 @@
 #
 #   1. ruff        (generic defects: F/E4/E7/E9 + bugbear + pyupgrade)
 #   2. repro-lint  (repo-specific per-file rules + whole-program flow
-#                   pass, concurrency RPR009-012 + numerics RPR013-017,
+#                   pass, concurrency RPR009-011 + numerics RPR013-017,
 #                   + suppression budget; pure stdlib, always runs)
 #   3. mypy        (strict-ish typing on repro.api + repro.core)
 #

@@ -1,216 +1,73 @@
-"""Process-backend sharding: a persistent spawn pool + shared-memory spectra.
+"""Process-backend sharding: a persistent spawn pool fed through its pickle pipe.
 
 This module is the ``ParallelConfig.backend = "process"`` rung of the
 service's degradation ladder: a lazy, persistent pool of *spawned* worker
 processes, each owning its own :class:`~repro.server.
 backend.ArrayTrackServer` (and therefore its own steering/bearing/window
-caches, warmed in the worker initializer), with the bulk frame data --
-angle grids and spectrum power rows -- moved through one
-``multiprocessing.shared_memory`` segment per batched call.  Only small
-things cross the pickle pipe:
+caches, warmed in the worker initializer).  Each shard crosses the
+executor's own pickle pipe as the arguments of one task:
 
-* down: the segment name, per-array ``(offset, length)`` specs and per-shard
-  index metadata (client/AP ids, positions, timestamps);
+* down: the shard's :class:`~repro.core.spectrum.AoASpectrum` objects per
+  client and per AP (pickle stores an angle grid the shard's spectra
+  share once) and, on the streaming path, their ingest-resolved times;
 * up: the per-shard fix dictionaries (:class:`~repro.core.localizer.
   LocationEstimate` objects).
 
-Workers rebuild each shard's :class:`~repro.core.spectrum.AoASpectrum`
-objects as zero-copy read-only views into the segment, run
-:func:`drain_shard` -- the one suppression + synthesis step the serial
-rung runs too -- and return fixes.  Because every stage is
-deterministic and the shard merge preserves the caller's client order,
-process-sharded results are bit-for-bit identical to the serial path
-(asserted by ``tests/api/test_process_backend.py``).
+Workers run :func:`drain_shard` -- the one suppression + synthesis step
+the serial rung runs too -- on the unpickled spectra and return fixes.
+Because every stage is deterministic and the shard merge preserves the
+caller's client order, process-sharded results are bit-for-bit identical
+to the serial path (asserted by ``tests/api/test_process_backend.py``).
 
-A pool failure -- a worker crash, a blown per-shard deadline or a failed
-segment allocation -- discards the pool and raises
-:class:`~repro.errors.PoolSupervisionError`, a
+A pool failure -- a worker crash or a blown per-shard deadline -- discards
+the pool and raises :class:`~repro.errors.PoolSupervisionError`, a
 :class:`~repro.errors.TransientError` the service's degradation ladder
 absorbs by serving the batch serially; the next sharded call respawns the
-pool.
-
-Shared-memory lifecycle: the parent creates one segment per batched call and
-always closes *and unlinks* it in a ``finally`` -- success, worker
-exception, or worker crash alike -- so no segment outlives the call.  The
-module-level :func:`live_segments` registry backs the teardown assertions in
-the test suite.  Spawn (not fork) is used so a pool started from a threaded
-parent is safe on every platform.
+pool.  Spawn (not fork) is used so a pool started from a threaded parent
+is safe on every platform.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-import os
 import threading
 import time
-import uuid
 from itertools import islice
 from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
-from multiprocessing import get_context, shared_memory
-from collections.abc import Iterable, Iterator, Mapping, Sequence
-from typing import TYPE_CHECKING, NoReturn
-
-import numpy as np
+from multiprocessing import get_context
+from collections.abc import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, NoReturn, TypeVar
 
 from repro.core.cache import default_bearing_cache
 from repro.core.localizer import LocationEstimate
 from repro.core.spectrum import AoASpectrum
 from repro.core.suppression import MultipathSuppressor
 from repro.errors import (ConfigurationError, EstimationError,
-                          FaultInjectedError, PoolSupervisionError)
-from repro.geometry.vector import Point2D
+                          PoolSupervisionError)
 from repro.server.backend import ArrayTrackServer
 from repro.testing import faults
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.api.config import ArrayTrackConfig
 
-__all__ = ["ProcessShardPool", "PoolStats", "SEGMENT_PREFIX", "drain_shard",
-           "live_segments", "shm_leak_events"]
+__all__ = ["ProcessShardPool", "PoolStats", "drain_shard", "live_segments",
+           "shm_leak_events"]
 
-#: Prefix of every shared-memory segment this module creates; the teardown
-#: tests scan ``/dev/shm`` for it to prove nothing leaked.
-SEGMENT_PREFIX = "arraytrack_"
-
-#: Parent-side registry of segments created but not yet unlinked.
-_LIVE_SEGMENTS: set = set()
-
-#: Times a segment's ``close()`` failed with :class:`BufferError` (a view
-#: into the mapping escaped, so the parent-side mapping lives until the GC
-#: collects the view).  Never silently reset; surfaced by
-#: ``ArrayTrackService.health()`` so leak drift is observable in
-#: production, not just in the test suite's teardown assertions.
-_LEAK_EVENTS = 0
+_T = TypeVar("_T")
 
 
 def live_segments() -> frozenset[str]:
-    """Return the names of this process's currently live shm segments.
+    """Always empty: shards no longer travel through shared memory.
 
-    Empty whenever no sharded call is in flight; the equality suite asserts
-    it is empty after every call and after ``close()``.
+    Kept because ``perfbench/run.py`` still imports it for its leak check.
     """
-    return frozenset(_LIVE_SEGMENTS)
+    return frozenset()
 
 
 def shm_leak_events() -> int:
-    """Times a segment close leaked its parent-side mapping (monotonic)."""
-    return _LEAK_EVENTS
-
-
-def _new_segment_name() -> str:
-    return f"{SEGMENT_PREFIX}{os.getpid():x}_{uuid.uuid4().hex[:12]}"
-
-
-# ----------------------------------------------------------------------
-# Shared-memory packing (parent side)
-# ----------------------------------------------------------------------
-#: One spectrum, flattened to picklable metadata plus two array indices:
-#: ``(angles_index, power_index, ap_xy, orientation_deg, client_id, ap_id,
-#: timestamp_s)``.
-_SpectrumRef = tuple[int, int, tuple[float, float] | None, float,
-                     str, str, float]
-
-
-@dataclass(frozen=True)
-class _SegmentHandle:
-    """Everything a worker needs to map the batch arrays: name + layout."""
-
-    name: str
-    #: Per-array ``(byte offset, element count)``; all arrays are 1-D
-    #: float64, so the layout stays self-describing and 8-byte aligned.
-    specs: tuple[tuple[int, int], ...]
-
-
-class _ArrayPacker:
-    """Collects the batch's float arrays and writes them into one segment.
-
-    Arrays are deduplicated by source-object identity: every spectrum of a
-    deployment typically shares one angle-grid object, so the grid is
-    stored once per segment instead of once per frame.
-    """
-
-    def __init__(self) -> None:
-        self._arrays: list[np.ndarray] = []
-        self._specs: list[tuple[int, int]] = []
-        self._by_source: dict[int, int] = {}
-        self._nbytes = 0
-
-    def add(self, array: np.ndarray) -> int:
-        """Register one 1-D array; returns its index into the segment."""
-        index = self._by_source.get(id(array))
-        if index is not None:
-            return index
-        # dtype-pinned: float64 -- the shared-memory segment's wire format is fixed float64
-        data = np.ascontiguousarray(np.asarray(array, dtype=np.float64))
-        index = len(self._arrays)
-        self._arrays.append(data)
-        self._specs.append((self._nbytes, int(data.shape[0])))
-        self._nbytes += data.nbytes
-        self._by_source[id(array)] = index
-        return index
-
-    def pack(self) -> tuple[shared_memory.SharedMemory, _SegmentHandle]:
-        """Create the segment, copy every array in, return it + its handle.
-
-        The segment's lifetime is split across functions: every caller
-        must release it (``localize_shards()`` does, in its ``finally``, via
-        ``_release_segment``).  repro-lint's RPR012 flow analysis proves
-        that contract on each run; the zero-leak behavior is additionally
-        asserted against ``live_segments()`` and ``/dev/shm`` by
-        ``tests/api/test_process_backend.py``.
-        """
-        faults.shm_allocation()
-        segment = shared_memory.SharedMemory(
-            create=True, size=max(self._nbytes, 8), name=_new_segment_name())
-        _LIVE_SEGMENTS.add(segment.name)
-        for (offset, length), data in zip(self._specs, self._arrays, strict=True):
-            # dtype-pinned: float64 -- views into the fixed float64 wire format
-            target = np.ndarray((length,), dtype=np.float64,
-                                buffer=segment.buf, offset=offset)
-            target[:] = data
-            # Drop the view immediately so the buffer has no exports left
-            # when the parent closes the segment.
-            del target
-        return segment, _SegmentHandle(segment.name, tuple(self._specs))
-
-
-def _release_segment(segment: shared_memory.SharedMemory) -> None:
-    """Close and unlink one segment, tolerating partial prior cleanup.
-
-    A :class:`BufferError` from ``close()`` means a view into the mapping
-    escaped; the GC will release the mapping eventually, but the event is
-    *counted* (see :func:`shm_leak_events`) rather than swallowed, so a
-    code path that habitually leaks views shows up in ``health()``.  The
-    unlink still runs either way -- the segment name must not outlive the
-    call system-wide.
-    """
-    global _LEAK_EVENTS
-    name = segment.name
-    try:
-        segment.close()
-    except BufferError:
-        _LEAK_EVENTS += 1
-    try:
-        segment.unlink()
-    except FileNotFoundError:
-        pass
-    _LIVE_SEGMENTS.discard(name)
-
-
-def _encode_spectrum(packer: _ArrayPacker,
-                     spectrum: AoASpectrum) -> _SpectrumRef:
-    position = spectrum.ap_position
-    return (
-        packer.add(spectrum.angles_deg),
-        packer.add(spectrum.power),
-        None if position is None else (float(position.x), float(position.y)),
-        float(spectrum.ap_orientation_deg),
-        spectrum.client_id,
-        spectrum.ap_id,
-        float(spectrum.timestamp_s),
-    )
+    """Always 0; kept because ``perfbench/run.py`` still imports it."""
+    return 0
 
 
 # ----------------------------------------------------------------------
@@ -252,45 +109,6 @@ def _require_worker() -> _WorkerState:
     return _WORKER
 
 
-@contextmanager
-def _attached_arrays(handle: _SegmentHandle) -> Iterator[list[np.ndarray]]:
-    """Attach the segment and yield its arrays as read-only views.
-
-    The views are zero-copy; callers must drop every reference derived from
-    them before the context exits so the mapping can be released.  If a
-    view escapes into an in-flight exception's traceback the close is
-    skipped (the worker releases the mapping when the traceback is
-    collected) -- the *parent's* unlink removes the segment name either
-    way, so nothing leaks system-wide.
-    """
-    segment = shared_memory.SharedMemory(name=handle.name)
-    arrays: list[np.ndarray] = []
-    try:
-        for offset, length in handle.specs:
-            view = np.ndarray((length,), dtype=np.float64,
-                              buffer=segment.buf, offset=offset)
-            view.flags.writeable = False
-            arrays.append(view)
-        yield arrays
-    finally:
-        arrays.clear()
-        try:
-            segment.close()
-        except BufferError:  # pragma: no cover - view held by a traceback
-            pass
-
-
-def _decode_spectrum(arrays: Sequence[np.ndarray],
-                     ref: _SpectrumRef) -> AoASpectrum:
-    angles_index, power_index, position, orientation, client_id, ap_id, \
-        timestamp_s = ref
-    return AoASpectrum(
-        arrays[angles_index], arrays[power_index],
-        ap_position=None if position is None else Point2D(*position),
-        ap_orientation_deg=orientation, client_id=client_id, ap_id=ap_id,
-        timestamp_s=timestamp_s)
-
-
 #: A batch's spectra as the shard step takes them: per client and per AP,
 #: in arrival order.  The client and AP orders are part of the
 #: bit-equality contract.
@@ -300,12 +118,6 @@ SpectraByClient = Mapping[str, Mapping[str, Sequence[AoASpectrum]]]
 #: spectrum of :data:`SpectraByClient`: the sessions' ingest-resolved
 #: timestamps, which may differ from each ``spectrum.timestamp_s``.
 TimesByClient = Mapping[str, Mapping[str, Sequence[float]]]
-
-#: One shard as shipped to a worker: per client and per AP, the spectra as
-#: :data:`_SpectrumRef` tuples and their stream times (empty off-stream).
-_Shard = tuple[tuple[str, tuple[tuple[str, tuple[_SpectrumRef, ...],
-                                      tuple[float, ...]], ...]], ...]
-
 
 def drain_shard(server: ArrayTrackServer, suppressor: MultipathSuppressor,
                 spectra_by_client: SpectraByClient,
@@ -366,25 +178,25 @@ def drain_shard(server: ArrayTrackServer, suppressor: MultipathSuppressor,
         for client_id, count in per_client})
 
 
-def _drain_task(handle: _SegmentHandle, shard: _Shard,
-                suppress: bool) -> dict[str, LocationEstimate]:
-    """Worker task: map one shard's spectra from the segment and drain it."""
+def _drain_task(spectra_by_client: SpectraByClient,
+                stream_times: TimesByClient | None
+                ) -> dict[str, LocationEstimate]:
+    """Worker task: drain one unpickled shard."""
     worker = _require_worker()
-    faults.worker_shard("before-attach")
-    with _attached_arrays(handle) as arrays:
-        faults.worker_shard("after-attach")
-        spectra = {
-            client_id: {ap_id: [_decode_spectrum(arrays, ref) for ref in refs]
-                        for ap_id, refs, _ in per_ap}
-            for client_id, per_ap in shard}
-        stream_times = None if not suppress else {
-            client_id: {ap_id: times for ap_id, _, times in per_ap}
-            for client_id, per_ap in shard}
-        estimates = drain_shard(worker.server, worker.suppressor, spectra,
-                                stream_times)
-        del spectra
+    faults.worker_shard("after-attach")
+    estimates = drain_shard(worker.server, worker.suppressor,
+                            spectra_by_client, stream_times)
     faults.worker_shard("before-return")
     return estimates
+
+
+def _shard_table(by_client: Mapping[str, Mapping[str, Sequence[_T]]],
+                 shard: Sequence[str]) -> dict[str, dict[str, list[_T]]]:
+    """One shard's rows of a per-client, per-AP table as plain dicts and
+    lists, so the task pickles whatever mapping types the caller passed."""
+    return {client_id: {ap_id: list(values)
+                        for ap_id, values in by_client[client_id].items()}
+            for client_id in shard}
 
 
 # ----------------------------------------------------------------------
@@ -394,9 +206,9 @@ def _drain_task(handle: _SegmentHandle, shard: _Shard,
 class PoolStats:
     """Monotonic failure counters of one :class:`ProcessShardPool`.
 
-    Surfaced (merged with the module-level shm counters) through
-    ``ArrayTrackService.health()``; the counters never reset over the
-    pool's lifetime, so deltas between snapshots are meaningful.
+    Surfaced through ``ArrayTrackService.health()``; the counters never
+    reset over the pool's lifetime, so deltas between snapshots are
+    meaningful.
     """
 
     #: Executors discarded after a failed round (the next call respawns).
@@ -425,21 +237,18 @@ class ProcessShardPool:
     ``parallel.backend = "process"``.  Workers are spawned on the first
     sharded call and persist across calls (the per-worker server and its
     warmed caches amortize over the service lifetime); :meth:`close` shuts
-    them down.  Each batched call moves its frame arrays through one
-    shared-memory segment that is unconditionally unlinked before the call
-    returns -- on success, on a worker exception (which re-raises here with
-    the original remote traceback chained), and on a worker crash.
+    them down.
 
     Each call makes one submission round and never retries.  A broken
-    executor (at submit or result time), a blown ``shard_timeout_s``
-    deadline or a failed segment allocation discards the executor --
-    terminating its workers -- and raises
-    :class:`~repro.errors.PoolSupervisionError` (a
+    executor (at submit or result time) or a blown ``shard_timeout_s``
+    deadline discards the executor -- terminating its workers -- and
+    raises :class:`~repro.errors.PoolSupervisionError` (a
     :class:`~repro.errors.TransientError`), so the service's circuit
     breaker serves the batch on the serial rung within the same call; the
     next sharded call respawns the pool.  A task-level exception -- the
-    worker itself raised -- propagates chained and discards nothing:
-    re-running a deterministic error would re-fail identically.
+    worker itself raised -- propagates with the remote traceback chained
+    and discards nothing: re-running a deterministic error would re-fail
+    identically.
 
     The started/closed lifecycle is guarded by a lock: a ``close()``
     racing an in-flight call can neither resurrect the executor nor shut
@@ -528,52 +337,22 @@ class ProcessShardPool:
                         ) -> dict[str, LocationEstimate]:
         """Run :func:`drain_shard` per shard on the pool, merged in order.
 
-        One submission round; a failed round raises
+        Each shard's spectra and stream times are the pickled arguments of
+        its one task.  One submission round; a failed round raises
         :class:`~repro.errors.PoolSupervisionError` chained to its cause,
         as the class docstring describes.
         """
-        packer = _ArrayPacker()
-        encoded = {
-            client_id: tuple(
-                (ap_id,
-                 tuple(_encode_spectrum(packer, spectrum)
-                       for spectrum in spectra),
-                 () if stream_times is None else
-                 tuple(float(t) for t in stream_times[client_id][ap_id]))
-                for ap_id, spectra in spectra_by_client[client_id].items())
-            for shard in shards for client_id in shard}
-        payloads: list[_Shard] = [
-            tuple((client_id, encoded[client_id]) for client_id in shard)
-            for shard in shards]
         executor = self._ensure()
-        try:
-            segment, handle = packer.pack()
-        except (OSError, FaultInjectedError) as exc:
-            # No /dev/shm headroom (or an injected allocation failure):
-            # transient infrastructure, not data.
-            self._fail(executor, exc, f"could not allocate the batch's "
-                                      f"shared-memory segment: {exc}")
-        try:
-            return self._round(executor, handle, payloads,
-                               stream_times is not None)
-        finally:
-            _release_segment(segment)
-
-    #: The streaming name of the one entry point; ``perfbench/tracing.py``
-    #: wraps the pool under both names.
-    tick_shards = localize_shards
-
-    def _round(self, executor: ProcessPoolExecutor, handle: _SegmentHandle,
-               payloads: Sequence[_Shard], suppress: bool
-               ) -> dict[str, LocationEstimate]:
-        """Submit every shard once and merge the results in shard order."""
         timeout_s = self._config.resilience.shard_timeout_s
         deadline = None if timeout_s is None \
             else time.monotonic() + timeout_s
         futures: list[Future[dict[str, LocationEstimate]]] = []
         try:
-            futures = [executor.submit(_drain_task, handle, payload, suppress)
-                       for payload in payloads]
+            futures = [executor.submit(
+                _drain_task, _shard_table(spectra_by_client, shard),
+                None if stream_times is None
+                else _shard_table(stream_times, shard))
+                for shard in shards]
             merged: dict[str, LocationEstimate] = {}
             for future in futures:
                 remaining = None if deadline is None \
@@ -593,6 +372,10 @@ class ProcessShardPool:
             for future in futures:
                 future.cancel()
             raise
+
+    #: The streaming name of the one entry point; ``perfbench/tracing.py``
+    #: wraps the pool under both names.
+    tick_shards = localize_shards
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -134,9 +134,9 @@ class ParallelConfig:
     :meth:`~repro.api.ArrayTrackService.localize_buffered` and
     :meth:`~repro.api.ArrayTrackService.tick` split their client batch into
     contiguous shards and run each shard's suppression and synthesis in a
-    spawned worker process with its own interpreter (frame arrays travel
-    through shared memory, so only shard metadata and the returned fixes
-    are pickled).  Every shard drains through the unchanged
+    spawned worker process with its own interpreter (each shard's spectra
+    travel as the pickled arguments of its pool task, and its fixes come
+    back the same way).  Every shard drains through the unchanged
     suppression/synthesis step and the per-shard batches are themselves
     bit-for-bit identical to single-client fixes, so sharded results equal
     the serial path exactly; only the tracker commit stays on the calling

@@ -40,8 +40,7 @@ from repro.ap.buffer import BufferEntry
 from repro.ap.latency import LatencyBreakdown, LatencyModel
 from repro.array.receiver import SnapshotMatrix
 from repro.api._procpool import (PoolStats, ProcessShardPool, SpectraByClient,
-                                 TimesByClient, drain_shard, live_segments,
-                                 shm_leak_events)
+                                 TimesByClient, drain_shard)
 from repro.api._resilience import (CircuitBreaker, ResilienceStats,
                                    backend_ladder)
 from repro.api.config import ArrayTrackConfig, SessionConfig
@@ -538,8 +537,8 @@ class ArrayTrackService:
         With ``parallel.backend="process"`` and a large enough batch, the
         clients are split into contiguous shards and each shard's
         suppression + synthesis runs in a worker process (spectra travel
-        through shared memory); results are bit-for-bit identical to the
-        serial path either way.
+        as the pool task's pickled arguments); results are bit-for-bit
+        identical to the serial path either way.
         """
         self._ensure_open()
         return self._drain(spectra_by_client, None)
@@ -866,8 +865,8 @@ class ArrayTrackService:
         ``backend`` (``configured`` backend and the ladder rung batches
         currently enter at); ``breaker`` (the
         :meth:`~repro.api._resilience.CircuitBreaker.snapshot` dict);
-        ``pool`` (``started`` plus the pool's failure counters and the
-        module-wide shm accounting); ``ingest`` (pending frames vs budget
+        ``pool`` (``started`` plus the pool's failure counters and two
+        constant shared-memory keys); ``ingest`` (pending frames vs budget
         and the shed/reject counters); ``fallbacks`` (batches served per
         degraded rung and the last transient error); ``sessions`` (live
         session count).
@@ -887,8 +886,10 @@ class ArrayTrackService:
             "breaker": self._breaker.snapshot(),
             "pool": {
                 **pool_health,
-                "shm_leak_events": shm_leak_events(),
-                "live_segments": sorted(live_segments()),
+                # Shards no longer travel through shared memory; constants
+                # kept for perfbench/run.py.
+                "shm_leak_events": 0,
+                "live_segments": [],
             },
             "ingest": {
                 "pending_frames": self._pending_count.frames,

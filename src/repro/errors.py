@@ -48,13 +48,9 @@ class TransientError(ArrayTrackError):
 
 
 class PoolSupervisionError(TransientError):
-    """A worker pool round failed: a worker died, a shard overran its
-    deadline, or the batch's shared-memory segment could not be allocated.
+    """A worker pool round failed: a worker died or a shard overran its
+    deadline.
     """
-
-
-class FaultInjectedError(TransientError):
-    """Raised by :mod:`repro.testing.faults` when an injected fault fires."""
 
 
 class BackpressureError(ArrayTrackError):

@@ -17,15 +17,11 @@ The supported kinds, and where their hooks live:
 ``kill-worker-mid-shard``
     ``os._exit`` inside a pool worker while it runs a shard
     (:func:`worker_shard`, called by ``repro.api._procpool`` at the
-    ``before-attach`` / ``after-attach`` / ``before-return`` stages of
-    every shard task).  Surfaces parent-side as ``BrokenProcessPool``.
+    :data:`STAGES` of every shard task).  Surfaces parent-side as
+    ``BrokenProcessPool``.
 ``slow-worker``
     ``time.sleep(delay_s)`` at the same worker stages; exercises the
     ``resilience.shard_timeout_s`` deadline.
-``shm-allocation-failure``
-    :class:`~repro.errors.FaultInjectedError` from the parent-side
-    shared-memory packer before the segment is created
-    (:func:`shm_allocation`).
 ``poison-frame``
     :func:`poison` corrupts an ingested item -- a spectrum's power or a
     raw buffer entry's snapshot samples -- with a NaN, exercising the
@@ -51,7 +47,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.errors import ConfigurationError, FaultInjectedError
+from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.ap.buffer import BufferEntry
@@ -59,18 +55,18 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 __all__ = ["ENV_VAR", "KINDS", "STAGES", "KILL_EXIT_CODE", "FaultSpec",
            "activate", "activate_json", "deactivate", "injected_faults",
-           "active_specs", "fired_counts", "worker_shard", "shm_allocation",
-           "poison"]
+           "active_specs", "fired_counts", "worker_shard", "poison"]
 
 #: Environment variable carrying the JSON fault plan into spawned workers.
 ENV_VAR = "ARRAYTRACK_FAULTS"
 
 #: Every fault kind this harness can fire.
-KINDS = ("kill-worker-mid-shard", "slow-worker", "shm-allocation-failure",
-         "poison-frame")
+KINDS = ("kill-worker-mid-shard", "slow-worker", "poison-frame")
 
-#: Worker-shard stages at which kill/slow faults can anchor.
-STAGES = ("before-attach", "after-attach", "before-return")
+#: Worker-shard stages at which kill/slow faults can anchor:
+#: ``after-attach`` -- the shard's spectra are in the worker, before its
+#: drain; ``before-return`` -- the drain is done, before the fixes go back.
+STAGES = ("after-attach", "before-return")
 
 #: Exit status of a worker killed by ``kill-worker-mid-shard`` (distinctive
 #: on purpose, so an injected death is never mistaken for a real one).
@@ -299,14 +295,6 @@ def worker_shard(stage: str) -> None:
     spec = _fire("slow-worker", stage)
     if spec is not None:
         time.sleep(spec.delay_s)
-
-
-def shm_allocation() -> None:
-    """Parent-side hook before a shared-memory segment is created."""
-    if _fire("shm-allocation-failure") is not None:
-        raise FaultInjectedError(
-            "injected shared-memory allocation failure (fault "
-            "'shm-allocation-failure')")
 
 
 def poison(item: "AoASpectrum | BufferEntry") -> "AoASpectrum | BufferEntry":

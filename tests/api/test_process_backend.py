@@ -5,20 +5,15 @@ the same fixes, in the same client order, as the serial path, for every
 batched entry point (``localize_many``, ``localize_buffered``, ``tick``,
 ``flush``) at mixed shard sizes --
 including batches below ``2 * min_clients_per_worker``, where the process
-service silently stays serial.  And because the backend moves spectra
-through ``multiprocessing.shared_memory``, every test also asserts clean
-teardown: no live segment after any call, none after ``close()``, and no
-``arraytrack_<pid>_*`` name of this process left in ``/dev/shm``.
+service silently stays serial.
 """
 
-import glob
-import os
+from types import MappingProxyType
 
 import numpy as np
 import pytest
 
 from repro.api import ArrayTrackConfig, ArrayTrackService
-from repro.api._procpool import SEGMENT_PREFIX, live_segments
 from repro.channel import MultipathChannel
 from repro.core import AoASpectrum, default_angle_grid
 from repro.geometry import Point2D, bearing_deg
@@ -83,20 +78,6 @@ def _assert_identical(actual, expected):
         assert actual[key].num_aps == expected[key].num_aps
 
 
-def _assert_no_segments():
-    # Only this process's names (the pattern ``_new_segment_name`` builds):
-    # another process of this program may hold segments of its own.
-    assert live_segments() == frozenset()
-    assert glob.glob(f"/dev/shm/{SEGMENT_PREFIX}{os.getpid():x}_*") == []
-
-
-@pytest.fixture(autouse=True)
-def no_leaked_segments():
-    """Every test in this module must leave zero live shm segments."""
-    yield
-    _assert_no_segments()
-
-
 class TestLocalizeManyMatrix:
     @pytest.fixture(scope="class")
     def process_service(self):
@@ -110,8 +91,19 @@ class TestLocalizeManyMatrix:
         clients = _clients(count, seed=100 + count)
         serial = ArrayTrackService(_config("none")).localize_many(clients)
         processed = process_service.localize_many(clients)
-        _assert_no_segments()
         _assert_identical(processed, serial)
+
+    def test_read_only_mappings_are_sharded_like_dicts(self, process_service):
+        # A caller's Mapping need not pickle (a mappingproxy does not); the
+        # pool ships its shards as plain dicts and lists.
+        clients = _clients(7, seed=5)
+        serial = ArrayTrackService(_config("none")).localize_many(clients)
+        frozen = MappingProxyType({
+            client_id: MappingProxyType({ap_id: tuple(frames)
+                                         for ap_id, frames in per_ap.items()})
+            for client_id, per_ap in clients.items()})
+        _assert_identical(process_service.localize_many(frozen), serial)
+        assert process_service._procpool.started
 
     def test_small_batch_never_spawns_workers(self):
         # Run the smallest batch against a *fresh* process service: below
@@ -140,7 +132,6 @@ class TestLocalizeBufferedMatrix:
         serial = self._build("none").localize_buffered(client_ids)
         with self._build("process") as process_service:
             processed = process_service.localize_buffered(client_ids)
-            _assert_no_segments()
         _assert_identical(processed, serial)
 
 
@@ -185,7 +176,6 @@ class TestStreamingMatrix:
             with ArrayTrackService(_config(backend, **overrides)) as service:
                 self._ingest(service, 10, **ingest)
                 results[backend] = service.tick()
-                _assert_no_segments()
                 assert all(session.pending_frames == 0
                            for session in service.sessions.values())
                 assert all(service.latest_fix(key) is not None
@@ -199,19 +189,5 @@ class TestStreamingMatrix:
             with ArrayTrackService(_config(backend, **overrides)) as service:
                 self._ingest(service, 8, seed=23)
                 results[backend] = service.flush()
-                _assert_no_segments()
         _assert_identical(results["process"], results["none"])
 
-
-class TestSharedMemoryTeardown:
-    def test_segments_cleaned_after_calls_and_close(self):
-        service = ArrayTrackService(_config("process"))
-        clients = _clients(8, seed=42)
-        for _ in range(3):
-            service.localize_many(clients)
-            _assert_no_segments()
-        assert service._procpool is not None
-        assert service._procpool.started
-        service.close()
-        _assert_no_segments()
-        assert service._procpool is None

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core import AoASpectrum, default_angle_grid
-from repro.errors import ConfigurationError, FaultInjectedError
+from repro.errors import ConfigurationError
 from repro.testing import faults
 
 
@@ -30,15 +30,24 @@ def _spectrum():
                        client_id="c0", ap_id="ap0")
 
 
+def _poisoned(spectrum):
+    """Whether one ``poison`` hook call fired on ``spectrum``."""
+    return faults.poison(spectrum) is not spectrum
+
+
 class TestFaultSpec:
     def test_validation_rejects_unknown_kind_stage_and_bad_numbers(self):
         with pytest.raises(ConfigurationError, match="unknown fault kind"):
             faults.FaultSpec(kind="explode-the-moon")
-        # Retired together with the thread backend it drove.
-        with pytest.raises(ConfigurationError, match="unknown fault kind"):
-            faults.FaultSpec(kind="thread-shard-failure")
-        with pytest.raises(ConfigurationError, match="unknown fault stage"):
-            faults.FaultSpec(kind="slow-worker", stage="mid-attach")
+        # Retired together with the thread backend and the shared-memory
+        # transport they drove.
+        for retired in ("thread-shard-failure", "shm-allocation-failure"):
+            with pytest.raises(ConfigurationError, match="unknown fault kind"):
+                faults.FaultSpec(kind=retired)
+        for stage in ("mid-attach", "before-attach"):
+            with pytest.raises(ConfigurationError,
+                               match="unknown fault stage"):
+                faults.FaultSpec(kind="slow-worker", stage=stage)
         with pytest.raises(ConfigurationError, match="probability"):
             faults.FaultSpec(kind="slow-worker", probability=1.5)
         with pytest.raises(ConfigurationError, match="times"):
@@ -55,12 +64,12 @@ class TestFaultSpec:
             faults.FaultSpec.from_dict({"kind": "slow-worker",
                                         "typo_key": 1})
         with pytest.raises(ConfigurationError, match="needs a 'kind'"):
-            faults.FaultSpec.from_dict({"stage": "before-attach"})
+            faults.FaultSpec.from_dict({"stage": "after-attach"})
 
 
 class TestActivation:
     def test_activate_exports_env_and_deactivate_clears_it(self):
-        spec = faults.FaultSpec(kind="shm-allocation-failure", times=1)
+        spec = faults.FaultSpec(kind="poison-frame", times=1)
         faults.activate(spec)
         assert faults.ENV_VAR in os.environ
         decoded = json.loads(os.environ[faults.ENV_VAR])
@@ -71,7 +80,7 @@ class TestActivation:
         assert faults.active_specs() == ()
 
     def test_env_round_trip_resolves_lazily_like_a_spawned_worker(self):
-        spec = faults.FaultSpec(kind="shm-allocation-failure", times=3,
+        spec = faults.FaultSpec(kind="poison-frame", times=3,
                                 probability=0.5, seed=11)
         faults.activate(spec)
         # Simulate what a freshly spawned worker does: no programmatic
@@ -86,26 +95,20 @@ class TestActivation:
             faults.activate_json('"just a string"')
 
     def test_injected_faults_context_manager_restores_clean_state(self):
-        with faults.injected_faults(
-                faults.FaultSpec(kind="shm-allocation-failure")):
-            with pytest.raises(FaultInjectedError):
-                faults.shm_allocation()
-        faults.shm_allocation()   # no active plan: a no-op
+        spectrum = _spectrum()
+        with faults.injected_faults(faults.FaultSpec(kind="poison-frame")):
+            assert _poisoned(spectrum)
+        assert not _poisoned(spectrum)   # no active plan: a pass-through
         assert faults.ENV_VAR not in os.environ
 
 
 class TestDeterminism:
     def test_probability_stream_is_seeded_and_reproducible(self):
         def schedule(seed):
-            faults.activate(faults.FaultSpec(kind="shm-allocation-failure",
+            faults.activate(faults.FaultSpec(kind="poison-frame",
                                              probability=0.3, seed=seed))
-            fired = []
-            for _ in range(40):
-                try:
-                    faults.shm_allocation()
-                    fired.append(False)
-                except FaultInjectedError:
-                    fired.append(True)
+            spectrum = _spectrum()
+            fired = [_poisoned(spectrum) for _ in range(40)]
             faults.deactivate()
             return fired
 
@@ -114,41 +117,33 @@ class TestDeterminism:
         assert any(schedule(5)) and not all(schedule(5))
 
     def test_times_budget_bounds_firings_in_process(self):
-        faults.activate(faults.FaultSpec(kind="shm-allocation-failure",
-                                         times=2))
-        fired = 0
-        for _ in range(10):
-            try:
-                faults.shm_allocation()
-            except FaultInjectedError:
-                fired += 1
+        faults.activate(faults.FaultSpec(kind="poison-frame", times=2))
+        spectrum = _spectrum()
+        fired = sum(_poisoned(spectrum) for _ in range(10))
         assert fired == 2
-        assert faults.fired_counts() == {"shm-allocation-failure": 2}
+        assert faults.fired_counts() == {"poison-frame": 2}
 
     def test_token_dir_budget_is_claimed_atomically(self, tmp_path):
-        spec = faults.FaultSpec(kind="shm-allocation-failure", times=2,
+        spec = faults.FaultSpec(kind="poison-frame", times=2,
                                 token_dir=str(tmp_path))
         faults.activate(spec)
-        fired = 0
-        for _ in range(10):
-            try:
-                faults.shm_allocation()
-            except FaultInjectedError:
-                fired += 1
+        spectrum = _spectrum()
+        fired = sum(_poisoned(spectrum) for _ in range(10))
         assert fired == 2
         tokens = sorted(p.name for p in tmp_path.iterdir())
-        assert tokens == ["shm-allocation-failure.0000.token",
-                          "shm-allocation-failure.0001.token"]
+        assert tokens == ["poison-frame.0000.token",
+                          "poison-frame.0001.token"]
 
     def test_token_budget_survives_simulated_process_restart(self, tmp_path):
-        spec = faults.FaultSpec(kind="shm-allocation-failure", times=1,
+        spec = faults.FaultSpec(kind="poison-frame", times=1,
                                 token_dir=str(tmp_path))
         faults.activate(spec)
-        with pytest.raises(FaultInjectedError):
-            faults.shm_allocation()
+        spectrum = _spectrum()
+        assert _poisoned(spectrum)
         faults._ACTIVE = None   # "new process" inherits env + token dir
-        faults.shm_allocation()   # budget spent: must not fire again
-        assert faults.fired_counts() == {"shm-allocation-failure": 0}
+        # Budget spent: must not fire again.
+        assert not _poisoned(spectrum)
+        assert faults.fired_counts() == {"poison-frame": 0}
 
 
 class TestHooks:
@@ -156,7 +151,6 @@ class TestHooks:
         faults.activate(faults.FaultSpec(kind="slow-worker",
                                          stage="after-attach",
                                          delay_s=0.0))
-        faults.worker_shard("before-attach")
         faults.worker_shard("before-return")
         assert faults.fired_counts() == {"slow-worker": 0}
         faults.worker_shard("after-attach")
@@ -173,6 +167,6 @@ class TestHooks:
         assert faults.poison(spectrum) is spectrum   # budget spent
 
     def test_hooks_are_noops_without_a_plan(self):
-        faults.worker_shard("before-attach")
-        faults.shm_allocation()
+        faults.worker_shard("after-attach")
+        assert not _poisoned(_spectrum())
         assert faults.fired_counts() == {}

@@ -1,10 +1,8 @@
 """Tests for the whole-program flow pass (``tools/repro_lint/flow``).
 
-Each flow rule (RPR009-012) is exercised against its good/bad fixture pair,
-against targeted inline programs (escape hatches, interprocedural proofs,
-cross-file resolution), and against the real ``src/`` tree: the
-``_procpool.pack()`` split-lifetime contract that used to carry an RPR004
-suppression must now be *proven* by RPR012.
+Each concurrency flow rule (RPR009-011) is exercised against its good/bad
+fixture pair and against targeted inline programs (escape hatches,
+interprocedural proofs, cross-file resolution).
 """
 
 import json
@@ -27,7 +25,6 @@ FLOW_FIXTURE_PAIRS = {
     "RPR009": ("rpr009_bad.py", "rpr009_good.py", 3),
     "RPR010": ("rpr010_bad.py", "rpr010_good.py", 2),
     "RPR011": ("rpr011_bad.py", "rpr011_good.py", 3),
-    "RPR012": ("rpr012_bad.py", "rpr012_good.py", 2),
 }
 
 #: The seeded bug classes from the issue, each caught by its intended rule.
@@ -35,7 +32,6 @@ SEEDED_BUGS = {
     "unguarded ring-buffer write": ("rpr009_bad.py", "RPR009"),
     "two-cache lock inversion": ("rpr010_bad.py", "RPR010"),
     "post-submit mutation": ("rpr011_bad.py", "RPR011"),
-    "leaked shm handle": ("rpr012_bad.py", "RPR012"),
 }
 
 
@@ -77,9 +73,9 @@ class TestFlowFixtures:
             f"{fixture} should only trip {rule_id}, got {sorted(fired)}")
 
     def test_flow_rule_metadata_is_complete(self):
-        assert FLOW_RULE_IDS == {"RPR009", "RPR010", "RPR011", "RPR012",
-                                 "RPR013", "RPR014", "RPR015", "RPR016",
-                                 "RPR017", "RPR019"}
+        assert FLOW_RULE_IDS == {"RPR009", "RPR010", "RPR011", "RPR013",
+                                 "RPR014", "RPR015", "RPR016", "RPR017",
+                                 "RPR019"}
         for rule in FLOW_RULES:
             assert rule.id.startswith("RPR") and len(rule.id) == 6
             assert rule.name and rule.summary and rule.motivation
@@ -257,53 +253,6 @@ class TestExecutorEscape:
                     return pool.submit(task, Job(values)).result()
             """)
         assert result.violations == []
-
-
-class TestShmLifetime:
-    def test_two_level_return_propagation_is_proven(self, tmp_path):
-        result = lint_source(tmp_path, """\
-            from multiprocessing import shared_memory
-
-            def allocate(nbytes):
-                segment = shared_memory.SharedMemory(create=True, size=nbytes)
-                return segment
-
-            def wrap(nbytes):
-                segment = allocate(nbytes)
-                return segment
-
-            def run(nbytes):
-                segment = wrap(nbytes)
-                try:
-                    return segment.name
-                finally:
-                    segment.unlink()
-            """)
-        assert result.violations == []
-
-    def test_discarded_result_is_flagged_at_the_call_site(self, tmp_path):
-        result = lint_source(tmp_path, """\
-            from multiprocessing import shared_memory
-
-            def allocate(nbytes):
-                segment = shared_memory.SharedMemory(create=True, size=nbytes)
-                return segment
-
-            def run(nbytes):
-                allocate(nbytes)
-            """)
-        assert [v.rule for v in result.violations] == ["RPR012"]
-        assert result.violations[0].line == 8
-
-    def test_procpool_pack_contract_is_proven_without_suppression(self):
-        procpool = REPO_ROOT / "src" / "repro" / "api" / "_procpool.py"
-        source = procpool.read_text(encoding="utf-8")
-        assert "disable=RPR004" not in source, (
-            "the reasoned RPR004 suppression must stay retired: RPR012's "
-            "cross-function proof replaces it")
-        result = run_paths([str(REPO_ROOT / "src")])
-        shm_findings = [v for v in result.violations if v.rule == "RPR012"]
-        assert shm_findings == []
 
 
 class TestEngineModes:

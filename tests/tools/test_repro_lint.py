@@ -29,8 +29,9 @@ RULE_IDS = [rule.id for rule in RULES]
 FIXTURE_PAIRS = {
     "RPR001": ("rpr001_bad.py", "rpr001_good.py", 3),
     "RPR002": ("rpr002_bad.py", "rpr002_good.py", 2),
-    # RPR003 and RPR004 are retired: RPR009 and RPR012
-    # (tests/tools/test_flow_rules.py) subsume them.
+    # RPR003 is retired: RPR009 (tests/tools/test_flow_rules.py) subsumes
+    # it.  RPR004 and its successor RPR012 are retired with the
+    # shared-memory transport they checked.
     "RPR005": ("rpr005_bad.py", "rpr005_good.py", 2),
     "RPR006": ("rpr006_bad.py", "rpr006_good.py", 2),
     "RPR007": ("eval/rpr007_bad.py", "eval/rpr007_good.py", 2),
@@ -183,8 +184,9 @@ class TestCli:
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in [*RULE_IDS, "RPR009", "RPR010", "RPR011", "RPR012"]:
+        for rule_id in [*RULE_IDS, "RPR009", "RPR010", "RPR011"]:
             assert rule_id in out
+        assert "RPR012" not in out
 
     def test_module_entry_point(self):
         # ``python -m tools.repro_lint`` is the documented CI invocation.

@@ -13,7 +13,7 @@ Usage::
 
 Suppress a single finding inline, with a mandatory reason::
 
-    risky_call()  # repro-lint: disable=RPR012 -- unlinked by caller's finally
+    risky_call()  # repro-lint: disable=RPR011 -- batch is frozen before submit
 """
 
 from tools.repro_lint.engine import (

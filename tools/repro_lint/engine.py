@@ -5,9 +5,9 @@ tree in a :class:`ModuleContext` (parent links plus an import-alias map so
 rules can resolve ``np.arange`` and friends to dotted names), runs every
 per-file rule, and then filters the findings through the file's inline
 suppression comments.  A second, whole-program pass
-(``tools.repro_lint.flow``) then runs the RPR009-017 and RPR019 rules over
-the same file set; the per-file pass can fan out over worker processes
-(``jobs``) while the flow pass always runs in the parent.
+(``tools.repro_lint.flow``) then runs the RPR009-011, RPR013-017 and RPR019
+rules over the same file set; the per-file pass can fan out over worker
+processes (``jobs``) while the flow pass always runs in the parent.
 
 Suppression syntax (same line as the finding)::
 
@@ -413,7 +413,7 @@ def run_paths(paths: Sequence[str],
     """Lint every python file under ``paths``; the CLI's workhorse.
 
     The per-file rules run first, then the whole-program flow pass
-    (RPR009-017 and RPR019).
+    (RPR009-011, RPR013-017 and RPR019).
     ``jobs`` > 1 runs the per-file pass in that many worker processes
     (0 = one per CPU); the flow pass always runs in the parent.
     ``restrict`` (``--changed-only``) limits the per-file pass and the

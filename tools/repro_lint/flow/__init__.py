@@ -3,7 +3,7 @@
 Two passes over the scanned file set: pass 1 (``symbols`` + ``callgraph``)
 builds the cross-file symbol table, the per-class attribute model and an
 approximate call graph; pass 2 runs the rules on it -- the concurrency
-contracts (``locks`` + ``escape``, RPR009-012) and the numerics contracts
+contracts (``locks`` + ``escape``, RPR009-011) and the numerics contracts
 (``tools.repro_lint.numerics``, RPR013-017 and RPR019).  Per-file rules
 see one file at a time; these see the program, so they can follow a lock
 across methods, an ordering across classes, or a hard-coded dtype across
@@ -18,8 +18,7 @@ from collections.abc import Callable, Iterable, Iterator
 
 from tools.repro_lint.engine import Violation
 from tools.repro_lint.flow.callgraph import CallGraph, build_call_graph
-from tools.repro_lint.flow.escape import (check_executor_escape,
-                                          check_shm_lifetime)
+from tools.repro_lint.flow.escape import check_executor_escape
 from tools.repro_lint.flow.locks import (FunctionSummary, build_summaries,
                                          check_guarded_by, check_lock_order)
 from tools.repro_lint.flow.symbols import Program, build_program
@@ -74,15 +73,6 @@ FLOW_RULES: list[FlowRule] = [
         "post-submit mutation races the thread backend and ships a moving "
         "target to the spawn backend",
         check_executor_escape),
-    FlowRule(
-        "RPR012", "shm-lifetime-leak",
-        "SharedMemory(create=True) handle not proven to reach unlink() "
-        "on every path, followed across function boundaries",
-        "PR 6/7: pack() creates the segment, _run()'s finally releases "
-        "it; the retired per-file RPR004 could not see that split "
-        "lifetime and needed a reasoned suppression this analysis "
-        "replaces",
-        check_shm_lifetime),
     FlowRule(
         "RPR013", "dtype-pinning-unaudited",
         "function reachable from the public localization path hard-codes "

@@ -126,10 +126,10 @@ def _check_matrix_inverse(context: ModuleContext) -> Iterator[Finding]:
 # RPR004 (retired) -- SharedMemory(create=True) without a finally: unlink()
 #
 # The per-file check looked for an ``unlink()``/``release`` call in a
-# ``finally`` of the creating function.  It is superseded by RPR012
-# (tools/repro_lint/flow/escape.py), which follows the handle across
-# function boundaries and so also proves split lifetimes like
-# ``_ArrayPacker.pack()``.  The id stays reserved and is not reused.
+# ``finally`` of the creating function.  It was superseded by RPR012, a
+# cross-function proof of the same contract, which is itself retired now
+# that ``src/`` creates no shared-memory segment.  The id stays reserved
+# and is not reused.
 # ----------------------------------------------------------------------
 
 
