@@ -8,15 +8,19 @@ including batches below ``2 * min_clients_per_worker``, where the process
 service silently stays serial.
 """
 
+import pickle
 from types import MappingProxyType
 
 import numpy as np
 import pytest
 
-from repro.api import ArrayTrackConfig, ArrayTrackService
+from repro.api import ArrayTrackConfig, ArrayTrackService, _procpool
+from repro.api._procpool import (_shard_table, drain_shard, live_segments,
+                                 shm_leak_events)
 from repro.channel import MultipathChannel
 from repro.core import AoASpectrum, default_angle_grid
 from repro.geometry import Point2D, bearing_deg
+from repro.server.backend import ArrayTrackServer
 
 BOUNDS = (0.0, 0.0, 20.0, 10.0)
 AP_POSITIONS = [Point2D(1.0, 1.0), Point2D(19.0, 1.0), Point2D(10.0, 9.5)]
@@ -191,3 +195,121 @@ class TestStreamingMatrix:
                 results[backend] = service.flush()
         _assert_identical(results["process"], results["none"])
 
+
+def _bursts(count, seed, frames=2, gap_s=0.01):
+    """``frames`` spectra per client and AP, ``gap_s`` apart, all on one
+    shared angle grid (as the frontend's rows share theirs)."""
+    rng = np.random.default_rng(seed)
+    angles = default_angle_grid(1.0)
+    clients = {}
+    for index in range(count):
+        target = Point2D(rng.uniform(2, 18), rng.uniform(2, 8))
+        clients[f"c{index}"] = {
+            f"ap{i}": [AoASpectrum(
+                angles,
+                _spectrum_towards(position, target).power
+                + 0.01 * rng.random(angles.shape[0]),
+                ap_position=position, ap_id=f"ap{i}",
+                client_id=f"c{index}", timestamp_s=frame * gap_s)
+                for frame in range(frames)]
+            for i, position in enumerate(AP_POSITIONS)}
+    return clients
+
+
+def _round_trip(value):
+    return pickle.loads(pickle.dumps(value))
+
+
+def _worker_parts(**overrides):
+    """The server and suppressor a pool worker builds from its config."""
+    config = _config("none", **overrides)
+    return (ArrayTrackServer(config.bounds, config.server),
+            config.suppressor)
+
+
+class TestPickleTransport:
+    """A shard crosses the pipe as pickled task arguments; what arrives
+    must fold exactly as what the parent holds."""
+
+    def test_shard_table_keeps_the_shard_rows_in_order(self):
+        clients = _clients(5, seed=3)
+        frozen = MappingProxyType({
+            client_id: MappingProxyType({ap_id: tuple(frames)
+                                         for ap_id, frames in per_ap.items()})
+            for client_id, per_ap in clients.items()})
+        table = _shard_table(frozen, ["c3", "c0"])
+        assert list(table) == ["c3", "c0"]
+        for client_id, per_ap in table.items():
+            assert type(per_ap) is dict
+            assert list(per_ap) == list(clients[client_id])
+            for ap_id, frames in per_ap.items():
+                assert type(frames) is list
+                # Copied containers, the caller's own spectrum objects.
+                assert all(a is b for a, b in zip(
+                    frames, clients[client_id][ap_id], strict=True))
+
+    def test_spectra_sharing_a_grid_arrive_sharing_one_grid(self):
+        shard = _round_trip(_shard_table(_bursts(3, seed=4), ["c0", "c2"]))
+        spectra = [spectrum for per_ap in shard.values()
+                   for frames in per_ap.values() for spectrum in frames]
+        assert len(spectra) == 2 * len(AP_POSITIONS) * 2
+        assert all(spectrum.angles_deg is spectra[0].angles_deg
+                   for spectrum in spectra)
+
+    @pytest.mark.parametrize("suppress", [False, True],
+                             ids=["first-frame", "earliest-group"])
+    def test_pickled_shard_drains_like_the_original(self, suppress):
+        server, suppressor = _worker_parts(**{
+            "server.enable_multipath_suppression": suppress})
+        shard = _shard_table(_bursts(4, seed=6), ["c1", "c3", "c0"])
+        _assert_identical(drain_shard(server, suppressor, _round_trip(shard)),
+                          drain_shard(server, suppressor, shard))
+
+    def test_pickled_stream_times_drain_like_the_originals(self):
+        server, suppressor = _worker_parts()
+        clients = _bursts(4, seed=8)
+        # Ingest-resolved times that split each AP's pair into two groups,
+        # unlike the spectra's own 10 ms stamps.
+        times = {client_id: {ap_id: [0.0, 1.0] for ap_id in per_ap}
+                 for client_id, per_ap in clients.items()}
+        shard = ["c2", "c0"]
+        original = drain_shard(server, suppressor,
+                               _shard_table(clients, shard),
+                               _shard_table(times, shard))
+        shipped = drain_shard(server, suppressor,
+                              _round_trip(_shard_table(clients, shard)),
+                              _round_trip(_shard_table(times, shard)))
+        _assert_identical(shipped, original)
+
+    def test_drain_task_folds_the_unpickled_shard_on_the_worker(
+            self, monkeypatch):
+        monkeypatch.setattr(_procpool, "_WORKER", None)
+        config = _config("none")
+        _procpool._initialize_worker(config, ())
+        clients = _bursts(3, seed=9)
+        serial = ArrayTrackService(config).localize_many(clients)
+        shard = _round_trip(_shard_table(clients, list(clients)))
+        _assert_identical(_procpool._drain_task(shard, None), serial)
+
+
+class TestPoolTeardown:
+    def test_repeated_calls_reuse_one_pool_and_close_joins_it(self):
+        service = ArrayTrackService(_config("process"))
+        clients = _clients(8, seed=42)
+        serial = ArrayTrackService(_config("none")).localize_many(clients)
+        _assert_identical(service.localize_many(clients), serial)
+        pool = service._procpool
+        executor = pool._executor
+        workers = list(executor._processes.values())
+        assert workers
+        for _ in range(2):
+            _assert_identical(service.localize_many(clients), serial)
+            assert pool._executor is executor
+        assert pool.stats.rebuilds == 0
+        # The transport leaves nothing behind for perfbench's leak check.
+        assert live_segments() == frozenset()
+        assert shm_leak_events() == 0
+        service.close()
+        assert service._procpool is None
+        assert pool.closed
+        assert all(not worker.is_alive() for worker in workers)

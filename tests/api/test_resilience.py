@@ -730,6 +730,22 @@ class TestHealth:
         assert health["pool"]["started"] is False
         assert health["sessions"] == 0
 
+    def test_transport_keys_stay_constant_through_a_crash(self, tmp_path,
+                                                          serial_fixes):
+        # The two shared-memory keys outlived the transport as constants
+        # for perfbench/run.py: a crashed round must not move them.
+        faults.activate(faults.FaultSpec(
+            kind="kill-worker-mid-shard", times=1, token_dir=str(tmp_path)))
+        with _process_service() as service:
+            for _ in range(2):
+                _assert_identical(service.localize_many(_clients(6)),
+                                  serial_fixes)
+                pool = service.health()["pool"]
+                assert pool["shm_leak_events"] == 0
+                assert pool["live_segments"] == []
+            assert pool["broken_pools"] == 1
+            assert pool["started"] is True
+
     def test_health_still_works_on_a_closed_service(self):
         service = _service()
         service.close()

@@ -156,6 +156,33 @@ class TestHooks:
         faults.worker_shard("after-attach")
         assert faults.fired_counts() == {"slow-worker": 1}
 
+    def test_unstaged_spec_fires_at_every_stage(self):
+        faults.activate(faults.FaultSpec(kind="slow-worker", delay_s=0.0))
+        for stage in faults.STAGES:
+            faults.worker_shard(stage)
+        assert faults.fired_counts() == {"slow-worker": len(faults.STAGES)}
+
+    @pytest.mark.parametrize("stage", list(faults.STAGES))
+    def test_kill_exits_the_worker_only_at_its_stage(self, stage,
+                                                     monkeypatch):
+        exits = []
+
+        def fake_exit(code):
+            exits.append(code)
+            raise SystemExit(code)
+
+        monkeypatch.setattr(faults.os, "_exit", fake_exit)
+        faults.activate(faults.FaultSpec(kind="kill-worker-mid-shard",
+                                         stage=stage, times=1))
+        for other in faults.STAGES:
+            if other != stage:
+                faults.worker_shard(other)
+        assert exits == []
+        with pytest.raises(SystemExit):
+            faults.worker_shard(stage)
+        assert exits == [faults.KILL_EXIT_CODE]
+        assert faults.fired_counts() == {"kill-worker-mid-shard": 1}
+
     def test_poison_returns_copy_with_nan_and_leaves_input_alone(self):
         spectrum = _spectrum()
         assert faults.poison(spectrum) is spectrum   # cold: pass-through

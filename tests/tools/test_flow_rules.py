@@ -255,6 +255,31 @@ class TestExecutorEscape:
         assert result.violations == []
 
 
+class TestProcpoolSubmission:
+    """The pool's shard submission is the one pickling executor in
+    ``src/``: the executor rules must prove it without a waiver."""
+
+    PROCPOOL = REPO_ROOT / "src" / "repro" / "api" / "_procpool.py"
+
+    def test_shard_submission_is_proven_without_suppression(self):
+        source = self.PROCPOOL.read_text(encoding="utf-8")
+        assert "repro-lint: disable" not in source
+        result = run_paths([str(self.PROCPOOL)])
+        assert [v for v in result.violations
+                if v.rule in {"RPR005", "RPR011"}] == []
+
+    def test_waiver_naming_the_retired_shm_rule_is_reported(self, tmp_path):
+        # RPR012 left with the shared-memory transport; a waiver that still
+        # names it waives nothing and must not linger unnoticed.
+        result = lint_source(tmp_path, """\
+            def run(executor, task, items):
+                return executor.submit(task, list(items))  # repro-lint: disable=RPR012 -- retired
+            """)
+        assert [(v.rule, v.line) for v in result.violations] \
+            == [(ENGINE_RULE_ID, 2)]
+        assert "unknown rule(s) RPR012" in result.violations[0].message
+
+
 class TestEngineModes:
     def test_parallel_jobs_match_serial_results(self):
         names = [bad for bad, _good, _n in FLOW_FIXTURE_PAIRS.values()]
