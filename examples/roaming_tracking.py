@@ -37,14 +37,12 @@ def main() -> None:
         testbed, ScenarioConfig(frames_per_client=FRAMES_PER_BURST,
                                 snr_db=25.0, seed=42))
     # One config tree: localizer grid, streaming trigger (one fix per
-    # burst), the multipath-suppression stage and the tracker smoothing
-    # all in one place.
+    # burst) and the multipath-suppression stage all in one place.
     config = ArrayTrackConfig(bounds=testbed.bounds).updated({
         "server.localizer.grid_resolution_m": 0.15,
         "session.emit_every_frames": FRAMES_PER_BURST,
         "session.suppress_multipath": True,
         "suppressor.max_group_size": FRAMES_PER_BURST,
-        "tracker.smoothing_factor": 0.6,
     })
     service = ArrayTrackService(config)
 

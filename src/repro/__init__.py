@@ -54,7 +54,6 @@ if TYPE_CHECKING:  # pragma: no cover - import-time types for tooling only
         Session,
         SessionConfig,
         SuppressorConfig,
-        TrackerConfig,
     )
 
 __version__ = "1.1.0"
@@ -70,7 +69,6 @@ _LAZY_EXPORTS = {
     "Session": "repro.api",
     "SessionConfig": "repro.api",
     "SuppressorConfig": "repro.api",
-    "TrackerConfig": "repro.api",
 }
 
 __all__ = [
@@ -82,7 +80,6 @@ __all__ = [
     "Session",
     "SessionConfig",
     "SuppressorConfig",
-    "TrackerConfig",
     # Physical constants
     "ANTENNA_SPACING_M",
     "CARRIER_FREQUENCY_HZ",

@@ -19,10 +19,8 @@ from repro.api.config import (
     ParallelConfig,
     ResilienceConfig,
     SessionConfig,
-    default_server_config,
 )
 from repro.core.suppression import SuppressorConfig
-from repro.server.tracker import TrackerConfig
 from repro.api.service import ArrayTrackService, Session
 
 __all__ = [
@@ -33,6 +31,4 @@ __all__ = [
     "Session",
     "SessionConfig",
     "SuppressorConfig",
-    "TrackerConfig",
-    "default_server_config",
 ]

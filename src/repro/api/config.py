@@ -15,9 +15,9 @@ the existing per-layer dataclasses into one typed, validated tree that
 * supports dotted-path overrides (:meth:`ArrayTrackConfig.updated`) and
   environment-variable overrides (:meth:`ArrayTrackConfig.with_env_overrides`,
   ``ARRAYTRACK_SERVER__LOCALIZER__GRID_RESOLUTION_M=0.1`` style);
-* records the historical end-to-end defaults once: the service-level
-  localizer uses :data:`repro.constants.DEFAULT_SPECTRUM_FLOOR` (0.05)
-  instead of every example repeating the literal.
+* takes every default from its layer dataclass, so the facade and a
+  directly constructed layer agree (the localizer's
+  :data:`repro.constants.DEFAULT_SPECTRUM_FLOOR` included).
 
 The tree deliberately reuses the layer dataclasses rather than mirroring
 their fields, so a knob added to, say, :class:`~repro.core.pipeline.
@@ -35,16 +35,14 @@ from collections.abc import Mapping
 from typing import Any
 
 from repro.ap.access_point import APConfig
-from repro.constants import DEFAULT_SPECTRUM_FLOOR
 from repro.core.localizer import LocalizerConfig
 from repro.core.pipeline import SpectrumConfig
 from repro.core.suppression import SuppressorConfig
 from repro.errors import ArrayTrackError, ConfigurationError
 from repro.server.backend import ServerConfig
-from repro.server.tracker import TrackerConfig
 
 __all__ = ["ParallelConfig", "ResilienceConfig", "SessionConfig",
-           "ArrayTrackConfig", "default_server_config"]
+           "ArrayTrackConfig"]
 
 
 def _require_int(name: str, value: Any, minimum: int) -> None:
@@ -65,17 +63,6 @@ def _require_finite(name: str, value: Any, positive: bool = False) -> None:
         kind = "positive" if positive else "non-negative"
         raise ConfigurationError(
             f"{name} must be a finite {kind} number, got {value!r}")
-
-
-def default_server_config() -> ServerConfig:
-    """The server section defaults used by the facade.
-
-    Identical to ``ServerConfig()`` except that the localizer applies the
-    documented end-to-end :data:`~repro.constants.DEFAULT_SPECTRUM_FLOOR`
-    (0.05) instead of the paper-faithful Equation 8 default (0.02).
-    """
-    return ServerConfig(
-        localizer=LocalizerConfig(spectrum_floor=DEFAULT_SPECTRUM_FLOOR))
 
 
 @dataclass
@@ -106,8 +93,7 @@ class SessionConfig:
         :meth:`~repro.api.ArrayTrackService.localize_many` (which applies
         ``server.enable_multipath_suppression``).  The stage is
         parameterized by the service tree's top-level ``suppressor``
-        section, the same one the batch path reads; the tracker knobs
-        live in the ``tracker`` section.
+        section, the same one the batch path reads.
     """
 
     emit_every_frames: int = 3
@@ -259,16 +245,6 @@ _NESTED_FIELDS: dict[type, dict[str, type]] = {
     APConfig: {"spectrum": SpectrumConfig},
 }
 
-#: Field defaults merged into a nested mapping before parsing, per parent
-#: section and nested key.  An absent nested key counts as an empty
-#: mapping, so ``{"server": {}}`` and hand-written partial trees like
-#: ``{"server": {"localizer": {"grid_resolution_m": 0.2}}}`` both stay on
-#: the facade's documented 0.05 floor instead of silently reverting to the
-#: bare ``LocalizerConfig`` default; an explicit value always wins.
-_NESTED_FIELD_DEFAULTS: dict[type, dict[str, dict[str, Any]]] = {
-    ServerConfig: {"localizer": {"spectrum_floor": DEFAULT_SPECTRUM_FLOOR}},
-}
-
 
 def _section_to_dict(section: Any) -> dict[str, Any]:
     """Serialize one config dataclass (recursing into nested sections)."""
@@ -317,18 +293,14 @@ def _section_from_dict(cls: type, data: Mapping[str, Any], path: str) -> Any:
             f"unknown key(s) {unknown} under {path}; "
             f"valid keys: {sorted(valid)}")
     nested = _NESTED_FIELDS.get(cls, {})
-    defaults = _NESTED_FIELD_DEFAULTS.get(cls, {})
     kwargs: dict[str, Any] = {}
-    # An absent nested section with defaults parses as an empty one.
-    data = {**dict.fromkeys(defaults, {}), **data}
     for key, value in data.items():
         if key in nested:
             if isinstance(value, nested[key]):
                 kwargs[key] = value
             elif isinstance(value, Mapping):
-                kwargs[key] = _section_from_dict(
-                    nested[key], {**defaults.get(key, {}), **dict(value)},
-                    f"{path}.{key}")
+                kwargs[key] = _section_from_dict(nested[key], value,
+                                                 f"{path}.{key}")
             else:
                 raise ConfigurationError(
                     f"{path}.{key} must be a mapping or a "
@@ -382,8 +354,7 @@ class ArrayTrackConfig:
         Central-server configuration
         (:class:`~repro.server.backend.ServerConfig`): the localizer
         section and the batch-path ``enable_multipath_suppression``
-        switch.  The facade default applies
-        :data:`~repro.constants.DEFAULT_SPECTRUM_FLOOR`.
+        switch.
     session:
         Streaming-session configuration (:class:`SessionConfig`),
         including the ``suppress_multipath`` stage toggle.
@@ -395,10 +366,6 @@ class ArrayTrackConfig:
         primary, grouped on ingest-resolved times) and
         ``server.enable_multipath_suppression`` (the earliest group's
         primary on the batch path).
-    tracker:
-        Per-client fix tracker configuration
-        (:class:`~repro.server.tracker.TrackerConfig`): EMA smoothing,
-        history cap and the out-of-order fix policy.
     parallel:
         Sharded parallel execution (:class:`ParallelConfig`): worker
         backend, pool size and the minimum shard size.  Off by default;
@@ -413,10 +380,9 @@ class ArrayTrackConfig:
 
     bounds: tuple[float, float, float, float] | None = None
     ap: APConfig = field(default_factory=APConfig)
-    server: ServerConfig = field(default_factory=default_server_config)
+    server: ServerConfig = field(default_factory=ServerConfig)
     session: SessionConfig = field(default_factory=SessionConfig)
     suppressor: SuppressorConfig = field(default_factory=SuppressorConfig)
-    tracker: TrackerConfig = field(default_factory=TrackerConfig)
     parallel: ParallelConfig = field(default_factory=ParallelConfig)
     resilience: ResilienceConfig = field(default_factory=ResilienceConfig)
 
@@ -457,7 +423,6 @@ class ArrayTrackConfig:
             "server": _section_to_dict(self.server),
             "session": _section_to_dict(self.session),
             "suppressor": _section_to_dict(self.suppressor),
-            "tracker": _section_to_dict(self.tracker),
             "parallel": _section_to_dict(self.parallel),
             "resilience": _section_to_dict(self.resilience),
         }
@@ -474,7 +439,7 @@ class ArrayTrackConfig:
             raise ConfigurationError(
                 f"config must be a mapping, got {type(data).__name__}")
         valid = {"bounds", "ap", "server", "session", "suppressor",
-                 "tracker", "parallel", "resilience"}
+                 "parallel", "resilience"}
         unknown = sorted(set(data) - valid)
         if unknown:
             raise ConfigurationError(
@@ -483,7 +448,7 @@ class ArrayTrackConfig:
         kwargs: dict[str, Any] = {}
         sections = {"ap": APConfig, "server": ServerConfig,
                     "session": SessionConfig,
-                    "suppressor": SuppressorConfig, "tracker": TrackerConfig,
+                    "suppressor": SuppressorConfig,
                     "parallel": ParallelConfig,
                     "resilience": ResilienceConfig}
         for key, value in data.items():
@@ -560,7 +525,7 @@ class ArrayTrackConfig:
 
         Only variables whose first segment names a config section
         (``bounds``, ``ap``, ``server``, ``session``, ``suppressor``,
-        ``tracker``, ``parallel``, ``resilience``) are
+        ``parallel``, ``resilience``) are
         consumed; other ``ARRAYTRACK_*`` variables (``ARRAYTRACK_HOME``,
         ``ARRAYTRACK_LOG_LEVEL``, ...) are ignored so unrelated deployment
         environment does not crash service startup.  *Within* a recognized

@@ -28,6 +28,7 @@ is that service as a single public object, built from one
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import fields, replace
 from collections.abc import Iterable, Mapping, Sequence
@@ -49,7 +50,7 @@ from repro.core.pipeline import SpectrumConfig
 from repro.core.spectrum import AoASpectrum, default_angle_grid
 from repro.dtypes import as_float_array
 from repro.errors import (BackpressureError, ConfigurationError,
-                          PoisonFrameError, TransientError)
+                          EstimationError, PoisonFrameError, TransientError)
 from repro.geometry.vector import Point2D
 from repro.server.backend import ArrayTrackServer
 from repro.server.tracker import ClientTracker, TrackPoint
@@ -315,7 +316,7 @@ class ArrayTrackService:
         self.config = config
         self._server = ArrayTrackServer(config.bounds, config.server,
                                         latency_model)
-        self.tracker: ClientTracker = config.tracker.build()
+        self.tracker = ClientTracker()
         #: The streaming suppression stage (SuppressorConfig *is* the
         #: suppressor dataclass, so the config section is used directly).
         self._suppressor = config.suppressor
@@ -916,8 +917,15 @@ class ArrayTrackService:
         identical to passing the same pending frames to
         :meth:`localize_many` in one batch; with it on, each AP's frames
         are first grouped by capture time and suppressed per group.
+
+        Raises
+        ------
+        EstimationError
+            If ``now_s`` is NaN or infinite; no session or track changes.
         """
         self._ensure_open()
+        if now_s is not None and not math.isfinite(now_s):
+            raise EstimationError(f"non-finite tick time {now_s!r}")
         ready = {client_id: session
                  for client_id, session in self._sessions.items()
                  if session.ready(now_s)}
@@ -950,20 +958,14 @@ class ArrayTrackService:
             {client_id: session.pending_times()
              for client_id, session in sessions.items()}
             if self.config.session.suppress_multipath else None)
-        timestamps: dict[str, float] = {}
-        for client_id in estimates:
-            session = sessions[client_id]
-            timestamps[client_id] = now_s if now_s is not None else \
-                (session.last_ingest_s if session.last_ingest_s is not None
-                 else 0.0)
-            # Validate every client against the tracker's out-of-order
-            # policy BEFORE committing anything: a rejected fix must leave
-            # all sessions and the tracker untouched.
-            self.tracker.ensure_accepts(client_id, timestamps[client_id])
         fixes: dict[str, LocationEstimate] = {}
         for client_id, estimate in estimates.items():
-            self.tracker.update(client_id, estimate, timestamps[client_id])
-            sessions[client_id].drain()
+            session = sessions[client_id]
+            timestamp_s = now_s if now_s is not None else \
+                (session.last_ingest_s if session.last_ingest_s is not None
+                 else 0.0)
+            self.tracker.update(client_id, estimate, timestamp_s)
+            session.drain()
             fixes[client_id] = estimate
         return fixes
 
@@ -973,8 +975,8 @@ class ArrayTrackService:
     def track(self, client_id: str) -> list[TrackPoint]:
         """Return the client's emitted fixes as track points (oldest first).
 
-        The points carry both the raw and the EMA-smoothed positions, per
-        the ``tracker`` config section.
+        The points carry both the raw and the EMA-smoothed positions; the
+        oldest age out past :data:`~repro.server.tracker.TRACK_CAPACITY`.
         """
         return self.tracker.track(client_id)
 

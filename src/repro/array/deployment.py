@@ -100,12 +100,6 @@ class DeployedArray:
         local = self.local_azimuth_deg(global_azimuth_deg)
         return self.geometry.steering_vector(local, elevation_deg, self.wavelength_m)
 
-    def steering_matrix_local(self, local_azimuths_deg: Sequence[float] | np.ndarray,
-                              elevation_deg: float = 0.0) -> np.ndarray:
-        """Return steering vectors for a grid of local-frame azimuths."""
-        return self.geometry.steering_matrix(local_azimuths_deg, elevation_deg,
-                                             self.wavelength_m)
-
     # ------------------------------------------------------------------
     # Derived deployments
     # ------------------------------------------------------------------

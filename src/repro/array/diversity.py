@@ -92,11 +92,6 @@ class DiversitySynthesizer:
         self.primary_indices = primary
         self.secondary_indices = secondary
 
-    @property
-    def synthesized_indices(self) -> list:
-        """Indices of the virtual array rows, primary set first."""
-        return list(self.primary_indices) + list(self.secondary_indices)
-
     def capture(self, channel: MultipathChannel,
                 num_snapshots: int = DEFAULT_NUM_SNAPSHOTS,
                 snr_db: float = 25.0,
@@ -132,11 +127,3 @@ class DiversitySynthesizer:
              second_symbol.samples[list(self.secondary_indices), :]], axis=0)
         return SnapshotMatrix(samples, snr_db=snr_db, client_id=channel.client_id,
                               ap_id=channel.ap_id, timestamp_s=timestamp_s)
-
-    def synthesized_array(self) -> DeployedArray:
-        """Return the deployed array corresponding to the synthesized rows.
-
-        The row order of :meth:`capture` matches this array's element order,
-        so downstream AoA processing can use its steering vectors directly.
-        """
-        return self.array.with_subarray(self.synthesized_indices)

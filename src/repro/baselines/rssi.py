@@ -69,11 +69,6 @@ class FingerprintLocalizer:
         self.k = k
         self._fingerprints: list[RssFingerprint] = []
 
-    @property
-    def num_fingerprints(self) -> int:
-        """Number of survey points in the radio map."""
-        return len(self._fingerprints)
-
     def train(self, fingerprints: Sequence[RssFingerprint]) -> None:
         """Load the offline radio map (the expensive war-driving phase)."""
         if not fingerprints:

@@ -129,13 +129,6 @@ class MultipathChannel:
             return False
         return direct.power >= self.strongest_component.power - 1e-15
 
-    def received_power_db(self, reference: float = 1.0) -> float:
-        """Return total received power relative to ``reference``, in dB."""
-        power = self.total_power
-        if power <= 0:
-            raise ChannelError("channel carries no power")
-        return 10.0 * math.log10(power / reference)
-
     def rssi_dbm(self, transmit_power_dbm: float) -> float:
         """Return the RSSI a commodity NIC would report, in whole dBm.
 

@@ -66,14 +66,13 @@ DEFAULT_SMOOTHING_GROUPS = 2
 #: 10 cm x 10 cm grid.
 DEFAULT_GRID_RESOLUTION_M = 0.10
 
-#: Spectrum floor used by the service-level configuration tree
-#: (:class:`repro.api.ArrayTrackConfig`).  The floor clamps each AP's
-#: normalized spectrum from below inside the Equation 8 product so one
-#: blind AP cannot veto the true location.  The plain
-#: :class:`~repro.core.localizer.LocalizerConfig` default stays at the
-#: paper-faithful 0.02; every end-to-end campaign (quickstart, examples,
-#: eval sweeps) historically hardcoded 0.05, which is what this constant
-#: records as the one documented default.
+#: Default spectrum floor of :class:`~repro.core.localizer.LocalizerConfig`
+#: (and so of the service's ``server.localizer`` section).  The floor clamps
+#: each AP's normalized spectrum from below inside the Equation 8 product so
+#: one blind AP cannot veto the true location.  The floor is not part of
+#: the paper's Equation 8; every end-to-end campaign (quickstart, examples,
+#: eval sweeps) runs at 0.05, and ``spectrum_floor=0`` reproduces the plain
+#: Equation 8 product.
 DEFAULT_SPECTRUM_FLOOR = 0.05
 
 #: Maximum spacing in time between frames grouped for multipath suppression

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.constants import DEFAULT_GRID_RESOLUTION_M
+from repro.constants import DEFAULT_GRID_RESOLUTION_M, DEFAULT_SPECTRUM_FLOOR
 from repro.errors import EstimationError
 from repro.geometry.vector import Point2D
 
@@ -74,7 +74,7 @@ class LocalizerConfig:
     grid_resolution_m: float = DEFAULT_GRID_RESOLUTION_M
     refine_with_hill_climbing: bool = True
     num_seeds: int = 3
-    spectrum_floor: float = 0.02
+    spectrum_floor: float = DEFAULT_SPECTRUM_FLOOR
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.grid_resolution_m) \

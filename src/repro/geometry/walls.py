@@ -11,7 +11,6 @@ circular concrete pillars.  The ray tracer needs three geometric operations:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from repro.errors import GeometryError
@@ -83,12 +82,6 @@ class Wall:
         along = direction * relative.dot(direction)
         perpendicular = relative - along
         return point - perpendicular * 2.0
-
-    def contains_projection(self, point: Point2D, margin: float = 0.0) -> bool:
-        """Return True if ``point`` projects onto the segment (not beyond its ends)."""
-        direction = self.direction
-        t = (point - self.start).dot(direction)
-        return -margin <= t <= self.length + margin
 
     def intersection_with_segment(
             self, a: Point2D, b: Point2D) -> Point2D | None:
@@ -214,11 +207,3 @@ def reflection_point(wall: Wall, source: Point2D,
         return None
     return hit
 
-
-def _solve_quadratic(a: float, b: float, c: float) -> tuple[float, float]:
-    """Return the two real roots of ``a x^2 + b x + c`` (may be NaN if none)."""
-    disc = b * b - 4 * a * c
-    if disc < 0 or abs(a) < _EPS:
-        return (math.nan, math.nan)
-    sqrt_disc = math.sqrt(disc)
-    return ((-b - sqrt_disc) / (2 * a), (-b + sqrt_disc) / (2 * a))

@@ -1,7 +1,7 @@
 """Server layer: spectra aggregation, localization and client tracking."""
 
 from repro.server.backend import ArrayTrackServer, ServerConfig
-from repro.server.tracker import ClientTracker, TrackerConfig, TrackPoint
+from repro.server.tracker import ClientTracker, TrackPoint
 
 __all__ = ["ArrayTrackServer", "ServerConfig", "ClientTracker",
-           "TrackerConfig", "TrackPoint"]
+           "TrackPoint"]

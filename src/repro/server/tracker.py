@@ -1,17 +1,18 @@
-"""Client tracking: a time series of location fixes per client.
+"""Client tracking: a bounded time series of location fixes per client.
 
 The paper's motivating applications (augmented reality, retail analytics)
 track clients "in real time, as they roam about a building".  The
-:class:`ClientTracker` keeps the history of fixes produced by the server and
-offers a lightly smoothed trajectory (exponential moving average), which is
+:class:`ClientTracker` keeps each client's newest :data:`TRACK_CAPACITY`
+fixes produced by the server and offers a lightly smoothed trajectory (an
+exponential moving average of weight :data:`SMOOTHING_WEIGHT`), which is
 what a consumer of a 10 Hz location feed would typically apply.
 
 Fixes are kept strictly sorted by timestamp.  A fix arriving out of
-timestamp order (network reordering between APs and server, a late tick) is
-either inserted at its chronological position with the smoothing recomputed
-from there on, or rejected with a clear error, depending on the configured
-``on_out_of_order`` policy -- silently appending it would corrupt the EMA,
-:meth:`ClientTracker.latest` and :meth:`ClientTracker.path_length_m`.
+timestamp order (network reordering between APs and server, a late tick)
+is inserted at its chronological position and the smoothing is recomputed
+from there on -- silently appending it would corrupt the EMA,
+:meth:`ClientTracker.latest` and :meth:`ClientTracker.path_length_m`.  A
+NaN or infinite timestamp has no chronological position and is refused.
 """
 
 from __future__ import annotations
@@ -21,14 +22,20 @@ from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, replace
 
-from repro.errors import ConfigurationError, EstimationError
+from repro.errors import EstimationError
 from repro.core.localizer import LocationEstimate
 from repro.geometry.vector import Point2D
 
-__all__ = ["TrackPoint", "TrackerConfig", "ClientTracker"]
+__all__ = ["SMOOTHING_WEIGHT", "TRACK_CAPACITY", "TrackPoint",
+           "ClientTracker"]
 
-#: Valid ``on_out_of_order`` policies.
-_OUT_OF_ORDER_POLICIES = ("insert", "reject")
+#: Exponential moving average weight of the newest fix.
+SMOOTHING_WEIGHT = 0.6
+
+#: Fixes kept per client; the oldest age out first.  About 100 s of a 10 Hz
+#: feed, so a long-lived service's track memory grows with its number of
+#: clients, not with its uptime.
+TRACK_CAPACITY = 1024
 
 
 @dataclass(frozen=True)
@@ -54,71 +61,11 @@ class TrackPoint:
     likelihood: float
 
 
-@dataclass
-class TrackerConfig:
-    """Configuration of the per-client fix tracker.
-
-    Attributes
-    ----------
-    smoothing_factor:
-        Exponential moving average weight of the newest fix, in ``(0, 1]``
-        (1 disables smoothing).
-    max_history:
-        Maximum number of fixes retained per client (None keeps everything).
-    on_out_of_order:
-        What :meth:`ClientTracker.update` does with a fix whose timestamp
-        does not advance the track: ``"insert"`` (default) places it at its
-        chronological position and recomputes the smoothing from there on;
-        ``"reject"`` raises :class:`~repro.errors.EstimationError`.
-    """
-
-    smoothing_factor: float = 0.6
-    max_history: int | None = None
-    on_out_of_order: str = "insert"
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.smoothing_factor <= 1.0:
-            raise ConfigurationError("smoothing_factor must be in (0, 1]")
-        if self.max_history is not None and self.max_history < 1:
-            raise ConfigurationError("max_history must be >= 1 or None")
-        if self.on_out_of_order not in _OUT_OF_ORDER_POLICIES:
-            raise ConfigurationError(
-                f"on_out_of_order must be one of {_OUT_OF_ORDER_POLICIES}, "
-                f"got {self.on_out_of_order!r}")
-
-    def build(self) -> "ClientTracker":
-        """Construct a tracker with this configuration."""
-        return ClientTracker(smoothing_factor=self.smoothing_factor,
-                             max_history=self.max_history,
-                             on_out_of_order=self.on_out_of_order)
-
-
 class ClientTracker:
-    """Maintains per-client location histories.
+    """Maintains per-client location histories of at most
+    :data:`TRACK_CAPACITY` fixes each."""
 
-    Parameters
-    ----------
-    smoothing_factor:
-        Exponential moving average weight of the newest fix, in ``(0, 1]``
-        (1 disables smoothing).
-    max_history:
-        Maximum number of fixes retained per client (None keeps everything).
-    on_out_of_order:
-        Policy for fixes whose timestamp does not advance the track
-        (see :class:`TrackerConfig`).
-    """
-
-    def __init__(self, smoothing_factor: float = 0.6,
-                 max_history: int | None = None,
-                 on_out_of_order: str = "insert") -> None:
-        # Reuse the config dataclass's validation so the constructor and the
-        # service config tree can never drift apart.
-        config = TrackerConfig(smoothing_factor=smoothing_factor,
-                               max_history=max_history,
-                               on_out_of_order=on_out_of_order)
-        self.smoothing_factor = config.smoothing_factor
-        self.max_history = config.max_history
-        self.on_out_of_order = config.on_out_of_order
+    def __init__(self) -> None:
         self._tracks: dict[str, list[TrackPoint]] = defaultdict(list)
 
     # ------------------------------------------------------------------
@@ -129,20 +76,23 @@ class ClientTracker:
         """Record a new fix for ``client_id`` and return its track point.
 
         Fixes are kept sorted by timestamp.  The common in-order fix is an
-        O(1) append; a fix older than (or tied with) the newest one follows
-        the ``on_out_of_order`` policy -- chronological insertion with the
-        EMA recomputed from the insertion point onwards, or a clear
-        :class:`~repro.errors.EstimationError`.  A tied timestamp inserts
-        after the existing fixes with that timestamp (stable order).
+        O(1) append; a fix older than (or tied with) the newest one is
+        inserted at its chronological position and the EMA recomputed from
+        there on.  A tied timestamp inserts after the existing fixes with
+        that timestamp (stable order).  A NaN or infinite timestamp raises
+        :class:`~repro.errors.EstimationError` and changes nothing.
 
-        The returned point is a frozen snapshot of the fix as recorded:
-        with ``max_history`` set it may already have aged out of the
-        capped track, and a later out-of-order insertion may recompute
-        the smoothing of its in-track successor -- :meth:`track` is
-        always the authoritative, currently-smoothed history.
+        The returned point is a frozen snapshot of the fix as recorded: it
+        may already have aged out of the capped track, and a later
+        out-of-order insertion may recompute the smoothing of its in-track
+        successor -- :meth:`track` is always the authoritative,
+        currently-smoothed history.
         """
         timestamp_s = float(timestamp_s)
-        self.ensure_accepts(client_id, timestamp_s)
+        if not math.isfinite(timestamp_s):
+            raise EstimationError(
+                f"non-finite fix timestamp {timestamp_s!r} for client "
+                f"{client_id!r}")
         history = self._tracks[client_id]
         index = bisect_right(history, timestamp_s,
                              key=lambda point: point.timestamp_s)
@@ -151,50 +101,11 @@ class ClientTracker:
                            smoothed_position=estimate.position,
                            likelihood=estimate.likelihood)
         history.insert(index, point)
-        self._resmooth(history, index)
+        _resmooth(history, index)
         point = history[index]
-        if self.max_history is not None and len(history) > self.max_history:
-            del history[:len(history) - self.max_history]
+        if len(history) > TRACK_CAPACITY:
+            del history[:len(history) - TRACK_CAPACITY]
         return point
-
-    def ensure_accepts(self, client_id: str, timestamp_s: float) -> None:
-        """Raise if :meth:`update` would refuse a fix at ``timestamp_s``.
-
-        A NaN or infinite timestamp is refused under every policy: it has
-        no chronological position, so it would break the time order of
-        every later fix.  Otherwise only the ``"reject"`` out-of-order
-        policy refuses anything.  The check never mutates the tracker, so
-        callers emitting a batch of fixes can validate every client
-        *before* committing any of them.
-        """
-        if not math.isfinite(timestamp_s):
-            raise EstimationError(
-                f"non-finite fix timestamp {timestamp_s!r} for client "
-                f"{client_id!r}")
-        if self.on_out_of_order != "reject":
-            return
-        history = self._tracks.get(client_id)
-        if history and float(timestamp_s) <= history[-1].timestamp_s:
-            raise EstimationError(
-                f"out-of-order fix for client {client_id!r}: timestamp "
-                f"{float(timestamp_s)} does not advance the track (latest "
-                f"is {history[-1].timestamp_s})")
-
-    def _resmooth(self, history: list[TrackPoint], start: int) -> None:
-        """Recompute the EMA chain from ``start`` to the end of the track."""
-        alpha = self.smoothing_factor
-        for index in range(start, len(history)):
-            current = history[index]
-            if index == 0:
-                smoothed = current.position
-            else:
-                previous = history[index - 1].smoothed_position
-                smoothed = Point2D(
-                    alpha * current.position.x + (1.0 - alpha) * previous.x,
-                    alpha * current.position.y + (1.0 - alpha) * previous.y,
-                )
-            if smoothed != current.smoothed_position:
-                history[index] = replace(current, smoothed_position=smoothed)
 
     # ------------------------------------------------------------------
     # Queries
@@ -223,3 +134,20 @@ class ClientTracker:
             b = current.smoothed_position if smoothed else current.position
             total += a.distance_to(b)
         return total
+
+
+def _resmooth(history: list[TrackPoint], start: int) -> None:
+    """Recompute the EMA chain from ``start`` to the end of the track."""
+    alpha = SMOOTHING_WEIGHT
+    for index in range(start, len(history)):
+        current = history[index]
+        if index == 0:
+            smoothed = current.position
+        else:
+            previous = history[index - 1].smoothed_position
+            smoothed = Point2D(
+                alpha * current.position.x + (1.0 - alpha) * previous.x,
+                alpha * current.position.y + (1.0 - alpha) * previous.y,
+            )
+        if smoothed != current.smoothed_position:
+            history[index] = replace(current, smoothed_position=smoothed)

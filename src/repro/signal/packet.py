@@ -84,11 +84,6 @@ class Frame:
         """On-air duration of the whole frame, preamble included."""
         return air_time_s(self.payload_bytes, self.bitrate_mbps)
 
-    @property
-    def preamble_duration_s(self) -> float:
-        """Duration of the frame preamble (16 us for 802.11 OFDM)."""
-        return PREAMBLE_DURATION_S
-
     def baseband_waveform(self, sample_rate_hz: float = SAMPLE_RATE_HZ,
                           include_payload: bool = False,
                           payload_samples: int = 256,

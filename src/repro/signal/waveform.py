@@ -4,18 +4,16 @@ ArrayTrack operates directly on raw time-domain I/Q samples captured at the
 AP (Section 2.1), so the signal substrate is sample-oriented: a
 :class:`Waveform` is a numpy array of complex samples tagged with its sample
 rate, plus the handful of operations the rest of the system needs (slicing
-by time, concatenation, power measurement, resampling by integer factors).
+by time, concatenation, power measurement, upsampling by integer factors).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Iterable, Sequence
 
 import numpy as np
 
 from repro.constants import SAMPLE_RATE_HZ
-from repro.dtypes import as_complex_array
 from repro.errors import SignalError
 
 __all__ = ["Waveform"]
@@ -57,11 +55,6 @@ class Waveform:
         """Duration of the waveform in seconds."""
         return len(self.samples) / self.sample_rate_hz
 
-    @property
-    def sample_period_s(self) -> float:
-        """Time between consecutive samples in seconds."""
-        return 1.0 / self.sample_rate_hz
-
     def power(self) -> float:
         """Return the mean sample power ``E[|x|^2]`` (0.0 for an empty waveform)."""
         if len(self.samples) == 0:
@@ -101,10 +94,6 @@ class Waveform:
         stop = min(len(self.samples), stop)
         return Waveform(self.samples[start:stop].copy(), self.sample_rate_hz)
 
-    def slice_samples(self, start: int, stop: int) -> "Waveform":
-        """Return the samples with indices in ``[start, stop)``."""
-        return Waveform(self.samples[start:stop].copy(), self.sample_rate_hz)
-
     def concatenate(self, other: "Waveform") -> "Waveform":
         """Return this waveform followed by ``other`` (sample rates must match)."""
         if abs(other.sample_rate_hz - self.sample_rate_hz) > 1e-6:
@@ -135,10 +124,6 @@ class Waveform:
         samples = np.repeat(self.samples, factor)
         return Waveform(samples, self.sample_rate_hz * factor)
 
-    def with_sample_rate(self, sample_rate_hz: float) -> "Waveform":
-        """Return a copy re-tagged (not resampled) with a new sample rate."""
-        return Waveform(self.samples.copy(), sample_rate_hz)
-
     # ------------------------------------------------------------------
     # Constructors
     # ------------------------------------------------------------------
@@ -149,12 +134,6 @@ class Waveform:
             raise SignalError(f"num_samples must be non-negative, got {num_samples}")
         # dtype-pinned: complex128 -- synthesized reference waveforms are full precision
         return Waveform(np.zeros(num_samples, dtype=np.complex128), sample_rate_hz)
-
-    @staticmethod
-    def from_samples(samples: Sequence[complex] | Iterable[complex],
-                     sample_rate_hz: float = SAMPLE_RATE_HZ) -> "Waveform":
-        """Return a waveform wrapping ``samples``."""
-        return Waveform(as_complex_array(list(samples)), sample_rate_hz)
 
     @staticmethod
     def continuous_wave(frequency_hz: float, duration_s: float,

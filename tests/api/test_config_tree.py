@@ -7,8 +7,7 @@ from dataclasses import fields, is_dataclass
 import pytest
 
 from repro.ap import APConfig
-from repro.api import (ArrayTrackConfig, ResilienceConfig, SessionConfig,
-                       TrackerConfig, default_server_config)
+from repro.api import ArrayTrackConfig, ResilienceConfig, SessionConfig
 from repro.constants import DEFAULT_SPECTRUM_FLOOR
 from repro.core import LocalizerConfig, SpectrumConfig, SuppressorConfig
 from repro.errors import ConfigurationError
@@ -92,8 +91,6 @@ CONFIG_LEAVES = [
     "suppressor.max_group_size",
     "suppressor.min_relative_height", "suppressor.residual_fraction",
     "suppressor.tolerance_deg", "suppressor.window_s",
-    "tracker.max_history", "tracker.on_out_of_order",
-    "tracker.smoothing_factor",
 ]
 
 
@@ -101,7 +98,7 @@ class TestLeaves:
     def test_config_leaves_are_pinned(self):
         leaves = sorted(_leaves(ArrayTrackConfig().to_dict()))
         assert leaves == CONFIG_LEAVES
-        assert len(leaves) == 37
+        assert len(leaves) == 34
 
 
 def _section_leaves():
@@ -157,7 +154,7 @@ class TestLeafTypes:
         assert sorted(by_value["bool"]) == BOOL_LEAVES
         assert set(by_value["float"]) <= set(FLOAT_LEAVES)
         assert len(BOOL_LEAVES) == 6
-        assert len(FLOAT_LEAVES) == 12
+        assert len(FLOAT_LEAVES) == 11
 
     @pytest.mark.parametrize("path", BOOL_LEAVES)
     @pytest.mark.parametrize("value", ["False", "true", 0, 1, None])
@@ -224,15 +221,16 @@ class TestDefaults:
         assert config.server.localizer.spectrum_floor == DEFAULT_SPECTRUM_FLOOR
         assert DEFAULT_SPECTRUM_FLOOR == pytest.approx(0.05)
 
-    def test_plain_localizer_default_unchanged(self):
-        # The paper-faithful Equation 8 default stays put; only the
-        # service tree applies the end-to-end 0.05 floor.
-        assert LocalizerConfig().spectrum_floor == pytest.approx(0.02)
+    def test_plain_localizer_shares_the_service_floor(self):
+        # One default: a directly built localizer and the service tree
+        # agree on the floor.
+        assert LocalizerConfig().spectrum_floor == DEFAULT_SPECTRUM_FLOOR
+        assert ArrayTrackConfig().server == ServerConfig()
 
     def test_partial_server_section_keeps_facade_floor(self):
         config = ArrayTrackConfig.from_dict({"server": {}})
         assert config.server.localizer.spectrum_floor == DEFAULT_SPECTRUM_FLOOR
-        assert config.server == default_server_config()
+        assert config.server == ServerConfig()
 
     def test_partial_localizer_section_keeps_other_defaults(self):
         config = ArrayTrackConfig.from_dict(
@@ -380,9 +378,17 @@ class TestRejection:
                            match=rf"config\.server\.localizer: {message}"):
             ArrayTrackConfig().updated({path: value})
 
-    def test_invalid_tracker_value_names_path(self):
-        with pytest.raises(ConfigurationError, match="smoothing_factor"):
-            ArrayTrackConfig.from_dict({"tracker": {"smoothing_factor": 0.0}})
+    def test_tracker_section_is_unknown(self):
+        # The tracker has one behaviour: module constants, no section.
+        assert "tracker" not in ArrayTrackConfig().to_dict()
+        with pytest.raises(ConfigurationError,
+                           match=r"unknown key\(s\) \['tracker'\] "
+                                 r"under config"):
+            ArrayTrackConfig.from_dict({"tracker": {}})
+        with pytest.raises(ConfigurationError,
+                           match="unknown configuration path "
+                                 "'tracker.max_history'"):
+            ArrayTrackConfig().updated({"tracker.max_history": 4})
 
     @pytest.mark.parametrize("key, value", [
         ("min_relative_height", 1.5),
@@ -477,6 +483,15 @@ class TestOverrides:
         assert updated.server.localizer.spectrum_floor == 0.1
         assert updated.session.max_age_s == 0.5
 
+    def test_env_override_reaches_session_and_suppressor_sections(self):
+        config = ArrayTrackConfig(bounds=(0.0, 0.0, 5.0, 5.0))
+        updated = config.with_env_overrides({
+            "ARRAYTRACK_SESSION__SUPPRESS_MULTIPATH": "true",
+            "ARRAYTRACK_SUPPRESSOR__TOLERANCE_DEG": "7.5",
+        })
+        assert updated.session.suppress_multipath is True
+        assert updated.suppressor.tolerance_deg == 7.5
+
     def test_env_overrides_noop_without_matches(self):
         config = ArrayTrackConfig(bounds=(0.0, 0.0, 5.0, 5.0))
         assert config.with_env_overrides({"HOME": "/root"}) is config
@@ -520,43 +535,6 @@ class TestSessionConfigValidation:
     def test_invalid_session_parameters(self, kwargs):
         with pytest.raises(ConfigurationError):
             SessionConfig(**kwargs)
-
-
-class TestTrackerSection:
-    def test_defaults(self):
-        config = ArrayTrackConfig()
-        assert config.tracker == TrackerConfig()
-        assert config.tracker.on_out_of_order == "insert"
-
-    def test_round_trips_with_non_default_values(self):
-        config = ArrayTrackConfig(
-            bounds=(0.0, 0.0, 5.0, 5.0),
-            tracker=TrackerConfig(smoothing_factor=0.3, max_history=16,
-                                  on_out_of_order="reject"))
-        restored = ArrayTrackConfig.from_dict(config.to_dict())
-        assert restored == config
-        assert restored.tracker.max_history == 16
-
-    @pytest.mark.parametrize("kwargs", [
-        {"smoothing_factor": 0.0},
-        {"smoothing_factor": 1.5},
-        {"max_history": 0},
-        {"on_out_of_order": "panic"},
-    ])
-    def test_invalid_tracker_parameters(self, kwargs):
-        with pytest.raises(ConfigurationError):
-            TrackerConfig(**kwargs)
-
-    def test_env_override_reaches_tracker_section(self):
-        config = ArrayTrackConfig(bounds=(0.0, 0.0, 5.0, 5.0))
-        updated = config.with_env_overrides({
-            "ARRAYTRACK_TRACKER__SMOOTHING_FACTOR": "0.25",
-            "ARRAYTRACK_SESSION__SUPPRESS_MULTIPATH": "true",
-            "ARRAYTRACK_SUPPRESSOR__TOLERANCE_DEG": "7.5",
-        })
-        assert updated.tracker.smoothing_factor == 0.25
-        assert updated.session.suppress_multipath is True
-        assert updated.suppressor.tolerance_deg == 7.5
 
 
 class TestResilienceSection:

@@ -48,7 +48,6 @@ class TestConfigPickling:
             "session.emit_every_frames": 5,
             "session.suppress_multipath": True,
             "suppressor.tolerance_deg": 7.5,
-            "tracker.smoothing_factor": 0.5,
             "parallel.backend": "process",
             "parallel.num_workers": 3,
             "parallel.min_clients_per_worker": 4,

@@ -14,6 +14,7 @@ from repro.core import (AoASpectrum, LocalizerConfig, SpectrumConfig,
 from repro.errors import ConfigurationError, EstimationError
 from repro.geometry import Point2D, bearing_deg
 from repro.server import ServerConfig
+from repro.server import tracker as tracker_module
 
 BOUNDS = (0.0, 0.0, 20.0, 10.0)
 TARGET = Point2D(12.0, 6.0)
@@ -291,11 +292,11 @@ class TestStreamingSessions:
         assert service.latest_fix("c") is service.track("c")[-1]
         assert service.latest_fix("c").timestamp_s == 2.0
 
-    def test_fix_history_is_capped_by_the_tracker(self):
+    def test_fix_history_is_capped_by_the_tracker(self, monkeypatch):
         # The tracker's capped history is the only fix history; the
         # session keeps none that could grow for the session's lifetime.
-        service = _service(**{"session.emit_every_frames": 1,
-                              "tracker.max_history": 4})
+        monkeypatch.setattr(tracker_module, "TRACK_CAPACITY", 4)
+        service = _service(**{"session.emit_every_frames": 1})
         for step in range(10):
             service.ingest("ap0",
                            _spectrum_towards(AP_POSITIONS[0], TARGET),
@@ -426,8 +427,7 @@ class TestStreamingSuppression:
 
 class TestClientTrackAccess:
     def test_track_and_latest_fix_accessors(self):
-        service = _service(**{"session.emit_every_frames": 1,
-                              "tracker.smoothing_factor": 1.0})
+        service = _service(**{"session.emit_every_frames": 1})
         for step in range(3):
             service.ingest("ap0",
                            _spectrum_towards(AP_POSITIONS[0], TARGET,
@@ -441,39 +441,25 @@ class TestClientTrackAccess:
         assert service.latest_fix("missing") is None
         assert service.track("missing") == []
 
-    def test_tracker_section_configures_service_tracker(self):
-        service = _service(**{"tracker.smoothing_factor": 0.25,
-                              "tracker.max_history": 2,
-                              "tracker.on_out_of_order": "reject"})
-        assert service.tracker.smoothing_factor == 0.25
-        assert service.tracker.max_history == 2
-        assert service.tracker.on_out_of_order == "reject"
-
-    def test_reject_policy_keeps_session_frames_on_stale_tick(self):
-        service = _service(**{"session.emit_every_frames": 1,
-                              "tracker.on_out_of_order": "reject"})
+    def test_stale_tick_inserts_its_fix_in_time_order(self):
+        service = _service(**{"session.emit_every_frames": 1})
         service.ingest("ap0", _spectrum_towards(AP_POSITIONS[0], TARGET),
                        client_id="c", timestamp_s=0.0)
         service.tick(now_s=10.0)
         service.ingest("ap0", _spectrum_towards(AP_POSITIONS[0], TARGET),
                        client_id="c", timestamp_s=1.0)
-        with pytest.raises(EstimationError, match="out-of-order"):
-            service.tick(now_s=5.0)
-        # The rejected fix left the pending frame in place: a tick at a
-        # sane time emits it.
-        assert service.session("c").pending_frames == 1
-        fixes = service.tick(now_s=11.0)
-        assert set(fixes) == {"c"}
-        assert len(service.track("c")) == 2
+        assert set(service.tick(now_s=5.0)) == {"c"}
+        assert service.session("c").pending_frames == 0
+        assert [point.timestamp_s for point in service.track("c")] == \
+            [5.0, 10.0]
+        assert service.latest_fix("c").timestamp_s == 10.0
 
-    @pytest.mark.parametrize("policy", ["insert", "reject"])
     @pytest.mark.parametrize("now_s", [float("nan"), float("inf")])
-    def test_non_finite_tick_time_commits_nothing(self, policy, now_s):
+    def test_non_finite_tick_time_commits_nothing(self, now_s):
         # A fix stamped NaN used to be committed; a later tick at 0.5
         # after a fix at 1.0 was then appended after it, leaving the
         # track at [1.0, nan, 0.5].
-        service = _service(**{"session.emit_every_frames": 1,
-                              "tracker.on_out_of_order": policy})
+        service = _service(**{"session.emit_every_frames": 1})
 
         def ingest(timestamp_s):
             for index, client_id in enumerate(("a", "b")):
@@ -494,35 +480,6 @@ class TestClientTrackAccess:
         for client_id in ("a", "b"):
             assert [point.timestamp_s
                     for point in service.track(client_id)] == [1.0, 2.0]
-
-    def test_reject_policy_is_atomic_across_clients(self):
-        """One stale client must not let other drained clients lose fixes."""
-        service = _service(**{"session.emit_every_frames": 1,
-                              "tracker.on_out_of_order": "reject"})
-        # "good" is created first, so without the up-front validation it
-        # would be committed (and its frames drained) before "bad" raises.
-        service.ingest("ap0", _spectrum_towards(AP_POSITIONS[0], TARGET),
-                       client_id="good", timestamp_s=0.0)
-        service.ingest("ap1", _spectrum_towards(AP_POSITIONS[1], TARGET),
-                       client_id="bad", timestamp_s=0.0)
-        service.tick(now_s=10.0)
-        # Advance only "bad" to t=50 ("good" has nothing pending then).
-        service.ingest("ap1", _spectrum_towards(AP_POSITIONS[1], TARGET),
-                       client_id="bad", timestamp_s=50.0)
-        service.tick(now_s=50.0)
-        # A tick at t=20 is fine for "good" (latest 10) but stale for
-        # "bad" (latest 50).
-        service.ingest("ap0", _spectrum_towards(AP_POSITIONS[0], TARGET),
-                       client_id="good", timestamp_s=20.0)
-        service.ingest("ap1", _spectrum_towards(AP_POSITIONS[1], TARGET),
-                       client_id="bad", timestamp_s=20.0)
-        with pytest.raises(EstimationError, match="'bad'"):
-            service.tick(now_s=20.0)
-        # Nothing was committed for ANY client: frames intact, tracks and
-        # fix logs unchanged ("good" would have been drained first).
-        assert service.session("good").pending_frames == 1
-        assert service.session("bad").pending_frames == 1
-        assert len(service.track("good")) == 1
 
 
 class TestIngestValidation:

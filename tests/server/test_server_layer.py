@@ -9,6 +9,7 @@ from repro.core import AoASpectrum, LocalizerConfig, LocationEstimate, default_a
 from repro.errors import ConfigurationError, EstimationError
 from repro.geometry import Point2D, bearing_deg
 from repro.server import ArrayTrackServer, ClientTracker, ServerConfig
+from repro.server.tracker import SMOOTHING_WEIGHT, TRACK_CAPACITY
 
 from tests.core._oracle import reference_suppress
 
@@ -227,15 +228,16 @@ class TestClientTracker:
         return LocationEstimate(position=Point2D(x, y), likelihood=1.0, num_aps=3)
 
     def test_first_fix_is_not_smoothed(self):
-        tracker = ClientTracker(smoothing_factor=0.5)
+        tracker = ClientTracker()
         point = tracker.update("c", self._estimate(1.0, 1.0), 0.0)
         assert point.smoothed_position == Point2D(1.0, 1.0)
 
     def test_smoothing_blends_consecutive_fixes(self):
-        tracker = ClientTracker(smoothing_factor=0.5)
+        tracker = ClientTracker()
         tracker.update("c", self._estimate(0.0, 0.0), 0.0)
         point = tracker.update("c", self._estimate(2.0, 0.0), 0.1)
-        assert point.smoothed_position.x == pytest.approx(1.0)
+        assert SMOOTHING_WEIGHT == 0.6
+        assert point.smoothed_position.x == pytest.approx(1.2)
 
     def test_track_history_and_clients(self):
         tracker = ClientTracker()
@@ -247,31 +249,24 @@ class TestClientTracker:
         assert tracker.latest("a").position.x == pytest.approx(4.0)
         assert tracker.latest("missing") is None
 
-    def test_max_history_trims_old_fixes(self):
-        tracker = ClientTracker(max_history=3)
-        for index in range(6):
+    def test_track_keeps_the_newest_capacity_fixes(self):
+        tracker = ClientTracker()
+        for index in range(2 * TRACK_CAPACITY):
             tracker.update("a", self._estimate(float(index), 0.0), float(index))
-        track = tracker.track("a")
-        assert len(track) == 3
-        assert track[0].position.x == pytest.approx(3.0)
+        assert [point.timestamp_s for point in tracker.track("a")] == \
+            [float(index) for index in range(TRACK_CAPACITY, 2 * TRACK_CAPACITY)]
 
     def test_path_length(self):
-        tracker = ClientTracker(smoothing_factor=1.0)
+        tracker = ClientTracker()
         for index in range(4):
             tracker.update("a", self._estimate(float(index), 0.0), float(index))
-        assert tracker.path_length_m("a") == pytest.approx(3.0)
+        assert tracker.path_length_m("a", smoothed=False) == pytest.approx(3.0)
+        # EMA at 0.6 along 0, 1, 2, 3: 0, 0.6, 1.44, 2.376.
+        assert tracker.path_length_m("a") == pytest.approx(2.376)
         assert tracker.path_length_m("unknown") == 0.0
 
-    def test_invalid_parameters(self):
-        with pytest.raises(ConfigurationError):
-            ClientTracker(smoothing_factor=0.0)
-        with pytest.raises(ConfigurationError):
-            ClientTracker(max_history=0)
-        with pytest.raises(ConfigurationError):
-            ClientTracker(on_out_of_order="panic")
-
     def test_out_of_order_fix_inserted_chronologically(self):
-        tracker = ClientTracker(smoothing_factor=1.0)
+        tracker = ClientTracker()
         tracker.update("a", self._estimate(0.0, 0.0), 0.0)
         tracker.update("a", self._estimate(2.0, 0.0), 2.0)
         late = tracker.update("a", self._estimate(1.0, 0.0), 1.0)
@@ -282,60 +277,36 @@ class TestClientTracker:
         assert tracker.latest("a").timestamp_s == 2.0
         assert tracker.latest("a").position.x == pytest.approx(2.0)
         # The path walks 0 -> 1 -> 2, not 0 -> 2 -> 1 (which would be 3 m).
-        assert tracker.path_length_m("a") == pytest.approx(2.0)
+        assert tracker.path_length_m("a", smoothed=False) == pytest.approx(2.0)
 
     def test_out_of_order_fix_recomputes_smoothing_downstream(self):
-        tracker = ClientTracker(smoothing_factor=0.5)
+        tracker = ClientTracker()
         tracker.update("a", self._estimate(0.0, 0.0), 0.0)
         tracker.update("a", self._estimate(4.0, 0.0), 2.0)
         tracker.update("a", self._estimate(2.0, 0.0), 1.0)
         track = tracker.track("a")
-        # EMA along chronological order: 0, then 0.5*2, then mid(1, 4).
+        # EMA along chronological order: 0, then 0.6*2, then
+        # 0.6*4 + 0.4*1.2.
         assert track[0].smoothed_position.x == pytest.approx(0.0)
-        assert track[1].smoothed_position.x == pytest.approx(1.0)
-        assert track[2].smoothed_position.x == pytest.approx(2.5)
+        assert track[1].smoothed_position.x == pytest.approx(1.2)
+        assert track[2].smoothed_position.x == pytest.approx(2.88)
 
     def test_duplicate_timestamp_inserted_after_existing(self):
-        tracker = ClientTracker(smoothing_factor=1.0)
+        tracker = ClientTracker()
         tracker.update("a", self._estimate(0.0, 0.0), 1.0)
         duplicate = tracker.update("a", self._estimate(5.0, 0.0), 1.0)
         track = tracker.track("a")
         assert [p.position.x for p in track] == [0.0, 5.0]
         assert tracker.latest("a") == duplicate
 
-    def test_reject_policy_raises_on_regression_and_duplicate(self):
-        tracker = ClientTracker(on_out_of_order="reject")
-        tracker.update("a", self._estimate(0.0, 0.0), 1.0)
-        with pytest.raises(EstimationError, match="out-of-order"):
-            tracker.update("a", self._estimate(1.0, 0.0), 0.5)
-        with pytest.raises(EstimationError, match="out-of-order"):
-            tracker.update("a", self._estimate(1.0, 0.0), 1.0)
-        # The failed updates left the track untouched; advancing works.
-        assert len(tracker.track("a")) == 1
-        tracker.update("a", self._estimate(2.0, 0.0), 2.0)
-        assert tracker.latest("a").timestamp_s == 2.0
-
-    @pytest.mark.parametrize("policy", ["insert", "reject"])
     @pytest.mark.parametrize("timestamp", [float("nan"), float("inf"),
                                            float("-inf")])
-    def test_non_finite_timestamp_refused_under_every_policy(self, policy,
-                                                             timestamp):
-        tracker = ClientTracker(smoothing_factor=1.0, on_out_of_order=policy)
+    def test_non_finite_timestamp_refused(self, timestamp):
+        tracker = ClientTracker()
         tracker.update("a", self._estimate(0.0, 0.0), 1.0)
-        with pytest.raises(EstimationError, match="non-finite"):
-            tracker.ensure_accepts("a", timestamp)
         with pytest.raises(EstimationError, match="non-finite"):
             tracker.update("a", self._estimate(1.0, 0.0), timestamp)
         with pytest.raises(EstimationError, match="non-finite"):
             tracker.update("new", self._estimate(1.0, 0.0), timestamp)
         assert [p.timestamp_s for p in tracker.track("a")] == [1.0]
         assert tracker.track("new") == []
-
-    def test_tracker_config_builds_equivalent_tracker(self):
-        from repro.server import TrackerConfig
-
-        tracker = TrackerConfig(smoothing_factor=0.4, max_history=2,
-                                on_out_of_order="reject").build()
-        assert tracker.smoothing_factor == 0.4
-        assert tracker.max_history == 2
-        assert tracker.on_out_of_order == "reject"

@@ -112,7 +112,7 @@ class TestFullPipeline:
         deployment = SimulatedDeployment(testbed,
                                          ScenarioConfig(frames_per_client=1, seed=5))
         service = _service(testbed.bounds)
-        tracker = ClientTracker(smoothing_factor=0.7)
+        tracker = ClientTracker()
         waypoints = random_waypoint_track(Point2D(6.0, 4.0), Point2D(14.0, 4.0), 4)
         errors = []
         for index, waypoint in enumerate(waypoints):
