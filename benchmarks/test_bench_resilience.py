@@ -5,7 +5,8 @@ crashed round's batch is served by the serial rung in the same call, the
 broken pool is discarded and respawned by the next sharded call, and the
 batch's fixes stay bit-for-bit identical to the serial path.  That
 promise has a price: every crash costs one serial batch plus one
-spawn-pool respawn.  This benchmark quantifies the price and pins a floor
+pool respawn (a fork per worker from the preloaded fork server, plus the
+worker initializer).  This benchmark quantifies the price and pins a floor
 under it.
 
 Two configurations run the same ``localize_many`` batch repeatedly on the
@@ -22,8 +23,7 @@ Asserted, at any size: every batch of both configurations is bit-identical
 to the serial fixes -- crashes must never change answers.  At full size
 the **degraded-throughput bound** applies: with a 10% per-shard crash rate
 the pool must retain at least ``DEGRADED_THROUGHPUT_FLOOR`` (10%) of its
-fault-free throughput.  The bound is deliberately loose -- each crash
-costs a full spawn-pool respawn (~1 s class on CI) -- it exists to catch
+fault-free throughput.  The bound is deliberately loose -- it exists to catch
 pathological regressions (respawn storms, a breaker that never opens,
 rebuild-per-shard instead of rebuild-per-failure), not to promise crashes
 are cheap.

@@ -1,7 +1,7 @@
-"""Process-backend sharding: a persistent spawn pool fed through its pickle pipe.
+"""Process-backend sharding: a persistent worker pool fed through its pickle pipe.
 
 This module is the ``ParallelConfig.backend = "process"`` rung of the
-service's degradation ladder: a lazy, persistent pool of *spawned* worker
+service's degradation ladder: a lazy, persistent pool of worker
 processes, each owning its own :class:`~repro.server.
 backend.ArrayTrackServer` (and therefore its own steering/bearing/window
 caches, warmed in the worker initializer).  Each shard crosses the
@@ -23,19 +23,28 @@ A pool failure -- a worker crash or a blown per-shard deadline -- discards
 the pool and raises :class:`~repro.errors.PoolSupervisionError`, a
 :class:`~repro.errors.TransientError` the service's degradation ladder
 absorbs by serving the batch serially; the next sharded call respawns the
-pool.  Spawn (not fork) is used so a pool started from a threaded parent
-is safe on every platform.
+pool.
+
+Workers are forked from a ``forkserver`` that has already imported this
+module (and with it NumPy and the whole pipeline), so a respawn after a
+crash costs a fork and the worker initializer, not an interpreter start
+plus every import.  The fork server is a fresh single-threaded process,
+so a pool started from a threaded parent is safe; where the platform has
+no fork server, workers are spawned.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import multiprocessing
+import os
 import threading
 import time
 from itertools import islice
 from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from dataclasses import dataclass
 from multiprocessing import get_context
+from multiprocessing.context import BaseContext
 from collections.abc import Iterable, Mapping, Sequence
 from typing import TYPE_CHECKING, NoReturn, TypeVar
 
@@ -83,16 +92,26 @@ _WORKER: _WorkerState | None = None
 
 
 def _initialize_worker(config: "ArrayTrackConfig",
-                       warm_positions: tuple[tuple[float, float], ...]) -> None:
+                       warm_positions: tuple[tuple[float, float], ...],
+                       fault_plan: str | None) -> None:
     """Build this worker's server once and warm its geometry caches.
 
-    Runs in the spawned child before any task.  ``config`` arrives through
+    Runs in the child before any task.  ``config`` arrives through
     the :class:`~repro.api.config.ArrayTrackConfig` dict-round-trip pickle
     contract, so every validator re-runs on this side of the pipe; the
     bearing grids of the known AP fleet are precomputed so the first real
     shard does not pay the arctan2 sweeps.
+
+    ``fault_plan`` is the parent's :data:`repro.testing.faults.ENV_VAR`
+    value when the pool was built.  A forked worker inherits the fork
+    server's environment, which may predate (or outlive) the parent's
+    plan, so the worker installs the parent's plan -- or none -- itself.
     """
     global _WORKER
+    if fault_plan is None:
+        faults.deactivate()
+    else:
+        faults.activate_json(fault_plan)
     assert config.bounds is not None
     default_bearing_cache().warm(
         config.bounds, config.server.localizer.grid_resolution_m,
@@ -230,11 +249,20 @@ class PoolStats:
         }
 
 
+def _pool_context() -> BaseContext:
+    """The fork-server context with this module preloaded, else spawn."""
+    if "forkserver" not in multiprocessing.get_all_start_methods():
+        return get_context("spawn")
+    context = get_context("forkserver")
+    context.set_forkserver_preload([__name__])
+    return context
+
+
 class ProcessShardPool:
-    """A lazy, persistent spawn pool sharding batched calls across processes.
+    """A lazy, persistent worker pool sharding batched calls across processes.
 
     Owned by :class:`~repro.api.ArrayTrackService` when
-    ``parallel.backend = "process"``.  Workers are spawned on the first
+    ``parallel.backend = "process"``.  Workers are started on the first
     sharded call and persist across calls (the per-worker server and its
     warmed caches amortize over the service lifetime); :meth:`close` shuts
     them down.
@@ -295,9 +323,10 @@ class ProcessShardPool:
         if self._executor is None:
             self._executor = ProcessPoolExecutor(
                 max_workers=self._config.parallel.num_workers,
-                mp_context=get_context("spawn"),
+                mp_context=_pool_context(),
                 initializer=_initialize_worker,
-                initargs=(self._config, self._warm_positions))
+                initargs=(self._config, self._warm_positions,
+                          os.environ.get(faults.ENV_VAR)))
         return self._executor
 
     def _discard_executor(self, executor: ProcessPoolExecutor) -> None:

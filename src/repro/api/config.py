@@ -120,7 +120,7 @@ class ParallelConfig:
     :meth:`~repro.api.ArrayTrackService.localize_buffered` and
     :meth:`~repro.api.ArrayTrackService.tick` split their client batch into
     contiguous shards and run each shard's suppression and synthesis in a
-    spawned worker process with its own interpreter (each shard's spectra
+    worker process with its own interpreter (each shard's spectra
     travel as the pickled arguments of its pool task, and its fixes come
     back the same way).  Every shard drains through the unchanged
     suppression/synthesis step and the per-shard batches are themselves
@@ -135,7 +135,7 @@ class ParallelConfig:
     ----------
     backend:
         ``"none"`` (the default) runs everything on the calling thread;
-        ``"process"`` shards batches across a persistent pool of spawned
+        ``"process"`` shards batches across a persistent pool of
         worker processes (requires the config tree to be picklable, which
         every built-in section is; see ``docs/api.md``).
     num_workers:

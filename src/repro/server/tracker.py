@@ -100,6 +100,10 @@ class ClientTracker:
                            position=estimate.position,
                            smoothed_position=estimate.position,
                            likelihood=estimate.likelihood)
+        if index == 0 and len(history) >= TRACK_CAPACITY:
+            # Older than every fix of a full track: it would age out at
+            # once, and the EMA must not restart from it for the fixes kept.
+            return point
         history.insert(index, point)
         _resmooth(history, index)
         point = history[index]

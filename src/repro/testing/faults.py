@@ -9,8 +9,9 @@ Faults are described by :class:`FaultSpec` records and activated either
 programmatically (:func:`activate` / :func:`injected_faults`) or through
 the ``ARRAYTRACK_FAULTS`` environment variable, which carries the same
 specs as a JSON list.  Activation always exports the environment variable
-too, so worker processes spawned *after* activation inherit the plan --
-that is how a fault can fire inside a ``ProcessPoolExecutor`` worker.
+too: a process pool built *after* activation reads it and hands the plan
+to its workers' initializer -- that is how a fault can fire inside a
+``ProcessPoolExecutor`` worker.
 
 The supported kinds, and where their hooks live:
 
@@ -57,7 +58,7 @@ __all__ = ["ENV_VAR", "KINDS", "STAGES", "KILL_EXIT_CODE", "FaultSpec",
            "activate", "activate_json", "deactivate", "injected_faults",
            "active_specs", "fired_counts", "worker_shard", "poison"]
 
-#: Environment variable carrying the JSON fault plan into spawned workers.
+#: Environment variable carrying the JSON fault plan into pool workers.
 ENV_VAR = "ARRAYTRACK_FAULTS"
 
 #: Every fault kind this harness can fire.
@@ -192,7 +193,8 @@ class _ActiveFault:
 
 
 #: Installed faults of this process; None = not yet resolved from the
-#: environment (spawned workers resolve lazily on their first hook call).
+#: environment (a process that never activates a plan resolves it lazily
+#: on its first hook call).
 _ACTIVE: list[_ActiveFault] | None = None
 
 
@@ -229,8 +231,8 @@ def _active() -> list[_ActiveFault]:
 def activate(specs: Sequence[FaultSpec] | FaultSpec) -> None:
     """Install a fault plan in this process and export it to the environment.
 
-    The export makes the plan visible to worker processes spawned after
-    this call; workers spawned before it keep running fault-free.
+    The export makes the plan visible to process pools built after this
+    call; the workers of a pool built before it keep that pool's plan.
     Replaces any previously active plan.
     """
     global _ACTIVE

@@ -390,6 +390,21 @@ class TestRejection:
                                  "'tracker.max_history'"):
             ArrayTrackConfig().updated({"tracker.max_history": 4})
 
+    @pytest.mark.parametrize("leaf, value", [
+        ("smoothing_factor", 0.6),
+        ("max_history", 100),
+        ("on_out_of_order", "insert"),
+    ])
+    @pytest.mark.parametrize("entry", ["from_dict", "updated"])
+    def test_retired_tracker_leaf_fails_at_load(self, entry, leaf, value):
+        # A config written for the old tracker section must fail loudly,
+        # not run with the module constants it meant to override.
+        with pytest.raises(ConfigurationError, match="tracker"):
+            if entry == "from_dict":
+                ArrayTrackConfig.from_dict({"tracker": {leaf: value}})
+            else:
+                ArrayTrackConfig().updated({f"tracker.{leaf}": value})
+
     @pytest.mark.parametrize("key, value", [
         ("min_relative_height", 1.5),
         # NaN windows made every frame its own group (suppression silently

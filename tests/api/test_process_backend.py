@@ -285,7 +285,7 @@ class TestPickleTransport:
             self, monkeypatch):
         monkeypatch.setattr(_procpool, "_WORKER", None)
         config = _config("none")
-        _procpool._initialize_worker(config, ())
+        _procpool._initialize_worker(config, (), None)
         clients = _bursts(3, seed=9)
         serial = ArrayTrackService(config).localize_many(clients)
         shard = _round_trip(_shard_table(clients, list(clients)))

@@ -8,9 +8,12 @@ and recovers half-open, and ingest sheds/rejects under pressure -- all
 deterministically, via :mod:`repro.testing.faults`.
 """
 
+import json
+import os
 import threading
 import time
 from dataclasses import replace
+from multiprocessing import forkserver
 
 import numpy as np
 import pytest
@@ -94,6 +97,66 @@ def serial_fixes():
     """The serial ground truth every recovered batch must equal exactly."""
     with _service() as service:
         return service.localize_many(_clients(6))
+
+
+@pytest.fixture
+def fresh_fork_server():
+    """Stop the process-wide fork server around a test, so the test's first
+    pool starts a new one from the environment of that moment."""
+    forkserver._forkserver._stop()
+    yield
+    forkserver._forkserver._stop()
+
+
+# ----------------------------------------------------------------------
+# The parent's fault plan, not the fork server's environment, rules workers
+# ----------------------------------------------------------------------
+class TestFaultPlanReachesForkedWorkers:
+    def test_plan_activated_after_the_fork_server_started_fires(
+            self, tmp_path, serial_fixes, fresh_fork_server):
+        with _process_service() as service:
+            _assert_identical(service.localize_many(_clients(6)),
+                              serial_fixes)
+            assert service._procpool.stats.broken_pools == 0
+        faults.activate(faults.FaultSpec(
+            kind="kill-worker-mid-shard", times=1, token_dir=str(tmp_path)))
+        with _process_service() as service:
+            _assert_identical(service.localize_many(_clients(6)),
+                              serial_fixes)
+            assert service._procpool.stats.broken_pools == 1
+        assert len(list(tmp_path.iterdir())) == 1
+
+    def test_plan_deactivated_since_the_fork_server_started_stays_off(
+            self, serial_fixes, fresh_fork_server):
+        # The fork server starts while an unbudgeted plan is exported, so
+        # its environment keeps the plan after the parent drops it.
+        faults.activate(faults.FaultSpec(kind="kill-worker-mid-shard"))
+        with _process_service() as service:
+            _assert_identical(service.localize_many(_clients(6)),
+                              serial_fixes)
+            assert service._procpool.stats.broken_pools == 1
+        faults.deactivate()
+        with _process_service() as service:
+            for _ in range(2):
+                _assert_identical(service.localize_many(_clients(6)),
+                                  serial_fixes)
+            assert service._procpool.stats.broken_pools == 0
+            assert service.health()["fallbacks"]["served_by"] == {}
+
+    @pytest.mark.parametrize("plan", [None, [faults.FaultSpec(
+        kind="slow-worker", probability=0.5, seed=3)]])
+    def test_worker_initializer_installs_the_parent_plan(self, plan,
+                                                        monkeypatch):
+        monkeypatch.setattr(_procpool, "_WORKER", None)
+        # What a forked worker inherits: a plan the parent no longer has.
+        faults.activate(faults.FaultSpec(kind="poison-frame"))
+        text = None if plan is None \
+            else json.dumps([spec.to_dict() for spec in plan])
+        _procpool._initialize_worker(
+            ArrayTrackConfig(bounds=BOUNDS).updated(
+                {"server.localizer.grid_resolution_m": 0.25}), (), text)
+        assert faults.active_specs() == tuple(plan or ())
+        assert os.environ.get(faults.ENV_VAR) == text
 
 
 # ----------------------------------------------------------------------

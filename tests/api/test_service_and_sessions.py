@@ -454,7 +454,8 @@ class TestClientTrackAccess:
             [5.0, 10.0]
         assert service.latest_fix("c").timestamp_s == 10.0
 
-    @pytest.mark.parametrize("now_s", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("now_s", [float("nan"), float("inf"),
+                                       float("-inf")])
     def test_non_finite_tick_time_commits_nothing(self, now_s):
         # A fix stamped NaN used to be committed; a later tick at 0.5
         # after a fix at 1.0 was then appended after it, leaving the

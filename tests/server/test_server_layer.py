@@ -223,6 +223,29 @@ class TestArrayTrackServer:
             assert batched[cid].num_aps == sequential[cid].num_aps
 
 
+def _chronological_replay(arrivals):
+    """The track a list of ``(timestamp_s, position)`` arrivals must leave:
+    the fixes stably sorted by time (a tie keeps arrival order), each
+    smoothed from its predecessor at :data:`SMOOTHING_WEIGHT`."""
+    alpha = SMOOTHING_WEIGHT
+    expected = []
+    for timestamp_s, position in sorted(arrivals, key=lambda item: item[0]):
+        if expected:
+            previous = expected[-1][2]
+            smoothed = Point2D(
+                alpha * position.x + (1.0 - alpha) * previous.x,
+                alpha * position.y + (1.0 - alpha) * previous.y)
+        else:
+            smoothed = position
+        expected.append((timestamp_s, position, smoothed))
+    return expected
+
+
+def _track_rows(tracker, client_id):
+    return [(point.timestamp_s, point.position, point.smoothed_position)
+            for point in tracker.track(client_id)]
+
+
 class TestClientTracker:
     def _estimate(self, x, y):
         return LocationEstimate(position=Point2D(x, y), likelihood=1.0, num_aps=3)
@@ -310,3 +333,77 @@ class TestClientTracker:
             tracker.update("new", self._estimate(1.0, 0.0), timestamp)
         assert [p.timestamp_s for p in tracker.track("a")] == [1.0]
         assert tracker.track("new") == []
+
+    def _feed(self, tracker, client_id, arrivals):
+        for timestamp_s, position in arrivals:
+            tracker.update(client_id, self._estimate(position.x, position.y),
+                           timestamp_s)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_any_arrival_order_matches_the_chronological_replay(self, seed):
+        rng = np.random.default_rng(seed)
+        # Times on a 0.1 s grid of 12 slots, so some of the 20 fixes tie.
+        arrivals = [(float(rng.integers(0, 12)) / 10.0,
+                     Point2D(float(rng.uniform(0.0, 10.0)),
+                             float(rng.uniform(0.0, 10.0))))
+                    for _ in range(20)]
+        tracker = ClientTracker()
+        self._feed(tracker, "a", arrivals)
+        expected = _chronological_replay(arrivals)
+        assert _track_rows(tracker, "a") == expected
+        assert tracker.latest("a") == tracker.track("a")[-1]
+        assert tracker.path_length_m("a") == pytest.approx(sum(
+            a[2].distance_to(b[2]) for a, b in zip(expected, expected[1:])))
+
+    @pytest.mark.parametrize("overflow", [1, 2, 17])
+    def test_aged_out_fixes_still_shape_the_smoothing(self, overflow):
+        arrivals = [(float(index), Point2D(float(index % 11), 0.0))
+                    for index in range(TRACK_CAPACITY + overflow)]
+        tracker = ClientTracker()
+        self._feed(tracker, "a", arrivals)
+        track = _track_rows(tracker, "a")
+        assert track == _chronological_replay(arrivals)[overflow:]
+        # The oldest kept fix carries the EMA of the fixes that aged out.
+        assert track[0][2] != track[0][1]
+
+    @pytest.mark.parametrize("slot", [1, 2, TRACK_CAPACITY // 2,
+                                      TRACK_CAPACITY - 1, TRACK_CAPACITY])
+    def test_full_track_keeps_a_late_fix_newer_than_its_oldest(self, slot):
+        arrivals = [(float(index), Point2D(float(index % 5), float(index % 3)))
+                    for index in range(TRACK_CAPACITY)]
+        tracker = ClientTracker()
+        self._feed(tracker, "a", arrivals)
+        late = (slot - 0.5, Point2D(9.0, 9.0))
+        self._feed(tracker, "a", [late])
+        # The late fix lands in time order; the oldest fix ages out.
+        assert _track_rows(tracker, "a") == \
+            _chronological_replay(arrivals + [late])[1:]
+
+    @pytest.mark.parametrize("late_s", [-1e6, -1.0, 0.5])
+    def test_full_track_drops_a_fix_older_than_every_kept_fix(self, late_s):
+        arrivals = [(float(index), Point2D(float(index % 7), 0.0))
+                    for index in range(TRACK_CAPACITY + 1)]
+        tracker = ClientTracker()
+        self._feed(tracker, "a", arrivals)
+        before = tracker.track("a")
+        point = tracker.update("a", self._estimate(50.0, 50.0), late_s)
+        # Inserting it would restart the EMA of every kept fix from a fix
+        # that ages out at once; the track stays as it was.
+        assert tracker.track("a") == before
+        assert point.timestamp_s == late_s
+        assert point.smoothed_position == Point2D(50.0, 50.0)
+
+    def test_clients_keep_separate_chronologies(self):
+        rng = np.random.default_rng(3)
+        arrivals = {"a": [], "b": [], "c": []}
+        tracker = ClientTracker()
+        for _ in range(60):
+            client_id = str(rng.choice(sorted(arrivals)))
+            arrival = (float(rng.integers(0, 30)),
+                       Point2D(float(rng.uniform(0.0, 10.0)), 0.0))
+            arrivals[client_id].append(arrival)
+            self._feed(tracker, client_id, [arrival])
+        assert tracker.clients() == sorted(arrivals)
+        for client_id, fed in arrivals.items():
+            assert _track_rows(tracker, client_id) == \
+                _chronological_replay(fed)
